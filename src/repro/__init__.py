@@ -17,9 +17,9 @@ including the analog simulation substrate it depends on:
   baselines, an evaluation harness and a Monte-Carlo posterior tier
   with expected-information-gain test selection;
 * :mod:`repro.core` -- the end-to-end ATPG pipeline;
-* :mod:`repro.runtime` -- the serving layer: batched diagnosis, parallel
-  dictionary builds, a content-addressed artifact store, the
-  multi-circuit :class:`DiagnosisService` and its asyncio front
+* :mod:`repro.runtime` -- the serving layer: batched diagnosis, a
+  content-addressed artifact store, the multi-circuit
+  :class:`DiagnosisService` and its asyncio front
   (:class:`AsyncDiagnosisService`: request coalescing, backpressure,
   a stdlib JSON-over-HTTP server);
 * :mod:`repro.viz` -- ASCII figures and CSV export.
@@ -76,7 +76,6 @@ from . import errors
 from .errors import (
     CorpusError,
     FamilyError,
-    ReproDeprecationWarning,
     ReproError,
 )
 from .faults import (
@@ -91,7 +90,6 @@ from .faults import (
     parametric_universe,
     synthesize_universe,
 )
-from .parallelism import ParallelismConfig
 from .runtime import (
     ArtifactStore,
     AsyncDiagnosisService,
@@ -105,7 +103,6 @@ from .runtime import (
     ServiceStats,
     ShardedBackend,
     StorageBackend,
-    build_dictionary_parallel,
     serve,
 )
 from .ga import (
@@ -236,7 +233,6 @@ __all__ = [
     "FaultTrajectoryATPG",
     "ATPGResult",
     "PipelineConfig",
-    "ParallelismConfig",
     # corpus
     "CorpusSpec",
     "FamilySpec",
@@ -255,11 +251,9 @@ __all__ = [
     "serve",
     "CircuitRouter",
     "ClusterService",
-    "build_dictionary_parallel",
     # misc
     "errors",
     "ReproError",
-    "ReproDeprecationWarning",
     "FamilyError",
     "CorpusError",
     "parse_value",

@@ -192,15 +192,7 @@ class FaultTrajectoryATPG:
     # ------------------------------------------------------------------
     def _simulate_dictionary(self, universe: FaultUniverse,
                              freqs_hz: np.ndarray) -> FaultDictionary:
-        """Fault-simulate ``universe``, honouring the worker config."""
-        if self.config.n_workers > 1:
-            from ..runtime.parallel import build_dictionary_parallel
-            return build_dictionary_parallel(
-                universe, self.info.output_node, freqs_hz,
-                input_source=self.info.input_source,
-                n_workers=self.config.n_workers,
-                executor=self.config.executor,
-                engine_kind=self.config.engine)
+        """Fault-simulate ``universe`` on the pipeline's engine."""
         return FaultDictionary.build(
             universe, self.info.output_node, freqs_hz,
             input_source=self.info.input_source,
@@ -267,6 +259,13 @@ class FaultTrajectoryATPG:
         # shares the exact dictionary.
         base_key = store.problem_key(self.info, universe) if store \
             else None
+        if base_key and self.config.engine.kind == "factored":
+            # The factored engine's low-rank solves differ from the
+            # dense ones in the last bits (batched and scalar agree
+            # bitwise and share keys), so every artifact derived from
+            # its simulations needs its own slot.
+            base_key = store.derive_key(
+                base_key, "engine", self.config.engine.to_json_value())
         dict_key = store.derive_key(
             base_key, "dense", [float(f) for f in grid]) if store else None
 
@@ -298,10 +297,7 @@ class FaultTrajectoryATPG:
                                    self.config.num_frequencies)
             surface = ResponseSurface(dictionary)
             fitness = self.make_fitness(surface)
-            ga = GeneticAlgorithm(
-                space, fitness, self.config.ga,
-                n_workers=self.config.effective_ga_workers,
-                executor=self.config.ga_executor)
+            ga = GeneticAlgorithm(space, fitness, self.config.ga)
             with profiling.profiled("pipeline.ga_search",
                                     circuit=self.info.circuit.name):
                 ga_result = ga.run(seed=seed)

@@ -4,22 +4,17 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
+from ..diagnosis.posterior import RETIRED_WORKER_KEYS
 from ..errors import ReproError
 from ..faults.models import paper_deviation_grid
 from ..ga.config import GAConfig
-from ..parallelism import ParallelismConfig, install_legacy_kwargs
 from ..sim.engine import EngineSpec
 
 __all__ = ["PipelineConfig"]
 
 _FITNESS_KINDS = ("paper", "margin", "combined")
-
-# The flat worker keys are both the deprecated constructor spelling and
-# the stable JSON wire format (see to_json_dict).
-_LEGACY_PARALLELISM_KEYS = (
-    "n_workers", "executor", "ga_workers", "ga_executor")
 
 
 @dataclass(frozen=True)
@@ -50,15 +45,6 @@ class PipelineConfig:
     ambiguity_threshold:
         Trajectory separation (signature units) below which two
         components are reported as one ambiguity group.
-    parallelism:
-        Worker-pool sizing for every parallel kernel
-        (:class:`~repro.parallelism.ParallelismConfig`): dictionary
-        builds, GA population scoring, and (when inherited by
-        ``PosteriorConfig``) posterior Monte-Carlo sampling. The old
-        flat keywords (``n_workers=``, ``executor=``, ``ga_workers=``,
-        ``ga_executor=``) still work as deprecation shims that forward
-        onto this object; the matching read-only properties remain
-        stable API.
     engine:
         Simulation engine for every fault-simulation stage, as an
         :class:`~repro.sim.engine.EngineSpec` (a plain kind string such
@@ -85,13 +71,9 @@ class PipelineConfig:
     margin_scale: float = 1.0
     ga: GAConfig = field(default_factory=GAConfig.paper)
     ambiguity_threshold: float = 0.01
-    parallelism: ParallelismConfig = field(
-        default_factory=ParallelismConfig)
     engine: Union[EngineSpec, str] = "batched"
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "parallelism", ParallelismConfig.coerce(self.parallelism))
         object.__setattr__(self, "engine", EngineSpec.coerce(self.engine))
         if self.fitness not in _FITNESS_KINDS:
             raise ReproError(
@@ -107,32 +89,6 @@ class PipelineConfig:
         if self.ambiguity_threshold < 0.0:
             raise ReproError("ambiguity_threshold must be >= 0")
 
-    # ------------------------------------------------------------------
-    # Stable flat views of the parallelism object (read-only; the
-    # deprecated *constructor* spellings warn, these accessors do not).
-    # ------------------------------------------------------------------
-    @property
-    def n_workers(self) -> int:
-        return self.parallelism.n_workers
-
-    @property
-    def executor(self) -> str:
-        return self.parallelism.executor
-
-    @property
-    def ga_workers(self) -> Optional[int]:
-        return self.parallelism.ga_workers
-
-    @property
-    def ga_executor(self) -> str:
-        return self.parallelism.ga_executor
-
-    @property
-    def effective_ga_workers(self) -> int:
-        """The GA pool size: ``ga_workers``, or ``n_workers`` when
-        unset."""
-        return self.parallelism.effective_ga_workers
-
     @classmethod
     def paper(cls) -> "PipelineConfig":
         """The configuration matching the paper's experiment."""
@@ -145,17 +101,13 @@ class PipelineConfig:
 
     # ------------------------------------------------------------------
     # JSON round-trip (spawned cluster workers receive their config
-    # over the command line; see repro.runtime.cli / cluster).
-    #
-    # The wire format keeps the original flat worker keys and the
-    # engine-as-string spelling, so configs persisted before the
-    # ParallelismConfig/EngineSpec consolidation round-trip unchanged.
+    # over the command line; see repro.runtime.cli / cluster). The
+    # engine rides as its compact string spelling.
     # ------------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, object]:
         """A JSON-ready dict that :meth:`from_json_dict` restores
         exactly (tuples ride as lists)."""
         out = dataclasses.asdict(self)
-        out.update(out.pop("parallelism"))
         out["engine"] = self.engine.to_json_value()
         return out
 
@@ -164,25 +116,19 @@ class PipelineConfig:
         """Rebuild a config from :meth:`to_json_dict` output (or any
         subset of its keys -- omitted fields keep their defaults).
 
-        Accepts both the flat wire format (``n_workers``/``executor``/
-        ``ga_workers``/``ga_executor`` keys, engine as a string) and
-        the nested object forms, without deprecation warnings: the wire
-        format is stable API, not a legacy spelling.
+        Keys of the retired worker-pool knobs (``n_workers``,
+        ``executor``, ``ga_workers``, ``ga_executor``, ``parallelism``)
+        are accepted and ignored, so persisted configs still load; any
+        other unknown key raises :class:`~repro.errors.ReproError`.
         """
-        payload = dict(data)
+        payload = {key: value for key, value in data.items()
+                   if key not in RETIRED_WORKER_KEYS}
         try:
             if isinstance(payload.get("ga"), dict):
                 payload["ga"] = GAConfig(**payload["ga"])
             if "deviations" in payload:
                 payload["deviations"] = tuple(payload["deviations"])
-            flat = {key: payload.pop(key)
-                    for key in _LEGACY_PARALLELISM_KEYS if key in payload}
-            if flat:
-                base = ParallelismConfig.coerce(payload.get("parallelism"))
-                payload["parallelism"] = dataclasses.replace(base, **flat)
             return cls(**payload)
         except TypeError as exc:
             raise ReproError(f"bad pipeline-config dict: {exc}") from exc
 
-
-install_legacy_kwargs(PipelineConfig, _LEGACY_PARALLELISM_KEYS)

@@ -87,7 +87,7 @@ class CorpusSpec:
         The family matrix (see :class:`FamilySpec`); circuits enumerate
         in declaration order, seeds ascending within each family.
     pipeline:
-        Per-circuit ATPG settings (engine, GA budget, worker pools --
+        Per-circuit ATPG settings (engine, GA budget, fitness --
         everything :class:`~repro.core.config.PipelineConfig` holds).
     posterior:
         Probabilistic-tier settings for the posterior diagnosis pass.

@@ -48,10 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -60,9 +57,8 @@ from ..circuits.library import CircuitInfo
 from ..errors import DiagnosisError, ReproError
 from ..faults.models import ParametricFault
 from ..faults.universe import FaultUniverse
-from ..parallelism import ParallelismConfig, install_legacy_kwargs
 from ..sim.engine import (EngineSpec, SimulationEngine, VariantSpec,
-                          engine_spec, make_engine)
+                          make_engine)
 from ..trajectory.geometry import _EPS
 from ..trajectory.mapping import SignatureMapper
 from ..units import db_to_linear
@@ -88,6 +84,12 @@ _GH_ORDER = 7
 #: collapse onto the hard classifier's decision).
 _SIGMA_FLOOR = 1e-9
 
+#: JSON keys of the worker-pool knobs the configs no longer have.
+#: Persisted pipeline/posterior configs (and corpus specs) still carry
+#: them, so ``from_json_dict`` accepts and drops them.
+RETIRED_WORKER_KEYS = frozenset(
+    ("n_workers", "executor", "ga_workers", "ga_executor", "parallelism"))
+
 
 @dataclass(frozen=True)
 class PosteriorConfig:
@@ -101,17 +103,9 @@ class PosteriorConfig:
     kernel bandwidth. ``n_candidates`` log-spaced frequencies over the
     circuit's band are ranked (together with the test vector itself) by
     expected information gain. ``samples_per_block`` bounds how many
-    Monte-Carlo worlds share one engine ``transfer_block`` call.
-
-    ``parallelism`` (a :class:`~repro.parallelism.ParallelismConfig`)
-    sizes the build pool: ``n_workers`` >= 2 fans the sample blocks out
-    over a worker pool, ``executor`` picks ``"process"`` (workers write
-    disjoint slices of a shared-memory result tensor -- true
-    multi-core; degrades to threads when shared memory is unavailable)
-    or ``"thread"``. The old flat ``n_workers=``/``executor=`` keywords
-    still work as deprecation shims. Every tolerance draw comes from
-    the root seed up front, so pooled builds stay bitwise-identical to
-    serial ones.
+    Monte-Carlo worlds share one engine ``transfer_block`` call; every
+    tolerance draw comes from the root seed up front, so the block size
+    never changes the result.
 
     ``engine`` optionally pins the simulation engine
     (:class:`~repro.sim.engine.EngineSpec`, or a spec string such as
@@ -127,13 +121,9 @@ class PosteriorConfig:
     n_candidates: int = 12
     samples_per_block: int = 32
     seed: int = 0
-    parallelism: ParallelismConfig = dataclasses.field(
-        default_factory=ParallelismConfig)
     engine: Optional[EngineSpec] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "parallelism", ParallelismConfig.coerce(self.parallelism))
         if self.engine is not None:
             object.__setattr__(self, "engine",
                                EngineSpec.coerce(self.engine))
@@ -158,46 +148,25 @@ class PosteriorConfig:
                 f"samples_per_block must be >= 1, "
                 f"got {self.samples_per_block}")
 
-    # Stable flat views of the parallelism object (the deprecated
-    # *constructor* spellings warn; these accessors do not).
-    @property
-    def n_workers(self) -> int:
-        return self.parallelism.n_workers
-
-    @property
-    def executor(self) -> str:
-        return self.parallelism.executor
-
     # ------------------------------------------------------------------
-    # JSON round-trip (the flat worker keys are the wire format, like
-    # PipelineConfig's).
+    # JSON round-trip (retired worker keys are accepted and dropped).
     # ------------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, object]:
         out = dataclasses.asdict(self)
-        parallel = out.pop("parallelism")
         out.pop("engine")
-        out["n_workers"] = parallel["n_workers"]
-        out["executor"] = parallel["executor"]
         if self.engine is not None:
             out["engine"] = self.engine.to_json_value()
         return out
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, object]) -> "PosteriorConfig":
-        payload = dict(data)
+        payload = {key: value for key, value in data.items()
+                   if key not in RETIRED_WORKER_KEYS}
         try:
-            flat = {key: payload.pop(key)
-                    for key in ("n_workers", "executor") if key in payload}
-            if flat:
-                base = ParallelismConfig.coerce(payload.get("parallelism"))
-                payload["parallelism"] = dataclasses.replace(base, **flat)
             return cls(**payload)
         except TypeError as exc:
             raise ReproError(
                 f"bad posterior-config dict: {exc}") from exc
-
-
-install_legacy_kwargs(PosteriorConfig, ("n_workers", "executor"))
 
 
 @dataclass(frozen=True)
@@ -237,25 +206,17 @@ class PosteriorDiagnosis:
 
 @dataclass
 class _WorldSpec:
-    """Everything a build worker needs to simulate sample blocks.
-
-    Shipped once per worker via the pool initializer (the heavy part,
-    ``out``, is a shared-memory handle); per-task payloads are just the
-    ``(start, stop)`` sample range. The same spec drives the serial
-    path so pooled and serial builds run literally the same code.
-    """
+    """Everything the build needs to simulate sample blocks."""
 
     circuit: object
     output_node: str
     input_source: Optional[str]
     grid: np.ndarray
-    engine: EngineSpec
     targets: Tuple[str, ...]
     nominal: Dict[str, object]
     fault_repl: Tuple[object, ...]
     fault_labels: Tuple[str, ...]
     eps: np.ndarray
-    out: object = None  # SharedArray or a .array namespace
 
 
 def _world_variant(spec: _WorldSpec, fault_index: Optional[int],
@@ -283,8 +244,9 @@ def _world_variant(spec: _WorldSpec, fault_index: Optional[int],
 
 
 def _run_world_block(spec: _WorldSpec, engine: SimulationEngine,
-                     start: int, stop: int) -> Optional[np.ndarray]:
-    """Simulate samples ``[start, stop)`` into ``spec.out``.
+                     out: np.ndarray, start: int, stop: int
+                     ) -> Optional[np.ndarray]:
+    """Simulate samples ``[start, stop)`` into ``out``.
 
     One ``transfer_block`` call per block; per world, the fault-free
     circuit plus every fault. The nominal (tolerance-free) reference
@@ -304,48 +266,12 @@ def _run_world_block(spec: _WorldSpec, engine: SimulationEngine,
                                   spec.input_source)
     values = block.magnitude_db()
     rows_per_sample = 1 + n_faults
-    out = spec.out.array
     offset = 1 if include_nominal else 0
     for position, sample in enumerate(samples):
         out[:, sample, :] = values[
             offset + position * rows_per_sample:
             offset + (position + 1) * rows_per_sample]
     return values[0].copy() if include_nominal else None
-
-
-#: Per-process worker state installed by the pool initializer.
-_POOL_WORKER: Dict[str, object] = {}
-
-
-def _init_posterior_worker(spec: _WorldSpec) -> None:
-    """Process-pool initializer: adopt the spec (attaching its shared
-    output tensor) and stamp this worker's engine once."""
-    _POOL_WORKER["spec"] = spec
-    _POOL_WORKER["engine"] = make_engine(spec.circuit, spec.engine)
-
-
-def _posterior_pool_block(start: int, stop: int) -> Optional[np.ndarray]:
-    """Per-task entry point in a worker process."""
-    spec = _POOL_WORKER.get("spec")
-    if spec is None:
-        raise DiagnosisError(
-            "posterior pool worker used without its initializer")
-    return _run_world_block(spec, _POOL_WORKER["engine"], start, stop)
-
-
-class _ThreadWorldRunner:
-    """Thread-pool fallback: same block body, one engine per thread."""
-
-    def __init__(self, spec: _WorldSpec) -> None:
-        self.spec = spec
-        self._local = threading.local()
-
-    def __call__(self, start: int, stop: int) -> Optional[np.ndarray]:
-        engine = getattr(self._local, "engine", None)
-        if engine is None:
-            engine = make_engine(self.spec.circuit, self.spec.engine)
-            self._local.engine = engine
-        return _run_world_block(self.spec, engine, start, stop)
 
 
 class PosteriorDiagnoser:
@@ -440,33 +366,19 @@ class PosteriorDiagnoser:
         n_faults = len(self._faults)
 
         rows_per_sample = 1 + n_faults
-        # Ship the full spec (kind + knobs), so pooled workers rebuild
-        # engines numerically identical to the parent's.
-        engine_full_spec = engine_spec(self._engine)
         spec = _WorldSpec(
             circuit=circuit, output_node=info.output_node,
-            input_source=info.input_source, grid=grid,
-            engine=engine_full_spec or EngineSpec(), targets=targets,
+            input_source=info.input_source, grid=grid, targets=targets,
             nominal=nominal, fault_repl=tuple(fault_repl),
             fault_labels=tuple(fault.label for fault in self._faults),
             eps=eps)
-        blocks = [(start, min(start + config.samples_per_block,
-                              config.n_samples))
-                  for start in range(0, config.n_samples,
-                                     config.samples_per_block)]
-        if config.n_workers > 1 and len(blocks) > 1 \
-                and engine_full_spec is not None:
-            mag_db, golden_db = self._sample_worlds_pooled(
-                spec, blocks, rows_per_sample, grid.size)
-        else:
-            spec.out = SimpleNamespace(array=np.empty(
-                (rows_per_sample, config.n_samples, grid.size)))
-            golden_db = None
-            for start, stop in blocks:
-                row = _run_world_block(spec, self._engine, start, stop)
-                if row is not None:
-                    golden_db = row
-            mag_db = spec.out.array
+        mag_db = np.empty((rows_per_sample, config.n_samples, grid.size))
+        golden_db = None
+        for start in range(0, config.n_samples, config.samples_per_block):
+            stop = min(start + config.samples_per_block, config.n_samples)
+            row = _run_world_block(spec, self._engine, mag_db, start, stop)
+            if row is not None:
+                golden_db = row
         assert golden_db is not None
         #: Engine variants simulated during the build (telemetry).
         self.samples_simulated = rows_per_sample * config.n_samples + 1
@@ -506,58 +418,6 @@ class PosteriorDiagnoser:
         self._gh_nodes = math.sqrt(2.0) * nodes
         self._gh_weights = weights / math.sqrt(math.pi)
         self._bandwidth = floor
-
-    def _sample_worlds_pooled(self, spec: _WorldSpec,
-                              blocks: List[Tuple[int, int]],
-                              rows_per_sample: int, grid_size: int
-                              ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fan the sample blocks out over a worker pool.
-
-        Process pools write disjoint ``[start, stop)`` sample slices of
-        a shared-memory tensor (zero-copy reassembly); the thread
-        fallback writes a local tensor directly. Both reuse the serial
-        block body, and every tolerance draw was made up front from the
-        root seed, so the result is bitwise-identical to the serial
-        build regardless of executor or worker count.
-        """
-        from ..runtime import shm
-        config = self.config
-        executor = shm.resolve_executor(config.executor)
-        n_workers = min(config.n_workers, len(blocks))
-        shm.record_pool_tasks("posterior", len(blocks))
-        shape = (rows_per_sample, config.n_samples, grid_size)
-        if executor == "process":
-            out = shm.SharedArray.zeros(shape)
-            spec.out = out
-            try:
-                with shm.timed_pool(
-                        "posterior",
-                        lambda: ProcessPoolExecutor(
-                            max_workers=n_workers,
-                            initializer=_init_posterior_worker,
-                            initargs=(spec,))) as pool:
-                    futures = [pool.submit(_posterior_pool_block,
-                                           start, stop)
-                               for start, stop in blocks]
-                    # Submission order: the first future carries the
-                    # golden row; sample slices are disjoint by range.
-                    results = [future.result() for future in futures]
-                mag_db = np.array(out.array, copy=True)
-            finally:
-                out.unlink()
-        else:
-            spec.out = SimpleNamespace(array=np.empty(shape))
-            runner = _ThreadWorldRunner(spec)
-            with shm.timed_pool(
-                    "posterior",
-                    lambda: ThreadPoolExecutor(
-                        max_workers=n_workers,
-                        thread_name_prefix="posterior")) as pool:
-                futures = [pool.submit(runner, start, stop)
-                           for start, stop in blocks]
-                results = [future.result() for future in futures]
-            mag_db = spec.out.array
-        return mag_db, results[0]
 
     def _assemble_segments(self, anchors: np.ndarray) -> None:
         """Per-world trajectory polylines as flat segment tensors.

@@ -13,19 +13,6 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
 
-class ReproDeprecationWarning(DeprecationWarning):
-    """A deprecated repro spelling (keyword, string knob) was used.
-
-    Every backwards-compatibility shim in the library warns with this
-    category, so deployments can turn exactly the library's own
-    deprecations into errors (``-W
-    error::repro.errors.ReproDeprecationWarning``) without tripping on
-    third-party ``DeprecationWarning`` noise. CI runs the tier-1 suite
-    under that filter to prove no internal caller uses a deprecated
-    spelling.
-    """
-
-
 class CircuitError(ReproError):
     """Invalid circuit construction (duplicate names, bad nodes, ...)."""
 

@@ -61,12 +61,6 @@ class ResponseSurface:
         return self._matrix_db.shape[0]
 
     @property
-    def log_freqs(self) -> np.ndarray:
-        """The log10 frequency grid the interpolation brackets against
-        (publishable into shared memory; see ``repro.runtime.shm``)."""
-        return self._log_f
-
-    @property
     def matrix_db(self) -> np.ndarray:
         """The dense dB-magnitude matrix, golden row first."""
         return self._matrix_db

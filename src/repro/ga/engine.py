@@ -12,8 +12,6 @@ reproduces the same search trajectory.
 from __future__ import annotations
 
 import time
-from concurrent.futures import (Executor, ProcessPoolExecutor,
-                                ThreadPoolExecutor)
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -80,43 +78,21 @@ class GeneticAlgorithm:
     supports it (``score_population``, as every
     :class:`~repro.ga.fitness.TrajectoryFitness` does): the whole
     generation becomes one call that samples the shared response surface
-    once and fans the uncached individuals out over ``n_workers``.
-
-    ``executor`` picks the pool kind. ``"thread"`` (default) shares the
-    fitness and its memo cache directly -- it only wins where BLAS
-    drops the GIL. ``"process"`` publishes the response surface into
-    shared memory once (``repro.runtime.shm``), ships each worker a
-    fitness clone that attaches zero-copy, and scores contiguous
-    population shards in worker processes, reassembled in submission
-    order -- true multi-core scaling. Either way, scores -- and
-    therefore the whole search trajectory for a given seed -- are
-    bitwise-identical to serial per-individual evaluation. When shared
-    memory is unavailable the process request falls back to threads.
+    once and scores every uncached individual in one vectorised pass.
     """
 
     def __init__(self, space: FrequencySpace, fitness: FitnessFunction,
-                 config: Optional[GAConfig] = None,
-                 n_workers: int = 0, executor: str = "thread") -> None:
+                 config: Optional[GAConfig] = None) -> None:
         self.space = space
         self.fitness = fitness
         self.config = config or GAConfig.paper()
-        if n_workers < 0:
-            raise GAError("n_workers must be >= 0")
-        if executor not in ("thread", "process"):
-            raise GAError(
-                f"executor must be 'thread' or 'process', "
-                f"got {executor!r}")
-        self.n_workers = int(n_workers)
-        self.executor = executor
 
     # ------------------------------------------------------------------
-    def _evaluate(self, population: np.ndarray,
-                  pool: Optional[Executor] = None) -> np.ndarray:
+    def _evaluate(self, population: np.ndarray) -> np.ndarray:
         decoded = [self.space.decode(genome) for genome in population]
         score_population = getattr(self.fitness, "score_population", None)
         if score_population is not None:
-            scores = np.asarray(score_population(decoded, executor=pool),
-                                dtype=float)
+            scores = np.asarray(score_population(decoded), dtype=float)
             if scores.shape != (population.shape[0],):
                 raise GAError(
                     f"score_population returned shape {scores.shape} "
@@ -160,63 +136,7 @@ class GeneticAlgorithm:
         evaluations = 0
         started = time.perf_counter()
 
-        pool: Optional[Executor] = None
-        shared_surface = None
-        if self.n_workers > 1 and \
-                hasattr(self.fitness, "score_population"):
-            if self.executor == "process":
-                pool, shared_surface = self._start_process_pool()
-            if pool is None:
-                pool = ThreadPoolExecutor(max_workers=self.n_workers,
-                                          thread_name_prefix="ga-eval")
-        try:
-            return self._run_generations(rng, config, select, crossover,
-                                         population, history, evaluations,
-                                         started, pool)
-        finally:
-            if pool is not None:
-                if shared_surface is not None:
-                    from ..runtime import shm
-                    stopping = time.perf_counter()
-                    pool.shutdown()
-                    shm.observe_worker_shutdown(
-                        "ga", time.perf_counter() - stopping)
-                else:
-                    pool.shutdown()
-            if shared_surface is not None:
-                shared_surface.unlink()
-
-    def _start_process_pool(self):
-        """Publish the surface into shared memory and fork the scoring
-        pool, or ``(None, None)`` to fall back to threads (no shm, or a
-        fitness without process-clone support)."""
-        if not hasattr(self.fitness, "process_clone"):
-            return None, None
-        from ..runtime import shm
-        if not shm.shm_available():
-            return None, None
-        shared_surface = shm.SharedSurface.publish(self.fitness.surface)
-        try:
-            from .fitness import _pool_worker_init
-            clone = self.fitness.process_clone(shared_surface)
-            started = time.perf_counter()
-            pool = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                initializer=_pool_worker_init, initargs=(clone,))
-            # Warm-up barrier: force the first fork so startup latency
-            # lands in the startup histogram, not the first generation.
-            pool.submit(shm._noop).result()
-            shm.observe_worker_start(
-                "ga", time.perf_counter() - started)
-        except Exception:
-            shared_surface.unlink()
-            raise
-        return pool, shared_surface
-
-    def _run_generations(self, rng, config, select, crossover, population,
-                         history, evaluations, started,
-                         pool: Optional[Executor]) -> GAResult:
-        scores = self._evaluate(population, pool)
+        scores = self._evaluate(population)
         evaluations += population.shape[0]
 
         best_index = int(np.argmax(scores))
@@ -265,7 +185,7 @@ class GeneticAlgorithm:
                 next_population[cursor + row] = self.space.clip(child)
             population = next_population
 
-            scores = self._evaluate(population, pool)
+            scores = self._evaluate(population)
             evaluations += population.shape[0]
             generation_best = int(np.argmax(scores))
             if scores[generation_best] > best_fitness:

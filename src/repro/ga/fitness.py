@@ -21,9 +21,6 @@ same region constantly and trajectory construction is the dominant cost.
 
 from __future__ import annotations
 
-import copy
-from concurrent.futures import Executor
-from concurrent.futures.process import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,32 +47,6 @@ __all__ = [
 # Cache keys round log-frequencies to this many digits; two vectors that
 # agree to 1e-9 decades are physically identical.
 _CACHE_DIGITS = 9
-
-#: Per-process fitness clone installed by the pool initializer; worker
-#: processes score population shards through it against the shared
-#: (zero-copy) response surface.
-_WORKER_FITNESS: Optional["TrajectoryFitness"] = None
-
-
-def _pool_worker_init(fitness: "TrajectoryFitness") -> None:
-    """Process-pool initializer: adopt the pickled fitness clone.
-
-    The clone arrives once per worker (its surface attaches to shared
-    memory by handle) and persists across generations, so the worker's
-    memo cache warms exactly like the serial fitness's would.
-    """
-    global _WORKER_FITNESS
-    _WORKER_FITNESS = fitness
-
-
-def _pool_score_shard(vectors: Sequence[Tuple[float, ...]]
-                      ) -> List[float]:
-    """Score one population shard in a worker process."""
-    if _WORKER_FITNESS is None:
-        raise GAError("GA pool worker used without its initializer")
-    return [float(value)
-            for value in _WORKER_FITNESS.score_population(vectors)]
-
 
 @dataclass(frozen=True)
 class _ConflictPlan:
@@ -185,8 +156,7 @@ class TrajectoryFitness:
         self.evaluations += 1
         return value
 
-    def score_population(self, vectors: Sequence[Tuple[float, ...]],
-                         executor: Optional[Executor] = None
+    def score_population(self, vectors: Sequence[Tuple[float, ...]]
                          ) -> np.ndarray:
         """Fitness of a whole candidate population at once.
 
@@ -196,14 +166,9 @@ class TrajectoryFitness:
         the uncached candidates. Conflict-count fitnesses over 2-D
         signatures (the paper configuration) are scored as a single
         tensor pass over the whole batch; otherwise candidates are
-        scored individually -- serially or fanned out over ``executor``.
-        A thread pool shares this fitness (and its memo cache) directly;
-        a process pool (workers initialised with :func:`_pool_worker_init`
-        on a :meth:`process_clone`) receives contiguous shards and each
-        worker samples the *shared* surface itself -- sampling is
-        per-query-column independent and shards are reassembled in
-        submission order, so scores are identical to calling the fitness
-        per individual in any order.
+        scored one by one. Sampling is per-query-column independent, so
+        scores are identical to calling the fitness per individual in
+        any order.
         """
         vectors = [tuple(float(f) for f in vector) for vector in vectors]
         keys = [self._cache_key(vector) for vector in vectors]
@@ -212,20 +177,16 @@ class TrajectoryFitness:
             if key not in self._cache:
                 pending.setdefault(key, vector)
         if pending:
-            candidates: List[Tuple[float, ...]] = list(pending.values())
-            if isinstance(executor, ProcessPoolExecutor):
-                values = self._score_pooled(executor, candidates)
-            else:
-                values = self._score_candidates(candidates, executor)
+            values = self._score_candidates(list(pending.values()))
             for key, value in zip(pending, values):
                 self._cache[key] = value
                 self.evaluations += 1
         return np.array([self._cache[key] for key in keys], dtype=float)
 
-    def _score_candidates(self, candidates: List[Tuple[float, ...]],
-                          executor: Optional[Executor]) -> List[float]:
-        """Score uncached candidates in this process (one vectorised
-        surface sample, then the batched or per-candidate path)."""
+    def _score_candidates(self, candidates: List[Tuple[float, ...]]
+                          ) -> List[float]:
+        """Score uncached candidates (one vectorised surface sample,
+        then the batched or per-candidate path)."""
         lengths = [len(vector) for vector in candidates]
         offsets = np.concatenate(([0], np.cumsum(lengths)))
         sampled = self.surface.sample_db(
@@ -238,52 +199,10 @@ class TrajectoryFitness:
                 all(length == 2 for length in lengths):
             return self._score_batch_conflicts(
                 candidates, sampled, offsets, plan)
-
-        def job(index: int) -> float:
-            lo, hi = offsets[index], offsets[index + 1]
-            return self._score_vector(candidates[index],
-                                      sampled[:, lo:hi])
-
-        if executor is not None:
-            return list(executor.map(job, range(len(candidates))))
-        return [job(index) for index in range(len(candidates))]
-
-    def _score_pooled(self, executor: ProcessPoolExecutor,
-                      candidates: List[Tuple[float, ...]]) -> List[float]:
-        """Fan contiguous candidate shards out over worker processes.
-
-        Shards are collected in submission order, so concatenated
-        results line up with ``candidates`` exactly; each worker scores
-        its shard through its own clone (shared surface, warm local
-        cache), which is bitwise-equal to scoring here.
-        """
-        workers = max(1, int(getattr(executor, "_max_workers", 1)))
-        size = max(1, -(-len(candidates) // workers))
-        shards = [candidates[index:index + size]
-                  for index in range(0, len(candidates), size)]
-        futures = [executor.submit(_pool_score_shard, shard)
-                   for shard in shards]
-        from ..runtime import shm
-        shm.record_pool_tasks("ga", len(shards))
-        values: List[float] = []
-        for future in futures:
-            values.extend(future.result())
-        return values
-
-    def process_clone(self, shared_surface: ResponseSurface
-                      ) -> "TrajectoryFitness":
-        """A pool-shippable copy of this fitness over a shared surface.
-
-        The conflict plan is built once here (it is a pure function of
-        the dictionary metadata, identical for every worker) and rides
-        the pickle; the memo cache starts empty per worker.
-        """
-        self._conflict_plan()
-        clone = copy.copy(self)
-        clone.surface = shared_surface
-        clone._cache = {}
-        clone.evaluations = 0
-        return clone
+        return [self._score_vector(candidates[index],
+                                   sampled[:, offsets[index]:
+                                           offsets[index + 1]])
+                for index in range(len(candidates))]
 
     # ------------------------------------------------------------------
     # Population-level conflict counting (the paper-fitness fast path)

@@ -5,13 +5,6 @@ Turns the paper reproduction into an engine fit for heavy traffic:
 * :mod:`repro.runtime.batch` -- :class:`BatchDiagnoser`, vectorised
   many-at-once nearest-segment classification (bitwise-identical to the
   scalar :class:`~repro.diagnosis.classifier.TrajectoryClassifier`);
-* :mod:`repro.runtime.parallel` -- fault-dictionary builds fanned out
-  over a ``concurrent.futures`` pool, deterministic entry order;
-* :mod:`repro.runtime.shm` -- zero-copy shared memory for process
-  pools: :class:`SharedArray` / :class:`SharedSurface` (pickle-by-
-  handle views over ``multiprocessing.shared_memory``, deterministic
-  create/attach/unlink lifecycle, thread fallback when shm is
-  unavailable) plus the ``repro_pool_*`` telemetry families;
 * :mod:`repro.runtime.backends` -- pluggable artifact storage:
   :class:`LocalDirBackend` (on-disk, byte-compatible with pre-backend
   store roots), :class:`InMemoryBackend`, and :class:`ShardedBackend`
@@ -39,6 +32,10 @@ Turns the paper reproduction into an engine fit for heavy traffic:
   families;
 * :mod:`repro.runtime.cli` -- the ``repro-serve`` launcher (single
   process or spawned cluster).
+
+Every kernel (dictionary build, GA scoring, posterior world build) runs
+serially in one process; the multi-core path is a replica cluster
+(``repro-serve --replicas N``).
 """
 
 from .backends import (ArtifactRecord, HashRing, InMemoryBackend,
@@ -46,10 +43,7 @@ from .backends import (ArtifactRecord, HashRing, InMemoryBackend,
 from .batch import BatchDiagnoser
 from .cluster import (CircuitRouter, ClusterService, HTTPReplica,
                       InProcessReplica, Replica, SpawnedReplica)
-from .parallel import build_dictionary_parallel
 from .server import AsyncDiagnosisService, DiagnosisHTTPServer, serve
-from .shm import SharedArray, SharedSurface, resolve_executor, \
-    shm_available
 from .service import CircuitStats, DiagnosisService, ServiceStats
 from .store import (ArtifactStore, StoreStats, as_store, derive_key,
                     ga_search_key, problem_key, trajectory_key)
@@ -60,7 +54,6 @@ from .telemetry import (REGISTRY, TRACER, Counter, Gauge, Histogram,
 
 __all__ = [
     "BatchDiagnoser",
-    "build_dictionary_parallel",
     "ArtifactStore",
     "StoreStats",
     "as_store",
@@ -99,8 +92,4 @@ __all__ = [
     "ProfilingCollector",
     "new_request_id",
     "current_request_id",
-    "SharedArray",
-    "SharedSurface",
-    "shm_available",
-    "resolve_executor",
 ]

@@ -103,20 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "sparse=true'; overrides the "
                              "--config/--config-json engine field "
                              "(default: use the config's engine)")
-    parser.add_argument("--ga-workers", type=int, default=None,
-                        help="GA population-scoring pool size for "
-                             "circuit warm-ups; overrides the config's "
-                             "ga_workers field (default: use the "
-                             "config; 0/1 = serial)")
-    parser.add_argument("--executor", choices=("process", "thread"),
-                        default=None,
-                        help="worker-pool kind for GA scoring and "
-                             "parallel dictionary builds: 'process' "
-                             "(zero-copy shared-memory response "
-                             "surface, true multi-core; degrades to "
-                             "threads without shm) or 'thread'; "
-                             "overrides the config's executor fields "
-                             "(default: use the config)")
     parser.add_argument("--window-ms", type=float,
                         default=WORKER_DEFAULTS["window_ms"],
                         help="coalescing window in milliseconds "
@@ -193,16 +179,6 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
             else PipelineConfig.quick()
     if getattr(args, "engine", None):
         config = dataclasses.replace(config, engine=args.engine)
-    parallelism = config.parallelism
-    if getattr(args, "ga_workers", None) is not None:
-        parallelism = dataclasses.replace(parallelism,
-                                          ga_workers=args.ga_workers)
-    if getattr(args, "executor", None):
-        parallelism = dataclasses.replace(parallelism,
-                                          executor=args.executor,
-                                          ga_executor=args.executor)
-    if parallelism is not config.parallelism:
-        config = dataclasses.replace(config, parallelism=parallelism)
     return config
 
 

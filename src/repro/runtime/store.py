@@ -27,9 +27,10 @@ same test vector share the exact dictionary:
 * exact           <- problem + test vector
 * trajectories    <- exact key + mapper options
 
-Execution-only knobs (``n_workers``, ``executor``) never enter a key:
-a dictionary built on 8 workers is byte-identical to the serial one
-and must share its cache slot.
+The simulation engine enters the problem key only when it is
+``factored``: ``batched`` and ``scalar`` produce bitwise-identical
+responses and share their slots, while the factored engine's low-rank
+solves differ in the last bits (see ``FaultTrajectoryATPG.run``).
 """
 
 from __future__ import annotations
@@ -121,12 +122,12 @@ def ga_search_key(dictionary_key: str, info: CircuitInfo, config,
                   seed) -> str:
     """Key of one GA search: the surface it ran on + every knob that
     steers it (frequency space bounds, fitness shape, GA hyper-
-    parameters, seed). Knobs that never change the search --
-    ``ambiguity_threshold``, ``n_workers``, ``executor``, ``engine``
-    (both simulation engines are bitwise-identical) -- stay out, so
-    sweeping them reuses the cached result. (The deviation grid
-    reaches this key through ``dictionary_key``: it reshapes the
-    universe the surface was built from.)"""
+    parameters, seed). ``ambiguity_threshold`` never changes the
+    search and stays out, so sweeping it reuses the cached result. The
+    deviation grid and the simulation engine reach this key through
+    ``dictionary_key``: the grid reshapes the universe the surface was
+    built from, and a ``factored`` engine is folded into the problem
+    key the dictionary key derives from."""
     payload = {
         "f_min_hz": float(info.f_min_hz),
         "f_max_hz": float(info.f_max_hz),

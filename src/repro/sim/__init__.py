@@ -10,8 +10,6 @@ from .engine import (
     ScalarMnaEngine,
     SimulationEngine,
     VariantSpec,
-    engine_kind,
-    engine_spec,
     make_engine,
 )
 from .mna import ComponentOps, MnaSolution, MnaSystem
@@ -43,8 +41,6 @@ __all__ = [
     "VariantSpec",
     "EngineSpec",
     "make_engine",
-    "engine_kind",
-    "engine_spec",
     "ACAnalysis",
     "FrequencyResponse",
     "DCAnalysis",

@@ -71,8 +71,6 @@ __all__ = [
     "FactoredMnaEngine",
     "EngineSpec",
     "make_engine",
-    "engine_kind",
-    "engine_spec",
     "ENGINE_KINDS",
 ]
 
@@ -969,36 +967,3 @@ def make_engine(circuit: Circuit, kind: object = "batched",
         spec = dataclasses.replace(spec, gmin=float(gmin))
     return spec.make(circuit)
 
-
-def engine_kind(engine: SimulationEngine) -> Optional[str]:
-    """The :func:`make_engine` kind string that reconstructs
-    ``engine``'s type, or None for foreign engine implementations
-    (pool workers need the kind to rebuild an equivalent engine)."""
-    kind = getattr(engine, "_kind", None)
-    if kind in ENGINE_KINDS:
-        return str(kind)
-    if isinstance(engine, ScalarMnaEngine):
-        return "scalar"
-    return None
-
-
-def engine_spec(engine: SimulationEngine) -> Optional[EngineSpec]:
-    """The :class:`EngineSpec` that rebuilds an equivalent engine.
-
-    Unlike :func:`engine_kind` this preserves the knobs (``gmin``, the
-    factored engine's conditioning/sparsity settings), so pool workers
-    reconstructing an engine from the spec match the parent's numerics
-    exactly. None for foreign engine implementations.
-    """
-    kind = engine_kind(engine)
-    if kind is None:
-        return None
-    gmin = float(getattr(engine, "gmin", 0.0))
-    if kind != "factored":
-        return EngineSpec(kind=kind, gmin=gmin)
-    return EngineSpec(
-        kind="factored", gmin=gmin,
-        cond_limit=float(engine.cond_limit),
-        max_rank=int(engine.max_rank),
-        sparse=engine._sparse_mode,
-        sparse_min_dim=int(engine.sparse_min_dim))

@@ -27,7 +27,6 @@ from repro.errors import ReproError, SimulationError
 from repro.sim import lowrank
 from repro.faults import FaultDictionary, catastrophic_universe
 from repro.faults.universe import parametric_universe as build_universe
-from repro.ga import GeneticAlgorithm
 from repro.sim import ACAnalysis, VariantSpec
 from repro.sim.engine import ResponseBlock
 from repro.sim.sweep import deviation_sweep, value_sweep
@@ -389,26 +388,6 @@ class TestGADeterminism:
         def factory():
             return space, PaperFitness(ResponseSurface(dictionary))
         return factory
-
-    def test_serial_vs_population_parallel(self, fitness_factory):
-        """Same seed => same search trajectory, serial or parallel."""
-        from repro.ga import GAConfig
-        results = []
-        for n_workers in (0, 3):
-            space, fitness = fitness_factory()
-            ga = GeneticAlgorithm(space, fitness,
-                                  GAConfig.quick(seeded_generations=4,
-                                                 population_size=16),
-                                  n_workers=n_workers)
-            results.append(ga.run(seed=7))
-        serial, parallel = results
-        assert serial.best_freqs_hz == parallel.best_freqs_hz
-        assert serial.best_fitness == parallel.best_fitness
-        assert serial.evaluations == parallel.evaluations
-        assert [s.best_fitness for s in serial.history] == \
-            [s.best_fitness for s in parallel.history]
-        assert np.array_equal(serial.final_population,
-                              parallel.final_population)
 
     def test_population_matches_per_individual_calls(self,
                                                      fitness_factory):

@@ -1,10 +1,10 @@
 """The curated top-level API: ``repro.__all__``, ``repro.run`` and the
-deprecation shims that keep old spellings alive."""
+config wire format."""
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
+import json
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +12,14 @@ import repro
 from repro import (
     CorpusSpec,
     EngineSpec,
-    ParallelismConfig,
     PipelineConfig,
     PosteriorConfig,
-    ReproDeprecationWarning,
+    ReproError,
 )
+from repro.corpus.runner import check_report
 from repro.ga import GAConfig
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 # ----------------------------------------------------------------------
@@ -32,11 +34,10 @@ def test_core_surface_is_exported():
     required = {
         "Circuit", "CircuitInfo", "run", "generate", "CIRCUIT_FAMILIES",
         "FaultTrajectoryATPG", "ATPGResult", "PipelineConfig",
-        "ParallelismConfig", "EngineSpec", "PosteriorConfig",
-        "PosteriorDiagnoser", "CorpusSpec", "FamilySpec", "run_corpus",
-        "DiagnosisService", "ArtifactStore", "errors", "ReproError",
-        "ReproDeprecationWarning", "FamilyError", "CorpusError",
-        "synthesize_universe", "__version__",
+        "EngineSpec", "PosteriorConfig", "PosteriorDiagnoser",
+        "CorpusSpec", "FamilySpec", "run_corpus", "DiagnosisService",
+        "ArtifactStore", "errors", "ReproError", "FamilyError",
+        "CorpusError", "synthesize_universe", "__version__",
     }
     missing = required - set(repro.__all__)
     assert not missing, f"facade lost public names: {sorted(missing)}"
@@ -64,57 +65,35 @@ def test_run_convenience_accepts_benchmark_name():
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims: old flat kwargs still work, warn, and round-trip
-# through JSON unchanged.
+# Wire format: keys of the retired worker-pool knobs still load (and are
+# dropped); any other unknown key is still an error.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("cls,kwargs,check", [
-    (PipelineConfig, {"n_workers": 3},
-     lambda c: c.parallelism.n_workers == 3),
-    (PipelineConfig, {"executor": "thread"},
-     lambda c: c.parallelism.executor == "thread"),
-    (PipelineConfig, {"ga_workers": 2, "ga_executor": "process"},
-     lambda c: c.parallelism.ga_workers == 2
-     and c.parallelism.ga_executor == "process"),
-    (PosteriorConfig, {"n_workers": 4},
-     lambda c: c.parallelism.n_workers == 4),
-    (PosteriorConfig, {"executor": "thread"},
-     lambda c: c.parallelism.executor == "thread"),
+@pytest.mark.parametrize("cls", [PipelineConfig, PosteriorConfig])
+@pytest.mark.parametrize("key,value", [
+    ("n_workers", 4),
+    ("executor", "thread"),
+    ("ga_workers", 2),
+    ("ga_executor", "process"),
+    ("parallelism", {"n_workers": 3, "executor": "thread"}),
 ])
-def test_legacy_kwargs_warn_and_forward(cls, kwargs, check):
-    with pytest.warns(ReproDeprecationWarning):
-        config = cls(**kwargs)
-    assert check(config)
-
-
-def test_new_spellings_do_not_warn():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ReproDeprecationWarning)
-        PipelineConfig(parallelism=ParallelismConfig(
-            n_workers=3, ga_workers=2))
-        PosteriorConfig(parallelism=ParallelismConfig(n_workers=2))
-        dataclasses.replace(PipelineConfig(), engine="factored")
-
-
-def test_flat_wire_format_round_trips_without_warning():
-    """Configs persisted before the consolidation load silently and
-    serialise back to the identical flat document."""
-    wire = PipelineConfig().to_json_dict()
-    assert wire["n_workers"] == 0 and wire["engine"] == "batched"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ReproDeprecationWarning)
-        restored = PipelineConfig.from_json_dict(wire)
-    assert restored == PipelineConfig()
+def test_retired_worker_keys_are_ignored(cls, key, value):
+    wire = cls().to_json_dict()
+    assert key not in wire
+    restored = cls.from_json_dict({**wire, key: value})
+    assert restored == cls()
     assert restored.to_json_dict() == wire
+    with pytest.raises(ReproError):
+        cls.from_json_dict({**wire, key: value, "n_wrokers": 4})
 
-    legacy = {"n_workers": 5, "executor": "thread", "ga_workers": 2}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ReproDeprecationWarning)
-        restored = PipelineConfig.from_json_dict(legacy)
-    assert restored.parallelism == ParallelismConfig(
-        n_workers=5, executor="thread", ga_workers=2)
-    round_tripped = restored.to_json_dict()
-    for key, value in legacy.items():
-        assert round_tripped[key] == value
+
+def test_committed_corpus_baseline_still_loads():
+    """CORPUS_baseline.json predates the worker-key removal: it still
+    passes --check and its spec decodes to the baseline preset."""
+    report = json.loads((REPO_ROOT / "CORPUS_baseline.json").read_text())
+    assert "n_workers" in report["spec"]["pipeline"]
+    check_report(report, "CORPUS_baseline.json")
+    assert CorpusSpec.from_json_dict(report["spec"]) == \
+        CorpusSpec.baseline()
 
 
 def test_engine_spec_collapses_to_string_on_wire():
@@ -122,13 +101,3 @@ def test_engine_spec_collapses_to_string_on_wire():
     spec = EngineSpec.parse("factored:sparse=true")
     assert spec.to_json_value() == {"kind": "factored", "sparse": True}
     assert EngineSpec.coerce(spec.to_json_value()) == spec
-
-
-def test_corpus_spec_inherits_config_wire_compat():
-    """A corpus spec embedding flat legacy pipeline keys still loads."""
-    wire = CorpusSpec.quick().to_json_dict()
-    wire["pipeline"]["n_workers"] = 2          # legacy flat key
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ReproDeprecationWarning)
-        spec = CorpusSpec.from_json_dict(wire)
-    assert spec.pipeline.parallelism.n_workers == 2

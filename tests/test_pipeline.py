@@ -12,7 +12,6 @@ from repro import (
     sallen_key_lowpass,
 )
 from repro.errors import ReproError
-from repro.parallelism import ParallelismConfig
 from repro.ga import GAConfig
 from repro.sim import ACAnalysis
 
@@ -36,27 +35,6 @@ class TestPipelineConfig:
             PipelineConfig(deviations=())
         with pytest.raises(ReproError):
             PipelineConfig(ambiguity_threshold=-1.0)
-        with pytest.raises(ReproError):
-            PipelineConfig(parallelism=ParallelismConfig(ga_workers=-1))
-        with pytest.raises(ReproError):
-            PipelineConfig(
-                parallelism=ParallelismConfig(ga_executor="gpu"))
-
-    def test_ga_worker_knobs_round_trip(self):
-        config = PipelineConfig(parallelism=ParallelismConfig(
-            ga_workers=3, ga_executor="process"))
-        restored = PipelineConfig.from_json_dict(config.to_json_dict())
-        assert restored == config
-        assert restored.ga_workers == 3
-        assert restored.ga_executor == "process"
-
-    def test_effective_ga_workers_inherits_n_workers(self):
-        def with_workers(**kwargs):
-            return PipelineConfig(parallelism=ParallelismConfig(**kwargs))
-        assert with_workers(n_workers=4).effective_ga_workers == 4
-        assert with_workers(n_workers=4,
-                            ga_workers=2).effective_ga_workers == 2
-        assert with_workers(ga_workers=0).effective_ga_workers == 0
 
 
 class TestPipelineRun:

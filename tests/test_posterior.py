@@ -18,7 +18,6 @@ from repro.circuits.library import BENCHMARK_CIRCUITS, get_benchmark
 from repro.diagnosis import (FAULT_FREE_LABEL, PosteriorConfig,
                              PosteriorDiagnoser)
 from repro.errors import DiagnosisError, ReproError
-from repro.parallelism import ParallelismConfig
 from repro.ga import GAConfig
 from repro.runtime import codec
 from repro.sim import ACAnalysis
@@ -164,8 +163,6 @@ class TestPosteriorConfig:
         {"noise_db": -1.0},
         {"n_candidates": 0},
         {"samples_per_block": 0},
-        {"parallelism": {"n_workers": -1}},
-        {"parallelism": {"executor": "bogus"}},
     ])
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(ReproError):
@@ -185,8 +182,9 @@ class TestPosteriorConfig:
         assert many == [diagnoses, []]
 
 
-class TestPooledBuild:
-    """Worker-pool builds must be bitwise-identical to serial ones."""
+class TestBlockedBuild:
+    """The build simulates worlds in blocks; every tolerance draw is made
+    up front from the root seed, so blocking never changes a result."""
 
     def _diagnoses(self, result, config):
         posterior = PosteriorDiagnoser.from_atpg(result, config)
@@ -194,46 +192,28 @@ class TestPooledBuild:
                                        ("R1", -0.1)])
         return posterior.diagnose_db(rows)
 
-    @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_pooled_equals_serial(self, atpg_cache, executor):
+    def test_block_size_does_not_change_result(self, atpg_cache):
         result = atpg_cache("sallen_key_lowpass")
-        base = dict(n_samples=24, samples_per_block=4, seed=11)
-        serial = self._diagnoses(result, PosteriorConfig(**base))
-        pooled = self._diagnoses(
-            result, PosteriorConfig(
-                parallelism=ParallelismConfig(n_workers=3,
-                                              executor=executor),
-                **base))
-        assert pooled == serial
-        assert codec.encode_posterior_response(pooled) == \
-            codec.encode_posterior_response(serial)
+        one_block = self._diagnoses(
+            result, PosteriorConfig(n_samples=24, samples_per_block=24,
+                                    seed=11))
+        blocked = self._diagnoses(
+            result, PosteriorConfig(n_samples=24, samples_per_block=5,
+                                    seed=11))
+        assert blocked == one_block
+        assert codec.encode_posterior_response(blocked) == \
+            codec.encode_posterior_response(one_block)
 
-    def test_pooled_per_seed_reproducible(self, atpg_cache):
-        """Two pooled builds with one seed agree bitwise; a different
-        seed actually changes the sampled worlds."""
+    def test_per_seed_reproducible(self, atpg_cache):
+        """Two builds with one seed agree bitwise; a different seed
+        actually changes the sampled worlds."""
+        import dataclasses
         result = atpg_cache("rc_lowpass")
-        config = PosteriorConfig(
-            n_samples=24, samples_per_block=4, seed=11,
-            parallelism=ParallelismConfig(n_workers=2,
-                                          executor="process"))
+        config = PosteriorConfig(n_samples=24, samples_per_block=4,
+                                 seed=11)
         first = self._diagnoses(result, config)
         again = self._diagnoses(result, config)
         assert first == again
-        import dataclasses
         other = self._diagnoses(
             result, dataclasses.replace(config, seed=12))
         assert other != first
-
-    def test_pooled_without_shm_falls_back(self, atpg_cache,
-                                           monkeypatch):
-        from repro.runtime import shm
-        result = atpg_cache("rc_lowpass")
-        base = dict(n_samples=24, samples_per_block=4, seed=11)
-        serial = self._diagnoses(result, PosteriorConfig(**base))
-        monkeypatch.setenv(shm.DISABLE_ENV, "1")
-        pooled = self._diagnoses(
-            result, PosteriorConfig(
-                parallelism=ParallelismConfig(n_workers=2,
-                                              executor="process"),
-                **base))
-        assert pooled == serial

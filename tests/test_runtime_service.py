@@ -7,8 +7,8 @@ many threads race, exact counters, and LRU eviction invariants that
 hold under churn.
 """
 
+import functools
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -133,6 +133,28 @@ def _count_pipeline_runs(monkeypatch):
     return counts
 
 
+def _run_threads(jobs, timeout=120.0):
+    """Run each zero-argument callable on its own thread, join them
+    all, and re-raise the first exception any of them raised."""
+    errors = []
+
+    def guarded(job):
+        try:
+            job()
+        except Exception as exc:  # re-raised after the join
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(job,))
+               for job in jobs]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+        assert not thread.is_alive(), "worker thread did not finish"
+    if errors:
+        raise errors[0]
+
+
 class TestStatsThreadSafety:
     """ServiceStats mutation is internally locked: counters stay exact
     no matter how many threads record into one object."""
@@ -145,8 +167,8 @@ class TestStatsThreadSafety:
             for _ in range(per_thread):
                 stats.record_request(f"c{thread_index % 2}", 3, 0.001)
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(hammer, range(threads)))
+        _run_threads([functools.partial(hammer, index)
+                      for index in range(threads)])
 
         total = threads * per_thread
         assert stats.requests == total
@@ -175,11 +197,8 @@ class TestStatsThreadSafety:
                 stats.record_rejection()
                 stats.observe_queue_depth(5)
 
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            for future in [pool.submit(f) for f in
-                           (submits, submits, coalesced, coalesced,
-                            churn, churn)]:
-                future.result()
+        _run_threads([submits, submits, coalesced, coalesced,
+                      churn, churn])
 
         assert stats.requests == 2 * rounds + 2 * 2 * rounds
         assert stats.responses_diagnosed == 2 * rounds + 2 * 3 * rounds
@@ -206,8 +225,8 @@ class TestServiceConcurrency:
             for name in CIRCUITS:
                 service.warm(name)
 
-        with ThreadPoolExecutor(max_workers=12) as pool:
-            list(pool.map(warm_all, range(12)))
+        _run_threads([functools.partial(warm_all, index)
+                      for index in range(12)])
 
         assert counts == {name: 1 for name in CIRCUITS}
         for name in CIRCUITS:
@@ -230,8 +249,8 @@ class TestServiceConcurrency:
             for _ in range(per_thread):
                 assert len(service.submit(name, rows[name])) == 3
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(hammer, range(threads)))
+        _run_threads([functools.partial(hammer, index)
+                      for index in range(threads)])
 
         total = threads * per_thread
         assert service.stats.requests == total
@@ -255,8 +274,8 @@ class TestServiceConcurrency:
                 result = service.warm(name)
                 assert result.info.circuit.name == name
 
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            list(pool.map(churn, range(6)))
+        _run_threads([functools.partial(churn, index)
+                      for index in range(6)])
 
         warmed = service.warmed_circuits
         assert len(warmed) <= 2

@@ -74,21 +74,16 @@ class TestKeys:
             ga_search_key("b" * 64, info, config, 1)
 
     def test_keys_scope_only_real_dependencies(self, problem):
-        """Execution knobs and downstream-only knobs never enter a
-        key: n_workers/executor build the same bytes, and the
-        ambiguity threshold only affects post-processing -- all three
-        must share cache slots."""
+        """Downstream-only knobs never enter a key: the ambiguity
+        threshold only affects post-processing, so both configs must
+        share cache slots."""
         import dataclasses
         info, config, universe, grid = problem
-        from repro.parallelism import ParallelismConfig
-        pooled = ParallelismConfig(n_workers=8, executor="thread")
-        for variant in (dataclasses.replace(config, parallelism=pooled),
-                        dataclasses.replace(config,
-                                            ambiguity_threshold=0.5)):
-            assert ga_search_key("b" * 64, info, variant, 1) == \
-                ga_search_key("b" * 64, info, config, 1)
-            assert trajectory_key("c" * 64, variant) == \
-                trajectory_key("c" * 64, config)
+        variant = dataclasses.replace(config, ambiguity_threshold=0.5)
+        assert ga_search_key("b" * 64, info, variant, 1) == \
+            ga_search_key("b" * 64, info, config, 1)
+        assert trajectory_key("c" * 64, variant) == \
+            trajectory_key("c" * 64, config)
 
     def test_key_stable_across_processes(self, problem):
         import os
@@ -271,3 +266,26 @@ class TestWarmRuns:
         assert len(slots) == 4  # dictionary, ga, exact, trajectories
         for slot in slots:
             assert slot.parent.name == slot.name[:2]
+
+    def test_engine_scopes_the_store(self, tmp_path):
+        """The factored engine differs from batched in the last bits, so
+        a store warmed by a batched run must not serve a factored run
+        (it would hand back a different test vector than a cold factored
+        run finds); scalar is bitwise-batched and shares its slots."""
+        import dataclasses
+        info = rc_lowpass()
+        batched = PipelineConfig.paper()
+        factored = dataclasses.replace(batched, engine="factored")
+        store = ArtifactStore(tmp_path)
+        FaultTrajectoryATPG(info, batched).run(seed=2012, store=store)
+        warmed = FaultTrajectoryATPG(info, factored).run(seed=2012,
+                                                         store=store)
+        cold = FaultTrajectoryATPG(info, factored).run(seed=2012)
+        assert "dictionary" not in warmed.cache_hits
+        assert warmed.test_vector_hz == cold.test_vector_hz
+        assert warmed.ga_result.best_fitness == cold.ga_result.best_fitness
+        scalar = dataclasses.replace(batched, engine="scalar")
+        shared = FaultTrajectoryATPG(info, scalar).run(seed=2012,
+                                                       store=store)
+        assert set(shared.cache_hits) == {"dictionary", "ga", "exact",
+                                          "trajectories"}
