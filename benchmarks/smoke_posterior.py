@@ -144,7 +144,7 @@ def main() -> int:
         status, payload = _post(f"{base}/v1/diagnose-posterior",
                                 burst_body)
         assert status == 200, status
-        batches = codec.decode_posterior_response_many(payload)
+        batches = codec.decode_response_many(payload, "posterior")
         assert len(batches) == BURST, len(batches)
         for batch in batches:
             if batch != single:

@@ -48,14 +48,12 @@ from typing import (Awaitable, Callable, Dict, FrozenSet, List,
                     Optional, Sequence, Set, Tuple, TypeVar)
 
 from ..circuits.library import BENCHMARK_CIRCUITS
-from ..diagnosis.classifier import Diagnosis
-from ..diagnosis.posterior import PosteriorDiagnosis
 from ..errors import (ClusterError, ReplicaTimeoutError,
                       ReplicaUnavailableError, ServiceError, StoreError)
 from . import codec, telemetry
 from .backends import HashRing
 from .batch import ResponseBatch
-from .server import AsyncDiagnosisService
+from .server import AsyncDiagnosisService, route_for
 
 __all__ = ["CircuitRouter", "Replica", "InProcessReplica",
            "HTTPReplica", "SpawnedReplica", "ClusterService"]
@@ -133,13 +131,13 @@ class Replica(abc.ABC):
         self.name = name
 
     @abc.abstractmethod
-    async def submit(self, circuit_name: str,
-                     responses: ResponseBatch) -> List[Diagnosis]: ...
+    async def submit(self, circuit_name: str, responses: ResponseBatch,
+                     mode: str = "hard") -> list: ...
 
     @abc.abstractmethod
     async def submit_many(self, requests: Sequence[Tuple[str,
-                                                         ResponseBatch]]
-                          ) -> List[List[Diagnosis]]: ...
+                                                         ResponseBatch]],
+                          mode: str = "hard") -> List[list]: ...
 
     @abc.abstractmethod
     async def warm(self, circuit_name: str) -> None: ...
@@ -156,21 +154,6 @@ class Replica(abc.ABC):
 
     @abc.abstractmethod
     async def aclose(self) -> None: ...
-
-    # Concrete (not abstract) so transports predating the
-    # probabilistic tier keep working; they refuse with a
-    # request-level error the cluster will not fail over on.
-    async def submit_posterior(self, circuit_name: str,
-                               responses: ResponseBatch
-                               ) -> List[PosteriorDiagnosis]:
-        raise ServiceError(
-            f"replica {self.name} does not serve posterior diagnosis")
-
-    async def submit_posterior_many(
-            self, requests: Sequence[Tuple[str, ResponseBatch]]
-    ) -> List[List[PosteriorDiagnosis]]:
-        raise ServiceError(
-            f"replica {self.name} does not serve posterior diagnosis")
 
     # Optional surface, used for best-effort introspection only.
     async def metrics_text(self) -> str:
@@ -205,29 +188,16 @@ class InProcessReplica(Replica):
             raise ReplicaUnavailableError(f"replica {self.name} is "
                                           f"closed")
 
-    async def submit(self, circuit_name: str,
-                     responses: ResponseBatch) -> List[Diagnosis]:
+    async def submit(self, circuit_name: str, responses: ResponseBatch,
+                     mode: str = "hard") -> list:
         self._check_alive()
-        return await self.front.submit(circuit_name, responses)
+        return await self.front.submit(circuit_name, responses, mode)
 
     async def submit_many(self, requests: Sequence[Tuple[str,
-                                                         ResponseBatch]]
-                          ) -> List[List[Diagnosis]]:
+                                                         ResponseBatch]],
+                          mode: str = "hard") -> List[list]:
         self._check_alive()
-        return await self.front.submit_many(requests)
-
-    async def submit_posterior(self, circuit_name: str,
-                               responses: ResponseBatch
-                               ) -> List[PosteriorDiagnosis]:
-        self._check_alive()
-        return await self.front.submit_posterior(circuit_name,
-                                                 responses)
-
-    async def submit_posterior_many(
-            self, requests: Sequence[Tuple[str, ResponseBatch]]
-    ) -> List[List[PosteriorDiagnosis]]:
-        self._check_alive()
-        return await self.front.submit_posterior_many(requests)
+        return await self.front.submit_many(requests, mode)
 
     async def warm(self, circuit_name: str) -> None:
         self._check_alive()
@@ -455,54 +425,35 @@ class HTTPReplica(Replica):
             f"replica {self.name} answered {status}: {message}")
 
     # -- the replica surface -------------------------------------------
-    async def submit(self, circuit_name: str,
-                     responses: ResponseBatch) -> List[Diagnosis]:
-        status, payload = await self._request(
-            "POST", "/v1/diagnose",
-            codec.encode_request(circuit_name, responses))
+    async def _fetch(self, method: str, path: str,
+                     body: bytes = b"") -> bytes:
+        """One exchange's 200 payload; other statuses raise."""
+        status, payload = await self._request(method, path, body)
         if status != 200:
             self._raise_for_error(status, payload)
-        return codec.decode_response(payload)
+        return payload
+
+    async def submit(self, circuit_name: str, responses: ResponseBatch,
+                     mode: str = "hard") -> list:
+        payload = await self._fetch(
+            "POST", route_for(mode, "single"),
+            codec.encode_request(circuit_name, responses))
+        return codec.decode_answers(payload, mode)
 
     async def submit_many(self, requests: Sequence[Tuple[str,
-                                                         ResponseBatch]]
-                          ) -> List[List[Diagnosis]]:
-        status, payload = await self._request(
-            "POST", "/v1/diagnose-many",
-            codec.encode_request_many(requests))
-        if status != 200:
-            self._raise_for_error(status, payload)
-        return codec.decode_response_many(payload)
-
-    async def submit_posterior(self, circuit_name: str,
-                               responses: ResponseBatch
-                               ) -> List[PosteriorDiagnosis]:
-        status, payload = await self._request(
-            "POST", "/v1/diagnose-posterior",
-            codec.encode_request(circuit_name, responses))
-        if status != 200:
-            self._raise_for_error(status, payload)
-        return codec.decode_posterior_response(payload)
-
-    async def submit_posterior_many(
-            self, requests: Sequence[Tuple[str, ResponseBatch]]
-    ) -> List[List[PosteriorDiagnosis]]:
-        status, payload = await self._request(
-            "POST", "/v1/diagnose-posterior",
-            codec.encode_request_many(requests))
-        if status != 200:
-            self._raise_for_error(status, payload)
-        return codec.decode_posterior_response_many(payload)
+                                                         ResponseBatch]],
+                          mode: str = "hard") -> List[list]:
+        payload = await self._fetch("POST", route_for(mode, "burst"),
+                                    codec.encode_request_many(requests))
+        return codec.decode_response_many(payload, mode)
 
     async def warm(self, circuit_name: str) -> None:
         await self.test_vector_hz(circuit_name)
 
     async def test_vector_hz(self, circuit_name: str
                              ) -> Tuple[float, ...]:
-        status, payload = await self._request(
-            "GET", f"/v1/test-vector/{circuit_name}")
-        if status != 200:
-            self._raise_for_error(status, payload)
+        payload = await self._fetch("GET",
+                                    f"/v1/test-vector/{circuit_name}")
         return tuple(json.loads(payload)["test_vector_hz"])
 
     async def healthy(self) -> bool:
@@ -541,15 +492,10 @@ class HTTPReplica(Replica):
         return status == 200
 
     async def stats_snapshot(self) -> Dict[str, object]:
-        status, payload = await self._request("GET", "/v1/stats")
-        if status != 200:
-            self._raise_for_error(status, payload)
-        return json.loads(payload)
+        return json.loads(await self._fetch("GET", "/v1/stats"))
 
     async def metrics_text(self) -> str:
-        status, payload = await self._request("GET", "/v1/metrics")
-        if status != 200:
-            self._raise_for_error(status, payload)
+        payload = await self._fetch("GET", "/v1/metrics")
         return payload.decode("utf-8", "replace")
 
     @property
@@ -681,9 +627,9 @@ class ClusterService:
     """Awaitable diagnosis front over N consistent-hash replicas.
 
     Exposes the same serving surface as
-    :class:`~repro.runtime.server.AsyncDiagnosisService` (``submit``,
-    ``submit_many``, ``submit_posterior``, ``submit_posterior_many``,
-    ``warm``, ``test_vector_hz``, ``stats_snapshot``,
+    :class:`~repro.runtime.server.AsyncDiagnosisService` (``submit``
+    and ``submit_many``, each taking a diagnosis ``mode``; ``warm``,
+    ``test_vector_hz``, ``stats_snapshot``, ``metrics_text``,
     ``known_circuits``, ``warmed_circuits``, ``queue_depth``,
     ``aclose``), so :class:`~repro.runtime.server.DiagnosisHTTPServer`
     can front a whole cluster unchanged.
@@ -892,52 +838,25 @@ class ClusterService:
             f"no live replica for circuit {circuit_name!r} "
             f"(down: {sorted(self.down)}, timed out: {sorted(slow)})")
 
-    async def submit(self, circuit_name: str,
-                     responses: ResponseBatch) -> List[Diagnosis]:
+    async def submit(self, circuit_name: str, responses: ResponseBatch,
+                     mode: str = "hard") -> list:
         """Diagnose one request on the circuit's owning replica."""
         self.requests += 1
         self._m_requests.inc()
         return await self._call(
             circuit_name,
-            lambda replica: replica.submit(circuit_name, responses))
-
-    async def submit_posterior(self, circuit_name: str,
-                               responses: ResponseBatch
-                               ) -> List[PosteriorDiagnosis]:
-        """Probabilistic diagnosis on the circuit's owning replica."""
-        self.requests += 1
-        self._m_requests.inc()
-        return await self._call(
-            circuit_name,
-            lambda replica: replica.submit_posterior(circuit_name,
-                                                     responses))
+            lambda replica: replica.submit(circuit_name, responses, mode))
 
     async def submit_many(self, requests: Sequence[Tuple[str,
-                                                         ResponseBatch]]
-                          ) -> List[List[Diagnosis]]:
+                                                         ResponseBatch]],
+                          mode: str = "hard") -> List[list]:
         """Diagnose a mixed-circuit burst: one wire call per replica.
 
         The burst is grouped by owning replica and forwarded as one
         ``submit_many`` each (which the replica serves with one
-        classify per circuit); answers come back in input order. A
+        call per circuit); answers come back in input order. A
         replica dying mid-burst re-routes only its share.
         """
-        return await self._burst(
-            requests, lambda replica, share: replica.submit_many(share))
-
-    async def submit_posterior_many(
-            self, requests: Sequence[Tuple[str, ResponseBatch]]
-    ) -> List[List[PosteriorDiagnosis]]:
-        """Posterior burst: same per-replica grouping and failover as
-        :meth:`submit_many`, answered with posterior probabilities."""
-        return await self._burst(
-            requests,
-            lambda replica, share: replica.submit_posterior_many(share))
-
-    async def _burst(self, requests: Sequence[Tuple[str, ResponseBatch]],
-                     send) -> List[List]:
-        """Group a burst by owning replica, forward each share through
-        ``send(replica, share)``, and reassemble in input order."""
         if self._closed:
             raise ServiceError("cluster is closed")
         if not requests:
@@ -959,9 +878,8 @@ class ClusterService:
                 groups.setdefault(name, []).append((index, request))
             pending = []
             outcomes = await asyncio.gather(
-                *(self._timed(name, send(
-                    self.replicas[name],
-                    [request for _, request in items]))
+                *(self._timed(name, self.replicas[name].submit_many(
+                    [request for _, request in items], mode))
                   for name, items in groups.items()),
                 return_exceptions=True)
             for (name, items), outcome in zip(groups.items(), outcomes):
@@ -1059,37 +977,29 @@ class ClusterService:
                          ) -> Dict[str, object]:
         """Sum reachable replica snapshots into one service-shaped view.
 
-        Counters add; ``peak_queue_depth`` takes the max (peaks do not
-        sum across independent queues); the batch-size histogram and
-        the per-circuit breakdown merge bucket- and circuit-wise.
-        Latency quantiles are per-replica statistics and deliberately
-        stay out of the merged view.
+        Every numeric top-level counter adds; ``peak_queue_depth``
+        takes the max (peaks do not sum across independent queues); the
+        batch-size histogram and the per-circuit breakdown merge
+        bucket- and circuit-wise. Latency quantiles are per-replica
+        statistics and deliberately stay out of the merged view.
         """
-        merged: Dict[str, object] = {
-            "requests": 0, "responses_diagnosed": 0,
-            "total_latency_seconds": 0.0, "evictions": 0,
-            "coalesced_batches": 0, "coalesced_requests": 0,
-            "rejections": 0, "peak_queue_depth": 0,
-            "batch_size_histogram": {}, "per_circuit": {},
-        }
+        merged: Dict[str, object] = {}
+        histogram: Dict[str, int] = {}
+        per_circuit: Dict[str, Dict[str, float]] = {}
         for snapshot in snapshots:
-            for key in ("requests", "responses_diagnosed",
-                        "total_latency_seconds", "evictions",
-                        "coalesced_batches", "coalesced_requests",
-                        "rejections"):
-                merged[key] += snapshot.get(key, 0)    # type: ignore
-            merged["peak_queue_depth"] = max(
-                merged["peak_queue_depth"],             # type: ignore
-                snapshot.get("peak_queue_depth", 0))
-            histogram: Dict[str, int] = merged["batch_size_histogram"]
+            for key, value in snapshot.items():
+                if key == "peak_queue_depth":
+                    merged[key] = max(merged.get(key, 0), value)
+                elif isinstance(value, (int, float)) and \
+                        not isinstance(value, bool) and \
+                        not key.startswith("latency_"):
+                    merged[key] = merged.get(key, 0) + value
             for bucket, count in snapshot.get(
                     "batch_size_histogram", {}).items():
                 # In-process snapshots carry int bucket keys, wire
                 # snapshots str ones (JSON); normalise to str.
                 histogram[str(bucket)] = \
                     histogram.get(str(bucket), 0) + count
-            per_circuit: Dict[str, Dict[str, float]] = \
-                merged["per_circuit"]
             for circuit, stats in snapshot.get("per_circuit",
                                                {}).items():
                 into = per_circuit.setdefault(circuit, {})
@@ -1097,14 +1007,14 @@ class ClusterService:
                     if key == "mean_latency_seconds":
                         continue     # recomputed below, means don't sum
                     into[key] = into.get(key, 0) + value
-        for stats in merged["per_circuit"].values():      # type: ignore
+        for stats in per_circuit.values():
             requests = stats.get("requests", 0)
             stats["mean_latency_seconds"] = \
                 stats.get("total_latency_seconds", 0.0) / requests \
                 if requests else 0.0
         merged["batch_size_histogram"] = dict(sorted(
-            merged["batch_size_histogram"].items(),       # type: ignore
-            key=lambda item: int(item[0])))
+            histogram.items(), key=lambda item: int(item[0])))
+        merged["per_circuit"] = per_circuit
         return merged
 
     async def stats_snapshot(self) -> Dict[str, object]:

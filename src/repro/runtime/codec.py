@@ -4,7 +4,8 @@ One wire format, independent of the transport that carries it: the
 stdlib HTTP front (:mod:`repro.runtime.server`) uses it, but so can a
 message queue or a unix-socket RPC layer. Requests carry a circuit name
 plus an ``(N, F)`` matrix of measured dB magnitudes at the circuit's
-test vector; responses carry one diagnosis dict per row.
+test vector; responses carry one answer dict per row, a hard diagnosis
+or a posterior one depending on the diagnosis mode (:data:`MODES`).
 
 Floats survive the round trip exactly: ``json`` serialises Python
 floats with ``repr`` (shortest round-trip form), so
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,22 +26,24 @@ from ..diagnosis.posterior import PosteriorDiagnosis
 from ..errors import CodecError
 
 __all__ = [
+    "MODES",
     "DiagnoseRequest",
     "decode_request",
     "encode_request",
     "decode_request_many",
     "encode_request_many",
+    "decode_requests",
+    "decode_posterior_request",
     "decode_response",
     "encode_response",
     "decode_response_many",
     "encode_response_many",
+    "decode_answers",
+    "encode_answers",
     "diagnosis_to_dict",
     "diagnosis_from_dict",
-    "decode_posterior_request",
     "decode_posterior_response",
     "encode_posterior_response",
-    "decode_posterior_response_many",
-    "encode_posterior_response_many",
     "posterior_to_dict",
     "posterior_from_dict",
     "encode_error",
@@ -48,6 +51,10 @@ __all__ = [
 ]
 
 Payload = Union[bytes, bytearray, str]
+
+#: Diagnosis modes: the hard trajectory classifier or the posterior
+#: (probabilistic) tier. Both answer the same signature points.
+MODES = ("hard", "posterior")
 
 
 def _loads(payload: Payload) -> object:
@@ -164,8 +171,7 @@ def encode_request(circuit: str,
 
 def decode_request(payload: Payload) -> DiagnoseRequest:
     """Parse and validate a diagnosis request payload."""
-    obj = _loads(payload)
-    return _request_from_obj(obj)
+    return _decode_requests(payload, "single")[0][0]
 
 
 def _request_from_obj(obj: object) -> DiagnoseRequest:
@@ -208,13 +214,42 @@ def encode_request_many(
 
 def decode_request_many(payload: Payload) -> List[DiagnoseRequest]:
     """Parse and validate a mixed-circuit burst payload."""
+    return _decode_requests(payload, "burst")[0]
+
+
+def decode_posterior_request(payload: Payload
+                             ) -> Tuple[List[DiagnoseRequest], bool]:
+    """Parse a ``/v1/diagnose-posterior`` body: the single shape
+    (byte-compatible with ``encode_request``) or the burst shape
+    (byte-compatible with ``encode_request_many``). Returns
+    ``(requests, is_burst)``."""
+    return _decode_requests(payload, "either")
+
+
+def decode_requests(payload: Payload, shape: str
+                    ) -> Tuple[List[DiagnoseRequest], bool]:
+    """Parse a request body of ``shape``: ``"single"`` (one
+    ``{"circuit", "magnitudes_db"}`` object), ``"burst"``
+    (``{"requests": [...]}``) or ``"either"`` (told apart by the
+    ``"requests"`` key). Returns ``(requests, is_burst)``."""
+    return _decode_requests(payload, shape)
+
+
+def _decode_requests(payload: Payload, shape: str
+                     ) -> Tuple[List[DiagnoseRequest], bool]:
+    # Shared by every public request decoder (see _encode_answers for
+    # why they never call each other).
     obj = _loads(payload)
     if not isinstance(obj, dict):
-        raise CodecError("burst must be a JSON object")
+        raise CodecError("request must be a JSON object")
+    is_burst = "requests" in obj if shape == "either" \
+        else shape == "burst"
+    if not is_burst:
+        return [_request_from_obj(obj)], False
     items = obj.get("requests")
     if not isinstance(items, list) or not items:
         raise CodecError("burst needs a non-empty 'requests' list")
-    return [_request_from_obj(item) for item in items]
+    return [_request_from_obj(item) for item in items], True
 
 
 # ----------------------------------------------------------------------
@@ -261,66 +296,9 @@ def diagnosis_from_dict(obj: Dict[str, object]) -> Diagnosis:
         raise CodecError(f"malformed diagnosis dict: {exc}") from exc
 
 
-def encode_response(diagnoses: Sequence[Diagnosis]) -> bytes:
-    """Serialise a list of diagnoses to the JSON wire form."""
-    return _dumps({"diagnoses": [diagnosis_to_dict(d)
-                                 for d in diagnoses]})
-
-
-def decode_response(payload: Payload) -> List[Diagnosis]:
-    """Parse a diagnosis response payload back into objects."""
-    obj = _loads(payload)
-    if not isinstance(obj, dict) or "diagnoses" not in obj:
-        raise CodecError("response must be an object with 'diagnoses'")
-    items = obj["diagnoses"]
-    if not isinstance(items, list):
-        raise CodecError("'diagnoses' must be a list")
-    return [diagnosis_from_dict(item) for item in items]
-
-
-def encode_response_many(
-        batches: Sequence[Sequence[Diagnosis]]) -> bytes:
-    """Serialise one diagnosis list per burst request."""
-    return _dumps({"batches": [[diagnosis_to_dict(d) for d in batch]
-                               for batch in batches]})
-
-
-def decode_response_many(payload: Payload) -> List[List[Diagnosis]]:
-    """Parse a burst response back into per-request diagnosis lists."""
-    obj = _loads(payload)
-    if not isinstance(obj, dict) or "batches" not in obj:
-        raise CodecError("response must be an object with 'batches'")
-    batches = obj["batches"]
-    if not isinstance(batches, list) or \
-            not all(isinstance(batch, list) for batch in batches):
-        raise CodecError("'batches' must be a list of lists")
-    return [[diagnosis_from_dict(item) for item in batch]
-            for batch in batches]
-
-
 # ----------------------------------------------------------------------
 # Posterior (probabilistic tier)
 # ----------------------------------------------------------------------
-def decode_posterior_request(payload: Payload
-                             ) -> tuple:
-    """Parse a ``/v1/diagnose-posterior`` body.
-
-    Accepts the single-request shape (``{"circuit", "magnitudes_db"}``,
-    byte-compatible with ``encode_request``) and the burst shape
-    (``{"requests": [...]}``, byte-compatible with
-    ``encode_request_many``). Returns ``(requests, is_burst)``.
-    """
-    obj = _loads(payload)
-    if not isinstance(obj, dict):
-        raise CodecError("request must be a JSON object")
-    if "requests" in obj:
-        items = obj["requests"]
-        if not isinstance(items, list) or not items:
-            raise CodecError("burst needs a non-empty 'requests' list")
-        return [_request_from_obj(item) for item in items], True
-    return [_request_from_obj(obj)], False
-
-
 def posterior_to_dict(diagnosis: PosteriorDiagnosis
                       ) -> Dict[str, object]:
     """JSON-ready dict for one posterior diagnosis (bitwise
@@ -359,35 +337,89 @@ def posterior_from_dict(obj: Dict[str, object]) -> PosteriorDiagnosis:
             f"malformed posterior diagnosis dict: {exc}") from exc
 
 
+# ----------------------------------------------------------------------
+# Responses, per mode
+# ----------------------------------------------------------------------
+#: mode -> (response key, answer -> wire dict, wire dict -> answer)
+_MODE_WIRE = {
+    "hard": ("diagnoses", diagnosis_to_dict, diagnosis_from_dict),
+    "posterior": ("posteriors", posterior_to_dict, posterior_from_dict),
+}
+
+
+def _mode_wire(mode: str):
+    try:
+        return _MODE_WIRE[mode]
+    except KeyError:
+        raise CodecError(f"unknown mode {mode!r}; expected one of "
+                         f"{MODES}") from None
+
+
+# Every public encoder/decoder reaches the shared code through these
+# private helpers, never through another public name: the benchmark
+# ledger (perfbench/ledger.py) wraps public codec functions by name to
+# count bytes, and a wrapped function calling a wrapped function would
+# count the same payload twice.
+def _encode_answers(answers: Sequence, mode: str) -> bytes:
+    key, to_dict, _ = _mode_wire(mode)
+    return _dumps({key: [to_dict(answer) for answer in answers]})
+
+
+def _decode_answers(payload: Payload, mode: str) -> list:
+    key, _, from_dict = _mode_wire(mode)
+    obj = _loads(payload)
+    if not isinstance(obj, dict) or key not in obj:
+        raise CodecError(f"response must be an object with '{key}'")
+    items = obj[key]
+    if not isinstance(items, list):
+        raise CodecError(f"'{key}' must be a list")
+    return [from_dict(item) for item in items]
+
+
+def encode_answers(answers: Sequence, mode: str) -> bytes:
+    """Serialise one request's answers of ``mode`` (see :data:`MODES`)."""
+    return _encode_answers(answers, mode)
+
+
+def decode_answers(payload: Payload, mode: str) -> list:
+    """Parse one request's answers of ``mode`` back into objects."""
+    return _decode_answers(payload, mode)
+
+
+def encode_response(diagnoses: Sequence[Diagnosis]) -> bytes:
+    """Serialise a list of diagnoses to the JSON wire form."""
+    return _encode_answers(diagnoses, "hard")
+
+
+def decode_response(payload: Payload) -> List[Diagnosis]:
+    """Parse a diagnosis response payload back into objects."""
+    return _decode_answers(payload, "hard")
+
+
 def encode_posterior_response(
         diagnoses: Sequence[PosteriorDiagnosis]) -> bytes:
     """Serialise a list of posterior diagnoses to the wire form."""
-    return _dumps({"posteriors": [posterior_to_dict(d)
-                                  for d in diagnoses]})
+    return _encode_answers(diagnoses, "posterior")
 
 
 def decode_posterior_response(payload: Payload
                               ) -> List[PosteriorDiagnosis]:
     """Parse a posterior response payload back into objects."""
-    obj = _loads(payload)
-    if not isinstance(obj, dict) or "posteriors" not in obj:
-        raise CodecError("response must be an object with 'posteriors'")
-    items = obj["posteriors"]
-    if not isinstance(items, list):
-        raise CodecError("'posteriors' must be a list")
-    return [posterior_from_dict(item) for item in items]
+    return _decode_answers(payload, "posterior")
 
 
-def encode_posterior_response_many(
-        batches: Sequence[Sequence[PosteriorDiagnosis]]) -> bytes:
-    """Serialise one posterior list per burst request."""
-    return _dumps({"batches": [[posterior_to_dict(d) for d in batch]
+def encode_response_many(batches: Sequence[Sequence],
+                         mode: str = "hard") -> bytes:
+    """Serialise one answer list of ``mode`` per burst request."""
+    _, to_dict, _ = _mode_wire(mode)
+    return _dumps({"batches": [[to_dict(answer) for answer in batch]
                                for batch in batches]})
 
 
-def decode_posterior_response_many(payload: Payload
-                                   ) -> List[List[PosteriorDiagnosis]]:
-    """Parse a posterior burst response into per-request lists."""
+def decode_response_many(payload: Payload,
+                         mode: str = "hard") -> List[list]:
+    """Parse a burst response back into per-request answer lists."""
+    _, _, from_dict = _mode_wire(mode)
     obj = _loads(payload)
     if not isinstance(obj, dict) or "batches" not in obj:
         raise CodecError("response must be an object with 'batches'")
@@ -395,8 +427,7 @@ def decode_posterior_response_many(payload: Payload
     if not isinstance(batches, list) or \
             not all(isinstance(batch, list) for batch in batches):
         raise CodecError("'batches' must be a list of lists")
-    return [[posterior_from_dict(item) for item in batch]
-            for batch in batches]
+    return [[from_dict(item) for item in batch] for batch in batches]
 
 
 # ----------------------------------------------------------------------

@@ -5,20 +5,23 @@ responses arrive concurrently and must be classified against the
 fault-trajectory dictionary at interactive latency. Classification is
 throughput-bound (the batch diagnoser amortises its fixed NumPy cost
 over rows), so the win is *micro-batching*: concurrent requests for the
-same circuit are coalesced into one
-:meth:`~repro.runtime.batch.BatchDiagnoser.classify_points` call and the
-results sliced back per request.
+same circuit and diagnosis mode are coalesced into one
+:meth:`~repro.runtime.batch.BatchDiagnoser.classify_points` call (or,
+in ``"posterior"`` mode, one
+:meth:`~repro.diagnosis.posterior.PosteriorDiagnoser.diagnose_points`
+call) and the results sliced back per request.
 
 Equivalence guarantee
 ---------------------
 A coalesced flush converts every request to signature points with the
 same code path a lone ``submit`` uses
 (:meth:`BatchDiagnoser.signatures`), concatenates the points, and
-classifies once. Every classification operation is row-independent, so
-each request's diagnoses are **bitwise-identical** to what a sequential
-:meth:`DiagnosisService.submit` would have returned -- the property
-tests in ``tests/test_serving.py`` pin this down across circuits, batch
-sizes and arrival interleavings.
+diagnoses them in one call. Both modes are row-independent, so each
+request's answers are **bitwise-identical** to what a sequential
+:meth:`DiagnosisService.submit` (or
+:meth:`~DiagnosisService.diagnose_posterior`) would have returned --
+the property tests in ``tests/test_serving.py`` pin this down across
+modes, circuits, batch sizes and arrival interleavings.
 
 Knobs
 -----
@@ -48,22 +51,33 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..diagnosis.classifier import Diagnosis
-from ..diagnosis.posterior import PosteriorDiagnosis
 from ..errors import (ClusterError, CodecError, ServiceError,
                       ServiceOverloadedError)
 from . import codec, telemetry
 from .batch import ResponseBatch
 from .service import DiagnosisService
 
-__all__ = ["AsyncDiagnosisService", "DiagnosisHTTPServer", "serve"]
+__all__ = ["AsyncDiagnosisService", "DiagnosisHTTPServer", "ROUTES",
+           "route_for", "serve"]
 
 _OVERFLOW_KINDS = ("wait", "reject")
 
-#: Queue-key prefix separating posterior batches from hard-classifier
-#: batches: both tiers share the coalescing machinery but must never
-#: share a flush ("\x00" cannot appear in a circuit name).
-_POSTERIOR_PREFIX = "posterior\x00"
+#: Diagnosis routes: path -> (mode, accepted body shape), with the
+#: shapes of :func:`~repro.runtime.codec.decode_requests`.
+ROUTES: Dict[str, Tuple[str, str]] = {
+    "/v1/diagnose": ("hard", "single"),
+    "/v1/diagnose-many": ("hard", "burst"),
+    "/v1/diagnose-posterior": ("posterior", "either"),
+}
+
+
+def route_for(mode: str, shape: str) -> str:
+    """The diagnosis route serving ``mode`` requests of body ``shape``
+    (``"single"`` or ``"burst"``)."""
+    for path, (route_mode, route_shape) in ROUTES.items():
+        if route_mode == mode and route_shape in (shape, "either"):
+            return path
+    raise ServiceError(f"no route for mode {mode!r} with a {shape} body")
 
 
 def _count_rows(responses: ResponseBatch) -> int:
@@ -88,7 +102,7 @@ class _Pending:
     __slots__ = ("responses", "rows", "future", "enqueued_at")
 
     def __init__(self, responses: ResponseBatch, rows: int,
-                 future: "asyncio.Future[List[Diagnosis]]") -> None:
+                 future: "asyncio.Future[list]") -> None:
         self.responses = responses
         self.rows = rows
         self.future = future
@@ -96,7 +110,7 @@ class _Pending:
 
 
 class _CircuitQueue:
-    """Pending requests for one circuit plus the window timer."""
+    """Pending requests for one (mode, circuit) plus the window timer."""
 
     __slots__ = ("items", "rows", "timer")
 
@@ -137,18 +151,16 @@ class AsyncDiagnosisService:
         closed-loop clients never stall on the timer; the window stays
         the upper bound. Set ``False`` to always wait the full window
         (maximises coalescing for time-spread open-loop arrivals).
-    executor:
-        Optional ``concurrent.futures.Executor`` to run coalesced
-        classify calls on. Default ``None`` classifies inline on the
-        loop (classification is microseconds-scale; inline avoids the
-        thread hop). Engine warm-ups always run on the loop's default
-        executor regardless.
+
+    Coalesced batches are diagnosed inline on the loop (a classify call
+    is microseconds-scale); engine warm-ups and posterior builds run on
+    the loop's default executor.
     """
 
     def __init__(self, service: Optional[DiagnosisService] = None, *,
                  window_seconds: float = 0.002, max_batch: int = 64,
                  max_pending: int = 1024, overflow: str = "wait",
-                 eager_flush: bool = True, executor=None,
+                 eager_flush: bool = True,
                  **service_kwargs) -> None:
         if service is None:
             service = DiagnosisService(**service_kwargs)
@@ -172,8 +184,7 @@ class AsyncDiagnosisService:
         self.max_pending = max_pending
         self.overflow = overflow
         self.eager_flush = eager_flush
-        self._executor = executor
-        self._queues: Dict[str, _CircuitQueue] = {}
+        self._queues: Dict[Tuple[str, str], _CircuitQueue] = {}
         self._inflight: Set["asyncio.Task[None]"] = set()
         self._pending = 0
         self._waiters = 0        # submits parked on backpressure
@@ -226,16 +237,22 @@ class AsyncDiagnosisService:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    async def submit(self, circuit_name: str,
-                     responses: ResponseBatch) -> List[Diagnosis]:
+    async def submit(self, circuit_name: str, responses: ResponseBatch,
+                     mode: str = "hard") -> list:
         """Diagnose a batch of measured responses (awaitable).
 
-        Concurrent submits for the same circuit are coalesced into one
-        batched classify; results are bitwise-identical to sequential
-        :meth:`DiagnosisService.submit` calls.
+        ``mode`` (one of :data:`~repro.runtime.codec.MODES`) picks the
+        hard classifier or the posterior tier. Concurrent submits of the
+        same mode and circuit are coalesced into one batched call;
+        results are bitwise-identical to sequential
+        :meth:`DiagnosisService.submit` (or
+        :meth:`~DiagnosisService.diagnose_posterior`) calls.
         """
         if self._closed:
             raise ServiceError("service is closed")
+        if mode not in codec.MODES:
+            raise ServiceError(
+                f"unknown mode {mode!r}; expected one of {codec.MODES}")
         if not self.service.has_circuit(circuit_name):
             # Fail before any per-circuit queue state is allocated, so
             # a stream of bogus names cannot grow _queues unboundedly.
@@ -243,41 +260,27 @@ class AsyncDiagnosisService:
                 f"unknown circuit {circuit_name!r}; register() it "
                 f"first")
         rows = _count_rows(responses)
-        with telemetry.TRACER.span("service.submit",
-                                   circuit=circuit_name, rows=rows):
-            return await self._enqueue(circuit_name, responses, rows)
+        with telemetry.TRACER.span("service.submit", circuit=circuit_name,
+                                   rows=rows, mode=mode):
+            return await self._enqueue((mode, circuit_name), responses,
+                                       rows)
 
-    async def submit_posterior(self, circuit_name: str,
-                               responses: ResponseBatch
-                               ) -> List[PosteriorDiagnosis]:
-        """Probabilistic diagnosis of a batch of responses (awaitable).
+    async def submit_many(self, requests: Sequence[Tuple[str,
+                                                         ResponseBatch]],
+                          mode: str = "hard") -> List[list]:
+        """Submit a mixed-circuit burst; one answer list per request.
 
-        The async face of
-        :meth:`DiagnosisService.diagnose_posterior`: concurrent
-        posterior submits for the same circuit coalesce into one
-        ``diagnose_points`` call (posterior batches never share a flush
-        with hard-classifier batches). Diagnosis is row-independent, so
-        results are bitwise-identical to sequential calls.
+        Every ``(circuit_name, responses)`` pair is enqueued in the
+        same event-loop pass, so the coalescer groups the burst into
+        (at most) one call per distinct circuit -- the async face of
+        :meth:`DiagnosisService.submit_many`. Failures stay
+        per-request internally (a bad entry never poisons its peers'
+        answers); the call then re-raises the first failure, after
+        every request has settled so no result future is left
+        unretrieved.
         """
-        if self._closed:
-            raise ServiceError("service is closed")
-        if not self.service.has_circuit(circuit_name):
-            raise ServiceError(
-                f"unknown circuit {circuit_name!r}; register() it "
-                f"first")
-        rows = _count_rows(responses)
-        with telemetry.TRACER.span("service.submit_posterior",
-                                   circuit=circuit_name, rows=rows):
-            return await self._enqueue(
-                _POSTERIOR_PREFIX + circuit_name, responses, rows)
-
-    async def submit_posterior_many(
-            self, requests: Sequence[Tuple[str, ResponseBatch]]
-    ) -> List[List[PosteriorDiagnosis]]:
-        """Posterior burst; one diagnosis list per request (see
-        :meth:`submit_many` for the coalescing/failure contract)."""
         outcomes = await asyncio.gather(
-            *(self.submit_posterior(circuit_name, responses)
+            *(self.submit(circuit_name, responses, mode)
               for circuit_name, responses in requests),
             return_exceptions=True)
         for outcome in outcomes:
@@ -285,8 +288,8 @@ class AsyncDiagnosisService:
                 raise outcome
         return list(outcomes)
 
-    async def _enqueue(self, queue_key: str, responses: ResponseBatch,
-                       rows: int):
+    async def _enqueue(self, queue_key: Tuple[str, str],
+                       responses: ResponseBatch, rows: int) -> list:
         """Admit one request into a coalescing queue; await its result."""
         await self._admit()
         loop = asyncio.get_running_loop()
@@ -307,29 +310,6 @@ class AsyncDiagnosisService:
             queue.timer = loop.create_task(
                 self._window_timer(queue_key))
         return await item.future
-
-    async def submit_many(self, requests: Sequence[Tuple[str,
-                                                         ResponseBatch]]
-                          ) -> List[List[Diagnosis]]:
-        """Submit a mixed-circuit burst; one diagnosis list per request.
-
-        Every ``(circuit_name, responses)`` pair is enqueued in the
-        same event-loop pass, so the coalescer groups the burst into
-        (at most) one classify call per distinct circuit -- the async
-        face of :meth:`DiagnosisService.submit_many`. Failures stay
-        per-request internally (a bad entry never poisons its peers'
-        classifications); the call then re-raises the first failure,
-        after every request has settled so no result future is left
-        unretrieved.
-        """
-        outcomes = await asyncio.gather(
-            *(self.submit(circuit_name, responses)
-              for circuit_name, responses in requests),
-            return_exceptions=True)
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        return list(outcomes)
 
     async def _admit(self) -> None:
         if self._pending < self.max_pending:
@@ -358,7 +338,7 @@ class AsyncDiagnosisService:
     # ------------------------------------------------------------------
     # Flushing
     # ------------------------------------------------------------------
-    async def _window_timer(self, queue_key: str) -> None:
+    async def _window_timer(self, queue_key: Tuple[str, str]) -> None:
         queue = self._queues.get(queue_key)
         if queue is None:
             return
@@ -383,7 +363,7 @@ class AsyncDiagnosisService:
             return
         self._start_flush(queue_key, from_timer=True)
 
-    def _start_flush(self, queue_key: str, *,
+    def _start_flush(self, queue_key: Tuple[str, str], *,
                      from_timer: bool = False) -> None:
         queue = self._queues.get(queue_key)
         if queue is None:
@@ -394,12 +374,8 @@ class AsyncDiagnosisService:
         if not queue.items:
             return
         items, queue.items, queue.rows = queue.items, [], 0
-        if queue_key.startswith(_POSTERIOR_PREFIX):
-            circuit_name = queue_key[len(_POSTERIOR_PREFIX):]
-            coroutine = self._run_posterior_batch(circuit_name, items)
-        else:
-            coroutine = self._run_batch(queue_key, items)
-        task = asyncio.get_running_loop().create_task(coroutine)
+        task = asyncio.get_running_loop().create_task(
+            self._run_batch(*queue_key, items))
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
@@ -451,83 +427,31 @@ class AsyncDiagnosisService:
             return converted_live, points[0]
         return converted_live, np.concatenate(points, axis=0)
 
-    async def _run_batch(self, circuit_name: str,
+    async def _run_batch(self, mode: str, circuit_name: str,
                          items: List[_Pending]) -> None:
         loop = asyncio.get_running_loop()
         try:
             try:
-                engine = self.service._engine_if_warm(circuit_name)
-                if engine is None:
-                    # Cold miss: the pipeline build must not block the
-                    # loop. The per-circuit build lock inside _engine
-                    # dedupes racing warm-ups.
-                    engine = await loop.run_in_executor(
-                        None, self.service._engine, circuit_name)
-            except Exception as exc:     # noqa: BLE001 -- shared fault
-                for item in items:
-                    if not item.future.done():
-                        item.future.set_exception(exc)
-                return
-            live, stacked = self._stack_signatures(engine.diagnoser,
-                                                   items)
-            if not live:
-                return
-            try:
-                if self._executor is None:
-                    diagnoses = engine.diagnoser.classify_points(stacked)
-                else:
-                    diagnoses = await loop.run_in_executor(
-                        self._executor, engine.diagnoser.classify_points,
-                        stacked)
-            except Exception as exc:     # noqa: BLE001 -- shared fault
-                for item in live:
-                    if not item.future.done():
-                        item.future.set_exception(exc)
-                return
-            finished = time.perf_counter()
-            offset = 0
-            records: List[Tuple[int, float]] = []
-            for item in live:
-                part = diagnoses[offset:offset + item.rows]
-                offset += item.rows
-                if not item.future.done():
-                    item.future.set_result(part)
-                records.append((item.rows, finished - item.enqueued_at))
-            self.service.stats.record_coalesced(
-                circuit_name, records, n_rows=int(stacked.shape[0]))
-        finally:
-            await self._settle(len(items))
-
-    async def _run_posterior_batch(self, circuit_name: str,
-                                   items: List[_Pending]) -> None:
-        """Flush one coalesced posterior batch (probabilistic tier)."""
-        loop = asyncio.get_running_loop()
-        try:
-            try:
-                engine = self.service._engine_if_warm(circuit_name)
-                posterior = None if engine is None else engine.posterior
-                if posterior is None:
+                kernel = self.service._kernel(circuit_name, mode,
+                                              build=False)
+                if kernel is None:
                     # Cold miss on the engine or its posterior tier: the
                     # pipeline build / Monte-Carlo sweep must not block
-                    # the loop.
-                    engine, posterior = await loop.run_in_executor(
-                        None, self.service._posterior, circuit_name)
+                    # the loop. The per-circuit build lock dedupes
+                    # racing warm-ups.
+                    kernel = await loop.run_in_executor(
+                        None, self.service._kernel, circuit_name, mode)
             except Exception as exc:     # noqa: BLE001 -- shared fault
                 for item in items:
                     if not item.future.done():
                         item.future.set_exception(exc)
                 return
-            live, stacked = self._stack_signatures(engine.diagnoser,
-                                                   items)
+            diagnoser, answer = kernel
+            live, stacked = self._stack_signatures(diagnoser, items)
             if not live:
                 return
             try:
-                if self._executor is None:
-                    results = posterior.diagnose_points(stacked)
-                else:
-                    results = await loop.run_in_executor(
-                        self._executor, posterior.diagnose_points,
-                        stacked)
+                answers = answer(stacked)
             except Exception as exc:     # noqa: BLE001 -- shared fault
                 for item in live:
                     if not item.future.done():
@@ -537,14 +461,13 @@ class AsyncDiagnosisService:
             offset = 0
             records: List[Tuple[int, float]] = []
             for item in live:
-                part = results[offset:offset + item.rows]
+                part = answers[offset:offset + item.rows]
                 offset += item.rows
                 if not item.future.done():
                     item.future.set_result(part)
                 records.append((item.rows, finished - item.enqueued_at))
-            self.service.stats.record_posterior(
-                circuit_name, records,
-                [result.entropy_bits for result in results])
+            self.service._record_flush(circuit_name, mode, records,
+                                       answers)
         finally:
             await self._settle(len(items))
 
@@ -554,10 +477,9 @@ class AsyncDiagnosisService:
     def flush(self, circuit_name: Optional[str] = None) -> None:
         """Force pending batches out immediately (skip the window).
 
-        A circuit name flushes both its hard-classifier and posterior
-        queues.
+        A circuit name flushes its queues of every mode.
         """
-        keys = [circuit_name, _POSTERIOR_PREFIX + circuit_name] \
+        keys = [(mode, circuit_name) for mode in codec.MODES] \
             if circuit_name is not None else list(self._queues)
         for key in keys:
             self._start_flush(key)
@@ -646,16 +568,15 @@ class DiagnosisHTTPServer:
     ``Connection: close``, the peer disconnects, or a parse error
     leaves the stream unsynchronised. Routes:
 
-    * ``POST /v1/diagnose`` -- body is the codec request
-      (``{"circuit": ..., "magnitudes_db": [[...], ...]}``); answers
-      the codec response with one diagnosis per row.
-    * ``POST /v1/diagnose-many`` -- a mixed-circuit burst
-      (``{"requests": [...]}``); answers one diagnosis list per
-      request (coalesced per circuit).
-    * ``POST /v1/diagnose-posterior`` -- probabilistic tier: accepts
-      the single-request *or* burst body shape and answers calibrated
-      posterior fault probabilities plus an information-gain ranking
-      of candidate measurement frequencies per row.
+    * the diagnosis routes of :data:`ROUTES`, one handler for all:
+      ``POST /v1/diagnose`` (hard mode, single body
+      ``{"circuit": ..., "magnitudes_db": [[...], ...]}``),
+      ``POST /v1/diagnose-many`` (hard mode, burst body
+      ``{"requests": [...]}``, coalesced per circuit) and
+      ``POST /v1/diagnose-posterior`` (posterior mode, either body:
+      calibrated fault probabilities plus an information-gain ranking
+      of candidate measurement frequencies per row). A single body is
+      answered with one answer list, a burst with one list per request.
     * ``GET /v1/stats`` -- :meth:`ServiceStats.snapshot`.
     * ``GET /v1/metrics`` -- Prometheus text exposition 0.0.4 (see
       :mod:`repro.runtime.telemetry`).
@@ -1031,31 +952,19 @@ class DiagnosisHTTPServer:
     async def _route(self, method: str, path: str, body: bytes):
         """One routed request -> ``(status, payload)`` or
         ``(status, payload, content_type)`` (JSON by default)."""
-        if path == "/v1/diagnose":
+        if path in ROUTES:
             if method != "POST":
                 return 405, codec.encode_error("use POST")
-            request = codec.decode_request(body)
-            diagnoses = await self.service.submit(request.circuit,
-                                                  request.magnitudes_db)
-            return 200, codec.encode_response(diagnoses)
-        if path == "/v1/diagnose-many":
-            if method != "POST":
-                return 405, codec.encode_error("use POST")
-            requests = codec.decode_request_many(body)
-            batches = await self.service.submit_many(
-                [(request.circuit, request.magnitudes_db)
-                 for request in requests])
-            return 200, codec.encode_response_many(batches)
-        if path == "/v1/diagnose-posterior":
-            if method != "POST":
-                return 405, codec.encode_error("use POST")
-            requests, is_burst = codec.decode_posterior_request(body)
-            batches = await self.service.submit_posterior_many(
-                [(request.circuit, request.magnitudes_db)
-                 for request in requests])
+            mode, shape = ROUTES[path]
+            requests, is_burst = codec.decode_requests(body, shape)
             if is_burst:
-                return 200, codec.encode_posterior_response_many(batches)
-            return 200, codec.encode_posterior_response(batches[0])
+                batches = await self.service.submit_many(
+                    [(request.circuit, request.magnitudes_db)
+                     for request in requests], mode)
+                return 200, codec.encode_response_many(batches, mode)
+            answers = await self.service.submit(
+                requests[0].circuit, requests[0].magnitudes_db, mode)
+            return 200, codec.encode_answers(answers, mode)
         if path == "/v1/stats" and method == "GET":
             return 200, codec.encode_stats(
                 await self.service.stats_snapshot())

@@ -30,8 +30,8 @@ from collections import OrderedDict, deque
 import numpy as np
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Deque, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Deque, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..circuits.library import BENCHMARK_CIRCUITS, CircuitInfo, \
     get_benchmark
@@ -601,34 +601,6 @@ class DiagnosisService:
     # ------------------------------------------------------------------
     # Probabilistic tier
     # ------------------------------------------------------------------
-    def _posterior(self, circuit_name: str
-                   ) -> Tuple[_Engine, PosteriorDiagnoser]:
-        """The warmed engine plus its (lazily built) posterior tier.
-
-        The Monte-Carlo sweep runs at most once per warmed engine, under
-        the same per-circuit build lock as warm-ups, so racing posterior
-        requests never duplicate the sampling.
-        """
-        engine = self._engine(circuit_name)
-        if engine.posterior is not None:
-            return engine, engine.posterior
-        with self._lock:
-            build_lock = self._build_locks.setdefault(
-                circuit_name, threading.Lock())
-        with build_lock:
-            if engine.posterior is not None:   # built while we waited
-                return engine, engine.posterior
-            started = time.perf_counter()
-            with telemetry.TRACER.span("service.posterior_build",
-                                       circuit=circuit_name):
-                posterior = PosteriorDiagnoser.from_atpg(
-                    engine.result, self.posterior_config)
-            engine.posterior = posterior
-            self.stats.record_posterior_build(
-                circuit_name, posterior.samples_simulated,
-                time.perf_counter() - started)
-        return engine, posterior
-
     def diagnose_posterior(self, circuit_name: str,
                            responses: ResponseBatch
                            ) -> List[PosteriorDiagnosis]:
@@ -642,14 +614,62 @@ class DiagnosisService:
         both tiers see identical points.
         """
         started = time.perf_counter()
-        engine, posterior = self._posterior(circuit_name)
-        points = engine.diagnoser.signatures(responses)
-        results = posterior.diagnose_points(points)
+        diagnoser, diagnose = self._kernel(circuit_name, "posterior")
+        results = diagnose(diagnoser.signatures(responses))
         elapsed = time.perf_counter() - started
         self.stats.record_posterior(
             circuit_name, [(len(results), elapsed)],
             [result.entropy_bits for result in results])
         return results
+
+    def _kernel(self, circuit_name: str, mode: str, *,
+                build: bool = True
+                ) -> Optional[Tuple[BatchDiagnoser, Callable]]:
+        """The mode's ``(batch diagnoser, points -> answers)`` pair.
+
+        Both modes share the diagnoser's ``signatures`` transform; the
+        callable is ``classify_points`` (hard) or the posterior tier's
+        ``diagnose_points``, the tier built at most once per warmed
+        engine under the circuit's build lock. ``build=False`` (the
+        warm fast path) returns None rather than build anything.
+        """
+        engine = self._engine(circuit_name) if build \
+            else self._engine_if_warm(circuit_name)
+        if engine is None:
+            return None
+        if mode == "hard":
+            return engine.diagnoser, engine.diagnoser.classify_points
+        if engine.posterior is None:
+            if not build:
+                return None
+            with self._lock:
+                build_lock = self._build_locks.setdefault(
+                    circuit_name, threading.Lock())
+            with build_lock:
+                if engine.posterior is None:  # not built while we waited
+                    started = time.perf_counter()
+                    with telemetry.TRACER.span("service.posterior_build",
+                                               circuit=circuit_name):
+                        posterior = PosteriorDiagnoser.from_atpg(
+                            engine.result, self.posterior_config)
+                    engine.posterior = posterior
+                    self.stats.record_posterior_build(
+                        circuit_name, posterior.samples_simulated,
+                        time.perf_counter() - started)
+        return engine.diagnoser, engine.posterior.diagnose_points
+
+    def _record_flush(self, circuit_name: str, mode: str,
+                      request_latencies: Sequence[Tuple[int, float]],
+                      answers: Sequence) -> None:
+        """Record one coalesced call of ``mode`` answering several
+        requests (``(n_rows, latency_seconds)`` each)."""
+        if mode == "posterior":
+            self.stats.record_posterior(
+                circuit_name, request_latencies,
+                [answer.entropy_bits for answer in answers])
+        else:
+            self.stats.record_coalesced(circuit_name, request_latencies,
+                                        n_rows=len(answers))
 
     def test_vector_hz(self, circuit_name: str) -> Tuple[float, ...]:
         """The warmed test vector for a circuit (what to measure at)."""

@@ -100,6 +100,14 @@ SERVING_CIRCUITS = ("rc_lowpass", "voltage_divider",
 from repro.runtime.testing import noisy_golden_rows as measured_rows
 
 
+def sequential_answers(service, mode, requests):
+    """The sync service's answers to ``(circuit, rows)`` requests, one
+    call per request: the reference every serving mode must match."""
+    answer = service.submit if mode == "hard" \
+        else service.diagnose_posterior
+    return [answer(circuit, rows) for circuit, rows in requests]
+
+
 @pytest.fixture(scope="session")
 def warm_service():
     """One warmed multi-circuit service shared by the serving suites.

@@ -25,7 +25,7 @@ from repro import (
 )
 from repro.errors import (ClusterError, ReplicaUnavailableError,
                           ServiceError)
-from repro.runtime import telemetry
+from repro.runtime import codec, telemetry
 from repro.runtime.cluster import (CircuitRouter, HTTPReplica,
                                    InProcessReplica, SpawnedReplica)
 
@@ -38,7 +38,8 @@ pytestmark = pytest.mark.serving
 # measured-row generator) lives in conftest.py -- the serving suite
 # uses the same definitions.
 from conftest import (QUICK_SERVING as QUICK,
-                      SERVING_CIRCUITS as CIRCUITS, measured_rows)
+                      SERVING_CIRCUITS as CIRCUITS, measured_rows,
+                      sequential_answers)
 
 #: Cheap two-component circuits for tests that must build *separate*
 #: engines per replica.
@@ -98,6 +99,7 @@ request_lists = st.lists(
 
 
 class TestClusterEquivalence:
+    @pytest.mark.parametrize("mode", codec.MODES)
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(requests=request_lists,
@@ -107,15 +109,14 @@ class TestClusterEquivalence:
            stagger=st.lists(st.integers(0, 2), min_size=12,
                             max_size=12))
     def test_routed_results_bitwise_equal_single_service(
-            self, warm_service, requests, n_replicas, max_batch,
+            self, warm_service, mode, requests, n_replicas, max_batch,
             window_ms, stagger):
-        """N interleaved cluster submits == N sequential submits,
-        whatever the replica count."""
+        """N interleaved cluster submits == N sequential sync calls,
+        whatever the replica count, in either diagnosis mode."""
         batches = [(CIRCUITS[index], measured_rows(
             warm_service, CIRCUITS[index], rows, seed))
             for index, rows, seed in requests]
-        expected = [warm_service.submit(circuit, rows)
-                    for circuit, rows in batches]
+        expected = sequential_answers(warm_service, mode, batches)
 
         async def clustered():
             cluster = shared_cluster(
@@ -125,7 +126,7 @@ class TestClusterEquivalence:
             async def one(position, circuit, rows):
                 for _ in range(stagger[position % len(stagger)]):
                     await asyncio.sleep(0)
-                return await cluster.submit(circuit, rows)
+                return await cluster.submit(circuit, rows, mode)
 
             results = await asyncio.gather(
                 *(one(position, circuit, rows)
@@ -134,26 +135,26 @@ class TestClusterEquivalence:
             return results
 
         results = asyncio.run(clustered())
-        # Diagnosis is a frozen dataclass: == compares every float
-        # exactly, so this is the bitwise claim.
+        # Diagnosis and PosteriorDiagnosis are frozen dataclasses: ==
+        # compares every float exactly, so this is the bitwise claim.
         assert results == expected
 
+    @pytest.mark.parametrize("mode", codec.MODES)
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(requests=request_lists, n_replicas=st.sampled_from([2, 3]))
     def test_burst_submit_many_bitwise_equal_single_service(
-            self, warm_service, requests, n_replicas):
+            self, warm_service, mode, requests, n_replicas):
         """A mixed-circuit burst through the cluster == sequential."""
         batches = [(CIRCUITS[index], measured_rows(
             warm_service, CIRCUITS[index], rows, seed))
             for index, rows, seed in requests]
-        expected = [warm_service.submit(circuit, rows)
-                    for circuit, rows in batches]
+        expected = sequential_answers(warm_service, mode, batches)
 
         async def clustered():
             cluster = shared_cluster(warm_service, n_replicas,
                                      window_seconds=0.001)
-            results = await cluster.submit_many(batches)
+            results = await cluster.submit_many(batches, mode)
             await cluster.aclose()
             return results
 
@@ -305,23 +306,34 @@ class TestClusterIntrospection:
             await cluster.submit_many(
                 [("voltage_divider",
                   measured_rows(warm_service, "voltage_divider", 1, 4))])
+            await cluster.submit(
+                "rc_lowpass",
+                measured_rows(warm_service, "rc_lowpass", 2, 5),
+                "posterior")
+            await cluster.submit_many(
+                [("voltage_divider",
+                  measured_rows(warm_service, "voltage_divider", 1, 6))],
+                "posterior")
             snapshot = await cluster.stats_snapshot()
             await cluster.aclose()
             return snapshot
 
         snapshot = asyncio.run(run())
         assert snapshot["cluster"]["replicas"] == 2
-        assert snapshot["cluster"]["requests"] == 2
-        assert snapshot["cluster"]["bursts"] == 1
+        assert snapshot["cluster"]["requests"] == 4
+        assert snapshot["cluster"]["bursts"] == 2
         assert snapshot["cluster"]["failovers"] == 0
         assert set(snapshot["per_replica"]) == {"replica-0",
                                                 "replica-1"}
         for replica_snapshot in snapshot["per_replica"].values():
             assert "requests" in replica_snapshot
         merged = snapshot["merged"]
-        assert merged["requests"] == sum(
-            replica_snapshot["requests"] for replica_snapshot
-            in snapshot["per_replica"].values())
+        for key in ("requests", "posterior_requests", "posterior_rows",
+                    "posterior_builds", "posterior_samples"):
+            assert merged[key] == sum(
+                replica_snapshot[key] for replica_snapshot
+                in snapshot["per_replica"].values())
+        assert merged["posterior_requests"] > 0
         assert "per_circuit" in merged
         assert "batch_size_histogram" in merged
 
@@ -446,6 +458,10 @@ class TestHTTPReplica:
                  measured_rows(warm_service, "voltage_divider", 1, 22))]
         expected_burst = [warm_service.submit(name, r)
                           for name, r in burst]
+        expected_posterior = warm_service.diagnose_posterior("rc_lowpass",
+                                                             rows)
+        expected_posterior_burst = sequential_answers(
+            warm_service, "posterior", burst)
 
         async def run():
             server = await serve(
@@ -464,6 +480,11 @@ class TestHTTPReplica:
                 conn_before = replica._idle[0]
                 assert await replica.submit_many(burst) == expected_burst
                 assert replica._idle[0] is conn_before
+                assert await replica.submit(
+                    "rc_lowpass", rows, mode="posterior") == \
+                    expected_posterior
+                assert await replica.submit_many(
+                    burst, mode="posterior") == expected_posterior_burst
                 freqs = await replica.test_vector_hz("rc_lowpass")
                 assert freqs == tuple(sorted(
                     warm_service.test_vector_hz("rc_lowpass")))

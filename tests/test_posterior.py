@@ -177,8 +177,9 @@ class TestPosteriorConfig:
         decoded = codec.decode_posterior_response(
             codec.encode_posterior_response(diagnoses))
         assert decoded == diagnoses
-        many = codec.decode_posterior_response_many(
-            codec.encode_posterior_response_many([diagnoses, []]))
+        many = codec.decode_response_many(
+            codec.encode_response_many([diagnoses, []], "posterior"),
+            "posterior")
         assert many == [diagnoses, []]
 
 

@@ -35,7 +35,8 @@ pytestmark = pytest.mark.serving
 # measured-row generator) lives in conftest.py -- the cluster suite
 # uses the same definitions.
 from conftest import (QUICK_SERVING as QUICK,
-                      SERVING_CIRCUITS as CIRCUITS, measured_rows)
+                      SERVING_CIRCUITS as CIRCUITS, measured_rows,
+                      sequential_answers)
 
 
 # ----------------------------------------------------------------------
@@ -49,6 +50,7 @@ request_lists = st.lists(
 
 
 class TestCoalescerEquivalence:
+    @pytest.mark.parametrize("mode", codec.MODES)
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(requests=request_lists,
@@ -58,14 +60,14 @@ class TestCoalescerEquivalence:
            stagger=st.lists(st.integers(0, 2), min_size=12,
                             max_size=12))
     def test_results_bitwise_equal_sequential(
-            self, warm_service, requests, max_batch, window_ms, eager,
-            stagger):
-        """N interleaved async submits == N sequential submits."""
+            self, warm_service, mode, requests, max_batch, window_ms,
+            eager, stagger):
+        """N interleaved async submits == N sequential sync calls, in
+        either diagnosis mode."""
         batches = [(CIRCUITS[index], measured_rows(
             warm_service, CIRCUITS[index], rows, seed))
             for index, rows, seed in requests]
-        expected = [warm_service.submit(circuit, rows)
-                    for circuit, rows in batches]
+        expected = sequential_answers(warm_service, mode, batches)
 
         async def coalesced():
             front = AsyncDiagnosisService(
@@ -77,7 +79,7 @@ class TestCoalescerEquivalence:
                 # times before submitting.
                 for _ in range(stagger[position % len(stagger)]):
                     await asyncio.sleep(0)
-                return await front.submit(circuit, rows)
+                return await front.submit(circuit, rows, mode)
 
             results = await asyncio.gather(
                 *(one(position, circuit, rows)
@@ -86,8 +88,8 @@ class TestCoalescerEquivalence:
             return results
 
         results = asyncio.run(coalesced())
-        # Diagnosis is a frozen dataclass: == compares every float
-        # exactly, so this is the bitwise claim.
+        # Diagnosis and PosteriorDiagnosis are frozen dataclasses: ==
+        # compares every float exactly, so this is the bitwise claim.
         assert results == expected
 
     @settings(max_examples=15, deadline=None)
@@ -690,6 +692,59 @@ class TestHTTPServer:
                 await server.aclose()
 
         asyncio.run(run())
+
+    #: The diagnosis routes' modes, and the (route, body) cells that
+    #: answer 200; every other cell of the table answers 400.
+    ROUTE_MODES = {"/v1/diagnose": "hard", "/v1/diagnose-many": "hard",
+                   "/v1/diagnose-posterior": "posterior"}
+    ANSWERED = {("/v1/diagnose", "single"),
+                ("/v1/diagnose-many", "burst"),
+                ("/v1/diagnose-posterior", "single"),
+                ("/v1/diagnose-posterior", "burst")}
+
+    @pytest.mark.parametrize("body", ["single", "burst", "empty_burst",
+                                      "array"])
+    @pytest.mark.parametrize("path", sorted(ROUTE_MODES))
+    def test_diagnosis_route_body_table(self, warm_service, path, body):
+        """Each diagnosis route x body shape keeps its status; a 200
+        body is the codec encoding of the sync service's answers."""
+        rows = measured_rows(warm_service, "rc_lowpass", 2, seed=5)
+        burst = [("rc_lowpass", rows),
+                 ("voltage_divider",
+                  measured_rows(warm_service, "voltage_divider", 1, 6))]
+        payloads = {
+            "single": codec.encode_request("rc_lowpass", rows),
+            "burst": codec.encode_request_many(burst),
+            "empty_burst": b'{"requests": []}',
+            "array": json.dumps([{"circuit": "rc_lowpass",
+                                  "magnitudes_db": rows.tolist()}]
+                                ).encode("utf-8"),
+        }
+        mode = self.ROUTE_MODES[path]
+
+        async def run():
+            server = await serve(
+                AsyncDiagnosisService(warm_service,
+                                      window_seconds=0.001),
+                host="127.0.0.1", port=0)
+            try:
+                return await _http(*server.address, "POST", path,
+                                   payloads[body])
+            finally:
+                await server.aclose()
+
+        status, payload = asyncio.run(run())
+        if (path, body) not in self.ANSWERED:
+            assert status == 400 and b"CodecError" in payload
+        elif body == "single":
+            assert status == 200
+            (expected,) = sequential_answers(warm_service, mode,
+                                             [("rc_lowpass", rows)])
+            assert payload == codec.encode_answers(expected, mode)
+        else:
+            assert status == 200
+            assert payload == codec.encode_response_many(
+                sequential_answers(warm_service, mode, burst), mode)
 
 
 # ----------------------------------------------------------------------
