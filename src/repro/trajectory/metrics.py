@@ -12,9 +12,9 @@ intersections among the fault trajectories"* -- formalised here as:
   fitness functions and by ambiguity analysis).
 
 The GA calls these thousands of times per run, so the internals operate
-on the trajectory set's *stacked* segment arrays: one vectorised
-orientation computation covers every segment pair of every trajectory
-pair at once.
+on the trajectory set's *stacked* segment arrays: one vectorised kernel
+resolves the crossings and overlaps of every cross-trajectory segment
+pair, for one set or for a whole candidate population at once.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..errors import TrajectoryError
-from .geometry import _EPS, _pairwise_orientations, cross2
+from .geometry import _EPS
 from .trajectory import TrajectorySet
 
 __all__ = [
@@ -71,86 +71,98 @@ class TrajectoryMetrics:
 # ----------------------------------------------------------------------
 # Stacked-array internals
 # ----------------------------------------------------------------------
-def _stacked(trajectories: TrajectorySet
-             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    starts, ends, owners = trajectories.all_segments()
-    return starts, ends, owners
+def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, 2) arrays.
 
-
-def _orientation_data(starts: np.ndarray, ends: np.ndarray,
-                      owners: np.ndarray):
-    """All-pairs orientation determinants + cross-trajectory mask."""
-    d1, d2, d3, d4 = _pairwise_orientations(starts, ends, starts, ends)
-    different = owners[:, None] != owners[None, :]
-    lengths_sq = np.sum((ends - starts) ** 2, axis=1)
-    scale = max(float(lengths_sq.max(initial=0.0)), _EPS)
-    return d1, d2, d3, d4, different, scale
-
-
-def _overlap_loop(collinear: np.ndarray, starts: np.ndarray,
-                  ends: np.ndarray) -> int:
-    """Positive-length 1-D interval overlap count over a collinear mask.
-
-    The single implementation behind the scalar and batched overlap
-    counters, so both are the same floating-point code path.
+    ``matmul`` of (1, 2) @ (2, 1) stacks runs the same dot kernel as
+    ``np.dot`` on two vectors, so each value is bitwise what a per-row
+    ``np.dot`` gives (``einsum`` rounds differently).
     """
-    count = 0
-    rows, cols = np.nonzero(collinear)
-    for i, j in zip(rows, cols):
-        direction = ends[i] - starts[i]
-        norm = float(np.dot(direction, direction))
-        if norm <= _EPS:
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _conflict_counts(starts: np.ndarray, ends: np.ndarray,
+                     owners: np.ndarray, chunk_size: int = 32
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """(crossings, overlaps) per member of a (K, S, 2) segment batch.
+
+    The one counting kernel behind :func:`conflict_counts_batch` and
+    the scalar 2-D counters (which call it with K = 1). Only the
+    cross-trajectory pairs ``a < b`` are evaluated; both relations are
+    symmetric, so each unordered pair counts once. For a pair, d1/d2
+    place a's endpoints relative to line b and d3/d4 place b's
+    endpoints relative to line a. A collinear pair is a common pathway
+    when b's projection onto a covers a stretch of positive length.
+    """
+    starts = np.asarray(starts, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    if starts.ndim != 3 or starts.shape[2] != 2 or \
+            starts.shape != ends.shape:
+        raise TrajectoryError(
+            f"conflict_counts_batch needs matching (K, S, 2) arrays, "
+            f"got {starts.shape} and {ends.shape}")
+    if not (np.isfinite(starts).all() and np.isfinite(ends).all()):
+        raise TrajectoryError(
+            "conflict counting needs finite segment endpoints")
+    num_members, num_segments = starts.shape[:2]
+    owners = np.asarray(owners)
+    if owners.shape != (num_segments,):
+        raise TrajectoryError(
+            f"owners must have shape ({num_segments},), got "
+            f"{owners.shape}")
+    a, b = np.triu_indices(num_segments, 1)
+    cross_owner = owners[a] != owners[b]
+    a, b = a[cross_owner], b[cross_owner]
+    intersections = np.empty(num_members, dtype=int)
+    overlaps = np.zeros(num_members, dtype=int)
+    for low in range(0, num_members, chunk_size):
+        high = min(low + chunk_size, num_members)
+        s = starts[low:high]
+        e = ends[low:high]
+        direction = e - s
+        sx, sy, ex, ey = s[..., 0], s[..., 1], e[..., 0], e[..., 1]
+        dx, dy = direction[..., 0], direction[..., 1]
+        ax, ay, adx, ady = sx[:, a], sy[:, a], dx[:, a], dy[:, a]
+        bx, by, bdx, bdy = sx[:, b], sy[:, b], dx[:, b], dy[:, b]
+        d1 = bdx * (ay - by) - bdy * (ax - bx)
+        d2 = bdx * (ey[:, a] - by) - bdy * (ex[:, a] - bx)
+        d3 = adx * (by - ay) - ady * (bx - ax)
+        d4 = adx * (ey[:, b] - ay) - ady * (ex[:, b] - ax)
+        lengths_sq = dx * dx + dy * dy
+        scale = np.maximum(lengths_sq.max(axis=1, initial=0.0), _EPS)
+        eps = (_EPS * scale)[:, None]
+        crossing = (d1 * d2 < -eps) & (d3 * d4 < -eps)
+        intersections[low:high] = np.count_nonzero(crossing, axis=1)
+        eps_overlap = (_OVERLAP_EPS_SCALE * scale)[:, None]
+        collinear = ((np.abs(d1) <= eps_overlap) &
+                     (np.abs(d2) <= eps_overlap) &
+                     (np.abs(d3) <= eps_overlap) &
+                     (np.abs(d4) <= eps_overlap))
+        member, pair = np.nonzero(collinear)
+        if member.size == 0:
             continue
-        s0 = float(np.dot(starts[j] - starts[i], direction)) / norm
-        s1 = float(np.dot(ends[j] - starts[i], direction)) / norm
-        lo = max(0.0, min(s0, s1))
-        hi = min(1.0, max(s0, s1))
-        if hi - lo > 1e-9:
-            count += 1
-    return count
-
-
-def _counts_2d(starts: np.ndarray, ends: np.ndarray,
-               d1: np.ndarray, d2: np.ndarray, d3: np.ndarray,
-               d4: np.ndarray, different: np.ndarray,
-               scale: float) -> Tuple[int, int]:
-    """(crossings, overlaps) from shared orientation determinants."""
-    eps = _EPS * scale
-    crossing = (d1 * d2 < -eps) & (d3 * d4 < -eps) & different
-    # The relation is symmetric; each unordered pair appears twice.
-    intersections = int(np.count_nonzero(crossing) // 2)
-    eps_overlap = _OVERLAP_EPS_SCALE * scale
-    collinear = ((np.abs(d1) <= eps_overlap) &
-                 (np.abs(d2) <= eps_overlap) &
-                 (np.abs(d3) <= eps_overlap) &
-                 (np.abs(d4) <= eps_overlap) & different)
-    collinear = np.triu(collinear)  # unordered pairs once
-    overlaps = _overlap_loop(collinear, starts, ends) \
-        if np.any(collinear) else 0
+        # Project b onto a's direction: [s0, s1] in units of a's length.
+        i, j = a[pair], b[pair]
+        along = direction[member, i]
+        origin = s[member, i]
+        norm = _dot_rows(along, along)
+        positive = norm > _EPS
+        norm = np.where(positive, norm, 1.0)
+        s0 = _dot_rows(s[member, j] - origin, along) / norm
+        s1 = _dot_rows(e[member, j] - origin, along) / norm
+        lo = np.maximum(0.0, np.minimum(s0, s1))
+        hi = np.minimum(1.0, np.maximum(s0, s1))
+        overlaps[low:high] = np.bincount(
+            member[positive & (hi - lo > 1e-9)], minlength=high - low)
     return intersections, overlaps
 
 
-def _crossing_count_2d(trajectories: TrajectorySet) -> int:
-    starts, ends, owners = _stacked(trajectories)
-    d1, d2, d3, d4, different, scale = _orientation_data(starts, ends,
-                                                         owners)
-    eps = _EPS * scale
-    crossing = (d1 * d2 < -eps) & (d3 * d4 < -eps) & different
-    # The relation is symmetric; each unordered pair appears twice.
-    return int(np.count_nonzero(crossing) // 2)
-
-
-def _overlap_count_2d(trajectories: TrajectorySet) -> int:
-    starts, ends, owners = _stacked(trajectories)
-    d1, d2, d3, d4, different, scale = _orientation_data(starts, ends,
-                                                         owners)
-    eps = _OVERLAP_EPS_SCALE * scale
-    collinear = ((np.abs(d1) <= eps) & (np.abs(d2) <= eps) &
-                 (np.abs(d3) <= eps) & (np.abs(d4) <= eps) & different)
-    collinear = np.triu(collinear)  # unordered pairs once
-    if not np.any(collinear):
-        return 0
-    return _overlap_loop(collinear, starts, ends)
+def _set_conflicts(trajectories: TrajectorySet) -> Tuple[int, int]:
+    """(crossings, overlaps) of one 2-D set: the kernel with K = 1."""
+    starts, ends, owners = trajectories.all_segments()
+    intersections, overlaps = _conflict_counts(starts[None], ends[None],
+                                               owners)
+    return int(intersections[0]), int(overlaps[0])
 
 
 def conflict_counts_batch(starts: np.ndarray, ends: np.ndarray,
@@ -160,59 +172,14 @@ def conflict_counts_batch(starts: np.ndarray, ends: np.ndarray,
 
     ``starts``/``ends`` are ``(K, S, 2)`` stacked segment arrays sharing
     one ``owners`` layout -- K candidate configurations of the *same*
-    trajectory structure (the GA population case). Counts are identical
-    to calling :func:`count_intersections` /
-    :func:`count_common_pathways` per member: the orientation
-    determinants are the same element-wise operations with a leading
-    batch axis, and the rare overlap resolution runs the exact scalar
-    loop.
+    trajectory structure (the GA population case). Crossings and
+    overlaps of every member are resolved together, ``chunk_size``
+    members at a time; counts are identical to calling
+    :func:`count_intersections` / :func:`count_common_pathways` per
+    member, which run the same kernel with K = 1. Raises
+    :class:`TrajectoryError` on non-finite endpoints.
     """
-    starts = np.asarray(starts, dtype=float)
-    ends = np.asarray(ends, dtype=float)
-    if starts.ndim != 3 or starts.shape[2] != 2 or \
-            starts.shape != ends.shape:
-        raise TrajectoryError(
-            f"conflict_counts_batch needs matching (K, S, 2) arrays, "
-            f"got {starts.shape} and {ends.shape}")
-    num_members, num_segments = starts.shape[:2]
-    owners = np.asarray(owners)
-    if owners.shape != (num_segments,):
-        raise TrajectoryError(
-            f"owners must have shape ({num_segments},), got "
-            f"{owners.shape}")
-    different = owners[:, None] != owners[None, :]
-    upper = np.triu(np.ones((num_segments, num_segments), dtype=bool))
-    intersections = np.empty(num_members, dtype=int)
-    overlaps = np.zeros(num_members, dtype=int)
-    for low in range(0, num_members, chunk_size):
-        high = min(low + chunk_size, num_members)
-        s = starts[low:high]
-        e = ends[low:high]
-        direction = e - s
-        b_dir = direction[:, None, :, :]               # (k, 1, S, 2)
-        a_dir = direction[:, :, None, :]               # (k, S, 1, 2)
-        diff_ab = s[:, :, None, :] - s[:, None, :, :]  # a_start - b_start
-        diff_ba = s[:, None, :, :] - s[:, :, None, :]  # b_start - a_start
-        d1 = cross2(b_dir, diff_ab)
-        d2 = cross2(b_dir, e[:, :, None, :] - s[:, None, :, :])
-        d3 = cross2(a_dir, diff_ba)
-        d4 = cross2(a_dir, e[:, None, :, :] - s[:, :, None, :])
-        lengths_sq = np.sum(direction * direction, axis=-1)
-        scale = np.maximum(lengths_sq.max(axis=1), _EPS)
-        eps = (_EPS * scale)[:, None, None]
-        crossing = (d1 * d2 < -eps) & (d3 * d4 < -eps) & different[None]
-        intersections[low:high] = \
-            np.count_nonzero(crossing, axis=(1, 2)) // 2
-        eps_overlap = (_OVERLAP_EPS_SCALE * scale)[:, None, None]
-        collinear = ((np.abs(d1) <= eps_overlap) &
-                     (np.abs(d2) <= eps_overlap) &
-                     (np.abs(d3) <= eps_overlap) &
-                     (np.abs(d4) <= eps_overlap) &
-                     different[None] & upper[None])
-        for offset in np.nonzero(np.any(collinear, axis=(1, 2)))[0]:
-            overlaps[low + offset] = _overlap_loop(
-                collinear[offset], s[offset], e[offset])
-    return intersections, overlaps
+    return _conflict_counts(starts, ends, owners, chunk_size)
 
 
 def _vertex_segment_distances(trajectories: TrajectorySet
@@ -225,7 +192,7 @@ def _vertex_segment_distances(trajectories: TrajectorySet
     valid)`` where ``distances`` is (n_vertices, n_segments) and
     ``valid`` masks cross-trajectory, non-origin-vertex entries.
     """
-    starts, ends, seg_owner = _stacked(trajectories)
+    starts, ends, seg_owner = trajectories.all_segments()
     vertices = []
     vertex_owner = []
     is_origin = []
@@ -285,7 +252,7 @@ def count_intersections(trajectories: TrajectorySet) -> int:
     if len(trajectories) < 2:
         return 0
     if trajectories.dimension == 2:
-        return _crossing_count_2d(trajectories)
+        return _set_conflicts(trajectories)[0]
     threshold = _ND_CONTACT_FRACTION * _trajectory_scale(trajectories)
     separations = _pairwise_separations_fast(trajectories)
     return sum(1 for value in separations.values() if value < threshold)
@@ -300,7 +267,7 @@ def count_common_pathways(trajectories: TrajectorySet) -> int:
     """
     if len(trajectories) < 2 or trajectories.dimension != 2:
         return 0
-    return _overlap_count_2d(trajectories)
+    return _set_conflicts(trajectories)[1]
 
 
 def _trajectory_scale(trajectories: TrajectorySet) -> float:
@@ -340,14 +307,9 @@ def evaluate_metrics(trajectories: TrajectorySet,
     ``nan``.
     """
     if trajectories.dimension == 2 and len(trajectories) >= 2:
-        # Fused 2-D fast path: the crossing and overlap counts share
-        # one orientation-determinant computation (the GA calls this
-        # thousands of times; counts are identical to the split calls).
-        starts, ends, owners = _stacked(trajectories)
-        d1, d2, d3, d4, different, scale = _orientation_data(
-            starts, ends, owners)
-        intersections, overlaps = _counts_2d(
-            starts, ends, d1, d2, d3, d4, different, scale)
+        # One kernel call yields both counts; the split counters
+        # would run it twice.
+        intersections, overlaps = _set_conflicts(trajectories)
     else:
         intersections = count_intersections(trajectories)
         overlaps = count_common_pathways(trajectories)

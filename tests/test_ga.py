@@ -335,3 +335,62 @@ class TestEngine:
         config = GAConfig(population_size=32, generations=8)
         result = GeneticAlgorithm(space, fitness, config).run(seed=4)
         assert result.converged == (result.best_fitness >= 1.0)
+
+
+#: Paper-config GA outcomes of the ratio-only circuits, whose collinear
+#: trajectories make common pathways plentiful. Seeds are 2005 + the
+#: circuit's index in ``BENCHMARK_CIRCUITS``. Floats are pinned as
+#: ``float.hex`` so the comparison is bitwise: (test vector, best
+#: fitness, per-generation best fitness, per-generation mean fitness).
+PINNED_PAPER_GA = {
+    "voltage_divider": (
+        2013,
+        ("0x1.29e2274de68fep+5",
+         "0x1.52c3813e81aa2p+5"),
+        "0x1.3b13b13b13b14p-4",
+        ("0x1.3b13b13b13b14p-4",) * 15,
+        ("0x1.3b13b13b13b12p-4",) * 15),
+    "rc_ladder": (
+        2011,
+        ("0x1.ced6ce0cf1db9p+4",
+         "0x1.0fc018d0f1180p+13"),
+        "0x1.8f9c18f9c18fap-6",
+        ("0x1.8f9c18f9c18fap-6",) * 15,
+        (
+            "0x1.7c7bec147ed96p-6", "0x1.80c5052789ddbp-6",
+            "0x1.7d0e20002d9e2p-6", "0x1.8014990378babp-6",
+            "0x1.86e170c876ec6p-6", "0x1.85e710b28bfc4p-6",
+            "0x1.85ba092684b2ap-6", "0x1.87ef61fb040cap-6",
+            "0x1.866a24247f9b0p-6", "0x1.87a1f6805afbep-6",
+            "0x1.7ffa164af91c2p-6", "0x1.7d155c4548759p-6",
+            "0x1.845c0337d1dfap-6", "0x1.81897c8a0ba38p-6",
+            "0x1.855d56bfcadd3p-6",
+        )),
+    "rc_lowpass": (
+        2012,
+        ("0x1.6001c0ad4c643p+1",
+         "0x1.ab985a5208fc1p+4"),
+        "0x1.c71c71c71c71cp-4",
+        ("0x1.c71c71c71c71cp-4",) * 15,
+        ("0x1.c71c71c71c71fp-4",) * 15),
+}
+
+
+class TestPinnedPaperGA:
+    """Same-seed paper-config GA runs stay bitwise where they were."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_PAPER_GA))
+    def test_paper_config_ga_is_bitwise_pinned(self, name):
+        from repro import PipelineConfig, run
+        from repro.circuits.library import BENCHMARK_CIRCUITS
+        seed, vector, best, best_history, mean_history = \
+            PINNED_PAPER_GA[name]
+        assert seed == 2005 + list(BENCHMARK_CIRCUITS).index(name)
+        result = run(name, PipelineConfig.paper(), seed=seed)
+        history = result.ga_result.history
+        assert [f.hex() for f in result.test_vector_hz] == list(vector)
+        assert result.ga_result.best_fitness.hex() == best
+        assert tuple(s.best_fitness.hex() for s in history) == \
+            best_history
+        assert tuple(s.mean_fitness.hex() for s in history) == \
+            mean_history

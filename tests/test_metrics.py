@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.errors import TrajectoryError
 from repro.trajectory import (
     FaultTrajectory,
     SignatureMapper,
@@ -14,6 +16,11 @@ from repro.trajectory import (
     evaluate_metrics,
     min_separation,
     pairwise_separations,
+)
+from repro.trajectory.geometry import _EPS, _pairwise_orientations
+from repro.trajectory.metrics import (
+    _OVERLAP_EPS_SCALE,
+    conflict_counts_batch,
 )
 
 
@@ -172,3 +179,194 @@ class TestEvaluateMetrics:
         assert metrics.common_pathways >= 0
         assert metrics.min_separation >= 0.0
         assert metrics.mean_separation >= metrics.min_separation
+
+
+# ----------------------------------------------------------------------
+# Oracle: the per-member counter the vectorised kernel replaced, kept
+# verbatim (an all-pairs orientation matrix plus a Python overlap loop).
+# ----------------------------------------------------------------------
+def _orientation_data(starts: np.ndarray, ends: np.ndarray,
+                      owners: np.ndarray):
+    """All-pairs orientation determinants + cross-trajectory mask."""
+    d1, d2, d3, d4 = _pairwise_orientations(starts, ends, starts, ends)
+    different = owners[:, None] != owners[None, :]
+    lengths_sq = np.sum((ends - starts) ** 2, axis=1)
+    scale = max(float(lengths_sq.max(initial=0.0)), _EPS)
+    return d1, d2, d3, d4, different, scale
+
+
+def _overlap_loop(collinear: np.ndarray, starts: np.ndarray,
+                  ends: np.ndarray) -> int:
+    """Positive-length 1-D interval overlap count over a collinear mask.
+
+    The single implementation behind the scalar and batched overlap
+    counters, so both are the same floating-point code path.
+    """
+    count = 0
+    rows, cols = np.nonzero(collinear)
+    for i, j in zip(rows, cols):
+        direction = ends[i] - starts[i]
+        norm = float(np.dot(direction, direction))
+        if norm <= _EPS:
+            continue
+        s0 = float(np.dot(starts[j] - starts[i], direction)) / norm
+        s1 = float(np.dot(ends[j] - starts[i], direction)) / norm
+        lo = max(0.0, min(s0, s1))
+        hi = min(1.0, max(s0, s1))
+        if hi - lo > 1e-9:
+            count += 1
+    return count
+
+
+def _counts_2d(starts: np.ndarray, ends: np.ndarray,
+               d1: np.ndarray, d2: np.ndarray, d3: np.ndarray,
+               d4: np.ndarray, different: np.ndarray,
+               scale: float):
+    """(crossings, overlaps) from shared orientation determinants."""
+    eps = _EPS * scale
+    crossing = (d1 * d2 < -eps) & (d3 * d4 < -eps) & different
+    # The relation is symmetric; each unordered pair appears twice.
+    intersections = int(np.count_nonzero(crossing) // 2)
+    eps_overlap = _OVERLAP_EPS_SCALE * scale
+    collinear = ((np.abs(d1) <= eps_overlap) &
+                 (np.abs(d2) <= eps_overlap) &
+                 (np.abs(d3) <= eps_overlap) &
+                 (np.abs(d4) <= eps_overlap) & different)
+    collinear = np.triu(collinear)  # unordered pairs once
+    overlaps = _overlap_loop(collinear, starts, ends) \
+        if np.any(collinear) else 0
+    return intersections, overlaps
+
+
+def oracle_counts(starts, ends, owners):
+    """Per-member (intersections, overlaps) from the oracle."""
+    counts = [_counts_2d(s, e, *_orientation_data(s, e, owners))
+              for s, e in zip(starts, ends)]
+    crossings, overlaps = zip(*counts)
+    return np.array(crossings), np.array(overlaps)
+
+
+#: Vertex layouts the batch strategy draws from: GA-like fans through a
+#: shared origin, everything on one line (exactly, or nudged across the
+#: tolerances), integer and rounded grids (exact touching, collinearity
+#: and ties) and unconstrained floats.
+KINDS = ("fan", "collinear", "near_collinear", "integer", "rounded",
+         "float")
+
+
+@st.composite
+def segment_batches(draw):
+    """(starts, ends, owners) of K polyline sets sharing one layout.
+
+    Every trajectory is a polyline of 1..4 segments; ``repeat`` copies a
+    vertex onto its successor to make zero-length segments.
+    """
+    kind = draw(st.sampled_from(KINDS))
+    members = draw(st.integers(1, 4))
+    segments = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    ticks = st.integers(-4, 4)
+    vertices = []
+    for _ in range(members):
+        member = []
+        for count in segments:
+            points = count + 1
+            if kind == "fan":
+                direction = draw(st.tuples(ticks, ticks))
+                scales = draw(st.lists(ticks, min_size=points,
+                                       max_size=points))
+                scales[draw(st.integers(0, count))] = 0
+                line = np.outer(scales, direction)
+            elif kind == "collinear":
+                line = np.outer(draw(st.lists(
+                    ticks, min_size=points, max_size=points)), (3.0, -1.5))
+                line += (0.25, 2.0)
+            elif kind == "near_collinear":
+                # Off the line and along it by amounts that straddle the
+                # collinearity and positive-overlap tolerances.
+                nudge = st.builds(lambda m, p: m * 10.0 ** -p,
+                                  st.integers(-3, 3), st.integers(6, 11))
+                along = [t + n for t, n in zip(
+                    draw(st.lists(ticks, min_size=points,
+                                  max_size=points)),
+                    draw(st.lists(nudge, min_size=points,
+                                  max_size=points)))]
+                across = draw(st.lists(nudge, min_size=points,
+                                       max_size=points))
+                line = np.outer(along, (3.0, -1.5)) + \
+                    np.outer(across, (1.5, 3.0)) + (0.25, 2.0)
+            else:
+                values = {
+                    "integer": ticks,
+                    "rounded": st.integers(-20, 20).map(lambda v: v / 10),
+                    "float": st.floats(-10.0, 10.0, allow_nan=False),
+                }[kind]
+                line = np.array(draw(st.lists(
+                    values, min_size=2 * points,
+                    max_size=2 * points))).reshape(points, 2)
+            line = np.asarray(line, dtype=float)
+            for index in range(1, points):
+                if draw(st.booleans()) and draw(st.booleans()):
+                    line[index] = line[index - 1]
+            member.append(line)
+        vertices.append(member)
+    starts = np.array([np.vstack([line[:-1] for line in member])
+                       for member in vertices])
+    ends = np.array([np.vstack([line[1:] for line in member])
+                     for member in vertices])
+    owners = np.repeat(np.arange(len(segments)), segments)
+    return starts, ends, owners
+
+
+class TestConflictKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(segment_batches())
+    def test_batch_equals_per_member_oracle(self, batch):
+        starts, ends, owners = batch
+        intersections, overlaps = conflict_counts_batch(starts, ends,
+                                                        owners)
+        expected_i, expected_o = oracle_counts(starts, ends, owners)
+        assert np.array_equal(intersections, expected_i)
+        assert np.array_equal(overlaps, expected_o)
+
+    @settings(max_examples=50, deadline=None)
+    @given(segment_batches(), st.integers(1, 3))
+    def test_chunk_size_does_not_change_counts(self, batch, chunk_size):
+        starts, ends, owners = batch
+        whole = conflict_counts_batch(starts, ends, owners)
+        chunked = conflict_counts_batch(starts, ends, owners,
+                                        chunk_size=chunk_size)
+        assert np.array_equal(whole[0], chunked[0])
+        assert np.array_equal(whole[1], chunked[1])
+
+    def test_scalar_counts_equal_batch_on_biquad(self,
+                                                 biquad_trajectories):
+        metrics = evaluate_metrics(biquad_trajectories,
+                                   include_separations=False)
+        starts, ends, owners = biquad_trajectories.all_segments()
+        intersections, overlaps = conflict_counts_batch(
+            starts[None], ends[None], owners)
+        assert metrics.intersections == intersections[0]
+        assert metrics.common_pathways == overlaps[0]
+        assert count_intersections(biquad_trajectories) == \
+            intersections[0]
+        assert count_common_pathways(biquad_trajectories) == overlaps[0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_batch_raises(self, bad):
+        starts = np.zeros((2, 2, 2))
+        ends = np.ones((2, 2, 2))
+        ends[1, 0, 1] = bad
+        with pytest.raises(TrajectoryError, match="finite"):
+            conflict_counts_batch(starts, ends, np.array([0, 1]))
+
+    def test_non_finite_set_raises(self):
+        broken = straight_trajectory("B", 90.0)
+        points = broken.points.copy()
+        points[-1, 0] = np.nan
+        nan_set = make_set(straight_trajectory("A", 0.0),
+                           FaultTrajectory("B", broken.deviations, points))
+        for count in (count_intersections, count_common_pathways):
+            with pytest.raises(TrajectoryError, match="finite"):
+                count(nan_set)
+        with pytest.raises(TrajectoryError, match="finite"):
+            evaluate_metrics(nan_set, include_separations=False)
