@@ -3,7 +3,8 @@
 The CI job for the observability surface:
 
 1. boots a 2-replica ``repro-serve`` cluster on an ephemeral port
-   (quick pipeline config, in-memory artifact store, JSON access logs);
+   (quick pipeline config, a throwaway on-disk artifact store, JSON
+   access logs);
 2. warms a circuit through ``GET /v1/test-vector/<circuit>``;
 3. fires a small diagnose burst with an explicit ``X-Request-Id`` and
    checks the id is echoed back;
@@ -22,9 +23,11 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import urllib.request
 from pathlib import Path
@@ -70,14 +73,14 @@ def _post(url: str, body: bytes, headers: dict, timeout: float = 600.0):
         return response.status, dict(response.headers), response.read()
 
 
-def _spawn_server() -> tuple:
+def _spawn_server(store_root: str) -> tuple:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.runtime.cli",
          "--host", "127.0.0.1", "--port", "0",
          "--replicas", "2", "--config", "quick",
-         "--backend", "memory", "--window-ms", "1",
+         "--store-root", store_root, "--window-ms", "1",
          "--log-json"],
         stdout=subprocess.PIPE, env=env)
     deadline = time.monotonic() + 600.0
@@ -98,7 +101,8 @@ def _spawn_server() -> tuple:
 
 
 def main() -> int:
-    process, host, port = _spawn_server()
+    store_root = tempfile.mkdtemp(prefix="repro-smoke-")
+    process, host, port = _spawn_server(store_root)
     base = f"http://{host}:{port}"
     try:
         # Warm the circuit and learn its test-vector width.
@@ -160,6 +164,7 @@ def main() -> int:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait()
+        shutil.rmtree(store_root, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 The CI job for ``POST /v1/diagnose-posterior``:
 
 1. boots a 2-replica ``repro-serve`` cluster on an ephemeral port
-   (quick pipeline config, in-memory artifact store, 16 Monte-Carlo
-   worlds so the cold posterior build stays cheap);
+   (quick pipeline config, a throwaway on-disk artifact store, 16
+   Monte-Carlo worlds so the cold posterior build stays cheap);
 2. warms a circuit through ``GET /v1/test-vector/<circuit>``;
 3. fires a single posterior request and a burst, validating every
    returned posterior: probabilities normalised and descending, the
@@ -24,9 +24,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import urllib.request
 from pathlib import Path
@@ -67,14 +69,14 @@ def _post(url: str, body: bytes, timeout: float = 600.0):
         return response.status, response.read()
 
 
-def _spawn_server() -> tuple:
+def _spawn_server(store_root: str) -> tuple:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.runtime.cli",
          "--host", "127.0.0.1", "--port", "0",
          "--replicas", "2", "--config", "quick",
-         "--backend", "memory", "--window-ms", "1",
+         "--store-root", store_root, "--window-ms", "1",
          "--posterior-samples", "16", "--log-json"],
         stdout=subprocess.PIPE, env=env)
     deadline = time.monotonic() + 600.0
@@ -114,7 +116,8 @@ def _validate(diagnosis) -> None:
 
 
 def main() -> int:
-    process, host, port = _spawn_server()
+    store_root = tempfile.mkdtemp(prefix="repro-smoke-")
+    process, host, port = _spawn_server(store_root)
     base = f"http://{host}:{port}"
     try:
         status, _, payload = _get(f"{base}/v1/test-vector/{CIRCUIT}")
@@ -191,6 +194,7 @@ def main() -> int:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait()
+        shutil.rmtree(store_root, ignore_errors=True)
 
 
 if __name__ == "__main__":

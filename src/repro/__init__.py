@@ -98,11 +98,7 @@ from .runtime import (
     ClusterService,
     DiagnosisHTTPServer,
     DiagnosisService,
-    InMemoryBackend,
-    LocalDirBackend,
     ServiceStats,
-    ShardedBackend,
-    StorageBackend,
     serve,
 )
 from .ga import (
@@ -240,10 +236,6 @@ __all__ = [
     # runtime
     "BatchDiagnoser",
     "ArtifactStore",
-    "StorageBackend",
-    "LocalDirBackend",
-    "InMemoryBackend",
-    "ShardedBackend",
     "DiagnosisService",
     "ServiceStats",
     "AsyncDiagnosisService",

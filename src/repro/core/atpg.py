@@ -239,9 +239,8 @@ class FaultTrajectoryATPG:
             store: Optional["ArtifactStore"] = None) -> ATPGResult:
         """Execute the full pipeline.
 
-        With ``store=`` (an :class:`repro.runtime.store.ArtifactStore`,
-        a bare :class:`repro.runtime.backends.StorageBackend` or a
-        local store-root path) every expensive artifact -- the dense
+        With ``store=`` (an :class:`repro.runtime.store.ArtifactStore`
+        or a store-root path) every expensive artifact -- the dense
         dictionary, the per-seed GA result and the exact test-vector
         dictionary -- is looked up by content key first and persisted
         after computation, so a repeat run of the same problem skips

@@ -205,8 +205,8 @@ def run_corpus(spec: CorpusSpec, store=None,
                log: Optional[Callable[[str], None]] = None) -> dict:
     """Run the whole corpus matrix and return the report dict.
 
-    ``store`` (an :class:`~repro.runtime.store.ArtifactStore`, backend
-    or path -- anything :func:`~repro.runtime.store.as_store` accepts)
+    ``store`` (an :class:`~repro.runtime.store.ArtifactStore` or a
+    root path -- anything :func:`~repro.runtime.store.as_store` accepts)
     enables resume: each circuit's deterministic record is persisted
     under a content key covering the circuit and every setting that
     shapes its outcome, so an interrupted corpus re-run recomputes only

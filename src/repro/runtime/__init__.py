@@ -5,14 +5,10 @@ Turns the paper reproduction into an engine fit for heavy traffic:
 * :mod:`repro.runtime.batch` -- :class:`BatchDiagnoser`, vectorised
   many-at-once nearest-segment classification (bitwise-identical to the
   scalar :class:`~repro.diagnosis.classifier.TrajectoryClassifier`);
-* :mod:`repro.runtime.backends` -- pluggable artifact storage:
-  :class:`LocalDirBackend` (on-disk, byte-compatible with pre-backend
-  store roots), :class:`InMemoryBackend`, and :class:`ShardedBackend`
-  (consistent-hash fan-out over child backends via :class:`HashRing`),
-  all with ``disk_usage`` accounting and LRU ``prune``;
 * :mod:`repro.runtime.store` -- :class:`ArtifactStore`, the
-  content-addressed cache of dictionaries, GA results and trajectory
-  sets keyed by the canonical problem statement, over any backend;
+  content-addressed on-disk cache of dictionaries, GA results and
+  trajectory sets keyed by the canonical problem statement, with
+  ``disk_usage`` accounting and LRU ``prune``;
 * :mod:`repro.runtime.service` -- :class:`DiagnosisService`, the warm
   multi-circuit ``submit()``/``submit_many()`` facade with an engine
   LRU and counters;
@@ -38,15 +34,14 @@ serially in one process; the multi-core path is a replica cluster
 (``repro-serve --replicas N``).
 """
 
-from .backends import (ArtifactRecord, HashRing, InMemoryBackend,
-                       LocalDirBackend, ShardedBackend, StorageBackend)
 from .batch import BatchDiagnoser
 from .cluster import (CircuitRouter, ClusterService, HTTPReplica,
                       InProcessReplica, Replica, SpawnedReplica)
 from .server import AsyncDiagnosisService, DiagnosisHTTPServer, serve
 from .service import CircuitStats, DiagnosisService, ServiceStats
-from .store import (ArtifactStore, StoreStats, as_store, derive_key,
-                    ga_search_key, problem_key, trajectory_key)
+from .store import (ArtifactRecord, ArtifactStore, StoreStats, as_store,
+                    derive_key, ga_search_key, problem_key,
+                    trajectory_key)
 from .telemetry import (REGISTRY, TRACER, Counter, Gauge, Histogram,
                         MetricsRegistry, ProfilingCollector, Span,
                         Tracer, current_request_id, new_request_id,
@@ -62,11 +57,6 @@ __all__ = [
     "ga_search_key",
     "trajectory_key",
     "ArtifactRecord",
-    "StorageBackend",
-    "LocalDirBackend",
-    "InMemoryBackend",
-    "ShardedBackend",
-    "HashRing",
     "DiagnosisService",
     "CircuitStats",
     "ServiceStats",

@@ -11,10 +11,8 @@ port)::
 
     repro-serve --port 8080 --replicas 3 --store-root /var/cache/repro
 
-The storage backend behind the artifact store is selectable:
-``--backend local`` (default; ``--store-root`` directory),
-``--backend sharded`` (``--shards`` local shards under the root, keys
-consistent-hashed across them) or ``--backend memory`` (ephemeral).
+With ``--store-root`` every process caches its artifacts in that
+directory (cluster workers share it); without it nothing is cached.
 Workers announce their bound address on stdout as
 ``REPRO-SERVE LISTENING <host> <port>`` -- with ``--port 0`` that is
 how a parent (or a script) discovers the ephemeral port.
@@ -35,7 +33,6 @@ from ..core.config import PipelineConfig
 from ..diagnosis.posterior import PosteriorConfig
 from ..errors import ReproError
 from ..sim.engine import EngineSpec
-from .backends import InMemoryBackend, LocalDirBackend, ShardedBackend
 from .cluster import LISTENING_PREFIX, WORKER_DEFAULTS, ClusterService
 from .server import AsyncDiagnosisService, DiagnosisHTTPServer
 from .service import DiagnosisService
@@ -67,15 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--store-root", type=Path, default=None,
                         help="artifact-store root directory (omit to "
                              "serve without a store)")
-    parser.add_argument("--backend",
-                        choices=("local", "memory", "sharded"),
-                        default="local",
-                        help="artifact storage backend "
-                             "(default: %(default)s)")
-    parser.add_argument("--shards", type=int,
-                        default=WORKER_DEFAULTS["shards"],
-                        help="shard count for --backend sharded "
-                             "(default: %(default)s)")
     parser.add_argument("--max-engines", type=int,
                         default=WORKER_DEFAULTS["max_engines"],
                         help="per-process warmed-engine LRU capacity "
@@ -183,20 +171,7 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def make_store(args: argparse.Namespace) -> Optional[ArtifactStore]:
-    if args.backend == "memory":
-        return ArtifactStore(backend=InMemoryBackend())
-    if args.store_root is None:
-        if args.backend == "sharded":
-            # Never silently drop an explicitly requested disk-backed
-            # backend: serving without a store re-simulates every cold
-            # circuit.
-            raise SystemExit("--backend sharded requires --store-root")
-        return None
-    if args.backend == "sharded":
-        return ArtifactStore(backend=ShardedBackend(
-            [LocalDirBackend(args.store_root / f"shard-{index}")
-             for index in range(args.shards)]))
-    return ArtifactStore(args.store_root)
+    return ArtifactStore(args.store_root) if args.store_root else None
 
 
 async def _amain(args: argparse.Namespace) -> None:
@@ -217,14 +192,9 @@ async def _amain(args: argparse.Namespace) -> None:
             max_batch=args.max_batch, max_pending=args.max_pending,
             overflow=args.overflow)
     else:
-        # Validate the storage flags here too: a misconfiguration must
-        # fail with the clear message, not as N opaque worker-spawn
-        # failures.
-        make_store(args)
         front = await ClusterService.spawn(
             args.replicas,
-            store_root=args.store_root, backend=args.backend,
-            shards=args.shards, config=load_config(args),
+            store_root=args.store_root, config=load_config(args),
             seed=args.seed, max_engines=args.max_engines,
             window_ms=args.window_ms, max_batch=args.max_batch,
             max_pending=args.max_pending, overflow=args.overflow,

@@ -5,8 +5,7 @@ out at one box's cores and one engine cache. This module scales the
 same ``submit`` surface across N replicas:
 
 * :class:`CircuitRouter` consistent-hashes *circuit names* onto
-  replicas (same :class:`~repro.runtime.backends.HashRing` that shards
-  artifact keys), so every circuit's requests land on the replica that
+  replicas, so every circuit's requests land on the replica that
   holds its warmed engine -- the cluster's aggregate engine cache is
   the *sum* of the replicas' caches instead of N copies of one;
 * :class:`ClusterService` fronts the replicas with the same awaitable
@@ -39,19 +38,20 @@ from __future__ import annotations
 
 import abc
 import asyncio
+import bisect
+import hashlib
 import json
 import os
 import sys
 import time
 from pathlib import Path
-from typing import (Awaitable, Callable, Dict, FrozenSet, List,
-                    Optional, Sequence, Set, Tuple, TypeVar)
+from typing import (Awaitable, Callable, Dict, FrozenSet, Iterator,
+                    List, Optional, Sequence, Set, Tuple, TypeVar)
 
 from ..circuits.library import BENCHMARK_CIRCUITS
 from ..errors import (ClusterError, ReplicaTimeoutError,
-                      ReplicaUnavailableError, ServiceError, StoreError)
+                      ReplicaUnavailableError, ServiceError)
 from . import codec, telemetry
-from .backends import HashRing
 from .batch import ResponseBatch
 from .server import AsyncDiagnosisService, route_for
 
@@ -74,7 +74,6 @@ WORKER_DEFAULTS = {
     "max_batch": 64,
     "max_pending": 1024,
     "overflow": "wait",
-    "shards": 2,
     "posterior_samples": 64,
     "posterior_tolerance": 0.05,
 }
@@ -83,35 +82,58 @@ WORKER_DEFAULTS = {
 class CircuitRouter:
     """Consistent-hash placement of circuit names onto replica names.
 
-    Thin domain wrapper over :class:`HashRing`: stable placement, and
-    on replica loss only the lost replica's circuits remap (each to
-    the next live replica in its deterministic ring-walk order).
+    Each replica is placed at ``vnodes`` pseudo-random points on a
+    64-bit ring (SHA-256 of ``"<replica>#<i>"``); a circuit routes to
+    the first replica clockwise of its own hash. Placement is stable,
+    and on replica loss only the lost replica's circuits remap (each
+    to the next live replica in its deterministic ring-walk order).
     """
 
     def __init__(self, replica_names: Sequence[str],
                  vnodes: int = 64) -> None:
-        try:
-            self.ring = HashRing(replica_names, vnodes=vnodes)
-        except StoreError as exc:
-            raise ClusterError(str(exc)) from exc
+        if not replica_names:
+            raise ClusterError("router needs at least one replica")
+        if len(set(replica_names)) != len(replica_names):
+            raise ClusterError(
+                f"duplicate replica names in {list(replica_names)}")
+        if vnodes < 1:
+            raise ClusterError("vnodes must be >= 1")
+        self.replica_names: Tuple[str, ...] = tuple(replica_names)
+        self._points = sorted((self._point(f"{name}#{index}"), name)
+                              for name in self.replica_names
+                              for index in range(vnodes))
+        self._hashes = [point for point, _ in self._points]
 
-    @property
-    def replica_names(self) -> Tuple[str, ...]:
-        return self.ring.nodes
+    @staticmethod
+    def _point(text: str) -> int:
+        digest = hashlib.sha256(text.encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "big")
 
     def replica_for(self, circuit_name: str,
                     exclude: FrozenSet[str] = frozenset()) -> str:
         """The replica owning ``circuit_name``, skipping ``exclude``."""
-        try:
-            return self.ring.node_for(circuit_name, exclude=exclude)
-        except StoreError as exc:
-            raise ClusterError(
-                f"no live replica for circuit {circuit_name!r} "
-                f"(down: {sorted(exclude)})") from exc
+        for name in self._walk(circuit_name):
+            if name not in exclude:
+                return name
+        raise ClusterError(
+            f"no live replica for circuit {circuit_name!r} "
+            f"(down: {sorted(exclude)})")
 
     def failover_order(self, circuit_name: str) -> Tuple[str, ...]:
         """Owner first, then the deterministic re-route order."""
-        return tuple(self.ring.nodes_for(circuit_name))
+        return tuple(self._walk(circuit_name))
+
+    def _walk(self, circuit_name: str) -> Iterator[str]:
+        """Every distinct replica in ring-walk order from the
+        circuit's hash; the first is the owner."""
+        start = bisect.bisect_right(self._hashes,
+                                    self._point(circuit_name))
+        seen = set()
+        for offset in range(len(self._points)):
+            _, name = self._points[(start + offset) % len(self._points)]
+            if name not in seen:
+                seen.add(name)
+                yield name
 
 
 # ----------------------------------------------------------------------
@@ -543,8 +565,6 @@ class SpawnedReplica(HTTPReplica):
     @classmethod
     async def spawn(cls, name: str, *,
                     store_root: Optional[Path] = None,
-                    backend: str = "local",
-                    shards: int = WORKER_DEFAULTS["shards"],
                     config: Optional[object] = None, seed: int = 0,
                     max_engines: int = WORKER_DEFAULTS["max_engines"],
                     window_ms: float = WORKER_DEFAULTS["window_ms"],
@@ -575,7 +595,6 @@ class SpawnedReplica(HTTPReplica):
                 "--max-batch", str(max_batch),
                 "--max-pending", str(max_pending),
                 "--overflow", overflow,
-                "--backend", backend, "--shards", str(shards),
                 "--posterior-samples", str(posterior_samples),
                 "--posterior-tolerance", str(posterior_tolerance)]
         if store_root is not None:
@@ -646,14 +665,11 @@ class ClusterService:
 
     def __init__(self, replicas: Sequence[Replica],
                  vnodes: int = 64) -> None:
-        if not replicas:
-            raise ClusterError("cluster needs at least one replica")
-        names = [replica.name for replica in replicas]
-        if len(set(names)) != len(names):
-            raise ClusterError(f"duplicate replica names: {names}")
+        # The router rejects an empty or duplicate-named replica set.
+        self.router = CircuitRouter([replica.name for replica in replicas],
+                                    vnodes=vnodes)
         self.replicas: Dict[str, Replica] = {
             replica.name: replica for replica in replicas}
-        self.router = CircuitRouter(names, vnodes=vnodes)
         self.down: Set[str] = set()
         self.requests = 0
         self.bursts = 0
@@ -727,8 +743,6 @@ class ClusterService:
     @classmethod
     async def spawn(cls, n_replicas: int, *,
                     store_root: Optional[Path] = None,
-                    backend: str = "local",
-                    shards: int = WORKER_DEFAULTS["shards"],
                     config: Optional[object] = None, seed: int = 0,
                     max_engines: int = WORKER_DEFAULTS["max_engines"],
                     window_ms: float = WORKER_DEFAULTS["window_ms"],
@@ -754,8 +768,7 @@ class ClusterService:
         outcomes = await asyncio.gather(
             *(SpawnedReplica.spawn(
                 f"replica-{index}", store_root=store_root,
-                backend=backend, shards=shards, config=config,
-                seed=seed, max_engines=max_engines,
+                config=config, seed=seed, max_engines=max_engines,
                 window_ms=window_ms, max_batch=max_batch,
                 max_pending=max_pending, overflow=overflow,
                 posterior_samples=posterior_samples,

@@ -42,12 +42,11 @@ from ..diagnosis.posterior import (PosteriorConfig, PosteriorDiagnoser,
                                    PosteriorDiagnosis)
 from ..errors import ServiceError
 from . import telemetry
-from .backends import StorageBackend
 from .batch import BatchDiagnoser, ResponseBatch
 from .store import ArtifactStore, as_store
 
 #: Anything ``DiagnosisService(store=...)`` accepts.
-StoreLike = Union[ArtifactStore, StorageBackend, str, Path, None]
+StoreLike = Union[ArtifactStore, str, Path, None]
 
 __all__ = ["DiagnosisService", "CircuitStats", "ServiceStats"]
 
@@ -388,9 +387,8 @@ class DiagnosisService:
     store:
         Optional artifact store; warmed engines then load cached
         dictionaries/GA results instead of re-simulating. Accepts an
-        :class:`~repro.runtime.store.ArtifactStore`, a bare
-        :class:`~repro.runtime.backends.StorageBackend` (in-memory,
-        sharded, ...) or a local store-root path.
+        :class:`~repro.runtime.store.ArtifactStore` or a store-root
+        path.
     max_engines:
         LRU capacity: the least recently used engine is evicted when a
         warm-up would exceed it.

@@ -8,15 +8,13 @@ This module hashes that tuple into a stable SHA-256 key and persists
 the artifacts under it, so a repeat ``FaultTrajectoryATPG.run()`` with
 ``store=`` loads everything back instead of re-simulating.
 
-*Where* the artifacts live is pluggable (see
-:mod:`repro.runtime.backends`): the default
-:class:`~repro.runtime.backends.LocalDirBackend` keeps the original
-``<root>/<kind>/<key[:2]>/<key>/`` on-disk layout (byte-compatible with
-pre-refactor store roots), :class:`~repro.runtime.backends.InMemoryBackend`
-holds them in process memory, and
-:class:`~repro.runtime.backends.ShardedBackend` consistent-hashes keys
-across several child backends. The store itself owns key construction,
-artifact (de)serialisation and hit/miss/put accounting.
+Artifacts live on local disk under ``<root>/<kind>/<key[:2]>/<key>/``
+and are published by rename-into-place, so concurrent writers and
+readers (replicas sharing one root) only ever observe complete
+artifacts. Reads touch an artifact's mtime, which makes
+:meth:`ArtifactStore.prune` a least-recently-used eviction. The store
+owns key construction, artifact (de)serialisation and hit/miss/put
+accounting.
 
 Each artifact is keyed on *only* the inputs it depends on, so sweeping
 a GA knob reuses the cached dictionary and two configs landing on the
@@ -38,10 +36,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import re
+import shutil
+import uuid
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,11 +55,34 @@ from ..ga.engine import GAResult, GenerationStats
 from ..trajectory.mapping import SignatureMapper
 from ..trajectory.trajectory import FaultTrajectory, TrajectorySet
 from . import telemetry
-from .backends import (ArtifactRecord, LocalDirBackend, StorageBackend,
-                       coerce_backend)
 
-__all__ = ["ArtifactStore", "StoreStats", "as_store", "problem_key",
-           "derive_key", "ga_search_key", "trajectory_key"]
+__all__ = ["ArtifactStore", "ArtifactRecord", "StoreStats", "as_store",
+           "problem_key", "derive_key", "ga_search_key", "trajectory_key"]
+
+_KEY_PATTERN = re.compile(r"[0-9a-f]{64}")
+_KIND_PATTERN = re.compile(r"[a-z][a-z0-9_-]*")
+
+
+def check_slot(kind: str, key: str) -> None:
+    """Reject anything that is not a plain kind + SHA-256 hex key.
+
+    Keys address directories, so an unvalidated ``'../escape'`` could
+    walk out of the store root.
+    """
+    if not _KEY_PATTERN.fullmatch(key or ""):
+        raise StoreError(f"invalid artifact key {key!r}")
+    if not _KIND_PATTERN.fullmatch(kind or ""):
+        raise StoreError(f"invalid artifact kind {kind!r}")
+
+
+@dataclass(frozen=True)
+class ArtifactRecord:
+    """One stored artifact, as seen by maintenance operations."""
+
+    kind: str
+    key: str
+    n_bytes: int
+    mtime: float
 
 
 @dataclass
@@ -72,18 +97,21 @@ class StoreStats:
         return dataclasses.asdict(self)
 
 
-def as_store(source: Union["ArtifactStore", StorageBackend, str, Path,
-                           None]) -> Optional["ArtifactStore"]:
+def as_store(source: Union["ArtifactStore", str, Path, None]
+             ) -> Optional["ArtifactStore"]:
     """Coerce anything store-shaped into an :class:`ArtifactStore`.
 
-    Accepts an existing store (returned as-is), a bare
-    :class:`~repro.runtime.backends.StorageBackend`, a local root path,
-    or ``None`` (no caching). The seam every ``store=`` parameter in
-    the pipeline and serving layers runs through.
+    Accepts an existing store (returned as-is), a store root path, or
+    ``None`` (no caching). The seam every ``store=`` parameter in the
+    pipeline and serving layers runs through.
     """
     if source is None or isinstance(source, ArtifactStore):
         return source
-    return ArtifactStore(backend=coerce_backend(source))
+    if isinstance(source, (str, Path)):
+        return ArtifactStore(source)
+    raise StoreError(
+        f"expected an ArtifactStore or a store root path, "
+        f"got {type(source).__name__}")
 
 
 # ----------------------------------------------------------------------
@@ -195,62 +223,42 @@ class ArtifactStore:
     Parameters
     ----------
     root:
-        Store root directory: shorthand for
-        ``backend=LocalDirBackend(root)`` (the original on-disk store,
-        byte-compatible with pre-backend roots).
-    backend:
-        Any :class:`~repro.runtime.backends.StorageBackend` --
-        in-memory, sharded, or a custom implementation. Exactly one of
-        ``root`` / ``backend`` must be given.
+        Store root directory (created if missing). Artifacts live
+        under ``<root>/<kind>/<key[:2]>/<key>/``.
     registry:
-        Metrics registry receiving ``repro_store_*`` families (labelled
-        by backend class); defaults to the process registry. The
-        per-instance :class:`StoreStats` is kept alongside for the
-        JSON ``snapshot()`` surface.
+        Metrics registry receiving the ``repro_store_*`` families;
+        defaults to the process registry. The per-instance
+        :class:`StoreStats` is kept alongside for the JSON
+        ``snapshot()`` surface.
     """
 
-    def __init__(self, root: Union[str, Path, None] = None, *,
-                 backend: Optional[StorageBackend] = None,
+    def __init__(self, root: Union[str, Path], *,
                  registry: Optional[telemetry.MetricsRegistry] = None,
                  ) -> None:
-        if (root is None) == (backend is None):
-            raise StoreError(
-                "pass exactly one of a store root path or backend=")
-        self.backend = backend if backend is not None \
-            else LocalDirBackend(root)
+        self.root = Path(root).expanduser()
+        self.root.mkdir(parents=True, exist_ok=True)
         self.stats = StoreStats()
         self.registry = registry if registry is not None \
             else telemetry.REGISTRY
-        label = type(self.backend).__name__
         reg = self.registry
         self._hits_total = reg.counter(
             "repro_store_hits_total",
-            "Artifact reads served from the store.",
-            ("backend",)).labels(label)
+            "Artifact reads served from the store.")
         self._misses_total = reg.counter(
             "repro_store_misses_total",
-            "Artifact reads that missed (absent or unreadable).",
-            ("backend",)).labels(label)
+            "Artifact reads that missed (absent or unreadable).")
         self._puts_total = reg.counter(
-            "repro_store_puts_total",
-            "Artifacts published to the store.", ("backend",)).labels(label)
+            "repro_store_puts_total", "Artifacts published to the store.")
         self._evictions_total = reg.counter(
-            "repro_store_evictions_total",
-            "Artifacts evicted by prune().", ("backend",)).labels(label)
+            "repro_store_evictions_total", "Artifacts evicted by prune().")
         self._evicted_bytes_total = reg.counter(
             "repro_store_evicted_bytes_total",
-            "Bytes reclaimed by prune().", ("backend",)).labels(label)
-        # Lazy gauge: backend disk usage is computed at scrape time.
+            "Bytes reclaimed by prune().")
+        # Lazy gauge: disk usage is computed at scrape time.
         reg.gauge(
             "repro_store_bytes",
-            "Total artifact bytes held by the backend.",
-            ("backend",)).labels(label).set_function(
-                self.backend.disk_usage)
-
-    @property
-    def root(self) -> Optional[Path]:
-        """The local root directory, when the backend has one."""
-        return getattr(self.backend, "root", None)
+            "Total artifact bytes held by the store.").set_function(
+                self.disk_usage)
 
     # -- key helpers exposed on the instance so callers need no extra
     # -- imports (core.atpg stays free of runtime imports).
@@ -260,19 +268,27 @@ class ArtifactStore:
     trajectory_key = staticmethod(trajectory_key)
 
     # ------------------------------------------------------------------
-    # Backend plumbing
+    # Slots
     # ------------------------------------------------------------------
+    def _slot(self, kind: str, key: str) -> Path:
+        check_slot(kind, key)
+        return self.root / kind / key[:2] / key
+
     def has(self, kind: str, key: str) -> bool:
-        return self.backend.has(kind, key)
+        return self._slot(kind, key).is_dir()
 
     def _open(self, kind: str, key: str) -> Optional[Path]:
-        slot = self.backend.open(kind, key)
-        if slot is not None:
-            self.stats.hits += 1
-            return slot
-        self.stats.misses += 1
-        self._misses_total.inc()
-        return None
+        slot = self._slot(kind, key)
+        if not slot.is_dir():
+            self.stats.misses += 1
+            self._misses_total.inc()
+            return None
+        try:                     # LRU bookkeeping; never worth failing a read
+            os.utime(slot)
+        except OSError:
+            pass
+        self.stats.hits += 1
+        return slot
 
     #: Read failures that mean "this cached artifact is gone or
     #: unreadable" -- vanished mid-read (concurrent prune), a
@@ -299,8 +315,7 @@ class ArtifactStore:
         ever self-healing."""
         if isinstance(error, self._CORRUPT):
             try:
-                if self.backend.has(kind, key):
-                    self.backend.delete(kind, key)
+                self.delete(kind, key)
             except OSError:
                 pass             # read-only/flaky root: miss anyway
         self.stats.hits -= 1
@@ -310,34 +325,98 @@ class ArtifactStore:
         self._misses_total.inc()
 
     def _publish(self, kind: str, key: str, populate) -> None:
-        """Write an artifact atomically through the backend.
+        """Write an artifact atomically: ``populate`` fills a scratch
+        directory that is then renamed into the slot.
 
-        ``populate`` receives a scratch directory path. If another
-        writer wins the publication race the scratch copy is discarded
-        -- both writers produced identical content by construction.
+        First writer wins: if another writer's rename landed first the
+        scratch copy is discarded -- both writers produced identical
+        content by construction, and readers only ever observe
+        complete artifacts.
         """
-        published = self.backend.publish(kind, key, populate)
-        if published:
-            self.stats.puts += 1
-            self._puts_total.inc()
+        slot = self._slot(kind, key)
+        slot.parent.mkdir(parents=True, exist_ok=True)
+        scratch = slot.parent / f".tmp-{key[:8]}-{uuid.uuid4().hex}"
+        scratch.mkdir()
+        try:
+            populate(scratch)
+            try:
+                os.rename(scratch, slot)
+            except OSError:
+                if not slot.is_dir():
+                    raise
+                shutil.rmtree(scratch, ignore_errors=True)
+                return
+        except BaseException:
+            shutil.rmtree(scratch, ignore_errors=True)
+            raise
+        self.stats.puts += 1
+        self._puts_total.inc()
+
+    def delete(self, kind: str, key: str) -> bool:
+        """Remove one artifact; ``True`` if something was deleted."""
+        slot = self._slot(kind, key)
+        if not slot.is_dir():
+            return False
+        try:
+            shutil.rmtree(slot)
+        except FileNotFoundError:
+            return False         # concurrent prune on a shared root won
+        # The empty fan-out dir is left behind deliberately: removing
+        # it would race a concurrent _publish that already mkdir'd it
+        # but not yet created its scratch dir (shared-root fleets).
+        # At most 256 empty prefix dirs per kind -- harmless.
+        return True
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
+    def records(self) -> Iterator[ArtifactRecord]:
+        """Every stored artifact (order unspecified)."""
+        if not self.root.is_dir():
+            return
+        for kind_dir in sorted(self.root.iterdir()):
+            if not kind_dir.is_dir() or \
+                    not _KIND_PATTERN.fullmatch(kind_dir.name):
+                continue
+            for slot in sorted(kind_dir.glob("??/*")):
+                if not slot.is_dir() or \
+                        not _KEY_PATTERN.fullmatch(slot.name):
+                    continue
+                try:
+                    n_bytes = sum(path.stat().st_size
+                                  for path in slot.rglob("*")
+                                  if path.is_file())
+                    mtime = slot.stat().st_mtime
+                except FileNotFoundError:
+                    # A concurrent prune (another worker sharing this
+                    # root) deleted the slot mid-scan: skip it.
+                    continue
+                yield ArtifactRecord(kind=kind_dir.name, key=slot.name,
+                                     n_bytes=n_bytes, mtime=mtime)
+
     def disk_usage(self) -> int:
-        """Total artifact bytes held by the backend."""
-        return self.backend.disk_usage()
+        """Total bytes of artifact payload held by the store."""
+        return sum(record.n_bytes for record in self.records())
 
     def prune(self, max_bytes: int) -> Tuple[ArtifactRecord, ...]:
         """Evict least-recently-used artifacts until at most
         ``max_bytes`` remain; returns the evicted records. Reads touch
         an artifact's recency, so the hot working set survives."""
-        evicted = self.backend.prune(max_bytes)
-        if evicted:
-            self._evictions_total.inc(len(evicted))
-            self._evicted_bytes_total.inc(
-                sum(record.n_bytes for record in evicted))
-        return evicted
+        if max_bytes < 0:
+            raise StoreError("max_bytes must be >= 0")
+        records = sorted(self.records(),
+                         key=lambda r: (r.mtime, r.kind, r.key))
+        total = sum(record.n_bytes for record in records)
+        evicted: List[ArtifactRecord] = []
+        for record in records:
+            if total <= max_bytes:
+                break
+            if self.delete(record.kind, record.key):
+                total -= record.n_bytes
+                evicted.append(record)
+                self._evictions_total.inc()
+                self._evicted_bytes_total.inc(record.n_bytes)
+        return tuple(evicted)
 
     # ------------------------------------------------------------------
     # Fault dictionaries

@@ -1,10 +1,10 @@
 """Regenerate ``tests/data/legacy_store`` -- the byte-compat fixture.
 
 The committed tree under ``legacy_store/`` is a real artifact-store
-root written by the original (pre-``StorageBackend``) on-disk layout:
+root written by the original on-disk layout:
 ``<root>/<kind>/<key[:2]>/<key>/``. The byte-compatibility test in
-``tests/test_backends.py`` replays the same fixed-seed pipeline run
-against this tree through :class:`LocalDirBackend` and requires every
+``tests/test_runtime_store.py`` replays the same fixed-seed pipeline
+run against this tree through :class:`ArtifactStore` and requires every
 artifact to load (all four cache hits) with bitwise-identical results
 -- so any change to the layout, the content keys or the artifact
 serialisation formats that would orphan existing production store

@@ -64,12 +64,29 @@ class TestCircuitRouter:
                           for name in names}
         assert set(placed.values()) == set(router.replica_names)
 
+    def test_placement_ignores_replica_order(self):
+        router = CircuitRouter(("a", "b", "c"))
+        shuffled = CircuitRouter(("c", "a", "b"))
+        for name in (f"circuit-{i}" for i in range(100)):
+            assert router.replica_for(name) == shuffled.replica_for(name)
+            assert router.failover_order(name) == \
+                shuffled.failover_order(name)
+
     def test_failover_order_starts_at_owner(self):
         router = CircuitRouter(("a", "b", "c"))
         for name in ("rc_lowpass", "voltage_divider"):
             order = router.failover_order(name)
             assert order[0] == router.replica_for(name)
             assert sorted(order) == ["a", "b", "c"]
+
+    def test_exclusion_walks_failover_order(self):
+        router = CircuitRouter(("a", "b", "c"))
+        for name in ("x", "y", "z"):
+            order = router.failover_order(name)
+            for n_down in range(len(order)):
+                down = frozenset(order[:n_down])
+                assert router.replica_for(name, exclude=down) == \
+                    order[n_down]
 
     def test_down_replica_only_remaps_its_circuits(self):
         router = CircuitRouter(("a", "b", "c"))
@@ -80,12 +97,39 @@ class TestCircuitRouter:
             if before[name] != "c":
                 assert moved == before[name]
 
+    def test_rebuilt_ring_only_remaps_lost_replica(self):
+        """The consistent-hashing property: rebuilding the router
+        without one replica moves only the circuits it owned."""
+        router = CircuitRouter(("a", "b", "c"))
+        survivors = CircuitRouter(("a", "b"))
+        for name in (f"circuit-{i}" for i in range(200)):
+            owner = router.replica_for(name)
+            if owner != "c":
+                assert survivors.replica_for(name) == owner, \
+                    f"{name} moved although its replica survived"
+
     def test_empty_and_exhausted_rings_raise(self):
         with pytest.raises(ClusterError):
             CircuitRouter(())
         router = CircuitRouter(("a",))
         with pytest.raises(ClusterError, match="no live replica"):
             router.replica_for("x", exclude=frozenset({"a"}))
+
+    def test_all_excluded_error_names_circuit_and_down_set(self):
+        router = CircuitRouter(("a", "b"))
+        with pytest.raises(
+                ClusterError,
+                match=r"circuit 'x' \(down: \['a', 'b', 'zz'\]\)"):
+            router.replica_for("x", exclude=frozenset({"b", "a", "zz"}))
+        # Names outside the ring are not replicas and change nothing.
+        assert router.replica_for("x", exclude=frozenset({"zz"})) == \
+            router.replica_for("x")
+
+    def test_invalid_rings_rejected(self):
+        for names, vnodes in ((("a", "a"), 64), (("a", "b", "a"), 64),
+                              (("a",), 0), (("a",), -1)):
+            with pytest.raises(ClusterError):
+                CircuitRouter(names, vnodes=vnodes)
 
 
 # ----------------------------------------------------------------------
@@ -439,12 +483,6 @@ class TestConfigAndCliValidation:
             PipelineConfig.from_json_dict({"ga": {"bogus": 1}})
         with pytest.raises(ReproError, match="bad pipeline-config"):
             PipelineConfig.from_json_dict({"no_such_field": 1})
-
-    def test_cli_sharded_backend_requires_store_root(self):
-        from repro.runtime.cli import build_parser, make_store
-        args = build_parser().parse_args(["--backend", "sharded"])
-        with pytest.raises(SystemExit, match="store-root"):
-            make_store(args)
 
 
 # ----------------------------------------------------------------------

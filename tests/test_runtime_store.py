@@ -1,7 +1,14 @@
-"""Artifact store: content keys, round-trips, warm-run simulation skip."""
+"""Artifact store: content keys, round-trips, warm-run simulation skip,
+slot mechanics, maintenance, and byte-compatibility with the committed
+legacy store root."""
 
+import hashlib
+import importlib.util
+import json
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +16,7 @@ import pytest
 
 from repro import (
     ArtifactStore,
+    DiagnosisService,
     FaultTrajectoryATPG,
     PipelineConfig,
     parametric_universe,
@@ -17,12 +25,28 @@ from repro import (
 from repro.errors import StoreError
 from repro.faults import FaultDictionary
 from repro.ga import GAConfig
-from repro.runtime.store import (derive_key, ga_search_key,
+from repro.runtime.store import (as_store, derive_key, ga_search_key,
                                  problem_key, trajectory_key)
 from repro.trajectory import SignatureMapper, TrajectorySet
 from repro.units import log_frequency_grid
 
 QUICK_GA = GAConfig(population_size=8, generations=2)
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
+
+_spec = importlib.util.spec_from_file_location(
+    "legacy_store_maker", DATA_DIR / "make_legacy_store.py")
+legacy_maker = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(legacy_maker)
+
+
+def key_of(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def json_bytes(data: dict) -> int:
+    """Size of the ``data.json`` file :meth:`save_json` writes."""
+    return len(json.dumps(data, sort_keys=True).encode())
 
 
 @pytest.fixture()
@@ -214,6 +238,26 @@ class TestWarmRuns:
         for a, b in zip(warm.trajectories, cold.trajectories):
             assert np.array_equal(a.points, b.points)
 
+    def test_reopened_store_warm_run_skips_simulation(self, tmp_path):
+        """A store reopened on the same root (a new process, say)
+        warms the pipeline from disk alone: zero fault simulations and
+        the cold run reproduced exactly."""
+        info = legacy_maker.circuit_info()
+        config = legacy_maker.CONFIG
+        cold = FaultTrajectoryATPG(info, config).run(
+            seed=5, store=ArtifactStore(tmp_path))
+        reopened = ArtifactStore(tmp_path)
+        simulations_before = FaultDictionary.simulations_run
+        warm = FaultTrajectoryATPG(info, config).run(seed=5,
+                                                     store=reopened)
+        assert FaultDictionary.simulations_run == simulations_before
+        assert reopened.stats.hits == 4 and reopened.stats.puts == 0
+        assert set(warm.cache_hits) == {"dictionary", "ga", "exact",
+                                        "trajectories"}
+        assert warm.test_vector_hz == cold.test_vector_hz
+        for a, b in zip(warm.trajectories, cold.trajectories):
+            assert np.array_equal(a.points, b.points)
+
     def test_warm_run_diagnoses_identically(self, tmp_path, problem):
         info, config, _, _ = problem
         store = ArtifactStore(tmp_path)
@@ -289,3 +333,243 @@ class TestWarmRuns:
                                                        store=store)
         assert set(shared.cache_hits) == {"dictionary", "ga", "exact",
                                           "trajectories"}
+
+
+# ----------------------------------------------------------------------
+# Slots: publication, deletion, records, LRU prune
+# ----------------------------------------------------------------------
+class TestSlots:
+    def test_publish_open_round_trip(self, tmp_path):
+        store = ArtifactStore(tmp_path / "root")
+        key = key_of("artifact-1")
+        assert store.load_json("corpus", key) is None
+        assert not store.has("corpus", key)
+        store.save_json("corpus", key, {"answer": [1, 2]})
+        assert store.has("corpus", key)
+        assert store.load_json("corpus", key) == {"answer": [1, 2]}
+        slot = tmp_path / "root" / "corpus" / key[:2] / key
+        assert json.loads((slot / "data.json").read_text()) == \
+            {"answer": [1, 2]}
+        assert [p.name for p in slot.parent.iterdir()] == [key]
+
+    def test_first_writer_wins(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        key = key_of("artifact-2")
+        store.save_json("ga", key, {"writer": "first"})
+        store.save_json("ga", key, {"writer": "second"})
+        assert store.load_json("ga", key) == {"writer": "first"}
+        assert store.stats.puts == 1
+
+    def test_delete(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        key = key_of("artifact-3")
+        assert not store.delete("exact", key)
+        store.save_json("exact", key, {"x": 1})
+        assert store.delete("exact", key)
+        assert store.load_json("exact", key) is None
+        assert not store.has("exact", key)
+
+    def test_records_and_disk_usage(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        payloads = {key_of(f"a{i}"): {"blob": "x" * (10 * (i + 1))}
+                    for i in range(3)}
+        for key, payload in payloads.items():
+            store.save_json("dictionary", key, payload)
+        records = list(store.records())
+        assert {r.key for r in records} == set(payloads)
+        for record in records:
+            assert record.n_bytes == json_bytes(payloads[record.key])
+            assert record.kind == "dictionary"
+        assert store.disk_usage() == sum(
+            json_bytes(p) for p in payloads.values())
+
+    def test_prune_evicts_lru_first(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        keys = [key_of(f"p{i}") for i in range(3)]
+        payload = {"blob": "z" * 100}
+        size = json_bytes(payload)
+        for key in keys:
+            store.save_json("dictionary", key, payload)
+            time.sleep(0.02)          # strictly ordered mtimes
+        # Touch the oldest artifact: a read refreshes its recency.
+        assert store.load_json("dictionary", keys[0]) == payload
+        evicted = store.prune(max_bytes=2 * size)
+        assert [record.key for record in evicted] == [keys[1]]
+        assert store.has("dictionary", keys[0])
+        assert not store.has("dictionary", keys[1])
+        assert store.has("dictionary", keys[2])
+        assert store.disk_usage() <= 2 * size
+        # Prune to zero clears everything; a second prune is a no-op.
+        assert len(store.prune(max_bytes=0)) == 2
+        assert store.disk_usage() == 0
+        assert store.prune(max_bytes=0) == ()
+        with pytest.raises(StoreError):
+            store.prune(max_bytes=-1)
+
+    def test_invalid_slots_rejected(self, tmp_path):
+        """Every slot operation runs the path-traversal guard, so a
+        bad key can neither read nor write outside the root."""
+        root = tmp_path / "root"
+        store = ArtifactStore(root)
+        good_key = key_of("artifact-4")
+        for kind, key in (("corpus", "../escape"), ("..", good_key),
+                          ("a/b", good_key)):
+            with pytest.raises(StoreError):
+                store.save_json(kind, key, {"x": 1})
+            with pytest.raises(StoreError):
+                store.load_json(kind, key)
+            with pytest.raises(StoreError):
+                store.delete(kind, key)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["root"]
+        assert list(store.records()) == []
+
+
+# ----------------------------------------------------------------------
+# Coercion, maintenance and self-healing over real pipeline artifacts
+# ----------------------------------------------------------------------
+class TestStoreMaintenance:
+    def test_store_requires_a_root(self, tmp_path):
+        with pytest.raises(TypeError):
+            ArtifactStore()
+        root = tmp_path / "nested" / "root"
+        store = ArtifactStore(root)
+        assert store.root == root and root.is_dir()
+
+    def test_as_store_coercions(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        assert as_store(store) is store
+        assert as_store(None) is None
+        assert as_store(tmp_path).root == tmp_path
+        assert as_store(str(tmp_path)).root == tmp_path
+        with pytest.raises(StoreError):
+            as_store(42)
+
+    def test_service_accepts_path_stores(self, tmp_path):
+        by_path = DiagnosisService(config=legacy_maker.CONFIG,
+                                   store=tmp_path / "store", seed=3)
+        assert isinstance(by_path.store, ArtifactStore)
+        assert by_path.store.root == tmp_path / "store"
+
+    def test_store_prune_and_disk_usage(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        info = legacy_maker.circuit_info()
+        FaultTrajectoryATPG(info, legacy_maker.CONFIG).run(
+            seed=5, store=store)
+        total = store.disk_usage()
+        assert total > 0
+        records = list(store.records())
+        assert {r.kind for r in records} == {"dictionary", "ga",
+                                             "exact", "trajectories"}
+        assert sum(r.n_bytes for r in records) == total
+        # Keep roughly half: the least recently used artifacts go.
+        evicted = store.prune(max_bytes=total // 2)
+        assert evicted
+        assert store.disk_usage() <= total // 2
+        for record in evicted:
+            assert not store.has(record.kind, record.key)
+
+    def test_artifact_vanishing_mid_read_degrades_to_miss(
+            self, tmp_path, monkeypatch):
+        """A concurrent prune between the slot lookup and the file
+        reads must read as a miss (caller recomputes), not crash the
+        load."""
+        store = ArtifactStore(tmp_path / "store")
+        info = legacy_maker.circuit_info()
+        FaultTrajectoryATPG(info, legacy_maker.CONFIG).run(
+            seed=5, store=store)
+        record = next(r for r in store.records()
+                      if r.kind == "dictionary")
+        load = FaultDictionary.load
+
+        def racing_load(path):
+            # Simulate the race: the slot was found, then a prune
+            # deleted it before the loader touched the files.
+            store.delete("dictionary", record.key)
+            return load(path)
+
+        monkeypatch.setattr(FaultDictionary, "load", racing_load)
+        stats_before = store.stats.snapshot()
+        assert store.load_dictionary("dictionary",
+                                     record.key) is None
+        assert store.stats.misses == stats_before["misses"] + 1
+        assert store.stats.hits == stats_before["hits"]
+
+    def test_corrupt_artifact_self_heals(self, tmp_path):
+        """A corrupt artifact (present but unreadable) must read as a
+        miss AND vacate its slot, so the recompute can republish --
+        first-writer-wins would otherwise keep the bad copy forever."""
+        store = ArtifactStore(tmp_path / "store")
+        info = legacy_maker.circuit_info()
+        config = legacy_maker.CONFIG
+        FaultTrajectoryATPG(info, config).run(seed=5, store=store)
+        record = next(r for r in store.records()
+                      if r.kind == "dictionary")
+        slot = store.root / "dictionary" / record.key[:2] / record.key
+        (slot / "dictionary.npz").unlink()   # truncated/corrupt slot
+        assert store.load_dictionary("dictionary", record.key) is None
+        assert not store.has("dictionary", record.key)
+        rerun = FaultTrajectoryATPG(info, config).run(seed=5,
+                                                      store=store)
+        assert "dictionary" not in rerun.cache_hits
+        warm = FaultTrajectoryATPG(info, config).run(seed=5,
+                                                     store=store)
+        assert "dictionary" in warm.cache_hits
+
+    def test_pruned_artifact_rebuilds_on_next_run(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        info = legacy_maker.circuit_info()
+        config = legacy_maker.CONFIG
+        FaultTrajectoryATPG(info, config).run(seed=5, store=store)
+        store.prune(max_bytes=0)
+        rerun = FaultTrajectoryATPG(info, config).run(seed=5,
+                                                      store=store)
+        assert rerun.cache_hits == ()        # everything was evicted
+        warm = FaultTrajectoryATPG(info, config).run(seed=5,
+                                                     store=store)
+        assert set(warm.cache_hits) == {"dictionary", "ga", "exact",
+                                        "trajectories"}
+
+
+# ----------------------------------------------------------------------
+# Byte-compatibility with store roots written by earlier versions
+# ----------------------------------------------------------------------
+class TestLegacyStoreCompatibility:
+    """``tests/data/legacy_store`` was written by an earlier
+    ArtifactStore. It must stay fully readable."""
+
+    @pytest.fixture()
+    def legacy_root(self, tmp_path):
+        root = tmp_path / "legacy_store"
+        shutil.copytree(legacy_maker.LEGACY_ROOT, root)
+        return root
+
+    def test_layout_matches_store_records(self, legacy_root):
+        records = list(ArtifactStore(legacy_root).records())
+        assert {r.kind for r in records} == {"dictionary", "ga",
+                                             "exact", "trajectories"}
+        for record in records:
+            slot = legacy_root / record.kind / record.key[:2] / record.key
+            assert slot.is_dir()
+
+    def test_legacy_run_loads_all_artifacts(self, legacy_root):
+        """Replaying the fixture's pipeline run against the committed
+        tree must hit every artifact (same content keys, same bytes)
+        and reproduce a fresh run bitwise."""
+        store = ArtifactStore(legacy_root)
+        info = legacy_maker.circuit_info()
+        config = legacy_maker.CONFIG
+        warm = FaultTrajectoryATPG(info, config).run(
+            seed=legacy_maker.SEED, store=store)
+        assert set(warm.cache_hits) == {"dictionary", "ga", "exact",
+                                        "trajectories"}, (
+            "committed legacy store no longer resolves -- the layout, "
+            "content keys or serialisation format changed; see "
+            "tests/data/make_legacy_store.py")
+        fresh = FaultTrajectoryATPG(info, config).run(
+            seed=legacy_maker.SEED)
+        assert warm.test_vector_hz == fresh.test_vector_hz
+        assert warm.metrics == fresh.metrics
+        for a, b in zip(warm.trajectories, fresh.trajectories):
+            assert np.array_equal(a.points, b.points)
+        point = np.array([0.4, -0.2])
+        assert warm.diagnose_point(point) == fresh.diagnose_point(point)

@@ -1052,12 +1052,13 @@ async def _http_full(host, port, method, path, body=b"",
 
 
 class TestTelemetryHTTP:
-    def test_metrics_route_serves_valid_exposition(self, warm_service):
+    def test_metrics_route_serves_valid_exposition(self, warm_service,
+                                                   tmp_path):
         rows = measured_rows(warm_service, "rc_lowpass", 2, seed=5)
         # Store families register on the process registry when a store
         # exists; give the scrape one to cover.
-        from repro.runtime import ArtifactStore, InMemoryBackend
-        ArtifactStore(backend=InMemoryBackend())
+        from repro.runtime import ArtifactStore
+        ArtifactStore(tmp_path)
 
         async def run():
             server = await serve(
@@ -1090,7 +1091,11 @@ class TestTelemetryHTTP:
         # Process-wide engine/pipeline/store families ride along.
         assert "repro_engine_solve_seconds" in families
         assert "repro_pipeline_stage_seconds" in families
-        assert "repro_store_hits_total" in families
+        # One store layout, so the store families carry no labels.
+        store_hits = families["repro_store_hits_total"]["samples"]
+        assert store_hits
+        assert all("backend" not in labels
+                   for _, labels, _ in store_hits)
 
     def test_request_id_echo_and_generation(self, warm_service):
         async def run():
