@@ -9,6 +9,7 @@ relative move at 100 Hz and at 100 kHz.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -39,7 +40,7 @@ class FrequencySpace:
         if self.num_frequencies < 1:
             raise GAError("num_frequencies must be >= 1")
 
-    @property
+    @cached_property
     def log_bounds(self) -> Tuple[float, float]:
         return (float(np.log10(self.f_min_hz)),
                 float(np.log10(self.f_max_hz)))
@@ -60,33 +61,48 @@ class FrequencySpace:
         low, high = self.log_bounds
         return rng.uniform(low, high, size=(size, self.num_frequencies))
 
-    def clip(self, genome: np.ndarray) -> np.ndarray:
-        """Clamp genes into the search bounds."""
+    def clip(self, genomes: np.ndarray) -> np.ndarray:
+        """Clamp genes (one genome or a population) into the bounds."""
+        genomes = np.asarray(genomes, dtype=float)
+        if not np.isfinite(genomes).all():
+            raise GAError("genes must be finite")
         low, high = self.log_bounds
-        return np.clip(np.asarray(genome, dtype=float), low, high)
+        return np.clip(genomes, low, high)
 
-    def decode(self, genome: np.ndarray) -> Tuple[float, ...]:
-        """Genome -> sorted, distinct test frequencies in Hz.
+    def decode_population(self, genomes: np.ndarray) -> np.ndarray:
+        """(P, n) genomes -> (P, n) sorted, distinct test frequencies (Hz).
 
         Genes are sorted ascending (a test vector is a *set* of
         frequencies; sorting canonicalises it) and near-coincident genes
         are nudged apart by a tiny log-step so the signature space never
-        degenerates.
+        degenerates; a nudge past the upper bound shifts the whole row
+        back inside the band.
         """
-        genome = self.clip(genome)
+        genomes = self.clip(genomes)
+        if genomes.ndim != 2 or genomes.shape[1] != self.num_frequencies:
+            raise GAError(
+                f"population shape {genomes.shape} does not match space "
+                f"({self.num_frequencies} genes)")
+        ordered = np.sort(genomes, axis=1)
+        for index in range(1, self.num_frequencies):
+            nudge = ordered[:, index] - ordered[:, index - 1] < \
+                _MIN_GENE_GAP_DECADES
+            ordered[nudge, index] = ordered[nudge, index - 1] + \
+                _MIN_GENE_GAP_DECADES
+        overflow = ordered[:, -1] - self.log_bounds[1]
+        shift = overflow > 0.0
+        ordered[shift] -= overflow[shift, None]
+        return np.power(10.0, ordered)
+
+    def decode(self, genome: np.ndarray) -> Tuple[float, ...]:
+        """One genome -> its test frequencies: a one-row
+        :meth:`decode_population`."""
+        genome = np.asarray(genome, dtype=float)
         if genome.shape != (self.num_frequencies,):
             raise GAError(
                 f"genome shape {genome.shape} does not match space "
                 f"({self.num_frequencies} genes)")
-        ordered = np.sort(genome)
-        for index in range(1, ordered.size):
-            if ordered[index] - ordered[index - 1] < _MIN_GENE_GAP_DECADES:
-                ordered[index] = ordered[index - 1] + _MIN_GENE_GAP_DECADES
-        low, high = self.log_bounds
-        overflow = ordered[-1] - high
-        if overflow > 0.0:
-            ordered -= overflow  # shift back inside the band
-        return tuple(float(f) for f in np.power(10.0, ordered))
+        return tuple(self.decode_population(genome[None])[0].tolist())
 
     def encode(self, freqs_hz: Tuple[float, ...]) -> np.ndarray:
         """Frequencies in Hz -> genome (log10)."""
@@ -95,6 +111,8 @@ class FrequencySpace:
             raise GAError(
                 f"expected {self.num_frequencies} frequencies, got "
                 f"{freqs.shape}")
+        if not np.isfinite(freqs).all():
+            raise GAError("frequencies must be finite")
         if np.any(freqs <= 0.0):
             raise GAError("frequencies must be positive")
         return self.clip(np.log10(freqs))

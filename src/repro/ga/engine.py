@@ -21,7 +21,12 @@ from .. import profiling
 from ..errors import GAError
 from .config import GAConfig
 from .encoding import FrequencySpace
-from .operators import gaussian_mutation, get_crossover, get_selection
+from .operators import (
+    ROW_CROSSOVERS,
+    gaussian_draw,
+    gaussian_step,
+    get_selection,
+)
 
 __all__ = ["GenerationStats", "GAResult", "GeneticAlgorithm"]
 
@@ -88,8 +93,10 @@ class GeneticAlgorithm:
         self.config = config or GAConfig.paper()
 
     # ------------------------------------------------------------------
-    def _evaluate(self, population: np.ndarray) -> np.ndarray:
-        decoded = [self.space.decode(genome) for genome in population]
+    def _evaluate(self, population: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """(decoded test vectors, fitness) of a whole population."""
+        decoded = self.space.decode_population(population)
         score_population = getattr(self.fitness, "score_population", None)
         if score_population is not None:
             scores = np.asarray(score_population(decoded), dtype=float)
@@ -98,12 +105,55 @@ class GeneticAlgorithm:
                     f"score_population returned shape {scores.shape} "
                     f"for a population of {population.shape[0]}")
         else:
-            scores = np.empty(population.shape[0])
-            for index, freqs in enumerate(decoded):
-                scores[index] = self.fitness(freqs)
+            scores = np.array([self.fitness(tuple(freqs))
+                               for freqs in decoded.tolist()], dtype=float)
         if np.any(scores < 0.0) or not np.all(np.isfinite(scores)):
             raise GAError("fitness must return finite non-negative values")
-        return scores
+        return decoded, scores
+
+    def _reproduce(self, population: np.ndarray, scores: np.ndarray,
+                   select: Callable, rng: np.random.Generator
+                   ) -> np.ndarray:
+        """The next population: elite, then one child per other slot.
+
+        The loop over children only takes each child's random draws, in
+        the order a child-by-child loop would (crossover coin, crossover
+        draws, mutation coin, mutation draws); crossover, mutation and
+        the clip then run once over the whole population.
+        """
+        config = self.config
+        genes = self.space.num_frequencies
+        crossover_draw, crossover_apply = ROW_CROSSOVERS[config.crossover]
+        next_population = np.empty_like(population)
+        cursor = 0
+        if config.elitism > 0:
+            elite = np.argsort(scores)[::-1][:config.elitism]
+            next_population[:config.elitism] = population[elite]
+            cursor = config.elitism
+        needed = config.population_size - cursor
+        parent_indices = select(scores, 2 * needed, rng)
+        parents_a = population[parent_indices[:needed]]
+        parents_b = population[parent_indices[needed:]]
+
+        crossed = np.zeros(needed, dtype=bool)
+        crossover_draws = []
+        moved = np.zeros((needed, genes), dtype=bool)
+        steps = np.zeros((needed, genes))
+        for row in range(needed):
+            if rng.random() < config.crossover_rate:
+                crossed[row] = True
+                crossover_draws.append(crossover_draw(rng, (genes,)))
+            if rng.random() < config.mutation_rate:
+                moved[row], steps[row] = gaussian_draw(
+                    rng, (genes,), config.mutation_sigma_decades)
+
+        children = parents_a.copy()
+        if crossover_draws:
+            children[crossed] = crossover_apply(
+                parents_a[crossed], parents_b[crossed],
+                np.array(crossover_draws))
+        next_population[cursor:] = gaussian_step(children, moved, steps)
+        return self.space.clip(next_population)
 
     def run(self, seed: Optional[int] = None,
             rng: Optional[np.random.Generator] = None,
@@ -118,7 +168,6 @@ class GeneticAlgorithm:
             rng = np.random.default_rng(seed)
         config = self.config
         select = get_selection(config.selection, config.tournament_size)
-        crossover = get_crossover(config.crossover)
 
         population = self.space.random_population(
             rng, config.population_size)
@@ -129,6 +178,8 @@ class GeneticAlgorithm:
                 raise GAError(
                     f"initial_population must be (k, "
                     f"{self.space.num_frequencies})")
+            if not np.isfinite(seeded).all():
+                raise GAError("initial_population genes must be finite")
             count = min(seeded.shape[0], config.population_size)
             population[:count] = self.space.clip(seeded[:count])
 
@@ -136,7 +187,7 @@ class GeneticAlgorithm:
         evaluations = 0
         started = time.perf_counter()
 
-        scores = self._evaluate(population)
+        decoded, scores = self._evaluate(population)
         evaluations += population.shape[0]
 
         best_index = int(np.argmax(scores))
@@ -153,8 +204,8 @@ class GeneticAlgorithm:
                 best_fitness=float(scores.max()),
                 mean_fitness=float(scores.mean()),
                 std_fitness=float(scores.std()),
-                best_freqs_hz=self.space.decode(
-                    population[int(np.argmax(scores))]),
+                best_freqs_hz=tuple(
+                    decoded[int(np.argmax(scores))].tolist()),
             ))
             if config.early_stop_fitness is not None and \
                     best_fitness >= config.early_stop_fitness:
@@ -162,30 +213,8 @@ class GeneticAlgorithm:
             if generation == config.generations - 1:
                 break  # last generation is evaluated, not reproduced
 
-            # --- Reproduction -------------------------------------------
-            next_population = np.empty_like(population)
-            cursor = 0
-            if config.elitism > 0:
-                elite = np.argsort(scores)[::-1][:config.elitism]
-                next_population[:config.elitism] = population[elite]
-                cursor = config.elitism
-            needed = config.population_size - cursor
-            parent_indices = select(scores, 2 * needed, rng)
-            parents_a = population[parent_indices[:needed]]
-            parents_b = population[parent_indices[needed:]]
-            for row in range(needed):
-                if rng.random() < config.crossover_rate:
-                    child = crossover(parents_a[row], parents_b[row], rng)
-                else:
-                    child = parents_a[row].copy()
-                if rng.random() < config.mutation_rate:
-                    child = gaussian_mutation(
-                        child, self.space, rng,
-                        sigma_decades=config.mutation_sigma_decades)
-                next_population[cursor + row] = self.space.clip(child)
-            population = next_population
-
-            scores = self._evaluate(population)
+            population = self._reproduce(population, scores, select, rng)
+            decoded, scores = self._evaluate(population)
             evaluations += population.shape[0]
             generation_best = int(np.argmax(scores))
             if scores[generation_best] > best_fitness:

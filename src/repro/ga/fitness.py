@@ -29,7 +29,7 @@ import numpy as np
 from ..errors import GAError
 from ..faults.models import ParametricFault
 from ..faults.surface import ResponseSurface
-from ..trajectory.mapping import SignatureMapper
+from ..trajectory.mapping import SignatureMapper, check_test_vectors
 from ..trajectory.metrics import (
     TrajectoryMetrics,
     conflict_counts_batch,
@@ -113,33 +113,23 @@ class TrajectoryFitness:
     # Evaluation: single vector and whole populations
     # ------------------------------------------------------------------
     @staticmethod
-    def _cache_key(freqs_hz: Tuple[float, ...]) -> Tuple[float, ...]:
-        return tuple(round(float(np.log10(f)), _CACHE_DIGITS)
-                     for f in freqs_hz)
+    def _cache_keys(freqs_hz: np.ndarray) -> List[Tuple[float, ...]]:
+        """Memo keys of a ``(K, n)`` candidate array: rounded
+        log-frequencies."""
+        return [tuple(round(value, _CACHE_DIGITS) for value in row)
+                for row in np.log10(freqs_hz).tolist()]
 
     def _score_vector(self, freqs_hz: Tuple[float, ...],
-                      sampled_db: Optional[np.ndarray] = None) -> float:
-        """Uncached evaluation of one test vector.
-
-        ``sampled_db`` optionally injects this candidate's presampled
-        surface magnitudes (golden row first); the resulting score is
-        bitwise-identical to sampling inside -- the sampling operations
-        are per-query-column independent.
-        """
-        if sampled_db is None:
-            metrics = self.metrics_for(
-                freqs_hz, include_separations=self.needs_separations)
-        else:
-            mapper = self._mapper_template.with_freqs(freqs_hz)
-            trajectories = TrajectorySet.from_source(
-                self.surface, mapper, components=self.components,
-                signature_matrix=mapper.signature_matrix_from_db(
-                    sampled_db),
-                golden_point=mapper.golden_signature_from_db(
-                    sampled_db[0]))
-            metrics = evaluate_metrics(
-                trajectories,
-                include_separations=self.needs_separations)
+                      sampled_db: np.ndarray) -> float:
+        """Uncached evaluation of one test vector from its presampled
+        surface magnitudes (golden row first)."""
+        mapper = self._mapper_template.with_freqs(freqs_hz)
+        trajectories = TrajectorySet.from_source(
+            self.surface, mapper, components=self.components,
+            signature_matrix=mapper.signature_matrix_from_db(sampled_db),
+            golden_point=mapper.golden_signature_from_db(sampled_db[0]))
+        metrics = evaluate_metrics(
+            trajectories, include_separations=self.needs_separations)
         value = float(self.score(metrics))
         if value < 0.0:
             raise GAError(
@@ -148,61 +138,59 @@ class TrajectoryFitness:
         return value
 
     def __call__(self, freqs_hz: Tuple[float, ...]) -> float:
-        key = self._cache_key(freqs_hz)
-        if key in self._cache:
-            return self._cache[key]
-        value = self._score_vector(freqs_hz)
-        self._cache[key] = value
-        self.evaluations += 1
-        return value
+        """Fitness of one test vector: a one-row
+        :meth:`score_population`."""
+        return float(self.score_population([freqs_hz])[0])
 
     def score_population(self, vectors: Sequence[Tuple[float, ...]]
                          ) -> np.ndarray:
         """Fitness of a whole candidate population at once.
 
-        Deduplicates against the memo cache, samples the shared response
-        surface *once* for every uncached candidate (one vectorised
-        interpolation over the concatenated test vectors), then scores
-        the uncached candidates. Conflict-count fitnesses over 2-D
-        signatures (the paper configuration) are scored as a single
-        tensor pass over the whole batch; otherwise candidates are
-        scored one by one. Sampling is per-query-column independent, so
-        scores are identical to calling the fitness per individual in
-        any order.
+        ``vectors`` is a ``(K, n)`` array (or K equal-length test
+        vectors). Deduplicates against the memo cache, samples the
+        shared response surface *once* for every uncached candidate
+        (one vectorised interpolation over the concatenated test
+        vectors), then scores the uncached candidates. Conflict-count
+        fitnesses over 2-D signatures (the paper configuration) are
+        scored as a single array pass over the whole batch; otherwise
+        candidates are scored one by one. Sampling is per-query-column
+        independent, so scores are identical to calling the fitness per
+        individual in any order.
         """
-        vectors = [tuple(float(f) for f in vector) for vector in vectors]
-        keys = [self._cache_key(vector) for vector in vectors]
-        pending: Dict[Tuple[float, ...], Tuple[float, ...]] = {}
-        for key, vector in zip(keys, vectors):
+        freqs = np.asarray(vectors, dtype=float)
+        if len(freqs) == 0:
+            return np.empty(0)
+        if freqs.ndim != 2:
+            raise GAError(
+                f"score_population needs (K, n) test vectors, got shape "
+                f"{freqs.shape}")
+        check_test_vectors(freqs)
+        keys = self._cache_keys(freqs)
+        pending: Dict[Tuple[float, ...], int] = {}
+        for index, key in enumerate(keys):
             if key not in self._cache:
-                pending.setdefault(key, vector)
+                pending.setdefault(key, index)
         if pending:
-            values = self._score_candidates(list(pending.values()))
+            values = self._score_candidates(freqs[list(pending.values())])
             for key, value in zip(pending, values):
                 self._cache[key] = value
                 self.evaluations += 1
         return np.array([self._cache[key] for key in keys], dtype=float)
 
-    def _score_candidates(self, candidates: List[Tuple[float, ...]]
-                          ) -> List[float]:
-        """Score uncached candidates (one vectorised surface sample,
-        then the batched or per-candidate path)."""
-        lengths = [len(vector) for vector in candidates]
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        sampled = self.surface.sample_db(
-            np.concatenate([np.asarray(vector, dtype=float)
-                            for vector in candidates]))
-
+    def _score_candidates(self, freqs: np.ndarray) -> List[float]:
+        """Score uncached ``(K, n)`` candidates (one vectorised surface
+        sample, then the batched or per-candidate path)."""
+        count, genes = freqs.shape
+        sampled = self.surface.sample_db(freqs.ravel())
         plan = self._conflict_plan() if not self.needs_separations \
             else None
-        if plan is not None and \
-                all(length == 2 for length in lengths):
+        if plan is not None and genes == 2:
             return self._score_batch_conflicts(
-                candidates, sampled, offsets, plan)
-        return [self._score_vector(candidates[index],
-                                   sampled[:, offsets[index]:
-                                           offsets[index + 1]])
-                for index in range(len(candidates))]
+                freqs, sampled.reshape(-1, count, genes), plan)
+        return [self._score_vector(tuple(vector),
+                                   sampled[:, index * genes:
+                                           (index + 1) * genes])
+                for index, vector in enumerate(freqs.tolist())]
 
     # ------------------------------------------------------------------
     # Population-level conflict counting (the paper-fitness fast path)
@@ -266,41 +254,48 @@ class TrajectoryFitness:
             num_vertices=cursor)
         return self._plan
 
-    def _score_batch_conflicts(self, candidates: List[Tuple[float, ...]],
-                               sampled: np.ndarray, offsets: np.ndarray,
+    def _score_batch_conflicts(self, freqs: np.ndarray,
+                               sampled: np.ndarray,
                                plan: _ConflictPlan) -> List[float]:
-        """Score a 2-D candidate batch with one conflict-tensor pass."""
-        matrices = []
-        goldens = []
-        for index, vector in enumerate(candidates):
-            mapper = self._mapper_template.with_freqs(vector)
-            columns = sampled[:, offsets[index]:offsets[index + 1]]
-            matrices.append(mapper.signature_matrix_from_db(columns))
-            goldens.append(mapper.golden_signature_from_db(columns[0]))
-        stacked = np.stack(matrices)                  # (K, n_faults, 2)
-        golden = np.stack(goldens)                    # (K, 2)
-        vertices = np.empty((len(candidates), plan.num_vertices, 2))
-        vertices[:, plan.fault_slots] = stacked[:, plan.row_order]
-        vertices[:, plan.golden_slots] = golden[:, None, :]
+        """Score a 2-D candidate batch with one conflict-kernel pass.
+
+        ``sampled`` is the ``(1 + n_faults, K, 2)`` surface block of the
+        K candidates ``freqs``.
+        """
+        mapper = self._mapper_template
+        signatures = mapper.signature_matrix_from_db(sampled)
+        vertices = np.empty((len(freqs), plan.num_vertices, 2))
+        vertices[:, plan.fault_slots] = \
+            signatures[plan.row_order].transpose(1, 0, 2)
+        vertices[:, plan.golden_slots] = \
+            mapper.golden_signature_from_db(sampled[0])[:, None, :]
         intersections, overlaps = conflict_counts_batch(
             vertices[:, plan.seg_start], vertices[:, plan.seg_end],
             plan.owners)
-        values = []
-        for crossings, pathways in zip(intersections, overlaps):
-            metrics = TrajectoryMetrics(
-                intersections=int(crossings),
-                common_pathways=int(pathways),
-                min_separation=float("nan"),
-                mean_separation=float("nan"),
-                per_pair_separation={},
-            )
-            value = float(self.score(metrics))
-            if value < 0.0:
-                raise GAError(
-                    f"{type(self).__name__} returned negative fitness "
-                    f"{value}; roulette selection requires >= 0")
-            values.append(value)
-        return values
+        values = np.asarray(self.score_conflicts(intersections, overlaps),
+                            dtype=float)
+        if np.any(values < 0.0):
+            raise GAError(
+                f"{type(self).__name__} returned negative fitness "
+                f"{values[np.argmax(values < 0.0)]}; roulette selection "
+                f"requires >= 0")
+        return values.tolist()
+
+    def score_conflicts(self, intersections: np.ndarray,
+                        overlaps: np.ndarray) -> np.ndarray:
+        """Scores of per-candidate conflict counts (the population fast
+        path, used when ``needs_separations`` is False).
+
+        The default wraps each candidate's counts in a conflicts-only
+        :class:`TrajectoryMetrics` and calls :meth:`score`; subclasses
+        whose score is a formula of the counts override it with that
+        formula over the arrays.
+        """
+        return np.array([self.score(TrajectoryMetrics(
+            intersections=int(crossings), common_pathways=int(pathways),
+            min_separation=float("nan"), mean_separation=float("nan"),
+            per_pair_separation={}))
+            for crossings, pathways in zip(intersections, overlaps)])
 
     def cache_clear(self) -> None:
         self._cache.clear()
@@ -325,10 +320,15 @@ class PaperFitness(TrajectoryFitness):
             raise GAError("overlap_weight must be >= 0")
         self.overlap_weight = float(overlap_weight)
 
-    def score(self, metrics: TrajectoryMetrics) -> float:
-        conflicts = (metrics.intersections +
-                     self.overlap_weight * metrics.common_pathways)
+    def score_conflicts(self, intersections: np.ndarray,
+                        overlaps: np.ndarray) -> np.ndarray:
+        """``1 / (1 + I)`` of conflict counts (ints or count arrays)."""
+        conflicts = intersections + self.overlap_weight * overlaps
         return 1.0 / (1.0 + conflicts)
+
+    def score(self, metrics: TrajectoryMetrics) -> float:
+        return float(self.score_conflicts(metrics.intersections,
+                                          metrics.common_pathways))
 
 
 class MarginFitness(TrajectoryFitness):

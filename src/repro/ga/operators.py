@@ -84,8 +84,57 @@ def rank_select(fitness: np.ndarray, count: int,
 
 
 # ----------------------------------------------------------------------
-# Crossover
+# Crossover and mutation
+#
+# Each operator is split into its random draws for one row (taken in the
+# order the generation loop visits its children, so the RNG stream is
+# fixed) and one arithmetic step applied to every drawn row at once. The
+# public per-pair operators are one-row calls of the same two pieces.
 # ----------------------------------------------------------------------
+def _blend_draw(rng: np.random.Generator,
+                shape: Tuple[int, ...]) -> np.ndarray:
+    return rng.random(shape)
+
+
+def _blend_rows(parents_a: np.ndarray, parents_b: np.ndarray,
+                unit: np.ndarray, alpha: float = 0.5) -> np.ndarray:
+    # ``low + range * u`` with u from ``rng.random`` is bitwise what
+    # ``rng.uniform(low, high)`` returns.
+    low = np.minimum(parents_a, parents_b)
+    high = np.maximum(parents_a, parents_b)
+    span = high - low
+    lower = low - alpha * span
+    return lower + (high + alpha * span - lower) * unit
+
+
+def _one_point_draw(rng: np.random.Generator,
+                    shape: Tuple[int, ...]) -> np.ndarray:
+    """Mask of the genes taken from parent a: the head up to the cut."""
+    genes = shape[-1]
+    point = int(rng.integers(1, genes)) if genes >= 2 else genes
+    return np.arange(genes) < point
+
+
+def _uniform_draw(rng: np.random.Generator,
+                  shape: Tuple[int, ...]) -> np.ndarray:
+    return rng.random(shape) < 0.5
+
+
+def _take_rows(parents_a: np.ndarray, parents_b: np.ndarray,
+               from_a: np.ndarray) -> np.ndarray:
+    return np.where(from_a, parents_a, parents_b)
+
+
+#: Every crossover of :func:`get_crossover` as ``(draw, apply)``:
+#: ``draw(rng, shape)`` takes one child's random numbers and
+#: ``apply(parents_a, parents_b, draws)`` combines stacked rows.
+ROW_CROSSOVERS = {
+    "blend": (_blend_draw, _blend_rows),
+    "one_point": (_one_point_draw, _take_rows),
+    "uniform": (_uniform_draw, _take_rows),
+}
+
+
 def blend_crossover(parent_a: np.ndarray, parent_b: np.ndarray,
                     rng: np.random.Generator,
                     alpha: float = 0.5) -> np.ndarray:
@@ -93,10 +142,8 @@ def blend_crossover(parent_a: np.ndarray, parent_b: np.ndarray,
     extended by ``alpha`` on each side. The workhorse for real genes."""
     parent_a = np.asarray(parent_a, dtype=float)
     parent_b = np.asarray(parent_b, dtype=float)
-    low = np.minimum(parent_a, parent_b)
-    high = np.maximum(parent_a, parent_b)
-    span = high - low
-    return rng.uniform(low - alpha * span, high + alpha * span)
+    shape = np.broadcast_shapes(parent_a.shape, parent_b.shape)
+    return _blend_rows(parent_a, parent_b, _blend_draw(rng, shape), alpha)
 
 
 def one_point_crossover(parent_a: np.ndarray, parent_b: np.ndarray,
@@ -104,10 +151,8 @@ def one_point_crossover(parent_a: np.ndarray, parent_b: np.ndarray,
     """Classic one-point crossover (for 2 genes: swap the tail gene)."""
     parent_a = np.asarray(parent_a, dtype=float)
     parent_b = np.asarray(parent_b, dtype=float)
-    if parent_a.size < 2:
-        return parent_a.copy()
-    point = int(rng.integers(1, parent_a.size))
-    return np.concatenate([parent_a[:point], parent_b[point:]])
+    return _take_rows(parent_a, parent_b,
+                      _one_point_draw(rng, parent_a.shape))
 
 
 def uniform_crossover(parent_a: np.ndarray, parent_b: np.ndarray,
@@ -115,23 +160,36 @@ def uniform_crossover(parent_a: np.ndarray, parent_b: np.ndarray,
     """Each gene taken from either parent with probability 1/2."""
     parent_a = np.asarray(parent_a, dtype=float)
     parent_b = np.asarray(parent_b, dtype=float)
-    mask = rng.random(parent_a.shape) < 0.5
-    return np.where(mask, parent_a, parent_b)
+    return _take_rows(parent_a, parent_b,
+                      _uniform_draw(rng, parent_a.shape))
 
 
-# ----------------------------------------------------------------------
-# Mutation
-# ----------------------------------------------------------------------
+def gaussian_draw(rng: np.random.Generator, shape: Tuple[int, ...],
+                  sigma_decades: float = 0.15,
+                  per_gene_rate: float = 1.0
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """(mask, steps) of one Gaussian mutation: which genes move, and by
+    how much."""
+    mask = rng.random(shape) < per_gene_rate
+    return mask, rng.normal(0.0, sigma_decades, size=shape)
+
+
+def gaussian_step(genomes: np.ndarray, mask: np.ndarray,
+                  steps: np.ndarray) -> np.ndarray:
+    """Add the drawn steps to the masked genes (unclipped)."""
+    return np.add(genomes, steps, out=np.array(genomes, dtype=float),
+                  where=mask)
+
+
 def gaussian_mutation(genome: np.ndarray, space: FrequencySpace,
                       rng: np.random.Generator,
                       sigma_decades: float = 0.15,
                       per_gene_rate: float = 1.0) -> np.ndarray:
     """Gaussian step in log-frequency space, clipped to bounds."""
-    genome = np.asarray(genome, dtype=float).copy()
-    mask = rng.random(genome.shape) < per_gene_rate
-    steps = rng.normal(0.0, sigma_decades, size=genome.shape)
-    genome[mask] += steps[mask]
-    return space.clip(genome)
+    genome = np.asarray(genome, dtype=float)
+    mask, steps = gaussian_draw(rng, genome.shape, sigma_decades,
+                                per_gene_rate)
+    return space.clip(gaussian_step(genome, mask, steps))
 
 
 def reset_mutation(genome: np.ndarray, space: FrequencySpace,

@@ -47,8 +47,8 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Protocol, Sequence, \
-    Tuple, runtime_checkable
+from typing import Callable, Dict, Iterator, List, Optional, Protocol, \
+    Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -543,9 +543,13 @@ class BatchedMnaEngine:
     # Batched solving
     # ------------------------------------------------------------------
     def _solve_stack(self, stack: np.ndarray, rhs: np.ndarray,
-                     labels: Sequence[str],
+                     label_of: Callable[[int], str],
                      s_values: np.ndarray) -> np.ndarray:
-        """Solve a (K, N, N) stack, falling back per matrix on failure."""
+        """Solve a (K, N, N) stack, falling back per matrix on failure.
+
+        ``label_of(k)`` names the variant of matrix k; it is only called
+        to word the error of a singular matrix.
+        """
         try:
             return np.linalg.solve(stack, rhs)[..., 0]
         except np.linalg.LinAlgError:
@@ -557,7 +561,7 @@ class BatchedMnaEngine:
                         stack[index], rhs[index][:, 0])
                 except np.linalg.LinAlgError as exc:
                     raise SingularCircuitError(
-                        f"{labels[index]}: MNA matrix singular at "
+                        f"{label_of(index)}: MNA matrix singular at "
                         f"s={s_values[index]!r}; check for floating "
                         "nodes, voltage-source loops or op-amps without "
                         "feedback") from exc
@@ -633,11 +637,10 @@ class BatchedMnaEngine:
                     np.broadcast_to(z_stack[lo:hi, None, :, None],
                                     (hi - lo, num_freqs, dim, 1))
                 ).reshape(count, dim, 1)
-                chunk_labels = [labels[lo + k // num_freqs]
-                                for k in range(count)]
                 chunk_s = np.tile(s_all, hi - lo)
-                solved = self._solve_stack(stack, rhs, chunk_labels,
-                                           chunk_s)
+                solved = self._solve_stack(
+                    stack, rhs, lambda k, lo=lo: labels[lo + k // num_freqs],
+                    chunk_s)
                 solutions[lo:hi] = solved.reshape(hi - lo, num_freqs,
                                                   dim)
                 chunks_solved += 1
@@ -656,7 +659,7 @@ class BatchedMnaEngine:
                         rhs_row[None, :, None],
                         (stop - start, dim, 1)))
                     solved = self._solve_stack(
-                        stack, rhs, [labels[index]] * (stop - start),
+                        stack, rhs, lambda k, index=index: labels[index],
                         s_values)
                     solutions[index, start:stop] = solved
                     chunks_solved += 1

@@ -30,6 +30,27 @@ __all__ = ["SignatureMapper"]
 _SCALES = ("db", "linear")
 
 
+def check_test_vectors(freqs_hz: Sequence[float] | np.ndarray) -> None:
+    """Validate one test vector, or a ``(K, n)`` array of them.
+
+    Raises :class:`TrajectoryError` unless every vector has at least one
+    frequency, all of them positive and none repeated (a duplicated
+    axis is degenerate).
+    """
+    freqs = np.atleast_2d(np.asarray(freqs_hz, dtype=float))
+    if freqs.shape[1] < 1:
+        raise TrajectoryError("test vector needs at least 1 frequency")
+    if np.any(freqs <= 0.0):
+        raise TrajectoryError("test frequencies must be positive")
+    ordered = np.sort(freqs, axis=1)
+    repeated = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+    if repeated.any():
+        vector = tuple(freqs[int(np.argmax(repeated))].tolist())
+        raise TrajectoryError(
+            f"test vector has duplicate frequencies: {vector}; "
+            "duplicated axes are degenerate")
+
+
 @dataclass(frozen=True)
 class SignatureMapper:
     """Maps magnitude responses to points in signature space.
@@ -56,14 +77,7 @@ class SignatureMapper:
 
     def __post_init__(self) -> None:
         freqs = tuple(float(f) for f in self.test_freqs_hz)
-        if len(freqs) < 1:
-            raise TrajectoryError("test vector needs at least 1 frequency")
-        if any(f <= 0.0 for f in freqs):
-            raise TrajectoryError("test frequencies must be positive")
-        if len(set(freqs)) != len(freqs):
-            raise TrajectoryError(
-                f"test vector has duplicate frequencies: {freqs}; "
-                "duplicated axes are degenerate")
+        check_test_vectors(freqs)
         if self.scale not in _SCALES:
             raise TrajectoryError(
                 f"scale must be one of {_SCALES}, got {self.scale!r}")
@@ -110,7 +124,10 @@ class SignatureMapper:
         :meth:`~repro.faults.surface.ResponseSurface.sample_db` returns
         at this mapper's test frequencies. Splitting the sampling from
         the mapping lets population-level GA evaluation sample the
-        surface once for many candidate vectors.
+        surface once for many candidate vectors: a ``(1 + n_faults, K,
+        dimension)`` block of K candidates maps to ``(n_faults, K,
+        dimension)`` signatures in one call (the mapping is elementwise,
+        so each candidate's values are those of its own call).
         """
         sampled_db = np.asarray(sampled_db, dtype=float)
         golden_db = sampled_db[0]
@@ -126,9 +143,10 @@ class SignatureMapper:
         return faults_lin
 
     def golden_signature_from_db(self, golden_db: np.ndarray) -> np.ndarray:
-        """Golden point from its presampled dB magnitudes."""
+        """Golden point from its presampled dB magnitudes (one
+        ``(dimension,)`` row, or ``(K, dimension)`` for K candidates)."""
         if self.relative_to_golden:
-            return np.zeros(self.dimension)
+            return np.zeros(np.shape(golden_db))
         if self.scale == "db":
             return np.asarray(golden_db, dtype=float)
         return np.asarray(db_to_linear(golden_db), dtype=float)

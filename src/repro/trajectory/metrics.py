@@ -47,6 +47,10 @@ _ND_CONTACT_FRACTION = 1e-3
 # Collinearity epsilon scale for overlap ("common pathway") detection.
 _OVERLAP_EPS_SCALE = 1e-9
 
+# Rounding slack of the conflict kernel's bounding-box prefilter, as a
+# share of the coordinate magnitude and of the overlap pad.
+_BOX_SLACK = 64 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class TrajectoryMetrics:
@@ -93,6 +97,13 @@ def _conflict_counts(starts: np.ndarray, ends: np.ndarray,
     place a's endpoints relative to line b and d3/d4 place b's
     endpoints relative to line a. A collinear pair is a common pathway
     when b's projection onto a covers a stretch of positive length.
+
+    Each chunk of members is laid out as contiguous ``(S, members)``
+    planes, so gathering a pair's operands copies whole rows. A pair is
+    evaluated only when its padded bounding boxes meet in at least one
+    member of the chunk; the others can neither cross nor overlap (see
+    the pad derivation below), so the counts are those of evaluating
+    every pair.
     """
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
@@ -104,6 +115,9 @@ def _conflict_counts(starts: np.ndarray, ends: np.ndarray,
     if not (np.isfinite(starts).all() and np.isfinite(ends).all()):
         raise TrajectoryError(
             "conflict counting needs finite segment endpoints")
+    if chunk_size < 1:
+        raise TrajectoryError(
+            f"chunk_size must be >= 1, got {chunk_size}")
     num_members, num_segments = starts.shape[:2]
     owners = np.asarray(owners)
     if owners.shape != (num_segments,):
@@ -117,39 +131,71 @@ def _conflict_counts(starts: np.ndarray, ends: np.ndarray,
     overlaps = np.zeros(num_members, dtype=int)
     for low in range(0, num_members, chunk_size):
         high = min(low + chunk_size, num_members)
-        s = starts[low:high]
-        e = ends[low:high]
-        direction = e - s
-        sx, sy, ex, ey = s[..., 0], s[..., 1], e[..., 0], e[..., 1]
-        dx, dy = direction[..., 0], direction[..., 1]
-        ax, ay, adx, ady = sx[:, a], sy[:, a], dx[:, a], dy[:, a]
-        bx, by, bdx, bdy = sx[:, b], sy[:, b], dx[:, b], dy[:, b]
-        d1 = bdx * (ay - by) - bdy * (ax - bx)
-        d2 = bdx * (ey[:, a] - by) - bdy * (ex[:, a] - bx)
-        d3 = adx * (by - ay) - ady * (bx - ax)
-        d4 = adx * (ey[:, b] - ay) - ady * (ex[:, b] - ax)
+        sx, sy, ex, ey = (np.ascontiguousarray(plane[low:high, :, axis].T)
+                          for plane in (starts, ends) for axis in (0, 1))
+        dx, dy = ex - sx, ey - sy
         lengths_sq = dx * dx + dy * dy
-        scale = np.maximum(lengths_sq.max(axis=1, initial=0.0), _EPS)
-        eps = (_EPS * scale)[:, None]
+        scale = np.maximum(lengths_sq.max(axis=0, initial=0.0), _EPS)
+        eps = _EPS * scale
+        eps_overlap = _OVERLAP_EPS_SCALE * scale
+
+        # Box pad. A crossing point lies inside both segments' boxes,
+        # so crossings need none. A common pathway needs all four
+        # |d| <= eps_overlap and b's projection overlapping a. Since
+        # |d3| and |d4| are |a| times the distances of b's endpoints
+        # from line a, every point of b lies within eps_overlap/|a| of
+        # that line, and a point of b projecting inside a lies within
+        # eps_overlap/|a| of segment a itself: padding a's box by
+        # eps_overlap/|a| makes it meet b's box. The determinants, the
+        # projections and the padded bounds are each a few roundings of
+        # the member's coordinates, so each error is a few ulps of the
+        # largest coordinate magnitude or of the pad; a slack of 64
+        # machine epsilons of both covers them. Each box gets its own
+        # segment's pad, so a's pad is there for every pair a is in. A
+        # zero-length segment, or any member whose squared length
+        # overflows, gets an infinite pad: its pairs are all evaluated.
+        magnitude = np.max([np.abs(plane).max(axis=0)
+                            for plane in (sx, sy, ex, ey)], axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pad = (eps_overlap / np.sqrt(lengths_sq) * (1.0 + _BOX_SLACK) +
+                   _BOX_SLACK * magnitude)
+        pad[np.isnan(pad)] = np.inf
+        low_x, high_x = np.minimum(sx, ex) - pad, np.maximum(sx, ex) + pad
+        low_y, high_y = np.minimum(sy, ey) - pad, np.maximum(sy, ey) + pad
+        meets = low_x[:, None] <= high_x[None, :]
+        meets &= low_y[:, None] <= high_y[None, :]
+        meets &= meets.transpose(1, 0, 2)
+        near = meets.any(axis=2)[a, b]
+        i, j = a[near], b[near]
+
+        ax, ay, adx, ady = sx[i], sy[i], dx[i], dy[i]
+        bx, by, bdx, bdy = sx[j], sy[j], dx[j], dy[j]
+        d1 = bdx * (ay - by) - bdy * (ax - bx)
+        d2 = bdx * (ey[i] - by) - bdy * (ex[i] - bx)
+        d3 = adx * (by - ay) - ady * (bx - ax)
+        d4 = adx * (ey[j] - ay) - ady * (ex[j] - ax)
         crossing = (d1 * d2 < -eps) & (d3 * d4 < -eps)
-        intersections[low:high] = np.count_nonzero(crossing, axis=1)
-        eps_overlap = (_OVERLAP_EPS_SCALE * scale)[:, None]
+        intersections[low:high] = np.count_nonzero(crossing, axis=0)
         collinear = ((np.abs(d1) <= eps_overlap) &
                      (np.abs(d2) <= eps_overlap) &
                      (np.abs(d3) <= eps_overlap) &
                      (np.abs(d4) <= eps_overlap))
-        member, pair = np.nonzero(collinear)
+        pair, member = np.nonzero(collinear)
         if member.size == 0:
             continue
         # Project b onto a's direction: [s0, s1] in units of a's length.
-        i, j = a[pair], b[pair]
-        along = direction[member, i]
-        origin = s[member, i]
+        i, j = i[pair], j[pair]
+        along = np.stack([dx[i, member], dy[i, member]], axis=1)
+        origin_x, origin_y = sx[i, member], sy[i, member]
         norm = _dot_rows(along, along)
         positive = norm > _EPS
         norm = np.where(positive, norm, 1.0)
-        s0 = _dot_rows(s[member, j] - origin, along) / norm
-        s1 = _dot_rows(e[member, j] - origin, along) / norm
+        s0 = _dot_rows(np.stack([sx[j, member] - origin_x,
+                                 sy[j, member] - origin_y], axis=1),
+                       along) / norm
+        s1 = _dot_rows(np.stack([ex[j, member] - origin_x,
+                                 ey[j, member] - origin_y], axis=1),
+                       along) / norm
         lo = np.maximum(0.0, np.minimum(s0, s1))
         hi = np.minimum(1.0, np.maximum(s0, s1))
         overlaps[low:high] = np.bincount(
@@ -177,7 +223,8 @@ def conflict_counts_batch(starts: np.ndarray, ends: np.ndarray,
     members at a time; counts are identical to calling
     :func:`count_intersections` / :func:`count_common_pathways` per
     member, which run the same kernel with K = 1. Raises
-    :class:`TrajectoryError` on non-finite endpoints.
+    :class:`TrajectoryError` on non-finite endpoints and on
+    ``chunk_size < 1``.
     """
     return _conflict_counts(starts, ends, owners, chunk_size)
 

@@ -264,6 +264,32 @@ class TestVariantSpecs:
             info.output_node, grid, info.input_source)
         assert np.array_equal(block.values[0], expected.values)
 
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_singular_variant_is_named(self, monkeypatch, budget):
+        """A singular variant's error names that variant, on the fused
+        path and (with a one-byte stack budget) the per-variant one."""
+        from repro.circuits.components import VCVS
+        from repro.circuits.netlist import Circuit
+        from repro.errors import SingularCircuitError
+        from repro.sim import engine as engine_module
+        if budget is not None:
+            monkeypatch.setattr(engine_module, "_STACK_MEMORY_BUDGET",
+                                budget)
+        circuit = Circuit("buffer")
+        circuit.add_voltage_source("V1", "in", "0", ac=1.0)
+        circuit.add_resistor("R1", "in", "out", 1e3)
+        circuit.add_vcvs("E1", "buf", "0", "buf", "out", gain=2.0)
+        circuit.add_resistor("R2", "buf", "0", 1e3)
+        # Unit gain around the E1 loop leaves its branch row all zero.
+        unit_loop = VariantSpec(
+            (VCVS("E1", "buf", "0", "buf", "out", gain=1.0),),
+            name="buffer#E1_unit")
+        variants = [VariantSpec(name="first"), unit_loop,
+                    VariantSpec(name="third")]
+        with pytest.raises(SingularCircuitError, match="buffer#E1_unit"):
+            BatchedMnaEngine(circuit).transfer_block(
+                "buf", np.array([10.0, 100.0, 1000.0]), variants)
+
 
 class TestResponseBlock:
     @pytest.fixture()

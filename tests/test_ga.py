@@ -1,10 +1,12 @@
 """Tests for the GA: encoding, operators, fitness, engine."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import GAError
+from repro.errors import GAError, TrajectoryError
 from repro.ga import (
     CombinedFitness,
     FrequencySpace,
@@ -109,6 +111,40 @@ class TestEncoding:
         assert space.contains((100.0, 1000.0))
         assert not space.contains((1.0, 1000.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_genes_rejected(self, space, bad):
+        with pytest.raises(GAError, match="finite"):
+            space.decode(np.array([bad, 2.0]))
+        with pytest.raises(GAError, match="finite"):
+            space.clip(np.array([[3.0, 4.0], [2.0, bad]]))
+        with pytest.raises(GAError, match="finite"):
+            space.decode_population(np.array([[3.0, 4.0], [bad, 2.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_encode_rejects_non_finite(self, space, bad):
+        with pytest.raises(GAError, match="finite"):
+            space.encode((100.0, bad))
+
+    def test_decode_population_shape_checked(self, space):
+        with pytest.raises(GAError):
+            space.decode_population(np.zeros((3, 5)))
+        with pytest.raises(GAError):
+            space.decode_population(np.zeros(2))
+        with pytest.raises(GAError):
+            space.decode(np.zeros((1, 2)))
+
+    @given(st.lists(st.lists(st.floats(-100, 100), min_size=3,
+                             max_size=3), min_size=1, max_size=6))
+    @settings(max_examples=100)
+    def test_decode_population_equals_row_oracle(self, genomes):
+        """Each decoded row is bitwise the parent's one-genome decode."""
+        space = FrequencySpace(10.0, 1e6, 3)
+        decoded = space.decode_population(np.array(genomes))
+        for row, genome in zip(decoded.tolist(), genomes):
+            assert [f.hex() for f in row] == \
+                [f.hex() for f in _decode_oracle(space, genome)]
+            assert space.decode(np.array(genome)) == tuple(row)
+
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=2))
     @settings(max_examples=100)
     def test_decode_always_valid(self, genes):
@@ -211,6 +247,50 @@ class TestCrossoverMutation:
         low, high = space.log_bounds
         assert np.all((mutated >= low) & (mutated <= high))
 
+    @given(genomes=st.lists(st.floats(-5, 5), min_size=1, max_size=4)
+           .flatmap(lambda a: st.tuples(
+               st.just(a), st.lists(st.floats(-5, 5), min_size=len(a),
+                                    max_size=len(a)))),
+           seed=st.integers(0, 2 ** 32 - 1),
+           alpha=st.floats(0.0, 1.0))
+    @settings(max_examples=100)
+    def test_crossovers_equal_parent_oracles(self, genomes, seed, alpha):
+        """The one-row operators draw and compute bitwise what the
+        per-pair operators they replaced did, leaving the stream at the
+        same state."""
+        parent_a, parent_b = (np.array(g) for g in genomes)
+        cases = [
+            (lambda a, b, r: blend_crossover(a, b, r, alpha=alpha),
+             lambda a, b, r: _blend_oracle(a, b, r, alpha=alpha)),
+            (one_point_crossover, _one_point_oracle),
+            (uniform_crossover, _uniform_oracle),
+        ]
+        for operator, oracle in cases:
+            rng, oracle_rng = (np.random.default_rng(seed)
+                               for _ in range(2))
+            child = operator(parent_a, parent_b, rng)
+            expected = oracle(parent_a, parent_b, oracle_rng)
+            assert [v.hex() for v in child.tolist()] == \
+                [v.hex() for v in expected.tolist()]
+            assert rng.random() == oracle_rng.random()
+
+    @given(genome=st.lists(st.floats(-1, 8), min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1),
+           sigma=st.floats(0.01, 3.0), rate=st.floats(0.0, 1.0))
+    @settings(max_examples=100)
+    def test_gaussian_mutation_equals_parent_oracle(self, space, genome,
+                                                    seed, sigma, rate):
+        rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+        mutated = gaussian_mutation(np.array(genome), space, rng,
+                                    sigma_decades=sigma,
+                                    per_gene_rate=rate)
+        expected = _gaussian_oracle(np.array(genome), space, oracle_rng,
+                                    sigma_decades=sigma,
+                                    per_gene_rate=rate)
+        assert [v.hex() for v in mutated.tolist()] == \
+            [v.hex() for v in expected.tolist()]
+        assert rng.random() == oracle_rng.random()
+
     def test_registries(self):
         assert get_crossover("blend") is blend_crossover
         with pytest.raises(GAError):
@@ -265,6 +345,38 @@ class TestFitness:
         with pytest.raises(GAError):
             PaperFitness(biquad_surface, overlap_weight=-1.0)
 
+    def test_score_population_accepts_arrays_and_tuples(self,
+                                                        biquad_surface):
+        vectors = [(100.0, 1000.0), (500.0, 50000.0), (100.0, 1000.0)]
+        from_tuples = PaperFitness(biquad_surface).score_population(vectors)
+        fitness = PaperFitness(biquad_surface)
+        from_array = fitness.score_population(np.array(vectors))
+        assert np.array_equal(from_tuples, from_array)
+        assert fitness.evaluations == 2
+        assert [fitness(vector) for vector in vectors] == \
+            from_array.tolist()
+        assert fitness.score_population([]).shape == (0,)
+
+    def test_score_population_rejects_bad_vectors(self, biquad_surface):
+        fitness = PaperFitness(biquad_surface)
+        with pytest.raises(TrajectoryError, match="duplicate"):
+            fitness.score_population([(100.0, 1000.0), (300.0, 300.0)])
+        with pytest.raises(TrajectoryError, match="positive"):
+            fitness.score_population([(100.0, 1000.0), (-3.0, 300.0)])
+        with pytest.raises(GAError):
+            fitness.score_population([100.0, 1000.0])
+
+    def test_score_conflicts_is_the_scalar_formula(self, biquad_surface):
+        from repro.trajectory.metrics import TrajectoryMetrics
+        fitness = PaperFitness(biquad_surface, overlap_weight=0.5)
+        crossings = np.array([0, 3, 7, 0])
+        pathways = np.array([0, 0, 2, 5])
+        batch = fitness.score_conflicts(crossings, pathways)
+        scalar = [fitness.score(TrajectoryMetrics(
+            int(c), int(p), float("nan"), float("nan"), {}))
+            for c, p in zip(crossings, pathways)]
+        assert batch.tolist() == scalar
+
     def test_component_subset(self, biquad_surface):
         fitness = PaperFitness(biquad_surface,
                                components=("R1", "R2", "C1"))
@@ -314,6 +426,14 @@ class TestEngine:
         engine = GeneticAlgorithm(space, fitness, GAConfig.quick())
         with pytest.raises(GAError):
             engine.run(seed=0, initial_population=np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_population_rejected(self, space, bad):
+        engine = GeneticAlgorithm(space, lambda freqs: 1.0,
+                                  GAConfig(population_size=4,
+                                           generations=2))
+        with pytest.raises(GAError, match="finite"):
+            engine.run(seed=0, initial_population=[[bad, 2.0]])
 
     def test_bad_fitness_rejected(self, space):
         config = GAConfig(population_size=4, generations=1)
@@ -394,3 +514,137 @@ class TestPinnedPaperGA:
             best_history
         assert tuple(s.mean_fitness.hex() for s in history) == \
             mean_history
+
+
+# ----------------------------------------------------------------------
+# Oracles: the one-genome decode and the per-pair operators the
+# population versions replaced, kept verbatim.
+# ----------------------------------------------------------------------
+def _decode_oracle(space, genome):
+    low, high = space.log_bounds
+    genome = np.clip(np.asarray(genome, dtype=float), low, high)
+    ordered = np.sort(genome)
+    for index in range(1, ordered.size):
+        if ordered[index] - ordered[index - 1] < 1e-6:
+            ordered[index] = ordered[index - 1] + 1e-6
+    overflow = ordered[-1] - high
+    if overflow > 0.0:
+        ordered -= overflow
+    return tuple(float(f) for f in np.power(10.0, ordered))
+
+
+def _blend_oracle(parent_a, parent_b, rng, alpha=0.5):
+    low = np.minimum(parent_a, parent_b)
+    high = np.maximum(parent_a, parent_b)
+    span = high - low
+    return rng.uniform(low - alpha * span, high + alpha * span)
+
+
+def _one_point_oracle(parent_a, parent_b, rng):
+    if parent_a.size < 2:
+        return parent_a.copy()
+    point = int(rng.integers(1, parent_a.size))
+    return np.concatenate([parent_a[:point], parent_b[point:]])
+
+
+def _uniform_oracle(parent_a, parent_b, rng):
+    mask = rng.random(parent_a.shape) < 0.5
+    return np.where(mask, parent_a, parent_b)
+
+
+def _gaussian_oracle(genome, space, rng, sigma_decades=0.15,
+                     per_gene_rate=1.0):
+    genome = np.asarray(genome, dtype=float).copy()
+    mask = rng.random(genome.shape) < per_gene_rate
+    steps = rng.normal(0.0, sigma_decades, size=genome.shape)
+    genome[mask] += steps[mask]
+    return space.clip(genome)
+
+
+# ----------------------------------------------------------------------
+# Stream pins: every selection x crossover pair, plus no elitism and a
+# seeded start, on a pure-arithmetic fitness of the decoded frequencies
+# (no BLAS in the loop). Each pin is the SHA-256 of the run's final
+# population, final fitness, per-generation stats and best vector, all
+# as float.hex; they were recorded before reproduction was batched.
+# ----------------------------------------------------------------------
+def _target_fitness(freqs_hz):
+    score = 1.0
+    for f, target in zip(freqs_hz, (150.0, 1700.0, 4200.0)):
+        ratio = f / target
+        score += (ratio - 1.0) * (ratio - 1.0) + 0.25 / ratio
+    return 1.0 / score
+
+
+def _stream_text(result):
+    lines = [" ".join(v.hex() for v in row)
+             for row in result.final_population.tolist()]
+    lines.append(" ".join(v.hex() for v in result.final_fitness.tolist()))
+    for stats in result.history:
+        lines.append(" ".join(
+            [stats.best_fitness.hex(), stats.mean_fitness.hex(),
+             stats.std_fitness.hex()] +
+            [f.hex() for f in stats.best_freqs_hz]))
+    lines.append(" ".join(f.hex() for f in result.best_freqs_hz))
+    return "\n".join(lines)
+
+
+#: name -> (genes, GAConfig overrides, initial population, SHA-256).
+PINNED_GA_STREAMS = {
+    "roulette-blend": (3, dict(selection="roulette", crossover="blend"),
+                       None, "49c091e0caa249def7ed09fca78d8a87"
+                       "c7c44acd04464a6ee2b1d2cb88572cba"),
+    "roulette-one_point": (3, dict(selection="roulette",
+                                   crossover="one_point"),
+                           None, "53e77dd5707844f9457436d6d1b267fa"
+                           "0ee6876c26a0da412703343b31971cd5"),
+    "roulette-uniform": (3, dict(selection="roulette",
+                                 crossover="uniform"),
+                         None, "6cb69f0947bedf061edfa802ff6329ca"
+                         "395d09fa86b7b0b191cd144c5a7744a4"),
+    "tournament-blend": (3, dict(selection="tournament",
+                                 crossover="blend"),
+                         None, "5658c5b55e27f8fedce7bc7498f819b8"
+                         "1c6c9b71ba7256678d1d368761a770e9"),
+    "tournament-one_point": (3, dict(selection="tournament",
+                                     crossover="one_point"),
+                             None, "dfce72731edcb2c371858be6ea15c9b8"
+                             "c6837369fb9cf801f11fd8fd2d24a81e"),
+    "tournament-uniform": (3, dict(selection="tournament",
+                                   crossover="uniform"),
+                           None, "170bc0da563cfb94bf3757ecf8b15963"
+                           "908c2440402839122e019a4a688b6655"),
+    "rank-blend": (3, dict(selection="rank", crossover="blend"),
+                   None, "39e66f9771520bfab98e0448e59ea093"
+                   "45377c0169f742b484a1cb7a5651755f"),
+    "rank-one_point": (3, dict(selection="rank", crossover="one_point"),
+                       None, "56620fe81568a01da2080d6b0bf6afc9"
+                       "67363d9d8192d54fa476a422bad79f2b"),
+    "rank-uniform": (3, dict(selection="rank", crossover="uniform"),
+                     None, "0bf3252ae32fd33687a243a2d03503ef"
+                     "f250a0f12282d9645a1912044458e02a"),
+    "roulette-blend-no-elite": (2, dict(elitism=0), None,
+                                "357b575b1f7e397f320b1f6940f02e9c"
+                                "543cbbf173721d58b99606824ac6d67f"),
+    # Duplicated and out-of-band genes exercise the decode nudge and
+    # the overflow shift.
+    "roulette-blend-seeded": (2, dict(),
+                              [[2.0, 2.0], [7.0, 7.0], [0.5, 3.5],
+                               [3.9999999, 4.0]],
+                              "9b17103e4d08b02bb6e86c295a3e2215"
+                              "8d9d21fdd5517eaa1ceaf1a9242109d3"),
+}
+
+
+class TestPinnedGAStreams:
+    """Same-seed GA runs of every operator pairing stay bitwise."""
+
+    @pytest.mark.parametrize("name", list(PINNED_GA_STREAMS))
+    def test_ga_stream_is_bitwise_pinned(self, name):
+        genes, overrides, initial, digest = PINNED_GA_STREAMS[name]
+        space = FrequencySpace(10.0, 1e4, genes)
+        config = GAConfig(population_size=12, generations=6, **overrides)
+        result = GeneticAlgorithm(space, _target_fitness, config).run(
+            seed=17, initial_population=initial)
+        text = _stream_text(result)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, text

@@ -248,10 +248,11 @@ def oracle_counts(starts, ends, owners):
 
 #: Vertex layouts the batch strategy draws from: GA-like fans through a
 #: shared origin, everything on one line (exactly, or nudged across the
-#: tolerances), integer and rounded grids (exact touching, collinearity
-#: and ties) and unconstrained floats.
-KINDS = ("fan", "collinear", "near_collinear", "integer", "rounded",
-         "float")
+#: tolerances), parallel lines just inside or just past the kernel's
+#: padded bounding boxes, integer and rounded grids (exact touching,
+#: collinearity and ties) and unconstrained floats.
+KINDS = ("fan", "collinear", "near_collinear", "past_box", "integer",
+         "rounded", "float")
 
 
 @st.composite
@@ -265,12 +266,31 @@ def segment_batches(draw):
     members = draw(st.integers(1, 4))
     segments = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
     ticks = st.integers(-4, 4)
+    # past_box: short unit-step segments along one axis, far from the
+    # origin. With every length L, the collinearity bound eps_overlap is
+    # 1e-9 L^2, so trajectories stacked 1e-9 L (1 +- small) apart
+    # across the axis sit just inside or just past it, and their boxes
+    # miss by about the pad eps_overlap / L.
+    if kind == "past_box":
+        axis = draw(st.integers(0, 1))
+        step = 10.0 ** -draw(st.integers(0, 4))
+        offset = draw(st.sampled_from((0.0, 1e3, -2.5e5, 3e7)))
+        gap = 1e-9 * step * (1.0 + draw(st.integers(-3, 3)) *
+                             10.0 ** -draw(st.integers(1, 9)))
     vertices = []
     for _ in range(members):
         member = []
-        for count in segments:
+        for trajectory, count in enumerate(segments):
             points = count + 1
-            if kind == "fan":
+            if kind == "past_box":
+                start = draw(ticks)
+                direction = draw(st.sampled_from((-1, 1)))
+                along = offset + step * (start + direction *
+                                         np.arange(points))
+                across = np.full(points, trajectory * gap)
+                line = np.column_stack((along, across) if axis == 0
+                                       else (across, along))
+            elif kind == "fan":
                 direction = draw(st.tuples(ticks, ticks))
                 scales = draw(st.lists(ticks, min_size=points,
                                        max_size=points))
@@ -350,6 +370,14 @@ class TestConflictKernel:
         assert count_intersections(biquad_trajectories) == \
             intersections[0]
         assert count_common_pathways(biquad_trajectories) == overlaps[0]
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_chunk_size_below_one_raises(self, chunk_size):
+        starts = np.zeros((2, 2, 2))
+        ends = np.ones((2, 2, 2))
+        with pytest.raises(TrajectoryError, match="chunk_size"):
+            conflict_counts_batch(starts, ends, np.array([0, 1]),
+                                  chunk_size=chunk_size)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_batch_raises(self, bad):
