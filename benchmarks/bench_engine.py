@@ -80,7 +80,7 @@ REQUIRED_KEYS = {
 #: the low-rank path is a different floating-point computation).
 FACTORED_RTOL = 1e-9
 
-#: Ceiling on the relative cost of the always-on profiling hooks over
+#: Ceiling on the relative cost of the always-on trace spans over
 #: a dictionary build (the serving acceptance bar).
 MAX_TELEMETRY_OVERHEAD = 0.02
 
@@ -268,16 +268,19 @@ def bench_size_sweep(sections_list, repeats):
     }
 
 
-def bench_telemetry_overhead(info, universe, grid, repeats):
-    """Dictionary build with profiling sinks attached vs detached.
+def bench_telemetry_overhead(info, universe, grid, pairs):
+    """Dictionary build with trace spans live vs suspended.
 
     The default instrumentation (installed on import of the runtime
-    layer) stays on for the instrumented leg; the bare leg detaches
-    every sink, so the hot paths skip their timestamps entirely.
-    Results are asserted identical -- observability must not change
-    the computation.
+    layer) stays on for the instrumented leg; the bare leg runs under
+    ``TRACER.suspended()``, where a span reads no clock and calls no
+    sink. The legs run in ``pairs`` back-to-back pairs whose order
+    alternates, and the overhead is the median of the per-pair time
+    ratios: each instrumented build is compared with the bare build
+    next to it, so machine drift between pairs and any first-run
+    penalty land on both legs alike. Results are asserted identical --
+    observability must not change the computation.
     """
-    from repro import profiling
     from repro.runtime import telemetry
 
     telemetry.install_default_instrumentation()
@@ -288,15 +291,28 @@ def bench_telemetry_overhead(info, universe, grid, repeats):
             input_source=info.input_source,
             engine=BatchedMnaEngine(info.circuit))
 
-    instrumented_s, instrumented = _best_of(repeats, build)
-    with profiling.suspended():
-        bare_s, bare = _best_of(repeats, build)
-    _assert_identical(instrumented, bare)
+    def bare():
+        with telemetry.TRACER.suspended():
+            return build()
+
+    legs = {"instrumented": build, "bare": bare}
+    times = {leg: [] for leg in legs}
+    results = {}
+    for pair in range(pairs):
+        order = ("instrumented", "bare") if pair % 2 == 0 \
+            else ("bare", "instrumented")
+        for leg in order:
+            started = time.perf_counter()
+            results[leg] = legs[leg]()
+            times[leg].append(time.perf_counter() - started)
+    _assert_identical(results["instrumented"], results["bare"])
+    ratios = np.divide(times["instrumented"], times["bare"])
     return {
         "points": int(np.asarray(grid).size),
-        "instrumented_s": instrumented_s,
-        "bare_s": bare_s,
-        "overhead_fraction": instrumented_s / bare_s - 1.0,
+        "pairs": pairs,
+        "instrumented_s": float(np.median(times["instrumented"])),
+        "bare_s": float(np.median(times["bare"])),
+        "overhead_fraction": float(np.median(ratios)) - 1.0,
     }
 
 
@@ -332,7 +348,7 @@ def run(quick: bool) -> dict:
             repeats=1 if quick else 2),
         "telemetry_overhead": bench_telemetry_overhead(
             info, universe, dense_grid,
-            repeats=5 if quick else 8),
+            pairs=30 if quick else 40),
         "notes": (
             "Scalar and batched paths are asserted bitwise-equal, the "
             "factored path within its scaled tolerance band, before "
@@ -441,10 +457,10 @@ def main(argv=None) -> int:
           f"({ga['speedup']:.2f}x)")
     overhead = report["telemetry_overhead"]
     print(f"telemetry overhead (dictionary build, "
-          f"{overhead['points']} pts): instrumented "
-          f"{overhead['instrumented_s'] * 1e3:.1f} ms, bare "
-          f"{overhead['bare_s'] * 1e3:.1f} ms "
-          f"({overhead['overhead_fraction']:+.2%})")
+          f"{overhead['points']} pts, {overhead['pairs']} pairs): "
+          f"instrumented {overhead['instrumented_s'] * 1e3:.1f} ms, "
+          f"bare {overhead['bare_s'] * 1e3:.1f} ms (median pair "
+          f"{overhead['overhead_fraction']:+.2%})")
     print(f"wrote {args.out}")
     if args.check:
         check(report)

@@ -26,7 +26,6 @@ if TYPE_CHECKING:  # avoid a core <-> runtime import cycle
     from ..runtime.batch import BatchDiagnoser
     from ..runtime.store import ArtifactStore
 
-from .. import profiling
 from ..circuits.library import CircuitInfo
 from ..diagnosis.classifier import Diagnosis, TrajectoryClassifier
 from ..diagnosis.evaluate import (
@@ -50,6 +49,7 @@ from ..ga.fitness import (
 )
 from ..sim.ac import FrequencyResponse
 from ..sim.engine import SimulationEngine, make_engine
+from ..tracing import TRACER
 from ..trajectory.mapping import SignatureMapper
 from ..trajectory.metrics import TrajectoryMetrics, evaluate_metrics
 from ..trajectory.trajectory import TrajectorySet
@@ -273,10 +273,9 @@ class FaultTrajectoryATPG:
         if dictionary is not None:
             cache_hits.append("dictionary")
         else:
-            with profiling.profiled("pipeline.dictionary",
-                                    circuit=self.info.circuit.name,
-                                    faults=len(universe),
-                                    points=int(grid.size)):
+            with TRACER.span("pipeline.dictionary",
+                             circuit=self.info.circuit.name,
+                             faults=len(universe), points=int(grid.size)):
                 dictionary = self._simulate_dictionary(universe, grid)
             if store:
                 store.save_dictionary("dictionary", dict_key, dictionary)
@@ -297,8 +296,8 @@ class FaultTrajectoryATPG:
             surface = ResponseSurface(dictionary)
             fitness = self.make_fitness(surface)
             ga = GeneticAlgorithm(space, fitness, self.config.ga)
-            with profiling.profiled("pipeline.ga_search",
-                                    circuit=self.info.circuit.name):
+            with TRACER.span("pipeline.ga_search",
+                             circuit=self.info.circuit.name):
                 ga_result = ga.run(seed=seed)
             if ga_key:
                 store.save_ga_result(ga_key, ga_result)
@@ -319,8 +318,8 @@ class FaultTrajectoryATPG:
         if exact is not None:
             cache_hits.append("exact")
         else:
-            with profiling.profiled("pipeline.exact",
-                                    circuit=self.info.circuit.name):
+            with TRACER.span("pipeline.exact",
+                             circuit=self.info.circuit.name):
                 exact = self._simulate_dictionary(
                     universe, np.array(sorted(test_vector), dtype=float))
             if store:
@@ -331,8 +330,8 @@ class FaultTrajectoryATPG:
         if trajectories is not None:
             cache_hits.append("trajectories")
         else:
-            with profiling.profiled("pipeline.trajectories",
-                                    circuit=self.info.circuit.name):
+            with TRACER.span("pipeline.trajectories",
+                             circuit=self.info.circuit.name):
                 trajectories = TrajectorySet.from_source(exact, mapper)
             if store:
                 store.save_trajectories(traj_key, trajectories)

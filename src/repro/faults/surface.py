@@ -15,13 +15,12 @@ five decades keeps the error far below the separations that matter).
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import profiling
 from ..errors import DictionaryError
+from ..tracing import TRACER
 from .dictionary import FaultDictionary
 from .models import GOLDEN_LABEL
 
@@ -73,29 +72,31 @@ class ResponseSurface:
         grid ends (consistent with FrequencyResponse interpolation).
         ``rows`` optionally restricts to a subset of row indices.
         """
-        sample_start = time.perf_counter() if profiling.enabled() else None
-        query = np.atleast_1d(np.asarray(freqs_hz, dtype=float))
-        if query.ndim != 1 or query.size == 0:
-            raise DictionaryError("need a non-empty 1-D frequency query")
-        if np.any(query <= 0.0):
-            raise DictionaryError("query frequencies must be positive")
-        log_q = np.clip(np.log10(query), self._log_f[0], self._log_f[-1])
-        # Bracketing indices + interpolation weights, shared by all rows.
-        upper = np.searchsorted(self._log_f, log_q, side="left")
-        upper = np.clip(upper, 1, self._log_f.size - 1)
-        lower = upper - 1
-        span = self._log_f[upper] - self._log_f[lower]
-        weight = np.where(span > 0.0,
-                          (log_q - self._log_f[lower]) / np.where(
-                              span > 0.0, span, 1.0),
-                          0.0)
-        matrix = self._matrix_db if rows is None else self._matrix_db[rows]
-        sampled = (matrix[:, lower] * (1.0 - weight) +
-                   matrix[:, upper] * weight)
-        if sample_start is not None:
-            profiling.profile_event(
-                "surface.sample", time.perf_counter() - sample_start,
-                rows=int(sampled.shape[0]), freqs=int(query.size))
+        with TRACER.span("surface.sample") as trace:
+            query = np.atleast_1d(np.asarray(freqs_hz, dtype=float))
+            if query.ndim != 1 or query.size == 0:
+                raise DictionaryError(
+                    "need a non-empty 1-D frequency query")
+            if np.any(query <= 0.0):
+                raise DictionaryError(
+                    "query frequencies must be positive")
+            log_q = np.clip(np.log10(query), self._log_f[0],
+                            self._log_f[-1])
+            # Bracketing indices + interpolation weights, shared by all rows.
+            upper = np.searchsorted(self._log_f, log_q, side="left")
+            upper = np.clip(upper, 1, self._log_f.size - 1)
+            lower = upper - 1
+            span = self._log_f[upper] - self._log_f[lower]
+            weight = np.where(span > 0.0,
+                              (log_q - self._log_f[lower]) / np.where(
+                                  span > 0.0, span, 1.0),
+                              0.0)
+            matrix = self._matrix_db if rows is None \
+                else self._matrix_db[rows]
+            sampled = (matrix[:, lower] * (1.0 - weight) +
+                       matrix[:, upper] * weight)
+            trace.attrs.update(rows=int(sampled.shape[0]),
+                               freqs=int(query.size))
         return sampled
 
     def golden_db(self, freqs_hz: Sequence[float] | np.ndarray

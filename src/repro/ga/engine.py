@@ -17,8 +17,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .. import profiling
 from ..errors import GAError
+from ..tracing import TRACER
 from .config import GAConfig
 from .encoding import FrequencySpace
 from .operators import (
@@ -196,8 +196,6 @@ class GeneticAlgorithm:
 
         generations_run = 0
         for generation in range(config.generations):
-            gen_start = time.perf_counter() if profiling.enabled() \
-                else None
             generations_run = generation + 1
             history.append(GenerationStats(
                 generation=generation,
@@ -213,18 +211,16 @@ class GeneticAlgorithm:
             if generation == config.generations - 1:
                 break  # last generation is evaluated, not reproduced
 
-            population = self._reproduce(population, scores, select, rng)
-            decoded, scores = self._evaluate(population)
+            with TRACER.span("ga.generation", generation=generation,
+                             population=int(population.shape[0])):
+                population = self._reproduce(population, scores, select,
+                                             rng)
+                decoded, scores = self._evaluate(population)
             evaluations += population.shape[0]
             generation_best = int(np.argmax(scores))
             if scores[generation_best] > best_fitness:
                 best_fitness = float(scores[generation_best])
                 best_genome = population[generation_best].copy()
-            if gen_start is not None:
-                profiling.profile_event(
-                    "ga.generation", time.perf_counter() - gen_start,
-                    generation=generation,
-                    population=int(population.shape[0]))
 
         elapsed = time.perf_counter() - started
         return GAResult(

@@ -22,10 +22,10 @@ Turns the paper reproduction into an engine fit for heavy traffic:
 * :mod:`repro.runtime.codec` -- the transport-agnostic JSON wire
   format those requests and responses ride on;
 * :mod:`repro.runtime.telemetry` -- the stdlib observability spine:
-  Prometheus-text metrics registry (``GET /v1/metrics``), trace spans
-  with contextvars propagation, request ids, and the profiling bridge
-  that turns :mod:`repro.profiling` events into engine/pipeline metric
-  families;
+  Prometheus-text metrics registry (``GET /v1/metrics``) and
+  :class:`ProfilingCollector`, the span sink that turns finished
+  engine/pipeline/GA/surface spans into metric families (spans and
+  request ids themselves live in :mod:`repro.tracing`);
 * :mod:`repro.runtime.cli` -- the ``repro-serve`` launcher (single
   process or spawned cluster).
 

@@ -223,16 +223,16 @@ class AsyncDiagnosisService:
     def warmed_circuits(self) -> Tuple[str, ...]:
         return self.service.warmed_circuits
 
+    # Both hops run on the default executor under a copy of the
+    # caller's context (asyncio.to_thread), so a cold build nests under
+    # the request's span and carries its request id.
     async def warm(self, circuit_name: str):
         """Warm a circuit without blocking the event loop."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.service.warm,
-                                          circuit_name)
+        return await asyncio.to_thread(self.service.warm, circuit_name)
 
     async def test_vector_hz(self, circuit_name: str) -> Tuple[float, ...]:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, self.service.test_vector_hz, circuit_name)
+        return await asyncio.to_thread(self.service.test_vector_hz,
+                                       circuit_name)
 
     # ------------------------------------------------------------------
     # Submission

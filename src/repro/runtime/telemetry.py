@@ -1,22 +1,19 @@
-"""Stdlib-only observability: metrics registry, trace spans, request IDs.
+"""Stdlib-only observability: metrics registry and the span sink.
 
-Three independent pieces, all shared by the serving stack:
+Two pieces, shared by the serving stack:
 
 * :class:`MetricsRegistry` -- counters, gauges and fixed-bucket
   histograms, all with optional labels, rendered in Prometheus text
   exposition format 0.0.4 (and parsed back by
   :func:`parse_exposition`, which the test suite and the CI smoke job
   use to validate scrapes).
-* :class:`Tracer` -- lightweight trace spans: a context-manager API on
-  monotonic clocks, parent/child nesting propagated through
-  :mod:`contextvars` (so the asyncio front gets correct trees without
-  explicit plumbing), and a bounded ring buffer of recently finished
-  root spans.  Request IDs ride the same context machinery and are
-  propagated over HTTP as ``X-Request-Id`` (see
-  :mod:`repro.runtime.server` / :mod:`repro.runtime.cluster`).
-* :class:`ProfilingCollector` -- the bridge from the low-level
-  :mod:`repro.profiling` event hooks (engine stamp/solve, pipeline
+* :class:`ProfilingCollector` -- a :data:`~repro.tracing.TRACER` sink
+  that turns finished hot-path spans (engine stamp/solve, pipeline
   stages, GA generations, surface sampling) into registry families.
+
+Spans and request IDs live in :mod:`repro.tracing` and are re-exported
+here; request IDs are propagated over HTTP as ``X-Request-Id`` (see
+:mod:`repro.runtime.server` / :mod:`repro.runtime.cluster`).
 
 Everything here is plain stdlib; no third-party client library.  A
 process-default :data:`REGISTRY` is instrumented at import so engine
@@ -27,15 +24,14 @@ per-service registries so concurrent services never share counters.
 from __future__ import annotations
 
 import bisect
-import contextvars
 import re
 import threading
-import time
-import uuid
-from collections import deque
-from contextlib import contextmanager
-from typing import (Callable, Deque, Dict, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
+
+from ..tracing import (TRACER, Span, Tracer, current_request_id,
+                       ensure_request_id, new_request_id,
+                       set_request_id)
 
 __all__ = [
     "Counter",
@@ -591,143 +587,18 @@ def render_families(families: Mapping[str, Mapping[str, object]]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Trace spans
-# ----------------------------------------------------------------------
-
-class Span:
-    """One timed operation; children nest via the tracer's contextvar."""
-
-    __slots__ = ("name", "attrs", "start", "duration_s", "children",
-                 "request_id")
-
-    def __init__(self, name: str, attrs: Dict[str, object],
-                 request_id: Optional[str]) -> None:
-        self.name = name
-        self.attrs = attrs
-        self.start = time.perf_counter()
-        self.duration_s: Optional[float] = None
-        self.children: List["Span"] = []
-        self.request_id = request_id
-
-    def finish(self) -> None:
-        self.duration_s = time.perf_counter() - self.start
-
-    def to_dict(self, _origin: Optional[float] = None) -> Dict[str, object]:
-        origin = self.start if _origin is None else _origin
-        payload: Dict[str, object] = {
-            "name": self.name,
-            "start_ms": round((self.start - origin) * 1e3, 3),
-            "duration_ms": round((self.duration_s or 0.0) * 1e3, 3),
-        }
-        if self.request_id:
-            payload["request_id"] = self.request_id
-        if self.attrs:
-            payload["attrs"] = dict(self.attrs)
-        if self.children:
-            payload["children"] = [child.to_dict(origin)
-                                   for child in self.children]
-        return payload
-
-
-class Tracer:
-    """Context-manager spans with a bounded ring of finished roots.
-
-    The current span rides a :mod:`contextvars.ContextVar`, so nesting
-    follows logical (task-local) context through the asyncio front:
-    concurrent requests build independent trees.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        self._current: "contextvars.ContextVar[Optional[Span]]" = \
-            contextvars.ContextVar("repro_current_span", default=None)
-        self._lock = threading.Lock()
-        self._recent: Deque[Span] = deque(maxlen=capacity)
-
-    @property
-    def capacity(self) -> int:
-        return self._recent.maxlen or 0
-
-    def current(self) -> Optional[Span]:
-        return self._current.get()
-
-    @contextmanager
-    def span(self, name: str, **attrs: object) -> Iterator[Span]:
-        parent = self._current.get()
-        node = Span(name, attrs, current_request_id())
-        token = self._current.set(node)
-        try:
-            yield node
-        finally:
-            node.finish()
-            self._current.reset(token)
-            if parent is not None:
-                parent.children.append(node)
-            else:
-                with self._lock:
-                    self._recent.append(node)
-
-    def recent(self, limit: Optional[int] = None) -> List[Dict[str, object]]:
-        """Most-recent finished root spans, newest last."""
-        with self._lock:
-            spans = list(self._recent)
-        if limit is not None:
-            spans = spans[-limit:]
-        return [span.to_dict() for span in spans]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._recent.clear()
-
-
-#: Process-default tracer (the serving layer records into this one).
-TRACER = Tracer()
-
-
-# ----------------------------------------------------------------------
-# Request IDs
-# ----------------------------------------------------------------------
-
-_REQUEST_ID: "contextvars.ContextVar[Optional[str]]" = \
-    contextvars.ContextVar("repro_request_id", default=None)
-
-_REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,128}$")
-
-
-def new_request_id() -> str:
-    return uuid.uuid4().hex
-
-
-def current_request_id() -> Optional[str]:
-    return _REQUEST_ID.get()
-
-
-def set_request_id(request_id: Optional[str]) -> None:
-    _REQUEST_ID.set(request_id)
-
-
-def ensure_request_id(candidate: Optional[str] = None) -> str:
-    """Adopt a well-formed inbound ID, else mint one; set the context."""
-    if candidate and _REQUEST_ID_RE.match(candidate):
-        request_id = candidate
-    else:
-        request_id = new_request_id()
-    _REQUEST_ID.set(request_id)
-    return request_id
-
-
-# ----------------------------------------------------------------------
-# Profiling bridge: repro.profiling events -> registry families
+# Span sink: finished hot-path spans -> registry families
 # ----------------------------------------------------------------------
 
 class ProfilingCollector:
-    """Subscribes to :mod:`repro.profiling` and fills metric families.
+    """A :data:`~repro.tracing.TRACER` sink that fills metric families.
 
-    Families (all prefixed ``repro_``):
+    Families (all prefixed ``repro_``), each fed by one span name:
 
     * ``repro_engine_stamp_seconds{engine}`` -- histogram of MNA
-      stamping (engine construction) wall time;
+      stamping (engine construction) wall time (``engine.stamp``);
     * ``repro_engine_solve_seconds{engine}`` -- histogram of
-      ``transfer_block`` wall time;
+      ``transfer_block`` wall time (``engine.solve``);
     * ``repro_engine_variants_solved_total{engine}`` /
       ``repro_engine_solve_chunks_total{engine}`` -- work counters;
     * ``repro_engine_lowrank_updates_total`` -- variants solved via
@@ -745,13 +616,13 @@ class ProfilingCollector:
     * ``repro_ga_generations_total`` / ``repro_ga_generation_seconds``;
     * ``repro_surface_samples_total`` / ``repro_surface_rows_total``.
 
-    Usable as a context manager for scoped collection into a private
-    registry (tests, benchmarks).
+    The four ``lowrank`` families read the factored engine's
+    ``engine.solve`` attributes.  Usable as a context manager for
+    scoped collection into a private registry (tests, benchmarks).
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self._installed = False
         self._stamp_seconds = registry.histogram(
             "repro_engine_stamp_seconds",
             "MNA stamp (engine construction) wall time.", ("engine",))
@@ -796,58 +667,56 @@ class ProfilingCollector:
             "Fault-variant rows sampled from response surfaces.")
 
     # -- sink -----------------------------------------------------------
-    def __call__(self, stage: str, seconds: float,
-                 meta: Mapping[str, object]) -> None:
-        if stage == "engine.solve":
-            engine = str(meta.get("engine", "unknown"))
+    def __call__(self, span: Span) -> None:
+        name, seconds, attrs = span.name, span.duration_s, span.attrs
+        if name == "engine.solve":
+            engine = str(attrs.get("engine", "unknown"))
             self._solve_seconds.labels(engine).observe(seconds)
-            variants = meta.get("variants")
+            variants = attrs.get("variants")
             if variants:
                 self._variants_total.labels(engine).inc(float(variants))
-            chunks = meta.get("chunks")
+            chunks = attrs.get("chunks")
             if chunks:
                 self._chunks_total.labels(engine).inc(float(chunks))
-        elif stage == "engine.stamp":
-            engine = str(meta.get("engine", "unknown"))
+            if "factor_seconds" in attrs:
+                self._observe_lowrank(attrs)
+        elif name == "engine.stamp":
+            engine = str(attrs.get("engine", "unknown"))
             self._stamp_seconds.labels(engine).observe(seconds)
-        elif stage == "engine.factor":
-            mode = str(meta.get("mode", "dense"))
-            self._lowrank_factor_seconds.labels(mode).observe(seconds)
-        elif stage == "engine.lowrank":
-            self._lowrank_update_seconds.observe(seconds)
-            updates = meta.get("updates")
-            if updates:
-                self._lowrank_updates_total.inc(float(updates))
-            for reason in ("conditioning", "rank", "nonfinite"):
-                count = meta.get(f"fallback_{reason}")
-                if count:
-                    self._lowrank_fallbacks_total.labels(reason) \
-                        .inc(float(count))
-        elif stage.startswith("pipeline."):
-            self._stage_seconds.labels(stage[len("pipeline."):]) \
+        elif name.startswith("pipeline."):
+            self._stage_seconds.labels(name[len("pipeline."):]) \
                 .observe(seconds)
-        elif stage == "ga.generation":
+        elif name == "ga.generation":
             self._generations_total.inc()
             self._generation_seconds.observe(seconds)
-        elif stage == "surface.sample":
+        elif name == "surface.sample":
             self._samples_total.inc()
-            rows = meta.get("rows")
+            rows = attrs.get("rows")
             if rows:
                 self._surface_rows_total.inc(float(rows))
 
+    def _observe_lowrank(self, attrs: Mapping[str, object]) -> None:
+        mode = str(attrs.get("mode", "dense"))
+        self._lowrank_factor_seconds.labels(mode).observe(
+            float(attrs["factor_seconds"]))
+        self._lowrank_update_seconds.observe(
+            float(attrs.get("update_seconds", 0.0)))
+        updates = attrs.get("updates")
+        if updates:
+            self._lowrank_updates_total.inc(float(updates))
+        for reason in ("conditioning", "rank", "nonfinite"):
+            count = attrs.get(f"fallback_{reason}")
+            if count:
+                self._lowrank_fallbacks_total.labels(reason) \
+                    .inc(float(count))
+
     # -- lifecycle ------------------------------------------------------
     def install(self) -> "ProfilingCollector":
-        from .. import profiling
-        if not self._installed:
-            profiling.add_profile_sink(self)
-            self._installed = True
+        TRACER.add_sink(self)
         return self
 
     def uninstall(self) -> None:
-        from .. import profiling
-        if self._installed:
-            profiling.remove_profile_sink(self)
-            self._installed = False
+        TRACER.remove_sink(self)
 
     def __enter__(self) -> "ProfilingCollector":
         return self.install()
@@ -860,7 +729,7 @@ _DEFAULT_COLLECTOR: Optional[ProfilingCollector] = None
 
 
 def install_default_instrumentation() -> ProfilingCollector:
-    """Wire the process-default :data:`REGISTRY` to the profiling hooks.
+    """Wire the process-default :data:`REGISTRY` to :data:`TRACER`.
 
     Idempotent; called at import so `/v1/metrics` always carries engine
     and pipeline families without explicit setup.

@@ -52,10 +52,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Protocol, \
 
 import numpy as np
 
-from .. import profiling
 from ..circuits.components import Component
 from ..circuits.netlist import Circuit
 from ..errors import SimulationError, SingularCircuitError
+from ..tracing import TRACER
 from ..units import TWO_PI, db
 from . import lowrank
 from .ac import ACAnalysis, FrequencyResponse, source_phasor
@@ -381,21 +381,17 @@ class ScalarMnaEngine:
         freqs = np.asarray(freqs_hz, dtype=float)
         if not variants:
             raise SimulationError("transfer_block needs >= 1 variant")
-        profiled = profiling.enabled()
-        start = time.perf_counter() if profiled else 0.0
-        values = np.empty((len(variants), freqs.size), dtype=complex)
-        labels = []
-        for index, spec in enumerate(variants):
-            circuit = self._variant_circuit(spec)
-            response = ACAnalysis(circuit, gmin=self.gmin).transfer(
-                output_node, freqs, input_source)
-            values[index] = response.values
-            labels.append(circuit.name)
-        if profiled:
-            profiling.profile_event(
-                "engine.solve", time.perf_counter() - start,
-                engine="scalar", variants=len(variants),
-                freqs=int(freqs.size), chunks=len(variants))
+        with TRACER.span("engine.solve", engine="scalar",
+                         freqs=int(freqs.size)) as span:
+            values = np.empty((len(variants), freqs.size), dtype=complex)
+            labels = []
+            for index, spec in enumerate(variants):
+                circuit = self._variant_circuit(spec)
+                response = ACAnalysis(circuit, gmin=self.gmin).transfer(
+                    output_node, freqs, input_source)
+                values[index] = response.values
+                labels.append(circuit.name)
+            span.attrs.update(variants=len(variants), chunks=len(variants))
         return ResponseBlock(freqs, values, labels, output_node)
 
 
@@ -412,63 +408,60 @@ class BatchedMnaEngine:
     LAPACK operation the scalar sweep performs).
     """
 
-    #: Profiling label for engine construction (``engine.stamp``).
+    #: Span label for engine construction (``engine.stamp``).
     _kind = "batched"
-    #: Profiling label for the dense ``transfer_block`` solve
+    #: Span label for the dense ``transfer_block`` solve
     #: (``engine.solve``); the factored subclass relabels its fallback
     #: calls so dashboards can tell main-path from fallback work.
     _dense_solve_kind = "batched"
 
     def __init__(self, circuit: Circuit, gmin: float = 0.0) -> None:
-        stamp_start = time.perf_counter() if profiling.enabled() else None
-        self._circuit = circuit
-        self.gmin = float(gmin)
-        self.system = MnaSystem(circuit, gmin=gmin)
-        # The assembled arrays (gmin already applied to _g's diagonal).
-        self._base_g = self.system.g_matrix
-        self._base_b = self.system.b_matrix
-        self._base_z_ac = self.system.rhs("ac")
-        # Per-component ordered stamp ops + per-entry contribution
-        # streams: entry -> [(component, op position), ...] in stamp
-        # order. Re-folding a stream with one component's values swapped
-        # reproduces a fresh assembly of that entry bitwise.
-        self._ops: Dict[str, ComponentOps] = {}
-        self._matrix_streams: Dict[Tuple[str, int, int],
-                                   List[Tuple[str, int]]] = {}
-        self._rhs_streams: Dict[Tuple[str, int],
-                                List[Tuple[str, int]]] = {}
-        # Per component: the distinct entries it touches and its stamp
-        # structure (entry sequence without values) for replacement
-        # validation -- both precomputed so per-variant patching only
-        # re-stamps and re-folds.
-        self._touched_matrix: Dict[str, Tuple[Tuple[str, int, int],
-                                              ...]] = {}
-        self._touched_rhs: Dict[str, Tuple[Tuple[str, int], ...]] = {}
-        self._structure: Dict[str, Tuple[tuple, tuple]] = {}
-        for component in circuit:
-            ops = self.system.component_ops(component)
-            self._ops[component.name] = ops
-            for position, (target, row, col, _) in \
-                    enumerate(ops.matrix_ops):
-                self._matrix_streams.setdefault(
-                    (target, row, col), []).append(
+        with TRACER.span("engine.stamp", engine=self._kind,
+                         circuit=circuit.name) as span:
+            self._circuit = circuit
+            self.gmin = float(gmin)
+            self.system = MnaSystem(circuit, gmin=gmin)
+            # The assembled arrays (gmin already applied to _g's diagonal).
+            self._base_g = self.system.g_matrix
+            self._base_b = self.system.b_matrix
+            self._base_z_ac = self.system.rhs("ac")
+            # Per-component ordered stamp ops + per-entry contribution
+            # streams: entry -> [(component, op position), ...] in stamp
+            # order. Re-folding a stream with one component's values swapped
+            # reproduces a fresh assembly of that entry bitwise.
+            self._ops: Dict[str, ComponentOps] = {}
+            self._matrix_streams: Dict[Tuple[str, int, int],
+                                       List[Tuple[str, int]]] = {}
+            self._rhs_streams: Dict[Tuple[str, int],
+                                    List[Tuple[str, int]]] = {}
+            # Per component: the distinct entries it touches and its stamp
+            # structure (entry sequence without values) for replacement
+            # validation -- both precomputed so per-variant patching only
+            # re-stamps and re-folds.
+            self._touched_matrix: Dict[str, Tuple[Tuple[str, int, int],
+                                                  ...]] = {}
+            self._touched_rhs: Dict[str, Tuple[Tuple[str, int], ...]] = {}
+            self._structure: Dict[str, Tuple[tuple, tuple]] = {}
+            for component in circuit:
+                ops = self.system.component_ops(component)
+                self._ops[component.name] = ops
+                for position, (target, row, col, _) in \
+                        enumerate(ops.matrix_ops):
+                    self._matrix_streams.setdefault(
+                        (target, row, col), []).append(
+                            (component.name, position))
+                for position, (target, row, _) in enumerate(ops.rhs_ops):
+                    self._rhs_streams.setdefault((target, row), []).append(
                         (component.name, position))
-            for position, (target, row, _) in enumerate(ops.rhs_ops):
-                self._rhs_streams.setdefault((target, row), []).append(
-                    (component.name, position))
-            matrix_structure = tuple(op[:3] for op in ops.matrix_ops)
-            rhs_structure = tuple(op[:2] for op in ops.rhs_ops)
-            self._structure[component.name] = (matrix_structure,
-                                               rhs_structure)
-            self._touched_matrix[component.name] = tuple(
-                dict.fromkeys(matrix_structure))
-            self._touched_rhs[component.name] = tuple(
-                dict.fromkeys(rhs_structure))
-        if stamp_start is not None:
-            profiling.profile_event(
-                "engine.stamp", time.perf_counter() - stamp_start,
-                engine=self._kind, circuit=circuit.name,
-                dim=self.system.dim)
+                matrix_structure = tuple(op[:3] for op in ops.matrix_ops)
+                rhs_structure = tuple(op[:2] for op in ops.rhs_ops)
+                self._structure[component.name] = (matrix_structure,
+                                                   rhs_structure)
+                self._touched_matrix[component.name] = tuple(
+                    dict.fromkeys(matrix_structure))
+                self._touched_rhs[component.name] = tuple(
+                    dict.fromkeys(rhs_structure))
+            span.attrs["dim"] = self.system.dim
 
     @property
     def circuit(self) -> Circuit:
@@ -615,70 +608,68 @@ class BatchedMnaEngine:
                           self._circuit[source_name])
             phasors[index] = source_phasor(source, source_name)
 
-        solve_start = time.perf_counter() if profiling.enabled() else None
-        chunks_solved = 0
-        s_all = 1j * TWO_PI * freqs
-        solutions = np.empty((num_variants, num_freqs, dim),
-                             dtype=complex)
-        bytes_per_matrix = 16 * dim * dim
-        chunk = max(1, int(_STACK_MEMORY_BUDGET // max(1,
-                                                       bytes_per_matrix)))
-        variants_per_chunk = max(1, chunk // num_freqs)
-        if variants_per_chunk > 1:
-            # Fused path: several whole variants per stacked solve.
-            for lo in range(0, num_variants, variants_per_chunk):
-                hi = min(lo + variants_per_chunk, num_variants)
-                count = (hi - lo) * num_freqs
-                stack = (g_stack[lo:hi, None, :, :] +
-                         s_all[None, :, None, None] *
-                         b_stack[lo:hi, None, :, :]).reshape(count, dim,
-                                                             dim)
-                rhs = np.ascontiguousarray(
-                    np.broadcast_to(z_stack[lo:hi, None, :, None],
-                                    (hi - lo, num_freqs, dim, 1))
-                ).reshape(count, dim, 1)
-                chunk_s = np.tile(s_all, hi - lo)
-                solved = self._solve_stack(
-                    stack, rhs, lambda k, lo=lo: labels[lo + k // num_freqs],
-                    chunk_s)
-                solutions[lo:hi] = solved.reshape(hi - lo, num_freqs,
-                                                  dim)
-                chunks_solved += 1
-        else:
-            # One variant at a time, frequencies chunked (the scalar
-            # sweep's own shape) -- for grids too large to fuse.
-            for index in range(num_variants):
-                rhs_row = z_stack[index]
-                for start in range(0, num_freqs, chunk):
-                    stop = min(start + chunk, num_freqs)
-                    s_values = s_all[start:stop]
-                    stack = (g_stack[index][None, :, :] +
-                             s_values[:, None, None] *
-                             b_stack[index][None, :, :])
-                    rhs = np.ascontiguousarray(np.broadcast_to(
-                        rhs_row[None, :, None],
-                        (stop - start, dim, 1)))
+        with TRACER.span("engine.solve", engine=self._dense_solve_kind,
+                         freqs=num_freqs) as span:
+            chunks_solved = 0
+            s_all = 1j * TWO_PI * freqs
+            solutions = np.empty((num_variants, num_freqs, dim),
+                                 dtype=complex)
+            bytes_per_matrix = 16 * dim * dim
+            chunk = max(1, int(_STACK_MEMORY_BUDGET //
+                               max(1, bytes_per_matrix)))
+            variants_per_chunk = max(1, chunk // num_freqs)
+            if variants_per_chunk > 1:
+                # Fused path: several whole variants per stacked solve.
+                for lo in range(0, num_variants, variants_per_chunk):
+                    hi = min(lo + variants_per_chunk, num_variants)
+                    count = (hi - lo) * num_freqs
+                    stack = (g_stack[lo:hi, None, :, :] +
+                             s_all[None, :, None, None] *
+                             b_stack[lo:hi, None, :, :]).reshape(
+                                 count, dim, dim)
+                    rhs = np.ascontiguousarray(
+                        np.broadcast_to(z_stack[lo:hi, None, :, None],
+                                        (hi - lo, num_freqs, dim, 1))
+                    ).reshape(count, dim, 1)
+                    chunk_s = np.tile(s_all, hi - lo)
                     solved = self._solve_stack(
-                        stack, rhs, lambda k, index=index: labels[index],
-                        s_values)
-                    solutions[index, start:stop] = solved
+                        stack, rhs,
+                        lambda k, lo=lo: labels[lo + k // num_freqs],
+                        chunk_s)
+                    solutions[lo:hi] = solved.reshape(hi - lo, num_freqs,
+                                                      dim)
                     chunks_solved += 1
+            else:
+                # One variant at a time, frequencies chunked (the scalar
+                # sweep's own shape) -- for grids too large to fuse.
+                for index in range(num_variants):
+                    rhs_row = z_stack[index]
+                    for start in range(0, num_freqs, chunk):
+                        stop = min(start + chunk, num_freqs)
+                        s_values = s_all[start:stop]
+                        stack = (g_stack[index][None, :, :] +
+                                 s_values[:, None, None] *
+                                 b_stack[index][None, :, :])
+                        rhs = np.ascontiguousarray(np.broadcast_to(
+                            rhs_row[None, :, None],
+                            (stop - start, dim, 1)))
+                        solved = self._solve_stack(
+                            stack, rhs, lambda k, index=index: labels[index],
+                            s_values)
+                        solutions[index, start:stop] = solved
+                        chunks_solved += 1
 
-        for index in range(num_variants):
-            if not np.all(np.isfinite(solutions[index])):
-                raise SingularCircuitError(
-                    f"{labels[index]}: non-finite solution in AC sweep")
+            for index in range(num_variants):
+                if not np.all(np.isfinite(solutions[index])):
+                    raise SingularCircuitError(
+                        f"{labels[index]}: non-finite solution in AC sweep")
 
-        out_index = self.system.node_index(output_node)
-        if out_index < 0:
-            values = np.zeros((num_variants, num_freqs), dtype=complex)
-        else:
-            values = solutions[:, :, out_index] / phasors[:, None]
-        if solve_start is not None:
-            profiling.profile_event(
-                "engine.solve", time.perf_counter() - solve_start,
-                engine=self._dense_solve_kind, variants=num_variants,
-                freqs=num_freqs, chunks=chunks_solved)
+            out_index = self.system.node_index(output_node)
+            if out_index < 0:
+                values = np.zeros((num_variants, num_freqs), dtype=complex)
+            else:
+                values = solutions[:, :, out_index] / phasors[:, None]
+            span.attrs.update(variants=num_variants, chunks=chunks_solved)
         return ResponseBlock(freqs, values, labels, output_node)
 
 
@@ -709,9 +700,8 @@ class FactoredMnaEngine(BatchedMnaEngine):
     via extra nominal columns at the touched RHS rows.
 
     Counters (``lowrank_updates``, ``lowrank_fallbacks``) accumulate
-    across calls and are mirrored to :mod:`repro.profiling` events
-    (``engine.factor``, ``engine.lowrank``, ``engine.solve``) for the
-    telemetry layer.
+    across calls; each call's counts, mode and per-stage factor/update
+    seconds are also attributes of its ``engine.solve`` span.
     """
 
     _kind = "factored"
@@ -797,162 +787,154 @@ class FactoredMnaEngine(BatchedMnaEngine):
                 freqs, np.zeros((num_variants, num_freqs),
                                 dtype=complex), labels, output_node)
 
-        profiled = profiling.enabled()
-        total_start = time.perf_counter() if profiled else 0.0
-        factor_seconds = 0.0
-        update_seconds = 0.0
-        chunks_solved = 0
+        with TRACER.span("engine.solve", engine="factored",
+                         freqs=num_freqs) as span:
+            factor_seconds = 0.0
+            update_seconds = 0.0
+            chunks_solved = 0
 
-        # Group low-rank variants by support signature so capacitance
-        # solves batch over (variants in group) x (frequency chunk);
-        # all deviations of one component share a signature.
-        identity_indices: List[int] = []
-        grouped: Dict[tuple, List[int]] = {}
-        for index in range(num_variants):
-            if index in fallback:
-                continue
-            delta = deltas[index]
-            if delta is None or delta.is_identity:
-                identity_indices.append(index)
-            else:
-                grouped.setdefault(delta.signature, []).append(index)
+            # Group low-rank variants by support signature so capacitance
+            # solves batch over (variants in group) x (frequency chunk);
+            # all deviations of one component share a signature.
+            identity_indices: List[int] = []
+            grouped: Dict[tuple, List[int]] = {}
+            for index in range(num_variants):
+                if index in fallback:
+                    continue
+                delta = deltas[index]
+                if delta is None or delta.is_identity:
+                    identity_indices.append(index)
+                else:
+                    grouped.setdefault(delta.signature, []).append(index)
 
-        union_rows: List[int] = sorted(
-            {row for signature in grouped for row in signature[0]} |
-            {row for signature in grouped for row in signature[2]})
-        cols_union: List[int] = sorted(
-            {col for signature in grouped for col in signature[1]})
-        union_pos = {row: i for i, row in enumerate(union_rows)}
-        cols_pos = {col: i for i, col in enumerate(cols_union)}
-        num_cols = len(union_rows)
+            union_rows: List[int] = sorted(
+                {row for signature in grouped for row in signature[0]} |
+                {row for signature in grouped for row in signature[2]})
+            cols_union: List[int] = sorted(
+                {col for signature in grouped for col in signature[1]})
+            union_pos = {row: i for i, row in enumerate(union_rows)}
+            cols_pos = {col: i for i, col in enumerate(cols_union)}
+            num_cols = len(union_rows)
 
-        prepared = []
-        for (rows, cols, rhs_rows), indices in grouped.items():
-            group_deltas = [deltas[i] for i in indices]
-            prepared.append((
-                np.asarray(indices, dtype=int),
-                np.asarray([union_pos[r] for r in rows], dtype=int),
-                np.asarray([cols_pos[c] for c in cols], dtype=int),
-                np.asarray([union_pos[r] for r in rhs_rows], dtype=int),
-                np.stack([d.delta_g for d in group_deltas]),
-                np.stack([d.delta_b for d in group_deltas]),
-                np.stack([d.rhs_delta for d in group_deltas])
-                if rhs_rows else None,
-                len(rows)))
+            prepared = []
+            for (rows, cols, rhs_rows), indices in grouped.items():
+                group_deltas = [deltas[i] for i in indices]
+                prepared.append((
+                    np.asarray(indices, dtype=int),
+                    np.asarray([union_pos[r] for r in rows], dtype=int),
+                    np.asarray([cols_pos[c] for c in cols], dtype=int),
+                    np.asarray([union_pos[r] for r in rhs_rows], dtype=int),
+                    np.stack([d.delta_g for d in group_deltas]),
+                    np.stack([d.delta_b for d in group_deltas]),
+                    np.stack([d.rhs_delta for d in group_deltas])
+                    if rhs_rows else None,
+                    len(rows)))
 
-        x_out = np.empty((num_variants, num_freqs), dtype=complex)
-        if prepared or identity_indices:
-            # Shared RHS: the stimulus vector plus one identity column
-            # per touched (matrix or RHS) row.
-            rhs_mat = np.zeros((dim, 1 + num_cols), dtype=complex)
-            rhs_mat[:, 0] = self._base_z_ac
-            for position, row in enumerate(union_rows):
-                rhs_mat[row, 1 + position] = 1.0
-            solver = self._nominal_solver()
-            s_all = 1j * TWO_PI * freqs
-            bytes_per_freq = 16 * dim * \
-                (dim if not solver.sparse else 4 * (1 + num_cols))
-            chunk = max(1, int(_STACK_MEMORY_BUDGET //
-                               max(1, bytes_per_freq)))
-            for start in range(0, num_freqs, chunk):
-                stop = min(start + chunk, num_freqs)
-                s_chunk = s_all[start:stop]
-                tick = time.perf_counter() if profiled else 0.0
-                solution = solver.solve(s_chunk, rhs_mat)
-                if profiled:
+            x_out = np.empty((num_variants, num_freqs), dtype=complex)
+            if prepared or identity_indices:
+                # Shared RHS: the stimulus vector plus one identity column
+                # per touched (matrix or RHS) row.
+                rhs_mat = np.zeros((dim, 1 + num_cols), dtype=complex)
+                rhs_mat[:, 0] = self._base_z_ac
+                for position, row in enumerate(union_rows):
+                    rhs_mat[row, 1 + position] = 1.0
+                solver = self._nominal_solver()
+                s_all = 1j * TWO_PI * freqs
+                bytes_per_freq = 16 * dim * \
+                    (dim if not solver.sparse else 4 * (1 + num_cols))
+                chunk = max(1, int(_STACK_MEMORY_BUDGET //
+                                   max(1, bytes_per_freq)))
+                for start in range(0, num_freqs, chunk):
+                    stop = min(start + chunk, num_freqs)
+                    s_chunk = s_all[start:stop]
+                    tick = time.perf_counter()
+                    solution = solver.solve(s_chunk, rhs_mat)
                     now = time.perf_counter()
                     factor_seconds += now - tick
                     tick = now
-                chunks_solved += 1
-                y0_out = solution[:, out_index, 0]
-                w_out = solution[:, out_index, 1:]
-                y0_cols = solution[:, cols_union, 0]
-                w_cols = solution[:, cols_union, 1:]
-                if identity_indices:
-                    x_out[identity_indices, start:stop] = y0_out
-                for indices, rowsel, colsel, rhssel, mg, mb, dz, \
-                        rank in prepared:
-                    if dz is not None:
-                        y0v_out = y0_out[None, :] + np.einsum(
-                            "vR,fR->vf", dz, w_out[:, rhssel])
-                        y0v_cols = y0_cols[None, :, colsel] + np.einsum(
-                            "vR,fcR->vfc", dz,
-                            w_cols[:, colsel][:, :, rhssel])
-                    else:
-                        y0v_out = y0_out[None, :]
-                        y0v_cols = y0_cols[None, :, colsel]
-                    if rank == 0:
-                        # Pure RHS update (stimulus replacement): the
-                        # matrix is nominal, no capacitance solve.
-                        x_out[indices, start:stop] = y0v_out
-                        continue
-                    m_block = mg[:, None, :, :] + \
-                        s_chunk[None, :, None, None] * mb[:, None, :, :]
-                    s_block = w_cols[:, colsel][:, :, rowsel]
-                    cap = np.eye(rank) + m_block @ s_block[None]
-                    finite = np.isfinite(cap).all(axis=(-2, -1))
-                    if not finite.all():
-                        cap[~finite] = np.eye(rank)
-                    smax, smin = lowrank.singular_bounds(cap)
-                    bad = ~finite | (smin * self.cond_limit <=
-                                     np.maximum(smax, 1.0))
-                    if bad.any():
-                        cap[bad] = np.eye(rank)
-                        for local in np.nonzero(bad.any(axis=1))[0]:
-                            fallback.setdefault(int(indices[local]),
-                                                "conditioning")
-                    rhs_small = m_block @ y0v_cols[..., None]
-                    t_small = lowrank.solve_capacitance(cap, rhs_small)
-                    corr = np.einsum("fr,vfr->vf", w_out[:, rowsel],
-                                     t_small)
-                    x_out[indices, start:stop] = y0v_out - corr
-                if profiled:
+                    chunks_solved += 1
+                    y0_out = solution[:, out_index, 0]
+                    w_out = solution[:, out_index, 1:]
+                    y0_cols = solution[:, cols_union, 0]
+                    w_cols = solution[:, cols_union, 1:]
+                    if identity_indices:
+                        x_out[identity_indices, start:stop] = y0_out
+                    for indices, rowsel, colsel, rhssel, mg, mb, dz, \
+                            rank in prepared:
+                        if dz is not None:
+                            y0v_out = y0_out[None, :] + np.einsum(
+                                "vR,fR->vf", dz, w_out[:, rhssel])
+                            y0v_cols = y0_cols[None, :, colsel] + np.einsum(
+                                "vR,fcR->vfc", dz,
+                                w_cols[:, colsel][:, :, rhssel])
+                        else:
+                            y0v_out = y0_out[None, :]
+                            y0v_cols = y0_cols[None, :, colsel]
+                        if rank == 0:
+                            # Pure RHS update (stimulus replacement): the
+                            # matrix is nominal, no capacitance solve.
+                            x_out[indices, start:stop] = y0v_out
+                            continue
+                        m_block = mg[:, None, :, :] + \
+                            s_chunk[None, :, None, None] * mb[:, None, :, :]
+                        s_block = w_cols[:, colsel][:, :, rowsel]
+                        cap = np.eye(rank) + m_block @ s_block[None]
+                        finite = np.isfinite(cap).all(axis=(-2, -1))
+                        if not finite.all():
+                            cap[~finite] = np.eye(rank)
+                        smax, smin = lowrank.singular_bounds(cap)
+                        bad = ~finite | (smin * self.cond_limit <=
+                                         np.maximum(smax, 1.0))
+                        if bad.any():
+                            cap[bad] = np.eye(rank)
+                            for local in np.nonzero(bad.any(axis=1))[0]:
+                                fallback.setdefault(int(indices[local]),
+                                                    "conditioning")
+                        rhs_small = m_block @ y0v_cols[..., None]
+                        t_small = lowrank.solve_capacitance(cap, rhs_small)
+                        corr = np.einsum("fr,vfr->vf", w_out[:, rowsel],
+                                         t_small)
+                        x_out[indices, start:stop] = y0v_out - corr
                     update_seconds += time.perf_counter() - tick
 
-        # A finite capacitance matrix can still overflow downstream;
-        # route any non-finite low-rank row to the dense path too.
-        for indices, *_ in prepared:
-            for index in indices:
-                index = int(index)
-                if index not in fallback and \
-                        not np.all(np.isfinite(x_out[index])):
-                    fallback[index] = "nonfinite"
+            # A finite capacitance matrix can still overflow downstream;
+            # route any non-finite low-rank row to the dense path too.
+            for indices, *_ in prepared:
+                for index in indices:
+                    index = int(index)
+                    if index not in fallback and \
+                            not np.all(np.isfinite(x_out[index])):
+                        fallback[index] = "nonfinite"
 
-        values = x_out / phasors[:, None]
-        fallback_indices = sorted(fallback)
-        if fallback_indices:
-            dense_block = BatchedMnaEngine.transfer_block(
-                self, output_node, freqs,
-                [variants[i] for i in fallback_indices], input_source)
-            values[fallback_indices] = dense_block.values
+            values = x_out / phasors[:, None]
+            fallback_indices = sorted(fallback)
+            if fallback_indices:
+                dense_block = BatchedMnaEngine.transfer_block(
+                    self, output_node, freqs,
+                    [variants[i] for i in fallback_indices], input_source)
+                values[fallback_indices] = dense_block.values
 
-        updates = sum(
-            1 for indices, *_ in prepared for index in indices
-            if int(index) not in fallback)
-        self.lowrank_updates += updates
-        reason_counts = {"conditioning": 0, "rank": 0, "nonfinite": 0}
-        for reason in fallback.values():
-            reason_counts[reason] += 1
-        for reason, count in reason_counts.items():
-            self.lowrank_fallbacks[reason] += count
+            updates = sum(
+                1 for indices, *_ in prepared for index in indices
+                if int(index) not in fallback)
+            self.lowrank_updates += updates
+            reason_counts = {"conditioning": 0, "rank": 0, "nonfinite": 0}
+            for reason in fallback.values():
+                reason_counts[reason] += 1
+            for reason, count in reason_counts.items():
+                self.lowrank_fallbacks[reason] += count
 
-        if profiled:
             solver = self._solver
-            profiling.profile_event(
-                "engine.factor", factor_seconds, engine="factored",
+            span.attrs.update(
+                variants=num_variants, chunks=chunks_solved,
                 mode="sparse" if solver is not None and solver.sparse
                 else "dense",
-                freqs=num_freqs, rhs_columns=1 + num_cols)
-            profiling.profile_event(
-                "engine.lowrank", update_seconds, engine="factored",
-                updates=updates, fallbacks=len(fallback),
+                rhs_columns=1 + num_cols, factor_seconds=factor_seconds,
+                update_seconds=update_seconds, updates=updates,
+                fallbacks=len(fallback),
                 fallback_conditioning=reason_counts["conditioning"],
                 fallback_rank=reason_counts["rank"],
                 fallback_nonfinite=reason_counts["nonfinite"])
-            profiling.profile_event(
-                "engine.solve", time.perf_counter() - total_start,
-                engine="factored", variants=num_variants,
-                freqs=num_freqs, chunks=chunks_solved)
         return ResponseBlock(freqs, values, labels, output_node)
 
 

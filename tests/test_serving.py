@@ -1162,6 +1162,41 @@ class TestTelemetryHTTP:
 
         asyncio.run(run())
 
+    def test_cold_build_nests_under_the_request_span(self):
+        """A cold ``GET /v1/test-vector`` builds inside its request's
+        context: the pipeline and engine spans hang under
+        ``http.request`` and carry the request id."""
+        from repro import DiagnosisService
+        cold = DiagnosisService(config=QUICK, seed=3)
+
+        async def run():
+            server = await serve(AsyncDiagnosisService(cold),
+                                 host="127.0.0.1", port=0)
+            host, port = server.address
+            try:
+                return await _http_full(
+                    host, port, "GET", "/v1/test-vector/rc_lowpass",
+                    extra_headers=[("X-Repro-Debug", "trace"),
+                                   ("X-Request-Id", "cold-1")])
+            finally:
+                await server.aclose()
+
+        status, _, payload = asyncio.run(run())
+        assert status == 200
+        trace = json.loads(payload)["trace"]
+        assert trace["name"] == "http.request"
+
+        def child(span, name):
+            (found,) = [c for c in span.get("children", ())
+                        if c["name"] == name]
+            return found
+
+        build = child(trace, "service.warm_build")
+        dictionary = child(build, "pipeline.dictionary")
+        solve = child(dictionary, "engine.solve")
+        assert solve["attrs"]["engine"] == "batched"
+        assert {build["request_id"], solve["request_id"]} == {"cold-1"}
+
     def test_json_access_log_lines(self, warm_service, caplog):
         async def run():
             front = AsyncDiagnosisService(warm_service,

@@ -1,4 +1,4 @@
-"""Telemetry spine: exposition conformance, tracing, profiling bridge.
+"""Telemetry spine: exposition conformance, tracing, span-to-metrics sink.
 
 The exposition tests pin Prometheus text format 0.0.4 details that
 real scrapers depend on -- label escaping, cumulative ``le`` buckets
@@ -10,11 +10,13 @@ cluster front and the CI smoke job use as a validator).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import math
 
 import pytest
 
-from repro import profiling
+import repro
+from repro import PipelineConfig, tracing
 from repro.runtime import telemetry
 from repro.runtime.telemetry import (DEFAULT_SECONDS_BUCKETS,
                                      MetricsRegistry,
@@ -22,6 +24,7 @@ from repro.runtime.telemetry import (DEFAULT_SECONDS_BUCKETS,
                                      parse_exposition,
                                      render_families,
                                      render_registries)
+from repro.tracing import TRACER
 
 
 # ----------------------------------------------------------------------
@@ -163,46 +166,86 @@ class TestExposition:
 # ----------------------------------------------------------------------
 class TestTracer:
     def test_spans_nest_and_record_duration(self):
-        tracer = Tracer(capacity=8)
+        tracer = Tracer()
         with tracer.span("outer", kind="request") as outer:
             with tracer.span("inner") as inner:
                 pass
         assert outer.children == [inner]
         assert inner.duration_s is not None
         assert inner.duration_s <= outer.duration_s
-        (tree,) = tracer.recent()
+        assert tracer.current() is None
+        tree = outer.to_dict()
         assert tree["name"] == "outer"
         assert tree["attrs"] == {"kind": "request"}
         assert tree["children"][0]["name"] == "inner"
         assert tree["children"][0]["duration_ms"] >= 0.0
 
-    def test_ring_buffer_is_bounded(self):
-        tracer = Tracer(capacity=3)
-        for index in range(5):
-            with tracer.span(f"s{index}"):
-                pass
-        names = [span["name"] for span in tracer.recent()]
-        assert names == ["s2", "s3", "s4"]
-
     def test_concurrent_tasks_get_separate_trees(self):
-        tracer = Tracer(capacity=8)
+        tracer = Tracer()
 
         async def worker(name):
-            with tracer.span(name):
+            with tracer.span(name) as root:
                 await asyncio.sleep(0)
                 with tracer.span(f"{name}.child"):
                     await asyncio.sleep(0)
+            return root
 
         async def run():
-            await asyncio.gather(worker("a"), worker("b"))
+            return await asyncio.gather(worker("a"), worker("b"))
 
-        asyncio.run(run())
-        roots = {span["name"]: span for span in tracer.recent()}
+        roots = {span.name: span.to_dict()
+                 for span in asyncio.run(run())}
         assert set(roots) == {"a", "b"}
         assert [c["name"] for c in roots["a"]["children"]] == \
             ["a.child"]
         assert [c["name"] for c in roots["b"]["children"]] == \
             ["b.child"]
+
+    def test_span_end_fires_each_sink_once(self):
+        tracer = Tracer()
+        events = []
+        sink = tracer.add_sink(events.append)
+        assert tracer.add_sink(sink) is sink      # idempotent
+        with tracer.span("pipeline.exact", circuit="rc") as outer:
+            with tracer.span("engine.solve") as inner:
+                pass
+        # Children end first; every span reaches the sink.
+        assert events == [inner, outer]
+        assert outer.duration_s >= 0.0
+        assert outer.attrs == {"circuit": "rc"}
+        tracer.remove_sink(sink)
+        with tracer.span("ignored"):
+            pass
+        assert len(events) == 2
+
+    def test_raising_span_fires_sinks_and_reraises(self):
+        tracer = Tracer()
+        events = []
+        tracer.add_sink(events.append)
+        with pytest.raises(RuntimeError, match="solver"):
+            with tracer.span("engine.solve", engine="batched"):
+                raise RuntimeError("solver")
+        (span,) = events
+        assert span.name == "engine.solve"
+        assert span.duration_s is not None
+        assert tracer.current() is None
+
+    def test_suspended_spans_are_idle(self):
+        tracer = Tracer()
+        events = []
+        tracer.add_sink(events.append)
+        with tracer.suspended():
+            with tracer.span("outer") as outer:
+                with tracer.span("inner") as inner:
+                    inner.attrs["chunks"] = 3
+                    inner.attrs.update(variants=4)
+                assert tracer.current() is None
+        assert outer is inner
+        assert not inner.attrs and inner.duration_s is None
+        assert events == []
+        with tracer.span("live"):
+            pass
+        assert [span.name for span in events] == ["live"]
 
     def test_request_id_validation(self):
         good = telemetry.ensure_request_id("req-1.A_2")
@@ -211,30 +254,47 @@ class TestTracer:
         # Injection attempts and garbage get replaced, not echoed.
         bad = telemetry.ensure_request_id("evil\r\nSet-Cookie: x")
         assert bad != "evil\r\nSet-Cookie: x"
-        assert telemetry._REQUEST_ID_RE.match(bad)
-        assert telemetry._REQUEST_ID_RE.match(telemetry.new_request_id())
+        assert tracing._REQUEST_ID_RE.match(bad)
+        assert tracing._REQUEST_ID_RE.match(telemetry.new_request_id())
         telemetry.set_request_id(None)
         assert telemetry.current_request_id() is None
 
 
 # ----------------------------------------------------------------------
-# Profiling bridge
+# Span sink: finished spans -> metric families
 # ----------------------------------------------------------------------
+def _collect(registry):
+    """A private tracer whose spans feed only ``registry``."""
+    tracer = Tracer()
+    tracer.add_sink(ProfilingCollector(registry))
+    return tracer
+
+
+def _histogram_count(families, name, **labels):
+    return sum(value for sample, sample_labels, value
+               in families[name]["samples"]
+               if sample.endswith("_count") and
+               all(sample_labels.get(k) == v for k, v in labels.items()))
+
+
 class TestProfilingBridge:
     def test_events_land_as_metric_families(self):
         registry = MetricsRegistry()
-        with ProfilingCollector(registry):
-            profiling.profile_event("engine.solve", 0.25,
-                                    engine="batched", variants=32,
-                                    freqs=100, chunks=4)
-            profiling.profile_event("engine.stamp", 0.01,
-                                    engine="batched")
-            profiling.profile_event("pipeline.dictionary", 1.5,
-                                    circuit="rc_lowpass")
-            profiling.profile_event("ga.generation", 0.02,
-                                    generation=0, population=30)
-            profiling.profile_event("surface.sample", 0.001,
-                                    rows=40, freqs=4)
+        tracer = _collect(registry)
+        with tracer.span("engine.solve", engine="batched", variants=32,
+                         freqs=100, chunks=4):
+            pass
+        with tracer.span("engine.stamp", engine="batched"):
+            pass
+        with tracer.span("pipeline.dictionary", circuit="rc_lowpass"):
+            pass
+        with tracer.span("ga.generation", generation=0, population=30):
+            pass
+        with tracer.span("surface.sample") as span:
+            span.attrs.update(rows=40, freqs=4)
+        # Spans outside the vocabulary (serving, HTTP) are ignored.
+        with tracer.span("http.request", method="GET"):
+            pass
         families = parse_exposition(registry.render())
         assert families["repro_engine_solve_seconds"]["type"] == \
             "histogram"
@@ -252,22 +312,20 @@ class TestProfilingBridge:
             [0][2] == 40
 
     def test_lowrank_events_land_as_metric_families(self):
-        """The factored engine's event vocabulary maps onto the
-        ``repro_engine_lowrank_*`` families, exposition-conformant."""
+        """The factored engine's ``engine.solve`` attributes map onto
+        the ``repro_engine_lowrank_*`` families, exposition-conformant."""
         registry = MetricsRegistry()
-        with ProfilingCollector(registry):
-            profiling.profile_event("engine.factor", 0.02,
-                                    engine="factored", mode="dense",
-                                    freqs=401, rhs_columns=5)
-            profiling.profile_event("engine.factor", 0.01,
-                                    engine="factored", mode="sparse",
-                                    freqs=401, rhs_columns=5)
-            profiling.profile_event("engine.lowrank", 0.005,
-                                    engine="factored", updates=36,
-                                    fallbacks=3,
-                                    fallback_conditioning=2,
-                                    fallback_rank=1,
-                                    fallback_nonfinite=0)
+        tracer = _collect(registry)
+        with tracer.span("engine.solve", engine="factored",
+                         variants=39, chunks=1, mode="dense",
+                         factor_seconds=0.02, update_seconds=0.005,
+                         updates=36, fallback_conditioning=2,
+                         fallback_rank=1, fallback_nonfinite=0):
+            pass
+        with tracer.span("engine.solve", engine="factored",
+                         variants=5, chunks=1, mode="sparse",
+                         factor_seconds=0.01, update_seconds=0.0):
+            pass
         families = parse_exposition(registry.render())
         assert families["repro_engine_lowrank_updates_total"] \
             ["samples"][0][2] == 36
@@ -281,81 +339,153 @@ class TestProfilingBridge:
                  families["repro_engine_lowrank_factor_seconds"]
                  ["samples"] if "mode" in labels}
         assert modes == {"dense", "sparse"}
-        counts = [value for name, _, value in
-                  families["repro_engine_lowrank_update_seconds"]
-                  ["samples"] if name.endswith("_count")]
-        assert sum(counts) == 1
+        # One update-stage observation per factored solve.
+        assert _histogram_count(
+            families, "repro_engine_lowrank_update_seconds") == 2
 
     def test_factored_engine_feeds_lowrank_metrics_end_to_end(self):
         """A real FactoredMnaEngine solve under the collector books
-        updates, a dense-mode factorisation and a factored solve."""
+        updates, a dense-mode factorisation, a factored solve and --
+        for a variant wider than ``max_rank`` -- the dense fallback."""
         import numpy as np
         from repro import FactoredMnaEngine, rc_lowpass
         from repro.sim import VariantSpec
         info = rc_lowpass()
         registry = MetricsRegistry()
-        engine = FactoredMnaEngine(info.circuit)
-        r1 = info.circuit["R1"]
+        # R1 (floating) stamps a rank-2 delta, C1 (grounded) rank 1:
+        # max_rank=1 routes R1 to the dense fallback.
+        engine = FactoredMnaEngine(info.circuit, max_rank=1)
+        r1, c1 = info.circuit["R1"], info.circuit["C1"]
         variants = (VariantSpec(name="nominal"),
                     VariantSpec((r1.with_value(r1.value * 1.2),),
-                                name="R1:+20%"))
+                                name="R1:+20%"),
+                    VariantSpec((c1.with_value(c1.value * 1.2),),
+                                name="C1:+20%"))
         with ProfilingCollector(registry):
-            engine.transfer_block(info.output_node,
-                                  np.array([100.0, 1000.0]), variants,
-                                  info.input_source)
+            for _ in range(2):
+                engine.transfer_block(info.output_node,
+                                      np.array([100.0, 1000.0]),
+                                      variants, info.input_source)
         families = parse_exposition(registry.render())
         assert families["repro_engine_lowrank_updates_total"] \
-            ["samples"][0][2] == 1
+            ["samples"][0][2] == 2
+        fallbacks = {labels["reason"]: value for _, labels, value in
+                     families["repro_engine_lowrank_fallbacks_total"]
+                     ["samples"]}
+        assert fallbacks == {"rank": 2}
         modes = {labels.get("mode") for _, labels, _ in
                  families["repro_engine_lowrank_factor_seconds"]
                  ["samples"]}
         assert "dense" in modes
-        engines = {labels["engine"] for _, labels, _ in
-                   families["repro_engine_solve_seconds"]["samples"]
-                   if "engine" in labels}
-        assert "factored" in engines
+        assert _histogram_count(families, "repro_engine_solve_seconds",
+                                engine="factored") == 2
+        assert _histogram_count(families, "repro_engine_solve_seconds",
+                                engine="factored_fallback") == 2
+        assert _histogram_count(
+            families, "repro_engine_lowrank_update_seconds") == 2
 
     def test_uninstall_detaches_the_sink(self):
         registry = MetricsRegistry()
         collector = ProfilingCollector(registry)
         collector.install()
         collector.uninstall()
-        profiling.profile_event("engine.stamp", 1.0, engine="scalar")
+        with TRACER.span("engine.stamp", engine="scalar"):
+            pass
         families = parse_exposition(registry.render())
-        counts = [value for name, _, value
-                  in families["repro_engine_stamp_seconds"]["samples"]
-                  if name.endswith("_count")]
-        assert sum(counts) == 0
+        assert _histogram_count(families,
+                                "repro_engine_stamp_seconds") == 0
 
     def test_sink_errors_never_reach_the_hot_path(self):
-        def broken(stage, seconds, meta):
+        tracer = Tracer()
+        events = []
+
+        def broken(span):
             raise RuntimeError("boom")
 
-        profiling.add_profile_sink(broken)
-        try:
-            profiling.profile_event("engine.stamp", 0.0,
-                                    engine="scalar")
-        finally:
-            profiling.remove_profile_sink(broken)
+        tracer.add_sink(broken)
+        tracer.add_sink(events.append)
+        with tracer.span("engine.stamp", engine="scalar"):
+            pass
+        # The broken sink is skipped; later sinks still see the span.
+        assert [span.name for span in events] == ["engine.stamp"]
 
     def test_default_instrumentation_is_installed(self):
-        # Importing repro.runtime.telemetry wires engine/pipeline
-        # events into the process registry exactly once.
+        # Importing repro.runtime.telemetry wires TRACER's hot-path
+        # spans into the process registry exactly once.
+        from repro import BatchedMnaEngine, rc_lowpass
         collector = telemetry.install_default_instrumentation()
         assert collector is telemetry.install_default_instrumentation()
-        assert profiling.enabled()
 
-    def test_profiled_context_manager_emits_once(self):
-        events = []
-        sink = profiling.add_profile_sink(
-            lambda stage, seconds, meta: events.append(
-                (stage, seconds, meta)))
-        try:
-            with profiling.profiled("pipeline.exact", circuit="rc"):
-                pass
-        finally:
-            profiling.remove_profile_sink(sink)
-        ((stage, seconds, meta),) = events
-        assert stage == "pipeline.exact"
-        assert seconds >= 0.0
-        assert meta == {"circuit": "rc"}
+        def stamps():
+            return _histogram_count(
+                parse_exposition(telemetry.REGISTRY.render()),
+                "repro_engine_stamp_seconds", engine="batched")
+
+        before = stamps()
+        BatchedMnaEngine(rc_lowpass().circuit)
+        assert stamps() == before + 1
+
+
+# ----------------------------------------------------------------------
+# Metric parity: observation counts per pipeline run
+# ----------------------------------------------------------------------
+#: Observations per family for ``repro.run("tow_thomas_biquad",
+#: PipelineConfig.paper(), seed=2005)`` on the default (batched)
+#: engine, recorded with the previous event-hook instrumentation.
+#: Histograms count observations; counters give their value.
+PAPER_BIQUAD_COUNTS = {
+    ("repro_engine_stamp_seconds", "batched"): 1,
+    ("repro_engine_solve_seconds", "batched"): 2,
+    ("repro_engine_solve_chunks_total", "batched"): 13,
+    ("repro_engine_variants_solved_total", "batched"): 114,
+    ("repro_engine_lowrank_updates_total", ""): 0,
+    ("repro_engine_lowrank_update_seconds", ""): 0,
+    ("repro_pipeline_stage_seconds", "dictionary"): 1,
+    ("repro_pipeline_stage_seconds", "ga_search"): 1,
+    ("repro_pipeline_stage_seconds", "exact"): 1,
+    ("repro_pipeline_stage_seconds", "trajectories"): 1,
+    ("repro_ga_generation_seconds", ""): 14,
+    ("repro_ga_generations_total", ""): 14,
+    ("repro_surface_samples_total", ""): 15,
+    ("repro_surface_rows_total", ""): 855,
+}
+
+#: The same run on ``engine="factored"``.
+PAPER_BIQUAD_FACTORED_COUNTS = {
+    **{key: value for key, value in PAPER_BIQUAD_COUNTS.items()
+       if "engine" not in key[0]},
+    ("repro_engine_stamp_seconds", "factored"): 1,
+    ("repro_engine_solve_seconds", "factored"): 2,
+    ("repro_engine_solve_chunks_total", "factored"): 2,
+    ("repro_engine_variants_solved_total", "factored"): 114,
+    ("repro_engine_lowrank_updates_total", ""): 112,
+    ("repro_engine_lowrank_update_seconds", ""): 2,
+    ("repro_engine_lowrank_factor_seconds", "dense"): 2,
+}
+
+
+def _observation_counts(registry):
+    """``{(family, label value): count}`` over the hot-path families."""
+    counts = {}
+    for name, family in parse_exposition(registry.render()).items():
+        for sample, labels, value in family["samples"]:
+            if family["type"] == "histogram":
+                if not sample.endswith("_count"):
+                    continue
+            label = "".join(labels.values())
+            counts[(name, label)] = int(value)
+    return counts
+
+
+class TestMetricParity:
+    @pytest.mark.parametrize("engine, expected", [
+        ("batched", PAPER_BIQUAD_COUNTS),
+        ("factored", PAPER_BIQUAD_FACTORED_COUNTS),
+    ], ids=["batched", "factored"])
+    def test_paper_run_observation_counts(self, engine, expected):
+        registry = MetricsRegistry()
+        config = dataclasses.replace(PipelineConfig.paper(),
+                                     engine=engine)
+        with ProfilingCollector(registry):
+            repro.run("tow_thomas_biquad", config, seed=2005)
+        assert _observation_counts(registry) == expected
