@@ -3,9 +3,9 @@
 Measures the two hot paths the ``repro.runtime`` subsystem
 industrialises:
 
-* **batch vs per-response classification** -- the vectorised
-  :class:`BatchDiagnoser` against a Python loop over
-  ``TrajectoryClassifier.classify_point`` on the same point batch;
+* **batch vs per-response classification** -- one vectorised
+  ``TrajectoryClassifier.classify_points`` call against a Python loop
+  of one-row ``classify_point`` calls on the same point batch;
 * **cold vs store-warmed pipeline runs** -- a full
   ``FaultTrajectoryATPG.run()`` against a repeat run served from a
   content-addressed :class:`ArtifactStore`.
@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro import FaultTrajectoryATPG, PipelineConfig
-from repro.runtime import ArtifactStore, BatchDiagnoser
+from repro.runtime import ArtifactStore
 from repro.viz import table, write_csv
 
 from _helpers import SEED, write_report
@@ -34,30 +34,29 @@ BATCH_SIZE = 2048
 
 @pytest.fixture(scope="module")
 def engine(cut):
-    """One quick pipeline run plus its batch diagnoser and a point
-    batch drawn around the trajectories (mixed on/off-trajectory)."""
+    """One quick pipeline run and a point batch drawn around its
+    trajectories (mixed on/off-trajectory)."""
     result = FaultTrajectoryATPG(cut, PipelineConfig.quick()).run(
         seed=SEED)
-    diagnoser = BatchDiagnoser(result.trajectories,
-                               golden=result.classifier.golden)
     rng = np.random.default_rng(SEED)
     vertices = np.vstack([t.points for t in result.trajectories])
     span = float(np.abs(vertices).max()) or 1.0
     base = vertices[rng.integers(0, vertices.shape[0], BATCH_SIZE)]
     points = base + rng.normal(scale=0.05 * span, size=base.shape)
-    return result, diagnoser, points
+    return result, points
 
 
 def bench_truntime_scalar_classify(benchmark, engine):
-    result, _, points = engine
+    result, points = engine
     diagnoses = benchmark(
         lambda: [result.classifier.classify_point(p) for p in points])
     assert len(diagnoses) == BATCH_SIZE
 
 
 def bench_truntime_batch_classify(benchmark, engine):
-    _, diagnoser, points = engine
-    diagnoses = benchmark(lambda: diagnoser.classify_points(points))
+    result, points = engine
+    diagnoses = benchmark(
+        lambda: result.classifier.classify_points(points))
     assert len(diagnoses) == BATCH_SIZE
 
 
@@ -75,14 +74,14 @@ def bench_truntime_store_warmed_run(benchmark, cut):
 
 def bench_truntime_summary(benchmark, engine, cut, out_dir):
     """One-shot throughput/speedup table for the report."""
-    result, diagnoser, points = engine
+    result, points = engine
 
     def measure():
         started = time.perf_counter()
         scalar = [result.classifier.classify_point(p) for p in points]
         scalar_s = time.perf_counter() - started
         started = time.perf_counter()
-        batched = diagnoser.classify_points(points)
+        batched = result.classifier.classify_points(points)
         batch_s = time.perf_counter() - started
         assert batched == scalar
 

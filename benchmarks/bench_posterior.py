@@ -73,20 +73,20 @@ def _best_of(repeats, func):
     return best
 
 
-def _measured_points(diagnoser, n_rows):
+def _measured_points(classifier, n_rows):
     """Signature points for golden-plus-noise request rows."""
-    golden_db = diagnoser._golden_sample_db()
+    golden_db = classifier._golden_sample_db()
     rng = np.random.default_rng(SEED)
     rows = golden_db[None, :] + rng.normal(
         0.0, 3.0, size=(n_rows, golden_db.shape[0]))
-    return diagnoser.signatures(rows)
+    return classifier.signatures(rows)
 
 
-def _assert_zero_tolerance_agrees(result, diagnoser, points):
+def _assert_zero_tolerance_agrees(result, classifier, points):
     """tolerance -> 0 must reproduce the hard classifier's argmax."""
     limit = PosteriorDiagnoser.from_atpg(
         result, PosteriorConfig(n_samples=2, tolerance=0.0, seed=SEED))
-    hard = diagnoser.classify_points(points)
+    hard = classifier.classify_points(points)
     soft = limit.diagnose_points(points)
     for row, (hard_one, soft_one) in enumerate(zip(hard, soft)):
         if hard_one.component != soft_one.component:
@@ -115,27 +115,27 @@ def run(quick: bool = False) -> dict:
                                    engine="factored")
     result = FaultTrajectoryATPG(get_benchmark(CIRCUIT),
                                  pipeline).run(seed=SEED)
-    diagnoser = result.batch_diagnoser()
+    classifier = result.classifier
 
     config = PosteriorConfig(n_samples=n_samples, seed=SEED)
     started = time.perf_counter()
     posterior = PosteriorDiagnoser.from_atpg(result, config)
     build_s = time.perf_counter() - started
 
-    points = _measured_points(diagnoser, batch_rows)
-    _assert_zero_tolerance_agrees(result, diagnoser, points)
+    points = _measured_points(classifier, batch_rows)
+    _assert_zero_tolerance_agrees(result, classifier, points)
     diagnoses = posterior.diagnose_points(points)
     _assert_bitwise_rebuild(result, config, diagnoses, points)
 
     # Warm both paths once, then time best-of-N.
-    diagnoser.classify_points(points[:1])
+    classifier.classify_points(points[:1])
     posterior.diagnose_points(points[:1])
     hard_single = _best_of(repeats,
-                           lambda: diagnoser.classify_points(points[:1]))
+                           lambda: classifier.classify_points(points[:1]))
     soft_single = _best_of(repeats,
                            lambda: posterior.diagnose_points(points[:1]))
     hard_batch = _best_of(repeats,
-                          lambda: diagnoser.classify_points(points))
+                          lambda: classifier.classify_points(points))
     soft_batch = _best_of(repeats,
                           lambda: posterior.diagnose_points(points))
 

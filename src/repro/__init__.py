@@ -93,7 +93,6 @@ from .faults import (
 from .runtime import (
     ArtifactStore,
     AsyncDiagnosisService,
-    BatchDiagnoser,
     CircuitRouter,
     ClusterService,
     DiagnosisHTTPServer,
@@ -234,7 +233,6 @@ __all__ = [
     "FamilySpec",
     "run_corpus",
     # runtime
-    "BatchDiagnoser",
     "ArtifactStore",
     "DiagnosisService",
     "ServiceStats",

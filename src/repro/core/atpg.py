@@ -23,7 +23,6 @@ from typing import (TYPE_CHECKING, FrozenSet, List, Optional, Sequence,
 import numpy as np
 
 if TYPE_CHECKING:  # avoid a core <-> runtime import cycle
-    from ..runtime.batch import BatchDiagnoser
     from ..runtime.store import ArtifactStore
 
 from ..circuits.library import CircuitInfo
@@ -104,34 +103,24 @@ class ATPGResult:
         """Diagnose a measured magnitude response."""
         return self.classifier.classify_response(response)
 
-    def batch_diagnoser(self) -> "BatchDiagnoser":
-        """Vectorised batch classifier over this result's trajectories.
-
-        Built lazily and memoised: the precomputed segment tensors are
-        shared by every subsequent :meth:`diagnose_many` call.
-        """
-        cached = getattr(self, "_batch_diagnoser", None)
-        if cached is None:
-            from ..runtime.batch import BatchDiagnoser
-            cached = BatchDiagnoser(self.trajectories,
-                                    golden=self.classifier.golden)
-            self._batch_diagnoser = cached
-        return cached
+    def batch_diagnoser(self) -> TrajectoryClassifier:
+        """The classifier, which classifies whole batches itself."""
+        return self.classifier
 
     def diagnose_many(self, responses) -> List[Diagnosis]:
         """Diagnose a batch of measured responses at once.
 
         Accepts a sequence of :class:`FrequencyResponse` objects or an
         (N, F) matrix of dB magnitudes sampled at the test vector (in
-        ascending-frequency order). Labels are bitwise-identical to
+        ascending-frequency order). Diagnoses are bitwise-identical to
         calling :meth:`diagnose_response` per response, but the
         projection runs as one vectorised NumPy operation.
         """
-        return self.batch_diagnoser().classify_responses(responses)
+        return self.classifier.classify_responses(responses)
 
     def diagnose_points(self, points: np.ndarray) -> List[Diagnosis]:
         """Batch version of :meth:`diagnose_point` ((N, D) array)."""
-        return self.batch_diagnoser().classify_points(points)
+        return self.classifier.classify_points(points)
 
     def evaluate(self, deviations: Sequence[float] = HELD_OUT_DEVIATIONS,
                  noise_db: float = 0.0, tolerance: float = 0.0,
@@ -145,8 +134,7 @@ class ATPGResult:
             tolerance=tolerance, repeats=repeats, seed=seed,
             engine=self.engine)
         return evaluate_classifier(self.classifier, cases,
-                                   groups=self.groups,
-                                   diagnoser=self.batch_diagnoser())
+                                   groups=self.groups)
 
     def report(self) -> str:
         """Human-readable run summary."""

@@ -79,6 +79,9 @@ class NearestNeighborClassifier:
             ranking=ranking,
         )
 
+    def classify_points(self, points: np.ndarray) -> List[Diagnosis]:
+        return [self.classify_point(point) for point in points]
+
     def _component_ranking(self, distances: np.ndarray
                            ) -> Tuple[Tuple[str, float], ...]:
         best = {}

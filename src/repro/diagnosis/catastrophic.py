@@ -14,7 +14,7 @@ point is closer to the observation than the best trajectory segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -129,6 +129,10 @@ class HybridClassifier:
         if self.bias * hard.distance < soft.distance:
             return hard
         return soft
+
+    def classify_points(self, points: np.ndarray
+                        ) -> List[Union[CatastrophicDiagnosis, Diagnosis]]:
+        return [self.classify_point(point) for point in points]
 
     def classify_response(self, response: FrequencyResponse
                           ) -> Union[CatastrophicDiagnosis, Diagnosis]:

@@ -17,22 +17,27 @@ the point where the unknown fault is."*
 4. the winning segment's trajectory names the faulty component, and the
    foot parameter interpolates the estimated deviation.
 
-The classifier works in any signature dimension.
+The classifier works in any signature dimension, and classifies a whole
+batch of points at once; a single point is a one-row batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import DiagnosisError
 from ..sim.ac import FrequencyResponse
-from ..trajectory.geometry import project_point_onto_segments
+from ..trajectory.geometry import Segments, project_points
 from ..trajectory.trajectory import TrajectorySet
 
-__all__ = ["Diagnosis", "TrajectoryClassifier"]
+__all__ = ["Diagnosis", "ResponseBatch", "TrajectoryClassifier"]
+
+#: What the response-batch entry points accept: a sequence of
+#: responses, or an (N, F) matrix of dB magnitudes at the test vector.
+ResponseBatch = Union[np.ndarray, Sequence[FrequencyResponse]]
 
 
 @dataclass(frozen=True)
@@ -73,67 +78,183 @@ class Diagnosis:
                 f"margin {self.margin:.4g}")
 
 
+def check_points(points: np.ndarray, dimension: int) -> np.ndarray:
+    """An ``(N, dimension)`` float batch of finite signature points.
+
+    A 1-D point is promoted to one row. Raises :class:`DiagnosisError`
+    on a wrong shape, and on a non-finite coordinate (naming the first
+    bad row): a NaN distance would otherwise win or lose every
+    comparison silently.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[None, :]
+    if points.ndim != 2 or points.shape[1] != dimension:
+        raise DiagnosisError(
+            f"expected an (N, {dimension}) point batch, got "
+            f"shape {points.shape}")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise DiagnosisError(
+            f"signature row {row} is not finite: {points[row].tolist()}")
+    return points
+
+
+def perpendicular_candidates(distances: np.ndarray, interior: np.ndarray
+                             ) -> Tuple[np.ndarray, np.ndarray]:
+    """The paper's candidate rule over the last (segment) axis.
+
+    Where any segment offers an interior perpendicular foot, only those
+    segments are candidates; otherwise every segment is, by endpoint
+    distance. Returns ``(candidates, has_perpendicular)``: the distances
+    with non-candidates at ``inf``, and the per-row flag.
+    """
+    has_perpendicular = np.any(interior, axis=-1)
+    masked = np.where(interior, distances, np.inf)
+    return (np.where(has_perpendicular[..., None], masked, distances),
+            has_perpendicular)
+
+
 class TrajectoryClassifier:
-    """Nearest-segment classifier over a trajectory set."""
+    """Nearest-segment classifier over a trajectory set.
+
+    Precomputes the flat segment arrays once, then classifies whole
+    ``(N, D)`` batches of signature points with one vectorised
+    projection, one masked argmin per row and one gather for the
+    deviation estimates. Every operation is row-independent, so a
+    batch answers bitwise what one-row calls answer.
+    """
 
     def __init__(self, trajectories: TrajectorySet,
                  golden: Optional[FrequencyResponse] = None) -> None:
         self.trajectories = trajectories
         self.golden = golden
         starts, ends, owners = trajectories.all_segments()
-        self._starts = starts
-        self._ends = ends
-        self._owners = owners
-        # Local segment index within the owning trajectory, per flat
-        # segment (deviation estimation needs the local index).
-        locals_: List[int] = []
-        for trajectory in trajectories:
-            locals_.extend(range(trajectory.num_segments))
-        self._local_index = np.array(locals_, dtype=int)
+        self._segments = Segments.of(starts, ends)
+        self._owners = owners                          # (S,)
+        # Deviation endpoints of every flat segment (vectorises
+        # FaultTrajectory.interpolate_deviation).
+        self._seg_dev0 = np.concatenate(
+            [t.deviations[:-1] for t in trajectories])     # (S,)
+        self._seg_dev1 = np.concatenate(
+            [t.deviations[1:] for t in trajectories])
+        self._components: Tuple[str, ...] = trajectories.components
+        # all_segments() stacks segments trajectory-by-trajectory, so
+        # owner groups are contiguous: reduceat offsets give exact
+        # per-trajectory distance minima.
+        counts = [t.num_segments for t in trajectories]
+        self._group_offsets = np.concatenate(
+            ([0], np.cumsum(counts)[:-1])).astype(int)
 
+    @property
+    def dimension(self) -> int:
+        return self.trajectories.dimension
+
+    # ------------------------------------------------------------------
+    # Signatures
+    # ------------------------------------------------------------------
+    def _require_golden(self) -> FrequencyResponse:
+        if self.golden is None:
+            raise DiagnosisError(
+                "classifier needs the golden response to map measured "
+                "responses; pass golden= at construction")
+        return self.golden
+
+    def _golden_sample_db(self) -> np.ndarray:
+        """Golden dB magnitudes at the mapper's test frequencies."""
+        freqs = np.array(self.trajectories.mapper.test_freqs_hz)
+        return np.atleast_1d(np.asarray(
+            self._require_golden().magnitude_db_at(freqs)))
+
+    def signatures_from_db(self, magnitudes_db: np.ndarray) -> np.ndarray:
+        """Signature points for an (N, F) matrix of dB magnitudes.
+
+        Each row holds the measured dB magnitudes at the mapper's test
+        frequencies, in ascending-frequency order -- the wire format a
+        measurement frontend produces without ever materialising
+        :class:`FrequencyResponse` objects.
+        """
+        mapper = self.trajectories.mapper
+        matrix = np.asarray(magnitudes_db, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[1] != mapper.dimension:
+            raise DiagnosisError(
+                f"expected an (N, {mapper.dimension}) magnitude matrix, "
+                f"got shape {matrix.shape}")
+        golden_db = self._golden_sample_db() \
+            if mapper.relative_to_golden else None
+        return mapper.signatures_from_db(matrix, golden_db)
+
+    def signatures(self, responses: ResponseBatch) -> np.ndarray:
+        """Signature points for any accepted response batch.
+
+        This is exactly the conversion :meth:`classify_responses`
+        applies before classification; it is exposed so callers that
+        coalesce several batches (the async serving front) can convert
+        each batch independently, concatenate the points and classify
+        once -- every operation is row-independent, so the result is
+        bitwise-identical to converting per batch.
+        """
+        if isinstance(responses, np.ndarray):
+            return self.signatures_from_db(responses)
+        mapper = self.trajectories.mapper
+        golden = self._require_golden() if mapper.relative_to_golden \
+            else None
+        return np.vstack([mapper.signature(response, golden)
+                          for response in responses])
+
+    # ------------------------------------------------------------------
+    # Classification
     # ------------------------------------------------------------------
     def classify_point(self, point: np.ndarray) -> Diagnosis:
         """Diagnose a signature-space point (the paper's (*) point)."""
         point = np.asarray(point, dtype=float)
-        if point.shape != (self.trajectories.dimension,):
+        if point.shape != (self.dimension,):
             raise DiagnosisError(
                 f"point has dimension {point.shape}, trajectories have "
-                f"{self.trajectories.dimension}")
-        distances, t_values, interior = project_point_onto_segments(
-            point, self._starts, self._ends)
+                f"{self.dimension}")
+        return self.classify_points(point[None, :])[0]
 
-        # Paper rule: segments with an interior perpendicular foot are
-        # preferred; endpoint-only proximity is the fallback.
-        if np.any(interior):
-            candidate_mask = interior
-            perpendicular = True
-        else:
-            candidate_mask = np.ones_like(interior, dtype=bool)
-            perpendicular = False
-        masked = np.where(candidate_mask, distances, np.inf)
-        winner = int(np.argmin(masked))
+    def classify_points(self, points: np.ndarray) -> List[Diagnosis]:
+        """Diagnose an (N, D) batch of signature-space points."""
+        points = check_points(points, self.dimension)
+        distances, t_clamped, interior = project_points(points,
+                                                        self._segments)
 
-        owner = int(self._owners[winner])
-        trajectory = self.trajectories.trajectories[owner]
-        deviation = trajectory.interpolate_deviation(
-            int(self._local_index[winner]), float(t_values[winner]))
+        candidates, has_perpendicular = perpendicular_candidates(
+            distances, interior)
+        winners = np.argmin(candidates, axis=1)                # (N,)
 
-        # Rank components over the *same* masked distances the winner
-        # was chosen from (in the endpoint fallback the mask is all-ones
-        # and ``masked == distances``). Ranking the raw distances
-        # instead let a non-candidate segment outrank the winner and
-        # drove the reported margin negative.
-        ranking = self._component_ranking(masked)
-        margin = self._margin(ranking, trajectory.component)
-        return Diagnosis(
-            component=trajectory.component,
-            estimated_deviation=deviation,
-            distance=float(distances[winner]),
-            perpendicular=perpendicular,
-            margin=margin,
-            point=tuple(float(x) for x in point),
-            ranking=ranking,
-        )
+        rows = np.arange(points.shape[0])
+        t_win = t_clamped[rows, winners]
+        dev0 = self._seg_dev0[winners]
+        deviations = dev0 + t_win * (self._seg_dev1[winners] - dev0)
+        win_distances = distances[rows, winners]
+        owners = self._owners[winners]
+
+        # Rank components over the *same* candidate distances the winner
+        # was chosen from: exact minima over the contiguous owner groups
+        # (non-candidate components rank at inf, margins stay >= 0).
+        per_component = np.minimum.reduceat(
+            candidates, self._group_offsets, axis=1)           # (N, T)
+        orders = np.argsort(per_component, axis=1, kind="stable")
+
+        diagnoses: List[Diagnosis] = []
+        for row in rows:
+            ranking = tuple((self._components[index],
+                             float(per_component[row, index]))
+                            for index in orders[row])
+            component = self._components[int(owners[row])]
+            diagnoses.append(Diagnosis(
+                component=component,
+                estimated_deviation=float(deviations[row]),
+                distance=float(win_distances[row]),
+                perpendicular=bool(has_perpendicular[row]),
+                margin=self._margin(ranking, component),
+                point=tuple(float(x) for x in points[row]),
+                ranking=ranking,
+            ))
+        return diagnoses
 
     def classify_response(self, response: FrequencyResponse) -> Diagnosis:
         """Diagnose a measured/simulated response.
@@ -141,31 +262,19 @@ class TrajectoryClassifier:
         Requires the classifier to have been built with the golden
         response when the mapper is golden-relative.
         """
-        mapper = self.trajectories.mapper
-        golden = self.golden if mapper.relative_to_golden else None
-        if mapper.relative_to_golden and golden is None:
-            raise DiagnosisError(
-                "classifier needs the golden response to map measured "
-                "responses; pass golden= at construction")
-        point = mapper.signature(response, golden)
-        return self.classify_point(point)
+        return self.classify_responses([response])[0]
+
+    def classify_responses(self, responses: ResponseBatch
+                           ) -> List[Diagnosis]:
+        """Diagnose a batch of measured responses.
+
+        Accepts either a sequence of :class:`FrequencyResponse` objects
+        or an (N, F) matrix of dB magnitudes sampled at the mapper's
+        test frequencies (see :meth:`signatures_from_db`).
+        """
+        return self.classify_points(self.signatures(responses))
 
     # ------------------------------------------------------------------
-    def _component_ranking(self, distances: np.ndarray
-                           ) -> Tuple[Tuple[str, float], ...]:
-        """Best candidate distance per component, ascending.
-
-        ``distances`` must be the candidate-masked array the winner was
-        picked from; components whose every segment is masked out rank
-        at ``inf``.
-        """
-        best: Dict[str, float] = {}
-        for index, trajectory in enumerate(self.trajectories.trajectories):
-            mask = self._owners == index
-            best[trajectory.component] = float(distances[mask].min())
-        ordered = sorted(best.items(), key=lambda item: item[1])
-        return tuple(ordered)
-
     @staticmethod
     def _margin(ranking: Tuple[Tuple[str, float], ...],
                 winner: str) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence, \
-    TYPE_CHECKING, Tuple
+    Tuple
 
 import numpy as np
 
@@ -29,10 +29,7 @@ from ..sim.engine import BatchedMnaEngine, SimulationEngine, VariantSpec
 from ..trajectory.mapping import SignatureMapper
 from ..trajectory.metrics import pairwise_separations
 from ..trajectory.trajectory import TrajectorySet
-from .classifier import Diagnosis, TrajectoryClassifier
-
-if TYPE_CHECKING:  # avoid a diagnosis <-> runtime import cycle
-    from ..runtime.batch import BatchDiagnoser
+from .classifier import Diagnosis
 
 __all__ = [
     "DiagnosisCase",
@@ -50,9 +47,9 @@ HELD_OUT_DEVIATIONS = (-0.35, -0.25, -0.15, 0.15, 0.25, 0.35)
 
 
 class PointClassifier(Protocol):
-    """Anything that can diagnose a signature point."""
+    """Anything that can diagnose an (N, D) batch of signature points."""
 
-    def classify_point(self, point: np.ndarray) -> Diagnosis: ...
+    def classify_points(self, points: np.ndarray) -> List[Diagnosis]: ...
 
 
 @dataclass(frozen=True)
@@ -257,35 +254,17 @@ def make_test_cases(info: CircuitInfo, mapper: SignatureMapper,
 
 def evaluate_classifier(classifier: PointClassifier,
                         cases: Sequence[DiagnosisCase],
-                        groups: Tuple[FrozenSet[str], ...] = (),
-                        diagnoser: Optional["BatchDiagnoser"] = None
+                        groups: Tuple[FrozenSet[str], ...] = ()
                         ) -> EvaluationResult:
     """Run every case through the classifier and aggregate.
 
-    A :class:`~repro.diagnosis.classifier.TrajectoryClassifier` is
-    automatically upgraded to a vectorised
-    :class:`~repro.runtime.batch.BatchDiagnoser`: the whole case suite
-    becomes one (N, D) classification call with identical diagnoses.
-    Pass ``diagnoser=`` to reuse a prebuilt one (e.g.
-    ``ATPGResult.batch_diagnoser()``); other classifiers fall back to
-    the per-point protocol.
+    The whole case suite is one ``(N, D)`` :meth:`classify_points` call.
     """
     if not cases:
         raise DiagnosisError("no cases to evaluate")
-    if diagnoser is None and type(classifier) is TrajectoryClassifier:
-        # Exact-type check: a subclass overriding classify_point must
-        # keep its per-point behaviour, not be silently vectorised.
-        from ..runtime.batch import BatchDiagnoser
-        diagnoser = BatchDiagnoser(classifier.trajectories,
-                                   golden=classifier.golden)
-    if diagnoser is not None:
-        points = np.vstack([case.point for case in cases])
-        diagnoses = diagnoser.classify_points(points)
-        results = [CaseResult(case, diagnosis)
-                   for case, diagnosis in zip(cases, diagnoses)]
-    else:
-        results = [CaseResult(case, classifier.classify_point(case.point))
-                   for case in cases]
+    points = np.vstack([case.point for case in cases])
+    results = [CaseResult(case, diagnosis) for case, diagnosis in
+               zip(cases, classifier.classify_points(points))]
     return EvaluationResult(results, groups)
 
 

@@ -59,9 +59,9 @@ from ..faults.models import ParametricFault
 from ..faults.universe import FaultUniverse
 from ..sim.engine import (EngineSpec, SimulationEngine, VariantSpec,
                           make_engine)
-from ..trajectory.geometry import _EPS
+from ..trajectory.geometry import Segments, project_points
 from ..trajectory.mapping import SignatureMapper
-from ..units import db_to_linear
+from .classifier import check_points, perpendicular_candidates
 
 __all__ = [
     "FAULT_FREE_LABEL",
@@ -387,8 +387,8 @@ class PosteriorDiagnoser:
         # golden-relative transform the hard classifier uses), per
         # world: row 0 is the world's fault-free anchor, rows 1.. its
         # fault anchors.
-        anchors = self._to_signature(mag_db[:, :, test_idx],
-                                     golden_db[test_idx])
+        anchors = mapper.signatures_from_db(mag_db[:, :, test_idx],
+                                            golden_db[test_idx])
         self._golden_points = anchors[0]                   # (M, D)
         self._assemble_segments(anchors)
 
@@ -396,7 +396,7 @@ class PosteriorDiagnoser:
         # frequency, for the information-gain quadrature: the fault-free
         # hypothesis pools its per-world responses, each component pools
         # its faults' responses across worlds.
-        cand = self._to_signature(mag_db, golden_db)       # (R, M, G)
+        cand = mapper.signatures_from_db(mag_db, golden_db)  # (R, M, G)
         floor = max(config.noise_db, _SIGMA_FLOOR)
         n_outcomes = len(self.component_labels)
         self._cand_mean = np.empty((n_outcomes, grid.size))
@@ -452,28 +452,11 @@ class PosteriorDiagnoser:
                 dev0.append(deviations[left])
                 dev1.append(deviations[left + 1])
         # (S, M, D) stacked -> (M, S, D) worlds-major for projection.
-        self._seg_starts = np.stack(starts, axis=1)        # (M, S, D)
-        self._seg_ends = np.stack(ends, axis=1)
+        self._segments = Segments.of(np.stack(starts, axis=1),
+                                     np.stack(ends, axis=1))
         self._seg_dev0 = np.array(dev0)                    # (S,)
         self._seg_dev1 = np.array(dev1)
         self._group_offsets = np.array(offsets, dtype=int)
-        direction = self._seg_ends - self._seg_starts
-        self._seg_direction = direction
-        self._seg_length_sq = np.sum(direction * direction, axis=2)
-        self._seg_safe = np.where(self._seg_length_sq > _EPS,
-                                  self._seg_length_sq, 1.0)
-
-    def _to_signature(self, db_values: np.ndarray,
-                      golden_db: np.ndarray) -> np.ndarray:
-        """Apply the mapper's scale / golden-relative transform."""
-        values = np.asarray(db_values, dtype=float)
-        golden = np.asarray(golden_db, dtype=float)
-        if self.mapper.scale != "db":
-            values = np.asarray(db_to_linear(values), dtype=float)
-            golden = np.asarray(db_to_linear(golden), dtype=float)
-        if self.mapper.relative_to_golden:
-            values = values - golden
-        return values
 
     # ------------------------------------------------------------------
     # Request path: deterministic NumPy against the cached tensors
@@ -494,13 +477,7 @@ class PosteriorDiagnoser:
         Every operation is row-independent, so coalesced batches are
         bitwise-identical to sequential single-row calls.
         """
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[None, :]
-        if points.ndim != 2 or points.shape[1] != self.dimension:
-            raise DiagnosisError(
-                f"expected an (N, {self.dimension}) point batch, got "
-                f"shape {points.shape}")
+        points = check_points(points, self.dimension)
 
         distances, deviations = self._surface_distances(points)
         # Importance weights: per world, a Gaussian noise kernel of the
@@ -534,35 +511,20 @@ class PosteriorDiagnoser:
         distance to component ``c``'s perturbed polyline (``inf`` when
         the world's perpendicular-foot rule excludes it) and the
         interpolated deviation of its nearest candidate segment. The
-        reductions mirror the hard classifier's batched projection, so
-        the zero-tolerance limit reproduces its decisions bitwise.
+        projection is the hard classifier's kernel over one segment set
+        per world, so the zero-tolerance limit reproduces its decisions
+        bitwise.
         """
-        # (N, M, S, D) projection onto every world's segments.
-        diff = points[:, None, None, :] - self._seg_starts[None, :, :, :]
-        t_raw = np.sum(diff * self._seg_direction[None, :, :, :],
-                       axis=3) / self._seg_safe[None, :, :]
-        t_raw = np.where(self._seg_length_sq[None, :, :] > _EPS,
-                         t_raw, 0.0)
-        interior = (t_raw > 0.0) & (t_raw < 1.0) & \
-            (self._seg_length_sq[None, :, :] > _EPS)
-        t_clamped = np.clip(t_raw, 0.0, 1.0)
-        closest = self._seg_starts[None, :, :, :] + \
-            t_clamped[:, :, :, None] * self._seg_direction[None, :, :, :]
-        delta = points[:, None, None, :] - closest
-        seg_dist = np.sqrt(
-            np.einsum("nmsd,nmsd->nms", delta, delta))     # (N, M, S)
+        seg_dist, t_clamped, interior = project_points(
+            points, self._segments)                        # (N, M, S)
 
-        # The paper rule per world: worlds with any interior foot
-        # restrict candidates to interior segments.
-        has_perpendicular = np.any(interior, axis=2)       # (N, M)
-        masked = np.where(interior, seg_dist, np.inf)
-        candidates = np.where(has_perpendicular[:, :, None], masked,
-                              seg_dist)
+        # The paper rule, per world.
+        candidates, _ = perpendicular_candidates(seg_dist, interior)
 
         seg_dev = self._seg_dev0[None, None, :] + t_clamped * \
             (self._seg_dev1 - self._seg_dev0)[None, None, :]
 
-        n_points, n_worlds = points.shape[0], self._seg_starts.shape[0]
+        n_points, n_worlds = points.shape[0], self._golden_points.shape[0]
         n_outcomes = len(self.component_labels)
         distances = np.empty((n_points, n_worlds, n_outcomes))
         deviations = np.zeros((n_points, n_worlds, n_outcomes))
@@ -655,15 +617,24 @@ class PosteriorDiagnoser:
     def diagnose_db(self, magnitudes_db: np.ndarray
                     ) -> List[PosteriorDiagnosis]:
         """Posteriors for an (N, F) matrix of measured dB magnitudes at
-        the mapper's test frequencies (standalone convenience; the
-        serving layer converts through its batch diagnoser instead so
-        hard and probabilistic tiers share one signature transform)."""
+        the mapper's test frequencies.
+
+        The rows go through the mapper's
+        :meth:`~SignatureMapper.signatures_from_db`, the one
+        dB-to-signature transform every tier uses, against a golden
+        response simulated at the test vector. The serving layer
+        instead converts rows with the hard classifier's
+        :meth:`~repro.diagnosis.classifier.TrajectoryClassifier.signatures`
+        (the same transform against the pipeline's exact golden
+        response), so both tiers of a served request see one point set.
+        """
         matrix = np.asarray(magnitudes_db, dtype=float)
         if matrix.ndim != 2 or matrix.shape[1] != self.dimension:
             raise DiagnosisError(
                 f"expected an (N, {self.dimension}) magnitude matrix, "
                 f"got shape {matrix.shape}")
-        points = self._to_signature(matrix, self._golden_test_db)
+        points = self.mapper.signatures_from_db(matrix,
+                                                self._golden_test_db)
         return self.diagnose_points(points)
 
     @property

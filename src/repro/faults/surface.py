@@ -103,17 +103,3 @@ class ResponseSurface:
                   ) -> np.ndarray:
         """Golden dB magnitude at the query frequencies, shape (n_freqs,)."""
         return self.sample_db(freqs_hz, rows=np.array([0]))[0]
-
-    def signatures(self, freqs_hz: Sequence[float] | np.ndarray,
-                   relative_to_golden: bool = True) -> np.ndarray:
-        """Signature vectors of every fault entry at the test frequencies.
-
-        Shape ``(n_faults, n_freqs)``. With ``relative_to_golden`` the
-        golden signature is subtracted, implementing the paper's
-        "golden behaviour as the origin" translation.
-        """
-        sampled = self.sample_db(freqs_hz)
-        fault_rows = sampled[1:]
-        if relative_to_golden:
-            return fault_rows - sampled[0][None, :]
-        return fault_rows

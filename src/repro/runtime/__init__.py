@@ -2,16 +2,15 @@
 
 Turns the paper reproduction into an engine fit for heavy traffic:
 
-* :mod:`repro.runtime.batch` -- :class:`BatchDiagnoser`, vectorised
-  many-at-once nearest-segment classification (bitwise-identical to the
-  scalar :class:`~repro.diagnosis.classifier.TrajectoryClassifier`);
 * :mod:`repro.runtime.store` -- :class:`ArtifactStore`, the
   content-addressed on-disk cache of dictionaries, GA results and
   trajectory sets keyed by the canonical problem statement, with
   ``disk_usage`` accounting and LRU ``prune``;
 * :mod:`repro.runtime.service` -- :class:`DiagnosisService`, the warm
   multi-circuit ``submit()``/``submit_many()`` facade with an engine
-  LRU and counters;
+  LRU and counters; each warmed engine answers hard requests with the
+  pipeline's :class:`~repro.diagnosis.classifier.TrajectoryClassifier`,
+  which classifies a whole ``(N, F)`` batch in one vectorised call;
 * :mod:`repro.runtime.server` -- :class:`AsyncDiagnosisService`, the
   awaitable coalescing front (micro-batching window, backpressure),
   plus a stdlib JSON-over-HTTP server (:func:`serve`) with persistent
@@ -34,7 +33,6 @@ serially in one process; the multi-core path is a replica cluster
 (``repro-serve --replicas N``).
 """
 
-from .batch import BatchDiagnoser
 from .cluster import (CircuitRouter, ClusterService, HTTPReplica,
                       InProcessReplica, Replica, SpawnedReplica)
 from .server import AsyncDiagnosisService, DiagnosisHTTPServer, serve
@@ -48,7 +46,6 @@ from .telemetry import (REGISTRY, TRACER, Counter, Gauge, Histogram,
                         parse_exposition, render_registries)
 
 __all__ = [
-    "BatchDiagnoser",
     "ArtifactStore",
     "StoreStats",
     "as_store",

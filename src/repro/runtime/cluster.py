@@ -49,10 +49,10 @@ from typing import (Awaitable, Callable, Dict, FrozenSet, Iterator,
                     List, Optional, Sequence, Set, Tuple, TypeVar)
 
 from ..circuits.library import BENCHMARK_CIRCUITS
+from ..diagnosis.classifier import ResponseBatch
 from ..errors import (ClusterError, ReplicaTimeoutError,
                       ReplicaUnavailableError, ServiceError)
 from . import codec, telemetry
-from .batch import ResponseBatch
 from .server import AsyncDiagnosisService, route_for
 
 __all__ = ["CircuitRouter", "Replica", "InProcessReplica",

@@ -3,10 +3,11 @@
 The paper's end goal is an online diagnoser: measured frequency
 responses arrive concurrently and must be classified against the
 fault-trajectory dictionary at interactive latency. Classification is
-throughput-bound (the batch diagnoser amortises its fixed NumPy cost
-over rows), so the win is *micro-batching*: concurrent requests for the
-same circuit and diagnosis mode are coalesced into one
-:meth:`~repro.runtime.batch.BatchDiagnoser.classify_points` call (or,
+throughput-bound (the trajectory classifier amortises its fixed NumPy
+cost over rows), so the win is *micro-batching*: concurrent requests for
+the same circuit and diagnosis mode are coalesced into one
+:meth:`~repro.diagnosis.classifier.TrajectoryClassifier.classify_points`
+call (or,
 in ``"posterior"`` mode, one
 :meth:`~repro.diagnosis.posterior.PosteriorDiagnoser.diagnose_points`
 call) and the results sliced back per request.
@@ -15,7 +16,7 @@ Equivalence guarantee
 ---------------------
 A coalesced flush converts every request to signature points with the
 same code path a lone ``submit`` uses
-(:meth:`BatchDiagnoser.signatures`), concatenates the points, and
+(:meth:`TrajectoryClassifier.signatures`), concatenates the points, and
 diagnoses them in one call. Both modes are row-independent, so each
 request's answers are **bitwise-identical** to what a sequential
 :meth:`DiagnosisService.submit` (or
@@ -51,10 +52,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..diagnosis.classifier import ResponseBatch
 from ..errors import (ClusterError, CodecError, ServiceError,
                       ServiceOverloadedError)
 from . import codec, telemetry
-from .batch import ResponseBatch
 from .service import DiagnosisService
 
 __all__ = ["AsyncDiagnosisService", "DiagnosisHTTPServer", "ROUTES",
@@ -379,7 +380,7 @@ class AsyncDiagnosisService:
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
-    def _stack_signatures(self, diagnoser, items: Sequence[_Pending]
+    def _stack_signatures(self, classifier, items: Sequence[_Pending]
                           ) -> Tuple[List[_Pending], Optional[np.ndarray]]:
         """Convert each live request to signature points and stack them.
 
@@ -394,7 +395,7 @@ class AsyncDiagnosisService:
         # the right width -- concatenate the raw rows and convert once.
         # signatures() is elementwise/row-independent, so this is
         # bitwise-identical to converting per request.
-        dimension = diagnoser.trajectories.mapper.dimension
+        dimension = classifier.dimension
         if len(live) > 1 and all(
                 isinstance(item.responses, np.ndarray)
                 and item.responses.dtype == np.float64
@@ -404,7 +405,7 @@ class AsyncDiagnosisService:
             raw = np.concatenate([item.responses for item in live],
                                  axis=0)
             try:
-                return live, diagnoser.signatures(raw)
+                return live, classifier.signatures(raw)
             except Exception as exc:     # noqa: BLE001 -- shared fault
                 # e.g. missing golden response: every request is
                 # equally affected.
@@ -415,7 +416,7 @@ class AsyncDiagnosisService:
         converted_live: List[_Pending] = []
         for item in live:
             try:
-                converted = diagnoser.signatures(item.responses)
+                converted = classifier.signatures(item.responses)
             except Exception as exc:     # noqa: BLE001 -- per-request fault
                 item.future.set_exception(exc)
                 continue
@@ -446,8 +447,8 @@ class AsyncDiagnosisService:
                     if not item.future.done():
                         item.future.set_exception(exc)
                 return
-            diagnoser, answer = kernel
-            live, stacked = self._stack_signatures(diagnoser, items)
+            classifier, answer = kernel
+            live, stacked = self._stack_signatures(classifier, items)
             if not live:
                 return
             try:

@@ -2,7 +2,7 @@
 
 :class:`DiagnosisService` is the shape the async/HTTP layer
 (:mod:`repro.runtime.server`) plugs into: it owns an LRU cache of warmed
-per-circuit engines (an ATPG run plus its batch diagnoser), loads
+per-circuit engines (an ATPG run and its trajectory classifier), loads
 artifacts through an optional :class:`~repro.runtime.store.ArtifactStore`
 so cold starts skip simulation, and answers
 ``submit(circuit_name, responses)`` requests with batched classification
@@ -17,7 +17,7 @@ Thread-safety contract:
 * every :class:`ServiceStats` mutation goes through ``record_*`` methods
   that hold the stats object's own lock, so counters stay exact under
   concurrent ``submit`` from any number of threads;
-* classification itself runs with no lock held (the batch diagnoser is
+* classification itself runs with no lock held (the classifier is
   read-only after construction).
 """
 
@@ -37,12 +37,12 @@ from ..circuits.library import BENCHMARK_CIRCUITS, CircuitInfo, \
     get_benchmark
 from ..core.atpg import ATPGResult, FaultTrajectoryATPG
 from ..core.config import PipelineConfig
-from ..diagnosis.classifier import Diagnosis
+from ..diagnosis.classifier import (Diagnosis, ResponseBatch,
+                                    TrajectoryClassifier)
 from ..diagnosis.posterior import (PosteriorConfig, PosteriorDiagnoser,
                                    PosteriorDiagnosis)
 from ..errors import ServiceError
 from . import telemetry
-from .batch import BatchDiagnoser, ResponseBatch
 from .store import ArtifactStore, as_store
 
 #: Anything ``DiagnosisService(store=...)`` accepts.
@@ -365,14 +365,14 @@ class ServiceStats:
 
 @dataclass
 class _Engine:
-    """One warmed circuit: the pipeline result + its batch diagnoser.
+    """One warmed circuit: the pipeline result + its classifier.
 
     ``posterior`` is the lazily built probabilistic tier (None until the
     first posterior request; guarded by the circuit's build lock).
     """
 
     result: ATPGResult
-    diagnoser: BatchDiagnoser
+    classifier: TrajectoryClassifier
     posterior: Optional[PosteriorDiagnoser] = None
 
 
@@ -518,8 +518,7 @@ class DiagnosisService:
                                        circuit=circuit_name):
                 result = FaultTrajectoryATPG(info, self.config).run(
                     seed=self.seed, store=self.store)
-            engine = _Engine(result=result,
-                             diagnoser=result.batch_diagnoser())
+            engine = _Engine(result=result, classifier=result.classifier)
             with self._lock:
                 self._engines[circuit_name] = engine
                 evicted = 0
@@ -545,7 +544,7 @@ class DiagnosisService:
         """
         started = time.perf_counter()
         engine = self._engine(circuit_name)
-        diagnoses = engine.diagnoser.classify_responses(responses)
+        diagnoses = engine.classifier.classify_responses(responses)
         elapsed = time.perf_counter() - started
         self.stats.record_request(circuit_name, len(diagnoses), elapsed)
         return diagnoses
@@ -558,7 +557,7 @@ class DiagnosisService:
         pairs (each ``responses`` as in :meth:`submit`). The burst is
         grouped by circuit, every circuit's rows are stacked, and
         exactly one
-        :meth:`~repro.runtime.batch.BatchDiagnoser.classify_points`
+        :meth:`TrajectoryClassifier.classify_points`
         call serves all of that circuit's requests -- the batched
         engine's fixed cost is paid once per *circuit*, not once per
         request. Returns one diagnosis list per request, in input
@@ -578,12 +577,12 @@ class DiagnosisService:
             by_circuit.setdefault(circuit_name, []).append(index)
         results: List[List[Diagnosis]] = [[] for _ in requests]
         for circuit_name, indices in by_circuit.items():
-            diagnoser = self._engine(circuit_name).diagnoser
-            points = [diagnoser.signatures(requests[index][1])
+            classifier = self._engine(circuit_name).classifier
+            points = [classifier.signatures(requests[index][1])
                       for index in indices]
             stacked = points[0] if len(points) == 1 \
                 else np.concatenate(points, axis=0)
-            diagnoses = diagnoser.classify_points(stacked)
+            diagnoses = classifier.classify_points(stacked)
             finished = time.perf_counter()
             offset = 0
             records: List[Tuple[int, float]] = []
@@ -608,12 +607,12 @@ class DiagnosisService:
         is answered with calibrated posterior fault probabilities and an
         information-gain ranking of candidate measurement frequencies
         instead of a single hard label. The signature transform is
-        shared with the hard tier (the engine's batch diagnoser), so
-        both tiers see identical points.
+        shared with the hard tier (the engine's classifier), so both
+        tiers see identical points.
         """
         started = time.perf_counter()
-        diagnoser, diagnose = self._kernel(circuit_name, "posterior")
-        results = diagnose(diagnoser.signatures(responses))
+        classifier, diagnose = self._kernel(circuit_name, "posterior")
+        results = diagnose(classifier.signatures(responses))
         elapsed = time.perf_counter() - started
         self.stats.record_posterior(
             circuit_name, [(len(results), elapsed)],
@@ -622,10 +621,10 @@ class DiagnosisService:
 
     def _kernel(self, circuit_name: str, mode: str, *,
                 build: bool = True
-                ) -> Optional[Tuple[BatchDiagnoser, Callable]]:
-        """The mode's ``(batch diagnoser, points -> answers)`` pair.
+                ) -> Optional[Tuple[TrajectoryClassifier, Callable]]:
+        """The mode's ``(classifier, points -> answers)`` pair.
 
-        Both modes share the diagnoser's ``signatures`` transform; the
+        Both modes share the classifier's ``signatures`` transform; the
         callable is ``classify_points`` (hard) or the posterior tier's
         ``diagnose_points``, the tier built at most once per warmed
         engine under the circuit's build lock. ``build=False`` (the
@@ -636,7 +635,7 @@ class DiagnosisService:
         if engine is None:
             return None
         if mode == "hard":
-            return engine.diagnoser, engine.diagnoser.classify_points
+            return engine.classifier, engine.classifier.classify_points
         if engine.posterior is None:
             if not build:
                 return None
@@ -654,7 +653,7 @@ class DiagnosisService:
                     self.stats.record_posterior_build(
                         circuit_name, posterior.samples_simulated,
                         time.perf_counter() - started)
-        return engine.diagnoser, engine.posterior.diagnose_points
+        return engine.classifier, engine.posterior.diagnose_points
 
     def _record_flush(self, circuit_name: str, mode: str,
                       request_latencies: Sequence[Tuple[int, float]],

@@ -21,8 +21,7 @@ def noisy_golden_rows(service, circuit: str, count: int,
     dB of seeded Gaussian noise per row -- the standard request shape
     the serving equivalence tests and throughput benchmarks drive.
     """
-    diagnoser = service._engine(circuit).diagnoser
-    golden_db = diagnoser._golden_sample_db()
+    golden_db = service._engine(circuit).classifier._golden_sample_db()
     rng = np.random.default_rng(seed)
     return golden_db[None, :] + rng.normal(
         0.0, 3.0, size=(count, golden_db.shape[0]))

@@ -13,6 +13,9 @@ Two families of primitives:
 * **n-D point/segment projection** -- diagnosis drops perpendiculars from
   an observed fault point onto trajectory segments; this works in any
   signature dimension, so the n-frequency extension reuses the same code.
+  :func:`project_points` is the one projection kernel: the hard
+  classifier, the posterior tier (one segment set per Monte-Carlo
+  world) and the separation metric all call it.
 
 All functions take plain numpy arrays: points are rows, segments are
 (start, end) row pairs.
@@ -33,6 +36,8 @@ __all__ = [
     "count_collinear_overlaps",
     "segment_crossing_matrix",
     "crossing_points",
+    "Segments",
+    "project_points",
     "project_point_onto_segments",
     "point_to_segments_distance",
     "polyline_arc_length",
@@ -180,20 +185,83 @@ def crossing_points(a_start: np.ndarray, a_end: np.ndarray,
     return np.vstack(points)
 
 
-def project_point_onto_segments(point: np.ndarray, starts: np.ndarray,
-                                ends: np.ndarray
-                                ) -> Tuple[np.ndarray, np.ndarray,
-                                           np.ndarray]:
-    """Perpendicular projection of one point onto many n-D segments.
+@dataclass(frozen=True)
+class Segments:
+    """Segment arrays precomputed once for :func:`project_points`.
 
-    Returns ``(distances, t_clamped, interior)`` each of shape (k,):
+    ``starts``/``ends``/``direction`` are ``(..., S, D)``; ``proper``
+    (squared length above the degeneracy threshold) and
+    ``safe_length_sq`` (squared length, 1 where degenerate) are
+    ``(..., S)``. Leading axes (e.g. one per Monte-Carlo world)
+    broadcast through the projection.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    direction: np.ndarray
+    proper: np.ndarray
+    safe_length_sq: np.ndarray
+    any_degenerate: bool
+
+    @classmethod
+    def of(cls, starts: np.ndarray, ends: np.ndarray) -> "Segments":
+        starts = np.asarray(starts, dtype=float)
+        ends = np.asarray(ends, dtype=float)
+        if starts.ndim < 2 or starts.shape != ends.shape:
+            raise TrajectoryError(
+                f"segment starts/ends must be matching (..., S, D) "
+                f"arrays, got {starts.shape} and {ends.shape}")
+        direction = ends - starts
+        length_sq = np.sum(direction * direction, axis=-1)
+        proper = length_sq > _EPS
+        return cls(starts, ends, direction, proper,
+                   np.where(proper, length_sq, 1.0),
+                   bool(not proper.all()))
+
+
+def _norm(delta: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("...d,...d->...", delta, delta))
+
+
+def project_points(points: np.ndarray, segments: Segments
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Perpendicular projection of N points onto many n-D segments.
+
+    ``points`` is ``(N, D)`` and ``segments`` holds ``(..., S, D)``
+    arrays. Returns ``(distances, t_clamped, interior)``, each of shape
+    ``(N, ..., S)``:
 
     * ``distances`` -- Euclidean distance to the closest point of each
       segment;
     * ``t_clamped`` -- segment parameter of that closest point in [0, 1];
     * ``interior`` -- True where the *unclamped* perpendicular foot falls
       strictly inside the segment (the paper's "a perpendicular exists").
+
+    A (near-)zero-length segment has no perpendicular foot; its closest
+    point is whichever of its two float endpoints is nearer, so the
+    projection distance never exceeds the distance to either endpoint.
     """
+    lead = segments.starts.ndim - 1
+    points = points.reshape(
+        (points.shape[0],) + (1,) * lead + (points.shape[1],))
+    diff = points - segments.starts                 # (N, ..., S, D)
+    t_raw = np.sum(diff * segments.direction, axis=-1) / \
+        segments.safe_length_sq
+    t_raw = np.where(segments.proper, t_raw, 0.0)
+    if segments.any_degenerate:
+        nearer_end = _norm(points - segments.ends) < _norm(diff)
+        t_raw = np.where(~segments.proper & nearer_end, 1.0, t_raw)
+    interior = (t_raw > 0.0) & (t_raw < 1.0) & segments.proper
+    t_clamped = np.clip(t_raw, 0.0, 1.0)
+    closest = segments.starts + t_clamped[..., None] * segments.direction
+    return _norm(points - closest), t_clamped, interior
+
+
+def project_point_onto_segments(point: np.ndarray, starts: np.ndarray,
+                                ends: np.ndarray
+                                ) -> Tuple[np.ndarray, np.ndarray,
+                                           np.ndarray]:
+    """:func:`project_points` for one point: three ``(k,)`` arrays."""
     point = np.asarray(point, dtype=float)
     starts = _as_points(starts, "starts")
     ends = _as_points(ends, "ends", starts.shape[1])
@@ -201,24 +269,9 @@ def project_point_onto_segments(point: np.ndarray, starts: np.ndarray,
         raise TrajectoryError(
             f"point dimension {point.shape} does not match segments "
             f"({starts.shape[1]})")
-    direction = ends - starts                       # (k, d)
-    length_sq = np.sum(direction * direction, axis=1)
-    safe = np.where(length_sq > _EPS, length_sq, 1.0)
-    t_raw = np.sum((point[None, :] - starts) * direction, axis=1) / safe
-    t_raw = np.where(length_sq > _EPS, t_raw, 0.0)
-    degenerate = length_sq <= _EPS
-    if np.any(degenerate):
-        # A (near-)zero-length segment still has two distinct float
-        # endpoints: snap to whichever is closer, so the projection
-        # distance never exceeds the distance to either endpoint.
-        nearer_end = (np.linalg.norm(point[None, :] - ends, axis=1) <
-                      np.linalg.norm(point[None, :] - starts, axis=1))
-        t_raw = np.where(degenerate & nearer_end, 1.0, t_raw)
-    interior = (t_raw > 0.0) & (t_raw < 1.0) & (length_sq > _EPS)
-    t_clamped = np.clip(t_raw, 0.0, 1.0)
-    closest = starts + t_clamped[:, None] * direction
-    distances = np.linalg.norm(point[None, :] - closest, axis=1)
-    return distances, t_clamped, interior
+    distances, t_clamped, interior = project_points(
+        point[None, :], Segments.of(starts, ends))
+    return distances[0], t_clamped[0], interior[0]
 
 
 def point_to_segments_distance(point: np.ndarray, starts: np.ndarray,

@@ -89,14 +89,37 @@ class SignatureMapper:
         return len(self.test_freqs_hz)
 
     # ------------------------------------------------------------------
-    # Single responses
+    # The dB-to-signature transform
     # ------------------------------------------------------------------
-    def _sample(self, response: FrequencyResponse) -> np.ndarray:
-        values_db = np.atleast_1d(np.asarray(
-            response.magnitude_db_at(np.array(self.test_freqs_hz))))
+    def _scaled(self, values_db: np.ndarray) -> np.ndarray:
+        values = np.asarray(values_db, dtype=float)
         if self.scale == "db":
-            return values_db
-        return np.asarray(db_to_linear(values_db), dtype=float)
+            return values
+        return np.asarray(db_to_linear(values), dtype=float)
+
+    def signatures_from_db(self, values_db: np.ndarray,
+                           golden_db: Optional[np.ndarray] = None
+                           ) -> np.ndarray:
+        """Signature points from dB magnitudes at the test frequencies.
+
+        The one dB-to-signature transform: ``values_db`` is any
+        ``(..., dimension)`` array, mapped to the mapper's scale and,
+        for a golden-relative mapper, shifted by the golden
+        ``golden_db`` (which broadcasts against ``values_db``; it is
+        ignored by an absolute mapper). The mapping is elementwise, so
+        each row's result does not depend on the other rows.
+        """
+        values = self._scaled(values_db)
+        if not self.relative_to_golden:
+            return values
+        if golden_db is None:
+            raise TrajectoryError(
+                "relative mapper needs the golden response")
+        return values - self._scaled(golden_db)
+
+    def _sample_db(self, response: FrequencyResponse) -> np.ndarray:
+        return np.atleast_1d(np.asarray(
+            response.magnitude_db_at(np.array(self.test_freqs_hz))))
 
     def signature(self, response: FrequencyResponse,
                   golden: Optional[FrequencyResponse] = None) -> np.ndarray:
@@ -104,13 +127,11 @@ class SignatureMapper:
 
         ``golden`` is required when ``relative_to_golden`` is set.
         """
-        point = self._sample(response)
-        if self.relative_to_golden:
-            if golden is None:
-                raise TrajectoryError(
-                    "relative mapper needs the golden response")
-            point = point - self._sample(golden)
-        return point
+        golden_db = None
+        if self.relative_to_golden and golden is not None:
+            golden_db = self._sample_db(golden)
+        return self.signatures_from_db(self._sample_db(response),
+                                       golden_db)
 
     # ------------------------------------------------------------------
     # Batched over a dictionary / surface
@@ -126,30 +147,17 @@ class SignatureMapper:
         the mapping lets population-level GA evaluation sample the
         surface once for many candidate vectors: a ``(1 + n_faults, K,
         dimension)`` block of K candidates maps to ``(n_faults, K,
-        dimension)`` signatures in one call (the mapping is elementwise,
-        so each candidate's values are those of its own call).
+        dimension)`` signatures in one call.
         """
         sampled_db = np.asarray(sampled_db, dtype=float)
-        golden_db = sampled_db[0]
-        faults_db = sampled_db[1:]
-        if self.scale == "db":
-            if self.relative_to_golden:
-                return faults_db - golden_db[None, :]
-            return faults_db
-        faults_lin = np.asarray(db_to_linear(faults_db), dtype=float)
-        if self.relative_to_golden:
-            golden_lin = np.asarray(db_to_linear(golden_db), dtype=float)
-            return faults_lin - golden_lin[None, :]
-        return faults_lin
+        return self.signatures_from_db(sampled_db[1:], sampled_db[0])
 
     def golden_signature_from_db(self, golden_db: np.ndarray) -> np.ndarray:
         """Golden point from its presampled dB magnitudes (one
         ``(dimension,)`` row, or ``(K, dimension)`` for K candidates)."""
         if self.relative_to_golden:
             return np.zeros(np.shape(golden_db))
-        if self.scale == "db":
-            return np.asarray(golden_db, dtype=float)
-        return np.asarray(db_to_linear(golden_db), dtype=float)
+        return self._scaled(golden_db)
 
     def signature_matrix(self, source: FaultDictionary | ResponseSurface
                          ) -> np.ndarray:
@@ -175,14 +183,11 @@ class SignatureMapper:
         """Golden point: the origin for a relative mapper."""
         if self.relative_to_golden:
             return np.zeros(self.dimension)
-        freqs = np.array(self.test_freqs_hz)
         if isinstance(source, ResponseSurface):
-            golden_db = source.golden_db(freqs)
-            if self.scale == "db":
-                return golden_db
-            return np.asarray(db_to_linear(golden_db), dtype=float)
+            return self._scaled(
+                source.golden_db(np.array(self.test_freqs_hz)))
         if isinstance(source, FaultDictionary):
-            return self._sample(source.golden)
+            return self._scaled(self._sample_db(source.golden))
         raise TrajectoryError(
             f"golden_signature expects a FaultDictionary or "
             f"ResponseSurface, got {type(source).__name__}")

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..errors import TrajectoryError
-from .geometry import _EPS
+from .geometry import _EPS, Segments, project_points
 from .trajectory import TrajectorySet
 
 __all__ = [
@@ -251,14 +251,7 @@ def _vertex_segment_distances(trajectories: TrajectorySet
     vertex_owner = np.concatenate(vertex_owner)
     is_origin = np.concatenate(is_origin)
 
-    direction = ends - starts                         # (S, d)
-    length_sq = np.sum(direction * direction, axis=1)  # (S,)
-    safe = np.where(length_sq > _EPS, length_sq, 1.0)
-    offset = points[:, None, :] - starts[None, :, :]   # (V, S, d)
-    t = np.einsum("vsd,sd->vs", offset, direction) / safe[None, :]
-    t = np.clip(np.where(length_sq[None, :] > _EPS, t, 0.0), 0.0, 1.0)
-    closest = starts[None, :, :] + t[:, :, None] * direction[None, :, :]
-    distances = np.linalg.norm(points[:, None, :] - closest, axis=2)
+    distances, _, _ = project_points(points, Segments.of(starts, ends))
 
     valid = (vertex_owner[:, None] != seg_owner[None, :]) & \
             (~is_origin)[:, None]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.diagnosis import TrajectoryClassifier
+from repro.diagnosis import Diagnosis, TrajectoryClassifier
 from repro.errors import DiagnosisError
 from repro.sim import ACAnalysis
 from repro.trajectory import (
@@ -11,6 +11,7 @@ from repro.trajectory import (
     SignatureMapper,
     TrajectorySet,
 )
+from repro.trajectory.geometry import _EPS
 
 
 def axis_trajectory(component, direction,
@@ -18,6 +19,63 @@ def axis_trajectory(component, direction,
     direction = np.asarray(direction, dtype=float)
     points = np.outer(np.asarray(deviations), direction)
     return FaultTrajectory(component, tuple(deviations), points)
+
+
+# ----------------------------------------------------------------------
+# Reference: the per-point classifier the batched kernel replaced, kept
+# verbatim (one projection per point, a Python ranking loop).
+# ----------------------------------------------------------------------
+def _reference_project(point, starts, ends):
+    direction = ends - starts
+    length_sq = np.sum(direction * direction, axis=1)
+    safe = np.where(length_sq > _EPS, length_sq, 1.0)
+    t_raw = np.sum((point[None, :] - starts) * direction, axis=1) / safe
+    t_raw = np.where(length_sq > _EPS, t_raw, 0.0)
+    degenerate = length_sq <= _EPS
+    if np.any(degenerate):
+        nearer_end = (np.linalg.norm(point[None, :] - ends, axis=1) <
+                      np.linalg.norm(point[None, :] - starts, axis=1))
+        t_raw = np.where(degenerate & nearer_end, 1.0, t_raw)
+    interior = (t_raw > 0.0) & (t_raw < 1.0) & (length_sq > _EPS)
+    t_clamped = np.clip(t_raw, 0.0, 1.0)
+    closest = starts + t_clamped[:, None] * direction
+    distances = np.linalg.norm(point[None, :] - closest, axis=1)
+    return distances, t_clamped, interior
+
+
+def reference_classify_point(trajectories, point):
+    """The paper's rule for one point, as the scalar classifier had it."""
+    point = np.asarray(point, dtype=float)
+    starts, ends, owners = trajectories.all_segments()
+    local_index = np.concatenate(
+        [np.arange(t.num_segments) for t in trajectories])
+    distances, t_values, interior = _reference_project(point, starts,
+                                                       ends)
+    perpendicular = bool(np.any(interior))
+    candidate_mask = interior if perpendicular \
+        else np.ones_like(interior, dtype=bool)
+    masked = np.where(candidate_mask, distances, np.inf)
+    winner = int(np.argmin(masked))
+    trajectory = trajectories.trajectories[int(owners[winner])]
+    deviation = trajectory.interpolate_deviation(
+        int(local_index[winner]), float(t_values[winner]))
+    best = {}
+    for index, member in enumerate(trajectories.trajectories):
+        best[member.component] = float(masked[owners == index].min())
+    ranking = tuple(sorted(best.items(), key=lambda item: item[1]))
+    others = [distance for component, distance in ranking
+              if component != trajectory.component]
+    margin = float(min(others) - best[trajectory.component]) if others \
+        else float("inf")
+    return Diagnosis(
+        component=trajectory.component,
+        estimated_deviation=deviation,
+        distance=float(distances[winner]),
+        perpendicular=perpendicular,
+        margin=margin,
+        point=tuple(float(x) for x in point),
+        ranking=ranking,
+    )
 
 
 @pytest.fixture()
@@ -90,6 +148,41 @@ class TestClassifyPoint:
         diagnosis = xy_classifier.classify_point(np.array([0.15, 0.02]))
         text = diagnosis.summary()
         assert "X" in text and "perpendicular" in text
+
+
+class TestDegenerateSegment:
+    """A zero-length segment snaps to its nearer endpoint in the batch
+    and one-row paths alike."""
+
+    @pytest.fixture()
+    def classifier(self):
+        mapper = SignatureMapper((100.0, 1000.0))
+        a = FaultTrajectory("A", (-0.2, 0.0, 0.1, 0.2), np.array(
+            [[-2.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0 + 1e-7, 1.0]]))
+        b = FaultTrajectory("B", (-0.2, 0.0, 0.2), np.array(
+            [[0.0, -2.0], [0.0, 0.0], [0.0, 0.5]]))
+        return TrajectoryClassifier(TrajectorySet(mapper, (a, b)))
+
+    def test_snaps_to_the_nearer_endpoint(self, classifier):
+        query = np.array([1.3 + 1e-7, 1.0])
+        expected = reference_classify_point(classifier.trajectories, query)
+        assert expected.component == "A"
+        assert expected.distance == pytest.approx(0.3, abs=1e-12)
+        assert expected.estimated_deviation == 0.2
+        assert classifier.classify_point(query) == expected
+        assert classifier.classify_points(query[None, :]) == [expected]
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_classify_point_names_the_row(self, xy_classifier, bad):
+        with pytest.raises(DiagnosisError, match="row 0 is not finite"):
+            xy_classifier.classify_point(np.array([bad, 0.1]))
+
+    def test_classify_points_names_the_first_bad_row(self, xy_classifier):
+        points = np.array([[0.1, 0.0], [0.0, np.nan], [np.nan, 0.0]])
+        with pytest.raises(DiagnosisError, match="row 1 is not finite"):
+            xy_classifier.classify_points(points)
 
 
 class TestPerpendicularPreference:
@@ -229,9 +322,71 @@ class TestMarginProperty:
         masked = dict(scalar.ranking)
         assert scalar.distance == min(masked.values())
 
-        batched = result.batch_diagnoser().classify_points(
-            point[None, :])[0]
+        batched = classifier.classify_points(point[None, :])[0]
         assert batched.margin >= 0.0
         assert batched.component == scalar.component
         assert batched.margin == pytest.approx(scalar.margin,
                                                rel=1e-9, abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Batched classification against the per-point reference
+# ----------------------------------------------------------------------
+@st.composite
+def trajectory_sets_and_points(draw):
+    """A random set in 1-3 dimensions plus query points.
+
+    Every trajectory passes through the origin. Optionally the first
+    trajectory ends in a zero-length segment. The queries mix vertices,
+    nudged vertices, nearby random points and far points (which mostly
+    have no perpendicular foot, exercising the endpoint fallback).
+    """
+    dim = draw(st.sampled_from((1, 2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    degenerate = draw(st.booleans())
+    members = []
+    for index in range(draw(st.integers(1, 4))):
+        n_neg = int(rng.integers(0, 3))
+        n_pos = int(rng.integers(0 if n_neg else 1, 3))
+        neg = -np.cumsum(rng.normal(size=(n_neg, dim)), axis=0)[::-1]
+        pos = np.cumsum(rng.normal(size=(n_pos, dim)), axis=0)
+        points = np.vstack([neg, np.zeros((1, dim)), pos])
+        deviations = [0.1 * k for k in range(-n_neg, n_pos + 1)]
+        if degenerate and index == 0:
+            nudge = np.zeros(dim)
+            nudge[0] = 1e-7
+            points = np.vstack([points, points[-1] + nudge])
+            deviations.append(deviations[-1] + 0.05)
+        members.append(FaultTrajectory(f"T{index}", tuple(deviations),
+                                       points))
+    mapper = SignatureMapper(tuple(100.0 * (k + 1) for k in range(dim)))
+    trajectories = TrajectorySet(mapper, tuple(members))
+    vertices = np.vstack([t.points for t in members])
+    queries = np.vstack([
+        vertices,
+        vertices + rng.normal(scale=0.01, size=vertices.shape),
+        rng.normal(scale=2.0, size=(8, dim)),
+        rng.normal(scale=50.0, size=(4, dim)),
+    ])
+    return trajectories, queries
+
+
+class TestBatchEqualsReference:
+    @settings(max_examples=150, deadline=None)
+    @given(trajectory_sets_and_points())
+    def test_classify_points_matches_reference(self, case):
+        trajectories, points = case
+        classifier = TrajectoryClassifier(trajectories)
+        batched = classifier.classify_points(points)
+        expected = [reference_classify_point(trajectories, point)
+                    for point in points]
+        if trajectories.dimension <= 2:
+            assert batched == expected
+        else:
+            # sqrt(einsum) and linalg.norm may round the last ulp of a
+            # 3-term sum differently; decisions must still agree.
+            assert [(d.component, d.perpendicular) for d in batched] == \
+                [(d.component, d.perpendicular) for d in expected]
+        for row, diagnosis in enumerate(batched):
+            assert classifier.classify_points(
+                points[row:row + 1])[0] == diagnosis

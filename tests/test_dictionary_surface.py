@@ -12,6 +12,7 @@ from repro.faults import (
     parametric_universe,
 )
 from repro.sim import ACAnalysis
+from repro.trajectory import SignatureMapper
 from repro.units import log_frequency_grid
 
 
@@ -119,11 +120,13 @@ class TestResponseSurface:
         assert np.allclose(low, at_edge)
 
     def test_signatures_relative(self, biquad_surface):
-        freqs = [500.0, 1500.0]
-        signatures = biquad_surface.signatures(freqs)
+        freqs = (500.0, 1500.0)
+        signatures = SignatureMapper(freqs).signature_matrix(
+            biquad_surface)
         assert signatures.shape == (56, 2)
-        absolute = biquad_surface.signatures(freqs,
-                                             relative_to_golden=False)
+        absolute = SignatureMapper(
+            freqs, relative_to_golden=False).signature_matrix(
+            biquad_surface)
         golden = biquad_surface.golden_db(np.array(freqs))
         assert np.allclose(signatures, absolute - golden[None, :])
 

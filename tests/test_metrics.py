@@ -17,7 +17,8 @@ from repro.trajectory import (
     min_separation,
     pairwise_separations,
 )
-from repro.trajectory.geometry import _EPS, _pairwise_orientations
+from repro.trajectory.geometry import (_EPS, _pairwise_orientations,
+                                       polyline_min_distance)
 from repro.trajectory.metrics import (
     _OVERLAP_EPS_SCALE,
     conflict_counts_batch,
@@ -145,6 +146,49 @@ class TestSeparations:
         single = make_set(straight_trajectory("A", 0.0))
         with pytest.raises(Exception):
             pairwise_separations(single)
+
+
+def _degenerate_set():
+    """A is one 1e-7-long segment ending at its golden vertex (skipped
+    as a query point). B's first vertex is 0.3 from that golden vertex
+    and 0.3 + 1e-7 from A's other one, so only the snap to the nearer
+    endpoint finds 0.3."""
+    a = FaultTrajectory("A", (-0.1, 0.0), np.array(
+        [[1.0, 1.0], [1.0 + 1e-7, 1.0]]))
+    b = FaultTrajectory("B", (-0.1, 0.0), np.array(
+        [[1.3 + 1e-7, 1.0], [1.3 + 1e-7, 5.0]]))
+    return make_set(a, b)
+
+
+class TestSeparationsMatchPolylines:
+    """The vectorised vertex-to-segment matrix equals the per-vertex
+    polyline distance (origin vertices skipped as query points)."""
+
+    @staticmethod
+    def _polyline_oracle(trajectories):
+        members = trajectories.trajectories
+        return {
+            (a.component, b.component): polyline_min_distance(
+                a.points, b.points, skip_a=a.vertex_is_origin(),
+                skip_b=b.vertex_is_origin())
+            for index, a in enumerate(members)
+            for b in members[index + 1:]}
+
+    def test_star(self):
+        star = make_set(straight_trajectory("A", 0.0),
+                        straight_trajectory("B", 90.0),
+                        straight_trajectory("C", 30.0, dim=2))
+        assert pairwise_separations(star) == self._polyline_oracle(star)
+
+    def test_biquad(self, biquad_trajectories):
+        assert pairwise_separations(biquad_trajectories) == \
+            self._polyline_oracle(biquad_trajectories)
+
+    def test_degenerate_segment_snaps_to_nearer_endpoint(self):
+        degenerate = _degenerate_set()
+        separations = pairwise_separations(degenerate)
+        assert separations == self._polyline_oracle(degenerate)
+        assert separations[("A", "B")] == pytest.approx(0.3, abs=1e-12)
 
 
 class TestEvaluateMetrics:

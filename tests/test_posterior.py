@@ -68,13 +68,13 @@ class TestZeroToleranceLimit:
         posterior = PosteriorDiagnoser.from_atpg(
             result, PosteriorConfig(n_samples=2, tolerance=0.0,
                                     seed=11))
-        diagnoser = result.batch_diagnoser()
+        classifier = result.classifier
         cases = [(component, deviation)
                  for component in result.info.faultable
                  for deviation in HELD_OUT]
         rows = _measured_rows(result, cases)
-        points = diagnoser.signatures(rows)
-        hard = diagnoser.classify_points(points)
+        points = classifier.signatures(rows)
+        hard = classifier.classify_points(points)
         soft = posterior.diagnose_points(points)
         for case, hard_one, soft_one in zip(cases, hard, soft):
             assert soft_one.component == hard_one.component, case
@@ -152,6 +152,13 @@ class TestPosteriorSanity:
         single = [posterior.diagnose_db(rows[index:index + 1])[0]
                   for index in range(rows.shape[0])]
         assert batched == single
+
+    def test_non_finite_point_names_the_row(self, sampled):
+        _, posterior = sampled
+        points = np.zeros((3, posterior.dimension))
+        points[2, 0] = np.nan
+        with pytest.raises(DiagnosisError, match="row 2 is not finite"):
+            posterior.diagnose_points(points)
 
 
 class TestPosteriorConfig:

@@ -16,7 +16,7 @@ import pytest
 from repro import ArtifactStore, DiagnosisService, PipelineConfig, \
     rc_lowpass
 from repro.core.atpg import FaultTrajectoryATPG
-from repro.errors import ServiceError
+from repro.errors import DiagnosisError, ServiceError
 from repro.ga import GAConfig
 from repro.runtime.service import ServiceStats
 from repro.sim import ACAnalysis
@@ -69,6 +69,14 @@ class TestServiceRequests:
     def test_unknown_circuit_rejected(self, service):
         with pytest.raises(ServiceError):
             service.submit("not_a_circuit", np.zeros((1, 2)))
+
+    def test_non_finite_rows_rejected(self, service):
+        """An in-process ndarray skips the codec's finite check; the
+        classifier still refuses it, naming the row."""
+        rows = np.zeros((2, 2))
+        rows[1, 1] = np.nan
+        with pytest.raises(DiagnosisError, match="row 1 is not finite"):
+            service.submit("rc_lowpass", rows)
 
     def test_counters_accumulate(self, service):
         info = rc_lowpass()
