@@ -53,7 +53,6 @@ import numpy as np
 from repro import (
     BatchedMnaEngine,
     FactoredMnaEngine,
-    ScalarMnaEngine,
     parametric_universe,
     tow_thomas_biquad,
 )
@@ -62,6 +61,7 @@ from repro.faults import FaultDictionary, ResponseSurface
 from repro.ga import PaperFitness
 from repro.ga.encoding import FrequencySpace
 from repro.sim import VariantSpec
+from repro.sim.engine import ScalarMnaEngine
 from repro.units import log_frequency_grid
 
 from _helpers import check_environment, environment_info

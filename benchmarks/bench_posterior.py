@@ -149,7 +149,7 @@ def run(quick: bool = False) -> dict:
             "n_samples": n_samples,
             "samples_simulated": posterior.samples_simulated,
             "build_s": build_s,
-            "engine": pipeline.engine.to_json_value(),
+            "engine": pipeline.engine,
         },
         "request": {
             "hard_single_s": hard_single,

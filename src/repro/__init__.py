@@ -112,13 +112,11 @@ from .ga import (
 from .sim import (
     ACAnalysis,
     BatchedMnaEngine,
-    EngineSpec,
     FactoredMnaEngine,
     DCAnalysis,
     FrequencyResponse,
     MnaSystem,
     ResponseBlock,
-    ScalarMnaEngine,
     SimulationEngine,
     TransientAnalysis,
     VariantSpec,
@@ -184,10 +182,8 @@ __all__ = [
     "SimulationEngine",
     "BatchedMnaEngine",
     "FactoredMnaEngine",
-    "ScalarMnaEngine",
     "ResponseBlock",
     "VariantSpec",
-    "EngineSpec",
     "make_engine",
     # faults
     "ParametricFault",

@@ -246,13 +246,11 @@ class FaultTrajectoryATPG:
         # shares the exact dictionary.
         base_key = store.problem_key(self.info, universe) if store \
             else None
-        if base_key and self.config.engine.kind == "factored":
+        if base_key and self.config.engine == "factored":
             # The factored engine's low-rank solves differ from the
-            # dense ones in the last bits (batched and scalar agree
-            # bitwise and share keys), so every artifact derived from
-            # its simulations needs its own slot.
-            base_key = store.derive_key(
-                base_key, "engine", self.config.engine.to_json_value())
+            # dense ones in the last bits, so every artifact derived
+            # from its simulations needs its own slot.
+            base_key = store.derive_key(base_key, "engine", "factored")
         dict_key = store.derive_key(
             base_key, "dense", [float(f) for f in grid]) if store else None
 

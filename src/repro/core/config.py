@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Tuple, Union
+from typing import Dict, Tuple
 
 from ..diagnosis.posterior import RETIRED_WORKER_KEYS
 from ..errors import ReproError
 from ..faults.models import paper_deviation_grid
 from ..ga.config import GAConfig
-from ..sim.engine import EngineSpec
+from ..sim.engine import ENGINE_KINDS
 
 __all__ = ["PipelineConfig"]
 
@@ -46,17 +46,14 @@ class PipelineConfig:
         Trajectory separation (signature units) below which two
         components are reported as one ambiguity group.
     engine:
-        Simulation engine for every fault-simulation stage, as an
-        :class:`~repro.sim.engine.EngineSpec` (a plain kind string such
-        as ``"batched"`` or a compact spec such as
-        ``"factored:cond_limit=1e6,sparse=true"`` are coerced).
-        ``"batched"`` (default) is the stamp-once/solve-many
-        :class:`~repro.sim.engine.BatchedMnaEngine`; ``"scalar"`` is
-        the reference path; ``"factored"`` solves fault variants via
-        Sherman-Morrison-Woodbury low-rank updates. Batched and scalar
-        produce bitwise-identical responses; factored matches them
-        within tight tolerance (~1e-12 relative on the benchmark
-        circuits).
+        Simulation engine for every fault-simulation stage, one of
+        :data:`~repro.sim.engine.ENGINE_KINDS`. ``"batched"`` (default)
+        is the stamp-once/solve-many
+        :class:`~repro.sim.engine.BatchedMnaEngine`, bitwise equal to
+        the per-clone reference path; ``"factored"`` solves fault
+        variants via Sherman-Morrison-Woodbury low-rank updates and
+        matches it within tight tolerance (~1e-12 relative on the
+        benchmark circuits).
     """
 
     deviations: Tuple[float, ...] = field(
@@ -71,10 +68,13 @@ class PipelineConfig:
     margin_scale: float = 1.0
     ga: GAConfig = field(default_factory=GAConfig.paper)
     ambiguity_threshold: float = 0.01
-    engine: Union[EngineSpec, str] = "batched"
+    engine: str = "batched"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "engine", EngineSpec.coerce(self.engine))
+        if self.engine not in ENGINE_KINDS:
+            raise ReproError(
+                f"engine must be one of {ENGINE_KINDS}, "
+                f"got {self.engine!r}")
         if self.fitness not in _FITNESS_KINDS:
             raise ReproError(
                 f"fitness must be one of {_FITNESS_KINDS}, "
@@ -101,15 +101,12 @@ class PipelineConfig:
 
     # ------------------------------------------------------------------
     # JSON round-trip (spawned cluster workers receive their config
-    # over the command line; see repro.runtime.cli / cluster). The
-    # engine rides as its compact string spelling.
+    # over the command line; see repro.runtime.cli / cluster).
     # ------------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, object]:
         """A JSON-ready dict that :meth:`from_json_dict` restores
         exactly (tuples ride as lists)."""
-        out = dataclasses.asdict(self)
-        out["engine"] = self.engine.to_json_value()
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, object]) -> "PipelineConfig":

@@ -7,7 +7,7 @@ Examples
     repro-corpus                          # 110-circuit baseline matrix
     repro-corpus --quick --check          # ~20-circuit CI smoke run
     repro-corpus --spec my_corpus.json --store .repro-store
-    repro-corpus --engine factored:sparse=true --out artifacts/
+    repro-corpus --engine factored --out artifacts/
 
 Writes ``CORPUS_<name>.json`` into ``--out``; ``--check`` validates
 the artifact immediately after writing (exit code 1 on violation).
@@ -23,18 +23,11 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ..errors import ReproError
-from ..sim.engine import EngineSpec
+from ..sim.engine import ENGINE_KINDS
 from .runner import check_report, run_corpus
 from .spec import CorpusSpec
 
 __all__ = ["main", "build_parser"]
-
-
-def _engine_arg(text: str) -> EngineSpec:
-    try:
-        return EngineSpec.parse(text)
-    except ReproError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,9 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="artifact-store root enabling resume: completed circuits "
              "(and their dictionary/GA artifacts) are reused on re-run")
     parser.add_argument(
-        "--engine", type=_engine_arg, default=None, metavar="SPEC",
-        help="override the spec's simulation engine (kind or "
-             "kind:knob=value,... spec, e.g. factored:sparse=true)")
+        "--engine", choices=ENGINE_KINDS, default=None,
+        help="override the spec's simulation engine")
     parser.add_argument(
         "--check", action="store_true",
         help="validate the written artifact and exit non-zero on any "

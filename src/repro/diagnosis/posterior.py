@@ -57,8 +57,7 @@ from ..circuits.library import CircuitInfo
 from ..errors import DiagnosisError, ReproError
 from ..faults.models import ParametricFault
 from ..faults.universe import FaultUniverse
-from ..sim.engine import (EngineSpec, SimulationEngine, VariantSpec,
-                          make_engine)
+from ..sim.engine import BatchedMnaEngine, SimulationEngine, VariantSpec
 from ..trajectory.geometry import Segments, project_points
 from ..trajectory.mapping import SignatureMapper
 from .classifier import check_points, perpendicular_candidates
@@ -107,11 +106,10 @@ class PosteriorConfig:
     tolerance draw comes from the root seed up front, so the block size
     never changes the result.
 
-    ``engine`` optionally pins the simulation engine
-    (:class:`~repro.sim.engine.EngineSpec`, or a spec string such as
-    ``"factored:cond_limit=1e6"``); ``None`` inherits the engine the
-    diagnoser was handed (the pipeline's warm engine via
-    :meth:`PosteriorDiagnoser.from_atpg`, else batched).
+    The Monte-Carlo worlds are simulated on the engine the diagnoser is
+    handed (the pipeline's warm engine via
+    :meth:`PosteriorDiagnoser.from_atpg`), else on a fresh
+    :class:`~repro.sim.engine.BatchedMnaEngine`.
     """
 
     n_samples: int = 64
@@ -121,12 +119,8 @@ class PosteriorConfig:
     n_candidates: int = 12
     samples_per_block: int = 32
     seed: int = 0
-    engine: Optional[EngineSpec] = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None:
-            object.__setattr__(self, "engine",
-                               EngineSpec.coerce(self.engine))
         if self.n_samples < 1:
             raise DiagnosisError(
                 f"n_samples must be >= 1, got {self.n_samples}")
@@ -152,11 +146,7 @@ class PosteriorConfig:
     # JSON round-trip (retired worker keys are accepted and dropped).
     # ------------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, object]:
-        out = dataclasses.asdict(self)
-        out.pop("engine")
-        if self.engine is not None:
-            out["engine"] = self.engine.to_json_value()
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, object]) -> "PosteriorConfig":
@@ -291,14 +281,8 @@ class PosteriorDiagnoser:
         self.info = info
         self.config = config or PosteriorConfig()
         self.mapper = mapper
-        if self.config.engine is not None:
-            # An explicit engine pin on the config beats the inherited
-            # (warm) engine: the caller asked for these numerics.
-            self._engine = make_engine(info.circuit, self.config.engine)
-        elif engine is not None:
-            self._engine = engine
-        else:
-            self._engine = make_engine(info.circuit, "batched")
+        self._engine = engine if engine is not None \
+            else BatchedMnaEngine(info.circuit)
 
         faults = [fault for fault in universe.faults
                   if isinstance(fault, ParametricFault)]

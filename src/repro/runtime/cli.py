@@ -32,20 +32,13 @@ from typing import Optional
 from ..core.config import PipelineConfig
 from ..diagnosis.posterior import PosteriorConfig
 from ..errors import ReproError
-from ..sim.engine import EngineSpec
+from ..sim.engine import ENGINE_KINDS
 from .cluster import LISTENING_PREFIX, WORKER_DEFAULTS, ClusterService
 from .server import AsyncDiagnosisService, DiagnosisHTTPServer
 from .service import DiagnosisService
 from .store import ArtifactStore
 
 __all__ = ["main", "build_parser"]
-
-
-def _engine_arg(text: str) -> EngineSpec:
-    try:
-        return EngineSpec.parse(text)
-    except ReproError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,16 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config-json", default=None, metavar="JSON",
                         help="PipelineConfig as inline JSON or "
                              "@path/to/file.json (overrides --config)")
-    parser.add_argument("--engine", type=_engine_arg,
-                        default=None, metavar="SPEC",
+    parser.add_argument("--engine", choices=ENGINE_KINDS, default=None,
                         help="simulation engine for circuit warm-ups: "
-                             "'batched' (stamp-once dense solves), "
-                             "'scalar' (reference path) or 'factored' "
-                             "(factor-once Sherman-Morrison-Woodbury "
-                             "low-rank updates, dense fallback on "
-                             "ill-conditioned faults), with optional "
-                             "knobs as 'factored:cond_limit=1e6,"
-                             "sparse=true'; overrides the "
+                             "'batched' (stamp-once dense solves) or "
+                             "'factored' (factor-once Sherman-Morrison-"
+                             "Woodbury low-rank updates, dense fallback "
+                             "on ill-conditioned faults); overrides the "
                              "--config/--config-json engine field "
                              "(default: use the config's engine)")
     parser.add_argument("--window-ms", type=float,

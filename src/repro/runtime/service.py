@@ -422,7 +422,7 @@ class DiagnosisService:
         # regardless of which replica answers).
         self.posterior_config = posterior or PosteriorConfig(seed=seed)
         self.stats = ServiceStats(registry=registry,
-                                  engine_kind=self.config.engine.kind)
+                                  engine_kind=self.config.engine)
         self._circuits: Dict[str, CircuitInfo] = {}
         self._engines: "OrderedDict[str, _Engine]" = OrderedDict()
         self._lock = threading.Lock()

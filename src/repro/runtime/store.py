@@ -26,9 +26,8 @@ same test vector share the exact dictionary:
 * trajectories    <- exact key + mapper options
 
 The simulation engine enters the problem key only when it is
-``factored``: ``batched`` and ``scalar`` produce bitwise-identical
-responses and share their slots, while the factored engine's low-rank
-solves differ in the last bits (see ``FaultTrajectoryATPG.run``).
+``factored``: its low-rank solves differ from the ``batched`` engine's
+dense ones in the last bits (see ``FaultTrajectoryATPG.run``).
 """
 
 from __future__ import annotations

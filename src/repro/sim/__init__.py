@@ -4,10 +4,8 @@ from .ac import ACAnalysis, FrequencyResponse
 from .dc import DCAnalysis, OperatingPoint
 from .engine import (
     BatchedMnaEngine,
-    EngineSpec,
     FactoredMnaEngine,
     ResponseBlock,
-    ScalarMnaEngine,
     SimulationEngine,
     VariantSpec,
     make_engine,
@@ -36,10 +34,8 @@ __all__ = [
     "SimulationEngine",
     "BatchedMnaEngine",
     "FactoredMnaEngine",
-    "ScalarMnaEngine",
     "ResponseBlock",
     "VariantSpec",
-    "EngineSpec",
     "make_engine",
     "ACAnalysis",
     "FrequencyResponse",

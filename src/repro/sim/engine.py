@@ -10,7 +10,8 @@ operation behind a :class:`SimulationEngine` protocol with three
 implementations:
 
 * :class:`ScalarMnaEngine` -- the reference: one circuit clone + one
-  ``ACAnalysis`` per variant, exactly the historical code path;
+  ``ACAnalysis`` per variant, exactly the historical code path (the
+  test oracle; :data:`ENGINE_KINDS` does not name it);
 * :class:`BatchedMnaEngine` -- stamps the nominal circuit once, records
   every component's ordered stamp contributions, materialises each
   variant's ``G``/``B`` matrices by re-folding only the entries the
@@ -44,7 +45,6 @@ complex transfer matrix that lazily slices into the familiar
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Protocol, \
@@ -69,155 +69,12 @@ __all__ = [
     "ScalarMnaEngine",
     "BatchedMnaEngine",
     "FactoredMnaEngine",
-    "EngineSpec",
     "make_engine",
     "ENGINE_KINDS",
 ]
 
-ENGINE_KINDS = ("batched", "scalar", "factored")
-
-#: Knobs only the factored engine understands (EngineSpec validation).
-_FACTORED_KNOBS = ("cond_limit", "max_rank", "sparse", "sparse_min_dim")
-
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """One engine selection, uniformly spelled everywhere.
-
-    Replaces the historical string-only engine spellings
-    (``make_engine`` kind, ``PipelineConfig.engine``,
-    ``repro-serve --engine``, ...) with a single value object carrying
-    the engine *name* plus its knobs. A knob of ``None`` means "the
-    engine's own default", so ``EngineSpec("factored")`` and the plain
-    string ``"factored"`` are interchangeable.
-
-    Accepted spellings (see :meth:`coerce`):
-
-    * an :class:`EngineSpec` -- passed through;
-    * a plain name string -- ``"batched"``, ``"scalar"``,
-      ``"factored"``;
-    * a compact knob string -- ``"factored:cond_limit=1e6,sparse=true"``
-      (what ``repro-serve --engine`` and ``repro-corpus`` accept);
-    * a JSON dict -- ``{"kind": "factored", "cond_limit": 1e6}``.
-
-    :meth:`to_json_value` renders the spec back to the plain name
-    string whenever every knob is default, so configs that never used
-    knobs keep their historical JSON byte-for-byte.
-    """
-
-    kind: str = "batched"
-    gmin: float = 0.0
-    cond_limit: Optional[float] = None
-    max_rank: Optional[int] = None
-    sparse: Optional[object] = None
-    sparse_min_dim: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ENGINE_KINDS:
-            raise SimulationError(
-                f"engine kind must be one of {ENGINE_KINDS}, "
-                f"got {self.kind!r}")
-        if self.gmin < 0.0:
-            raise SimulationError("engine gmin must be >= 0")
-        if self.kind != "factored":
-            set_knobs = [name for name in _FACTORED_KNOBS
-                         if getattr(self, name) is not None]
-            if set_knobs:
-                raise SimulationError(
-                    f"engine knobs {set_knobs} only apply to the "
-                    f"'factored' engine, not {self.kind!r}")
-        if self.cond_limit is not None and not self.cond_limit > 0.0:
-            raise SimulationError("cond_limit must be > 0")
-        if self.max_rank is not None and self.max_rank < 1:
-            raise SimulationError("max_rank must be >= 1")
-        if self.sparse is not None and \
-                self.sparse not in ("auto", True, False):
-            raise SimulationError(
-                f"sparse must be 'auto', True or False, "
-                f"got {self.sparse!r}")
-        if self.sparse_min_dim is not None and self.sparse_min_dim < 1:
-            raise SimulationError("sparse_min_dim must be >= 1")
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def coerce(cls, value) -> "EngineSpec":
-        """Normalise any accepted engine spelling to an EngineSpec."""
-        if value is None:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            return cls.parse(value)
-        if isinstance(value, dict):
-            try:
-                return cls(**{str(key): val
-                              for key, val in value.items()})
-            except TypeError as exc:
-                raise SimulationError(
-                    f"bad engine spec dict: {exc}") from exc
-        raise SimulationError(
-            "engine must be an EngineSpec, a name string or a dict, "
-            f"got {type(value).__name__}")
-
-    @classmethod
-    def parse(cls, text: str) -> "EngineSpec":
-        """Parse ``"name"`` or ``"name:knob=value,knob=value"``."""
-        name, _, tail = text.partition(":")
-        knobs: Dict[str, object] = {}
-        if tail:
-            for item in tail.split(","):
-                key, sep, raw = item.partition("=")
-                key = key.strip()
-                if not sep or not key:
-                    raise SimulationError(
-                        f"bad engine spec {text!r}: expected "
-                        "knob=value, got " f"{item!r}")
-                knobs[key] = cls._parse_knob_value(raw.strip())
-        return cls.coerce({"kind": name.strip(), **knobs})
-
-    @staticmethod
-    def _parse_knob_value(raw: str) -> object:
-        lowered = raw.lower()
-        if lowered in ("true", "false"):
-            return lowered == "true"
-        if lowered == "auto":
-            return "auto"
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-        try:
-            return float(raw)
-        except ValueError:
-            raise SimulationError(
-                f"bad engine knob value {raw!r}") from None
-
-    # ------------------------------------------------------------------
-    def to_json_value(self) -> object:
-        """Plain name string when every knob is default, else a dict
-        (both accepted back by :meth:`coerce` -- and by the historical
-        string-only consumers when no knobs are set)."""
-        knobs: Dict[str, object] = {}
-        if self.gmin != 0.0:
-            knobs["gmin"] = self.gmin
-        for name in _FACTORED_KNOBS:
-            value = getattr(self, name)
-            if value is not None:
-                knobs[name] = value
-        if not knobs:
-            return self.kind
-        return {"kind": self.kind, **knobs}
-
-    def make(self, circuit: Circuit) -> "SimulationEngine":
-        """Instantiate this spec's engine for ``circuit``."""
-        if self.kind == "scalar":
-            return ScalarMnaEngine(circuit, gmin=self.gmin)
-        if self.kind == "batched":
-            return BatchedMnaEngine(circuit, gmin=self.gmin)
-        knobs = {name: getattr(self, name)
-                 for name in _FACTORED_KNOBS
-                 if getattr(self, name) is not None}
-        return FactoredMnaEngine(circuit, gmin=self.gmin, **knobs)
+#: The engine names ``PipelineConfig.engine`` accepts.
+ENGINE_KINDS = ("batched", "factored")
 
 # The (K, N, N) stacks handed to np.linalg.solve are chunked to roughly
 # this many bytes: big enough to amortise the gufunc dispatch, small
@@ -350,13 +207,12 @@ class ScalarMnaEngine:
 
     This is the historical code path (clone the netlist, build an
     :class:`ACAnalysis`, run ``solve_frequencies``) wrapped in the
-    engine protocol. It exists as the equivalence baseline and as the
-    conservative fallback (``PipelineConfig(engine="scalar")``).
+    engine protocol. It is the test oracle the batched engine is
+    checked against bitwise; no configuration selects it.
     """
 
-    def __init__(self, circuit: Circuit, gmin: float = 0.0) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         self._circuit = circuit
-        self.gmin = float(gmin)
 
     @property
     def circuit(self) -> Circuit:
@@ -387,7 +243,7 @@ class ScalarMnaEngine:
             labels = []
             for index, spec in enumerate(variants):
                 circuit = self._variant_circuit(spec)
-                response = ACAnalysis(circuit, gmin=self.gmin).transfer(
+                response = ACAnalysis(circuit).transfer(
                     output_node, freqs, input_source)
                 values[index] = response.values
                 labels.append(circuit.name)
@@ -415,13 +271,12 @@ class BatchedMnaEngine:
     #: calls so dashboards can tell main-path from fallback work.
     _dense_solve_kind = "batched"
 
-    def __init__(self, circuit: Circuit, gmin: float = 0.0) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         with TRACER.span("engine.stamp", engine=self._kind,
                          circuit=circuit.name) as span:
             self._circuit = circuit
-            self.gmin = float(gmin)
-            self.system = MnaSystem(circuit, gmin=gmin)
-            # The assembled arrays (gmin already applied to _g's diagonal).
+            self.system = MnaSystem(circuit)
+            # The assembled nominal arrays.
             self._base_g = self.system.g_matrix
             self._base_b = self.system.b_matrix
             self._base_z_ac = self.system.rhs("ac")
@@ -500,9 +355,6 @@ class BatchedMnaEngine:
         for name, position in self._matrix_streams[key]:
             ops = replaced.get(name) or self._ops[name]
             total = total + ops.matrix_ops[position][3]
-        if self.gmin > 0.0 and key[0] == "g" and key[1] == key[2] and \
-                key[1] < self.system.num_nodes:
-            total = total + self.gmin
         return total
 
     def _fold_rhs_entry(self, key: Tuple[str, int],
@@ -707,11 +559,11 @@ class FactoredMnaEngine(BatchedMnaEngine):
     _kind = "factored"
     _dense_solve_kind = "factored_fallback"
 
-    def __init__(self, circuit: Circuit, gmin: float = 0.0, *,
+    def __init__(self, circuit: Circuit, *,
                  cond_limit: float = 1e8, max_rank: int = 8,
                  sparse: object = "auto",
                  sparse_min_dim: int = 50) -> None:
-        super().__init__(circuit, gmin=gmin)
+        super().__init__(circuit)
         if not cond_limit > 0.0:
             raise SimulationError("cond_limit must be positive")
         if max_rank < 1:
@@ -938,17 +790,13 @@ class FactoredMnaEngine(BatchedMnaEngine):
         return ResponseBlock(freqs, values, labels, output_node)
 
 
-def make_engine(circuit: Circuit, kind: object = "batched",
-                gmin: float = 0.0) -> SimulationEngine:
-    """Engine factory keyed by :class:`PipelineConfig`'s ``engine`` knob.
-
-    ``kind`` accepts any :meth:`EngineSpec.coerce` spelling: a plain
-    name string (the historical API), a compact knob string, a dict or
-    an :class:`EngineSpec`. A non-zero ``gmin`` argument overrides the
-    spec's own ``gmin``.
-    """
-    spec = EngineSpec.coerce(kind)
-    if gmin:
-        spec = dataclasses.replace(spec, gmin=float(gmin))
-    return spec.make(circuit)
-
+def make_engine(circuit: Circuit, kind: str = "batched"
+                ) -> SimulationEngine:
+    """The engine named by :class:`PipelineConfig`'s ``engine`` field
+    (one of :data:`ENGINE_KINDS`)."""
+    if kind == "batched":
+        return BatchedMnaEngine(circuit)
+    if kind == "factored":
+        return FactoredMnaEngine(circuit)
+    raise SimulationError(
+        f"engine must be one of {ENGINE_KINDS}, got {kind!r}")

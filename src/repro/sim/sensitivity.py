@@ -4,10 +4,14 @@ Computes normalised (semi-relative) sensitivities::
 
     S_c(f) = d |H(f)|_dB / d ln(value_c)
 
-by central finite differences on the component value. Frequencies where
-components have large *and distinct* sensitivities are good test-frequency
-candidates; :func:`rank_frequencies` exposes that heuristic as a
-deterministic baseline for the GA (used in the T-ACC benchmark).
+by central finite differences on the component value. The two
+perturbed circuits per component form one variant family, solved in a
+single :meth:`~repro.sim.engine.BatchedMnaEngine.transfer_block`
+request -- bitwise-identical to simulating each perturbed clone
+separately. Frequencies where components have large *and distinct*
+sensitivities are good test-frequency candidates;
+:func:`rank_frequencies` exposes that heuristic as a deterministic
+baseline for the GA (used in the T-ACC benchmark).
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..circuits.components import TwoTerminal
 from ..circuits.netlist import Circuit
 from ..errors import SimulationError
-from .ac import ACAnalysis, FrequencyResponse
+from .engine import BatchedMnaEngine, VariantSpec
 
 __all__ = ["SensitivityResult", "sensitivity_analysis", "rank_frequencies"]
 
@@ -67,22 +72,24 @@ def sensitivity_analysis(circuit: Circuit, output_node: str,
         raise SimulationError(
             f"{circuit.name}: no components to analyse")
 
-    sensitivities: Dict[str, np.ndarray] = {}
+    # One up/down variant pair per component: rows 2i and 2i + 1.
+    variants = []
     for name in targets:
-        up = _magnitude_db(circuit.scaled_value(name, 1.0 + rel_step),
-                           output_node, freqs)
-        down = _magnitude_db(circuit.scaled_value(name, 1.0 - rel_step),
-                             output_node, freqs)
-        # d(dB)/d ln v  ~  (dB(v*(1+e)) - dB(v*(1-e))) / (2e)
-        sensitivities[name] = (up - down) / (2.0 * rel_step)
+        component = circuit[name]
+        if not isinstance(component, TwoTerminal):
+            raise SimulationError(
+                f"{circuit.name}: {name!r} has no scalar value "
+                f"(it is a {type(component).__name__})")
+        for factor in (1.0 + rel_step, 1.0 - rel_step):
+            variants.append(VariantSpec(
+                (component.with_value(component.value * factor),)))
+    magnitude = BatchedMnaEngine(circuit).transfer_block(
+        output_node, freqs, variants).magnitude_db()
+    # d(dB)/d ln v  ~  (dB(v*(1+e)) - dB(v*(1-e))) / (2e)
+    sensitivities: Dict[str, np.ndarray] = {
+        name: (magnitude[2 * i] - magnitude[2 * i + 1]) / (2.0 * rel_step)
+        for i, name in enumerate(targets)}
     return SensitivityResult(freqs, sensitivities)
-
-
-def _magnitude_db(circuit: Circuit, output_node: str,
-                  freqs: np.ndarray) -> np.ndarray:
-    response: FrequencyResponse = ACAnalysis(circuit).transfer(output_node,
-                                                               freqs)
-    return response.magnitude_db
 
 
 def rank_frequencies(result: SensitivityResult, count: int = 2,

@@ -167,13 +167,17 @@ def test_cli_engine_override(tmp_path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(mini_spec("eng").to_json_dict()))
     code = corpus_main(["--spec", str(spec_file), "--out", str(tmp_path),
-                        "--engine", "factored:cond_limit=1e8", "--quiet"])
+                        "--engine", "factored", "--quiet"])
     assert code == 0
     report = json.loads((tmp_path / "CORPUS_eng.json").read_text())
-    assert report["spec"]["pipeline"]["engine"] == {
-        "kind": "factored", "cond_limit": 1e8}
+    assert report["spec"]["pipeline"]["engine"] == "factored"
 
 
-def test_cli_rejects_bad_engine(tmp_path):
-    with pytest.raises(SystemExit):
-        corpus_main(["--engine", "magic", "--out", str(tmp_path)])
+def test_cli_rejects_bad_engine(tmp_path, capsys):
+    """Only the plain ENGINE_KINDS names pass argparse: the scalar
+    reference engine and knob strings are not selectable."""
+    for engine in ("scalar", "factored:sparse=true", "magic"):
+        with pytest.raises(SystemExit) as excinfo:
+            corpus_main(["--engine", engine, "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -16,7 +16,6 @@ from repro import (
     BatchedMnaEngine,
     FactoredMnaEngine,
     PipelineConfig,
-    ScalarMnaEngine,
     make_engine,
     parametric_universe,
     rc_lowpass,
@@ -28,7 +27,7 @@ from repro.sim import lowrank
 from repro.faults import FaultDictionary, catastrophic_universe
 from repro.faults.universe import parametric_universe as build_universe
 from repro.sim import ACAnalysis, VariantSpec
-from repro.sim.engine import ResponseBlock
+from repro.sim.engine import ResponseBlock, ScalarMnaEngine
 from repro.sim.sweep import deviation_sweep, value_sweep
 from repro.units import log_frequency_grid
 
@@ -156,7 +155,7 @@ class TestBatchedEquivalence:
         scalar = FaultDictionary.build(
             universe, info.output_node, grid,
             input_source=info.input_source,
-            engine=make_engine(info.circuit, "scalar"))
+            engine=ScalarMnaEngine(info.circuit))
         assert batched.labels == scalar.labels
         assert np.array_equal(batched.golden.values, scalar.golden.values)
         for built, reference in zip(batched.entries, scalar.entries):
@@ -432,19 +431,22 @@ class TestGADeterminism:
 
 class TestPipelineEngineKnob:
     def test_invalid_engine_rejected(self):
-        with pytest.raises(ReproError, match="kind must be one of"):
+        with pytest.raises(ReproError, match="engine must be one of"):
             PipelineConfig(engine="magic")
+        with pytest.raises(SimulationError, match="engine must be one of"):
+            make_engine(rc_lowpass().circuit, "scalar")
 
     def test_scalar_and_batched_pipelines_agree(self):
+        """The batched pipeline equals the same pipeline run on the
+        per-clone reference engine (the test oracle no config names)."""
         from repro import FaultTrajectoryATPG
         info = rc_lowpass()
-        results = {}
-        for kind in ("batched", "scalar"):
-            config = PipelineConfig.quick()
-            config = PipelineConfig(
-                dictionary_points=64, ga=config.ga, engine=kind)
-            results[kind] = FaultTrajectoryATPG(info, config).run(seed=3)
-        batched, scalar = results["batched"], results["scalar"]
+        config = PipelineConfig(dictionary_points=64,
+                                ga=PipelineConfig.quick().ga)
+        batched = FaultTrajectoryATPG(info, config).run(seed=3)
+        oracle = FaultTrajectoryATPG(info, config)
+        oracle.engine = ScalarMnaEngine(info.circuit)
+        scalar = oracle.run(seed=3)
         assert batched.test_vector_hz == scalar.test_vector_hz
         assert np.array_equal(batched.dictionary.golden.values,
                               scalar.dictionary.golden.values)
@@ -776,8 +778,7 @@ class TestFactoredSelection:
     def test_config_accepts_and_round_trips_factored(self):
         config = PipelineConfig(engine="factored")
         restored = PipelineConfig.from_json_dict(config.to_json_dict())
-        assert restored.engine.kind == "factored"
-        assert restored.engine == config.engine
+        assert restored.engine == config.engine == "factored"
         # The wire format keeps the original string spelling.
         assert config.to_json_dict()["engine"] == "factored"
 

@@ -11,7 +11,6 @@ import pytest
 import repro
 from repro import (
     CorpusSpec,
-    EngineSpec,
     PipelineConfig,
     PosteriorConfig,
     ReproError,
@@ -34,7 +33,7 @@ def test_core_surface_is_exported():
     required = {
         "Circuit", "CircuitInfo", "run", "generate", "CIRCUIT_FAMILIES",
         "FaultTrajectoryATPG", "ATPGResult", "PipelineConfig",
-        "EngineSpec", "PosteriorConfig", "PosteriorDiagnoser",
+        "PosteriorConfig", "PosteriorDiagnoser",
         "CorpusSpec", "FamilySpec", "run_corpus", "DiagnosisService",
         "ArtifactStore", "errors", "ReproError", "FamilyError",
         "CorpusError", "synthesize_universe", "__version__",
@@ -96,8 +95,9 @@ def test_committed_corpus_baseline_still_loads():
         CorpusSpec.baseline()
 
 
-def test_engine_spec_collapses_to_string_on_wire():
-    assert EngineSpec("batched").to_json_value() == "batched"
-    spec = EngineSpec.parse("factored:sparse=true")
-    assert spec.to_json_value() == {"kind": "factored", "sparse": True}
-    assert EngineSpec.coerce(spec.to_json_value()) == spec
+def test_engine_is_one_plain_name_on_wire():
+    assert {"EngineSpec", "ScalarMnaEngine"}.isdisjoint(repro.__all__)
+    assert PipelineConfig().to_json_dict()["engine"] == "batched"
+    assert "engine" not in PosteriorConfig().to_json_dict()
+    with pytest.raises(ReproError):
+        PosteriorConfig.from_json_dict({"engine": "factored"})

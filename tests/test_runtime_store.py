@@ -22,7 +22,7 @@ from repro import (
     parametric_universe,
     rc_lowpass,
 )
-from repro.errors import StoreError
+from repro.errors import ReproError, StoreError
 from repro.faults import FaultDictionary
 from repro.ga import GAConfig
 from repro.runtime.store import (as_store, derive_key, ga_search_key,
@@ -315,7 +315,7 @@ class TestWarmRuns:
         """The factored engine differs from batched in the last bits, so
         a store warmed by a batched run must not serve a factored run
         (it would hand back a different test vector than a cold factored
-        run finds); scalar is bitwise-batched and shares its slots."""
+        run finds)."""
         import dataclasses
         info = rc_lowpass()
         batched = PipelineConfig.paper()
@@ -328,11 +328,39 @@ class TestWarmRuns:
         assert "dictionary" not in warmed.cache_hits
         assert warmed.test_vector_hz == cold.test_vector_hz
         assert warmed.ga_result.best_fitness == cold.ga_result.best_fitness
-        scalar = dataclasses.replace(batched, engine="scalar")
-        shared = FaultTrajectoryATPG(info, scalar).run(seed=2012,
-                                                       store=store)
-        assert set(shared.cache_hits) == {"dictionary", "ga", "exact",
-                                          "trajectories"}
+
+    #: rc_lowpass quick-config dictionary keys, one per engine. Pinned
+    #: from the stores written before the engine became a plain name:
+    #: the batched key carries no engine part, the factored key folds in
+    #: the string "factored".
+    DICTIONARY_KEYS = {
+        "batched": "97a3ab9314dfe33061aee04b8b4ebe414beb"
+                   "9854dd01eb9ed6f15c23ee0ae105",
+        "factored": "a69947e0fa7dec34b44b88be11cb1ded11f5"
+                    "708bbe2a338ff7f3f7eafb38d523",
+    }
+
+    @pytest.mark.parametrize("engine", sorted(DICTIONARY_KEYS))
+    def test_dictionary_key_is_pinned(self, tmp_path, engine):
+        import dataclasses
+        config = dataclasses.replace(PipelineConfig.quick(), engine=engine)
+        store = ArtifactStore(tmp_path)
+        FaultTrajectoryATPG(rc_lowpass(), config).run(seed=1, store=store)
+        keys = [record.key for record in store.records()
+                if record.kind == "dictionary"]
+        assert keys == [self.DICTIONARY_KEYS[engine]]
+
+    @pytest.mark.parametrize("engine", [
+        {"kind": "batched", "gmin": 1e-3}, "scalar",
+        "factored:cond_limit=1e6"])
+    def test_engine_knobs_are_rejected(self, engine):
+        """No engine setting outside the store key is accepted: a
+        ``gmin`` knob once reached the solver but not the key, so a
+        store warmed at gmin=0 served stale artifacts to it."""
+        wire = PipelineConfig.quick().to_json_dict()
+        assert wire["engine"] == "batched"
+        with pytest.raises(ReproError, match="engine must be one of"):
+            PipelineConfig.from_json_dict({**wire, "engine": engine})
 
 
 # ----------------------------------------------------------------------

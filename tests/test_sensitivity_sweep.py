@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.circuits import rc_lowpass, voltage_divider
+from repro.circuits.components import TwoTerminal
+from repro.circuits.library import BENCHMARK_CIRCUITS, get_benchmark
 from repro.errors import SimulationError
 from repro.sim import (
     deviation_sweep,
@@ -68,6 +70,45 @@ class TestSensitivity:
         with pytest.raises(SimulationError):
             sensitivity_analysis(rc.circuit, rc.output_node,
                                  np.array([100.0]), rel_step=0.9)
+
+
+def reference_sensitivities(circuit, output_node, freqs, rel_step=0.01):
+    """The per-clone loop sensitivity_analysis replaced: one circuit
+    clone and one AC analysis per perturbed value."""
+    from repro.sim import ACAnalysis
+
+    def magnitude_db(clone):
+        return ACAnalysis(clone).transfer(output_node, freqs).magnitude_db
+
+    out = {}
+    for name in circuit.passive_names:
+        up = magnitude_db(circuit.scaled_value(name, 1.0 + rel_step))
+        down = magnitude_db(circuit.scaled_value(name, 1.0 - rel_step))
+        out[name] = (up - down) / (2.0 * rel_step)
+    return out
+
+
+class TestSensitivityMatchesPerCloneReference:
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_CIRCUITS))
+    def test_bitwise_equal_on_registry(self, name):
+        info = get_benchmark(name)
+        grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 57)
+        got = sensitivity_analysis(info.circuit, info.output_node, grid)
+        expected = reference_sensitivities(info.circuit, info.output_node,
+                                           grid)
+        assert list(got.sensitivities) == list(expected)
+        for component, curve in expected.items():
+            assert np.array_equal(got.component(component), curve), \
+                component
+
+    def test_component_without_value_rejected(self, biquad_info):
+        circuit = biquad_info.circuit
+        valueless = next(c.name for c in circuit
+                         if not isinstance(c, TwoTerminal))
+        with pytest.raises(SimulationError, match="no scalar value"):
+            sensitivity_analysis(circuit, biquad_info.output_node,
+                                 np.array([100.0]),
+                                 components=(valueless,))
 
 
 class TestRankFrequencies:

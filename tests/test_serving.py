@@ -25,6 +25,7 @@ from repro.errors import (CodecError, DiagnosisError, ServiceError,
                           ServiceOverloadedError)
 from repro.runtime import codec, telemetry
 from repro.runtime.server import DiagnosisHTTPServer
+from repro.sim.engine import ENGINE_KINDS
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -297,7 +298,7 @@ class TestEngineSelection:
     def test_stats_report_active_engine_kind(self):
         import dataclasses
         from repro import DiagnosisService
-        for kind in ("batched", "scalar", "factored"):
+        for kind in ENGINE_KINDS:
             config = dataclasses.replace(QUICK, engine=kind)
             service = DiagnosisService(config=config, seed=3)
             assert service.stats.snapshot()["engine_kind"] == kind
@@ -317,27 +318,24 @@ class TestEngineSelection:
         from repro.runtime.cli import build_parser, load_config
         args = build_parser().parse_args(
             ["--engine", "factored", "--config", "quick"])
-        assert load_config(args).engine.kind == "factored"
+        assert load_config(args).engine == "factored"
         # Without the flag the config's own engine field stands.
         assert load_config(
-            build_parser().parse_args([])).engine.kind == "batched"
+            build_parser().parse_args([])).engine == "batched"
 
-    def test_cli_engine_flag_accepts_knob_specs(self):
-        from repro.runtime.cli import build_parser, load_config
-        args = build_parser().parse_args(
-            ["--engine", "factored:cond_limit=1e6,sparse=false"])
-        engine = load_config(args).engine
-        assert engine.kind == "factored"
-        assert engine.cond_limit == 1e6
-        assert engine.sparse is False
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--engine", "magic"])
+    def test_cli_engine_flag_rejects_scalar_and_knob_specs(self, capsys):
+        from repro.runtime.cli import build_parser
+        for engine in ("scalar", "factored:sparse=true", "magic"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(["--engine", engine])
+            assert excinfo.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_cli_engine_flag_documented_in_help(self):
         from repro.runtime.cli import build_parser
         help_text = build_parser().format_help()
         assert "--engine" in help_text
-        for kind in ("scalar", "batched", "factored"):
+        for kind in ENGINE_KINDS:
             assert kind in help_text
 
 
@@ -630,7 +628,7 @@ class TestHTTPServer:
                 assert status == 200
                 assert b"batch_size_histogram" in payload
                 assert json.loads(payload)["engine_kind"] == \
-                    warm_service.config.engine.kind
+                    warm_service.config.engine
 
                 status, payload = await _http(host, port, "GET",
                                               "/v1/circuits")
