@@ -16,8 +16,9 @@ Turns the paper reproduction into an engine fit for heavy traffic:
   plus a stdlib JSON-over-HTTP server (:func:`serve`) with persistent
   connections;
 * :mod:`repro.runtime.cluster` -- :class:`ClusterService`, the
-  consistent-hash circuit->replica router over in-process or spawned
-  worker replicas (health checks, re-route-on-death failover);
+  consistent-hash circuit->replica router over HTTP replicas (spawned
+  ``repro-serve`` workers or any running server), with health checks
+  and re-route-on-death failover;
 * :mod:`repro.runtime.codec` -- the transport-agnostic JSON wire
   format those requests and responses ride on;
 * :mod:`repro.runtime.telemetry` -- the stdlib observability spine:
@@ -34,7 +35,7 @@ serially in one process; the multi-core path is a replica cluster
 """
 
 from .cluster import (CircuitRouter, ClusterService, HTTPReplica,
-                      InProcessReplica, Replica, SpawnedReplica)
+                      SpawnedReplica)
 from .server import AsyncDiagnosisService, DiagnosisHTTPServer, serve
 from .service import CircuitStats, DiagnosisService, ServiceStats
 from .store import (ArtifactRecord, ArtifactStore, StoreStats, as_store,
@@ -62,8 +63,6 @@ __all__ = [
     "serve",
     "CircuitRouter",
     "ClusterService",
-    "Replica",
-    "InProcessReplica",
     "HTTPReplica",
     "SpawnedReplica",
     "MetricsRegistry",

@@ -15,28 +15,23 @@ same ``submit`` surface across N replicas:
   a dead replica is marked down and its circuits walk to the next
   replica on the ring -- nothing else remaps.
 
-Replicas come in two shapes:
-
-* :class:`InProcessReplica` -- an ``AsyncDiagnosisService`` on this
-  event loop. Deterministic and dependency-free: the equivalence
-  property tests drive these.
-* :class:`SpawnedReplica` -- a worker *process* started through the
-  ``repro-serve`` CLI, spoken to over the existing
-  :mod:`repro.runtime.codec` wire format on keep-alive HTTP
-  connections (:class:`HTTPReplica` is the transport; point it at any
-  already-running server to join it to a cluster).
+Every replica is an :class:`HTTPReplica`: a diagnosis server spoken to
+over the :mod:`repro.runtime.codec` wire format on keep-alive HTTP
+connections. Point one at any already-running server to join it to a
+cluster; :class:`SpawnedReplica` additionally starts (and owns) its
+server as a ``repro-serve`` worker *process*.
 
 Because every replica warms engines from the same deterministic
 pipeline (same config, same seed) -- ideally through a shared
 :class:`~repro.runtime.store.ArtifactStore` -- a request's diagnoses
 are **bitwise-identical** no matter which replica answers. The
 property tests in ``tests/test_cluster.py`` pin this: a 2- or
-3-replica cluster equals a single service for any interleaving.
+3-replica cluster of loopback servers equals a single service for any
+interleaving.
 """
 
 from __future__ import annotations
 
-import abc
 import asyncio
 import bisect
 import hashlib
@@ -53,10 +48,10 @@ from ..diagnosis.classifier import ResponseBatch
 from ..errors import (ClusterError, ReplicaTimeoutError,
                       ReplicaUnavailableError, ServiceError)
 from . import codec, telemetry
-from .server import AsyncDiagnosisService, route_for
+from .server import route_for
 
-__all__ = ["CircuitRouter", "Replica", "InProcessReplica",
-           "HTTPReplica", "SpawnedReplica", "ClusterService"]
+__all__ = ["CircuitRouter", "HTTPReplica", "SpawnedReplica",
+           "ClusterService"]
 
 T = TypeVar("T")
 
@@ -64,10 +59,9 @@ T = TypeVar("T")
 #: stdout (port 0 binds ephemerally; the parent parses this line).
 LISTENING_PREFIX = "REPRO-SERVE LISTENING"
 
-#: Worker-knob defaults shared by :meth:`SpawnedReplica.spawn`,
-#: :meth:`ClusterService.spawn` and the ``repro-serve`` argparse
-#: defaults -- one source, so a directly spawned cluster and a
-#: CLI-launched one run with identical settings.
+#: Worker-knob defaults shared by :meth:`SpawnedReplica.spawn` and the
+#: ``repro-serve`` argparse defaults -- one source, so a directly
+#: spawned cluster and a CLI-launched one run with identical settings.
 WORKER_DEFAULTS = {
     "max_engines": 4,
     "window_ms": 2.0,
@@ -139,126 +133,12 @@ class CircuitRouter:
 # ----------------------------------------------------------------------
 # Replica handles
 # ----------------------------------------------------------------------
-class Replica(abc.ABC):
-    """One cluster member, whatever its transport.
-
-    Transport-level failures (process gone, connection refused, closed
-    front) surface as :class:`ReplicaUnavailableError`; the cluster
-    catches exactly that to fail over. Request-level errors (unknown
-    circuit, malformed rows, backpressure) propagate to the caller
-    unchanged -- another replica would refuse them identically.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    @abc.abstractmethod
-    async def submit(self, circuit_name: str, responses: ResponseBatch,
-                     mode: str = "hard") -> list: ...
-
-    @abc.abstractmethod
-    async def submit_many(self, requests: Sequence[Tuple[str,
-                                                         ResponseBatch]],
-                          mode: str = "hard") -> List[list]: ...
-
-    @abc.abstractmethod
-    async def warm(self, circuit_name: str) -> None: ...
-
-    @abc.abstractmethod
-    async def test_vector_hz(self, circuit_name: str
-                             ) -> Tuple[float, ...]: ...
-
-    @abc.abstractmethod
-    async def healthy(self) -> bool: ...
-
-    @abc.abstractmethod
-    async def stats_snapshot(self) -> Dict[str, object]: ...
-
-    @abc.abstractmethod
-    async def aclose(self) -> None: ...
-
-    # Optional surface, used for best-effort introspection only.
-    async def metrics_text(self) -> str:
-        """The replica's Prometheus exposition text (empty when the
-        transport does not expose metrics)."""
-        return ""
-
-    @property
-    def queue_depth(self) -> int:
-        return 0
-
-    def warmed_circuits(self) -> Tuple[str, ...]:
-        return ()
-
-    def registered_circuits(self) -> Tuple[str, ...]:
-        return ()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.name!r})"
-
-
-class InProcessReplica(Replica):
-    """An :class:`AsyncDiagnosisService` living on this event loop."""
-
-    def __init__(self, name: str,
-                 front: AsyncDiagnosisService) -> None:
-        super().__init__(name)
-        self.front = front
-
-    def _check_alive(self) -> None:
-        if self.front._closed:
-            raise ReplicaUnavailableError(f"replica {self.name} is "
-                                          f"closed")
-
-    async def submit(self, circuit_name: str, responses: ResponseBatch,
-                     mode: str = "hard") -> list:
-        self._check_alive()
-        return await self.front.submit(circuit_name, responses, mode)
-
-    async def submit_many(self, requests: Sequence[Tuple[str,
-                                                         ResponseBatch]],
-                          mode: str = "hard") -> List[list]:
-        self._check_alive()
-        return await self.front.submit_many(requests, mode)
-
-    async def warm(self, circuit_name: str) -> None:
-        self._check_alive()
-        await self.front.warm(circuit_name)
-
-    async def test_vector_hz(self, circuit_name: str
-                             ) -> Tuple[float, ...]:
-        self._check_alive()
-        return await self.front.test_vector_hz(circuit_name)
-
-    async def healthy(self) -> bool:
-        return not self.front._closed
-
-    async def stats_snapshot(self) -> Dict[str, object]:
-        return await self.front.stats_snapshot()
-
-    async def metrics_text(self) -> str:
-        return await self.front.metrics_text()
-
-    async def aclose(self) -> None:
-        await self.front.aclose()
-
-    @property
-    def queue_depth(self) -> int:
-        return self.front.queue_depth
-
-    def warmed_circuits(self) -> Tuple[str, ...]:
-        return self.front.warmed_circuits()
-
-    def registered_circuits(self) -> Tuple[str, ...]:
-        return tuple(self.front.known_circuits()["registered"])
-
-
 def _wire_error_type(kind: Optional[str]) -> type:
     """The exception class to re-raise for a wire error ``kind``.
 
     Any class from :mod:`repro.errors` resolves by name, so a
     request-level error crosses the HTTP boundary as the same type the
-    in-process replica would raise (e.g. ``DiagnosisError`` for wrong
+    replica's service raised (e.g. ``DiagnosisError`` for wrong
     signature width); anything else degrades to ``ServiceError``.
     """
     from .. import errors as _errors
@@ -275,8 +155,8 @@ def _wire_error_type(kind: Optional[str]) -> type:
     return ServiceError
 
 
-class HTTPReplica(Replica):
-    """A replica spoken to over the stdlib HTTP front.
+class HTTPReplica:
+    """One cluster member, spoken to over the stdlib HTTP front.
 
     Maintains a small pool of keep-alive connections (one request in
     flight per connection; the server pipelines strictly in order, so
@@ -289,13 +169,16 @@ class HTTPReplica(Replica):
     died with a stale keep-alive connection is retried once on a fresh
     one; a replica that cannot be reached at all raises
     :class:`ReplicaUnavailableError` for the cluster to fail over.
+    Request-level errors (unknown circuit, malformed rows,
+    backpressure) propagate to the caller unchanged -- another replica
+    would refuse them identically.
     """
 
     def __init__(self, name: str, host: str, port: int, *,
                  pool_size: int = 8,
                  request_timeout: float = 600.0,
                  health_timeout: float = 2.0) -> None:
-        super().__init__(name)
+        self.name = name
         self.host = host
         self.port = port
         self.pool_size = pool_size
@@ -534,6 +417,9 @@ class HTTPReplica(Replica):
         while self._idle:
             self._close(self._idle.pop())
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.name!r})"
+
 
 class SpawnedReplica(HTTPReplica):
     """A worker process started through the ``repro-serve`` CLI.
@@ -663,12 +549,12 @@ class ClusterService:
     task) probes replicas and brings revived ones back into the ring.
     """
 
-    def __init__(self, replicas: Sequence[Replica],
+    def __init__(self, replicas: Sequence[HTTPReplica],
                  vnodes: int = 64) -> None:
         # The router rejects an empty or duplicate-named replica set.
         self.router = CircuitRouter([replica.name for replica in replicas],
                                     vnodes=vnodes)
-        self.replicas: Dict[str, Replica] = {
+        self.replicas: Dict[str, HTTPReplica] = {
             replica.name: replica for replica in replicas}
         self.down: Set[str] = set()
         self.requests = 0
@@ -708,71 +594,23 @@ class ClusterService:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def in_process(cls, n_replicas: int, *,
-                   services: Optional[Sequence] = None,
-                   vnodes: int = 64,
-                   **async_kwargs) -> "ClusterService":
-        """A cluster of in-process replicas on the current loop.
-
-        ``services`` may be one prebuilt
-        :class:`~repro.runtime.service.DiagnosisService` shared by all
-        replicas (cheap deterministic tests: one engine cache, N
-        routing queues) or one per replica; omitted, every replica
-        builds its own from ``async_kwargs``.
-        """
-        if n_replicas < 1:
-            raise ClusterError("n_replicas must be >= 1")
-        from .service import DiagnosisService
-        if services is None:
-            shared: Sequence = [None] * n_replicas
-        elif isinstance(services, DiagnosisService):
-            shared = [services] * n_replicas
-        else:
-            shared = list(services)
-            if len(shared) != n_replicas:
-                raise ClusterError(
-                    f"{len(shared)} services for {n_replicas} replicas")
-        replicas = []
-        for index, service in enumerate(shared):
-            front = AsyncDiagnosisService(service, **async_kwargs) \
-                if service is not None \
-                else AsyncDiagnosisService(**async_kwargs)
-            replicas.append(InProcessReplica(f"replica-{index}", front))
-        return cls(replicas, vnodes=vnodes)
-
-    @classmethod
-    async def spawn(cls, n_replicas: int, *,
-                    store_root: Optional[Path] = None,
-                    config: Optional[object] = None, seed: int = 0,
-                    max_engines: int = WORKER_DEFAULTS["max_engines"],
-                    window_ms: float = WORKER_DEFAULTS["window_ms"],
-                    max_batch: int = WORKER_DEFAULTS["max_batch"],
-                    max_pending: int = WORKER_DEFAULTS["max_pending"],
-                    overflow: str = WORKER_DEFAULTS["overflow"],
-                    posterior_samples: int =
-                    WORKER_DEFAULTS["posterior_samples"],
-                    posterior_tolerance: float =
-                    WORKER_DEFAULTS["posterior_tolerance"],
-                    warm: Sequence[str] = (),
-                    vnodes: int = 64, **kwargs) -> "ClusterService":
+    async def spawn(cls, n_replicas: int, *, warm: Sequence[str] = (),
+                    vnodes: int = 64,
+                    **worker_kwargs) -> "ClusterService":
         """Spawn N ``repro-serve`` worker processes and front them.
 
-        Workers share ``store_root`` (when given), so each replica's
-        cold warm-ups load cached artifacts instead of re-simulating;
-        they bind loopback only (the fronting router is the public
-        surface). ``warm`` circuits are pre-warmed on their owning
-        replica.
+        ``worker_kwargs`` go to every :meth:`SpawnedReplica.spawn`
+        unchanged (``store_root``, ``config``, ``seed``, the
+        :data:`WORKER_DEFAULTS` knobs, transport options). Workers
+        sharing ``store_root`` load each other's cached artifacts on
+        cold warm-ups instead of re-simulating; they bind loopback only
+        (the fronting router is the public surface). ``warm`` circuits
+        are pre-warmed on their owning replica.
         """
         if n_replicas < 1:
             raise ClusterError("n_replicas must be >= 1")
         outcomes = await asyncio.gather(
-            *(SpawnedReplica.spawn(
-                f"replica-{index}", store_root=store_root,
-                config=config, seed=seed, max_engines=max_engines,
-                window_ms=window_ms, max_batch=max_batch,
-                max_pending=max_pending, overflow=overflow,
-                posterior_samples=posterior_samples,
-                posterior_tolerance=posterior_tolerance, **kwargs)
+            *(SpawnedReplica.spawn(f"replica-{index}", **worker_kwargs)
               for index in range(n_replicas)),
             return_exceptions=True)
         failures = [o for o in outcomes if isinstance(o, BaseException)]
@@ -780,7 +618,7 @@ class ClusterService:
             # Don't orphan the siblings that did come up.
             await asyncio.gather(
                 *(replica.aclose() for replica in outcomes
-                  if isinstance(replica, Replica)),
+                  if isinstance(replica, SpawnedReplica)),
                 return_exceptions=True)
             raise failures[0]
         cluster = cls(outcomes, vnodes=vnodes)
@@ -800,7 +638,7 @@ class ClusterService:
     # ------------------------------------------------------------------
     # Routing + failover
     # ------------------------------------------------------------------
-    def replica_for(self, circuit_name: str) -> Replica:
+    def replica_for(self, circuit_name: str) -> HTTPReplica:
         """The live replica currently owning ``circuit_name``."""
         name = self.router.replica_for(circuit_name,
                                        exclude=frozenset(self.down))
@@ -827,7 +665,7 @@ class ClusterService:
                 time.perf_counter() - started)
 
     async def _call(self, circuit_name: str,
-                    op: Callable[[Replica], Awaitable[T]]) -> T:
+                    op: Callable[[HTTPReplica], Awaitable[T]]) -> T:
         """Run ``op`` on the owning replica, failing over along the
         ring when the transport reports the replica dead.
 
@@ -854,6 +692,8 @@ class ClusterService:
     async def submit(self, circuit_name: str, responses: ResponseBatch,
                      mode: str = "hard") -> list:
         """Diagnose one request on the circuit's owning replica."""
+        if self._closed:
+            raise ServiceError("cluster is closed")
         self.requests += 1
         self._m_requests.inc()
         return await self._call(
@@ -1009,10 +849,8 @@ class ClusterService:
                     merged[key] = merged.get(key, 0) + value
             for bucket, count in snapshot.get(
                     "batch_size_histogram", {}).items():
-                # In-process snapshots carry int bucket keys, wire
-                # snapshots str ones (JSON); normalise to str.
-                histogram[str(bucket)] = \
-                    histogram.get(str(bucket), 0) + count
+                # Snapshots arrive as JSON, so bucket keys are str.
+                histogram[bucket] = histogram.get(bucket, 0) + count
             for circuit, stats in snapshot.get("per_circuit",
                                                {}).items():
                 into = per_circuit.setdefault(circuit, {})

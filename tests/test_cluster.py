@@ -6,11 +6,17 @@ interleavings, a consistent-hash :class:`ClusterService` answers every
 request **bitwise-identically** to a single sequential
 :meth:`DiagnosisService.submit` -- the correctness contract that makes
 replica routing transparent to clients.
+
+Every cluster here runs over the real transport: one loopback HTTP
+server per replica, spoken to by :class:`HTTPReplica`. Killing a
+replica is closing its server; reviving it is serving again on the
+same address.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 
 import numpy as np
 import pytest
@@ -27,7 +33,7 @@ from repro.errors import (ClusterError, ReplicaUnavailableError,
                           ServiceError)
 from repro.runtime import codec, telemetry
 from repro.runtime.cluster import (CircuitRouter, HTTPReplica,
-                                   InProcessReplica, SpawnedReplica)
+                                   SpawnedReplica)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -46,9 +52,31 @@ from conftest import (QUICK_SERVING as QUICK,
 CHEAP_CIRCUITS = ("rc_lowpass", "voltage_divider")
 
 
-def shared_cluster(warm_service, n_replicas, **async_kwargs):
-    return ClusterService.in_process(n_replicas, services=warm_service,
-                                     **async_kwargs)
+@contextlib.asynccontextmanager
+async def loopback_cluster(services, **async_kwargs):
+    """A :class:`ClusterService` over one loopback server per replica.
+
+    ``services`` holds one :class:`DiagnosisService` per replica
+    (repeat one object for a cheap shared engine cache); each is served
+    behind ``AsyncDiagnosisService(service, **async_kwargs)``. Yields
+    ``(cluster, servers)`` with ``servers`` keyed by replica name;
+    teardown closes the cluster and every server still in ``servers``.
+    """
+    servers = {}
+    try:
+        for index, service in enumerate(services):
+            servers[f"replica-{index}"] = await serve(
+                AsyncDiagnosisService(service, **async_kwargs),
+                host="127.0.0.1", port=0)
+        cluster = ClusterService([HTTPReplica(name, *server.address)
+                                  for name, server in servers.items()])
+        try:
+            yield cluster, servers
+        finally:
+            await cluster.aclose()
+    finally:
+        for server in servers.values():
+            await server.aclose()
 
 
 # ----------------------------------------------------------------------
@@ -163,20 +191,20 @@ class TestClusterEquivalence:
         expected = sequential_answers(warm_service, mode, batches)
 
         async def clustered():
-            cluster = shared_cluster(
-                warm_service, n_replicas,
-                window_seconds=window_ms / 1e3, max_batch=max_batch)
+            async with loopback_cluster(
+                    [warm_service] * n_replicas,
+                    window_seconds=window_ms / 1e3,
+                    max_batch=max_batch) as (cluster, _):
 
-            async def one(position, circuit, rows):
-                for _ in range(stagger[position % len(stagger)]):
-                    await asyncio.sleep(0)
-                return await cluster.submit(circuit, rows, mode)
+                async def one(position, circuit, rows):
+                    for _ in range(stagger[position % len(stagger)]):
+                        await asyncio.sleep(0)
+                    return await cluster.submit(circuit, rows, mode)
 
-            results = await asyncio.gather(
-                *(one(position, circuit, rows)
-                  for position, (circuit, rows) in enumerate(batches)))
-            await cluster.aclose()
-            return results
+                return await asyncio.gather(
+                    *(one(position, circuit, rows)
+                      for position, (circuit, rows)
+                      in enumerate(batches)))
 
         results = asyncio.run(clustered())
         # Diagnosis and PosteriorDiagnosis are frozen dataclasses: ==
@@ -196,11 +224,10 @@ class TestClusterEquivalence:
         expected = sequential_answers(warm_service, mode, batches)
 
         async def clustered():
-            cluster = shared_cluster(warm_service, n_replicas,
-                                     window_seconds=0.001)
-            results = await cluster.submit_many(batches, mode)
-            await cluster.aclose()
-            return results
+            async with loopback_cluster([warm_service] * n_replicas,
+                                        window_seconds=0.001) \
+                    as (cluster, _):
+                return await cluster.submit_many(batches, mode)
 
         assert asyncio.run(clustered()) == expected
 
@@ -221,12 +248,10 @@ class TestCrossReplicaDeterminism:
                     for name, rows in batches]
 
         async def clustered():
-            cluster = ClusterService.in_process(
-                2, services=services, window_seconds=0.001)
-            results = [await cluster.submit(name, rows)
-                       for name, rows in batches]
-            await cluster.aclose()
-            return results
+            async with loopback_cluster(services, window_seconds=0.001) \
+                    as (cluster, _):
+                return [await cluster.submit(name, rows)
+                        for name, rows in batches]
 
         assert asyncio.run(clustered()) == expected
 
@@ -242,17 +267,17 @@ class TestFailover:
         expected = warm_service.submit(circuit, rows)
 
         async def run():
-            cluster = shared_cluster(warm_service, 3,
-                                     window_seconds=0.001)
-            owner = cluster.replica_for(circuit)
-            await owner.front.aclose()       # kill the owning replica
-            result = await cluster.submit(circuit, rows)
-            assert owner.name in cluster.down
-            assert cluster.failovers >= 1
-            # The re-route is sticky until health says otherwise.
-            assert cluster.replica_for(circuit).name != owner.name
-            await cluster.aclose()
-            return result
+            async with loopback_cluster([warm_service] * 3,
+                                        window_seconds=0.001) \
+                    as (cluster, servers):
+                owner = cluster.replica_for(circuit)
+                await servers[owner.name].aclose()   # kill the owner
+                result = await cluster.submit(circuit, rows)
+                assert owner.name in cluster.down
+                assert cluster.failovers >= 1
+                # The re-route is sticky until health says otherwise.
+                assert cluster.replica_for(circuit).name != owner.name
+                return result
 
         assert asyncio.run(run()) == expected
 
@@ -265,75 +290,84 @@ class TestFailover:
                     for name, rows in batches]
 
         async def run():
-            cluster = shared_cluster(warm_service, 3,
-                                     window_seconds=0.001)
-            victim = cluster.replica_for(CIRCUITS[0])
-            await victim.front.aclose()
-            results = await cluster.submit_many(batches)
-            assert victim.name in cluster.down
-            await cluster.aclose()
-            return results
+            async with loopback_cluster([warm_service] * 3,
+                                        window_seconds=0.001) \
+                    as (cluster, servers):
+                victim = cluster.replica_for(CIRCUITS[0])
+                await servers[victim.name].aclose()
+                results = await cluster.submit_many(batches)
+                assert victim.name in cluster.down
+                return results
 
         assert asyncio.run(run()) == expected
 
     def test_every_replica_down_raises_cluster_error(self, warm_service):
         async def run():
-            cluster = shared_cluster(warm_service, 2,
-                                     window_seconds=0.001)
-            for replica in cluster.replicas.values():
-                await replica.front.aclose()
-            with pytest.raises(ClusterError, match="no live replica"):
-                await cluster.submit(
-                    "rc_lowpass",
-                    measured_rows(warm_service, "rc_lowpass", 1, 0))
-            await cluster.aclose()
+            async with loopback_cluster([warm_service] * 2,
+                                        window_seconds=0.001) \
+                    as (cluster, servers):
+                for server in servers.values():
+                    await server.aclose()
+                with pytest.raises(ClusterError,
+                                   match="no live replica"):
+                    await cluster.submit(
+                        "rc_lowpass",
+                        measured_rows(warm_service, "rc_lowpass", 1, 0))
 
         asyncio.run(run())
 
     def test_check_health_marks_down_and_revives(self, warm_service):
         async def run():
-            cluster = shared_cluster(warm_service, 3,
-                                     window_seconds=0.001)
-            assert await cluster.check_health() == {
-                name: True for name in cluster.replicas}
-            victim = next(iter(cluster.replicas.values()))
-            await victim.front.aclose()
-            health = await cluster.check_health()
-            assert health[victim.name] is False
-            assert victim.name in cluster.down
-            # A replacement front under the same name rejoins the ring.
-            victim.front = AsyncDiagnosisService(warm_service,
-                                                 window_seconds=0.001)
-            health = await cluster.check_health()
-            assert health[victim.name] is True
-            assert victim.name not in cluster.down
-            await cluster.aclose()
+            async with loopback_cluster([warm_service] * 3,
+                                        window_seconds=0.001) \
+                    as (cluster, servers):
+                assert await cluster.check_health() == {
+                    name: True for name in cluster.replicas}
+                victim = next(iter(cluster.replicas.values()))
+                await servers[victim.name].aclose()
+                health = await cluster.check_health()
+                assert health[victim.name] is False
+                assert victim.name in cluster.down
+                # A replacement server on the same address rejoins the
+                # ring under the same name.
+                servers[victim.name] = await serve(
+                    AsyncDiagnosisService(warm_service,
+                                          window_seconds=0.001),
+                    host=victim.host, port=victim.port)
+                health = await cluster.check_health()
+                assert health[victim.name] is True
+                assert victim.name not in cluster.down
 
         asyncio.run(run())
 
     def test_closed_cluster_rejects_submits(self, warm_service):
+        rows = measured_rows(warm_service, "rc_lowpass", 1, 0)
+
         async def run():
-            cluster = shared_cluster(warm_service, 2)
-            await cluster.aclose()
-            with pytest.raises(ServiceError, match="closed"):
-                await cluster.submit(
-                    "rc_lowpass",
-                    measured_rows(warm_service, "rc_lowpass", 1, 0))
+            async with loopback_cluster([warm_service] * 2) \
+                    as (cluster, _):
+                await cluster.aclose()
+                with pytest.raises(ServiceError, match="closed"):
+                    await cluster.submit("rc_lowpass", rows)
+                with pytest.raises(ServiceError, match="closed"):
+                    await cluster.submit_many([("rc_lowpass", rows)])
+                # A refused request was never accepted: no counter moves.
+                assert (cluster.requests, cluster.bursts) == (0, 0)
+                families = telemetry.parse_exposition(
+                    cluster.registry.render())
+                for family in ("repro_cluster_requests_total",
+                               "repro_cluster_bursts_total"):
+                    assert [value for _, _, value
+                            in families[family]["samples"]] == [0.0]
 
         asyncio.run(run())
 
-    def test_invalid_clusters_rejected(self, warm_service):
+    def test_invalid_clusters_rejected(self):
         with pytest.raises(ClusterError):
             ClusterService([])
-        front = AsyncDiagnosisService(warm_service)
         with pytest.raises(ClusterError, match="duplicate"):
-            ClusterService([InProcessReplica("twin", front),
-                            InProcessReplica("twin", front)])
-        with pytest.raises(ClusterError):
-            ClusterService.in_process(0, services=warm_service)
-        with pytest.raises(ClusterError, match="2 services"):
-            ClusterService.in_process(
-                3, services=[DiagnosisService(config=QUICK)] * 2)
+            ClusterService([HTTPReplica("twin", "127.0.0.1", 1),
+                            HTTPReplica("twin", "127.0.0.1", 1)])
 
 
 # ----------------------------------------------------------------------
@@ -342,25 +376,26 @@ class TestFailover:
 class TestClusterIntrospection:
     def test_stats_snapshot_aggregates(self, warm_service):
         async def run():
-            cluster = shared_cluster(warm_service, 2,
-                                     window_seconds=0.001)
-            await cluster.submit(
-                "rc_lowpass",
-                measured_rows(warm_service, "rc_lowpass", 1, 3))
-            await cluster.submit_many(
-                [("voltage_divider",
-                  measured_rows(warm_service, "voltage_divider", 1, 4))])
-            await cluster.submit(
-                "rc_lowpass",
-                measured_rows(warm_service, "rc_lowpass", 2, 5),
-                "posterior")
-            await cluster.submit_many(
-                [("voltage_divider",
-                  measured_rows(warm_service, "voltage_divider", 1, 6))],
-                "posterior")
-            snapshot = await cluster.stats_snapshot()
-            await cluster.aclose()
-            return snapshot
+            async with loopback_cluster([warm_service] * 2,
+                                        window_seconds=0.001) \
+                    as (cluster, _):
+                await cluster.submit(
+                    "rc_lowpass",
+                    measured_rows(warm_service, "rc_lowpass", 1, 3))
+                await cluster.submit_many(
+                    [("voltage_divider",
+                      measured_rows(warm_service, "voltage_divider",
+                                    1, 4))])
+                await cluster.submit(
+                    "rc_lowpass",
+                    measured_rows(warm_service, "rc_lowpass", 2, 5),
+                    "posterior")
+                await cluster.submit_many(
+                    [("voltage_divider",
+                      measured_rows(warm_service, "voltage_divider",
+                                    1, 6))],
+                    "posterior")
+                return await cluster.stats_snapshot()
 
         snapshot = asyncio.run(run())
         assert snapshot["cluster"]["replicas"] == 2
@@ -383,14 +418,13 @@ class TestClusterIntrospection:
 
     def test_metrics_text_merges_replica_scrapes(self, warm_service):
         async def run():
-            cluster = shared_cluster(warm_service, 2,
-                                     window_seconds=0.001)
-            await cluster.submit(
-                "rc_lowpass",
-                measured_rows(warm_service, "rc_lowpass", 1, 9))
-            text = await cluster.metrics_text()
-            await cluster.aclose()
-            return text
+            async with loopback_cluster([warm_service] * 2,
+                                        window_seconds=0.001) \
+                    as (cluster, _):
+                await cluster.submit(
+                    "rc_lowpass",
+                    measured_rows(warm_service, "rc_lowpass", 1, 9))
+                return await cluster.metrics_text()
 
         text = asyncio.run(run())
         families = telemetry.parse_exposition(text)
@@ -409,13 +443,15 @@ class TestClusterIntrospection:
 
     def test_known_and_warmed_circuits(self, warm_service):
         async def run():
-            cluster = shared_cluster(warm_service, 2,
-                                     window_seconds=0.001)
-            known = cluster.known_circuits()
-            assert "rc_lowpass" in known["benchmarks"]
-            assert set(CIRCUITS) <= set(cluster.warmed_circuits())
-            assert cluster.queue_depth == 0
-            await cluster.aclose()
+            async with loopback_cluster([warm_service] * 2,
+                                        window_seconds=0.001) \
+                    as (cluster, _):
+                # Replica introspection rides the health probe.
+                await cluster.check_health()
+                known = cluster.known_circuits()
+                assert "rc_lowpass" in known["benchmarks"]
+                assert set(CIRCUITS) <= set(cluster.warmed_circuits())
+                assert cluster.queue_depth == 0
 
         asyncio.run(run())
 
@@ -428,11 +464,12 @@ class TestClusterIntrospection:
         async def run():
             service = DiagnosisService(config=QUICK, seed=3)
             service.register("custom_dut", rc_lowpass())
-            cluster = ClusterService.in_process(
-                2, services=service, window_seconds=0.001)
-            assert "custom_dut" in \
-                cluster.known_circuits()["registered"]
-            await cluster.aclose()
+            async with loopback_cluster([service] * 2,
+                                        window_seconds=0.001) \
+                    as (cluster, _):
+                await cluster.check_health()
+                assert "custom_dut" in \
+                    cluster.known_circuits()["registered"]
 
         asyncio.run(run())
 
@@ -443,33 +480,34 @@ class TestClusterBehindHTTP:
         failure (every owning replica down) is 503, never 404."""
         from repro.runtime import codec as wire
 
+        body = wire.encode_request(
+            "rc_lowpass", measured_rows(warm_service, "rc_lowpass", 1, 0))
+
         async def run():
-            cluster = shared_cluster(warm_service, 2,
-                                     window_seconds=0.001)
-            for replica in cluster.replicas.values():
-                await replica.front.aclose()
-            server = await serve(cluster, host="127.0.0.1", port=0)
-            host, port = server.address
-            try:
-                reader, writer = await asyncio.open_connection(host,
-                                                               port)
-                body = wire.encode_request(
-                    "rc_lowpass",
-                    measured_rows(warm_service, "rc_lowpass", 1, 0))
-                writer.write((f"POST /v1/diagnose HTTP/1.1\r\n"
-                              f"Host: {host}\r\n"
-                              f"Content-Length: {len(body)}\r\n"
-                              f"Connection: close\r\n\r\n"
-                              ).encode("latin1") + body)
-                await writer.drain()
-                raw = await reader.read()
-                writer.close()
-                await writer.wait_closed()
-                status = int(raw.split(b" ", 2)[1])
-                assert status == 503
-                assert b"ClusterError" in raw
-            finally:
-                await server.aclose()
+            async with loopback_cluster([warm_service] * 2,
+                                        window_seconds=0.001) \
+                    as (cluster, servers):
+                for replica_server in servers.values():
+                    await replica_server.aclose()
+                front = await serve(cluster, host="127.0.0.1", port=0)
+                host, port = front.address
+                try:
+                    reader, writer = await asyncio.open_connection(host,
+                                                                   port)
+                    writer.write((f"POST /v1/diagnose HTTP/1.1\r\n"
+                                  f"Host: {host}\r\n"
+                                  f"Content-Length: {len(body)}\r\n"
+                                  f"Connection: close\r\n\r\n"
+                                  ).encode("latin1") + body)
+                    await writer.drain()
+                    raw = await reader.read()
+                    writer.close()
+                    await writer.wait_closed()
+                finally:
+                    await front.aclose()
+            status = int(raw.split(b" ", 2)[1])
+            assert status == 503
+            assert b"ClusterError" in raw
 
         asyncio.run(run())
 
@@ -486,7 +524,7 @@ class TestConfigAndCliValidation:
 
 
 # ----------------------------------------------------------------------
-# Wire transport (HTTPReplica against an in-process HTTP server)
+# Wire transport (HTTPReplica against a loopback HTTP server)
 # ----------------------------------------------------------------------
 class TestHTTPReplica:
     def test_http_replica_round_trip_and_keep_alive(self, warm_service):
@@ -551,7 +589,7 @@ class TestHTTPReplica:
                     await replica.submit("no_such_circuit",
                                          np.zeros((1, 2)))
                 # Request-level errors cross the wire as the same
-                # type an in-process replica raises.
+                # type the service raises.
                 from repro.errors import DiagnosisError
                 with pytest.raises(DiagnosisError):
                     await replica.submit("rc_lowpass",
