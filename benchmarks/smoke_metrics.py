@@ -8,11 +8,15 @@ The CI job for the observability surface:
 2. warms a circuit through ``GET /v1/test-vector/<circuit>``;
 3. fires a small diagnose burst with an explicit ``X-Request-Id`` and
    checks the id is echoed back;
-4. scrapes ``GET /v1/metrics`` and validates the payload with the same
-   exposition parser the test suite uses
-   (:func:`repro.runtime.telemetry.parse_exposition`), asserting that
-   engine, store, service and cluster metric families are all present
-   with sane values.
+4. reads ``GET /v1/stats``, then scrapes ``GET /v1/metrics`` and
+   validates the payload with the same exposition parser the test
+   suite uses (:func:`repro.runtime.telemetry.parse_exposition`),
+   asserting that engine, store, service and cluster metric families
+   are all present with sane values;
+5. cross-checks the two surfaces: ``/v1/stats`` is a JSON view of the
+   registry, so its merged and cluster request counts must equal the
+   scrape's ``repro_service_requests_total`` and
+   ``repro_cluster_requests_total``.
 
 Run standalone::
 
@@ -122,7 +126,10 @@ def main() -> int:
             assert headers.get("X-Request-Id") == request_id, headers
         print(f"diagnose burst: {BURST} requests, ids echoed")
 
-        # Scrape and validate.
+        # Read the JSON view, then scrape and validate.
+        status, _, payload = _get(f"{base}/v1/stats", timeout=60.0)
+        assert status == 200, status
+        stats = json.loads(payload)
         status, headers, payload = _get(f"{base}/v1/metrics",
                                         timeout=60.0)
         assert status == 200, status
@@ -142,6 +149,18 @@ def main() -> int:
             raise SystemExit(
                 f"repro_cluster_requests_total {requests_total} < "
                 f"burst size {BURST}")
+        service_requests = sum(
+            value for _, _, value
+            in families["repro_service_requests_total"]["samples"])
+        if stats["merged"]["requests"] != service_requests:
+            raise SystemExit(
+                f"/v1/stats merged requests {stats['merged']['requests']}"
+                f" != Σ repro_service_requests_total {service_requests}")
+        if stats["cluster"]["requests"] != requests_total:
+            raise SystemExit(
+                f"/v1/stats cluster requests "
+                f"{stats['cluster']['requests']} != "
+                f"repro_cluster_requests_total {requests_total}")
         up = {labels.get("replica"): value for _, labels, value
               in families["repro_cluster_replica_up"]["samples"]}
         if sorted(up) != ["replica-0", "replica-1"] or \
@@ -150,6 +169,9 @@ def main() -> int:
         print(f"/v1/metrics: {len(families)} families, "
               f"{requests_total:.0f} cluster requests, "
               f"{len(up)} replicas up -- ok")
+        print(f"/v1/stats: {stats['merged']['requests']} merged and "
+              f"{stats['cluster']['requests']} cluster requests, equal "
+              f"to the scrape -- ok")
         return 0
     finally:
         # SIGINT, not SIGTERM: the CLI's KeyboardInterrupt path tears

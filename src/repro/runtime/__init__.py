@@ -37,10 +37,9 @@ serially in one process; the multi-core path is a replica cluster
 from .cluster import (CircuitRouter, ClusterService, HTTPReplica,
                       SpawnedReplica)
 from .server import AsyncDiagnosisService, DiagnosisHTTPServer, serve
-from .service import CircuitStats, DiagnosisService, ServiceStats
-from .store import (ArtifactRecord, ArtifactStore, StoreStats, as_store,
-                    derive_key, ga_search_key, problem_key,
-                    trajectory_key)
+from .service import DiagnosisService, ServiceStats
+from .store import (ArtifactRecord, ArtifactStore, as_store, derive_key,
+                    ga_search_key, problem_key, trajectory_key)
 from .telemetry import (REGISTRY, TRACER, Counter, Gauge, Histogram,
                         MetricsRegistry, ProfilingCollector, Span,
                         Tracer, current_request_id, new_request_id,
@@ -48,7 +47,6 @@ from .telemetry import (REGISTRY, TRACER, Counter, Gauge, Histogram,
 
 __all__ = [
     "ArtifactStore",
-    "StoreStats",
     "as_store",
     "problem_key",
     "derive_key",
@@ -56,7 +54,6 @@ __all__ = [
     "trajectory_key",
     "ArtifactRecord",
     "DiagnosisService",
-    "CircuitStats",
     "ServiceStats",
     "AsyncDiagnosisService",
     "DiagnosisHTTPServer",

@@ -557,13 +557,10 @@ class ClusterService:
         self.replicas: Dict[str, HTTPReplica] = {
             replica.name: replica for replica in replicas}
         self.down: Set[str] = set()
-        self.requests = 0
-        self.bursts = 0
-        self.failovers = 0
         self._closed = False
-        # Cluster-level metrics live on their own registry (the plain
-        # int counters above stay -- tests and stats_snapshot read
-        # them); /v1/metrics renders it ahead of the replica scrapes.
+        # Cluster-level counts live only on the cluster's own registry;
+        # /v1/metrics renders it ahead of the replica scrapes and
+        # stats_snapshot()["cluster"] reads it back.
         self.registry = telemetry.MetricsRegistry()
         self._m_requests = self.registry.counter(
             "repro_cluster_requests_total",
@@ -646,13 +643,11 @@ class ClusterService:
 
     def _mark_down(self, name: str) -> None:
         self.down.add(name)
-        self.failovers += 1
         self._m_failovers.labels("unavailable").inc()
         self._m_up.labels(name).set(0.0)
 
     def _mark_slow(self, name: str, slow: Set[str]) -> None:
         slow.add(name)
-        self.failovers += 1
         self._m_failovers.labels("timeout").inc()
         self._m_timeouts.labels(name).inc()
 
@@ -694,7 +689,6 @@ class ClusterService:
         """Diagnose one request on the circuit's owning replica."""
         if self._closed:
             raise ServiceError("cluster is closed")
-        self.requests += 1
         self._m_requests.inc()
         return await self._call(
             circuit_name,
@@ -714,8 +708,6 @@ class ClusterService:
             raise ServiceError("cluster is closed")
         if not requests:
             return []
-        self.requests += len(requests)
-        self.bursts += 1
         self._m_requests.inc(len(requests))
         self._m_bursts.inc()
         results: List[Optional[List]] = [None] * len(requests)
@@ -849,7 +841,8 @@ class ClusterService:
                     merged[key] = merged.get(key, 0) + value
             for bucket, count in snapshot.get(
                     "batch_size_histogram", {}).items():
-                # Snapshots arrive as JSON, so bucket keys are str.
+                # Snapshots arrive as JSON, so bucket keys are str
+                # ("1", "2", ..., "+Inf"); they sort as floats.
                 histogram[bucket] = histogram.get(bucket, 0) + count
             for circuit, stats in snapshot.get("per_circuit",
                                                {}).items():
@@ -864,7 +857,7 @@ class ClusterService:
                 stats.get("total_latency_seconds", 0.0) / requests \
                 if requests else 0.0
         merged["batch_size_histogram"] = dict(sorted(
-            histogram.items(), key=lambda item: int(item[0])))
+            histogram.items(), key=lambda item: float(item[0])))
         merged["per_circuit"] = per_circuit
         return merged
 
@@ -883,9 +876,11 @@ class ClusterService:
             "cluster": {
                 "replicas": len(self.replicas),
                 "down": sorted(self.down),
-                "requests": self.requests,
-                "bursts": self.bursts,
-                "failovers": self.failovers,
+                "requests": int(self._m_requests.value),
+                "bursts": int(self._m_bursts.value),
+                "failovers": int(sum(
+                    child.value
+                    for _, child in self._m_failovers.children())),
             },
             "merged": self._merge_snapshots(
                 [snapshot for snapshot in snapshots

@@ -300,11 +300,7 @@ class AsyncDiagnosisService:
             queue = self._queues.setdefault(queue_key, _CircuitQueue())
         queue.items.append(item)
         queue.rows += rows
-        stats = self.service.stats
-        stats.gauge_queue_depth(self._pending)
-        if self._pending > stats.peak_queue_depth:
-            # lock only on a new peak
-            stats.observe_queue_depth(self._pending)
+        self.service.stats.observe_queue_depth(self._pending)
         if queue.rows >= self.max_batch:
             self._start_flush(queue_key)
         elif queue.timer is None:
@@ -332,7 +328,7 @@ class AsyncDiagnosisService:
 
     async def _settle(self, count: int) -> None:
         self._pending -= count
-        self.service.stats.gauge_queue_depth(self._pending)
+        self.service.stats.observe_queue_depth(self._pending)
         async with self._capacity:
             self._capacity.notify_all()
 

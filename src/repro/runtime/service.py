@@ -28,7 +28,7 @@ import time
 from collections import OrderedDict, deque
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (Callable, Deque, Dict, List, Optional, Sequence,
                     Tuple, Union)
@@ -48,103 +48,35 @@ from .store import ArtifactStore, as_store
 #: Anything ``DiagnosisService(store=...)`` accepts.
 StoreLike = Union[ArtifactStore, str, Path, None]
 
-__all__ = ["DiagnosisService", "CircuitStats", "ServiceStats"]
+__all__ = ["DiagnosisService", "ServiceStats"]
 
 #: How many recent request latencies the percentile reservoir keeps.
 LATENCY_WINDOW = 4096
 
 
-def _batch_bucket(n_rows: int) -> int:
-    """Histogram bucket for a coalesced batch: rows rounded up to the
-    next power of two (1, 2, 4, 8, ...)."""
-    if n_rows <= 1:
-        return 1
-    return 1 << (n_rows - 1).bit_length()
-
-
-@dataclass
-class CircuitStats:
-    """Counters for one named circuit."""
-
-    requests: int = 0
-    responses_diagnosed: int = 0
-    total_latency_seconds: float = 0.0
-    warm_loads: int = 0
-
-    @property
-    def mean_latency_seconds(self) -> float:
-        if self.requests == 0:
-            return 0.0
-        return self.total_latency_seconds / self.requests
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "requests": self.requests,
-            "responses_diagnosed": self.responses_diagnosed,
-            "total_latency_seconds": self.total_latency_seconds,
-            "mean_latency_seconds": self.mean_latency_seconds,
-            "warm_loads": self.warm_loads,
-        }
-
-
-@dataclass
 class ServiceStats:
-    """Aggregate counters plus the per-circuit breakdown.
+    """Runtime counters of one service, booked in its metrics registry.
 
-    All mutation goes through the ``record_*`` / ``observe_*`` methods,
+    Every count lives in exactly one place: a family of the stats
+    object's own :class:`~repro.runtime.telemetry.MetricsRegistry` (the
+    Prometheus view served by ``GET /v1/metrics``). Each service gets a
+    fresh registry, so concurrent services never share counters. All
+    mutation goes through the ``record_*`` / ``observe_*`` methods,
     which hold an internal lock -- callers may hammer one stats object
-    from any number of threads and every counter stays exact. Plain
-    attribute reads are lock-free (ints/floats are torn-write safe under
-    the GIL); use :meth:`snapshot` for a consistent multi-field view.
-
-    Every record also lands in the attached
-    :class:`~repro.runtime.telemetry.MetricsRegistry` (the Prometheus
-    view served by ``GET /v1/metrics``): the ``record_*`` seam writes
-    both books, so the JSON :meth:`snapshot` surface stays exactly as
-    it always was while the registry carries labelled counters, the
-    request-latency histogram and the live/peak queue-depth gauges.
-    Each stats object gets its own registry by default so concurrent
-    services never share counters.
+    from any number of threads and every counter stays exact.
+    :meth:`snapshot` is the JSON view (``GET /v1/stats``) read back
+    from the families; only the windowed latency percentiles come from
+    a separate reservoir of recent request latencies, which the
+    registry's fixed buckets cannot resolve exactly.
     """
 
-    requests: int = 0
-    responses_diagnosed: int = 0
-    total_latency_seconds: float = 0.0
-    evictions: int = 0
-    #: Number of coalesced classify calls the async front issued.
-    coalesced_batches: int = 0
-    #: Client requests that were answered from a coalesced batch.
-    coalesced_requests: int = 0
-    #: Requests refused by backpressure (``overflow="reject"``).
-    rejections: int = 0
-    #: Completed posterior (probabilistic) diagnosis requests.
-    posterior_requests: int = 0
-    #: Response rows answered with posterior probabilities.
-    posterior_rows: int = 0
-    #: Posterior diagnoser builds (Monte-Carlo sweeps).
-    posterior_builds: int = 0
-    #: Engine variants simulated across all posterior builds.
-    posterior_samples: int = 0
-    #: Highest queued-request count the async front ever observed.
-    peak_queue_depth: int = 0
-    #: Coalesced batch sizes (rows), bucketed to powers of two.
-    batch_size_histogram: Dict[int, int] = field(default_factory=dict)
-    #: Simulation engine kind the owning service warms circuits with
-    #: (``PipelineConfig.engine``); surfaced through ``/v1/stats``.
-    engine_kind: str = "batched"
-    per_circuit: Dict[str, CircuitStats] = field(default_factory=dict)
-    registry: Optional[telemetry.MetricsRegistry] = field(
-        default=None, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
-    _latencies: Deque[float] = field(
-        default_factory=lambda: deque(maxlen=LATENCY_WINDOW),
-        repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.registry is None:
-            self.registry = telemetry.MetricsRegistry()
-        reg = self.registry
+    def __init__(self, engine_kind: str = "batched") -> None:
+        #: Simulation engine kind the owning service warms circuits with
+        #: (``PipelineConfig.engine``); surfaced through ``/v1/stats``.
+        self.engine_kind = engine_kind
+        self.registry = reg = telemetry.MetricsRegistry()
+        self._lock = threading.Lock()
+        self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._m_requests = reg.counter(
             "repro_service_requests_total",
             "Completed diagnosis requests.", ("circuit",))
@@ -157,7 +89,8 @@ class ServiceStats:
             ("circuit",))
         self._m_latency = reg.histogram(
             "repro_service_request_latency_seconds",
-            "End-to-end request latency inside the service.")
+            "End-to-end request latency inside the service.",
+            ("circuit",))
         self._m_evictions = reg.counter(
             "repro_service_engine_evictions_total",
             "Warm engines evicted by the LRU.")
@@ -203,23 +136,15 @@ class ServiceStats:
             buckets=(0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 1.5,
                      2.0, 3.0, 4.0, 6.0))
 
-    def for_circuit(self, name: str) -> CircuitStats:
-        return self.per_circuit.setdefault(name, CircuitStats())
-
     # ------------------------------------------------------------------
     # Recording (thread-safe)
     # ------------------------------------------------------------------
     def _record_one(self, circuit_name: str, n_responses: int,
                     latency_seconds: float) -> None:
-        per = self.for_circuit(circuit_name)
-        for scope in (self, per):
-            scope.requests += 1
-            scope.responses_diagnosed += n_responses
-            scope.total_latency_seconds += latency_seconds
         self._latencies.append(latency_seconds)
         self._m_requests.labels(circuit_name).inc()
         self._m_responses.labels(circuit_name).inc(n_responses)
-        self._m_latency.observe(latency_seconds)
+        self._m_latency.labels(circuit_name).observe(latency_seconds)
 
     def record_request(self, circuit_name: str, n_responses: int,
                        latency_seconds: float) -> None:
@@ -237,11 +162,6 @@ class ServiceStats:
         classify call that answered them all.
         """
         with self._lock:
-            self.coalesced_batches += 1
-            self.coalesced_requests += len(request_latencies)
-            bucket = _batch_bucket(n_rows)
-            self.batch_size_histogram[bucket] = \
-                self.batch_size_histogram.get(bucket, 0) + 1
             self._m_coalesced_batches.inc()
             self._m_coalesced_requests.inc(len(request_latencies))
             self._m_batch_rows.observe(n_rows)
@@ -259,8 +179,6 @@ class ServiceStats:
         """
         with self._lock:
             for n_rows, latency in request_latencies:
-                self.posterior_requests += 1
-                self.posterior_rows += n_rows
                 self._m_posterior_requests.labels(circuit_name).inc()
                 self._m_posterior_rows.labels(circuit_name).inc(n_rows)
                 self._m_posterior_latency.observe(latency)
@@ -272,37 +190,25 @@ class ServiceStats:
                                build_seconds: float) -> None:
         """Record one posterior diagnoser build (Monte-Carlo sweep)."""
         with self._lock:
-            self.posterior_builds += 1
-            self.posterior_samples += n_samples
             self._m_posterior_samples.labels(circuit_name).inc(n_samples)
             self._m_posterior_build.observe(build_seconds)
 
     def record_warm_load(self, circuit_name: str) -> None:
         with self._lock:
-            self.for_circuit(circuit_name).warm_loads += 1
             self._m_warm_loads.labels(circuit_name).inc()
 
     def record_eviction(self, count: int = 1) -> None:
         with self._lock:
-            self.evictions += count
             self._m_evictions.inc(count)
 
     def record_rejection(self) -> None:
         with self._lock:
-            self.rejections += 1
             self._m_rejections.inc()
-
-    def gauge_queue_depth(self, depth: int) -> None:
-        """Update only the live queue-depth gauge (no peak lock)."""
-        self._m_queue_depth.set(depth)
 
     def observe_queue_depth(self, depth: int) -> None:
         """Track the live queue depth (gauge) and its high watermark."""
         self._m_queue_depth.set(depth)
-        with self._lock:
-            if depth > self.peak_queue_depth:
-                self.peak_queue_depth = depth
-                self._m_peak_queue_depth.set(depth)
+        self._m_peak_queue_depth.set_max(depth)
 
     # ------------------------------------------------------------------
     # Derived views
@@ -329,38 +235,61 @@ class ServiceStats:
         return self.latency_percentile(0.95)
 
     def snapshot(self) -> Dict[str, object]:
-        """A consistent, JSON-ready view of every counter."""
+        """A JSON-ready view of every counter, read back from the
+        registry families under the stats lock (counts as ``int``)."""
         with self._lock:
-            window = sorted(self._latencies)
+            requests = _by_circuit(self._m_requests)
+            responses = _by_circuit(self._m_responses)
+            warm_loads = _by_circuit(self._m_warm_loads)
+            latency = {labels["circuit"]: child.sum for labels, child
+                       in self._m_latency.children()}
+            batch_rows = self._m_batch_rows.bucket_counts()
             snap: Dict[str, object] = {
                 "engine_kind": self.engine_kind,
-                "requests": self.requests,
-                "responses_diagnosed": self.responses_diagnosed,
-                "total_latency_seconds": self.total_latency_seconds,
-                "evictions": self.evictions,
-                "coalesced_batches": self.coalesced_batches,
-                "coalesced_requests": self.coalesced_requests,
-                "rejections": self.rejections,
-                "posterior_requests": self.posterior_requests,
-                "posterior_rows": self.posterior_rows,
-                "posterior_builds": self.posterior_builds,
-                "posterior_samples": self.posterior_samples,
-                "peak_queue_depth": self.peak_queue_depth,
-                "batch_size_histogram": dict(sorted(
-                    self.batch_size_histogram.items())),
-                "per_circuit": {name: stats.as_dict()
-                                for name, stats
-                                in self.per_circuit.items()},
+                "requests": sum(requests.values()),
+                "responses_diagnosed": sum(responses.values()),
+                "total_latency_seconds": sum(latency.values()),
+                "evictions": int(self._m_evictions.value),
+                "coalesced_batches": int(self._m_coalesced_batches.value),
+                "coalesced_requests":
+                    int(self._m_coalesced_requests.value),
+                "rejections": int(self._m_rejections.value),
+                "posterior_requests": sum(
+                    _by_circuit(self._m_posterior_requests).values()),
+                "posterior_rows": sum(
+                    _by_circuit(self._m_posterior_rows).values()),
+                "posterior_builds": self._m_posterior_build.count,
+                "posterior_samples": sum(
+                    _by_circuit(self._m_posterior_samples).values()),
+                "peak_queue_depth": int(self._m_peak_queue_depth.value),
             }
-        for label, quantile in (("latency_p50_seconds", 0.50),
-                                ("latency_p95_seconds", 0.95)):
-            if window:
-                index = min(len(window) - 1,
-                            max(0, round(quantile * (len(window) - 1))))
-                snap[label] = window[index]
-            else:
-                snap[label] = 0.0
+        # Bucket upper bounds (rows) as keys; past the last, "+Inf".
+        bounds = [int(bound) for bound in self._m_batch_rows.buckets]
+        snap["batch_size_histogram"] = {
+            bucket: count for bucket, count
+            in zip(bounds + ["+Inf"], batch_rows) if count}
+        per_circuit: Dict[str, Dict[str, object]] = {}
+        for circuit in dict.fromkeys([*warm_loads, *requests]):
+            n_requests = requests.get(circuit, 0)
+            total = latency.get(circuit, 0.0)
+            per_circuit[circuit] = {
+                "requests": n_requests,
+                "responses_diagnosed": responses.get(circuit, 0),
+                "total_latency_seconds": total,
+                "mean_latency_seconds":
+                    total / n_requests if n_requests else 0.0,
+                "warm_loads": warm_loads.get(circuit, 0),
+            }
+        snap["per_circuit"] = per_circuit
+        snap["latency_p50_seconds"] = self.latency_p50_seconds
+        snap["latency_p95_seconds"] = self.latency_p95_seconds
         return snap
+
+
+def _by_circuit(counter: telemetry.Counter) -> Dict[str, int]:
+    """A ``circuit``-labelled counter's values keyed by circuit."""
+    return {labels["circuit"]: int(child.value)
+            for labels, child in counter.children()}
 
 
 @dataclass
@@ -394,10 +323,6 @@ class DiagnosisService:
         warm-up would exceed it.
     seed:
         GA seed used for every warm-up (per-circuit determinism).
-    registry:
-        Metrics registry backing this service's :class:`ServiceStats`;
-        defaults to a fresh one per service (see
-        :meth:`metrics_text`).
     posterior:
         Tolerance model / sampling knobs for the probabilistic tier
         (:meth:`diagnose_posterior`). Defaults to
@@ -408,7 +333,6 @@ class DiagnosisService:
     def __init__(self, config: Optional[PipelineConfig] = None,
                  store: StoreLike = None,
                  max_engines: int = 4, seed: int = 0,
-                 registry: Optional[telemetry.MetricsRegistry] = None,
                  posterior: Optional[PosteriorConfig] = None,
                  ) -> None:
         if max_engines < 1:
@@ -421,8 +345,7 @@ class DiagnosisService:
         # identical Monte-Carlo worlds (bitwise-reproducible posteriors
         # regardless of which replica answers).
         self.posterior_config = posterior or PosteriorConfig(seed=seed)
-        self.stats = ServiceStats(registry=registry,
-                                  engine_kind=self.config.engine)
+        self.stats = ServiceStats(engine_kind=self.config.engine)
         self._circuits: Dict[str, CircuitInfo] = {}
         self._engines: "OrderedDict[str, _Engine]" = OrderedDict()
         self._lock = threading.Lock()
@@ -674,8 +597,6 @@ class DiagnosisService:
 
     def metrics_text(self) -> str:
         """Prometheus text: this service's registry + the process-wide
-        engine/pipeline/store families (deduplicated when shared)."""
-        if self.stats.registry is telemetry.REGISTRY:
-            return telemetry.REGISTRY.render()
+        engine/pipeline/store families."""
         return telemetry.render_registries(self.stats.registry,
                                            telemetry.REGISTRY)

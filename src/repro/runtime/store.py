@@ -55,7 +55,7 @@ from ..trajectory.mapping import SignatureMapper
 from ..trajectory.trajectory import FaultTrajectory, TrajectorySet
 from . import telemetry
 
-__all__ = ["ArtifactStore", "ArtifactRecord", "StoreStats", "as_store",
+__all__ = ["ArtifactStore", "ArtifactRecord", "as_store",
            "problem_key", "derive_key", "ga_search_key", "trajectory_key"]
 
 _KEY_PATTERN = re.compile(r"[0-9a-f]{64}")
@@ -82,18 +82,6 @@ class ArtifactRecord:
     key: str
     n_bytes: int
     mtime: float
-
-
-@dataclass
-class StoreStats:
-    """Hit/miss/put counters for one store instance."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-
-    def snapshot(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def as_store(source: Union["ArtifactStore", str, Path, None]
@@ -219,27 +207,22 @@ def _ga_result_from_json(data: dict) -> GAResult:
 class ArtifactStore:
     """Content-addressed cache of pipeline artifacts.
 
+    Hits, misses, puts and evictions are counted in the
+    ``repro_store_*`` families of the process registry
+    (:data:`~repro.runtime.telemetry.REGISTRY`), summed over every
+    store instance in the process.
+
     Parameters
     ----------
     root:
         Store root directory (created if missing). Artifacts live
         under ``<root>/<kind>/<key[:2]>/<key>/``.
-    registry:
-        Metrics registry receiving the ``repro_store_*`` families;
-        defaults to the process registry. The per-instance
-        :class:`StoreStats` is kept alongside for the JSON
-        ``snapshot()`` surface.
     """
 
-    def __init__(self, root: Union[str, Path], *,
-                 registry: Optional[telemetry.MetricsRegistry] = None,
-                 ) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = StoreStats()
-        self.registry = registry if registry is not None \
-            else telemetry.REGISTRY
-        reg = self.registry
+        reg = telemetry.REGISTRY
         self._hits_total = reg.counter(
             "repro_store_hits_total",
             "Artifact reads served from the store.")
@@ -279,14 +262,12 @@ class ArtifactStore:
     def _open(self, kind: str, key: str) -> Optional[Path]:
         slot = self._slot(kind, key)
         if not slot.is_dir():
-            self.stats.misses += 1
             self._misses_total.inc()
             return None
         try:                     # LRU bookkeeping; never worth failing a read
             os.utime(slot)
         except OSError:
             pass
-        self.stats.hits += 1
         return slot
 
     #: Read failures that mean "this cached artifact is gone or
@@ -317,10 +298,8 @@ class ArtifactStore:
                 self.delete(kind, key)
             except OSError:
                 pass             # read-only/flaky root: miss anyway
-        self.stats.hits -= 1
-        self.stats.misses += 1
-        # Registry hits are only counted on a *completed* load, so this
-        # correction path just records the miss (counters stay monotonic).
+        # Hits are only counted on a *completed* load, so the race
+        # reads as one miss and no hit.
         self._misses_total.inc()
 
     def _publish(self, kind: str, key: str, populate) -> None:
@@ -348,7 +327,6 @@ class ArtifactStore:
         except BaseException:
             shutil.rmtree(scratch, ignore_errors=True)
             raise
-        self.stats.puts += 1
         self._puts_total.inc()
 
     def delete(self, kind: str, key: str) -> bool:

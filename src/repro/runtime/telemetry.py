@@ -365,6 +365,9 @@ class Histogram(_Family):
     def count(self) -> int:
         return self._default_child().count
 
+    def bucket_counts(self) -> List[int]:
+        return self._default_child().bucket_counts()
+
     def _render_child(self, labels, child) -> List[str]:
         lines = []
         cumulative = 0

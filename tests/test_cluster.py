@@ -274,7 +274,8 @@ class TestFailover:
                 await servers[owner.name].aclose()   # kill the owner
                 result = await cluster.submit(circuit, rows)
                 assert owner.name in cluster.down
-                assert cluster.failovers >= 1
+                snapshot = await cluster.stats_snapshot()
+                assert snapshot["cluster"]["failovers"] >= 1
                 # The re-route is sticky until health says otherwise.
                 assert cluster.replica_for(circuit).name != owner.name
                 return result
@@ -352,7 +353,8 @@ class TestFailover:
                 with pytest.raises(ServiceError, match="closed"):
                     await cluster.submit_many([("rc_lowpass", rows)])
                 # A refused request was never accepted: no counter moves.
-                assert (cluster.requests, cluster.bursts) == (0, 0)
+                counts = (await cluster.stats_snapshot())["cluster"]
+                assert (counts["requests"], counts["bursts"]) == (0, 0)
                 families = telemetry.parse_exposition(
                     cluster.registry.render())
                 for family in ("repro_cluster_requests_total",
@@ -729,7 +731,8 @@ class TestSpawnedCluster:
                 rerouted = await cluster.submit(CHEAP_CIRCUITS[0],
                                                 batches[0][1])
                 assert rerouted == expected[0]
-                assert cluster.failovers >= 1
+                snapshot = await cluster.stats_snapshot()
+                assert snapshot["cluster"]["failovers"] >= 1
                 assert victim.name in cluster.down
                 health = await cluster.check_health()
                 assert health[victim.name] is False

@@ -7,7 +7,9 @@ many threads race, exact counters, and LRU eviction invariants that
 hold under churn.
 """
 
+import asyncio
 import functools
+import json
 import threading
 
 import numpy as np
@@ -17,7 +19,9 @@ from repro import ArtifactStore, DiagnosisService, PipelineConfig, \
     rc_lowpass
 from repro.core.atpg import FaultTrajectoryATPG
 from repro.errors import DiagnosisError, ServiceError
+from repro.diagnosis import PosteriorConfig
 from repro.ga import GAConfig
+from repro.runtime import AsyncDiagnosisService, codec, telemetry
 from repro.runtime.service import ServiceStats
 from repro.sim import ACAnalysis
 
@@ -86,14 +90,15 @@ class TestServiceRequests:
                                               ("C1", -0.12)))
         service.submit("dut", batch)
         service.submit("dut", batch)
-        assert service.stats.requests == 2
-        assert service.stats.responses_diagnosed == 4
-        assert service.stats.total_latency_seconds > 0.0
-        per = service.stats.per_circuit["dut"]
-        assert per.requests == 2
-        assert per.responses_diagnosed == 4
-        assert per.warm_loads == 1
-        assert per.mean_latency_seconds > 0.0
+        snapshot = service.stats.snapshot()
+        assert snapshot["requests"] == 2
+        assert snapshot["responses_diagnosed"] == 4
+        assert snapshot["total_latency_seconds"] > 0.0
+        per = snapshot["per_circuit"]["dut"]
+        assert per["requests"] == 2
+        assert per["responses_diagnosed"] == 4
+        assert per["warm_loads"] == 1
+        assert per["mean_latency_seconds"] > 0.0
 
 
 class TestServiceLru:
@@ -103,7 +108,7 @@ class TestServiceLru:
         service.warm("rc_lowpass")
         service.warm("voltage_divider")
         assert service.warmed_circuits == ("voltage_divider",)
-        assert service.stats.evictions == 1
+        assert service.stats.snapshot()["evictions"] == 1
         # Re-warming the evicted circuit hits the artifact store, so no
         # fault simulation reruns.
         from repro.faults import FaultDictionary
@@ -115,11 +120,175 @@ class TestServiceLru:
         service.warm("rc_lowpass")
         first = service._engine("rc_lowpass")
         assert service._engine("rc_lowpass") is first
-        assert service.stats.per_circuit["rc_lowpass"].warm_loads == 1
+        snapshot = service.stats.snapshot()
+        assert snapshot["per_circuit"]["rc_lowpass"]["warm_loads"] == 1
 
     def test_max_engines_validated(self):
         with pytest.raises(ServiceError):
             DiagnosisService(max_engines=0)
+
+
+#: The ``GET /v1/stats`` key set, and the per-circuit one.
+STATS_KEYS = {
+    "engine_kind", "requests", "responses_diagnosed",
+    "total_latency_seconds", "evictions", "coalesced_batches",
+    "coalesced_requests", "rejections", "posterior_requests",
+    "posterior_rows", "posterior_builds", "posterior_samples",
+    "peak_queue_depth", "batch_size_histogram", "per_circuit",
+    "latency_p50_seconds", "latency_p95_seconds"}
+PER_CIRCUIT_KEYS = {"requests", "responses_diagnosed",
+                    "total_latency_seconds", "mean_latency_seconds",
+                    "warm_loads"}
+FLOAT_KEYS = {"total_latency_seconds", "mean_latency_seconds",
+              "latency_p50_seconds", "latency_p95_seconds"}
+
+
+def _stats_from_scrape(text):
+    """The counts of ``/v1/stats`` recomputed from a Prometheus scrape,
+    independently of :meth:`ServiceStats.snapshot`."""
+    families = telemetry.parse_exposition(text)
+
+    def samples(family, suffix=""):
+        return [(labels, value) for name, labels, value
+                in families[family]["samples"] if name == family + suffix]
+
+    def by_circuit(family, suffix=""):
+        return {labels["circuit"]: value
+                for labels, value in samples(family, suffix)}
+
+    def total(family, suffix=""):
+        return sum(value for _, value in samples(family, suffix))
+
+    latency = "repro_service_request_latency_seconds"
+    requests = by_circuit("repro_service_requests_total")
+    responses = by_circuit("repro_service_responses_total")
+    warm_loads = by_circuit("repro_service_warm_loads_total")
+    latency_sums = by_circuit(latency, "_sum")
+    histogram, previous = {}, 0.0
+    for labels, cumulative in samples("repro_service_coalesce_batch_rows",
+                                      "_bucket"):
+        if cumulative > previous:
+            le = labels["le"]
+            histogram[le if le == "+Inf" else int(float(le))] = \
+                cumulative - previous
+        previous = cumulative
+    return {
+        "requests": sum(requests.values()),
+        "responses_diagnosed": sum(responses.values()),
+        "total_latency_seconds": sum(latency_sums.values()),
+        "evictions": total("repro_service_engine_evictions_total"),
+        "coalesced_batches": total("repro_service_coalesced_batches_total"),
+        "coalesced_requests":
+            total("repro_service_coalesced_requests_total"),
+        "rejections": total("repro_service_rejections_total"),
+        "posterior_requests": total("repro_posterior_requests_total"),
+        "posterior_rows": total("repro_posterior_rows_total"),
+        "posterior_builds": total("repro_posterior_build_seconds",
+                                  "_count"),
+        "posterior_samples": total("repro_posterior_samples_total"),
+        "peak_queue_depth": total("repro_service_peak_queue_depth"),
+        "batch_size_histogram": histogram,
+        "per_circuit": {
+            circuit: {
+                "requests": requests.get(circuit, 0.0),
+                "responses_diagnosed": responses.get(circuit, 0.0),
+                "total_latency_seconds": latency_sums.get(circuit, 0.0),
+                "warm_loads": warm_loads.get(circuit, 0.0),
+            } for circuit in {*warm_loads, *requests}},
+    }
+
+
+class TestStatsAreReadFromTheRegistry:
+    """``/v1/stats`` is a JSON view of the service's metric families:
+    every count it reports is the one the scrape reports."""
+
+    def test_snapshot_matches_the_scrape_on_every_record_path(
+            self, tmp_path):
+        service = DiagnosisService(
+            config=QUICK, store=ArtifactStore(tmp_path / "store"),
+            max_engines=1, seed=3,
+            posterior=PosteriorConfig(n_samples=2, seed=3))
+        width = len(service.test_vector_hz("rc_lowpass"))
+        rows = np.zeros((2, width))
+        service.submit("rc_lowpass", rows)
+        service.submit_many([("rc_lowpass", rows),
+                             ("rc_lowpass", rows[:1])])
+        service.submit_many([("rc_lowpass", np.zeros((600, width)))])
+        service.diagnose_posterior("rc_lowpass", rows)
+
+        async def coalesce_and_reject():
+            front = AsyncDiagnosisService(
+                service, max_pending=2, overflow="reject",
+                max_batch=1024, window_seconds=5.0, eager_flush=False)
+            queued = [asyncio.ensure_future(
+                front.submit("rc_lowpass", rows)) for _ in range(2)]
+            await asyncio.sleep(0)
+            with pytest.raises(ServiceError):
+                await front.submit("rc_lowpass", rows)
+            front.flush()
+            await asyncio.gather(*queued)
+            await front.aclose()
+
+        asyncio.run(coalesce_and_reject())
+        service.warm("voltage_divider")      # evicts rc_lowpass
+        service.warm("rc_lowpass")           # warm load from the store
+
+        snapshot = service.stats.snapshot()
+        expected = _stats_from_scrape(service.metrics_text())
+        for key, value in expected.items():
+            if key in ("per_circuit", "total_latency_seconds"):
+                continue
+            assert snapshot[key] == value, key
+        assert snapshot["total_latency_seconds"] == pytest.approx(
+            expected["total_latency_seconds"])
+        assert set(snapshot["per_circuit"]) == \
+            set(expected["per_circuit"]) == {"rc_lowpass",
+                                              "voltage_divider"}
+        for circuit, per in expected["per_circuit"].items():
+            for key, value in per.items():
+                assert snapshot["per_circuit"][circuit][key] == value, \
+                    (circuit, key)
+        # Every record path moved its count.
+        assert snapshot["requests"] == 1 + 3 + 2
+        assert snapshot["responses_diagnosed"] == 2 + 3 + 600 + 4
+        assert snapshot["coalesced_batches"] == 3
+        assert snapshot["coalesced_requests"] == 2 + 1 + 2
+        assert snapshot["batch_size_histogram"] == {4: 2, "+Inf": 1}
+        assert snapshot["rejections"] == 1
+        assert snapshot["evictions"] == 2
+        assert snapshot["peak_queue_depth"] == 2
+        assert (snapshot["posterior_requests"], snapshot["posterior_rows"],
+                snapshot["posterior_builds"]) == (1, 2, 1)
+        assert snapshot["posterior_samples"] >= 1
+        assert snapshot["per_circuit"]["rc_lowpass"]["warm_loads"] == 2
+        assert snapshot["per_circuit"]["voltage_divider"] == {
+            "requests": 0, "responses_diagnosed": 0,
+            "total_latency_seconds": 0.0, "mean_latency_seconds": 0.0,
+            "warm_loads": 1}
+
+        # The wire view: the parent's key set, every count an int.
+        wire = json.loads(codec.encode_stats(snapshot))
+        assert set(wire) == STATS_KEYS
+        assert wire["engine_kind"] == QUICK.engine
+        for key in STATS_KEYS - FLOAT_KEYS - {"engine_kind",
+                                              "per_circuit",
+                                              "batch_size_histogram"}:
+            assert type(wire[key]) is int, key
+        assert all(type(count) is int
+                   for count in wire["batch_size_histogram"].values())
+        for per in wire["per_circuit"].values():
+            assert set(per) == PER_CIRCUIT_KEYS
+            for key in PER_CIRCUIT_KEYS - FLOAT_KEYS:
+                assert type(per[key]) is int, key
+        assert wire["batch_size_histogram"] == {"4": 2, "+Inf": 1}
+
+    def test_batch_above_the_last_bound_lands_under_inf(self):
+        stats = ServiceStats()
+        stats.record_coalesced("a", [(600, 0.001)], n_rows=600)
+        stats.record_coalesced("a", [(512, 0.001)], n_rows=512)
+        stats.record_coalesced("a", [(3, 0.001)], n_rows=3)
+        assert stats.snapshot()["batch_size_histogram"] == \
+            {4: 1, 512: 1, "+Inf": 1}
 
 
 CIRCUITS = ("rc_lowpass", "voltage_divider", "sallen_key_lowpass")
@@ -179,11 +348,13 @@ class TestStatsThreadSafety:
                       for index in range(threads)])
 
         total = threads * per_thread
-        assert stats.requests == total
-        assert stats.responses_diagnosed == 3 * total
-        assert stats.total_latency_seconds == pytest.approx(0.001 * total)
-        assert sum(per.requests
-                   for per in stats.per_circuit.values()) == total
+        snapshot = stats.snapshot()
+        assert snapshot["requests"] == total
+        assert snapshot["responses_diagnosed"] == 3 * total
+        assert snapshot["total_latency_seconds"] == \
+            pytest.approx(0.001 * total)
+        assert sum(per["requests"] for per
+                   in snapshot["per_circuit"].values()) == total
 
     def test_mixed_recording_is_exact_under_contention(self):
         stats = ServiceStats()
@@ -208,15 +379,18 @@ class TestStatsThreadSafety:
         _run_threads([submits, submits, coalesced, coalesced,
                       churn, churn])
 
-        assert stats.requests == 2 * rounds + 2 * 2 * rounds
-        assert stats.responses_diagnosed == 2 * rounds + 2 * 3 * rounds
-        assert stats.coalesced_batches == 2 * rounds
-        assert stats.coalesced_requests == 2 * 2 * rounds
-        assert stats.evictions == 2 * rounds
-        assert stats.rejections == 2 * rounds
-        assert stats.per_circuit["a"].warm_loads == 2 * rounds
-        assert stats.peak_queue_depth == 5
-        assert sum(stats.batch_size_histogram.values()) == 2 * rounds
+        snapshot = stats.snapshot()
+        assert snapshot["requests"] == 2 * rounds + 2 * 2 * rounds
+        assert snapshot["responses_diagnosed"] == \
+            2 * rounds + 2 * 3 * rounds
+        assert snapshot["coalesced_batches"] == 2 * rounds
+        assert snapshot["coalesced_requests"] == 2 * 2 * rounds
+        assert snapshot["evictions"] == 2 * rounds
+        assert snapshot["rejections"] == 2 * rounds
+        assert snapshot["per_circuit"]["a"]["warm_loads"] == 2 * rounds
+        assert snapshot["peak_queue_depth"] == 5
+        assert sum(snapshot["batch_size_histogram"].values()) == \
+            2 * rounds
         assert stats.latency_p95_seconds >= stats.latency_p50_seconds
 
 
@@ -237,9 +411,10 @@ class TestServiceConcurrency:
                       for index in range(12)])
 
         assert counts == {name: 1 for name in CIRCUITS}
+        snapshot = service.stats.snapshot()
         for name in CIRCUITS:
-            assert service.stats.per_circuit[name].warm_loads == 1
-        assert service.stats.evictions == 0
+            assert snapshot["per_circuit"][name]["warm_loads"] == 1
+        assert snapshot["evictions"] == 0
         assert sorted(service.warmed_circuits) == sorted(CIRCUITS)
 
     def test_counters_exact_under_concurrent_submit(self):
@@ -261,10 +436,11 @@ class TestServiceConcurrency:
                       for index in range(threads)])
 
         total = threads * per_thread
-        assert service.stats.requests == total
-        assert service.stats.responses_diagnosed == 3 * total
-        assert sum(per.requests for per
-                   in service.stats.per_circuit.values()) == total
+        snapshot = service.stats.snapshot()
+        assert snapshot["requests"] == total
+        assert snapshot["responses_diagnosed"] == 3 * total
+        assert sum(per["requests"] for per
+                   in snapshot["per_circuit"].values()) == total
 
     def test_eviction_invariants_under_churn(self, tmp_path,
                                              monkeypatch):
@@ -288,8 +464,9 @@ class TestServiceConcurrency:
         warmed = service.warmed_circuits
         assert len(warmed) <= 2
         assert set(warmed) <= set(CIRCUITS)
+        snapshot = service.stats.snapshot()
         total_builds = sum(
-            per.warm_loads for per in service.stats.per_circuit.values())
+            per["warm_loads"] for per in snapshot["per_circuit"].values())
         # Every build either still occupies an LRU slot or was evicted.
         assert total_builds == sum(counts.values())
-        assert total_builds - service.stats.evictions == len(warmed)
+        assert total_builds - snapshot["evictions"] == len(warmed)

@@ -25,6 +25,7 @@ from repro import (
 from repro.errors import ReproError, StoreError
 from repro.faults import FaultDictionary
 from repro.ga import GAConfig
+from repro.runtime import telemetry
 from repro.runtime.store import (as_store, derive_key, ga_search_key,
                                  problem_key, trajectory_key)
 from repro.trajectory import SignatureMapper, TrajectorySet
@@ -33,6 +34,18 @@ from repro.units import log_frequency_grid
 QUICK_GA = GAConfig(population_size=8, generations=2)
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
+
+def store_counts(before=None):
+    """The process registry's store hit/miss/put counters (summed over
+    every store), minus ``before`` when given."""
+    families = {family.name: family
+                for family in telemetry.REGISTRY.families()}
+    counts = {kind: int(families[f"repro_store_{kind}_total"].value)
+              for kind in ("hits", "misses", "puts")}
+    if before is not None:
+        counts = {kind: counts[kind] - before[kind] for kind in counts}
+    return counts
+
 
 _spec = importlib.util.spec_from_file_location(
     "legacy_store_maker", DATA_DIR / "make_legacy_store.py")
@@ -163,6 +176,7 @@ class TestRoundTrips:
         store = ArtifactStore(tmp_path)
         built = FaultDictionary.build(universe, info.output_node, grid,
                                       input_source=info.input_source)
+        before = store_counts()
         assert store.load_dictionary("dictionary", "0" * 64) is None
         store.save_dictionary("dictionary", "0" * 64, built)
         assert store.has("dictionary", "0" * 64)
@@ -171,9 +185,8 @@ class TestRoundTrips:
         assert np.array_equal(loaded.golden.values, built.golden.values)
         for a, b in zip(loaded.entries, built.entries):
             assert np.array_equal(a.response.values, b.response.values)
-        assert store.stats.hits == 1
-        assert store.stats.misses == 1
-        assert store.stats.puts == 1
+        assert store_counts(before) == {"hits": 1, "misses": 1,
+                                        "puts": 1}
 
     def test_ga_result_round_trip(self, tmp_path, problem):
         info, config, universe, grid = problem
@@ -223,11 +236,11 @@ class TestWarmRuns:
         cold = FaultTrajectoryATPG(info, config).run(seed=5, store=store)
         assert cold.cache_hits == ()
         simulations_before = FaultDictionary.simulations_run
-        hits_before = store.stats.hits
+        before = store_counts()
         warm = FaultTrajectoryATPG(info, config).run(seed=5, store=store)
         # The acceptance criterion: zero fault simulations on a warm run.
         assert FaultDictionary.simulations_run == simulations_before
-        assert store.stats.hits == hits_before + 4
+        assert store_counts(before)["hits"] == 4
         assert set(warm.cache_hits) == {"dictionary", "ga", "exact",
                                         "trajectories"}
         # And the warmed result is the cold result, exactly.
@@ -248,10 +261,12 @@ class TestWarmRuns:
             seed=5, store=ArtifactStore(tmp_path))
         reopened = ArtifactStore(tmp_path)
         simulations_before = FaultDictionary.simulations_run
+        before = store_counts()
         warm = FaultTrajectoryATPG(info, config).run(seed=5,
                                                      store=reopened)
         assert FaultDictionary.simulations_run == simulations_before
-        assert reopened.stats.hits == 4 and reopened.stats.puts == 0
+        counts = store_counts(before)
+        assert counts["hits"] == 4 and counts["puts"] == 0
         assert set(warm.cache_hits) == {"dictionary", "ga", "exact",
                                         "trajectories"}
         assert warm.test_vector_hz == cold.test_vector_hz
@@ -383,10 +398,11 @@ class TestSlots:
     def test_first_writer_wins(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = key_of("artifact-2")
+        before = store_counts()
         store.save_json("ga", key, {"writer": "first"})
         store.save_json("ga", key, {"writer": "second"})
         assert store.load_json("ga", key) == {"writer": "first"}
-        assert store.stats.puts == 1
+        assert store_counts(before)["puts"] == 1
 
     def test_delete(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -516,11 +532,13 @@ class TestStoreMaintenance:
             return load(path)
 
         monkeypatch.setattr(FaultDictionary, "load", racing_load)
-        stats_before = store.stats.snapshot()
+        before = store_counts()
         assert store.load_dictionary("dictionary",
                                      record.key) is None
-        assert store.stats.misses == stats_before["misses"] + 1
-        assert store.stats.hits == stats_before["hits"]
+        # The race reads as one miss and no hit.
+        counts = store_counts(before)
+        assert counts["misses"] == 1
+        assert counts["hits"] == 0
 
     def test_corrupt_artifact_self_heals(self, tmp_path):
         """A corrupt artifact (present but unreadable) must read as a

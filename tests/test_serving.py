@@ -213,7 +213,7 @@ class TestCoalescingBehaviour:
 class TestBackpressure:
     def test_reject_overflow(self, warm_service):
         rows = measured_rows(warm_service, "rc_lowpass", 1, seed=3)
-        rejections_before = warm_service.stats.rejections
+        rejections_before = warm_service.stats.snapshot()["rejections"]
 
         async def run():
             front = AsyncDiagnosisService(
@@ -233,7 +233,8 @@ class TestBackpressure:
 
         results = asyncio.run(run())
         assert all(len(r) == 1 for r in results)
-        assert warm_service.stats.rejections == rejections_before + 1
+        assert warm_service.stats.snapshot()["rejections"] == \
+            rejections_before + 1
 
     def test_wait_overflow_completes_everything(self, warm_service):
         rows = measured_rows(warm_service, "rc_lowpass", 1, seed=4)
@@ -282,13 +283,16 @@ class TestBackpressure:
 
         asyncio.run(run())
         stats = warm_service.stats
-        assert stats.peak_queue_depth >= 1
+        snapshot = stats.snapshot()
+        assert snapshot["peak_queue_depth"] >= 1
         assert stats.latency_p95_seconds >= \
             stats.latency_p50_seconds > 0.0
-        assert sum(stats.batch_size_histogram.values()) >= 1
-        snapshot = stats.snapshot()
+        assert sum(snapshot["batch_size_histogram"].values()) >= 1
         assert snapshot["latency_p50_seconds"] > 0.0
-        assert snapshot["peak_queue_depth"] == stats.peak_queue_depth
+        families = telemetry.parse_exposition(stats.registry.render())
+        [(_, _, peak)] = families["repro_service_peak_queue_depth"][
+            "samples"]
+        assert snapshot["peak_queue_depth"] == peak
 
 
 # ----------------------------------------------------------------------
