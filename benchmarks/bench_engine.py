@@ -28,6 +28,15 @@ low-rank updates), and a **size sweep** over uniform RC ladders with a
 fixed fault set maps where the low-rank path overtakes the dense one
 as the MNA dimension grows.
 
+* **posterior block** -- one 16-world Monte-Carlo block at the corpus
+  baseline's tolerance, shaped like the posterior build's: a
+  :class:`~repro.sim.engine.VariantTable` with a row per (world,
+  hypothesis) and a column per faultable component, through the
+  scalar, batched and factored engines. The batched engine is also
+  timed on the same rows handed over as Component-built
+  ``VariantSpec`` replacements (the per-object route the table
+  replaces).
+
 Every comparison asserts result equality (bitwise for batched, scaled
 tolerance for factored) before timing is trusted.
 
@@ -52,6 +61,7 @@ import numpy as np
 
 from repro import (
     BatchedMnaEngine,
+    CorpusSpec,
     FactoredMnaEngine,
     parametric_universe,
     tow_thomas_biquad,
@@ -60,7 +70,7 @@ from repro.circuits.library import rc_ladder
 from repro.faults import FaultDictionary, ResponseSurface
 from repro.ga import PaperFitness
 from repro.ga.encoding import FrequencySpace
-from repro.sim import VariantSpec
+from repro.sim import VariantTable
 from repro.sim.engine import ScalarMnaEngine
 from repro.units import log_frequency_grid
 
@@ -72,6 +82,9 @@ REQUIRED_KEYS = {
     "dictionary_build": ("dense", "test_vector"),
     "ga_evaluation": ("per_individual_s", "population_s", "speedup"),
     "size_sweep": ("points", "fault_components", "cases"),
+    "posterior_block": ("worlds", "rows", "columns", "points",
+                        "scalar_s", "batched_s", "factored_s",
+                        "batched_via_specs_s"),
     "telemetry_overhead": ("instrumented_s", "bare_s",
                            "overhead_fraction"),
 }
@@ -228,8 +241,7 @@ def bench_size_sweep(sections_list, repeats):
                                        deviations=(-0.2, 0.2))
         grid = log_frequency_grid(info.f_min_hz, info.f_max_hz,
                                   SWEEP_GRID_POINTS)
-        variants = (VariantSpec(name=info.circuit.name),) + \
-            universe.variants()
+        variants = universe.variants()
 
         blocks = {}
         times = {}
@@ -265,6 +277,86 @@ def bench_size_sweep(sections_list, repeats):
         "points": SWEEP_GRID_POINTS,
         "fault_components": SWEEP_FAULT_COMPONENTS,
         "cases": cases,
+    }
+
+
+#: Monte-Carlo worlds in the posterior-block regime (the corpus
+#: baseline's posterior size).
+POSTERIOR_WORLDS = 16
+
+
+def _posterior_world_table(info, universe, tolerance, worlds):
+    """A posterior build's world block as one variant table.
+
+    Row 0 is the nominal circuit; then per world the fault-free circuit
+    and every fault, each faultable component at ``nominal * (1 +
+    eps)`` with ``eps`` uniform in ``[-tolerance, tolerance]``.
+    """
+    targets = tuple(info.faultable)
+    nominal = np.array([info.circuit[name].value for name in targets])
+    hypotheses = np.tile(nominal, (1 + len(universe), 1))
+    for row, fault in enumerate(universe.faults, start=1):
+        hypotheses[row, targets.index(fault.component)] = \
+            fault.replacement_component(info.circuit).value
+    eps = np.random.default_rng(SEED).uniform(
+        -tolerance, tolerance, size=(worlds, len(targets)))
+    values = (hypotheses[None, :, :] * (1.0 + eps[:, None, :])).reshape(
+        -1, len(targets))
+    labels = [info.circuit.name] + [
+        f"{info.circuit.name}#posterior:{label}:s{world}"
+        for world in range(worlds)
+        for label in ("golden",) + universe.labels]
+    return VariantTable(tuple((name, "value") for name in targets),
+                        np.vstack([nominal, values]), tuple(labels))
+
+
+def bench_posterior_block(info, universe, repeats):
+    """One 16-world, corpus-tolerance block through every engine.
+
+    Batched (from the table and from Component-built specs) is
+    asserted bitwise-equal to scalar, factored within the scaled
+    tolerance, before the timings are trusted.
+    """
+    table = _posterior_world_table(
+        info, universe, CorpusSpec.baseline().posterior.tolerance,
+        POSTERIOR_WORLDS)
+    grid = np.unique(np.concatenate([
+        [500.0, 1500.0], np.geomspace(info.f_min_hz, info.f_max_hz,
+                                      12)]))
+
+    def solve(engine_type, variants=None):
+        def run():
+            engine = engine_type(info.circuit)
+            rows = table if variants is None else variants()
+            return engine, engine.transfer_block(
+                info.output_node, grid, rows, info.input_source)
+        return run
+
+    scalar_s, (_, scalar) = _best_of(
+        max(1, repeats // 2), solve(ScalarMnaEngine))
+    batched_s, (_, batched) = _best_of(repeats, solve(BatchedMnaEngine))
+    via_specs_s, (_, via_specs) = _best_of(
+        repeats, solve(BatchedMnaEngine,
+                       lambda: table.specs(info.circuit)))
+    factored_s, (factored_engine, factored) = _best_of(
+        repeats, solve(FactoredMnaEngine))
+    assert np.array_equal(batched.values, scalar.values)
+    assert np.array_equal(via_specs.values, scalar.values)
+    assert batched.labels == scalar.labels == table.labels
+    _assert_close(factored.values, scalar.values, "on the world block")
+    return {
+        "worlds": POSTERIOR_WORLDS,
+        "rows": len(table),
+        "columns": len(table.columns),
+        "points": int(grid.size),
+        "scalar_s": scalar_s,
+        "batched_s": batched_s,
+        "factored_s": factored_s,
+        "batched_via_specs_s": via_specs_s,
+        "speedup": scalar_s / batched_s,
+        "table_vs_specs": via_specs_s / batched_s,
+        "lowrank_fallbacks": sum(
+            factored_engine.lowrank_fallbacks.values()),
     }
 
 
@@ -346,6 +438,8 @@ def run(quick: bool) -> dict:
         "size_sweep": bench_size_sweep(
             (10, 30) if quick else (10, 25, 50, 100, 200),
             repeats=1 if quick else 2),
+        "posterior_block": bench_posterior_block(
+            info, universe, repeats=2 if quick else 6),
         "telemetry_overhead": bench_telemetry_overhead(
             info, universe, dense_grid,
             pairs=30 if quick else 40),
@@ -359,7 +453,12 @@ def run(quick: bool) -> dict:
             "the factored engine's Sherman-Morrison-Woodbury updates "
             "avoid. The size sweep fixes the fault set and grows the "
             "RC-ladder dimension to expose the dense-vs-low-rank "
-            "crossover."),
+            "crossover. 'posterior_block' is one posterior-build "
+            "world block: every row perturbs every faultable "
+            "component, so the factored engine sends each row to the "
+            "dense path (rank fallbacks), and 'table_vs_specs' is the "
+            "cost of building the same rows as Component "
+            "replacements over stamping the table."),
     }
     report["dictionary_build_speedup"] = \
         report["dictionary_build"]["test_vector"]["speedup"]
@@ -393,6 +492,17 @@ def check(report: dict) -> None:
                 raise SystemExit(
                     f"bad size_sweep time {field} at "
                     f"{case['sections']} sections")
+    block = report["posterior_block"]
+    for field in ("scalar_s", "batched_s", "factored_s",
+                  "batched_via_specs_s", "speedup", "table_vs_specs"):
+        value = block[field]
+        if not (isinstance(value, float) and value > 0.0):
+            raise SystemExit(
+                f"BENCH_engine.json has bad posterior_block.{field}: "
+                f"{value!r}")
+    if block["rows"] != block["worlds"] * (1 + report["n_faults"]) + 1:
+        raise SystemExit("posterior_block rows do not match "
+                         "worlds x (golden + faults) + nominal")
     if not report["quick"]:
         # Full-mode performance bars (quick mode only checks shape --
         # CI machines are too noisy for ratio assertions on tiny
@@ -450,6 +560,14 @@ def main(argv=None) -> int:
               f"{case['batched_s'] * 1e3:.1f} ms, factored "
               f"{case['factored_s'] * 1e3:.1f} ms "
               f"({case['factored_vs_batched']:.2f}x vs batched)")
+    block = report["posterior_block"]
+    print(f"posterior block ({block['worlds']} worlds, {block['rows']} "
+          f"rows x {block['columns']} columns, {block['points']} pts): "
+          f"scalar {block['scalar_s'] * 1e3:.1f} ms, batched "
+          f"{block['batched_s'] * 1e3:.1f} ms "
+          f"({block['speedup']:.2f}x; {block['table_vs_specs']:.2f}x "
+          f"vs the same rows as specs), factored "
+          f"{block['factored_s'] * 1e3:.1f} ms")
     ga = report["ga_evaluation"]
     print(f"GA evaluation ({ga['population']} individuals): "
           f"per-individual {ga['per_individual_s'] * 1e3:.1f} ms, "

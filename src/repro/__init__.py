@@ -120,6 +120,7 @@ from .sim import (
     SimulationEngine,
     TransientAnalysis,
     VariantSpec,
+    VariantTable,
     make_engine,
     sensitivity_analysis,
 )
@@ -184,6 +185,7 @@ __all__ = [
     "FactoredMnaEngine",
     "ResponseBlock",
     "VariantSpec",
+    "VariantTable",
     "make_engine",
     # faults
     "ParametricFault",

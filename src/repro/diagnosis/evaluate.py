@@ -25,7 +25,7 @@ import numpy as np
 from ..circuits.library import CircuitInfo
 from ..errors import DiagnosisError
 from ..faults.models import ParametricFault
-from ..sim.engine import BatchedMnaEngine, SimulationEngine, VariantSpec
+from ..sim.engine import BatchedMnaEngine, SimulationEngine, VariantTable
 from ..trajectory.mapping import SignatureMapper
 from ..trajectory.metrics import pairwise_separations
 from ..trajectory.trajectory import TrajectorySet
@@ -191,7 +191,7 @@ def make_test_cases(info: CircuitInfo, mapper: SignatureMapper,
     +/-tolerance (manufacturing spread); ``repeats`` draws that many
     noisy/toleranced instances per pair.
 
-    The whole case set is one simulation-engine variant block (golden
+    The whole case set is one simulation-engine variant table (golden
     first), so the circuit is stamped once and every case solved
     batched; ``engine`` optionally injects an already-stamped engine
     (the pipeline result's). Random draws happen per case in the same
@@ -213,32 +213,48 @@ def make_test_cases(info: CircuitInfo, mapper: SignatureMapper,
 
     targets = tuple(components) if components else info.faultable
     freqs = np.array(sorted(mapper.test_freqs_hz))
+    circuit = info.circuit
 
-    variants: List[VariantSpec] = [VariantSpec(name=info.circuit.name)]
+    # One table column per target and, under tolerance, per faultable
+    # component; row 0 is the golden circuit. The fault values come
+    # from the fault model (which also rejects non-passive targets).
+    faults = {(name, deviation): ParametricFault(name, float(deviation))
+              for name in targets for deviation in deviations}
+    faulty = {key: fault.replacement_component(circuit).value
+              for key, fault in faults.items()}
+    spread_names = tuple(info.faultable) if tolerance > 0.0 else ()
+    names = tuple(dict.fromkeys(targets + spread_names))
+    column = {name: index for index, name in enumerate(names)}
+    nominal = np.array([circuit[name].value for name in names],
+                       dtype=float)
+    rows: List[np.ndarray] = [nominal]
+    labels: List[str] = [circuit.name]
     case_meta: List[Tuple[str, float, Optional[np.ndarray]]] = []
     for name in targets:
+        others = np.array([column[other] for other in spread_names
+                           if other != name], dtype=int)
         for deviation in deviations:
-            fault = ParametricFault(name, float(deviation))
+            label = f"{circuit.name}#{faults[(name, deviation)].label}"
             for _ in range(repeats):
-                replacements = [fault.replacement_component(info.circuit)]
+                row = nominal.copy()
+                row[column[name]] = faulty[(name, deviation)]
                 if tolerance > 0.0:
-                    for other in info.faultable:
-                        if other == name:
-                            continue
-                        spread = float(rng.uniform(-tolerance, tolerance))
-                        component = info.circuit[other]
-                        replacements.append(component.with_value(
-                            component.value * (1.0 + spread)))
+                    # One uniform per other faultable component, in
+                    # faultable order, then the noise draw.
+                    spread = rng.uniform(-tolerance, tolerance,
+                                         size=others.size)
+                    row[others] = nominal[others] * (1.0 + spread)
                 noise = rng.normal(0.0, noise_db,
                                    size=mapper.dimension) \
                     if noise_db > 0.0 else None
-                variants.append(VariantSpec(
-                    tuple(replacements),
-                    name=f"{info.circuit.name}#{fault.label}"))
+                rows.append(row)
+                labels.append(label)
                 case_meta.append((name, float(deviation), noise))
     if not case_meta:
         raise DiagnosisError("no test cases generated")
 
+    variants = VariantTable(tuple((name, "value") for name in names),
+                            np.array(rows), tuple(labels))
     block = engine.transfer_block(info.output_node, freqs, variants,
                                   info.input_source)
     golden_response = block.response(0)

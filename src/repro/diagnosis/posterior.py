@@ -14,10 +14,11 @@ into a *sampled response-surface distribution*:
    top, so each component's trajectory is re-simulated under that
    world's tolerances. All hypotheses share the draw (common random
    numbers), and each sample batch rides one
-   :meth:`~repro.sim.engine.SimulationEngine.transfer_block` call as a
-   family of multi-replacement :class:`~repro.sim.engine.VariantSpec`
-   variants -- the batched/factored engine does the solving,
-   NumPy-native, no external inference framework.
+   :meth:`~repro.sim.engine.SimulationEngine.transfer_block` call as
+   one :class:`~repro.sim.engine.VariantTable` (a row per world and
+   hypothesis, a column per perturbed component) -- the
+   batched/factored engine does the solving, NumPy-native, no external
+   inference framework.
 2. **Posterior via importance weighting over the sampled surface.** A
    measured signature point is scored, per world, against every
    hypothesis's perturbed trajectory polyline using the paper's own
@@ -57,7 +58,7 @@ from ..circuits.library import CircuitInfo
 from ..errors import DiagnosisError, ReproError
 from ..faults.models import ParametricFault
 from ..faults.universe import FaultUniverse
-from ..sim.engine import BatchedMnaEngine, SimulationEngine, VariantSpec
+from ..sim.engine import BatchedMnaEngine, SimulationEngine, VariantTable
 from ..trajectory.geometry import Segments, project_points
 from ..trajectory.mapping import SignatureMapper
 from .classifier import check_points, perpendicular_candidates
@@ -196,41 +197,24 @@ class PosteriorDiagnosis:
 
 @dataclass
 class _WorldSpec:
-    """Everything the build needs to simulate sample blocks."""
+    """Everything the build needs to simulate sample blocks.
+
+    The worlds are one value table: a column per faultable component
+    (``targets``, tolerance-perturbed in every world) followed by the
+    fault components outside ``targets`` (never perturbed).
+    ``hypotheses[h]`` is hypothesis ``h``'s unperturbed row -- row 0
+    the fault-free circuit, row ``1 + f`` fault ``f`` applied.
+    """
 
     circuit: object
     output_node: str
     input_source: Optional[str]
     grid: np.ndarray
     targets: Tuple[str, ...]
-    nominal: Dict[str, object]
-    fault_repl: Tuple[object, ...]
+    columns: Tuple[Tuple[str, str], ...]
+    hypotheses: np.ndarray
     fault_labels: Tuple[str, ...]
     eps: np.ndarray
-
-
-def _world_variant(spec: _WorldSpec, fault_index: Optional[int],
-                   sample: int) -> VariantSpec:
-    """World ``sample`` with fault ``fault_index`` applied
-    (``None`` = the world's fault-free circuit)."""
-    base = dict(spec.nominal)
-    extra = None
-    if fault_index is not None:
-        faulty = spec.fault_repl[fault_index]
-        if faulty.name in base:
-            base[faulty.name] = faulty
-        else:
-            extra = faulty
-    parts = [base[name].with_value(
-                 base[name].value * (1.0 + spec.eps[sample, j]))
-             for j, name in enumerate(spec.targets)]
-    if extra is not None:
-        parts.append(extra)
-    label = FAULT_FREE_LABEL if fault_index is None else \
-        spec.fault_labels[fault_index]
-    return VariantSpec(
-        tuple(parts),
-        name=f"{spec.circuit.name}#posterior:{label}:s{sample}")
 
 
 def _run_world_block(spec: _WorldSpec, engine: SimulationEngine,
@@ -239,29 +223,33 @@ def _run_world_block(spec: _WorldSpec, engine: SimulationEngine,
     """Simulate samples ``[start, stop)`` into ``out``.
 
     One ``transfer_block`` call per block; per world, the fault-free
-    circuit plus every fault. The nominal (tolerance-free) reference
+    circuit plus every fault, each with the world's ``nominal * (1 +
+    eps)`` on every target. The nominal (tolerance-free) reference
     rides the first block and is returned as the golden row.
     """
-    samples = range(start, stop)
     include_nominal = start == 0
-    n_faults = len(spec.fault_repl)
-    variants: List[VariantSpec] = []
+    rows_per_sample = spec.hypotheses.shape[0]
+    num_targets = len(spec.targets)
+    worlds = np.repeat(spec.hypotheses[None, :, :], stop - start, axis=0)
+    worlds[:, :, :num_targets] = spec.hypotheses[None, :, :num_targets] * \
+        (1.0 + spec.eps[start:stop, None, :])
+    values = worlds.reshape(-1, len(spec.columns))
+    name = spec.circuit.name
+    labels = [f"{name}#posterior:{label}:s{sample}"
+              for sample in range(start, stop)
+              for label in (FAULT_FREE_LABEL,) + spec.fault_labels]
     if include_nominal:
-        variants.append(VariantSpec(name=spec.circuit.name))
-    for sample in samples:
-        variants.append(_world_variant(spec, None, sample))
-        variants.extend(_world_variant(spec, index, sample)
-                        for index in range(n_faults))
-    block = engine.transfer_block(spec.output_node, spec.grid, variants,
-                                  spec.input_source)
-    values = block.magnitude_db()
-    rows_per_sample = 1 + n_faults
+        values = np.vstack([spec.hypotheses[:1], values])
+        labels.insert(0, name)
+    block = engine.transfer_block(
+        spec.output_node, spec.grid,
+        VariantTable(spec.columns, values, tuple(labels)),
+        spec.input_source)
+    mag_db = block.magnitude_db()
     offset = 1 if include_nominal else 0
-    for position, sample in enumerate(samples):
-        out[:, sample, :] = values[
-            offset + position * rows_per_sample:
-            offset + (position + 1) * rows_per_sample]
-    return values[0].copy() if include_nominal else None
+    out[:, start:stop, :] = mag_db[offset:].reshape(
+        stop - start, rows_per_sample, -1).transpose(1, 0, 2)
+    return mag_db[0].copy() if include_nominal else None
 
 
 class PosteriorDiagnoser:
@@ -343,17 +331,31 @@ class PosteriorDiagnoser:
                            size=(config.n_samples, len(targets))),
                 -0.95, 0.95)
 
+        # One table column per target, then every fault component
+        # outside the targets; each fault's row takes its replacement
+        # component's value in its column.
         circuit = info.circuit
-        nominal = {name: circuit[name] for name in targets}
-        fault_repl = [fault.replacement_component(circuit)
-                      for fault in self._faults]
+        names = list(targets)
+        fault_columns = []
+        fault_values = []
+        for fault in self._faults:
+            if fault.component not in names:
+                names.append(fault.component)
+            fault_columns.append(names.index(fault.component))
+            fault_values.append(
+                fault.replacement_component(circuit).value)
         n_faults = len(self._faults)
+        hypotheses = np.tile(
+            np.array([circuit[name].value for name in names], dtype=float),
+            (1 + n_faults, 1))
+        hypotheses[1 + np.arange(n_faults), fault_columns] = fault_values
 
         rows_per_sample = 1 + n_faults
         spec = _WorldSpec(
             circuit=circuit, output_node=info.output_node,
             input_source=info.input_source, grid=grid, targets=targets,
-            nominal=nominal, fault_repl=tuple(fault_repl),
+            columns=tuple((name, "value") for name in names),
+            hypotheses=hypotheses,
             fault_labels=tuple(fault.label for fault in self._faults),
             eps=eps)
         mag_db = np.empty((rows_per_sample, config.n_samples, grid.size))
@@ -629,7 +631,7 @@ class PosteriorDiagnoser:
             order = np.argsort(freqs, kind="stable")
             block = self._engine.transfer_block(
                 self.info.output_node, freqs[order],
-                [VariantSpec(name=self.info.circuit.name)],
+                VariantTable.nominal(self.info.circuit.name),
                 self.info.input_source)
             db_row = block.magnitude_db()[0]
             cached = np.empty_like(db_row)

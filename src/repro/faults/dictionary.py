@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import DictionaryError
 from ..sim.ac import FrequencyResponse
-from ..sim.engine import BatchedMnaEngine, SimulationEngine, VariantSpec
+from ..sim.engine import BatchedMnaEngine, SimulationEngine
 from .models import (
     CatastrophicFault,
     Fault,
@@ -113,9 +113,8 @@ class FaultDictionary:
                 f"engine was built for circuit "
                 f"{engine.circuit.name!r}, universe targets "
                 f"{circuit.name!r}")
-        variants = (VariantSpec(name=circuit.name),) + universe.variants()
-        block = engine.transfer_block(output_node, freqs, variants,
-                                      input_source)
+        block = engine.transfer_block(output_node, freqs,
+                                      universe.variants(), input_source)
         golden = block.response(0)
         entries = [DictionaryEntry(fault, block.response(index + 1))
                    for index, fault in enumerate(universe.faults)]

@@ -75,23 +75,25 @@ class FaultUniverse:
         for fault in self.faults:
             yield fault, fault.apply(self.circuit)
 
-    def variants(self) -> Tuple["VariantSpec", ...]:
-        """The universe as simulation-engine variant specs.
+    def variants(self) -> "VariantTable":
+        """The golden circuit plus the universe, as one engine table.
 
-        One :class:`~repro.sim.engine.VariantSpec` per fault, named like
-        the faulty circuit clones ``fault.apply`` produces, so engine
-        responses carry the same labels as the scalar fault simulation.
-        Memoised: the universe is immutable, and a pipeline run builds
-        several dictionaries (dense grid, exact test vector) from the
-        same universe.
+        Row 0 is the fault-free circuit (labelled with the circuit
+        name); row ``i + 1`` is fault ``i``, labelled like the faulty
+        circuit clones ``fault.apply`` produces, so engine responses
+        carry the same labels as the scalar fault simulation. Memoised:
+        the universe is immutable, and a pipeline run builds several
+        dictionaries (dense grid, exact test vector) from the same
+        universe.
         """
         cached = getattr(self, "_variants_cache", None)
         if cached is None:
-            from ..sim.engine import VariantSpec
-            cached = tuple(
+            from ..sim.engine import VariantSpec, VariantTable
+            cached = VariantTable.from_specs(self.circuit, [
+                VariantSpec(name=self.circuit.name)] + [
                 VariantSpec((fault.replacement_component(self.circuit),),
                             name=f"{self.circuit.name}#{fault.label}")
-                for fault in self.faults)
+                for fault in self.faults])
             object.__setattr__(self, "_variants_cache", cached)
         return cached
 

@@ -8,6 +8,7 @@ from .engine import (
     ResponseBlock,
     SimulationEngine,
     VariantSpec,
+    VariantTable,
     make_engine,
 )
 from .mna import ComponentOps, MnaSolution, MnaSystem
@@ -36,6 +37,7 @@ __all__ = [
     "FactoredMnaEngine",
     "ResponseBlock",
     "VariantSpec",
+    "VariantTable",
     "make_engine",
     "ACAnalysis",
     "FrequencyResponse",

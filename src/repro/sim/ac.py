@@ -7,7 +7,6 @@ normalised by the stimulus phasor, so a source with ``AC 1 0`` gives
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
@@ -18,27 +17,33 @@ from ..circuits.components import CurrentSource, VoltageSource
 from ..circuits.netlist import Circuit
 from ..errors import SimulationError
 from ..units import db, log_frequency_grid
-from .mna import MnaSystem
+from .mna import MnaSystem, ac_phasor
 
 __all__ = ["FrequencyResponse", "ACAnalysis", "source_phasor"]
 
 
-def source_phasor(component, source_name: str) -> complex:
+def source_phasor(component, source_name: str, magnitude=None,
+                  phase_deg=None):
     """AC stimulus phasor of an independent source, with validation.
 
     Shared by :class:`ACAnalysis` and the simulation engines so the
     stimulus normalisation (and its error surface) cannot diverge
-    between the scalar and batched paths.
+    between the scalar and batched paths. ``magnitude`` / ``phase_deg``
+    override the component's stimulus; arrays give one phasor per
+    variant (see :func:`~repro.sim.mna.ac_phasor`).
     """
     if not isinstance(component, (VoltageSource, CurrentSource)):
         raise SimulationError(
             f"{source_name!r} is not an independent source")
-    if component.ac_magnitude <= 0.0:
+    if magnitude is None:
+        magnitude = component.ac_magnitude
+    if phase_deg is None:
+        phase_deg = component.ac_phase_deg
+    if np.any(magnitude <= 0.0):
         raise SimulationError(
             f"{source_name!r} has no AC magnitude; set ac=... on the "
             "stimulus source")
-    return component.ac_magnitude * cmath.exp(
-        1j * math.radians(component.ac_phase_deg))
+    return ac_phasor(magnitude, phase_deg)
 
 
 @dataclass(frozen=True)

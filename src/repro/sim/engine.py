@@ -3,67 +3,84 @@
 The scalar flow re-assembles an :class:`~repro.sim.mna.MnaSystem` per
 faulty circuit: parse, validate, stamp, then solve a frequency sweep.
 For a fault universe that repeats the assembly work hundreds of times on
-circuits that differ from the nominal one in a single component value.
+circuits that differ from the nominal one only in component values.
 
-This module factors the "solve a family of single-deviation variants"
-operation behind a :class:`SimulationEngine` protocol with three
-implementations:
+A variant family is a :class:`VariantTable`: a ``(K, C)`` value matrix
+over ``C`` ``(component, parameter)`` columns plus ``K`` row labels, so
+``len(variants)`` is the row count. Every engine's ``transfer_block``
+takes a table or a sequence of :class:`VariantSpec` component
+replacements; a spec sequence goes through one adapter,
+:meth:`VariantTable.from_specs`. This module factors the "solve a
+family of value-deviated variants" operation behind a
+:class:`SimulationEngine` protocol with three implementations:
 
 * :class:`ScalarMnaEngine` -- the reference: one circuit clone + one
   ``ACAnalysis`` per variant, exactly the historical code path (the
   test oracle; :data:`ENGINE_KINDS` does not name it);
 * :class:`BatchedMnaEngine` -- stamps the nominal circuit once, records
-  every component's ordered stamp contributions, materialises each
-  variant's ``G``/``B`` matrices by re-folding only the entries the
-  deviated component touches (delta-stamps, no circuit re-parse), and
-  solves all variants x all grid frequencies with chunked batched
-  ``np.linalg.solve``;
+  every component's ordered stamp contributions, and stamps a table
+  column-wise: each component a column names is stamped once with
+  ``(K,)`` parameter arrays, and every entry it touches is re-folded as
+  an ordered sum of ``(K,)`` arrays (one fold path, no circuit
+  re-parse, no per-variant Python); it then solves all variants x all
+  grid frequencies with chunked batched ``np.linalg.solve``;
 * :class:`FactoredMnaEngine` -- factors the *nominal* system once per
   frequency and solves every variant through batched
-  Sherman-Morrison-Woodbury low-rank updates (each single-component
-  fault only perturbs a handful of MNA entries), falling back to the
-  batched dense path per variant when an update is ill-conditioned.
-  Optionally assembles the nominal system with ``scipy.sparse`` on
-  large circuits (graceful numpy-dense fallback when scipy is absent).
+  Sherman-Morrison-Woodbury low-rank updates (rows grouped by their set
+  of non-nominal columns, each group's delta one array expression),
+  falling back to the batched dense path for rows whose update is
+  ill-conditioned or wider than ``max_rank``. Optionally assembles the
+  nominal system with ``scipy.sparse`` on large circuits (graceful
+  numpy-dense fallback when scipy is absent).
 
 Equivalence contract: the scalar and batched engines produce *bitwise
-identical* response blocks. The batched engine re-folds affected matrix
-entries in the exact accumulation order of the direct stamper and feeds
-the same per-matrix ``A(s) = G + s B`` systems to the same LAPACK
-routine, so no tolerance is needed anywhere -- the test suite asserts
-exact equality across the whole circuit library. The factored engine
-computes the same transfers through an algebraically different route,
-so its contract is *tight-tolerance* agreement with the scalar
+identical* response blocks. Each elementwise IEEE operation of the
+batched stamp and fold is the operation the scalar stamper performs on
+that variant, in the same accumulation order, and the same per-matrix
+``A(s) = G + s B`` systems go to the same LAPACK routine, so no
+tolerance is needed anywhere -- the test suite asserts exact equality
+across the whole circuit library and on random tables. The factored
+engine computes the same transfers through an algebraically different
+route, so its contract is *tight-tolerance* agreement with the scalar
 reference (asserted across the registry and backstopped by the golden
 suite), with the conditioning guard routing numerically risky updates
 back onto the bitwise dense path.
 
-Both engines return a :class:`ResponseBlock`, a ``(n_variants, n_freqs)``
+All engines return a :class:`ResponseBlock`, a ``(n_variants, n_freqs)``
 complex transfer matrix that lazily slices into the familiar
 :class:`~repro.sim.ac.FrequencyResponse` objects.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Protocol, \
-    Sequence, Tuple, runtime_checkable
+    Sequence, Tuple, Union, runtime_checkable
 
 import numpy as np
 
-from ..circuits.components import Component
+from ..circuits.components import (
+    Capacitor,
+    Component,
+    Inductor,
+    OpAmpMacro,
+    Resistor,
+)
 from ..circuits.netlist import Circuit
-from ..errors import SimulationError, SingularCircuitError
+from ..errors import ComponentError, SimulationError, SingularCircuitError
 from ..tracing import TRACER
 from ..units import TWO_PI, db
 from . import lowrank
+from .lowrank import NominalFactorSolver
 from .ac import ACAnalysis, FrequencyResponse, source_phasor
-from .lowrank import LowRankDelta, NominalFactorSolver
-from .mna import ComponentOps, MnaSystem
+from .mna import ComponentOps, MnaSystem, parameter_value, \
+    stamp_parameters, with_parameters
 
 __all__ = [
     "VariantSpec",
+    "VariantTable",
     "ResponseBlock",
     "SimulationEngine",
     "ScalarMnaEngine",
@@ -91,6 +108,7 @@ class VariantSpec:
     variant circuit's name (used for response labels and error
     messages); ``None`` keeps the nominal circuit's name -- matching how
     fault injection names faulty clones ``<circuit>#<fault label>``.
+    Engines read a spec sequence through :meth:`VariantTable.from_specs`.
     """
 
     replacements: Tuple[Component, ...] = ()
@@ -104,6 +122,189 @@ class VariantSpec:
                     f"variant {self.name or '<nominal>'} replaces "
                     f"component {component.name!r} twice")
             seen.add(component.name)
+
+
+def _stamp_structure(component: Component) -> tuple:
+    """Everything but the value parameters: type, name, terminals."""
+    params = stamp_parameters(component)
+    return (type(component),) + tuple(
+        getattr(component, field.name)
+        for field in dataclasses.fields(component)
+        if field.name not in params and field.name != "params")
+
+
+def _suspect_cells(component: Component, param: str,
+                   column: np.ndarray) -> Optional[np.ndarray]:
+    """Cells the component constructor may reject (``None``: none).
+
+    A superset of the constructor's checks, computed on the whole
+    column; the constructor itself decides each flagged cell.
+    """
+    if isinstance(component, (Resistor, Capacitor, Inductor, OpAmpMacro)):
+        return ~(column > 0.0) | ~np.isfinite(column)
+    if param == "ac_magnitude":
+        return column < 0.0
+    return None
+
+
+@dataclass(frozen=True, eq=False)
+class VariantTable:
+    """A family of circuit variants as one value table.
+
+    ``columns`` names one ``(component, parameter)`` pair per column:
+    ``value`` for two-terminal parts, one of
+    :data:`~repro.circuits.components.OPAMP_MACRO_PARAMS` for an
+    op-amp macromodel, the stimulus ``ac_magnitude`` / ``ac_phase_deg``
+    of a source, the gain of a controlled source (see
+    :func:`~repro.sim.mna.stamp_parameters`). ``values[k, c]`` is
+    variant ``k``'s value of column ``c``; every parameter no column
+    names keeps its nominal value. ``labels[k]`` names variant ``k``
+    (its response label and the name its errors carry), so
+    ``len(table)`` is the row count.
+
+    The table is a plain value container; an engine checks it against
+    its circuit (:meth:`bind`) before stamping.
+    """
+
+    columns: Tuple[Tuple[str, str], ...]
+    values: np.ndarray
+    labels: Tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        columns = tuple((name, param) for name, param in self.columns)
+        labels = tuple(self.labels)
+        values = np.array(self.values, dtype=float)
+        if values.shape != (len(labels), len(columns)):
+            raise SimulationError(
+                f"variant table needs a ({len(labels)}, {len(columns)}) "
+                f"value matrix, got {values.shape}")
+        if len(set(columns)) != len(columns):
+            twice = sorted({c for c in columns if columns.count(c) > 1})
+            raise SimulationError(
+                f"variant table names column(s) {twice} twice")
+        values.flags.writeable = False
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @classmethod
+    def nominal(cls, label: str) -> "VariantTable":
+        """One row, no columns: the nominal circuit named ``label``."""
+        return cls((), np.empty((1, 0)), (label,))
+
+    @classmethod
+    def from_specs(cls, circuit: Circuit,
+                   specs: Sequence[VariantSpec]) -> "VariantTable":
+        """The table of a :class:`VariantSpec` sequence.
+
+        Each replacement contributes the parameters it changes; every
+        other cell is the nominal value. A replacement of an unknown
+        component, or one that changes a component's type or terminals
+        (its stamp structure), raises :class:`SimulationError`.
+        """
+        columns: Dict[Tuple[str, str], int] = {}
+        cells: List[Dict[int, float]] = []
+        for spec in specs:
+            row: Dict[int, float] = {}
+            for replacement in spec.replacements:
+                name = replacement.name
+                if name not in circuit:
+                    raise SimulationError(
+                        f"{circuit.name}: variant "
+                        f"{spec.name or '<nominal>'} replaces unknown "
+                        f"component {name!r}")
+                nominal = circuit[name]
+                if _stamp_structure(replacement) != \
+                        _stamp_structure(nominal):
+                    raise SimulationError(
+                        f"{circuit.name}: replacement for {name!r} "
+                        "changes the stamp structure; delta-stamping "
+                        "needs same-name, same-terminal replacements")
+                for param in stamp_parameters(nominal):
+                    value = parameter_value(replacement, param)
+                    if value != parameter_value(nominal, param):
+                        index = columns.setdefault((name, param),
+                                                   len(columns))
+                        row[index] = value
+            cells.append(row)
+        keys = tuple(columns)
+        values = np.tile(_nominal_values(circuit, keys), (len(cells), 1))
+        for index, row in enumerate(cells):
+            for column, value in row.items():
+                values[index, column] = value
+        return cls(keys, values,
+                   tuple(spec.name or circuit.name for spec in specs))
+
+    def take(self, indices: Sequence[int]) -> "VariantTable":
+        """The sub-table of the given rows, in the given order."""
+        indices = np.asarray(indices, dtype=int)
+        return VariantTable(self.columns, self.values[indices],
+                            tuple(self.labels[i] for i in indices))
+
+    def bind(self, circuit: Circuit) -> Dict[str, Dict[str, int]]:
+        """Check the table against ``circuit``; map each component to
+        its ``{parameter: column}``.
+
+        A column naming an unknown component or a parameter the
+        component does not have raises :class:`SimulationError`. A cell
+        the component constructor rejects (e.g. a zero, negative, NaN
+        or infinite resistance) raises that constructor's
+        :class:`ComponentError`, prefixed with the first bad row's
+        label.
+        """
+        bound: Dict[str, Dict[str, int]] = {}
+        suspects = np.zeros(self.values.shape, dtype=bool)
+        for index, (name, param) in enumerate(self.columns):
+            if name not in circuit:
+                raise SimulationError(
+                    f"{circuit.name}: variant table column "
+                    f"{name}.{param} names unknown component {name!r}")
+            component = circuit[name]
+            allowed = stamp_parameters(component)
+            if param not in allowed:
+                raise SimulationError(
+                    f"{circuit.name}: variant table column "
+                    f"{name}.{param}: a {type(component).__name__} has "
+                    f"no parameter {param!r}; expected one of {allowed}")
+            bound.setdefault(name, {})[param] = index
+            mask = _suspect_cells(component, param, self.values[:, index])
+            if mask is not None:
+                suspects[:, index] = mask
+        for row, index in np.argwhere(suspects):
+            name, param = self.columns[index]
+            try:
+                with_parameters(circuit[name],
+                                {param: float(self.values[row, index])})
+            except ComponentError as exc:
+                raise ComponentError(
+                    f"{self.labels[row]}: {exc}") from None
+        return bound
+
+    def specs(self, circuit: Circuit) -> Tuple[VariantSpec, ...]:
+        """The rows as :class:`VariantSpec` replacements, each built
+        through the component constructors."""
+        bound = self.bind(circuit)
+        return tuple(
+            VariantSpec(tuple(
+                with_parameters(circuit[name], {
+                    param: float(self.values[row, column])
+                    for param, column in params.items()})
+                for name, params in bound.items()), name=label)
+            for row, label in enumerate(self.labels))
+
+
+def _nominal_values(circuit: Circuit,
+                    columns: Sequence[Tuple[str, str]]) -> np.ndarray:
+    """The circuit's own value of every column."""
+    return np.array([parameter_value(circuit[name], param)
+                     for name, param in columns], dtype=float)
+
+
+#: What ``transfer_block`` accepts as its variant family.
+Variants = Union[VariantTable, Sequence[VariantSpec]]
 
 
 class ResponseBlock:
@@ -197,7 +398,7 @@ class SimulationEngine(Protocol):
     def circuit(self) -> Circuit: ...
 
     def transfer_block(self, output_node: str, freqs_hz: np.ndarray,
-                       variants: Sequence[VariantSpec],
+                       variants: Variants,
                        input_source: Optional[str] = None
                        ) -> ResponseBlock: ...
 
@@ -207,8 +408,10 @@ class ScalarMnaEngine:
 
     This is the historical code path (clone the netlist, build an
     :class:`ACAnalysis`, run ``solve_frequencies``) wrapped in the
-    engine protocol. It is the test oracle the batched engine is
-    checked against bitwise; no configuration selects it.
+    engine protocol. A :class:`VariantTable` is read row by row as
+    component replacements built through the component constructors
+    (:meth:`VariantTable.specs`). It is the test oracle the batched
+    engine is checked against bitwise; no configuration selects it.
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -231,10 +434,12 @@ class ScalarMnaEngine:
                        [replaced.get(c.name, c) for c in self._circuit])
 
     def transfer_block(self, output_node: str, freqs_hz: np.ndarray,
-                       variants: Sequence[VariantSpec],
+                       variants: Variants,
                        input_source: Optional[str] = None
                        ) -> ResponseBlock:
         freqs = np.asarray(freqs_hz, dtype=float)
+        if isinstance(variants, VariantTable):
+            variants = variants.specs(self._circuit)
         if not variants:
             raise SimulationError("transfer_block needs >= 1 variant")
         with TRACER.span("engine.solve", engine="scalar",
@@ -255,13 +460,15 @@ class BatchedMnaEngine:
     """Stamp-once / solve-many engine over a fixed nominal circuit.
 
     Construction assembles the nominal MNA system and records every
-    component's ordered stamp contributions. Each variant's matrices are
-    the nominal arrays with only the replaced components' entries
-    re-folded -- in the exact accumulation order of a fresh assembly, so
-    the variant matrices are bitwise-identical to re-stamping the faulty
-    circuit. All variant x frequency systems are then solved through
-    chunked batched ``np.linalg.solve`` calls (the same per-matrix
-    LAPACK operation the scalar sweep performs).
+    component's ordered stamp contributions. A variant table is stamped
+    column-wise: each component a column names is stamped once with
+    ``(K,)`` parameter arrays, and each entry it touches is re-folded
+    as an ordered sum of ``(K,)`` arrays -- in the exact accumulation
+    order of a fresh assembly, so every variant matrix is
+    bitwise-identical to re-stamping that variant's circuit. All
+    variant x frequency systems are then solved through chunked batched
+    ``np.linalg.solve`` calls (the same per-matrix LAPACK operation the
+    scalar sweep performs).
     """
 
     #: Span label for engine construction (``engine.stamp``).
@@ -282,21 +489,17 @@ class BatchedMnaEngine:
             self._base_z_ac = self.system.rhs("ac")
             # Per-component ordered stamp ops + per-entry contribution
             # streams: entry -> [(component, op position), ...] in stamp
-            # order. Re-folding a stream with one component's values swapped
-            # reproduces a fresh assembly of that entry bitwise.
+            # order. Re-folding a stream with some components' values
+            # swapped reproduces a fresh assembly of that entry bitwise.
             self._ops: Dict[str, ComponentOps] = {}
             self._matrix_streams: Dict[Tuple[str, int, int],
                                        List[Tuple[str, int]]] = {}
             self._rhs_streams: Dict[Tuple[str, int],
                                     List[Tuple[str, int]]] = {}
-            # Per component: the distinct entries it touches and its stamp
-            # structure (entry sequence without values) for replacement
-            # validation -- both precomputed so per-variant patching only
-            # re-stamps and re-folds.
+            # Per component: the distinct entries it touches.
             self._touched_matrix: Dict[str, Tuple[Tuple[str, int, int],
                                                   ...]] = {}
             self._touched_rhs: Dict[str, Tuple[Tuple[str, int], ...]] = {}
-            self._structure: Dict[str, Tuple[tuple, tuple]] = {}
             for component in circuit:
                 ops = self.system.component_ops(component)
                 self._ops[component.name] = ops
@@ -308,14 +511,10 @@ class BatchedMnaEngine:
                 for position, (target, row, _) in enumerate(ops.rhs_ops):
                     self._rhs_streams.setdefault((target, row), []).append(
                         (component.name, position))
-                matrix_structure = tuple(op[:3] for op in ops.matrix_ops)
-                rhs_structure = tuple(op[:2] for op in ops.rhs_ops)
-                self._structure[component.name] = (matrix_structure,
-                                                   rhs_structure)
                 self._touched_matrix[component.name] = tuple(
-                    dict.fromkeys(matrix_structure))
+                    dict.fromkeys(op[:3] for op in ops.matrix_ops))
                 self._touched_rhs[component.name] = tuple(
-                    dict.fromkeys(rhs_structure))
+                    dict.fromkeys(op[:2] for op in ops.rhs_ops))
             span.attrs["dim"] = self.system.dim
 
     @property
@@ -325,64 +524,66 @@ class BatchedMnaEngine:
     # ------------------------------------------------------------------
     # Delta-stamping
     # ------------------------------------------------------------------
-    def _replacement_ops(self, spec: VariantSpec
-                         ) -> Dict[str, ComponentOps]:
-        """Stamp ops of every replaced component, structure-checked."""
-        replaced: Dict[str, ComponentOps] = {}
-        for component in spec.replacements:
-            structure = self._structure.get(component.name)
-            if structure is None:
-                raise SimulationError(
-                    f"{self._circuit.name}: variant "
-                    f"{spec.name or '<nominal>'} replaces unknown "
-                    f"component {component.name!r}")
-            ops = self.system.component_ops(component)
-            if tuple(op[:3] for op in ops.matrix_ops) != structure[0] \
-                    or tuple(op[:2] for op in ops.rhs_ops) != \
-                    structure[1]:
-                raise SimulationError(
-                    f"{self._circuit.name}: replacement for "
-                    f"{component.name!r} changes the stamp structure; "
-                    "delta-stamping needs same-name, same-terminal "
-                    "replacements")
-            replaced[component.name] = ops
-        return replaced
+    def _stamp_columns(self, table: VariantTable,
+                       bound: Dict[str, Dict[str, int]],
+                       rows: Optional[np.ndarray] = None
+                       ) -> Dict[str, ComponentOps]:
+        """Ops of every bound component, stamped with its columns'
+        ``(K,)`` values (all rows, or just ``rows``)."""
+        values = table.values if rows is None else table.values[rows]
+        return {name: self.system.component_ops(
+                    self._circuit[name],
+                    {param: values[:, column]
+                     for param, column in params.items()})
+                for name, params in bound.items()}
 
-    def _fold_matrix_entry(self, key: Tuple[str, int, int],
-                           replaced: Dict[str, ComponentOps]) -> complex:
-        """Re-accumulate one matrix entry in fresh-assembly order."""
-        total = 0.0 + 0.0j
-        for name, position in self._matrix_streams[key]:
-            ops = replaced.get(name) or self._ops[name]
-            total = total + ops.matrix_ops[position][3]
+    def _fold(self, stream: List[Tuple[str, int]], field: str,
+              stamped: Dict[str, ComponentOps],
+              count: int) -> np.ndarray:
+        """Re-accumulate one entry for every variant, in fresh-assembly
+        order: element ``k`` is the scalar fold of variant ``k``."""
+        total = np.zeros(count, dtype=complex)
+        for name, position in stream:
+            ops = stamped.get(name) or self._ops[name]
+            total = total + getattr(ops, field)[position][-1]
         return total
 
-    def _fold_rhs_entry(self, key: Tuple[str, int],
-                        replaced: Dict[str, ComponentOps]) -> complex:
-        total = 0.0 + 0.0j
-        for name, position in self._rhs_streams[key]:
-            ops = replaced.get(name) or self._ops[name]
-            total = total + ops.rhs_ops[position][2]
-        return total
-
-    def _variant_arrays(self, spec: VariantSpec,
-                        g: np.ndarray, b: np.ndarray,
-                        z_ac: np.ndarray) -> None:
-        """Patch preallocated nominal copies into the variant's arrays."""
-        replaced = self._replacement_ops(spec)
-        touched_matrix: Dict[Tuple[str, int, int], None] = {}
-        touched_rhs: Dict[Tuple[str, int], None] = {}
-        for name in replaced:
-            for key in self._touched_matrix[name]:
-                touched_matrix.setdefault(key)
-            for key in self._touched_rhs[name]:
-                touched_rhs.setdefault(key)
-        for key in touched_matrix:
-            value = self._fold_matrix_entry(key, replaced)
-            (g if key[0] == "g" else b)[key[1], key[2]] = value
-        for key in touched_rhs:
+    def _stamp_table(self, table: VariantTable,
+                     bound: Dict[str, Dict[str, int]]
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(K, N, N)`` G/B stacks and ``(K, N)`` AC RHS stack."""
+        count = len(table)
+        g_stack = np.repeat(self._base_g[None, :, :], count, axis=0)
+        b_stack = np.repeat(self._base_b[None, :, :], count, axis=0)
+        z_stack = np.repeat(self._base_z_ac[None, :], count, axis=0)
+        stamped = self._stamp_columns(table, bound)
+        for key in dict.fromkeys(key for name in stamped
+                                 for key in self._touched_matrix[name]):
+            target, row, col = key
+            (g_stack if target == "g" else b_stack)[:, row, col] = \
+                self._fold(self._matrix_streams[key], "matrix_ops",
+                           stamped, count)
+        for key in dict.fromkeys(key for name in stamped
+                                 for key in self._touched_rhs[name]):
             if key[0] == "ac":
-                z_ac[key[1]] = self._fold_rhs_entry(key, replaced)
+                z_stack[:, key[1]] = self._fold(
+                    self._rhs_streams[key], "rhs_ops", stamped, count)
+        return g_stack, b_stack, z_stack
+
+    def _phasors(self, table: VariantTable,
+                 bound: Dict[str, Dict[str, int]],
+                 source_name: str) -> np.ndarray:
+        """Each variant's stimulus phasor (the response normaliser)."""
+        source = self._circuit[source_name]
+        columns = bound.get(source_name, {})
+        stimulus = {param: table.values[:, columns[param]]
+                    for param in ("ac_magnitude", "ac_phase_deg")
+                    if param in columns}
+        phasors = source_phasor(source, source_name,
+                                stimulus.get("ac_magnitude"),
+                                stimulus.get("ac_phase_deg"))
+        return np.broadcast_to(np.asarray(phasors, dtype=complex),
+                               (len(table),))
 
     # ------------------------------------------------------------------
     # Batched solving
@@ -413,55 +614,49 @@ class BatchedMnaEngine:
             return out
 
     def _check_block_args(self, freqs: np.ndarray,
-                          variants: Sequence[VariantSpec],
-                          input_source: Optional[str]) -> str:
-        """Shared ``transfer_block`` validation; returns the source name."""
+                          variants: Variants,
+                          input_source: Optional[str]
+                          ) -> Tuple[VariantTable, str]:
+        """Shared ``transfer_block`` validation; returns the variant
+        table and the source name."""
         if freqs.ndim != 1 or freqs.size == 0:
             raise SimulationError("frequency grid must be a non-empty "
                                   "1-D array")
         if np.any(freqs <= 0.0):
             raise SimulationError("AC analysis frequencies must be "
                                   "positive")
-        if not variants:
+        table = variants if isinstance(variants, VariantTable) \
+            else VariantTable.from_specs(self._circuit, variants)
+        if not len(table):
             raise SimulationError("transfer_block needs >= 1 variant")
         source_name = input_source or self._circuit.ac_source_name()
         if source_name not in self._circuit:
             raise SimulationError(
                 f"{self._circuit.name}: no component named "
                 f"{source_name!r}")
-        return source_name
+        return table, source_name
 
     def transfer_block(self, output_node: str, freqs_hz: np.ndarray,
-                       variants: Sequence[VariantSpec],
+                       variants: Variants,
                        input_source: Optional[str] = None
                        ) -> ResponseBlock:
         freqs = np.asarray(freqs_hz, dtype=float)
-        source_name = self._check_block_args(freqs, variants,
-                                             input_source)
-
-        num_variants = len(variants)
         num_freqs = freqs.size
         dim = self.system.dim
-        labels: List[str] = []
-        phasors = np.empty(num_variants, dtype=complex)
-
-        # Materialise the variant matrix stacks: nominal copies with
-        # only the replaced components' entries re-folded.
-        g_stack = np.repeat(self._base_g[None, :, :], num_variants, axis=0)
-        b_stack = np.repeat(self._base_b[None, :, :], num_variants, axis=0)
-        z_stack = np.repeat(self._base_z_ac[None, :], num_variants, axis=0)
-        for index, spec in enumerate(variants):
-            labels.append(spec.name or self._circuit.name)
-            if spec.replacements:
-                self._variant_arrays(spec, g_stack[index], b_stack[index],
-                                     z_stack[index])
-            source = next((c for c in spec.replacements
-                           if c.name == source_name),
-                          self._circuit[source_name])
-            phasors[index] = source_phasor(source, source_name)
-
         with TRACER.span("engine.solve", engine=self._dense_solve_kind,
                          freqs=num_freqs) as span:
+            # Materialise the variant matrix stacks: nominal copies with
+            # only the bound components' entries re-folded.
+            tick = time.perf_counter()
+            table, source_name = self._check_block_args(
+                freqs, variants, input_source)
+            bound = table.bind(self._circuit)
+            g_stack, b_stack, z_stack = self._stamp_table(table, bound)
+            phasors = self._phasors(table, bound, source_name)
+            assemble_seconds = time.perf_counter() - tick
+            num_variants = len(table)
+            labels = table.labels
+
             chunks_solved = 0
             s_all = 1j * TWO_PI * freqs
             solutions = np.empty((num_variants, num_freqs, dim),
@@ -475,10 +670,12 @@ class BatchedMnaEngine:
                 for lo in range(0, num_variants, variants_per_chunk):
                     hi = min(lo + variants_per_chunk, num_variants)
                     count = (hi - lo) * num_freqs
-                    stack = (g_stack[lo:hi, None, :, :] +
-                             s_all[None, :, None, None] *
-                             b_stack[lo:hi, None, :, :]).reshape(
-                                 count, dim, dim)
+                    # G + sB, built in one buffer (addition commutes
+                    # bitwise, so this equals the scalar sweep's stack).
+                    stack = s_all[None, :, None, None] * \
+                        b_stack[lo:hi, None, :, :]
+                    stack += g_stack[lo:hi, None, :, :]
+                    stack = stack.reshape(count, dim, dim)
                     rhs = np.ascontiguousarray(
                         np.broadcast_to(z_stack[lo:hi, None, :, None],
                                         (hi - lo, num_freqs, dim, 1))
@@ -499,9 +696,9 @@ class BatchedMnaEngine:
                     for start in range(0, num_freqs, chunk):
                         stop = min(start + chunk, num_freqs)
                         s_values = s_all[start:stop]
-                        stack = (g_stack[index][None, :, :] +
-                                 s_values[:, None, None] *
-                                 b_stack[index][None, :, :])
+                        stack = s_values[:, None, None] * \
+                            b_stack[index][None, :, :]
+                        stack += g_stack[index][None, :, :]
                         rhs = np.ascontiguousarray(np.broadcast_to(
                             rhs_row[None, :, None],
                             (stop - start, dim, 1)))
@@ -511,17 +708,20 @@ class BatchedMnaEngine:
                         solutions[index, start:stop] = solved
                         chunks_solved += 1
 
-            for index in range(num_variants):
-                if not np.all(np.isfinite(solutions[index])):
-                    raise SingularCircuitError(
-                        f"{labels[index]}: non-finite solution in AC sweep")
+            finite = np.isfinite(solutions).all(axis=(1, 2))
+            if not finite.all():
+                raise SingularCircuitError(
+                    f"{labels[int(np.argmin(finite))]}: non-finite "
+                    "solution in AC sweep")
 
             out_index = self.system.node_index(output_node)
             if out_index < 0:
                 values = np.zeros((num_variants, num_freqs), dtype=complex)
             else:
                 values = solutions[:, :, out_index] / phasors[:, None]
-            span.attrs.update(variants=num_variants, chunks=chunks_solved)
+            span.attrs.update(variants=num_variants, chunks=chunks_solved,
+                              columns=len(table.columns),
+                              assemble_seconds=assemble_seconds)
         return ResponseBlock(freqs, values, labels, output_node)
 
 
@@ -601,35 +801,58 @@ class FactoredMnaEngine(BatchedMnaEngine):
                 label=self._circuit.name)
         return self._solver
 
+    def _lowrank_groups(self, table: VariantTable,
+                        bound: Dict[str, Dict[str, int]]
+                        ) -> Tuple[List[int],
+                                   List[Tuple[np.ndarray,
+                                              lowrank.LowRankDelta]],
+                                   List[int]]:
+        """Split the rows by their set of non-nominal columns.
+
+        Returns the identity rows (nothing changed), one
+        ``(rows, delta)`` low-rank group per column set, and the rows
+        whose support is wider than ``max_rank``. Each group's delta is
+        one array expression over its rows.
+        """
+        changed = table.values != _nominal_values(self._circuit,
+                                                  table.columns)
+        keys, inverse = np.unique(changed, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        identity: List[int] = []
+        groups: List[Tuple[np.ndarray, lowrank.LowRankDelta]] = []
+        too_wide: List[int] = []
+        for position, key in enumerate(keys):
+            rows = np.flatnonzero(inverse == position)
+            columns = set(np.flatnonzero(key).tolist())
+            touched = {name: params for name, params in bound.items()
+                       if columns.intersection(params.values())}
+            if not touched:
+                identity.extend(rows.tolist())
+                continue
+            delta = lowrank.table_delta(
+                self._ops, self._stamp_columns(table, touched, rows),
+                rows.size)
+            if delta.rank > self.max_rank:
+                too_wide.extend(rows.tolist())
+            elif delta.is_identity:
+                identity.extend(rows.tolist())
+            else:
+                groups.append((rows, delta))
+        return identity, groups, too_wide
+
     def transfer_block(self, output_node: str, freqs_hz: np.ndarray,
-                       variants: Sequence[VariantSpec],
+                       variants: Variants,
                        input_source: Optional[str] = None
                        ) -> ResponseBlock:
         freqs = np.asarray(freqs_hz, dtype=float)
-        source_name = self._check_block_args(freqs, variants,
-                                             input_source)
-        num_variants = len(variants)
+        table, source_name = self._check_block_args(freqs, variants,
+                                                    input_source)
+        bound = table.bind(self._circuit)
+        phasors = self._phasors(table, bound, source_name)
+        num_variants = len(table)
         num_freqs = freqs.size
         dim = self.system.dim
-
-        labels: List[str] = []
-        phasors = np.empty(num_variants, dtype=complex)
-        deltas: List[Optional[LowRankDelta]] = [None] * num_variants
-        fallback: Dict[int, str] = {}
-        for index, spec in enumerate(variants):
-            labels.append(spec.name or self._circuit.name)
-            source = next((c for c in spec.replacements
-                           if c.name == source_name),
-                          self._circuit[source_name])
-            phasors[index] = source_phasor(source, source_name)
-            if not spec.replacements:
-                continue
-            delta = lowrank.variant_delta(
-                self._ops, self._replacement_ops(spec))
-            if delta.rank > self.max_rank:
-                fallback[index] = "rank"
-            else:
-                deltas[index] = delta
+        labels = table.labels
 
         out_index = self.system.node_index(output_node)
         if out_index < 0:
@@ -645,42 +868,38 @@ class FactoredMnaEngine(BatchedMnaEngine):
             update_seconds = 0.0
             chunks_solved = 0
 
-            # Group low-rank variants by support signature so capacitance
-            # solves batch over (variants in group) x (frequency chunk);
-            # all deviations of one component share a signature.
-            identity_indices: List[int] = []
-            grouped: Dict[tuple, List[int]] = {}
-            for index in range(num_variants):
-                if index in fallback:
-                    continue
-                delta = deltas[index]
-                if delta is None or delta.is_identity:
-                    identity_indices.append(index)
-                else:
-                    grouped.setdefault(delta.signature, []).append(index)
+            # Group low-rank variants by their changed columns so
+            # capacitance solves batch over (variants in group) x
+            # (frequency chunk); all deviations of one component share
+            # a group.
+            tick = time.perf_counter()
+            identity_indices, groups, too_wide = \
+                self._lowrank_groups(table, bound)
+            assemble_seconds = time.perf_counter() - tick
+            fallback: Dict[int, str] = dict.fromkeys(too_wide, "rank")
 
             union_rows: List[int] = sorted(
-                {row for signature in grouped for row in signature[0]} |
-                {row for signature in grouped for row in signature[2]})
+                {row for _, delta in groups for row in delta.rows} |
+                {row for _, delta in groups for row in delta.rhs_rows})
             cols_union: List[int] = sorted(
-                {col for signature in grouped for col in signature[1]})
+                {col for _, delta in groups for col in delta.cols})
             union_pos = {row: i for i, row in enumerate(union_rows)}
             cols_pos = {col: i for i, col in enumerate(cols_union)}
             num_cols = len(union_rows)
 
             prepared = []
-            for (rows, cols, rhs_rows), indices in grouped.items():
-                group_deltas = [deltas[i] for i in indices]
+            for indices, delta in groups:
                 prepared.append((
-                    np.asarray(indices, dtype=int),
-                    np.asarray([union_pos[r] for r in rows], dtype=int),
-                    np.asarray([cols_pos[c] for c in cols], dtype=int),
-                    np.asarray([union_pos[r] for r in rhs_rows], dtype=int),
-                    np.stack([d.delta_g for d in group_deltas]),
-                    np.stack([d.delta_b for d in group_deltas]),
-                    np.stack([d.rhs_delta for d in group_deltas])
-                    if rhs_rows else None,
-                    len(rows)))
+                    indices,
+                    np.asarray([union_pos[r] for r in delta.rows],
+                               dtype=int),
+                    np.asarray([cols_pos[c] for c in delta.cols],
+                               dtype=int),
+                    np.asarray([union_pos[r] for r in delta.rhs_rows],
+                               dtype=int),
+                    delta.delta_g, delta.delta_b,
+                    delta.rhs_delta if delta.rhs_rows else None,
+                    len(delta.rows)))
 
             x_out = np.empty((num_variants, num_freqs), dtype=complex)
             if prepared or identity_indices:
@@ -752,18 +971,16 @@ class FactoredMnaEngine(BatchedMnaEngine):
             # A finite capacitance matrix can still overflow downstream;
             # route any non-finite low-rank row to the dense path too.
             for indices, *_ in prepared:
-                for index in indices:
-                    index = int(index)
-                    if index not in fallback and \
-                            not np.all(np.isfinite(x_out[index])):
-                        fallback[index] = "nonfinite"
+                finite = np.isfinite(x_out[indices]).all(axis=1)
+                for index in indices[~finite].tolist():
+                    fallback.setdefault(index, "nonfinite")
 
             values = x_out / phasors[:, None]
             fallback_indices = sorted(fallback)
             if fallback_indices:
                 dense_block = BatchedMnaEngine.transfer_block(
-                    self, output_node, freqs,
-                    [variants[i] for i in fallback_indices], input_source)
+                    self, output_node, freqs, table.take(fallback_indices),
+                    input_source)
                 values[fallback_indices] = dense_block.values
 
             updates = sum(
@@ -781,7 +998,9 @@ class FactoredMnaEngine(BatchedMnaEngine):
                 variants=num_variants, chunks=chunks_solved,
                 mode="sparse" if solver is not None and solver.sparse
                 else "dense",
-                rhs_columns=1 + num_cols, factor_seconds=factor_seconds,
+                rhs_columns=1 + num_cols, columns=len(table.columns),
+                assemble_seconds=assemble_seconds,
+                factor_seconds=factor_seconds,
                 update_seconds=update_seconds, updates=updates,
                 fallbacks=len(fallback),
                 fallback_conditioning=reason_counts["conditioning"],

@@ -2,9 +2,9 @@
 
 Support machinery for :class:`~repro.sim.engine.FactoredMnaEngine`:
 
-* :func:`variant_delta` turns a variant's replacement stamp-ops into a
-  :class:`LowRankDelta` -- the dense ``(r, c)`` blocks ``delta_g`` /
-  ``delta_b`` such that the variant's MNA matrix is
+* :func:`table_delta` turns a group of variants' stamp-ops into a
+  :class:`LowRankDelta` -- per variant, the dense ``(r, c)`` blocks
+  ``delta_g`` / ``delta_b`` such that its MNA matrix is
   ``A_v(s) = A(s) + E_rows @ (delta_g + s * delta_b) @ E_cols.T``
   (``E_*`` are identity-column selections). Single-component faults
   touch 1-4 rows/columns, so the blocks are tiny.
@@ -26,7 +26,7 @@ path when it is absent (the CI tier runs without scipy to pin this).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ __all__ = [
     "scipy_sparse",
     "singular_bounds",
     "solve_capacitance",
-    "variant_delta",
+    "table_delta",
 ]
 
 
@@ -60,14 +60,15 @@ def scipy_sparse():
 
 @dataclass(frozen=True)
 class LowRankDelta:
-    """One variant's MNA perturbation as dense blocks on a tiny support.
+    """A group of variants' MNA perturbations on one tiny support.
 
     ``rows`` / ``cols`` index the touched matrix entries;
-    ``delta_g[i, j]`` / ``delta_b[i, j]`` are the exact changes to
-    ``G[rows[i], cols[j]]`` / ``B[rows[i], cols[j]]``. ``rhs_rows`` /
-    ``rhs_delta`` carry changes to the AC right-hand side (stimulus
-    source replacements). Entries whose net change is exactly zero are
-    dropped, so the support is the *numerically* touched set.
+    ``delta_g[k, i, j]`` / ``delta_b[k, i, j]`` are variant ``k``'s
+    exact changes to ``G[rows[i], cols[j]]`` / ``B[rows[i], cols[j]]``.
+    ``rhs_rows`` / ``rhs_delta[k]`` carry changes to the AC right-hand
+    side (stimulus source replacements). Entries whose net change is
+    exactly zero for every variant are dropped, so the support is the
+    *numerically* touched set.
     """
 
     rows: Tuple[int, ...]
@@ -87,55 +88,56 @@ class LowRankDelta:
         """True when the replacement changes nothing at all."""
         return not self.rows and not self.rhs_rows
 
-    @property
-    def signature(self) -> Tuple[Tuple[int, ...], Tuple[int, ...],
-                                 Tuple[int, ...]]:
-        """Support key -- same-signature variants batch into one solve."""
-        return (self.rows, self.cols, self.rhs_rows)
 
+def table_delta(nominal_ops: Mapping[str, ComponentOps],
+                stamped: Mapping[str, ComponentOps],
+                count: int) -> LowRankDelta:
+    """Exact stamp delta of ``count`` variants vs the nominal ops.
 
-def variant_delta(nominal_ops: Mapping[str, ComponentOps],
-                  replaced: Mapping[str, ComponentOps]) -> LowRankDelta:
-    """Exact stamp delta of a replacement set vs the nominal ops.
-
-    Both mappings must hold structurally identical op streams per
-    component (the engine validates this before calling); the delta of
-    an entry is then the position-wise sum of ``new - old`` values, and
-    contributions from untouched components cancel exactly.
+    ``stamped`` holds the changed components' ops stamped with
+    ``(count,)`` parameter arrays (scalar op values are shared by every
+    variant); each must be structurally identical to its nominal
+    stream. The delta of an entry is the position-wise sum of
+    ``new - old`` values, so untouched components cancel exactly.
     """
-    matrix: Dict[Tuple[str, int, int], complex] = {}
-    rhs: Dict[int, complex] = {}
-    for name, new_ops in replaced.items():
+    matrix: Dict[Tuple[str, int, int], np.ndarray] = {}
+    rhs: Dict[int, np.ndarray] = {}
+    for name, new_ops in stamped.items():
         old_ops = nominal_ops[name]
         for (target, row, col, new_value), (_, _, _, old_value) in \
                 zip(new_ops.matrix_ops, old_ops.matrix_ops):
-            change = complex(new_value) - complex(old_value)
-            if change != 0:
+            change = np.asarray(new_value, dtype=complex) - \
+                complex(old_value)
+            if np.any(change != 0):
                 key = (target, row, col)
                 matrix[key] = matrix.get(key, 0j) + change
         for (target, row, new_value), (_, _, old_value) in \
                 zip(new_ops.rhs_ops, old_ops.rhs_ops):
             if target != "ac":
                 continue
-            change = complex(new_value) - complex(old_value)
-            if change != 0:
+            change = np.asarray(new_value, dtype=complex) - \
+                complex(old_value)
+            if np.any(change != 0):
                 rhs[row] = rhs.get(row, 0j) + change
     # Net-zero entries (e.g. a replacement with the nominal value)
     # shrink the support back out.
-    matrix = {key: value for key, value in matrix.items() if value != 0}
-    rhs = {row: value for row, value in rhs.items() if value != 0}
+    matrix = {key: value for key, value in matrix.items()
+              if np.any(value != 0)}
+    rhs = {row: value for row, value in rhs.items() if np.any(value != 0)}
 
     rows = tuple(sorted({key[1] for key in matrix}))
     cols = tuple(sorted({key[2] for key in matrix}))
     row_pos = {row: i for i, row in enumerate(rows)}
     col_pos = {col: j for j, col in enumerate(cols)}
-    delta_g = np.zeros((len(rows), len(cols)), dtype=complex)
-    delta_b = np.zeros((len(rows), len(cols)), dtype=complex)
+    delta_g = np.zeros((count, len(rows), len(cols)), dtype=complex)
+    delta_b = np.zeros((count, len(rows), len(cols)), dtype=complex)
     for (target, row, col), value in matrix.items():
         block = delta_g if target == "g" else delta_b
-        block[row_pos[row], col_pos[col]] += value
+        block[:, row_pos[row], col_pos[col]] += value
     rhs_rows = tuple(sorted(rhs))
-    rhs_delta = np.array([rhs[row] for row in rhs_rows], dtype=complex)
+    rhs_delta = np.zeros((count, len(rhs_rows)), dtype=complex)
+    for position, row in enumerate(rhs_rows):
+        rhs_delta[:, position] = rhs[row]
     return LowRankDelta(rows, cols, delta_g, delta_b, rhs_rows,
                         rhs_delta)
 

@@ -24,9 +24,11 @@ namespaced ``<name>::pole`` and ``<name>::buf``.
 from __future__ import annotations
 
 import cmath
+import copy
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -38,8 +40,10 @@ from ..circuits.components import (
     GROUND,
     IdealOpAmp,
     Inductor,
+    OPAMP_MACRO_PARAMS,
     OpAmpMacro,
     Resistor,
+    TwoTerminal,
     VCCS,
     VCVS,
     VoltageSource,
@@ -48,7 +52,9 @@ from ..circuits.netlist import Circuit
 from ..errors import SimulationError, SingularCircuitError
 from ..units import TWO_PI
 
-__all__ = ["MnaSystem", "MnaSolution", "ComponentOps", "OPAMP_MACRO_GM"]
+__all__ = ["MnaSystem", "MnaSolution", "ComponentOps", "OPAMP_MACRO_GM",
+           "ac_phasor", "stamp_parameters", "parameter_value",
+           "with_parameters"]
 
 # Transconductance used when expanding the op-amp macromodel; the pole
 # resistor is scaled as a0/gm so the DC open-loop gain is exactly a0.
@@ -57,6 +63,80 @@ OPAMP_MACRO_GM = 1e-3
 # Above this unknown count the batched dense solve is chunked to bound the
 # memory of the (F, N, N) stack.
 _BATCH_MEMORY_BUDGET = 64 * 1024 * 1024  # bytes
+
+
+def stamp_parameters(component) -> Tuple[str, ...]:
+    """The value parameters of ``component`` a variant may change.
+
+    Everything else a component carries (name, terminals, controlling
+    source) fixes its stamp structure. Op-amp macromodels expose their
+    :data:`OPAMP_MACRO_PARAMS`; independent sources their DC ``value``
+    and AC stimulus; controlled sources their gain.
+    """
+    if isinstance(component, OpAmpMacro):
+        return OPAMP_MACRO_PARAMS
+    if isinstance(component, (VoltageSource, CurrentSource)):
+        return ("value", "ac_magnitude", "ac_phase_deg")
+    if isinstance(component, TwoTerminal):
+        return ("value",)
+    if isinstance(component, (VCVS, CCCS)):
+        return ("gain",)
+    if isinstance(component, VCCS):
+        return ("transconductance",)
+    if isinstance(component, CCVS):
+        return ("transresistance",)
+    return ()
+
+
+def parameter_value(component, param: str) -> float:
+    """The value of one of ``component``'s :func:`stamp_parameters`."""
+    if isinstance(component, OpAmpMacro):
+        return component.params[param]
+    return getattr(component, param)
+
+
+def with_parameters(component, values: Mapping[str, float]):
+    """Copy of ``component`` with some parameters replaced.
+
+    Goes through the component constructor, so an invalid value raises
+    the constructor's :class:`~repro.errors.ComponentError`.
+    """
+    if isinstance(component, OpAmpMacro):
+        return dataclasses.replace(component,
+                                   params={**component.params, **values})
+    return dataclasses.replace(component, **values)
+
+
+def ac_phasor(magnitude, phase_deg):
+    """SPICE AC stimulus phasor ``magnitude * exp(j * phase)``.
+
+    Array arguments give one phasor per element, each computed by the
+    scalar expression so a phasor never depends on how many variants
+    share the call.
+    """
+    if np.ndim(magnitude) == 0 and np.ndim(phase_deg) == 0:
+        return magnitude * cmath.exp(1j * math.radians(phase_deg))
+    magnitudes, phases = np.broadcast_arrays(magnitude, phase_deg)
+    return np.array([float(m) * cmath.exp(1j * math.radians(float(p)))
+                     for m, p in zip(magnitudes, phases)], dtype=complex)
+
+
+def _array_stand_in(component, params: Mapping[str, np.ndarray]):
+    """Unvalidated copy of ``component`` whose ``params`` are arrays.
+
+    Every stamp is elementwise arithmetic on parameter values, so
+    stamping the stand-in yields one ``(K,)`` array per contribution --
+    element ``k`` bitwise equal to stamping the component with the
+    ``k``-th values. The caller validates the values.
+    """
+    stand_in = copy.copy(component)
+    if isinstance(component, OpAmpMacro):
+        object.__setattr__(stand_in, "params",
+                           {**component.params, **params})
+    else:
+        for name, value in params.items():
+            object.__setattr__(stand_in, name, value)
+    return stand_in
 
 
 class _ApplySink:
@@ -225,15 +305,21 @@ class MnaSystem:
         for component in self.circuit:
             self._stamp(component, sink)
 
-    def component_ops(self, component) -> ComponentOps:
+    def component_ops(self, component,
+                      params: Optional[Mapping[str, np.ndarray]] = None
+                      ) -> ComponentOps:
         """Ordered stamp contributions of ``component`` in this system.
 
         The component must be structurally compatible with this system's
         unknown indexing (same name, same terminals) -- e.g. the nominal
-        component itself or a value-deviated replacement. The batched
-        engine uses these ops to delta-stamp fault variants without
-        re-assembling the circuit.
+        component itself or a value-deviated replacement. ``params``
+        maps some of its :func:`stamp_parameters` to ``(K,)`` value
+        arrays: the op values then are arrays too, one element per
+        variant. The batched engine uses these ops to delta-stamp a
+        whole variant table without re-assembling the circuit.
         """
+        if params:
+            component = _array_stand_in(component, params)
         sink = _RecordingSink()
         self._stamp(component, sink)
         return ComponentOps(tuple(sink.matrix_ops), tuple(sink.rhs_ops))
@@ -265,14 +351,13 @@ class MnaSystem:
             sink.add("g", k, p, 1.0)
             sink.add("g", k, n, -1.0)
             sink.add_rhs("dc", k, component.value)
-            sink.add_rhs("ac", k, (component.ac_magnitude *
-                                   cmath.exp(1j * math.radians(
-                                       component.ac_phase_deg))))
+            sink.add_rhs("ac", k, ac_phasor(component.ac_magnitude,
+                                            component.ac_phase_deg))
         elif isinstance(component, CurrentSource):
             p = self.node_index(component.positive)
             n = self.node_index(component.negative)
-            phasor = (component.ac_magnitude *
-                      cmath.exp(1j * math.radians(component.ac_phase_deg)))
+            phasor = ac_phasor(component.ac_magnitude,
+                               component.ac_phase_deg)
             sink.add_rhs("dc", p, -component.value)
             sink.add_rhs("ac", p, -phasor)
             sink.add_rhs("dc", n, component.value)

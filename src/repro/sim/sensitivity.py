@@ -24,7 +24,7 @@ import numpy as np
 from ..circuits.components import TwoTerminal
 from ..circuits.netlist import Circuit
 from ..errors import SimulationError
-from .engine import BatchedMnaEngine, VariantSpec
+from .engine import BatchedMnaEngine, VariantTable
 
 __all__ = ["SensitivityResult", "sensitivity_analysis", "rank_frequencies"]
 
@@ -72,17 +72,23 @@ def sensitivity_analysis(circuit: Circuit, output_node: str,
         raise SimulationError(
             f"{circuit.name}: no components to analyse")
 
-    # One up/down variant pair per component: rows 2i and 2i + 1.
-    variants = []
     for name in targets:
         component = circuit[name]
         if not isinstance(component, TwoTerminal):
             raise SimulationError(
                 f"{circuit.name}: {name!r} has no scalar value "
                 f"(it is a {type(component).__name__})")
-        for factor in (1.0 + rel_step, 1.0 - rel_step):
-            variants.append(VariantSpec(
-                (component.with_value(component.value * factor),)))
+    # One up/down variant pair per component: rows 2i and 2i + 1, a
+    # value column per distinct component.
+    names = tuple(dict.fromkeys(targets))
+    column = [names.index(name) for name in targets]
+    nominal = np.array([circuit[name].value for name in names])
+    values = np.tile(nominal, (2 * len(targets), 1))
+    for i, j in enumerate(column):
+        values[2 * i, j] = nominal[j] * (1.0 + rel_step)
+        values[2 * i + 1, j] = nominal[j] * (1.0 - rel_step)
+    variants = VariantTable(tuple((name, "value") for name in names),
+                            values, (circuit.name,) * len(values))
     magnitude = BatchedMnaEngine(circuit).transfer_block(
         output_node, freqs, variants).magnitude_db()
     # d(dB)/d ln v  ~  (dB(v*(1+e)) - dB(v*(1-e))) / (2e)

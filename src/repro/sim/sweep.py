@@ -22,7 +22,7 @@ from ..circuits.components import TwoTerminal
 from ..circuits.netlist import Circuit
 from ..errors import SimulationError
 from .ac import FrequencyResponse
-from .engine import BatchedMnaEngine, SimulationEngine, VariantSpec
+from .engine import BatchedMnaEngine, SimulationEngine, VariantTable
 
 __all__ = ["SweepResult", "value_sweep", "deviation_sweep"]
 
@@ -91,10 +91,11 @@ def value_sweep(circuit: Circuit, output_node: str, component: str,
     freqs = np.asarray(freqs_hz, dtype=float)
     if engine is None:
         engine = BatchedMnaEngine(circuit)
-    variants = [VariantSpec(name=circuit.name)]
-    variants.extend(
-        VariantSpec((target.with_value(float(value)),))
-        for value in values)
+    # Row 0 is the nominal circuit, row i + 1 the i-th value.
+    column = [target.value] + [float(value) for value in values]
+    variants = VariantTable(((component, "value"),),
+                            np.array(column, dtype=float)[:, None],
+                            (circuit.name,) * len(column))
     block = engine.transfer_block(output_node, freqs, variants)
     return SweepResult(component, tuple(float(v) for v in values),
                        tuple(block.response(i + 1)

@@ -70,8 +70,7 @@ class TestBatchedEquivalence:
         grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 31)
 
         engine = BatchedMnaEngine(info.circuit)
-        variants = (VariantSpec(name=info.circuit.name),) + \
-            universe.variants()
+        variants = universe.variants()
         block = engine.transfer_block(info.output_node, grid, variants,
                                       info.input_source)
         reference = _scalar_reference(info, universe, grid)
@@ -98,7 +97,6 @@ class TestBatchedEquivalence:
             engine = BatchedMnaEngine(info.circuit)
             block = engine.transfer_block(
                 info.output_node, grid,
-                (VariantSpec(name=info.circuit.name),) +
                 universe.variants(),
                 info.input_source)
             reference = _scalar_reference(info, universe, grid)
@@ -115,8 +113,7 @@ class TestBatchedEquivalence:
                                   components=("R1", "C1"),
                                   deviations=(-0.2, 0.2))
         grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 37)
-        variants = (VariantSpec(name=info.circuit.name),) + \
-            universe.variants()
+        variants = universe.variants()
         reference = BatchedMnaEngine(info.circuit).transfer_block(
             info.output_node, grid, variants, info.input_source)
         # Budget for ~8 matrices: forces variants_per_chunk == 1 and
@@ -133,8 +130,7 @@ class TestBatchedEquivalence:
         universe = build_universe(info.circuit,
                                   deviations=_DEVIATIONS)
         grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 11)
-        variants = (VariantSpec(name=info.circuit.name),) + \
-            universe.variants()
+        variants = universe.variants()
         batched = BatchedMnaEngine(info.circuit).transfer_block(
             info.output_node, grid, variants, info.input_source)
         scalar = ScalarMnaEngine(info.circuit).transfer_block(
@@ -299,7 +295,7 @@ class TestResponseBlock:
         engine = BatchedMnaEngine(info.circuit)
         return engine.transfer_block(
             info.output_node, grid,
-            (VariantSpec(name=info.circuit.name),) + universe.variants(),
+            universe.variants(),
             info.input_source)
 
     def test_len_and_iteration(self, block):
@@ -534,8 +530,7 @@ class TestFactoredEquivalence:
                                   deviations=_DEVIATIONS)
         grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 31)
         engine = FactoredMnaEngine(info.circuit)
-        variants = (VariantSpec(name=info.circuit.name),) + \
-            universe.variants()
+        variants = universe.variants()
         block = engine.transfer_block(info.output_node, grid, variants,
                                       info.input_source)
         reference = _scalar_reference(info, universe, grid)
@@ -563,7 +558,6 @@ class TestFactoredEquivalence:
             engine = FactoredMnaEngine(info.circuit)
             block = engine.transfer_block(
                 info.output_node, grid,
-                (VariantSpec(name=info.circuit.name),) +
                 universe.variants(),
                 info.input_source)
             reference = _scalar_reference(info, universe, grid)
@@ -605,8 +599,7 @@ class TestFactoredEquivalence:
                                   components=("R1", "C1"),
                                   deviations=(-0.2, 0.2))
         grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 11)
-        variants = (VariantSpec(name=info.circuit.name),) + \
-            universe.variants()
+        variants = universe.variants()
         engine = FactoredMnaEngine(info.circuit, cond_limit=1.0)
         block = engine.transfer_block(info.output_node, grid, variants,
                                       info.input_source)
@@ -666,8 +659,7 @@ class TestFactoredEquivalence:
                                   components=("R1", "C1"),
                                   deviations=(-0.2, 0.2))
         grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 37)
-        variants = (VariantSpec(name=info.circuit.name),) + \
-            universe.variants()
+        variants = universe.variants()
         reference = FactoredMnaEngine(info.circuit).transfer_block(
             info.output_node, grid, variants, info.input_source)
         dim = BatchedMnaEngine(info.circuit).system.dim
@@ -728,8 +720,7 @@ class TestFactoredSparsePath:
                                   components=info.faultable,
                                   deviations=(-0.2, 0.2))
         grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 13)
-        variants = (VariantSpec(name=info.circuit.name),) + \
-            universe.variants()
+        variants = universe.variants()
         sparse_engine = FactoredMnaEngine(info.circuit, sparse=True)
         dense_engine = FactoredMnaEngine(info.circuit, sparse=False)
         assert sparse_engine.uses_sparse
@@ -758,8 +749,7 @@ class TestFactoredSparsePath:
         assert not engine.uses_sparse
         grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 9)
         universe = build_universe(info.circuit, deviations=(-0.1, 0.1))
-        variants = (VariantSpec(name=info.circuit.name),) + \
-            universe.variants()
+        variants = universe.variants()
         block = engine.transfer_block(info.output_node, grid, variants,
                                       info.input_source)
         reference = _scalar_reference(info, universe, grid)
@@ -808,3 +798,280 @@ class TestFactoredSelection:
         evaluation_b = batched.evaluate(deviations=(-0.25, 0.25))
         evaluation_f = factored.evaluate(deviations=(-0.25, 0.25))
         assert evaluation_b.accuracy == evaluation_f.accuracy
+
+
+# ----------------------------------------------------------------------
+# Variant tables: the engines' native input
+# ----------------------------------------------------------------------
+def _controlled_sources_info():
+    """Every controlled-source type, an inductor and a second (current)
+    source: the stamps the registry circuits do not exercise."""
+    from repro.circuits.netlist import Circuit
+    circuit = Circuit("controlled")
+    circuit.add_voltage_source("V1", "in", "0", ac=1.0)
+    circuit.add_resistor("R1", "in", "a", 1e3)
+    circuit.add_resistor("R2", "a", "0", 2e3)
+    circuit.add_vcvs("E1", "b", "0", "a", "0", gain=2.0)
+    circuit.add_resistor("R3", "b", "c", 1e3)
+    circuit.add_capacitor("C1", "c", "0", 1e-7)
+    circuit.add_vccs("G1", "0", "d", "c", "0", transconductance=1e-3)
+    circuit.add_resistor("R4", "d", "e", 1e3)
+    circuit.add_voltage_source("VS", "e", "0")
+    circuit.add_ccvs("H1", "f", "0", "VS", transresistance=500.0)
+    circuit.add_resistor("R5", "f", "g", 1e3)
+    circuit.add_cccs("F1", "0", "g", "VS", gain=2.0)
+    circuit.add_resistor("R6", "g", "0", 1e3)
+    circuit.add_current_source("I1", "0", "g", ac=0.5)
+    circuit.add_inductor("L1", "g", "0", 1e-2)
+    return dataclasses.make_dataclass(
+        "Info", ["circuit", "output_node", "input_source", "f_min_hz",
+                 "f_max_hz"])(circuit, "g", "V1", 10.0, 1e5)
+
+
+def _table_circuits():
+    import repro
+    return (
+        rc_lowpass(),
+        tow_thomas_biquad(ideal_opamps=False),
+        BENCHMARK_CIRCUITS["lc_ladder_lowpass5"](),
+        BENCHMARK_CIRCUITS["khn_state_variable"](),
+        repro.generate("random_topology", 0),
+        repro.generate("biquad_chain", 1),
+        _controlled_sources_info(),
+    )
+
+
+_TABLE_CIRCUITS = _table_circuits()
+
+
+def _spec_for_row(circuit, cells, label):
+    """One table row as component replacements, built independently of
+    the engine's own row reader."""
+    from repro.circuits.components import OpAmpMacro
+    per_component = {}
+    for (name, param), value in cells.items():
+        per_component.setdefault(name, {})[param] = value
+    replacements = []
+    for name, params in per_component.items():
+        component = circuit[name]
+        if isinstance(component, OpAmpMacro):
+            for param, value in params.items():
+                component = component.with_param(param, value)
+        else:
+            component = dataclasses.replace(component, **params)
+        replacements.append(component)
+    return VariantSpec(tuple(replacements), name=label)
+
+
+@st.composite
+def _random_tables(draw):
+    """(info, table, specs): a random table over a registry, generated
+    or hand-built circuit and the same rows as VariantSpecs."""
+    from repro.sim.engine import VariantTable
+    from repro.sim.mna import parameter_value, stamp_parameters
+    info = draw(st.sampled_from(_TABLE_CIRCUITS))
+    circuit = info.circuit
+    pairs = [(component.name, param) for component in circuit
+             for param in stamp_parameters(component)]
+    columns = draw(st.lists(st.sampled_from(pairs), min_size=1,
+                            max_size=6, unique=True))
+    nominal = [float(parameter_value(circuit[name], param))
+               for name, param in columns]
+    num_rows = draw(st.integers(min_value=1, max_value=5))
+    values = np.tile(np.array(nominal), (num_rows, 1))
+    specs = []
+    for row in range(num_rows):
+        cells = {}
+        for index, (name, param) in enumerate(columns):
+            if not draw(st.booleans()):
+                continue
+            if param == "ac_phase_deg":
+                value = draw(st.floats(-180.0, 180.0))
+            elif nominal[index] == 0.0:
+                value = draw(st.floats(0.1, 2.0))
+            else:
+                value = nominal[index] * 2.0 ** draw(st.floats(-3.0, 3.0))
+            values[row, index] = value
+            cells[(name, param)] = value
+        specs.append(_spec_for_row(circuit, cells, f"row{row}"))
+    table = VariantTable(tuple(columns), values,
+                         tuple(f"row{row}" for row in range(num_rows)))
+    return info, table, specs
+
+
+class TestVariantTableEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_random_tables())
+    def test_batched_table_equals_scalar_specs(self, case):
+        """Hypothesis: any table -- random column subsets, multi-column
+        rows, op-amp-macro, stimulus and controlled-source columns --
+        stamped column-wise equals the scalar engine on the same rows
+        built as VariantSpecs, bitwise; the factored engine agrees
+        within its tolerance."""
+        info, table, specs = case
+        grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 7)
+        batched = BatchedMnaEngine(info.circuit).transfer_block(
+            info.output_node, grid, table, info.input_source)
+        scalar = ScalarMnaEngine(info.circuit).transfer_block(
+            info.output_node, grid, specs, info.input_source)
+        assert np.array_equal(batched.values, scalar.values)
+        assert batched.labels == scalar.labels
+        assert len(batched) == len(table)
+        factored = FactoredMnaEngine(info.circuit).transfer_block(
+            info.output_node, grid, table, info.input_source)
+        _assert_block_close(factored.values, batched.values, rtol=1e-8,
+                            context=f"columns {table.columns}")
+
+    def test_specs_and_table_paths_agree(self):
+        """A spec sequence goes through VariantTable.from_specs: the
+        same block as the table the caller could have built."""
+        from repro.sim.engine import VariantTable
+        info = tow_thomas_biquad(ideal_opamps=False)
+        universe = build_universe(info.circuit, components=info.faultable,
+                                  deviations=(-0.3, 0.3),
+                                  include_opamp_params=True)
+        table = universe.variants()
+        scalar = ScalarMnaEngine(info.circuit)
+        grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 9)
+        rows = table.specs(info.circuit)
+        assert VariantTable.from_specs(info.circuit, rows).columns == \
+            table.columns
+        engine = BatchedMnaEngine(info.circuit)
+        from_table = engine.transfer_block(info.output_node, grid, table,
+                                           info.input_source)
+        from_specs = engine.transfer_block(info.output_node, grid, rows,
+                                           info.input_source)
+        oracle = scalar.transfer_block(info.output_node, grid, table,
+                                      info.input_source)
+        assert np.array_equal(from_table.values, from_specs.values)
+        assert np.array_equal(from_table.values, oracle.values)
+        assert from_table.labels == from_specs.labels == oracle.labels
+
+    def test_solve_span_splits_stamping_from_solving(self):
+        """engine.solve carries the column count and the seconds spent
+        stamping the table, on both engines."""
+        from repro.tracing import TRACER
+        info = rc_lowpass()
+        universe = build_universe(info.circuit, deviations=(-0.2, 0.2))
+        grid = np.array([100.0, 1000.0])
+        events = []
+        sink = TRACER.add_sink(events.append)
+        try:
+            for engine in (BatchedMnaEngine(info.circuit),
+                           FactoredMnaEngine(info.circuit)):
+                engine.transfer_block(info.output_node, grid,
+                                      universe.variants(),
+                                      info.input_source)
+        finally:
+            TRACER.remove_sink(sink)
+        solves = [span for span in events if span.name == "engine.solve"]
+        assert [span.attrs["engine"] for span in solves] == \
+            ["batched", "factored"]
+        for span in solves:
+            assert span.attrs["columns"] == 2
+            assert 0.0 <= span.attrs["assemble_seconds"] <= \
+                span.duration_s
+
+
+class TestVariantTableChecks:
+    @staticmethod
+    def _table(columns, rows, labels):
+        from repro.sim.engine import VariantTable
+        return VariantTable(columns, np.array(rows, dtype=float), labels)
+
+    @pytest.mark.parametrize("engine_type", [
+        BatchedMnaEngine, FactoredMnaEngine, ScalarMnaEngine])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"),
+                                     float("inf"), float("-inf")])
+    def test_bad_cell_raises_the_constructor_error(self, engine_type,
+                                                   bad):
+        """A zero, negative, NaN or infinite resistance raises the
+        Resistor constructor's ComponentError, naming the first bad
+        row."""
+        from repro.errors import ComponentError
+        info = rc_lowpass()
+        r1, c1 = info.circuit["R1"], info.circuit["C1"]
+        with pytest.raises(ComponentError) as constructor:
+            r1.with_value(bad)
+        table = self._table(
+            (("C1", "value"), ("R1", "value")),
+            [[c1.value, r1.value], [c1.value * 1.1, bad],
+             [c1.value, bad]],
+            ("ok", "first-bad", "second-bad"))
+        with pytest.raises(ComponentError) as got:
+            engine_type(info.circuit).transfer_block(
+                info.output_node, np.array([100.0]), table,
+                info.input_source)
+        assert str(got.value) == f"first-bad: {constructor.value}"
+
+    @pytest.mark.parametrize("column, bad", [
+        (("OA1", "pole_hz"), 0.0), (("OA2", "a0"), float("nan")),
+        (("VIN", "ac_magnitude"), -1.0)])
+    def test_macro_and_stimulus_cells_are_checked(self, column, bad):
+        from repro.errors import ComponentError
+        from repro.sim.mna import with_parameters
+        info = tow_thomas_biquad(ideal_opamps=False)
+        name, param = column
+        with pytest.raises(ComponentError) as constructor:
+            with_parameters(info.circuit[name], {param: bad})
+        table = self._table((column,), [[bad]], ("bad",))
+        with pytest.raises(ComponentError) as got:
+            BatchedMnaEngine(info.circuit).transfer_block(
+                info.output_node, np.array([100.0]), table,
+                info.input_source)
+        assert str(got.value) == f"bad: {constructor.value}"
+
+    def test_unchecked_parameters_pass(self):
+        """Parameters their constructor does not check (a stimulus
+        phase, a negative controlled-source gain) are not rejected."""
+        info = _controlled_sources_info()
+        table = self._table((("V1", "ac_phase_deg"), ("E1", "gain")),
+                            [[-90.0, -2.0]], ("inverted",))
+        block = BatchedMnaEngine(info.circuit).transfer_block(
+            info.output_node, np.array([100.0]), table, info.input_source)
+        assert np.all(np.isfinite(block.values))
+
+    @pytest.mark.parametrize("column, match", [
+        (("R9", "value"), "unknown component 'R9'"),
+        (("R1", "gain"), "no parameter 'gain'"),
+        (("C1", "a0"), "no parameter 'a0'")])
+    def test_unknown_column_raises_simulation_error(self, column, match):
+        info = rc_lowpass()
+        table = self._table((column,), [[1.0]], ("x",))
+        for engine_type in (BatchedMnaEngine, FactoredMnaEngine,
+                            ScalarMnaEngine):
+            with pytest.raises(SimulationError, match=match):
+                engine_type(info.circuit).transfer_block(
+                    info.output_node, np.array([100.0]), table)
+
+    def test_malformed_tables_rejected(self):
+        from repro.sim.engine import VariantTable
+        with pytest.raises(SimulationError, match="value matrix"):
+            VariantTable((("R1", "value"),), np.ones((2, 2)), ("a", "b"))
+        with pytest.raises(SimulationError, match="twice"):
+            VariantTable((("R1", "value"), ("R1", "value")),
+                         np.ones((1, 2)), ("a",))
+        table = VariantTable((("R1", "value"),), np.ones((1, 1)), ("a",))
+        assert not table.values.flags.writeable
+
+    def test_structure_changing_replacement_rejected(self):
+        info = rc_lowpass()
+        r1 = info.circuit["R1"]
+        rewired = dataclasses.replace(r1, negative="elsewhere")
+        with pytest.raises(SimulationError, match="stamp structure"):
+            BatchedMnaEngine(info.circuit).transfer_block(
+                info.output_node, np.array([100.0]),
+                [VariantSpec((rewired,))])
+
+    def test_non_finite_solution_names_the_row(self):
+        """A huge but finite transconductance passes the constructor
+        but overflows the solve: one array check names the row."""
+        from repro.errors import SingularCircuitError
+        info = _controlled_sources_info()
+        table = self._table((("G1", "transconductance"),),
+                            [[1e-3], [1e308]], ("finite", "runaway"))
+        with pytest.raises(SingularCircuitError,
+                           match="runaway: non-finite solution"):
+            BatchedMnaEngine(info.circuit).transfer_block(
+                info.output_node, np.array([100.0, 1000.0]), table,
+                info.input_source)

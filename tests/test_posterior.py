@@ -225,3 +225,174 @@ class TestBlockedBuild:
         other = self._diagnoses(
             result, dataclasses.replace(config, seed=12))
         assert other != first
+
+
+# ----------------------------------------------------------------------
+# Oracle pins: the table-built worlds and cases against the historical
+# one-Component-per-world builders, kept here as test-only references.
+# ----------------------------------------------------------------------
+def _reference_world_block(faults):
+    """The pre-table ``_run_world_block``: every world a VariantSpec of
+    ``with_value`` replacements, verbatim."""
+    from repro.sim.engine import VariantSpec
+
+    def run(spec, engine, out, start, stop):
+        circuit = spec.circuit
+        nominal = {name: circuit[name] for name in spec.targets}
+        fault_repl = [fault.replacement_component(circuit)
+                      for fault in faults]
+
+        def world_variant(fault_index, sample):
+            base = dict(nominal)
+            extra = None
+            if fault_index is not None:
+                faulty = fault_repl[fault_index]
+                if faulty.name in base:
+                    base[faulty.name] = faulty
+                else:
+                    extra = faulty
+            parts = [base[name].with_value(
+                         base[name].value * (1.0 + spec.eps[sample, j]))
+                     for j, name in enumerate(spec.targets)]
+            if extra is not None:
+                parts.append(extra)
+            label = FAULT_FREE_LABEL if fault_index is None else \
+                spec.fault_labels[fault_index]
+            return VariantSpec(
+                tuple(parts),
+                name=f"{circuit.name}#posterior:{label}:s{sample}")
+
+        samples = range(start, stop)
+        include_nominal = start == 0
+        variants = []
+        if include_nominal:
+            variants.append(VariantSpec(name=circuit.name))
+        for sample in samples:
+            variants.append(world_variant(None, sample))
+            variants.extend(world_variant(index, sample)
+                            for index in range(len(faults)))
+        block = engine.transfer_block(spec.output_node, spec.grid,
+                                      variants, spec.input_source)
+        values = block.magnitude_db()
+        rows_per_sample = 1 + len(faults)
+        offset = 1 if include_nominal else 0
+        for position, sample in enumerate(samples):
+            out[:, sample, :] = values[
+                offset + position * rows_per_sample:
+                offset + (position + 1) * rows_per_sample]
+        return values[0].copy() if include_nominal else None
+
+    return run
+
+
+def _reference_cases(info, mapper, components, deviations, noise_db,
+                     tolerance, repeats, seed):
+    """The pre-table ``make_test_cases`` loop: one Component per case
+    and per toleranced component, verbatim."""
+    from repro.diagnosis.evaluate import DiagnosisCase
+    from repro.faults.models import ParametricFault
+    from repro.sim.engine import BatchedMnaEngine, VariantSpec
+    rng = np.random.default_rng(seed)
+    freqs = np.array(sorted(mapper.test_freqs_hz))
+    variants = [VariantSpec(name=info.circuit.name)]
+    case_meta = []
+    for name in components:
+        for deviation in deviations:
+            fault = ParametricFault(name, float(deviation))
+            for _ in range(repeats):
+                replacements = [fault.replacement_component(info.circuit)]
+                if tolerance > 0.0:
+                    for other in info.faultable:
+                        if other == name:
+                            continue
+                        spread = float(rng.uniform(-tolerance, tolerance))
+                        component = info.circuit[other]
+                        replacements.append(component.with_value(
+                            component.value * (1.0 + spread)))
+                noise = rng.normal(0.0, noise_db, size=mapper.dimension) \
+                    if noise_db > 0.0 else None
+                variants.append(VariantSpec(
+                    tuple(replacements),
+                    name=f"{info.circuit.name}#{fault.label}"))
+                case_meta.append((name, float(deviation), noise))
+    block = BatchedMnaEngine(info.circuit).transfer_block(
+        info.output_node, freqs, variants, info.input_source)
+    golden = block.response(0)
+    cases = []
+    for index, (name, deviation, noise) in enumerate(case_meta):
+        point = mapper.signature(block.response(index + 1), golden)
+        if noise is not None:
+            point = point + noise
+        cases.append(DiagnosisCase(name, deviation, point))
+    return cases, block.labels
+
+
+def _narrowed(result):
+    """The result's circuit info with its last two faultable components
+    dropped: the universe's faults on them lie outside ``faultable``."""
+    import dataclasses
+    info = result.info
+    return dataclasses.replace(info, faultable=info.faultable[:-2])
+
+
+class TestTableBuildOracle:
+    @pytest.mark.parametrize("distribution", ["uniform", "normal"])
+    @pytest.mark.parametrize("narrow", [False, True])
+    def test_world_tensors_match_component_reference(
+            self, atpg_cache, monkeypatch, distribution, narrow):
+        """Golden points, segment tensors and candidate moments of the
+        table-built posterior equal the Component-built reference
+        bitwise -- including faults outside ``faultable``."""
+        from repro.diagnosis import posterior as posterior_module
+        from repro.faults.models import ParametricFault
+        from repro.sim.engine import BatchedMnaEngine
+        result = atpg_cache("tow_thomas_biquad")
+        info = _narrowed(result) if narrow else result.info
+        config = PosteriorConfig(n_samples=12, samples_per_block=5,
+                                 tolerance=0.05, distribution=distribution,
+                                 seed=3)
+
+        def build():
+            return PosteriorDiagnoser(info, result.universe, result.mapper,
+                                      config,
+                                      engine=BatchedMnaEngine(info.circuit))
+
+        table_built = build()
+        faults = [fault for fault in result.universe.faults
+                  if isinstance(fault, ParametricFault)]
+        if narrow:
+            assert any(f.component not in info.faultable for f in faults)
+        monkeypatch.setattr(posterior_module, "_run_world_block",
+                            _reference_world_block(faults))
+        reference = build()
+        for name in ("_golden_points", "_seg_dev0", "_seg_dev1",
+                     "_group_offsets", "_cand_mean", "_cand_sigma"):
+            assert np.array_equal(getattr(table_built, name),
+                                  getattr(reference, name)), name
+        for name in ("starts", "ends", "direction", "proper",
+                     "safe_length_sq"):
+            assert np.array_equal(getattr(table_built._segments, name),
+                                  getattr(reference._segments, name)), name
+
+    @pytest.mark.parametrize("narrow", [False, True])
+    @pytest.mark.parametrize("tolerance, noise_db", [
+        (0.0, 0.0), (0.03, 0.05), (0.05, 0.0)])
+    def test_case_points_match_component_reference(
+            self, atpg_cache, narrow, tolerance, noise_db):
+        """make_test_cases writes the same RNG draws into a table: the
+        case points equal the Component-built loop bitwise."""
+        from repro.diagnosis import make_test_cases
+        result = atpg_cache("tow_thomas_biquad")
+        info = _narrowed(result) if narrow else result.info
+        components = result.universe.components
+        kwargs = dict(deviations=(-0.25, 0.15), noise_db=noise_db,
+                      tolerance=tolerance, repeats=2)
+        cases = make_test_cases(info, result.mapper, components=components,
+                                seed=5, **kwargs)
+        expected, _ = _reference_cases(info, result.mapper, components,
+                                       seed=5, **kwargs)
+        assert len(cases) == len(expected)
+        for got, want in zip(cases, expected):
+            assert got.true_component == want.true_component
+            assert got.true_deviation == want.true_deviation
+            assert np.array_equal(got.point, want.point)
