@@ -68,8 +68,7 @@ def bench_truntime_store_warmed_run(benchmark, cut):
         atpg.run(seed=SEED, store=store)        # populate
 
         result = benchmark(lambda: atpg.run(seed=SEED, store=store))
-        assert set(result.cache_hits) == {"dictionary", "ga", "exact",
-                                          "trajectories"}
+        assert set(result.cache_hits) == {"dictionary", "ga", "exact"}
 
 
 def bench_truntime_summary(benchmark, engine, cut, out_dir):

@@ -75,7 +75,7 @@ class ATPGResult:
     groups: Tuple[FrozenSet[str], ...]
     elapsed_seconds: float
     #: Which artifacts a ``store=`` run loaded instead of recomputing
-    #: (subset of {"dictionary", "ga", "exact", "trajectories"}).
+    #: (subset of {"dictionary", "ga", "exact"}).
     cache_hits: Tuple[str, ...] = ()
     #: The simulation engine the pipeline ran on (already stamped for
     #: this circuit); :meth:`evaluate` reuses it for case generation.
@@ -310,17 +310,9 @@ class FaultTrajectoryATPG:
                     universe, np.array(sorted(test_vector), dtype=float))
             if store:
                 store.save_dictionary("exact", exact_key, exact)
-        traj_key = store.trajectory_key(exact_key, self.config) \
-            if store else None
-        trajectories = store.load_trajectories(traj_key) if store else None
-        if trajectories is not None:
-            cache_hits.append("trajectories")
-        else:
-            with TRACER.span("pipeline.trajectories",
-                             circuit=self.info.circuit.name):
-                trajectories = TrajectorySet.from_source(exact, mapper)
-            if store:
-                store.save_trajectories(traj_key, trajectories)
+        with TRACER.span("pipeline.trajectories",
+                         circuit=self.info.circuit.name):
+            trajectories = TrajectorySet.from_source(exact, mapper)
         metrics = evaluate_metrics(trajectories)
         groups = ambiguity_groups(trajectories,
                                   self.config.ambiguity_threshold)

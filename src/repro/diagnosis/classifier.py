@@ -31,7 +31,7 @@ import numpy as np
 from ..errors import DiagnosisError
 from ..sim.ac import FrequencyResponse
 from ..trajectory.geometry import Segments, project_points
-from ..trajectory.trajectory import TrajectorySet
+from ..trajectory.trajectory import TrajectoryLayout, TrajectorySet
 
 __all__ = ["Diagnosis", "ResponseBatch", "TrajectoryClassifier"]
 
@@ -130,22 +130,14 @@ class TrajectoryClassifier:
                  golden: Optional[FrequencyResponse] = None) -> None:
         self.trajectories = trajectories
         self.golden = golden
-        starts, ends, owners = trajectories.all_segments()
+        starts, ends, _ = trajectories.all_segments()
         self._segments = Segments.of(starts, ends)
-        self._owners = owners                          # (S,)
-        # Deviation endpoints of every flat segment (vectorises
-        # FaultTrajectory.interpolate_deviation).
-        self._seg_dev0 = np.concatenate(
-            [t.deviations[:-1] for t in trajectories])     # (S,)
-        self._seg_dev1 = np.concatenate(
-            [t.deviations[1:] for t in trajectories])
-        self._components: Tuple[str, ...] = trajectories.components
-        # all_segments() stacks segments trajectory-by-trajectory, so
-        # owner groups are contiguous: reduceat offsets give exact
+        # Owners, deviation endpoints (vectorising
+        # FaultTrajectory.interpolate_deviation) and the contiguous
+        # owner groups, whose reduceat offsets give exact
         # per-trajectory distance minima.
-        counts = [t.num_segments for t in trajectories]
-        self._group_offsets = np.concatenate(
-            ([0], np.cumsum(counts)[:-1])).astype(int)
+        self._layout = TrajectoryLayout.of(trajectories)
+        self._components: Tuple[str, ...] = trajectories.components
 
     @property
     def dimension(self) -> int:
@@ -225,18 +217,19 @@ class TrajectoryClassifier:
             distances, interior)
         winners = np.argmin(candidates, axis=1)                # (N,)
 
+        layout = self._layout
         rows = np.arange(points.shape[0])
         t_win = t_clamped[rows, winners]
-        dev0 = self._seg_dev0[winners]
-        deviations = dev0 + t_win * (self._seg_dev1[winners] - dev0)
+        dev0 = layout.seg_dev0[winners]
+        deviations = dev0 + t_win * (layout.seg_dev1[winners] - dev0)
         win_distances = distances[rows, winners]
-        owners = self._owners[winners]
+        owners = layout.owners[winners]
 
         # Rank components over the *same* candidate distances the winner
         # was chosen from: exact minima over the contiguous owner groups
         # (non-candidate components rank at inf, margins stay >= 0).
         per_component = np.minimum.reduceat(
-            candidates, self._group_offsets, axis=1)           # (N, T)
+            candidates, layout.segment_offsets[:-1], axis=1)   # (N, T)
         orders = np.argsort(per_component, axis=1, kind="stable")
 
         diagnoses: List[Diagnosis] = []

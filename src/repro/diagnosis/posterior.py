@@ -61,6 +61,7 @@ from ..faults.universe import FaultUniverse
 from ..sim.engine import BatchedMnaEngine, SimulationEngine, VariantTable
 from ..trajectory.geometry import Segments, project_points
 from ..trajectory.mapping import SignatureMapper
+from ..trajectory.trajectory import TrajectoryLayout
 from .classifier import check_points, perpendicular_candidates
 
 __all__ = [
@@ -278,10 +279,10 @@ class PosteriorDiagnoser:
             raise DiagnosisError(
                 f"{info.circuit.name}: posterior diagnosis needs a "
                 "parametric fault universe (no parametric faults found)")
-        components: List[str] = []
-        for fault in faults:
-            if fault.component not in components:
-                components.append(fault.component)
+        # Golden is anchor row 0 and fault f anchor row 1 + f, so the
+        # layout's rows (golden = -1) index the anchors shifted by one.
+        self._layout = TrajectoryLayout.from_faults(faults)
+        components = self._layout.components
         if FAULT_FREE_LABEL in components:
             raise DiagnosisError(
                 f"component name {FAULT_FREE_LABEL!r} collides with the "
@@ -290,7 +291,7 @@ class PosteriorDiagnoser:
         #: Posterior outcome labels: fault-free first, then every fault
         #: component in trajectory (first-appearance) order.
         self.component_labels: Tuple[str, ...] = \
-            (FAULT_FREE_LABEL,) + tuple(components)
+            (FAULT_FREE_LABEL,) + components
         self.n_samples = self.config.n_samples
 
         self._build()
@@ -406,43 +407,23 @@ class PosteriorDiagnoser:
         self._bandwidth = floor
 
     def _assemble_segments(self, anchors: np.ndarray) -> None:
-        """Per-world trajectory polylines as flat segment tensors.
+        """Per-world trajectory polylines as flat segment tensors:
+        ``(M, S, D)``, worlds-major for projection.
 
-        Mirrors :meth:`TrajectorySet.all_segments`: each component's
-        anchors ordered by ascending deviation (its world's fault-free
-        anchor standing in for deviation 0), consecutive pairs forming
-        segments, components stacked in trajectory order.
+        Each coordinate is stored as one contiguous ``(M, S)`` plane:
+        the request path's elementwise loops then run along the segments
+        rather than along the few coordinates, and at D >= 3 numpy sums
+        the coordinates in the order the request results were pinned
+        with (a C-ordered copy changes their last bits).
         """
-        by_component: Dict[str, List[Tuple[float, int]]] = {}
-        for index, fault in enumerate(self._faults):
-            by_component.setdefault(fault.component, []).append(
-                (fault.deviation, 1 + index))
-        starts: List[np.ndarray] = []
-        ends: List[np.ndarray] = []
-        dev0: List[float] = []
-        dev1: List[float] = []
-        offsets: List[int] = []
-        for component in self.component_labels[1:]:
-            pairs = sorted(by_component[component],
-                           key=lambda item: item[0])
-            deviations = [dev for dev, _ in pairs]
-            rows = [row for _, row in pairs]
-            if 0.0 not in deviations:
-                position = int(np.searchsorted(deviations, 0.0))
-                deviations.insert(position, 0.0)
-                rows.insert(position, 0)
-            offsets.append(len(dev0))
-            for left in range(len(rows) - 1):
-                starts.append(anchors[rows[left]])
-                ends.append(anchors[rows[left + 1]])
-                dev0.append(deviations[left])
-                dev1.append(deviations[left + 1])
-        # (S, M, D) stacked -> (M, S, D) worlds-major for projection.
-        self._segments = Segments.of(np.stack(starts, axis=1),
-                                     np.stack(ends, axis=1))
-        self._seg_dev0 = np.array(dev0)                    # (S,)
-        self._seg_dev1 = np.array(dev1)
-        self._group_offsets = np.array(offsets, dtype=int)
+        vertices = anchors[self._layout.rows + 1]          # (V, M, D)
+
+        def planes(index: np.ndarray) -> np.ndarray:
+            return np.ascontiguousarray(
+                vertices[index].transpose(2, 1, 0)).transpose(1, 2, 0)
+
+        self._segments = Segments.of(planes(self._layout.seg_start),
+                                     planes(self._layout.seg_end))
 
     # ------------------------------------------------------------------
     # Request path: deterministic NumPy against the cached tensors
@@ -507,8 +488,9 @@ class PosteriorDiagnoser:
         # The paper rule, per world.
         candidates, _ = perpendicular_candidates(seg_dist, interior)
 
-        seg_dev = self._seg_dev0[None, None, :] + t_clamped * \
-            (self._seg_dev1 - self._seg_dev0)[None, None, :]
+        layout = self._layout
+        seg_dev = layout.seg_dev0[None, None, :] + t_clamped * \
+            (layout.seg_dev1 - layout.seg_dev0)[None, None, :]
 
         n_points, n_worlds = points.shape[0], self._golden_points.shape[0]
         n_outcomes = len(self.component_labels)
@@ -517,7 +499,7 @@ class PosteriorDiagnoser:
         anchor = points[:, None, :] - self._golden_points[None, :, :]
         distances[:, :, 0] = np.sqrt(
             np.einsum("nmd,nmd->nm", anchor, anchor))
-        bounds = list(self._group_offsets) + [self._seg_dev0.size]
+        bounds = layout.segment_offsets
         # Open-grid fancy indexing: ~4x cheaper than take_along_axis on
         # the request path, where this gather loop is the hot spot.
         grid_n = np.arange(n_points)[:, None]

@@ -15,27 +15,31 @@ free vector scores exactly 1.0, leaving the GA no gradient between them):
 * :class:`CombinedFitness` -- the paper term plus a bounded margin bonus,
   which keeps the paper's ordering but breaks ties.
 
-Every fitness memoises on the (rounded) test vector: the GA revisits the
-same region constantly and trajectory construction is the dominant cost.
+Every fitness scores a whole population as arrays, in any signature
+dimension: the trajectory structure is one
+:class:`~repro.trajectory.trajectory.TrajectoryLayout` built once per
+fitness, so a generation is one surface sample, one ``(K, V, D)`` vertex
+gather and one metric pass (the 2-D conflict kernel, the batched
+vertex-to-segment separations) scored by one array formula. Every
+fitness memoises on the (rounded) test vector, since the GA revisits the
+same region constantly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import GAError
-from ..faults.models import ParametricFault
 from ..faults.surface import ResponseSurface
 from ..trajectory.mapping import SignatureMapper, check_test_vectors
 from ..trajectory.metrics import (
     TrajectoryMetrics,
-    conflict_counts_batch,
+    _metric_arrays,
     evaluate_metrics,
 )
-from ..trajectory.trajectory import TrajectorySet
+from ..trajectory.trajectory import TrajectoryLayout, TrajectorySet
 
 __all__ = [
     "TrajectoryFitness",
@@ -48,35 +52,15 @@ __all__ = [
 # agree to 1e-9 decades are physically identical.
 _CACHE_DIGITS = 9
 
-@dataclass(frozen=True)
-class _ConflictPlan:
-    """Precomputed trajectory layout for population conflict counting.
-
-    The trajectory *structure* (which dictionary rows form which
-    trajectory, where the golden vertex sits, how vertices chain into
-    segments) is a pure function of the dictionary and the component
-    filter -- only the vertex coordinates change per candidate test
-    vector. Precomputing it turns a whole population's conflict counts
-    into two fancy-index gathers plus one batched orientation pass.
-    """
-
-    row_order: np.ndarray      # dictionary entry row per fault vertex
-    fault_slots: np.ndarray    # vertex slot of each fault vertex
-    golden_slots: np.ndarray   # vertex slot of each golden insertion
-    seg_start: np.ndarray      # vertex slot of each segment start
-    seg_end: np.ndarray        # vertex slot of each segment end
-    owners: np.ndarray         # trajectory index per segment
-    num_vertices: int
-
 
 class TrajectoryFitness:
-    """Base class: builds trajectories for a test vector and scores them.
+    """Base class: scores the trajectories of candidate test vectors.
 
-    Subclasses implement :meth:`score` on the resulting metrics. Higher
-    is better; values must be non-negative for roulette selection.
-    Subclasses that never read the separation fields set
-    ``needs_separations = False`` to skip the distance computation (the
-    conflict counts alone are noticeably cheaper).
+    Subclasses implement :meth:`_score_arrays`, the fitness of
+    per-candidate metric arrays. Higher is better; values must be
+    non-negative for roulette selection. Subclasses that never read the
+    separations set ``needs_separations = False`` to skip the distance
+    computation (the conflict counts alone are noticeably cheaper).
     """
 
     needs_separations = True
@@ -92,8 +76,7 @@ class TrajectoryFitness:
         self.components = components
         self._cache: Dict[Tuple[float, ...], float] = {}
         self.evaluations = 0
-        self._plan: Optional[_ConflictPlan] = None
-        self._plan_built = False
+        self._layout: Optional[TrajectoryLayout] = None
 
     # ------------------------------------------------------------------
     def trajectories_for(self, freqs_hz: Tuple[float, ...]) -> TrajectorySet:
@@ -106,8 +89,20 @@ class TrajectoryFitness:
         return evaluate_metrics(self.trajectories_for(freqs_hz),
                                 include_separations=include_separations)
 
-    def score(self, metrics: TrajectoryMetrics) -> float:
+    def _score_arrays(self, intersections: np.ndarray,
+                      overlaps: np.ndarray,
+                      min_separation: np.ndarray) -> np.ndarray:
+        """Fitness of ``(K,)`` conflict counts and minimum separations
+        (``nan`` when not computed)."""
         raise NotImplementedError
+
+    def score(self, metrics: TrajectoryMetrics) -> float:
+        """Fitness of one configuration's metrics (a one-row
+        :meth:`_score_arrays`)."""
+        return float(self._score_arrays(
+            np.array([metrics.intersections]),
+            np.array([metrics.common_pathways]),
+            np.array([metrics.min_separation]))[0])
 
     # ------------------------------------------------------------------
     # Evaluation: single vector and whole populations
@@ -118,24 +113,6 @@ class TrajectoryFitness:
         log-frequencies."""
         return [tuple(round(value, _CACHE_DIGITS) for value in row)
                 for row in np.log10(freqs_hz).tolist()]
-
-    def _score_vector(self, freqs_hz: Tuple[float, ...],
-                      sampled_db: np.ndarray) -> float:
-        """Uncached evaluation of one test vector from its presampled
-        surface magnitudes (golden row first)."""
-        mapper = self._mapper_template.with_freqs(freqs_hz)
-        trajectories = TrajectorySet.from_source(
-            self.surface, mapper, components=self.components,
-            signature_matrix=mapper.signature_matrix_from_db(sampled_db),
-            golden_point=mapper.golden_signature_from_db(sampled_db[0]))
-        metrics = evaluate_metrics(
-            trajectories, include_separations=self.needs_separations)
-        value = float(self.score(metrics))
-        if value < 0.0:
-            raise GAError(
-                f"{type(self).__name__} returned negative fitness "
-                f"{value}; roulette selection requires >= 0")
-        return value
 
     def __call__(self, freqs_hz: Tuple[float, ...]) -> float:
         """Fitness of one test vector: a one-row
@@ -150,12 +127,10 @@ class TrajectoryFitness:
         vectors). Deduplicates against the memo cache, samples the
         shared response surface *once* for every uncached candidate
         (one vectorised interpolation over the concatenated test
-        vectors), then scores the uncached candidates. Conflict-count
-        fitnesses over 2-D signatures (the paper configuration) are
-        scored as a single array pass over the whole batch; otherwise
-        candidates are scored one by one. Sampling is per-query-column
-        independent, so scores are identical to calling the fitness per
-        individual in any order.
+        vectors), then scores the uncached candidates as arrays in one
+        pass. Sampling is per-query-column independent and every metric
+        is per-candidate, so scores are identical to calling the fitness
+        per individual in any order.
         """
         freqs = np.asarray(vectors, dtype=float)
         if len(freqs) == 0:
@@ -172,130 +147,42 @@ class TrajectoryFitness:
                 pending.setdefault(key, index)
         if pending:
             values = self._score_candidates(freqs[list(pending.values())])
-            for key, value in zip(pending, values):
+            for key, value in zip(pending, values.tolist()):
                 self._cache[key] = value
                 self.evaluations += 1
         return np.array([self._cache[key] for key in keys], dtype=float)
 
-    def _score_candidates(self, freqs: np.ndarray) -> List[float]:
-        """Score uncached ``(K, n)`` candidates (one vectorised surface
-        sample, then the batched or per-candidate path)."""
+    def _score_candidates(self, freqs: np.ndarray) -> np.ndarray:
+        """Score uncached ``(K, n)`` candidates: one vectorised surface
+        sample, one vertex gather through the layout, one metric pass.
+
+        The layout is built on first use and raises the
+        :class:`~repro.errors.TrajectoryError` that
+        :meth:`TrajectorySet.from_source` raises on the same source.
+        """
         count, genes = freqs.shape
-        sampled = self.surface.sample_db(freqs.ravel())
-        plan = self._conflict_plan() if not self.needs_separations \
-            else None
-        if plan is not None and genes == 2:
-            return self._score_batch_conflicts(
-                freqs, sampled.reshape(-1, count, genes), plan)
-        return [self._score_vector(tuple(vector),
-                                   sampled[:, index * genes:
-                                           (index + 1) * genes])
-                for index, vector in enumerate(freqs.tolist())]
-
-    # ------------------------------------------------------------------
-    # Population-level conflict counting (the paper-fitness fast path)
-    # ------------------------------------------------------------------
-    def _conflict_plan(self) -> Optional[_ConflictPlan]:
-        """The precomputed trajectory layout, or None to fall back.
-
-        Falling back (non-parametric-only sources, fewer than two
-        trajectories, degenerate deviation grids) routes through the
-        per-candidate path, which raises the exact errors the scalar
-        evaluation would.
-        """
-        if self._plan_built:
-            return self._plan
-        self._plan_built = True
-        dictionary = getattr(self.surface, "dictionary", None)
-        if dictionary is None:
-            return None
-        groups: Dict[str, List[Tuple[float, int]]] = {}
-        for row, entry in enumerate(dictionary.entries):
-            if isinstance(entry.fault, ParametricFault):
-                groups.setdefault(entry.fault.component, []).append(
-                    (entry.fault.deviation, row))
-        if self.components is not None:
-            if set(self.components) - set(groups):
-                return None
-            groups = {name: groups[name] for name in self.components}
-        if len(groups) < 2:
-            return None
-        row_order: List[int] = []
-        fault_slots: List[int] = []
-        golden_slots: List[int] = []
-        seg_start: List[int] = []
-        seg_end: List[int] = []
-        owners: List[int] = []
-        cursor = 0
-        for index, pairs in enumerate(groups.values()):
-            pairs = sorted(pairs, key=lambda item: item[0])
-            deviations = [pair[0] for pair in pairs]
-            if any(abs(d) < 1e-12 for d in deviations) or \
-                    any(b <= a for a, b in
-                        zip(deviations, deviations[1:])):
-                return None
-            insert_at = int(np.searchsorted(np.asarray(deviations), 0.0))
-            count = len(pairs) + 1
-            slots = list(range(cursor, cursor + count))
-            golden_slots.append(slots[insert_at])
-            fault_slots.extend(slots[:insert_at] + slots[insert_at + 1:])
-            row_order.extend(pair[1] for pair in pairs)
-            seg_start.extend(slots[:-1])
-            seg_end.extend(slots[1:])
-            owners.extend([index] * (count - 1))
-            cursor += count
-        self._plan = _ConflictPlan(
-            row_order=np.array(row_order, dtype=int),
-            fault_slots=np.array(fault_slots, dtype=int),
-            golden_slots=np.array(golden_slots, dtype=int),
-            seg_start=np.array(seg_start, dtype=int),
-            seg_end=np.array(seg_end, dtype=int),
-            owners=np.array(owners, dtype=int),
-            num_vertices=cursor)
-        return self._plan
-
-    def _score_batch_conflicts(self, freqs: np.ndarray,
-                               sampled: np.ndarray,
-                               plan: _ConflictPlan) -> List[float]:
-        """Score a 2-D candidate batch with one conflict-kernel pass.
-
-        ``sampled`` is the ``(1 + n_faults, K, 2)`` surface block of the
-        K candidates ``freqs``.
-        """
+        sampled = self.surface.sample_db(freqs.ravel()).reshape(
+            -1, count, genes)
+        if self._layout is None:
+            self._layout = TrajectoryLayout.from_faults(
+                [entry.fault for entry in self.surface.dictionary.entries],
+                self.components)
         mapper = self._mapper_template
-        signatures = mapper.signature_matrix_from_db(sampled)
-        vertices = np.empty((len(freqs), plan.num_vertices, 2))
-        vertices[:, plan.fault_slots] = \
-            signatures[plan.row_order].transpose(1, 0, 2)
-        vertices[:, plan.golden_slots] = \
-            mapper.golden_signature_from_db(sampled[0])[:, None, :]
-        intersections, overlaps = conflict_counts_batch(
-            vertices[:, plan.seg_start], vertices[:, plan.seg_end],
-            plan.owners)
-        values = np.asarray(self.score_conflicts(intersections, overlaps),
-                            dtype=float)
+        vertices = self._layout.vertices(
+            mapper.signature_matrix_from_db(sampled),
+            mapper.golden_signature_from_db(sampled[0]))    # (V, K, D)
+        intersections, overlaps, _, minimum = _metric_arrays(
+            vertices.transpose(1, 0, 2), self._layout,
+            self.needs_separations)
+        values = np.asarray(
+            self._score_arrays(intersections, overlaps, minimum),
+            dtype=float)
         if np.any(values < 0.0):
             raise GAError(
                 f"{type(self).__name__} returned negative fitness "
                 f"{values[np.argmax(values < 0.0)]}; roulette selection "
                 f"requires >= 0")
-        return values.tolist()
-
-    def score_conflicts(self, intersections: np.ndarray,
-                        overlaps: np.ndarray) -> np.ndarray:
-        """Scores of per-candidate conflict counts (the population fast
-        path, used when ``needs_separations`` is False).
-
-        The default wraps each candidate's counts in a conflicts-only
-        :class:`TrajectoryMetrics` and calls :meth:`score`; subclasses
-        whose score is a formula of the counts override it with that
-        formula over the arrays.
-        """
-        return np.array([self.score(TrajectoryMetrics(
-            intersections=int(crossings), common_pathways=int(pathways),
-            min_separation=float("nan"), mean_separation=float("nan"),
-            per_pair_separation={}))
-            for crossings, pathways in zip(intersections, overlaps)])
+        return values
 
     def cache_clear(self) -> None:
         self._cache.clear()
@@ -326,9 +213,10 @@ class PaperFitness(TrajectoryFitness):
         conflicts = intersections + self.overlap_weight * overlaps
         return 1.0 / (1.0 + conflicts)
 
-    def score(self, metrics: TrajectoryMetrics) -> float:
-        return float(self.score_conflicts(metrics.intersections,
-                                          metrics.common_pathways))
+    def _score_arrays(self, intersections: np.ndarray,
+                      overlaps: np.ndarray,
+                      min_separation: np.ndarray) -> np.ndarray:
+        return self.score_conflicts(intersections, overlaps)
 
 
 class MarginFitness(TrajectoryFitness):
@@ -348,11 +236,10 @@ class MarginFitness(TrajectoryFitness):
             raise GAError("margin_scale must be positive")
         self.margin_scale = float(margin_scale)
 
-    def score(self, metrics: TrajectoryMetrics) -> float:
-        margin = max(metrics.min_separation, 0.0)
-        if not np.isfinite(margin):
-            return 1.0
-        return margin / (margin + self.margin_scale)
+    def _score_arrays(self, intersections: np.ndarray,
+                      overlaps: np.ndarray,
+                      min_separation: np.ndarray) -> np.ndarray:
+        return _bounded_margin(min_separation, self.margin_scale)
 
 
 class CombinedFitness(PaperFitness):
@@ -382,11 +269,19 @@ class CombinedFitness(PaperFitness):
         self.margin_weight = float(margin_weight)
         self.margin_scale = float(margin_scale)
 
-    def score(self, metrics: TrajectoryMetrics) -> float:
-        base = super().score(metrics)
-        margin = max(metrics.min_separation, 0.0)
-        if not np.isfinite(margin):
-            bonus = 1.0
-        else:
-            bonus = margin / (margin + self.margin_scale)
-        return base + self.margin_weight * bonus
+    def _score_arrays(self, intersections: np.ndarray,
+                      overlaps: np.ndarray,
+                      min_separation: np.ndarray) -> np.ndarray:
+        return self.score_conflicts(intersections, overlaps) + \
+            self.margin_weight * _bounded_margin(min_separation,
+                                                 self.margin_scale)
+
+
+def _bounded_margin(min_separation: np.ndarray, scale: float
+                    ) -> np.ndarray:
+    """``margin / (margin + scale)`` of the clipped-at-0 minimum
+    separation; 1 where it is not finite (a single trajectory)."""
+    margin = np.maximum(min_separation, 0.0)
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isfinite(margin),
+                        margin / (margin + scale), 1.0)

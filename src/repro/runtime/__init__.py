@@ -39,7 +39,7 @@ from .cluster import (CircuitRouter, ClusterService, HTTPReplica,
 from .server import AsyncDiagnosisService, DiagnosisHTTPServer, serve
 from .service import DiagnosisService, ServiceStats
 from .store import (ArtifactRecord, ArtifactStore, as_store, derive_key,
-                    ga_search_key, problem_key, trajectory_key)
+                    ga_search_key, problem_key)
 from .telemetry import (REGISTRY, TRACER, Counter, Gauge, Histogram,
                         MetricsRegistry, ProfilingCollector, Span,
                         Tracer, current_request_id, new_request_id,
@@ -51,7 +51,6 @@ __all__ = [
     "problem_key",
     "derive_key",
     "ga_search_key",
-    "trajectory_key",
     "ArtifactRecord",
     "DiagnosisService",
     "ServiceStats",

@@ -1,9 +1,9 @@
 """Content-addressed artifact store for pipeline products.
 
 Every expensive artifact of the ATPG flow -- the dense fault
-dictionary, the GA search result, the exact test-vector dictionary and
-the trajectory set -- is a deterministic function of (netlist canonical
-form, fault universe spec, frequency grid, pipeline config [, seed]).
+dictionary, the GA search result and the exact test-vector dictionary
+-- is a deterministic function of (netlist canonical form, fault
+universe spec, frequency grid, pipeline config [, seed]).
 This module hashes that tuple into a stable SHA-256 key and persists
 the artifacts under it, so a repeat ``FaultTrajectoryATPG.run()`` with
 ``store=`` loads everything back instead of re-simulating.
@@ -23,7 +23,10 @@ same test vector share the exact dictionary:
 * dictionary      <- problem (netlist, ports, universe) + dense grid
 * ga              <- dictionary key + search config + seed
 * exact           <- problem + test vector
-* trajectories    <- exact key + mapper options
+
+The trajectory set is not stored: it is a function of the exact
+dictionary and the mapper, and rebuilding it costs about as much as
+loading it.
 
 The simulation engine enters the problem key only when it is
 ``factored``: its low-rank solves differ from the ``batched`` engine's
@@ -51,12 +54,10 @@ from ..errors import DictionaryError, StoreError
 from ..faults.dictionary import FaultDictionary, fault_to_json
 from ..faults.universe import FaultUniverse
 from ..ga.engine import GAResult, GenerationStats
-from ..trajectory.mapping import SignatureMapper
-from ..trajectory.trajectory import FaultTrajectory, TrajectorySet
 from . import telemetry
 
 __all__ = ["ArtifactStore", "ArtifactRecord", "as_store",
-           "problem_key", "derive_key", "ga_search_key", "trajectory_key"]
+           "problem_key", "derive_key", "ga_search_key"]
 
 _KEY_PATTERN = re.compile(r"[0-9a-f]{64}")
 _KIND_PATTERN = re.compile(r"[a-z][a-z0-9_-]*")
@@ -159,13 +160,6 @@ def ga_search_key(dictionary_key: str, info: CircuitInfo, config,
     return _digest([dictionary_key, "ga", payload])
 
 
-def trajectory_key(exact_key: str, config) -> str:
-    """Key of a trajectory set: the exact dictionary it was mapped
-    from (test vector included there) + the mapper options."""
-    return _digest([exact_key, "trajectories", config.signature_scale,
-                    config.relative_to_golden])
-
-
 # ----------------------------------------------------------------------
 # GA result (de)serialisation
 # ----------------------------------------------------------------------
@@ -247,7 +241,6 @@ class ArtifactStore:
     problem_key = staticmethod(problem_key)
     derive_key = staticmethod(derive_key)
     ga_search_key = staticmethod(ga_search_key)
-    trajectory_key = staticmethod(trajectory_key)
 
     # ------------------------------------------------------------------
     # Slots
@@ -466,54 +459,3 @@ class ArtifactStore:
         self._publish(
             "ga", key,
             lambda scratch: (scratch / "result.json").write_text(payload))
-
-    # ------------------------------------------------------------------
-    # Trajectory sets
-    # ------------------------------------------------------------------
-    def load_trajectories(self, key: str) -> Optional[TrajectorySet]:
-        slot = self._open("trajectories", key)
-        if slot is None:
-            return None
-        try:
-            metadata = json.loads(
-                (slot / "trajectories.json").read_text())
-            arrays = np.load(slot / "trajectories.npz")
-            mapper = SignatureMapper(
-                tuple(metadata["mapper"]["test_freqs_hz"]),
-                scale=metadata["mapper"]["scale"],
-                relative_to_golden=metadata["mapper"]
-                ["relative_to_golden"])
-            trajectories = []
-            for index, component in enumerate(metadata["components"]):
-                trajectories.append(FaultTrajectory(
-                    component,
-                    tuple(metadata["deviations"][index]),
-                    arrays[f"points_{index}"]))
-        except self._UNREADABLE as exc:
-            self._vanished("trajectories", key, exc)
-            return None
-        self._hits_total.inc()
-        return TrajectorySet(mapper, trajectories)
-
-    def save_trajectories(self, key: str,
-                          trajectories: TrajectorySet) -> None:
-        mapper = trajectories.mapper
-        metadata = {
-            "mapper": {
-                "test_freqs_hz": [float(f) for f in mapper.test_freqs_hz],
-                "scale": mapper.scale,
-                "relative_to_golden": mapper.relative_to_golden,
-            },
-            "components": list(trajectories.components),
-            "deviations": [[float(d) for d in t.deviations]
-                           for t in trajectories],
-        }
-        arrays = {f"points_{index}": t.points
-                  for index, t in enumerate(trajectories)}
-
-        def populate(scratch: Path) -> None:
-            (scratch / "trajectories.json").write_text(
-                json.dumps(metadata))
-            np.savez_compressed(scratch / "trajectories.npz", **arrays)
-
-        self._publish("trajectories", key, populate)

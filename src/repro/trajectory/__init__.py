@@ -1,14 +1,10 @@
 """Fault-trajectory machinery: signature mapping, trajectories, geometry."""
 
 from .geometry import (
-    count_collinear_overlaps,
-    count_segment_crossings,
-    crossing_points,
     point_to_segments_distance,
     polyline_arc_length,
     polyline_min_distance,
     project_point_onto_segments,
-    segment_crossing_matrix,
 )
 from .mapping import SignatureMapper
 from .metrics import (
@@ -19,11 +15,12 @@ from .metrics import (
     min_separation,
     pairwise_separations,
 )
-from .trajectory import FaultTrajectory, TrajectorySet
+from .trajectory import FaultTrajectory, TrajectoryLayout, TrajectorySet
 
 __all__ = [
     "SignatureMapper",
     "FaultTrajectory",
+    "TrajectoryLayout",
     "TrajectorySet",
     "TrajectoryMetrics",
     "count_intersections",
@@ -31,10 +28,6 @@ __all__ = [
     "min_separation",
     "pairwise_separations",
     "evaluate_metrics",
-    "count_segment_crossings",
-    "count_collinear_overlaps",
-    "segment_crossing_matrix",
-    "crossing_points",
     "project_point_onto_segments",
     "point_to_segments_distance",
     "polyline_arc_length",

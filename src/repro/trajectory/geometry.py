@@ -1,21 +1,13 @@
 """Computational geometry for fault trajectories.
 
-Two families of primitives:
-
-* **2-D segment crossing tests** -- the paper's fitness counts
-  intersections between trajectories drawn in the (f1, f2) signature
-  plane. ``count_segment_crossings`` performs a vectorised all-pairs
-  proper-crossing count; endpoint contact (e.g. the shared origin where
-  every trajectory starts) is *not* a proper crossing and is excluded by
-  the strict orientation test. Collinear overlapping pairs ("common
-  pathways" in the paper's wording) are counted separately.
-
-* **n-D point/segment projection** -- diagnosis drops perpendiculars from
-  an observed fault point onto trajectory segments; this works in any
-  signature dimension, so the n-frequency extension reuses the same code.
-  :func:`project_points` is the one projection kernel: the hard
-  classifier, the posterior tier (one segment set per Monte-Carlo
-  world) and the separation metric all call it.
+**n-D point/segment projection** -- diagnosis drops perpendiculars from
+an observed fault point onto trajectory segments; this works in any
+signature dimension, so the n-frequency extension reuses the same code.
+:func:`project_points` is the one projection kernel: the hard
+classifier, the posterior tier (one segment set per Monte-Carlo world)
+and the separation metric all call it. The 2-D crossing and overlap
+tests of the paper's fitness live in one batched kernel,
+:func:`repro.trajectory.metrics.conflict_counts_batch`.
 
 All functions take plain numpy arrays: points are rows, segments are
 (start, end) row pairs.
@@ -31,11 +23,6 @@ import numpy as np
 from ..errors import TrajectoryError
 
 __all__ = [
-    "cross2",
-    "count_segment_crossings",
-    "count_collinear_overlaps",
-    "segment_crossing_matrix",
-    "crossing_points",
     "Segments",
     "project_points",
     "project_point_onto_segments",
@@ -61,128 +48,6 @@ def _as_points(array: np.ndarray, name: str, dim: int | None = None
         raise TrajectoryError(
             f"{name} must have dimension {dim}, got {out.shape[1]}")
     return out
-
-
-def cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """z-component of the 2-D cross product, broadcasting over rows."""
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
-def _pairwise_orientations(a_start: np.ndarray, a_end: np.ndarray,
-                           b_start: np.ndarray, b_end: np.ndarray
-                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                      np.ndarray]:
-    """Orientation determinants for every (segment_a, segment_b) pair.
-
-    Shapes: inputs (na, 2) and (nb, 2); outputs (na, nb).
-    d1/d2: where a's endpoints lie relative to line b;
-    d3/d4: where b's endpoints lie relative to line a.
-    """
-    b_dir = (b_end - b_start)[None, :, :]          # (1, nb, 2)
-    a_dir = (a_end - a_start)[:, None, :]          # (na, 1, 2)
-    d1 = cross2(b_dir, a_start[:, None, :] - b_start[None, :, :])
-    d2 = cross2(b_dir, a_end[:, None, :] - b_start[None, :, :])
-    d3 = cross2(a_dir, b_start[None, :, :] - a_start[:, None, :])
-    d4 = cross2(a_dir, b_end[None, :, :] - a_start[:, None, :])
-    return d1, d2, d3, d4
-
-
-def _scale(a_start, a_end, b_start, b_end) -> float:
-    """Characteristic squared length used to normalise the epsilon."""
-    lengths = [float(np.max(np.sum((e - s) ** 2, axis=-1), initial=0.0))
-               for s, e in ((a_start, a_end), (b_start, b_end))]
-    return max(max(lengths), _EPS)
-
-
-def segment_crossing_matrix(a_start: np.ndarray, a_end: np.ndarray,
-                            b_start: np.ndarray, b_end: np.ndarray
-                            ) -> np.ndarray:
-    """Boolean (na, nb) matrix of *proper* crossings.
-
-    A proper crossing means the interiors intersect at a single point:
-    strict sign changes on both orientation pairs. Segments that merely
-    touch at an endpoint (shared trajectory origin) do not cross.
-    """
-    a_start = _as_points(a_start, "a_start", 2)
-    a_end = _as_points(a_end, "a_end", 2)
-    b_start = _as_points(b_start, "b_start", 2)
-    b_end = _as_points(b_end, "b_end", 2)
-    if a_start.shape != a_end.shape or b_start.shape != b_end.shape:
-        raise TrajectoryError("segment start/end arrays must match")
-    d1, d2, d3, d4 = _pairwise_orientations(a_start, a_end, b_start, b_end)
-    eps = _EPS * _scale(a_start, a_end, b_start, b_end)
-    strictly_opposite_a = (d1 * d2) < -eps
-    strictly_opposite_b = (d3 * d4) < -eps
-    return strictly_opposite_a & strictly_opposite_b
-
-
-def count_segment_crossings(a_start: np.ndarray, a_end: np.ndarray,
-                            b_start: np.ndarray, b_end: np.ndarray) -> int:
-    """Number of proper crossings between two segment sets."""
-    return int(np.count_nonzero(
-        segment_crossing_matrix(a_start, a_end, b_start, b_end)))
-
-
-def count_collinear_overlaps(a_start: np.ndarray, a_end: np.ndarray,
-                             b_start: np.ndarray, b_end: np.ndarray,
-                             eps_scale: float = 1e-9) -> int:
-    """Pairs of collinear segments whose projections overlap.
-
-    This is the paper's "common pathway" degeneracy: two trajectories
-    sharing a stretch of the same line cannot be told apart there. The
-    overlap must have positive length; touching at a single shared point
-    does not count.
-    """
-    a_start = _as_points(a_start, "a_start", 2)
-    a_end = _as_points(a_end, "a_end", 2)
-    b_start = _as_points(b_start, "b_start", 2)
-    b_end = _as_points(b_end, "b_end", 2)
-    d1, d2, d3, d4 = _pairwise_orientations(a_start, a_end, b_start, b_end)
-    eps = eps_scale * _scale(a_start, a_end, b_start, b_end)
-    collinear = (np.abs(d1) <= eps) & (np.abs(d2) <= eps) & \
-                (np.abs(d3) <= eps) & (np.abs(d4) <= eps)
-    if not np.any(collinear):
-        return 0
-    # Project collinear pairs onto segment a's direction and test
-    # 1-D interval overlap with positive length.
-    count = 0
-    rows, cols = np.nonzero(collinear)
-    for i, j in zip(rows, cols):
-        direction = a_end[i] - a_start[i]
-        norm = float(np.dot(direction, direction))
-        if norm <= _EPS:
-            continue  # degenerate zero-length segment
-        t0 = 0.0
-        t1 = 1.0
-        s0 = float(np.dot(b_start[j] - a_start[i], direction)) / norm
-        s1 = float(np.dot(b_end[j] - a_start[i], direction)) / norm
-        lo = max(min(t0, t1), min(s0, s1))
-        hi = min(max(t0, t1), max(s0, s1))
-        if hi - lo > 1e-9:
-            count += 1
-    return count
-
-
-def crossing_points(a_start: np.ndarray, a_end: np.ndarray,
-                    b_start: np.ndarray, b_end: np.ndarray) -> np.ndarray:
-    """Coordinates of every proper crossing, shape (k, 2) (for plots)."""
-    a_start = _as_points(a_start, "a_start", 2)
-    a_end = _as_points(a_end, "a_end", 2)
-    b_start = _as_points(b_start, "b_start", 2)
-    b_end = _as_points(b_end, "b_end", 2)
-    mask = segment_crossing_matrix(a_start, a_end, b_start, b_end)
-    d1, d2, _, _ = _pairwise_orientations(a_start, a_end, b_start, b_end)
-    points = []
-    rows, cols = np.nonzero(mask)
-    for i, j in zip(rows, cols):
-        denominator = d1[i, j] - d2[i, j]
-        if abs(denominator) <= _EPS:
-            continue
-        t = d1[i, j] / denominator
-        points.append(a_start[i] + t * (a_end[i] - a_start[i]))
-    if not points:
-        return np.empty((0, 2))
-    return np.vstack(points)
 
 
 @dataclass(frozen=True)
@@ -242,8 +107,14 @@ def project_points(points: np.ndarray, segments: Segments
     projection distance never exceeds the distance to either endpoint.
     """
     lead = segments.starts.ndim - 1
-    points = points.reshape(
-        (points.shape[0],) + (1,) * lead + (points.shape[1],))
+    return _project(points.reshape(
+        (points.shape[0],) + (1,) * lead + (points.shape[1],)), segments)
+
+
+def _project(points: np.ndarray, segments: Segments
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`project_points` on ``points`` already shaped to broadcast
+    against the segments' ``(..., S, D)`` arrays."""
     diff = points - segments.starts                 # (N, ..., S, D)
     t_raw = np.sum(diff * segments.direction, axis=-1) / \
         segments.safe_length_sq

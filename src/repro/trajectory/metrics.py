@@ -11,23 +11,26 @@ intersections among the fault trajectories"* -- formalised here as:
   the structural origin contact excluded (margin; used by the extended
   fitness functions and by ambiguity analysis).
 
-The GA calls these thousands of times per run, so the internals operate
-on the trajectory set's *stacked* segment arrays: one vectorised kernel
+The GA calls these thousands of times per run, so the internals work
+on a ``(K, V, D)`` batch of vertex coordinates sharing one
+:class:`~repro.trajectory.trajectory.TrajectoryLayout`: K candidate
+configurations of the same trajectory structure. One vectorised kernel
 resolves the crossings and overlaps of every cross-trajectory segment
-pair, for one set or for a whole candidate population at once.
+pair (2-D), and one batched vertex-to-segment projection gives every
+pair's separation (any dimension). The public functions on a single
+:class:`TrajectorySet` are K = 1 calls of the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..errors import TrajectoryError
-from .geometry import _EPS, Segments, project_points
-from .trajectory import TrajectorySet
+from .geometry import _EPS, Segments, _project
+from .trajectory import TrajectoryLayout, TrajectorySet
 
 __all__ = [
     "TrajectoryMetrics",
@@ -50,6 +53,9 @@ _OVERLAP_EPS_SCALE = 1e-9
 # Rounding slack of the conflict kernel's bounding-box prefilter, as a
 # share of the coordinate magnitude and of the overlap pad.
 _BOX_SLACK = 64 * np.finfo(float).eps
+
+# Vertex-segment pairs projected per chunk of the separation pass.
+_PROJECTION_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -203,14 +209,6 @@ def _conflict_counts(starts: np.ndarray, ends: np.ndarray,
     return intersections, overlaps
 
 
-def _set_conflicts(trajectories: TrajectorySet) -> Tuple[int, int]:
-    """(crossings, overlaps) of one 2-D set: the kernel with K = 1."""
-    starts, ends, owners = trajectories.all_segments()
-    intersections, overlaps = _conflict_counts(starts[None], ends[None],
-                                               owners)
-    return int(intersections[0]), int(overlaps[0])
-
-
 def conflict_counts_batch(starts: np.ndarray, ends: np.ndarray,
                           owners: np.ndarray, chunk_size: int = 32
                           ) -> Tuple[np.ndarray, np.ndarray]:
@@ -229,53 +227,102 @@ def conflict_counts_batch(starts: np.ndarray, ends: np.ndarray,
     return _conflict_counts(starts, ends, owners, chunk_size)
 
 
-def _vertex_segment_distances(trajectories: TrajectorySet
-                              ) -> Tuple[np.ndarray, np.ndarray,
-                                         np.ndarray, np.ndarray,
-                                         np.ndarray]:
-    """Distance matrix from every vertex to every segment, plus masks.
+def _separations(vertices: np.ndarray, layout: TrajectoryLayout
+                 ) -> np.ndarray:
+    """``(K, P)`` minimum distance of every trajectory pair.
 
-    Returns ``(distances, vertex_owner, segment_owner, is_origin,
-    valid)`` where ``distances`` is (n_vertices, n_segments) and
-    ``valid`` masks cross-trajectory, non-origin-vertex entries.
+    Pairs ``(a, b)``, ``a < b``, in :func:`itertools.combinations`
+    order. A pair's distance is the smaller of (vertices of a to
+    segments of b) and (vertices of b to segments of a), with origin
+    vertices skipped as query points: every trajectory passes through
+    the golden point, and that structural contact is not a separation.
+    The projection broadcasts ``(K, V, 1, D)`` vertices against ``(K,
+    1, S, D)`` segments, elementwise the expressions of a
+    per-configuration :func:`~repro.trajectory.geometry.project_points`
+    call, so each distance is bitwise what that call gives; the minima
+    reduce over the layout's contiguous owner groups. Raises
+    :class:`TrajectoryError` on a non-finite vertex, as the conflict
+    kernel does: a nan distance would drop out of every minimum.
     """
-    starts, ends, seg_owner = trajectories.all_segments()
-    vertices = []
-    vertex_owner = []
-    is_origin = []
-    for index, trajectory in enumerate(trajectories):
-        vertices.append(trajectory.points)
-        vertex_owner.append(np.full(trajectory.points.shape[0], index))
-        is_origin.append(trajectory.vertex_is_origin())
-    points = np.vstack(vertices)                      # (V, d)
-    vertex_owner = np.concatenate(vertex_owner)
-    is_origin = np.concatenate(is_origin)
-
-    distances, _, _ = project_points(points, Segments.of(starts, ends))
-
-    valid = (vertex_owner[:, None] != seg_owner[None, :]) & \
-            (~is_origin)[:, None]
-    return distances, vertex_owner, seg_owner, is_origin, valid
-
-
-def _pairwise_separations_fast(trajectories: TrajectorySet
-                               ) -> Dict[Tuple[str, str], float]:
-    distances, vertex_owner, seg_owner, _, valid = \
-        _vertex_segment_distances(trajectories)
-    masked = np.where(valid, distances, np.inf)
-    names = trajectories.components
-    count = len(names)
-    result: Dict[Tuple[str, str], float] = {}
-    for i, j in combinations(range(count), 2):
-        a_to_b = masked[np.ix_(vertex_owner == i, seg_owner == j)]
-        b_to_a = masked[np.ix_(vertex_owner == j, seg_owner == i)]
-        best = np.inf
-        if a_to_b.size:
-            best = min(best, float(a_to_b.min()))
-        if b_to_a.size:
-            best = min(best, float(b_to_a.min()))
-        result[(names[i], names[j])] = best
+    if not np.isfinite(vertices).all():
+        raise TrajectoryError("separations need finite vertices")
+    count, num_vertices = vertices.shape[:2]
+    num_segments = layout.seg_start.size
+    vertex_owner = np.repeat(np.arange(len(layout.components)),
+                             np.diff(layout.vertex_offsets))
+    valid = (vertex_owner[:, None] != layout.owners[None, :]) & \
+        ~layout.is_origin[:, None]
+    first, second = np.triu_indices(len(layout.components), 1)
+    result = np.empty((count, first.size))
+    step = max(1, _PROJECTION_CHUNK // (num_vertices * num_segments))
+    for low in range(0, count, step):
+        batch = vertices[low:low + step]
+        segments = Segments.of(batch[:, None, layout.seg_start],
+                               batch[:, None, layout.seg_end])
+        distances, _, _ = _project(batch[:, :, None, :], segments)
+        masked = np.where(valid, distances, np.inf)     # (k, V, S)
+        to_owner = np.minimum.reduceat(
+            masked, layout.segment_offsets[:-1], axis=2)  # (k, V, T)
+        between = np.minimum.reduceat(
+            to_owner, layout.vertex_offsets[:-1], axis=1)  # (k, T, T)
+        result[low:low + step] = np.minimum(between[:, first, second],
+                                            between[:, second, first])
     return result
+
+
+def _metric_arrays(vertices: np.ndarray, layout: TrajectoryLayout,
+                   include_separations: bool = True
+                   ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray],
+                              np.ndarray]:
+    """Metrics of a ``(K, V, D)`` vertex batch sharing ``layout``.
+
+    Returns ``(intersections, common_pathways, separations,
+    min_separation)``: ``(K,)`` counts, the ``(K, P)`` pair separations
+    (None when not computed) and the ``(K,)`` minimum separation (nan
+    when not computed; 0 for a 2-D configuration with a crossing). In
+    2-D the counts come from :func:`conflict_counts_batch`; in higher
+    dimensions (and in 1-D) intersections count the pairs closer than
+    ``_ND_CONTACT_FRACTION`` of the largest vertex norm and common
+    pathways are 0. A single trajectory has no conflicts and no
+    separations.
+    """
+    vertices = np.ascontiguousarray(vertices, dtype=float)
+    count, _, dimension = vertices.shape
+    intersections = np.zeros(count, dtype=int)
+    overlaps = np.zeros(count, dtype=int)
+    minimum = np.full(count, np.nan)
+    if len(layout.components) < 2:
+        return intersections, overlaps, None, minimum
+    if dimension == 2:
+        intersections, overlaps = conflict_counts_batch(
+            vertices[:, layout.seg_start], vertices[:, layout.seg_end],
+            layout.owners)
+    separations = _separations(vertices, layout) \
+        if include_separations or dimension != 2 else None
+    if dimension != 2:
+        scale = np.maximum(np.linalg.norm(vertices, axis=2).max(axis=1),
+                           1e-30)
+        threshold = _ND_CONTACT_FRACTION * scale
+        intersections = np.count_nonzero(
+            separations < threshold[:, None], axis=1)
+    if separations is not None:
+        minimum = separations.min(axis=1)
+        if dimension == 2:
+            minimum[intersections > 0] = 0.0
+    return intersections, overlaps, separations, minimum
+
+
+def _set_batch(trajectories: TrajectorySet
+               ) -> Tuple[np.ndarray, TrajectoryLayout]:
+    """One set as a K = 1 vertex batch and its layout."""
+    return (np.vstack([t.points for t in trajectories])[None],
+            TrajectoryLayout.of(trajectories))
+
+
+def _set_arrays(trajectories: TrajectorySet,
+                include_separations: bool = True):
+    """:func:`_metric_arrays` of one set (K = 1)."""
+    return _metric_arrays(*_set_batch(trajectories), include_separations)
 
 
 # ----------------------------------------------------------------------
@@ -289,13 +336,7 @@ def count_intersections(trajectories: TrajectorySet) -> int:
     falls back to counting trajectory pairs that approach within a small
     fraction of the trajectory scale.
     """
-    if len(trajectories) < 2:
-        return 0
-    if trajectories.dimension == 2:
-        return _set_conflicts(trajectories)[0]
-    threshold = _ND_CONTACT_FRACTION * _trajectory_scale(trajectories)
-    separations = _pairwise_separations_fast(trajectories)
-    return sum(1 for value in separations.values() if value < threshold)
+    return int(_set_arrays(trajectories, include_separations=False)[0][0])
 
 
 def count_common_pathways(trajectories: TrajectorySet) -> int:
@@ -305,36 +346,38 @@ def count_common_pathways(trajectories: TrajectorySet) -> int:
     for higher dimensions, where the proximity surrogate in
     :func:`count_intersections` already captures degeneracy.
     """
-    if len(trajectories) < 2 or trajectories.dimension != 2:
+    if trajectories.dimension != 2:
         return 0
-    return _set_conflicts(trajectories)[1]
+    return int(_set_arrays(trajectories, include_separations=False)[1][0])
 
 
-def _trajectory_scale(trajectories: TrajectorySet) -> float:
-    """Characteristic size: the largest point norm across the set."""
-    largest = 0.0
-    for trajectory in trajectories:
-        largest = max(largest, float(
-            np.max(np.linalg.norm(trajectory.points, axis=1))))
-    return max(largest, 1e-30)
+def _pair_dict(trajectories: TrajectorySet, separations: np.ndarray
+               ) -> Dict[Tuple[str, str], float]:
+    names = trajectories.components
+    first, second = np.triu_indices(len(names), 1)
+    return {(names[a], names[b]): float(value)
+            for a, b, value in zip(first.tolist(), second.tolist(),
+                                   separations.tolist())}
+
+
+def _require_pairs(trajectories: TrajectorySet) -> None:
+    if len(trajectories) < 2:
+        raise TrajectoryError(
+            "pairwise separation needs >= 2 trajectories")
 
 
 def pairwise_separations(trajectories: TrajectorySet
                          ) -> Dict[Tuple[str, str], float]:
     """Minimum distance per trajectory pair (origin contact excluded)."""
-    if len(trajectories) < 2:
-        raise TrajectoryError(
-            "pairwise separation needs >= 2 trajectories")
-    return _pairwise_separations_fast(trajectories)
+    _require_pairs(trajectories)
+    return _pair_dict(trajectories,
+                      _separations(*_set_batch(trajectories))[0])
 
 
 def min_separation(trajectories: TrajectorySet) -> float:
     """Smallest inter-trajectory distance (0 if any pair crosses)."""
-    separations = pairwise_separations(trajectories)
-    if trajectories.dimension == 2 and \
-            count_intersections(trajectories) > 0:
-        return 0.0
-    return min(separations.values())
+    _require_pairs(trajectories)
+    return float(_set_arrays(trajectories)[3][0])
 
 
 def evaluate_metrics(trajectories: TrajectorySet,
@@ -346,29 +389,20 @@ def evaluate_metrics(trajectories: TrajectorySet,
     paper fitness only needs conflict counts) and reports separations as
     ``nan``.
     """
-    if trajectories.dimension == 2 and len(trajectories) >= 2:
-        # One kernel call yields both counts; the split counters
-        # would run it twice.
-        intersections, overlaps = _set_conflicts(trajectories)
-    else:
-        intersections = count_intersections(trajectories)
-        overlaps = count_common_pathways(trajectories)
-    if not include_separations or len(trajectories) < 2:
+    intersections, overlaps, separations, minimum = _set_arrays(
+        trajectories, include_separations)
+    if not include_separations or separations is None:
         return TrajectoryMetrics(
-            intersections=intersections,
-            common_pathways=overlaps,
+            intersections=int(intersections[0]),
+            common_pathways=int(overlaps[0]),
             min_separation=float("nan"),
             mean_separation=float("nan"),
             per_pair_separation={},
         )
-    separations = pairwise_separations(trajectories)
-    values = np.array(list(separations.values()))
-    minimum = 0.0 if (trajectories.dimension == 2 and
-                      intersections > 0) else float(values.min())
     return TrajectoryMetrics(
-        intersections=intersections,
-        common_pathways=overlaps,
-        min_separation=minimum,
-        mean_separation=float(values.mean()),
-        per_pair_separation=separations,
+        intersections=int(intersections[0]),
+        common_pathways=int(overlaps[0]),
+        min_separation=float(minimum[0]),
+        mean_separation=float(separations[0].mean()),
+        per_pair_separation=_pair_dict(trajectories, separations[0]),
     )

@@ -8,7 +8,13 @@ A :class:`FaultTrajectory` is the polyline of one component's parametric
 sweep: points ordered by deviation, with the 0 % (golden) point included
 -- the origin when the mapper is golden-relative. A :class:`TrajectorySet`
 bundles one trajectory per component plus the construction metadata, and
-is the object the GA fitness and the diagnoser consume.
+is the object the diagnoser consumes.
+
+:class:`TrajectoryLayout` is the one rule that turns fault rows into
+trajectory vertices and segments: group rows by component, sort them by
+deviation, insert the golden point at 0, chain consecutive vertices.
+:meth:`TrajectorySet.from_source`, the GA's population scoring, the
+metrics, the classifier and the posterior all read it.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from ..faults.models import ParametricFault
 from ..faults.surface import ResponseSurface
 from .mapping import SignatureMapper
 
-__all__ = ["FaultTrajectory", "TrajectorySet"]
+__all__ = ["FaultTrajectory", "TrajectoryLayout", "TrajectorySet"]
 
 
 @dataclass(frozen=True)
@@ -110,6 +116,146 @@ class FaultTrajectory:
         return mask
 
 
+@dataclass(frozen=True)
+class TrajectoryLayout:
+    """Vertex and segment structure of a trajectory set.
+
+    The structure is a function of the fault list (and the component
+    filter) alone; only the vertex coordinates depend on the test
+    vector. Vertices are stacked trajectory by trajectory, each
+    trajectory's vertices in ascending deviation, so every trajectory
+    owns a contiguous run of vertices and of segments:
+
+    * ``rows`` -- each vertex's source row, or :attr:`GOLDEN` (-1) for
+      the inserted golden vertex; ``deviations`` -- each vertex's
+      deviation (0.0 at the golden vertex); ``is_origin`` -- the golden
+      vertex of every trajectory;
+    * ``seg_start``/``seg_end`` -- vertex indices of each segment's
+      endpoints; ``owners`` -- each segment's trajectory index;
+      ``seg_dev0``/``seg_dev1`` -- each segment's endpoint deviations;
+    * ``vertex_offsets``/``segment_offsets`` -- ``(T + 1,)`` bounds of
+      each trajectory's vertex and segment runs.
+    """
+
+    #: ``rows`` marker of an inserted golden vertex.
+    GOLDEN = -1
+
+    components: Tuple[str, ...]
+    rows: np.ndarray
+    deviations: np.ndarray
+    is_origin: np.ndarray
+    seg_start: np.ndarray
+    seg_end: np.ndarray
+    owners: np.ndarray
+    seg_dev0: np.ndarray
+    seg_dev1: np.ndarray
+    vertex_offsets: np.ndarray
+    segment_offsets: np.ndarray
+
+    @classmethod
+    def _chain(cls, components: Sequence[str],
+               rows: Sequence[Sequence[int]],
+               deviations: Sequence[Sequence[float]],
+               origins: Sequence[int]) -> "TrajectoryLayout":
+        """Stack per-trajectory vertex runs and chain them into
+        segments (each run has >= 2 vertices)."""
+        counts = np.array([len(run) for run in deviations])
+        vertex_offsets = np.concatenate(([0], np.cumsum(counts)))
+        segment_offsets = np.concatenate(([0], np.cumsum(counts - 1)))
+        # Every vertex but the last of its run starts a segment.
+        seg_start = np.delete(np.arange(vertex_offsets[-1]),
+                              vertex_offsets[1:] - 1)
+        all_deviations = np.concatenate(
+            [np.asarray(run, dtype=float) for run in deviations])
+        is_origin = np.zeros(all_deviations.size, dtype=bool)
+        is_origin[vertex_offsets[:-1] + np.asarray(origins)] = True
+        return cls(
+            components=tuple(components),
+            rows=np.concatenate([np.asarray(run, dtype=int)
+                                 for run in rows]),
+            deviations=all_deviations,
+            is_origin=is_origin,
+            seg_start=seg_start,
+            seg_end=seg_start + 1,
+            owners=np.repeat(np.arange(len(counts)), counts - 1),
+            seg_dev0=all_deviations[seg_start],
+            seg_dev1=all_deviations[seg_start + 1],
+            vertex_offsets=vertex_offsets,
+            segment_offsets=segment_offsets)
+
+    @classmethod
+    def from_faults(cls, faults: Sequence[object],
+                    components: Optional[Sequence[str]] = None
+                    ) -> "TrajectoryLayout":
+        """Layout of the parametric faults in ``faults`` (row ``r`` is
+        ``faults[r]``; other fault kinds are skipped).
+
+        Trajectories follow first appearance, or ``components`` when
+        given. Raises :class:`TrajectoryError` when a filtered component
+        has no rows, when no parametric fault is left, on a 0 % fault
+        (the golden point is inserted automatically) and on a repeated
+        deviation.
+        """
+        groups: Dict[str, List[Tuple[float, int]]] = {}
+        for row, fault in enumerate(faults):
+            if isinstance(fault, ParametricFault):
+                groups.setdefault(fault.component, []).append(
+                    (fault.deviation, row))
+        if components is not None:
+            missing = set(components) - set(groups)
+            if missing:
+                raise TrajectoryError(
+                    f"no parametric entries for {sorted(missing)}")
+            groups = {name: groups[name] for name in components}
+        if not groups:
+            raise TrajectoryError(
+                "source contains no parametric fault entries")
+        rows, deviations, origins = [], [], []
+        for component, pairs in groups.items():
+            pairs = sorted(pairs, key=lambda item: item[0])
+            run = [float(pair[0]) for pair in pairs]
+            if any(abs(d) < 1e-12 for d in run):
+                raise TrajectoryError(
+                    f"{component}: dictionary contains a 0% 'fault'; the "
+                    "golden point is inserted automatically")
+            # Insert the golden point at deviation 0, between the
+            # negative and positive halves of the sweep.
+            insert_at = int(np.searchsorted(np.asarray(run), 0.0))
+            run.insert(insert_at, 0.0)
+            if any(b <= a for a, b in zip(run, run[1:])):
+                raise TrajectoryError(
+                    f"{component}: deviations must be strictly "
+                    f"increasing, got {tuple(run)}")
+            source = [pair[1] for pair in pairs]
+            source.insert(insert_at, cls.GOLDEN)
+            rows.append(source)
+            deviations.append(run)
+            origins.append(insert_at)
+        return cls._chain(tuple(groups), rows, deviations, origins)
+
+    @classmethod
+    def of(cls, trajectories: Sequence[FaultTrajectory]
+           ) -> "TrajectoryLayout":
+        """Layout of built trajectories (a :class:`TrajectorySet`, say):
+        ``rows`` index their stacked points, and each origin is the
+        vertex nearest deviation 0."""
+        counts = [len(t.deviations) for t in trajectories]
+        return cls._chain(
+            [t.component for t in trajectories],
+            np.split(np.arange(sum(counts)), np.cumsum(counts)[:-1]),
+            [t.deviations for t in trajectories],
+            [t.origin_index for t in trajectories])
+
+    def vertices(self, signatures: np.ndarray,
+                 golden_point: np.ndarray) -> np.ndarray:
+        """Vertex coordinates ``(V, ...)``: source row ``rows[v]`` of
+        ``signatures`` (rows on the first axis), and ``golden_point``
+        (broadcast against one row) at the golden vertices."""
+        vertices = np.asarray(signatures, dtype=float)[self.rows]
+        vertices[self.rows == self.GOLDEN] = golden_point
+        return vertices
+
+
 class TrajectorySet:
     """One fault trajectory per component, under a fixed mapper.
 
@@ -147,64 +293,31 @@ class TrajectorySet:
     @classmethod
     def from_source(cls, source: FaultDictionary | ResponseSurface,
                     mapper: SignatureMapper,
-                    components: Optional[Sequence[str]] = None,
-                    *, signature_matrix: Optional[np.ndarray] = None,
-                    golden_point: Optional[np.ndarray] = None
+                    components: Optional[Sequence[str]] = None
                     ) -> "TrajectorySet":
         """Build trajectories from a dictionary or response surface.
 
         Only parametric-fault entries form trajectories (a trajectory is
         a parametric sweep by definition); entries of other fault kinds
         are ignored here and handled by the catastrophic classifier.
-
-        ``signature_matrix``/``golden_point`` optionally inject
-        precomputed mapping results (must match what the mapper would
-        produce from ``source``); population-level GA evaluation uses
-        this to sample the response surface once for a whole candidate
-        batch.
+        The vertices are gathered through
+        :meth:`TrajectoryLayout.from_faults`, which raises the
+        construction errors.
         """
         dictionary = source.dictionary if isinstance(
             source, ResponseSurface) else source
-        if signature_matrix is None:
-            signature_matrix = mapper.signature_matrix(source)
-        if golden_point is None:
-            golden_point = mapper.golden_signature(source)
-        matrix = np.asarray(signature_matrix, dtype=float)
-        golden_point = np.asarray(golden_point, dtype=float)
-
-        groups: Dict[str, List[Tuple[float, np.ndarray]]] = {}
-        for row, entry in zip(matrix, dictionary.entries):
-            if not isinstance(entry.fault, ParametricFault):
-                continue
-            groups.setdefault(entry.fault.component, []).append(
-                (entry.fault.deviation, row))
-        if components is not None:
-            missing = set(components) - set(groups)
-            if missing:
-                raise TrajectoryError(
-                    f"no parametric entries for {sorted(missing)}")
-            groups = {name: groups[name] for name in components}
-        if not groups:
-            raise TrajectoryError(
-                "source contains no parametric fault entries")
-
-        trajectories = []
-        for component, pairs in groups.items():
-            pairs = sorted(pairs, key=lambda item: item[0])
-            deviations = [pair[0] for pair in pairs]
-            if any(abs(d) < 1e-12 for d in deviations):
-                raise TrajectoryError(
-                    f"{component}: dictionary contains a 0% 'fault'; the "
-                    "golden point is inserted automatically")
-            points = [pair[1] for pair in pairs]
-            # Insert the golden point at deviation 0, between the
-            # negative and positive halves of the sweep.
-            insert_at = int(np.searchsorted(np.asarray(deviations), 0.0))
-            deviations.insert(insert_at, 0.0)
-            points.insert(insert_at, golden_point)
-            trajectories.append(FaultTrajectory(
-                component, tuple(deviations), np.vstack(points)))
-        return cls(mapper, trajectories)
+        signature_matrix = mapper.signature_matrix(source)
+        golden_point = mapper.golden_signature(source)
+        layout = TrajectoryLayout.from_faults(
+            [entry.fault for entry in dictionary.entries], components)
+        vertices = layout.vertices(signature_matrix, golden_point)
+        bounds = layout.vertex_offsets
+        return cls(mapper, [
+            FaultTrajectory(component,
+                            tuple(layout.deviations[low:high].tolist()),
+                            vertices[low:high])
+            for component, low, high in zip(layout.components, bounds[:-1],
+                                            bounds[1:])])
 
     # ------------------------------------------------------------------
     # Access
@@ -236,13 +349,9 @@ class TrajectorySet:
 
         ``owner_index[i]`` is the index into :attr:`trajectories` owning
         segment ``i`` -- the flat layout the diagnoser's vectorised
-        nearest-segment query works on.
+        nearest-segment query works on (see :meth:`TrajectoryLayout.of`).
         """
-        starts, ends, owners = [], [], []
-        for index, trajectory in enumerate(self.trajectories):
-            s, e = trajectory.segments()
-            starts.append(s)
-            ends.append(e)
-            owners.append(np.full(s.shape[0], index, dtype=int))
-        return (np.vstack(starts), np.vstack(ends),
-                np.concatenate(owners))
+        vertices = np.vstack([t.points for t in self.trajectories])
+        layout = TrajectoryLayout.of(self.trajectories)
+        return (vertices[layout.seg_start], vertices[layout.seg_end],
+                layout.owners)

@@ -5,10 +5,13 @@ root written by the original on-disk layout:
 ``<root>/<kind>/<key[:2]>/<key>/``. The byte-compatibility test in
 ``tests/test_runtime_store.py`` replays the same fixed-seed pipeline
 run against this tree through :class:`ArtifactStore` and requires every
-artifact to load (all four cache hits) with bitwise-identical results
--- so any change to the layout, the content keys or the artifact
-serialisation formats that would orphan existing production store
-roots fails loudly.
+artifact the pipeline reads to load (the dictionary, GA and exact cache
+hits) with bitwise-identical results -- so any change to the layout,
+the content keys or the artifact serialisation formats that would
+orphan existing production store roots fails loudly. The tree also
+holds a ``trajectories`` slot, an artifact kind the store no longer
+writes or reads; the tests check that an old root's retired slot is
+still listed and pruned. Regenerating drops it.
 
 Regenerate only after an *intentional* storage-format change::
 

@@ -516,6 +516,89 @@ class TestPinnedPaperGA:
             mean_history
 
 
+#: Pipeline GA runs of the margin and combined fitnesses and of 1- and
+#: 3-frequency searches (201-point dictionary, 24x5 GA, seed 2005 + the
+#: circuit's index in ``BENCHMARK_CIRCUITS``), recorded before every
+#: population was scored through one trajectory layout: name ->
+#: (circuit, config overrides, SHA-256 of :func:`_run_text`, best
+#: fitness, final (intersections, common pathways, min separation)).
+PINNED_FITNESS_GA = {
+    "paper-d3-biquad": (
+        "tow_thomas_biquad", dict(num_frequencies=3),
+        "f20915c8dab8f34579783f42710aebfa944708bfaf4f471bb1e6e6523bd938d0",
+        "0x1.5555555555555p-2", (2, 0, "0x0.0p+0")),
+    "paper-d3-khn": (
+        "khn_state_variable", dict(num_frequencies=3),
+        "108e6760ae47c99b7a8ad4efca1288971d6212fcde81080bcbb14647aebda26b",
+        "0x1.0000000000000p-2", (3, 0, "0x0.0p+0")),
+    "paper-d3-twin-t": (
+        "twin_t_notch", dict(num_frequencies=3),
+        "afe512437f133d7dc1231221852cc025b1ca895b75c75020cd0ce0d320ed76cf",
+        "0x1.0000000000000p+0", (0, 0, "0x1.0cd78189906f5p-5")),
+    "margin-d2-mfb": (
+        "mfb_bandpass", dict(fitness="margin"),
+        "e4098931302537467e1b82c63a79e0b04b1016afce87057e747add4d5d55701b",
+        "0x1.bf1366471690bp-3", (0, 0, "0x1.0686d12d786b5p-2")),
+    "margin-d2-twin-t": (
+        "twin_t_notch", dict(fitness="margin"),
+        "6a4e426b617288a82f7e84c7472a18973c02ab5c14e404ac6e0384503d42f1d3",
+        "0x1.6089e644ec819p-8", (0, 0, "0x1.df4356582ab1ap-11")),
+    "combined-d2-mfb": (
+        "mfb_bandpass", dict(fitness="combined"),
+        "6516b3c236bcf54cacff6eec55ee2d2a681afd93e3fe644ff890962fb65dae38",
+        "0x1.0fb6fb779298bp+0", (0, 0, "0x1.41bd3bdb8e77dp-3")),
+    "combined-d2-twin-t": (
+        "twin_t_notch", dict(fitness="combined"),
+        "ed4f9244bd849d1d789c0022768be8268f7c2f00638fb5e67f37a555cc23d91f",
+        "0x1.017ed41f2e372p+0", (0, 0, "0x1.a944db9921657p-7")),
+    "margin-d1-mfb": (
+        "mfb_bandpass", dict(fitness="margin", num_frequencies=1),
+        "1cf0e04d6310054a81e2175128f41d93b7f3aa09ac19e6a78dbda32959e82e3c",
+        "0x0.0p+0", (10, 0, "0x0.0p+0")),
+    "margin-d3-twin-t": (
+        "twin_t_notch", dict(fitness="margin", num_frequencies=3),
+        "b6fbed1d9f5ba6ae50bd785afc637622b4d9f195bc8c63db388a1377e7c175ab",
+        "0x1.f0f136f330ed9p-4", (0, 0, "0x1.04718358757c0p-3")),
+    "combined-d3-mfb": (
+        "mfb_bandpass", dict(fitness="combined", num_frequencies=3),
+        "38892a3723bc20fc175a0fa26dc1e947c21ab08ff4781d9464a9747cb73fea70",
+        "0x1.1c71ff9abe2b3p+0", (0, 0, "0x1.50ba11eadd425p-2")),
+}
+
+
+def _run_text(result):
+    """Test vector, best fitness and per-generation stats as hex."""
+    lines = [" ".join(f.hex() for f in result.test_vector_hz),
+             result.ga_result.best_fitness.hex()]
+    for stats in result.ga_result.history:
+        lines.append(" ".join(
+            [stats.best_fitness.hex(), stats.mean_fitness.hex(),
+             stats.std_fitness.hex()] +
+            [f.hex() for f in stats.best_freqs_hz]))
+    return "\n".join(lines)
+
+
+class TestPinnedFitnessGA:
+    """Same-seed margin, combined and N-D GA runs stay bitwise."""
+
+    @pytest.mark.parametrize("name", list(PINNED_FITNESS_GA))
+    def test_fitness_ga_is_bitwise_pinned(self, name):
+        from repro import PipelineConfig, run
+        from repro.circuits.library import BENCHMARK_CIRCUITS
+        circuit, overrides, digest, best, final = PINNED_FITNESS_GA[name]
+        config = PipelineConfig(
+            dictionary_points=201,
+            ga=GAConfig(population_size=24, generations=5), **overrides)
+        result = run(circuit, config, seed=2005 + list(
+            BENCHMARK_CIRCUITS).index(circuit))
+        text = _run_text(result)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+        assert result.ga_result.best_fitness.hex() == best
+        metrics = result.metrics
+        assert (metrics.intersections, metrics.common_pathways,
+                metrics.min_separation.hex()) == final
+
+
 # ----------------------------------------------------------------------
 # Oracles: the one-genome decode and the per-pair operators the
 # population versions replaced, kept verbatim.

@@ -1,4 +1,9 @@
-"""Tests for trajectory geometry primitives, incl. property-based ones."""
+"""Tests for trajectory geometry primitives, incl. property-based ones.
+
+The 2-D crossing and overlap cases run through the one conflict kernel,
+:func:`repro.trajectory.metrics.conflict_counts_batch`, on two-trajectory
+sets: trajectory 0 holds segments ``a`` and trajectory 1 segments ``b``.
+"""
 
 import numpy as np
 import pytest
@@ -6,15 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import TrajectoryError
 from repro.trajectory import (
-    count_collinear_overlaps,
-    count_segment_crossings,
-    crossing_points,
     point_to_segments_distance,
     polyline_arc_length,
     polyline_min_distance,
     project_point_onto_segments,
-    segment_crossing_matrix,
 )
+from repro.trajectory.metrics import conflict_counts_batch
 
 
 def seg(*pairs):
@@ -24,65 +26,69 @@ def seg(*pairs):
     return starts, ends
 
 
+def conflicts(a, b):
+    """(crossings, overlaps) between the segments of a and of b."""
+    starts = np.vstack([a[0], b[0]])[None]
+    ends = np.vstack([a[1], b[1]])[None]
+    owners = np.repeat([0, 1], [len(a[0]), len(b[0])])
+    crossings, overlaps = conflict_counts_batch(starts, ends, owners)
+    assert crossings.shape == overlaps.shape == (1,)
+    return int(crossings[0]), int(overlaps[0])
+
+
+def count_crossings(a, b):
+    return conflicts(a, b)[0]
+
+
+def count_overlaps(a, b):
+    return conflicts(a, b)[1]
+
+
 class TestCrossings:
     def test_x_cross(self):
         a = seg(((0, 0), (1, 1)))
         b = seg(((0, 1), (1, 0)))
-        assert count_segment_crossings(*a, *b) == 1
+        assert count_crossings(a, b) == 1
 
     def test_parallel_no_cross(self):
         a = seg(((0, 0), (1, 0)))
         b = seg(((0, 1), (1, 1)))
-        assert count_segment_crossings(*a, *b) == 0
+        assert count_crossings(a, b) == 0
 
     def test_shared_endpoint_not_a_crossing(self):
         """Trajectories emanating from the origin touch there; the
         strict test must not count that contact."""
         a = seg(((0, 0), (1, 1)))
         b = seg(((0, 0), (1, -1)))
-        assert count_segment_crossings(*a, *b) == 0
+        assert count_crossings(a, b) == 0
 
     def test_t_touch_not_a_crossing(self):
         # b's endpoint lies on a's interior: not a proper crossing.
         a = seg(((0, 0), (2, 0)))
         b = seg(((1, 0), (1, 1)))
-        assert count_segment_crossings(*a, *b) == 0
+        assert count_crossings(a, b) == 0
 
     def test_collinear_overlap_not_a_crossing(self):
         a = seg(((0, 0), (2, 0)))
         b = seg(((1, 0), (3, 0)))
-        assert count_segment_crossings(*a, *b) == 0
+        assert count_crossings(a, b) == 0
 
     def test_multiple_crossings_counted(self):
         # A zig-zag crossing a horizontal line twice.
         a = seg(((0, 0), (2, 0)))
         b = seg(((0.2, -1), (0.8, 1)), ((0.8, 1), (1.4, -1)))
-        assert count_segment_crossings(*a, *b) == 2
+        assert count_crossings(a, b) == 2
 
-    def test_matrix_shape_and_symmetry(self):
+    def test_counts_are_symmetric(self):
+        """Swapping the two trajectories changes no count."""
         a = seg(((0, 0), (1, 1)), ((1, 1), (2, 0)))
         b = seg(((0, 1), (1, 0)), ((0, 0.5), (2, 0.5)))
-        matrix = segment_crossing_matrix(*a, *b)
-        assert matrix.shape == (2, 2)
-        transposed = segment_crossing_matrix(*b, *a)
-        assert np.array_equal(matrix, transposed.T)
-
-    def test_crossing_points_location(self):
-        a = seg(((0, 0), (2, 2)))
-        b = seg(((0, 2), (2, 0)))
-        points = crossing_points(*a, *b)
-        assert points.shape == (1, 2)
-        assert np.allclose(points[0], [1.0, 1.0])
-
-    def test_no_crossing_points_empty(self):
-        a = seg(((0, 0), (1, 0)))
-        b = seg(((0, 1), (1, 1)))
-        assert crossing_points(*a, *b).shape == (0, 2)
+        assert conflicts(a, b) == conflicts(b, a) == (3, 0)
 
     def test_dimension_checked(self):
         with pytest.raises(TrajectoryError):
-            count_segment_crossings(np.zeros((1, 3)), np.ones((1, 3)),
-                                    np.zeros((1, 3)), np.ones((1, 3)))
+            conflict_counts_batch(np.zeros((1, 2, 3)), np.ones((1, 2, 3)),
+                                  np.array([0, 1]))
 
     @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(0.1, 5))
     @settings(max_examples=50)
@@ -93,33 +99,33 @@ class TestCrossings:
         offset = np.array([dx, dy])
         a2 = (a[0] * scale + offset, a[1] * scale + offset)
         b2 = (b[0] * scale + offset, b[1] * scale + offset)
-        assert count_segment_crossings(*a2, *b2) == 1
+        assert count_crossings(a2, b2) == 1
 
 
 class TestOverlaps:
     def test_partial_overlap(self):
         a = seg(((0, 0), (2, 0)))
         b = seg(((1, 0), (3, 0)))
-        assert count_collinear_overlaps(*a, *b) == 1
+        assert count_overlaps(a, b) == 1
 
     def test_identical_segments(self):
         a = seg(((0, 0), (1, 1)))
-        assert count_collinear_overlaps(*a, *a) == 1
+        assert count_overlaps(a, a) == 1
 
     def test_collinear_but_disjoint(self):
         a = seg(((0, 0), (1, 0)))
         b = seg(((2, 0), (3, 0)))
-        assert count_collinear_overlaps(*a, *b) == 0
+        assert count_overlaps(a, b) == 0
 
     def test_collinear_touching_at_point(self):
         a = seg(((0, 0), (1, 0)))
         b = seg(((1, 0), (2, 0)))
-        assert count_collinear_overlaps(*a, *b) == 0
+        assert count_overlaps(a, b) == 0
 
     def test_crossing_segments_not_overlap(self):
         a = seg(((0, 0), (1, 1)))
         b = seg(((0, 1), (1, 0)))
-        assert count_collinear_overlaps(*a, *b) == 0
+        assert count_overlaps(a, b) == 0
 
 
 class TestProjection:

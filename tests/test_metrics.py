@@ -17,8 +17,7 @@ from repro.trajectory import (
     min_separation,
     pairwise_separations,
 )
-from repro.trajectory.geometry import (_EPS, _pairwise_orientations,
-                                       polyline_min_distance)
+from repro.trajectory.geometry import _EPS, polyline_min_distance
 from repro.trajectory.metrics import (
     _OVERLAP_EPS_SCALE,
     conflict_counts_batch,
@@ -229,6 +228,28 @@ class TestEvaluateMetrics:
 # Oracle: the per-member counter the vectorised kernel replaced, kept
 # verbatim (an all-pairs orientation matrix plus a Python overlap loop).
 # ----------------------------------------------------------------------
+def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """z-component of the 2-D cross product, broadcasting over rows."""
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _pairwise_orientations(a_start: np.ndarray, a_end: np.ndarray,
+                           b_start: np.ndarray, b_end: np.ndarray):
+    """Orientation determinants for every (segment_a, segment_b) pair.
+
+    Shapes: inputs (na, 2) and (nb, 2); outputs (na, nb).
+    d1/d2: where a's endpoints lie relative to line b;
+    d3/d4: where b's endpoints lie relative to line a.
+    """
+    b_dir = (b_end - b_start)[None, :, :]          # (1, nb, 2)
+    a_dir = (a_end - a_start)[:, None, :]          # (na, 1, 2)
+    d1 = _cross2(b_dir, a_start[:, None, :] - b_start[None, :, :])
+    d2 = _cross2(b_dir, a_end[:, None, :] - b_start[None, :, :])
+    d3 = _cross2(a_dir, b_start[None, :, :] - a_start[:, None, :])
+    d4 = _cross2(a_dir, b_end[None, :, :] - a_start[:, None, :])
+    return d1, d2, d3, d4
+
+
 def _orientation_data(starts: np.ndarray, ends: np.ndarray,
                       owners: np.ndarray):
     """All-pairs orientation determinants + cross-trajectory mask."""
@@ -442,3 +463,18 @@ class TestConflictKernel:
                 count(nan_set)
         with pytest.raises(TrajectoryError, match="finite"):
             evaluate_metrics(nan_set, include_separations=False)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_non_finite_separations_raise(self, dim):
+        """A nan vertex would vanish from every minimum; the separation
+        pass rejects it in any dimension, like the conflict kernel."""
+        a = straight_trajectory("A", 0.0, dim=max(dim, 2))
+        b = straight_trajectory("B", 90.0, dim=max(dim, 2))
+        points = b.points[:, :dim].copy()
+        points[0, 0] = np.nan
+        nan_set = make_set(
+            FaultTrajectory("A", a.deviations, a.points[:, :dim]),
+            FaultTrajectory("B", b.deviations, points))
+        for measure in (pairwise_separations, evaluate_metrics):
+            with pytest.raises(TrajectoryError, match="finite"):
+                measure(nan_set)

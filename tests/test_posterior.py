@@ -365,10 +365,12 @@ class TestTableBuildOracle:
         monkeypatch.setattr(posterior_module, "_run_world_block",
                             _reference_world_block(faults))
         reference = build()
-        for name in ("_golden_points", "_seg_dev0", "_seg_dev1",
-                     "_group_offsets", "_cand_mean", "_cand_sigma"):
+        for name in ("_golden_points", "_cand_mean", "_cand_sigma"):
             assert np.array_equal(getattr(table_built, name),
                                   getattr(reference, name)), name
+        for name in ("seg_dev0", "seg_dev1", "segment_offsets"):
+            assert np.array_equal(getattr(table_built._layout, name),
+                                  getattr(reference._layout, name)), name
         for name in ("starts", "ends", "direction", "proper",
                      "safe_length_sq"):
             assert np.array_equal(getattr(table_built._segments, name),

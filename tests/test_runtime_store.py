@@ -27,8 +27,7 @@ from repro.faults import FaultDictionary
 from repro.ga import GAConfig
 from repro.runtime import telemetry
 from repro.runtime.store import (as_store, derive_key, ga_search_key,
-                                 problem_key, trajectory_key)
-from repro.trajectory import SignatureMapper, TrajectorySet
+                                 problem_key)
 from repro.units import log_frequency_grid
 
 QUICK_GA = GAConfig(population_size=8, generations=2)
@@ -119,8 +118,6 @@ class TestKeys:
         variant = dataclasses.replace(config, ambiguity_threshold=0.5)
         assert ga_search_key("b" * 64, info, variant, 1) == \
             ga_search_key("b" * 64, info, config, 1)
-        assert trajectory_key("c" * 64, variant) == \
-            trajectory_key("c" * 64, config)
 
     def test_key_stable_across_processes(self, problem):
         import os
@@ -203,16 +200,6 @@ class TestRoundTrips:
         assert np.array_equal(loaded.final_population,
                               result.ga_result.final_population)
 
-    def test_trajectories_round_trip(self, tmp_path, biquad_trajectories):
-        store = ArtifactStore(tmp_path)
-        store.save_trajectories("2" * 64, biquad_trajectories)
-        loaded = store.load_trajectories("2" * 64)
-        assert loaded.components == biquad_trajectories.components
-        assert loaded.mapper == biquad_trajectories.mapper
-        for a, b in zip(loaded, biquad_trajectories):
-            assert a.deviations == b.deviations
-            assert np.array_equal(a.points, b.points)
-
     def test_save_is_idempotent_under_races(self, tmp_path, problem):
         """Two writers of the same key coexist: the loser's rename is
         discarded and the artifact stays readable."""
@@ -240,9 +227,8 @@ class TestWarmRuns:
         warm = FaultTrajectoryATPG(info, config).run(seed=5, store=store)
         # The acceptance criterion: zero fault simulations on a warm run.
         assert FaultDictionary.simulations_run == simulations_before
-        assert store_counts(before)["hits"] == 4
-        assert set(warm.cache_hits) == {"dictionary", "ga", "exact",
-                                        "trajectories"}
+        assert store_counts(before)["hits"] == 3
+        assert set(warm.cache_hits) == {"dictionary", "ga", "exact"}
         # And the warmed result is the cold result, exactly.
         assert warm.test_vector_hz == cold.test_vector_hz
         assert warm.ga_result.best_fitness == cold.ga_result.best_fitness
@@ -266,9 +252,8 @@ class TestWarmRuns:
                                                      store=reopened)
         assert FaultDictionary.simulations_run == simulations_before
         counts = store_counts(before)
-        assert counts["hits"] == 4 and counts["puts"] == 0
-        assert set(warm.cache_hits) == {"dictionary", "ga", "exact",
-                                        "trajectories"}
+        assert counts["hits"] == 3 and counts["puts"] == 0
+        assert set(warm.cache_hits) == {"dictionary", "ga", "exact"}
         assert warm.test_vector_hz == cold.test_vector_hz
         for a, b in zip(warm.trajectories, cold.trajectories):
             assert np.array_equal(a.points, b.points)
@@ -322,7 +307,7 @@ class TestWarmRuns:
         FaultTrajectoryATPG(info, config).run(seed=5, store=store)
         slots = [p for p in Path(tmp_path).rglob("*") if p.is_dir()
                  and len(p.name) == 64]
-        assert len(slots) == 4  # dictionary, ga, exact, trajectories
+        assert len(slots) == 3  # dictionary, ga, exact
         for slot in slots:
             assert slot.parent.name == slot.name[:2]
 
@@ -503,7 +488,7 @@ class TestStoreMaintenance:
         assert total > 0
         records = list(store.records())
         assert {r.kind for r in records} == {"dictionary", "ga",
-                                             "exact", "trajectories"}
+                                             "exact"}
         assert sum(r.n_bytes for r in records) == total
         # Keep roughly half: the least recently used artifacts go.
         evicted = store.prune(max_bytes=total // 2)
@@ -572,8 +557,7 @@ class TestStoreMaintenance:
         assert rerun.cache_hits == ()        # everything was evicted
         warm = FaultTrajectoryATPG(info, config).run(seed=5,
                                                      store=store)
-        assert set(warm.cache_hits) == {"dictionary", "ga", "exact",
-                                        "trajectories"}
+        assert set(warm.cache_hits) == {"dictionary", "ga", "exact"}
 
 
 # ----------------------------------------------------------------------
@@ -597,6 +581,18 @@ class TestLegacyStoreCompatibility:
             slot = legacy_root / record.kind / record.key[:2] / record.key
             assert slot.is_dir()
 
+    def test_retired_trajectories_slot_is_pruned(self, legacy_root):
+        """The store no longer writes or reads ``trajectories``
+        artifacts, but an old root's slot is still an artifact: listed
+        by records() and evicted by prune()."""
+        store = ArtifactStore(legacy_root)
+        retired = [r for r in store.records() if r.kind == "trajectories"]
+        assert len(retired) == 1
+        evicted = store.prune(max_bytes=0)
+        assert retired[0] in evicted
+        assert not store.has("trajectories", retired[0].key)
+        assert list(store.records()) == []
+
     def test_legacy_run_loads_all_artifacts(self, legacy_root):
         """Replaying the fixture's pipeline run against the committed
         tree must hit every artifact (same content keys, same bytes)
@@ -606,8 +602,7 @@ class TestLegacyStoreCompatibility:
         config = legacy_maker.CONFIG
         warm = FaultTrajectoryATPG(info, config).run(
             seed=legacy_maker.SEED, store=store)
-        assert set(warm.cache_hits) == {"dictionary", "ga", "exact",
-                                        "trajectories"}, (
+        assert set(warm.cache_hits) == {"dictionary", "ga", "exact"}, (
             "committed legacy store no longer resolves -- the layout, "
             "content keys or serialisation format changed; see "
             "tests/data/make_legacy_store.py")
