@@ -32,10 +32,7 @@ as the MNA dimension grows.
   baseline's tolerance, shaped like the posterior build's: a
   :class:`~repro.sim.engine.VariantTable` with a row per (world,
   hypothesis) and a column per faultable component, through the
-  scalar, batched and factored engines. The batched engine is also
-  timed on the same rows handed over as Component-built
-  ``VariantSpec`` replacements (the per-object route the table
-  replaces).
+  scalar, batched and factored engines.
 
 Every comparison asserts result equality (bitwise for batched, scaled
 tolerance for factored) before timing is trusted.
@@ -83,8 +80,7 @@ REQUIRED_KEYS = {
     "ga_evaluation": ("per_individual_s", "population_s", "speedup"),
     "size_sweep": ("points", "fault_components", "cases"),
     "posterior_block": ("worlds", "rows", "columns", "points",
-                        "scalar_s", "batched_s", "factored_s",
-                        "batched_via_specs_s"),
+                        "scalar_s", "batched_s", "factored_s"),
     "telemetry_overhead": ("instrumented_s", "bare_s",
                            "overhead_fraction"),
 }
@@ -292,30 +288,27 @@ def _posterior_world_table(info, universe, tolerance, worlds):
     and every fault, each faultable component at ``nominal * (1 +
     eps)`` with ``eps`` uniform in ``[-tolerance, tolerance]``.
     """
-    targets = tuple(info.faultable)
-    nominal = np.array([info.circuit[name].value for name in targets])
-    hypotheses = np.tile(nominal, (1 + len(universe), 1))
-    for row, fault in enumerate(universe.faults, start=1):
-        hypotheses[row, targets.index(fault.component)] = \
-            fault.replacement_component(info.circuit).value
+    hypotheses = VariantTable.of_faults(info.circuit, universe.faults) \
+        .with_columns(info.circuit,
+                      [(name, "value") for name in info.faultable])
     eps = np.random.default_rng(SEED).uniform(
-        -tolerance, tolerance, size=(worlds, len(targets)))
-    values = (hypotheses[None, :, :] * (1.0 + eps[:, None, :])).reshape(
-        -1, len(targets))
+        -tolerance, tolerance, size=(worlds, len(hypotheses.columns)))
+    values = (hypotheses.values[None, :, :] *
+              (1.0 + eps[:, None, :])).reshape(-1, len(hypotheses.columns))
     labels = [info.circuit.name] + [
         f"{info.circuit.name}#posterior:{label}:s{world}"
         for world in range(worlds)
         for label in ("golden",) + universe.labels]
-    return VariantTable(tuple((name, "value") for name in targets),
-                        np.vstack([nominal, values]), tuple(labels))
+    return VariantTable(hypotheses.columns,
+                        np.vstack([hypotheses.values[0], values]),
+                        tuple(labels))
 
 
 def bench_posterior_block(info, universe, repeats):
     """One 16-world, corpus-tolerance block through every engine.
 
-    Batched (from the table and from Component-built specs) is
-    asserted bitwise-equal to scalar, factored within the scaled
-    tolerance, before the timings are trusted.
+    Batched is asserted bitwise-equal to scalar, factored within the
+    scaled tolerance, before the timings are trusted.
     """
     table = _posterior_world_table(
         info, universe, CorpusSpec.baseline().posterior.tolerance,
@@ -324,24 +317,19 @@ def bench_posterior_block(info, universe, repeats):
         [500.0, 1500.0], np.geomspace(info.f_min_hz, info.f_max_hz,
                                       12)]))
 
-    def solve(engine_type, variants=None):
+    def solve(engine_type):
         def run():
             engine = engine_type(info.circuit)
-            rows = table if variants is None else variants()
             return engine, engine.transfer_block(
-                info.output_node, grid, rows, info.input_source)
+                info.output_node, grid, table, info.input_source)
         return run
 
     scalar_s, (_, scalar) = _best_of(
         max(1, repeats // 2), solve(ScalarMnaEngine))
     batched_s, (_, batched) = _best_of(repeats, solve(BatchedMnaEngine))
-    via_specs_s, (_, via_specs) = _best_of(
-        repeats, solve(BatchedMnaEngine,
-                       lambda: table.specs(info.circuit)))
     factored_s, (factored_engine, factored) = _best_of(
         repeats, solve(FactoredMnaEngine))
     assert np.array_equal(batched.values, scalar.values)
-    assert np.array_equal(via_specs.values, scalar.values)
     assert batched.labels == scalar.labels == table.labels
     _assert_close(factored.values, scalar.values, "on the world block")
     return {
@@ -352,9 +340,7 @@ def bench_posterior_block(info, universe, repeats):
         "scalar_s": scalar_s,
         "batched_s": batched_s,
         "factored_s": factored_s,
-        "batched_via_specs_s": via_specs_s,
         "speedup": scalar_s / batched_s,
-        "table_vs_specs": via_specs_s / batched_s,
         "lowrank_fallbacks": sum(
             factored_engine.lowrank_fallbacks.values()),
     }
@@ -456,9 +442,7 @@ def run(quick: bool) -> dict:
             "crossover. 'posterior_block' is one posterior-build "
             "world block: every row perturbs every faultable "
             "component, so the factored engine sends each row to the "
-            "dense path (rank fallbacks), and 'table_vs_specs' is the "
-            "cost of building the same rows as Component "
-            "replacements over stamping the table."),
+            "dense path (rank fallbacks)."),
     }
     report["dictionary_build_speedup"] = \
         report["dictionary_build"]["test_vector"]["speedup"]
@@ -493,8 +477,7 @@ def check(report: dict) -> None:
                     f"bad size_sweep time {field} at "
                     f"{case['sections']} sections")
     block = report["posterior_block"]
-    for field in ("scalar_s", "batched_s", "factored_s",
-                  "batched_via_specs_s", "speedup", "table_vs_specs"):
+    for field in ("scalar_s", "batched_s", "factored_s", "speedup"):
         value = block[field]
         if not (isinstance(value, float) and value > 0.0):
             raise SystemExit(
@@ -565,8 +548,7 @@ def main(argv=None) -> int:
           f"rows x {block['columns']} columns, {block['points']} pts): "
           f"scalar {block['scalar_s'] * 1e3:.1f} ms, batched "
           f"{block['batched_s'] * 1e3:.1f} ms "
-          f"({block['speedup']:.2f}x; {block['table_vs_specs']:.2f}x "
-          f"vs the same rows as specs), factored "
+          f"({block['speedup']:.2f}x), factored "
           f"{block['factored_s'] * 1e3:.1f} ms")
     ga = report["ga_evaluation"]
     print(f"GA evaluation ({ga['population']} individuals): "

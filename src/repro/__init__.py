@@ -119,7 +119,6 @@ from .sim import (
     ResponseBlock,
     SimulationEngine,
     TransientAnalysis,
-    VariantSpec,
     VariantTable,
     make_engine,
     sensitivity_analysis,
@@ -184,7 +183,6 @@ __all__ = [
     "BatchedMnaEngine",
     "FactoredMnaEngine",
     "ResponseBlock",
-    "VariantSpec",
     "VariantTable",
     "make_engine",
     # faults

@@ -117,9 +117,9 @@ def _circuit_key(spec: CorpusSpec, family: FamilySpec,
 
 
 def _run_circuit(spec: CorpusSpec, family: FamilySpec, seed: int,
-                 index: int, store=None) -> Tuple[dict, dict]:
-    """One circuit end-to-end: ``(deterministic record, timing)``."""
-    info = generate(family.family, seed, size=family.effective_size)
+                 index: int, info, store=None) -> Tuple[dict, dict]:
+    """One generated circuit end-to-end: ``(deterministic record,
+    timing)``."""
     universe = synthesize_universe(
         info, deviations=spec.pipeline.deviations,
         max_targets=family.max_targets, seed=seed)
@@ -226,19 +226,24 @@ def run_corpus(spec: CorpusSpec, store=None,
     from_cache = 0
     total_started = time.perf_counter()
 
+    def fail(family: FamilySpec, seed: int, exc: Exception) -> None:
+        _failures_total.labels(family=family.family).inc()
+        failures.append({"family": family.family, "seed": seed,
+                         "error": str(exc)})
+        say(f"  FAILED: {exc}")
+
     for index, family, seed in spec.circuits():
         label = f"{family.family}[seed={seed}]"
         say(f"[{index + 1}/{spec.total_circuits}] {label}")
+        # The circuit is generated once: its content hash keys the
+        # resume record, and the same CircuitInfo is run.
+        try:
+            info = generate(family.family, seed, size=family.effective_size)
+        except Exception as exc:
+            fail(family, seed, exc)
+            continue
         key = None
         if store is not None:
-            try:
-                info = generate(family.family, seed,
-                                size=family.effective_size)
-            except Exception as exc:
-                _failures_total.labels(family=family.family).inc()
-                failures.append({"family": family.family, "seed": seed,
-                                 "error": str(exc)})
-                continue
             key = _circuit_key(spec, family, info.circuit.content_hash())
             cached = store.load_json("corpus", key)
             if cached is not None:
@@ -247,13 +252,10 @@ def run_corpus(spec: CorpusSpec, store=None,
                 _circuits_total.labels(family=family.family).inc()
                 continue
         try:
-            record, timing = _run_circuit(spec, family, seed, index,
+            record, timing = _run_circuit(spec, family, seed, index, info,
                                           store=store)
         except Exception as exc:
-            _failures_total.labels(family=family.family).inc()
-            failures.append({"family": family.family, "seed": seed,
-                             "error": str(exc)})
-            say(f"  FAILED: {exc}")
+            fail(family, seed, exc)
             continue
         circuit_records.append(record)
         if store is not None and key is not None:

@@ -215,46 +215,39 @@ def make_test_cases(info: CircuitInfo, mapper: SignatureMapper,
     freqs = np.array(sorted(mapper.test_freqs_hz))
     circuit = info.circuit
 
-    # One table column per target and, under tolerance, per faultable
-    # component; row 0 is the golden circuit. The fault values come
-    # from the fault model (which also rejects non-passive targets).
-    faults = {(name, deviation): ParametricFault(name, float(deviation))
-              for name in targets for deviation in deviations}
-    faulty = {key: fault.replacement_component(circuit).value
-              for key, fault in faults.items()}
+    # The golden row plus one row per (target, deviation) fault, over
+    # a column per target and, under tolerance, per faultable component
+    # (the fault model also rejects non-passive targets).
+    faults = [ParametricFault(name, float(deviation))
+              for name in targets for deviation in deviations]
     spread_names = tuple(info.faultable) if tolerance > 0.0 else ()
-    names = tuple(dict.fromkeys(targets + spread_names))
-    column = {name: index for index, name in enumerate(names)}
-    nominal = np.array([circuit[name].value for name in names],
-                       dtype=float)
+    table = VariantTable.of_faults(circuit, faults).with_columns(
+        circuit, [(name, "value") for name in targets + spread_names])
+    column = {name: index for index, (name, _) in enumerate(table.columns)}
+    nominal = table.values[0]
     rows: List[np.ndarray] = [nominal]
     labels: List[str] = [circuit.name]
     case_meta: List[Tuple[str, float, Optional[np.ndarray]]] = []
-    for name in targets:
+    for index, fault in enumerate(faults, start=1):
         others = np.array([column[other] for other in spread_names
-                           if other != name], dtype=int)
-        for deviation in deviations:
-            label = f"{circuit.name}#{faults[(name, deviation)].label}"
-            for _ in range(repeats):
-                row = nominal.copy()
-                row[column[name]] = faulty[(name, deviation)]
-                if tolerance > 0.0:
-                    # One uniform per other faultable component, in
-                    # faultable order, then the noise draw.
-                    spread = rng.uniform(-tolerance, tolerance,
-                                         size=others.size)
-                    row[others] = nominal[others] * (1.0 + spread)
-                noise = rng.normal(0.0, noise_db,
-                                   size=mapper.dimension) \
-                    if noise_db > 0.0 else None
-                rows.append(row)
-                labels.append(label)
-                case_meta.append((name, float(deviation), noise))
+                           if other != fault.component], dtype=int)
+        for _ in range(repeats):
+            row = table.values[index].copy()
+            if tolerance > 0.0:
+                # One uniform per other faultable component, in
+                # faultable order, then the noise draw.
+                spread = rng.uniform(-tolerance, tolerance,
+                                     size=others.size)
+                row[others] = nominal[others] * (1.0 + spread)
+            noise = rng.normal(0.0, noise_db, size=mapper.dimension) \
+                if noise_db > 0.0 else None
+            rows.append(row)
+            labels.append(table.labels[index])
+            case_meta.append((fault.component, fault.deviation, noise))
     if not case_meta:
         raise DiagnosisError("no test cases generated")
 
-    variants = VariantTable(tuple((name, "value") for name in names),
-                            np.array(rows), tuple(labels))
+    variants = VariantTable(table.columns, np.array(rows), tuple(labels))
     block = engine.transfer_block(info.output_node, freqs, variants,
                                   info.input_source)
     golden_response = block.response(0)

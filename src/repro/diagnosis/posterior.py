@@ -202,9 +202,9 @@ class _WorldSpec:
 
     The worlds are one value table: a column per faultable component
     (``targets``, tolerance-perturbed in every world) followed by the
-    fault components outside ``targets`` (never perturbed).
-    ``hypotheses[h]`` is hypothesis ``h``'s unperturbed row -- row 0
-    the fault-free circuit, row ``1 + f`` fault ``f`` applied.
+    fault components outside ``targets`` (never perturbed). Row ``h``
+    of ``hypotheses`` is hypothesis ``h`` unperturbed -- row 0 the
+    fault-free circuit, row ``1 + f`` fault ``f`` applied.
     """
 
     circuit: object
@@ -212,8 +212,7 @@ class _WorldSpec:
     input_source: Optional[str]
     grid: np.ndarray
     targets: Tuple[str, ...]
-    columns: Tuple[Tuple[str, str], ...]
-    hypotheses: np.ndarray
+    hypotheses: VariantTable
     fault_labels: Tuple[str, ...]
     eps: np.ndarray
 
@@ -229,22 +228,23 @@ def _run_world_block(spec: _WorldSpec, engine: SimulationEngine,
     rides the first block and is returned as the golden row.
     """
     include_nominal = start == 0
-    rows_per_sample = spec.hypotheses.shape[0]
+    hypotheses = spec.hypotheses.values
+    rows_per_sample = hypotheses.shape[0]
     num_targets = len(spec.targets)
-    worlds = np.repeat(spec.hypotheses[None, :, :], stop - start, axis=0)
-    worlds[:, :, :num_targets] = spec.hypotheses[None, :, :num_targets] * \
+    worlds = np.repeat(hypotheses[None, :, :], stop - start, axis=0)
+    worlds[:, :, :num_targets] = hypotheses[None, :, :num_targets] * \
         (1.0 + spec.eps[start:stop, None, :])
-    values = worlds.reshape(-1, len(spec.columns))
+    values = worlds.reshape(-1, hypotheses.shape[1])
     name = spec.circuit.name
     labels = [f"{name}#posterior:{label}:s{sample}"
               for sample in range(start, stop)
               for label in (FAULT_FREE_LABEL,) + spec.fault_labels]
     if include_nominal:
-        values = np.vstack([spec.hypotheses[:1], values])
+        values = np.vstack([hypotheses[:1], values])
         labels.insert(0, name)
     block = engine.transfer_block(
         spec.output_node, spec.grid,
-        VariantTable(spec.columns, values, tuple(labels)),
+        VariantTable(spec.hypotheses.columns, values, tuple(labels)),
         spec.input_source)
     mag_db = block.magnitude_db()
     offset = 1 if include_nominal else 0
@@ -332,30 +332,17 @@ class PosteriorDiagnoser:
                            size=(config.n_samples, len(targets))),
                 -0.95, 0.95)
 
-        # One table column per target, then every fault component
-        # outside the targets; each fault's row takes its replacement
-        # component's value in its column.
+        # The hypotheses: the golden row plus one row per fault, over
+        # a column per target, then every fault component outside the
+        # targets.
         circuit = info.circuit
-        names = list(targets)
-        fault_columns = []
-        fault_values = []
-        for fault in self._faults:
-            if fault.component not in names:
-                names.append(fault.component)
-            fault_columns.append(names.index(fault.component))
-            fault_values.append(
-                fault.replacement_component(circuit).value)
-        n_faults = len(self._faults)
-        hypotheses = np.tile(
-            np.array([circuit[name].value for name in names], dtype=float),
-            (1 + n_faults, 1))
-        hypotheses[1 + np.arange(n_faults), fault_columns] = fault_values
+        hypotheses = VariantTable.of_faults(circuit, self._faults) \
+            .with_columns(circuit, [(name, "value") for name in targets])
 
-        rows_per_sample = 1 + n_faults
+        rows_per_sample = len(hypotheses)
         spec = _WorldSpec(
             circuit=circuit, output_node=info.output_node,
             input_source=info.input_source, grid=grid, targets=targets,
-            columns=tuple((name, "value") for name in names),
             hypotheses=hypotheses,
             fault_labels=tuple(fault.label for fault in self._faults),
             eps=eps)

@@ -88,9 +88,10 @@ class Fault:
     def replacement_component(self, circuit: Circuit):
         """The faulted component that replaces the nominal one.
 
-        This is the single-component delta every fault reduces to; the
-        batched simulation engine stamps it directly instead of cloning
-        the circuit, and :meth:`apply` wraps it into a faulty copy.
+        This is the single-component delta every fault reduces to;
+        :meth:`~repro.sim.engine.VariantTable.of_faults` turns it into
+        the fault's row of engine variants instead of cloning the
+        circuit, and :meth:`apply` wraps it into a faulty copy.
 
         Subclasses that only override :meth:`apply` (the historical
         extension contract) are still supported: the base

@@ -3,7 +3,9 @@
 Section 2.1: the fault-simulation process builds, from the original
 circuit, a set of faulty circuits *"inserting faults on all its components
 (systematic % deviation on its values) within a given range"*. A
-:class:`FaultUniverse` is that enumerated set plus iteration helpers.
+:class:`FaultUniverse` is that enumerated set plus iteration helpers;
+:meth:`FaultUniverse.variants` hands it to the simulation engines as
+one variant table, golden row first, one row per fault.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ class FaultUniverse:
             yield fault, fault.apply(self.circuit)
 
     def variants(self) -> "VariantTable":
-        """The golden circuit plus the universe, as one engine table.
+        """The golden circuit plus the universe, as one engine table
+        (:meth:`~repro.sim.engine.VariantTable.of_faults`).
 
         Row 0 is the fault-free circuit (labelled with the circuit
         name); row ``i + 1`` is fault ``i``, labelled like the faulty
@@ -88,12 +91,8 @@ class FaultUniverse:
         """
         cached = getattr(self, "_variants_cache", None)
         if cached is None:
-            from ..sim.engine import VariantSpec, VariantTable
-            cached = VariantTable.from_specs(self.circuit, [
-                VariantSpec(name=self.circuit.name)] + [
-                VariantSpec((fault.replacement_component(self.circuit),),
-                            name=f"{self.circuit.name}#{fault.label}")
-                for fault in self.faults])
+            from ..sim.engine import VariantTable
+            cached = VariantTable.of_faults(self.circuit, self.faults)
             object.__setattr__(self, "_variants_cache", cached)
         return cached
 

@@ -7,7 +7,6 @@ from .engine import (
     FactoredMnaEngine,
     ResponseBlock,
     SimulationEngine,
-    VariantSpec,
     VariantTable,
     make_engine,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "BatchedMnaEngine",
     "FactoredMnaEngine",
     "ResponseBlock",
-    "VariantSpec",
     "VariantTable",
     "make_engine",
     "ACAnalysis",

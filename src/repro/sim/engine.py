@@ -7,16 +7,17 @@ circuits that differ from the nominal one only in component values.
 
 A variant family is a :class:`VariantTable`: a ``(K, C)`` value matrix
 over ``C`` ``(component, parameter)`` columns plus ``K`` row labels, so
-``len(variants)`` is the row count. Every engine's ``transfer_block``
-takes a table or a sequence of :class:`VariantSpec` component
-replacements; a spec sequence goes through one adapter,
-:meth:`VariantTable.from_specs`. This module factors the "solve a
-family of value-deviated variants" operation behind a
-:class:`SimulationEngine` protocol with three implementations:
+``len(variants)`` is the row count. The table is the only variant
+format: every engine's ``transfer_block`` takes one, and faults become
+table rows through one rule, :meth:`VariantTable.of_faults`. This
+module factors the "solve a family of value-deviated variants"
+operation behind a :class:`SimulationEngine` protocol with three
+implementations:
 
 * :class:`ScalarMnaEngine` -- the reference: one circuit clone + one
-  ``ACAnalysis`` per variant, exactly the historical code path (the
-  test oracle; :data:`ENGINE_KINDS` does not name it);
+  ``ACAnalysis`` per table row, each row's components built through
+  their constructors (the test oracle; :data:`ENGINE_KINDS` does not
+  name it);
 * :class:`BatchedMnaEngine` -- stamps the nominal circuit once, records
   every component's ordered stamp contributions, and stamps a table
   column-wise: each component a column names is stamped once with
@@ -57,7 +58,7 @@ import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Protocol, \
-    Sequence, Tuple, Union, runtime_checkable
+    Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -79,7 +80,6 @@ from .mna import ComponentOps, MnaSystem, parameter_value, \
     stamp_parameters, with_parameters
 
 __all__ = [
-    "VariantSpec",
     "VariantTable",
     "ResponseBlock",
     "SimulationEngine",
@@ -98,30 +98,6 @@ ENGINE_KINDS = ("batched", "factored")
 # enough that the stack stays resident in cache across construction and
 # factorisation (4 MB measured fastest on the benchmark circuits).
 _STACK_MEMORY_BUDGET = 4 * 1024 * 1024  # bytes
-
-
-@dataclass(frozen=True)
-class VariantSpec:
-    """One circuit variant: a set of same-name component replacements.
-
-    ``replacements`` is empty for the nominal circuit. ``name`` is the
-    variant circuit's name (used for response labels and error
-    messages); ``None`` keeps the nominal circuit's name -- matching how
-    fault injection names faulty clones ``<circuit>#<fault label>``.
-    Engines read a spec sequence through :meth:`VariantTable.from_specs`.
-    """
-
-    replacements: Tuple[Component, ...] = ()
-    name: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for component in self.replacements:
-            if component.name in seen:
-                raise SimulationError(
-                    f"variant {self.name or '<nominal>'} replaces "
-                    f"component {component.name!r} twice")
-            seen.add(component.name)
 
 
 def _stamp_structure(component: Component) -> tuple:
@@ -196,47 +172,62 @@ class VariantTable:
         return cls((), np.empty((1, 0)), (label,))
 
     @classmethod
-    def from_specs(cls, circuit: Circuit,
-                   specs: Sequence[VariantSpec]) -> "VariantTable":
-        """The table of a :class:`VariantSpec` sequence.
+    def of_faults(cls, circuit: Circuit,
+                  faults: Sequence) -> "VariantTable":
+        """The golden circuit plus one row per fault.
 
-        Each replacement contributes the parameters it changes; every
-        other cell is the nominal value. A replacement of an unknown
-        component, or one that changes a component's type or terminals
-        (its stamp structure), raises :class:`SimulationError`.
+        Row 0 is the fault-free circuit, labelled with the circuit
+        name; row ``i + 1`` is ``faults[i]``, labelled
+        ``<circuit>#<fault label>`` like the clone ``fault.apply``
+        makes. A fault's row holds the stamp parameters its
+        ``replacement_component(circuit)`` changes, in columns of first
+        appearance; every other cell is the nominal value. A
+        replacement of an unknown component, or one that changes a
+        component's type or terminals (its stamp structure), raises
+        :class:`SimulationError`.
         """
         columns: Dict[Tuple[str, str], int] = {}
         cells: List[Dict[int, float]] = []
-        for spec in specs:
+        labels = [circuit.name]
+        for fault in faults:
+            label = f"{circuit.name}#{fault.label}"
+            replacement = fault.replacement_component(circuit)
+            name = replacement.name
+            if name not in circuit:
+                raise SimulationError(
+                    f"{circuit.name}: variant {label} replaces unknown "
+                    f"component {name!r}")
+            nominal = circuit[name]
+            if _stamp_structure(replacement) != _stamp_structure(nominal):
+                raise SimulationError(
+                    f"{circuit.name}: replacement for {name!r} "
+                    "changes the stamp structure; delta-stamping "
+                    "needs same-name, same-terminal replacements")
             row: Dict[int, float] = {}
-            for replacement in spec.replacements:
-                name = replacement.name
-                if name not in circuit:
-                    raise SimulationError(
-                        f"{circuit.name}: variant "
-                        f"{spec.name or '<nominal>'} replaces unknown "
-                        f"component {name!r}")
-                nominal = circuit[name]
-                if _stamp_structure(replacement) != \
-                        _stamp_structure(nominal):
-                    raise SimulationError(
-                        f"{circuit.name}: replacement for {name!r} "
-                        "changes the stamp structure; delta-stamping "
-                        "needs same-name, same-terminal replacements")
-                for param in stamp_parameters(nominal):
-                    value = parameter_value(replacement, param)
-                    if value != parameter_value(nominal, param):
-                        index = columns.setdefault((name, param),
-                                                   len(columns))
-                        row[index] = value
+            for param in stamp_parameters(nominal):
+                value = parameter_value(replacement, param)
+                if value != parameter_value(nominal, param):
+                    row[columns.setdefault((name, param),
+                                           len(columns))] = value
             cells.append(row)
+            labels.append(label)
         keys = tuple(columns)
-        values = np.tile(_nominal_values(circuit, keys), (len(cells), 1))
-        for index, row in enumerate(cells):
+        values = np.tile(_nominal_values(circuit, keys),
+                         (1 + len(cells), 1))
+        for index, row in enumerate(cells, start=1):
             for column, value in row.items():
                 values[index, column] = value
-        return cls(keys, values,
-                   tuple(spec.name or circuit.name for spec in specs))
+        return cls(keys, values, tuple(labels))
+
+    def with_columns(self, circuit: Circuit,
+                     columns: Sequence[Tuple[str, str]]
+                     ) -> "VariantTable":
+        """The table over ``columns`` followed by its own other
+        columns; a column it did not have holds the nominal value."""
+        order = tuple(dict.fromkeys(tuple(columns) + self.columns))
+        values = np.tile(_nominal_values(circuit, order), (len(self), 1))
+        values[:, [order.index(c) for c in self.columns]] = self.values
+        return VariantTable(order, values, self.labels)
 
     def take(self, indices: Sequence[int]) -> "VariantTable":
         """The sub-table of the given rows, in the given order."""
@@ -283,18 +274,6 @@ class VariantTable:
                     f"{self.labels[row]}: {exc}") from None
         return bound
 
-    def specs(self, circuit: Circuit) -> Tuple[VariantSpec, ...]:
-        """The rows as :class:`VariantSpec` replacements, each built
-        through the component constructors."""
-        bound = self.bind(circuit)
-        return tuple(
-            VariantSpec(tuple(
-                with_parameters(circuit[name], {
-                    param: float(self.values[row, column])
-                    for param, column in params.items()})
-                for name, params in bound.items()), name=label)
-            for row, label in enumerate(self.labels))
-
 
 def _nominal_values(circuit: Circuit,
                     columns: Sequence[Tuple[str, str]]) -> np.ndarray:
@@ -303,8 +282,15 @@ def _nominal_values(circuit: Circuit,
                      for name, param in columns], dtype=float)
 
 
-#: What ``transfer_block`` accepts as its variant family.
-Variants = Union[VariantTable, Sequence[VariantSpec]]
+def _require_table(variants: VariantTable) -> VariantTable:
+    """``variants`` itself, checked to be a non-empty table."""
+    if not isinstance(variants, VariantTable):
+        raise SimulationError(
+            "transfer_block needs a VariantTable, got "
+            f"{type(variants).__name__}")
+    if not len(variants):
+        raise SimulationError("transfer_block needs >= 1 variant")
+    return variants
 
 
 class ResponseBlock:
@@ -398,7 +384,7 @@ class SimulationEngine(Protocol):
     def circuit(self) -> Circuit: ...
 
     def transfer_block(self, output_node: str, freqs_hz: np.ndarray,
-                       variants: Variants,
+                       variants: VariantTable,
                        input_source: Optional[str] = None
                        ) -> ResponseBlock: ...
 
@@ -408,10 +394,11 @@ class ScalarMnaEngine:
 
     This is the historical code path (clone the netlist, build an
     :class:`ACAnalysis`, run ``solve_frequencies``) wrapped in the
-    engine protocol. A :class:`VariantTable` is read row by row as
-    component replacements built through the component constructors
-    (:meth:`VariantTable.specs`). It is the test oracle the batched
-    engine is checked against bitwise; no configuration selects it.
+    engine protocol. Each table row becomes a circuit whose bound
+    components are rebuilt through their constructors
+    (:func:`~repro.sim.mna.with_parameters`). It is the test oracle the
+    batched engine is checked against bitwise; no configuration selects
+    it.
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -421,39 +408,28 @@ class ScalarMnaEngine:
     def circuit(self) -> Circuit:
         return self._circuit
 
-    def _variant_circuit(self, spec: VariantSpec) -> Circuit:
-        if not spec.replacements and spec.name is None:
-            return self._circuit
-        replaced = {c.name: c for c in spec.replacements}
-        missing = set(replaced) - set(self._circuit.component_names)
-        if missing:
-            raise SimulationError(
-                f"{self._circuit.name}: variant replaces unknown "
-                f"component(s) {sorted(missing)}")
-        return Circuit(spec.name or self._circuit.name,
-                       [replaced.get(c.name, c) for c in self._circuit])
-
     def transfer_block(self, output_node: str, freqs_hz: np.ndarray,
-                       variants: Variants,
+                       variants: VariantTable,
                        input_source: Optional[str] = None
                        ) -> ResponseBlock:
         freqs = np.asarray(freqs_hz, dtype=float)
-        if isinstance(variants, VariantTable):
-            variants = variants.specs(self._circuit)
-        if not variants:
-            raise SimulationError("transfer_block needs >= 1 variant")
+        table = _require_table(variants)
+        bound = table.bind(self._circuit)
         with TRACER.span("engine.solve", engine="scalar",
                          freqs=int(freqs.size)) as span:
-            values = np.empty((len(variants), freqs.size), dtype=complex)
-            labels = []
-            for index, spec in enumerate(variants):
-                circuit = self._variant_circuit(spec)
-                response = ACAnalysis(circuit).transfer(
-                    output_node, freqs, input_source)
-                values[index] = response.values
-                labels.append(circuit.name)
-            span.attrs.update(variants=len(variants), chunks=len(variants))
-        return ResponseBlock(freqs, values, labels, output_node)
+            values = np.empty((len(table), freqs.size), dtype=complex)
+            for row, label in enumerate(table.labels):
+                replaced = {
+                    name: with_parameters(self._circuit[name], {
+                        param: float(table.values[row, column])
+                        for param, column in params.items()})
+                    for name, params in bound.items()}
+                circuit = Circuit(label, [replaced.get(c.name, c)
+                                          for c in self._circuit])
+                values[row] = ACAnalysis(circuit).transfer(
+                    output_node, freqs, input_source).values
+            span.attrs.update(variants=len(table), chunks=len(table))
+        return ResponseBlock(freqs, values, table.labels, output_node)
 
 
 class BatchedMnaEngine:
@@ -614,7 +590,7 @@ class BatchedMnaEngine:
             return out
 
     def _check_block_args(self, freqs: np.ndarray,
-                          variants: Variants,
+                          variants: VariantTable,
                           input_source: Optional[str]
                           ) -> Tuple[VariantTable, str]:
         """Shared ``transfer_block`` validation; returns the variant
@@ -625,10 +601,7 @@ class BatchedMnaEngine:
         if np.any(freqs <= 0.0):
             raise SimulationError("AC analysis frequencies must be "
                                   "positive")
-        table = variants if isinstance(variants, VariantTable) \
-            else VariantTable.from_specs(self._circuit, variants)
-        if not len(table):
-            raise SimulationError("transfer_block needs >= 1 variant")
+        table = _require_table(variants)
         source_name = input_source or self._circuit.ac_source_name()
         if source_name not in self._circuit:
             raise SimulationError(
@@ -637,7 +610,7 @@ class BatchedMnaEngine:
         return table, source_name
 
     def transfer_block(self, output_node: str, freqs_hz: np.ndarray,
-                       variants: Variants,
+                       variants: VariantTable,
                        input_source: Optional[str] = None
                        ) -> ResponseBlock:
         freqs = np.asarray(freqs_hz, dtype=float)
@@ -841,7 +814,7 @@ class FactoredMnaEngine(BatchedMnaEngine):
         return identity, groups, too_wide
 
     def transfer_block(self, output_node: str, freqs_hz: np.ndarray,
-                       variants: Variants,
+                       variants: VariantTable,
                        input_source: Optional[str] = None
                        ) -> ResponseBlock:
         freqs = np.asarray(freqs_hz, dtype=float)

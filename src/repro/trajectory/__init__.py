@@ -1,11 +1,5 @@
 """Fault-trajectory machinery: signature mapping, trajectories, geometry."""
 
-from .geometry import (
-    point_to_segments_distance,
-    polyline_arc_length,
-    polyline_min_distance,
-    project_point_onto_segments,
-)
 from .mapping import SignatureMapper
 from .metrics import (
     TrajectoryMetrics,
@@ -28,8 +22,4 @@ __all__ = [
     "min_separation",
     "pairwise_separations",
     "evaluate_metrics",
-    "project_point_onto_segments",
-    "point_to_segments_distance",
-    "polyline_arc_length",
-    "polyline_min_distance",
 ]

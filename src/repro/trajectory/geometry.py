@@ -25,29 +25,12 @@ from ..errors import TrajectoryError
 __all__ = [
     "Segments",
     "project_points",
-    "project_point_onto_segments",
-    "point_to_segments_distance",
-    "polyline_arc_length",
-    "polyline_min_distance",
 ]
 
 # Orientation values with magnitude below this (relative to the segment
 # scale) are treated as exactly collinear. Signature coordinates are dB
 # differences of order 0.1..10, so 1e-12 is far below physical meaning.
 _EPS = 1e-12
-
-
-def _as_points(array: np.ndarray, name: str, dim: int | None = None
-               ) -> np.ndarray:
-    out = np.asarray(array, dtype=float)
-    if out.ndim == 1:
-        out = out[None, :]
-    if out.ndim != 2:
-        raise TrajectoryError(f"{name} must be a (n, d) array")
-    if dim is not None and out.shape[1] != dim:
-        raise TrajectoryError(
-            f"{name} must have dimension {dim}, got {out.shape[1]}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -126,72 +109,3 @@ def _project(points: np.ndarray, segments: Segments
     t_clamped = np.clip(t_raw, 0.0, 1.0)
     closest = segments.starts + t_clamped[..., None] * segments.direction
     return _norm(points - closest), t_clamped, interior
-
-
-def project_point_onto_segments(point: np.ndarray, starts: np.ndarray,
-                                ends: np.ndarray
-                                ) -> Tuple[np.ndarray, np.ndarray,
-                                           np.ndarray]:
-    """:func:`project_points` for one point: three ``(k,)`` arrays."""
-    point = np.asarray(point, dtype=float)
-    starts = _as_points(starts, "starts")
-    ends = _as_points(ends, "ends", starts.shape[1])
-    if point.shape != (starts.shape[1],):
-        raise TrajectoryError(
-            f"point dimension {point.shape} does not match segments "
-            f"({starts.shape[1]})")
-    distances, t_clamped, interior = project_points(
-        point[None, :], Segments.of(starts, ends))
-    return distances[0], t_clamped[0], interior[0]
-
-
-def point_to_segments_distance(point: np.ndarray, starts: np.ndarray,
-                               ends: np.ndarray) -> np.ndarray:
-    """Distances only (see :func:`project_point_onto_segments`)."""
-    distances, _, _ = project_point_onto_segments(point, starts, ends)
-    return distances
-
-
-def polyline_arc_length(points: np.ndarray) -> float:
-    """Total length of a polyline given as (n, d) points."""
-    points = _as_points(points, "points")
-    if points.shape[0] < 2:
-        return 0.0
-    return float(np.sum(np.linalg.norm(np.diff(points, axis=0), axis=1)))
-
-
-def polyline_min_distance(poly_a: np.ndarray, poly_b: np.ndarray,
-                          skip_a: np.ndarray | None = None,
-                          skip_b: np.ndarray | None = None) -> float:
-    """Approximate minimum distance between two polylines.
-
-    Minimum over (vertices of A -> segments of B) and (vertices of B ->
-    segments of A). Exact when the closest approach involves a vertex;
-    for two skew interior points it overestimates slightly, which is
-    acceptable for the separation *margin* metric (trajectories are
-    densely sampled). ``skip_a``/``skip_b`` mask vertices to ignore as
-    query points -- fault trajectories all pass through the golden origin,
-    and that structural contact must not collapse the margin to zero.
-    """
-    poly_a = _as_points(poly_a, "poly_a")
-    poly_b = _as_points(poly_b, "poly_b", poly_a.shape[1])
-    if poly_a.shape[0] < 2 or poly_b.shape[0] < 2:
-        raise TrajectoryError("polylines need at least 2 points")
-    b_starts, b_ends = poly_b[:-1], poly_b[1:]
-    a_starts, a_ends = poly_a[:-1], poly_a[1:]
-    best = np.inf
-    mask_a = np.ones(poly_a.shape[0], dtype=bool) if skip_a is None \
-        else ~np.asarray(skip_a, dtype=bool)
-    mask_b = np.ones(poly_b.shape[0], dtype=bool) if skip_b is None \
-        else ~np.asarray(skip_b, dtype=bool)
-    for keep, vertex in zip(mask_a, poly_a):
-        if not keep:
-            continue
-        best = min(best, float(np.min(
-            point_to_segments_distance(vertex, b_starts, b_ends))))
-    for keep, vertex in zip(mask_b, poly_b):
-        if not keep:
-            continue
-        best = min(best, float(np.min(
-            point_to_segments_distance(vertex, a_starts, a_ends))))
-    return best

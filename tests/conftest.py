@@ -122,3 +122,54 @@ def warm_service():
     for name in SERVING_CIRCUITS:
         service.warm(name)
     return service
+
+
+# ----------------------------------------------------------------------
+# Component-built variant tables for the oracle suites
+# ----------------------------------------------------------------------
+def table_from_replacements(circuit, variants):
+    """A variant table of ``(replacements, label)`` rows.
+
+    Each replacement is a whole ``Component`` and contributes the
+    parameters it changes; every other cell is the nominal value; a
+    ``None`` label keeps the circuit name. Kept apart from
+    ``VariantTable.of_faults`` so the oracles build every variant
+    through the component constructors.
+    """
+    from repro.errors import SimulationError
+    from repro.sim.engine import VariantTable, _nominal_values, \
+        _stamp_structure
+    from repro.sim.mna import parameter_value, stamp_parameters
+    columns = {}
+    cells = []
+    for replacements, label in variants:
+        row = {}
+        for replacement in replacements:
+            name = replacement.name
+            if name not in circuit:
+                raise SimulationError(
+                    f"{circuit.name}: variant "
+                    f"{label or '<nominal>'} replaces unknown "
+                    f"component {name!r}")
+            nominal = circuit[name]
+            if _stamp_structure(replacement) != \
+                    _stamp_structure(nominal):
+                raise SimulationError(
+                    f"{circuit.name}: replacement for {name!r} "
+                    "changes the stamp structure; delta-stamping "
+                    "needs same-name, same-terminal replacements")
+            for param in stamp_parameters(nominal):
+                value = parameter_value(replacement, param)
+                if value != parameter_value(nominal, param):
+                    index = columns.setdefault((name, param),
+                                               len(columns))
+                    row[index] = value
+        cells.append(row)
+    keys = tuple(columns)
+    values = np.tile(_nominal_values(circuit, keys), (len(cells), 1))
+    for index, row in enumerate(cells):
+        for column, value in row.items():
+            values[index, column] = value
+    return VariantTable(keys, values,
+                        tuple(label or circuit.name
+                              for _, label in variants))

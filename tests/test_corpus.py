@@ -110,6 +110,25 @@ def test_run_corpus_resume_idempotent(tmp_path):
     assert second["timings"]["from_cache"] == spec.total_circuits
 
 
+def test_store_backed_run_generates_each_circuit_once(tmp_path,
+                                                     monkeypatch):
+    """The resume key and the run share one generated circuit."""
+    from repro.corpus import runner
+    calls = []
+
+    def counting_generate(family, seed, **kwargs):
+        calls.append((family, seed))
+        return generate(family, seed, **kwargs)
+
+    generate = runner.generate
+    monkeypatch.setattr(runner, "generate", counting_generate)
+    spec = CorpusSpec.quick()
+    report = run_corpus(spec, store=tmp_path / "store")
+    assert report["results"]["failures"] == []
+    assert sorted(calls) == sorted(
+        (family.family, seed) for _, family, seed in spec.circuits())
+
+
 def test_resume_key_tracks_settings(tmp_path):
     """A settings change invalidates cached records (no stale reuse)."""
     store = tmp_path / "store"

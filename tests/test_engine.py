@@ -26,7 +26,7 @@ from repro.errors import ReproError, SimulationError
 from repro.sim import lowrank
 from repro.faults import FaultDictionary, catastrophic_universe
 from repro.faults.universe import parametric_universe as build_universe
-from repro.sim import ACAnalysis, VariantSpec
+from repro.sim import ACAnalysis, VariantTable
 from repro.sim.engine import ResponseBlock, ScalarMnaEngine
 from repro.sim.sweep import deviation_sweep, value_sweep
 from repro.units import log_frequency_grid
@@ -227,21 +227,35 @@ class TestApplyOnlyFaultCompat:
             Fault("R1").replacement_component(info.circuit)
 
 
-class TestVariantSpecs:
-    def test_unknown_replacement_rejected(self):
-        info = rc_lowpass()
-        engine = BatchedMnaEngine(info.circuit)
-        foreign = tow_thomas_biquad().circuit["R3"]
-        with pytest.raises(SimulationError, match="unknown"):
-            engine.transfer_block(
-                info.output_node, np.array([100.0]),
-                [VariantSpec((foreign,))])
+def _replacing_fault(replacement):
+    """A fault on R1 whose replacement is ``replacement`` as given."""
+    from repro.faults.models import Fault
 
-    def test_duplicate_replacement_rejected(self):
+    @dataclasses.dataclass(frozen=True)
+    class ReplacingFault(Fault):
+        @property
+        def label(self):
+            return f"{self.component}:replaced"
+
+        def replacement_component(self, circuit):
+            return replacement
+
+    return ReplacingFault("R1")
+
+
+class TestVariantSpecs:
+    """Variant rows: fault replacements and hand-built tables."""
+
+    def test_unknown_replacement_rejected(self):
+        """A fault whose replacement names a component the circuit
+        lacks is rejected by the one fault-to-table rule."""
+        from repro.faults.universe import FaultUniverse
         info = rc_lowpass()
-        r1 = info.circuit["R1"]
-        with pytest.raises(SimulationError, match="twice"):
-            VariantSpec((r1.with_value(1.0), r1.with_value(2.0)))
+        foreign = tow_thomas_biquad().circuit["R3"]
+        universe = FaultUniverse(info.circuit, (_replacing_fault(foreign),))
+        with pytest.raises(SimulationError,
+                           match="replaces unknown component 'R3'"):
+            universe.variants()
 
     def test_multi_component_variant(self):
         """Tolerance-style variants replace several components at once."""
@@ -249,10 +263,11 @@ class TestVariantSpecs:
         grid = np.array([300.0, 900.0])
         r1 = info.circuit["R1"]
         c1 = info.circuit["C1"]
-        spec = VariantSpec((r1.with_value(r1.value * 1.07),
-                            c1.with_value(c1.value * 0.93)))
+        table = VariantTable((("R1", "value"), ("C1", "value")),
+                             [[r1.value * 1.07, c1.value * 0.93]],
+                             ("perturbed",))
         block = BatchedMnaEngine(info.circuit).transfer_block(
-            info.output_node, grid, [spec], info.input_source)
+            info.output_node, grid, table, info.input_source)
         perturbed = info.circuit.with_value("R1", r1.value * 1.07) \
             .with_value("C1", c1.value * 0.93)
         expected = ACAnalysis(perturbed).transfer(
@@ -263,7 +278,6 @@ class TestVariantSpecs:
     def test_singular_variant_is_named(self, monkeypatch, budget):
         """A singular variant's error names that variant, on the fused
         path and (with a one-byte stack budget) the per-variant one."""
-        from repro.circuits.components import VCVS
         from repro.circuits.netlist import Circuit
         from repro.errors import SingularCircuitError
         from repro.sim import engine as engine_module
@@ -276,14 +290,22 @@ class TestVariantSpecs:
         circuit.add_vcvs("E1", "buf", "0", "buf", "out", gain=2.0)
         circuit.add_resistor("R2", "buf", "0", 1e3)
         # Unit gain around the E1 loop leaves its branch row all zero.
-        unit_loop = VariantSpec(
-            (VCVS("E1", "buf", "0", "buf", "out", gain=1.0),),
-            name="buffer#E1_unit")
-        variants = [VariantSpec(name="first"), unit_loop,
-                    VariantSpec(name="third")]
+        variants = VariantTable((("E1", "gain"),), [[2.0], [1.0], [2.0]],
+                                ("first", "buffer#E1_unit", "third"))
         with pytest.raises(SingularCircuitError, match="buffer#E1_unit"):
             BatchedMnaEngine(circuit).transfer_block(
                 "buf", np.array([10.0, 100.0, 1000.0]), variants)
+
+    @pytest.mark.parametrize("engine_type", [
+        BatchedMnaEngine, FactoredMnaEngine, ScalarMnaEngine])
+    def test_only_tables_are_accepted(self, engine_type):
+        info = rc_lowpass()
+        table = VariantTable.nominal(info.circuit.name)
+        with pytest.raises(SimulationError,
+                           match="needs a VariantTable, got list"):
+            engine_type(info.circuit).transfer_block(
+                info.output_node, np.array([100.0]), [table],
+                info.input_source)
 
 
 class TestResponseBlock:
@@ -575,11 +597,10 @@ class TestFactoredEquivalence:
         info = rc_lowpass()
         grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 15)
         r1 = info.circuit["R1"]
-        variants = (VariantSpec(name="nominal"),
-                    VariantSpec((r1.with_value(r1.value * 1e-12),),
-                                name="R1:short"),
-                    VariantSpec((r1.with_value(r1.value * 1.1),),
-                                name="R1:+10%"))
+        variants = VariantTable(
+            (("R1", "value"),),
+            [[r1.value], [r1.value * 1e-12], [r1.value * 1.1]],
+            ("nominal", "R1:short", "R1:+10%"))
         engine = FactoredMnaEngine(info.circuit)
         block = engine.transfer_block(info.output_node, grid, variants,
                                       info.input_source)
@@ -618,15 +639,15 @@ class TestFactoredEquivalence:
         grid = np.array([300.0, 900.0])
         r1 = info.circuit["R1"]
         c1 = info.circuit["C1"]
-        spec = VariantSpec((r1.with_value(r1.value * 1.07),
-                            c1.with_value(c1.value * 0.93)),
-                           name="pair")
+        pair = VariantTable((("R1", "value"), ("C1", "value")),
+                            [[r1.value * 1.07, c1.value * 0.93]],
+                            ("pair",))
         engine = FactoredMnaEngine(info.circuit, max_rank=1)
-        block = engine.transfer_block(info.output_node, grid, [spec],
+        block = engine.transfer_block(info.output_node, grid, pair,
                                       info.input_source)
         assert engine.lowrank_fallbacks["rank"] == 1
         dense = BatchedMnaEngine(info.circuit).transfer_block(
-            info.output_node, grid, [spec], info.input_source)
+            info.output_node, grid, pair, info.input_source)
         assert np.array_equal(block.values, dense.values)
 
     def test_stimulus_replacement_rides_the_lowrank_path(self):
@@ -636,11 +657,11 @@ class TestFactoredEquivalence:
         info = rc_lowpass()
         grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 9)
         source = info.circuit[info.input_source]
-        boosted = dataclasses.replace(
-            source, ac_magnitude=source.ac_magnitude * 2.0,
-            ac_phase_deg=30.0)
-        variants = (VariantSpec(name="nominal"),
-                    VariantSpec((boosted,), name="boosted"))
+        variants = VariantTable(
+            ((source.name, "ac_magnitude"), (source.name, "ac_phase_deg")),
+            [[source.ac_magnitude, source.ac_phase_deg],
+             [source.ac_magnitude * 2.0, 30.0]],
+            ("nominal", "boosted"))
         engine = FactoredMnaEngine(info.circuit)
         block = engine.transfer_block(info.output_node, grid, variants,
                                       info.input_source)
@@ -674,7 +695,7 @@ class TestFactoredEquivalence:
         info = rc_lowpass()
         grid = np.array([100.0, 1000.0])
         block = FactoredMnaEngine(info.circuit).transfer_block(
-            "0", grid, [VariantSpec(name="nominal")],
+            "0", grid, VariantTable.nominal("nominal"),
             info.input_source)
         assert np.array_equal(block.values,
                               np.zeros((1, 2), dtype=complex))
@@ -682,25 +703,25 @@ class TestFactoredEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_random_variants_match_batched(self, data):
-        """Hypothesis: any random multi-component VariantSpec agrees
-        with the batched engine within tolerance (or falls back to it
+        """Hypothesis: any random multi-component row agrees with the
+        batched engine within tolerance (or falls back to it
         exactly)."""
         info = tow_thomas_biquad()
         names = sorted(info.faultable)
         chosen = data.draw(st.lists(st.sampled_from(names),
                                     min_size=1, max_size=3,
                                     unique=True))
-        replacements = []
-        for name in chosen:
+        nominal = [info.circuit[name].value for name in chosen]
+        scaled = []
+        for value in nominal:
             log2_scale = data.draw(st.floats(min_value=-6.0,
                                              max_value=6.0,
                                              allow_nan=False))
-            component = info.circuit[name]
-            replacements.append(component.with_value(
-                component.value * 2.0 ** log2_scale))
-        spec = VariantSpec(tuple(replacements), name="random")
+            scaled.append(value * 2.0 ** log2_scale)
         grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 7)
-        variants = (VariantSpec(name=info.circuit.name), spec)
+        variants = VariantTable(tuple((name, "value") for name in chosen),
+                                [nominal, scaled],
+                                (info.circuit.name, "random"))
         factored = FactoredMnaEngine(info.circuit).transfer_block(
             info.output_node, grid, variants, info.input_source)
         batched = BatchedMnaEngine(info.circuit).transfer_block(
@@ -844,14 +865,16 @@ def _table_circuits():
 _TABLE_CIRCUITS = _table_circuits()
 
 
-def _spec_for_row(circuit, cells, label):
-    """One table row as component replacements, built independently of
-    the engine's own row reader."""
+def _circuit_for_row(circuit, cells, label):
+    """One table row as a circuit whose replaced components are built
+    through their constructors, independently of the engines' own row
+    readers."""
     from repro.circuits.components import OpAmpMacro
+    from repro.circuits.netlist import Circuit
     per_component = {}
     for (name, param), value in cells.items():
         per_component.setdefault(name, {})[param] = value
-    replacements = []
+    replacements = {}
     for name, params in per_component.items():
         component = circuit[name]
         if isinstance(component, OpAmpMacro):
@@ -859,15 +882,15 @@ def _spec_for_row(circuit, cells, label):
                 component = component.with_param(param, value)
         else:
             component = dataclasses.replace(component, **params)
-        replacements.append(component)
-    return VariantSpec(tuple(replacements), name=label)
+        replacements[name] = component
+    return Circuit(label, [replacements.get(component.name, component)
+                           for component in circuit])
 
 
 @st.composite
 def _random_tables(draw):
-    """(info, table, specs): a random table over a registry, generated
-    or hand-built circuit and the same rows as VariantSpecs."""
-    from repro.sim.engine import VariantTable
+    """(info, table, circuits): a random table over a registry,
+    generated or hand-built circuit and the same rows as circuits."""
     from repro.sim.mna import parameter_value, stamp_parameters
     info = draw(st.sampled_from(_TABLE_CIRCUITS))
     circuit = info.circuit
@@ -879,7 +902,7 @@ def _random_tables(draw):
                for name, param in columns]
     num_rows = draw(st.integers(min_value=1, max_value=5))
     values = np.tile(np.array(nominal), (num_rows, 1))
-    specs = []
+    circuits = []
     for row in range(num_rows):
         cells = {}
         for index, (name, param) in enumerate(columns):
@@ -893,10 +916,10 @@ def _random_tables(draw):
                 value = nominal[index] * 2.0 ** draw(st.floats(-3.0, 3.0))
             values[row, index] = value
             cells[(name, param)] = value
-        specs.append(_spec_for_row(circuit, cells, f"row{row}"))
+        circuits.append(_circuit_for_row(circuit, cells, f"row{row}"))
     table = VariantTable(tuple(columns), values,
                          tuple(f"row{row}" for row in range(num_rows)))
-    return info, table, specs
+    return info, table, circuits
 
 
 class TestVariantTableEquivalence:
@@ -905,47 +928,51 @@ class TestVariantTableEquivalence:
     def test_batched_table_equals_scalar_specs(self, case):
         """Hypothesis: any table -- random column subsets, multi-column
         rows, op-amp-macro, stimulus and controlled-source columns --
-        stamped column-wise equals the scalar engine on the same rows
-        built as VariantSpecs, bitwise; the factored engine agrees
-        within its tolerance."""
-        info, table, specs = case
+        stamped column-wise equals a per-row ACAnalysis of the same
+        rows built as circuits, bitwise, and so does the scalar engine;
+        the factored engine agrees within its tolerance."""
+        info, table, circuits = case
         grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 7)
         batched = BatchedMnaEngine(info.circuit).transfer_block(
             info.output_node, grid, table, info.input_source)
-        scalar = ScalarMnaEngine(info.circuit).transfer_block(
-            info.output_node, grid, specs, info.input_source)
-        assert np.array_equal(batched.values, scalar.values)
-        assert batched.labels == scalar.labels
+        oracle = np.array([ACAnalysis(circuit).transfer(
+            info.output_node, grid, info.input_source).values
+            for circuit in circuits])
+        assert np.array_equal(batched.values, oracle)
+        assert batched.labels == table.labels == \
+            tuple(circuit.name for circuit in circuits)
         assert len(batched) == len(table)
+        scalar = ScalarMnaEngine(info.circuit).transfer_block(
+            info.output_node, grid, table, info.input_source)
+        assert np.array_equal(scalar.values, oracle)
+        assert scalar.labels == batched.labels
         factored = FactoredMnaEngine(info.circuit).transfer_block(
             info.output_node, grid, table, info.input_source)
         _assert_block_close(factored.values, batched.values, rtol=1e-8,
                             context=f"columns {table.columns}")
 
     def test_specs_and_table_paths_agree(self):
-        """A spec sequence goes through VariantTable.from_specs: the
-        same block as the table the caller could have built."""
-        from repro.sim.engine import VariantTable
+        """universe.variants() -- passive and op-amp-macro faults --
+        equals the per-fault ``fault.apply`` circuits under ACAnalysis,
+        bitwise and label for label, through the batched and the
+        scalar engine."""
         info = tow_thomas_biquad(ideal_opamps=False)
         universe = build_universe(info.circuit, components=info.faultable,
                                   deviations=(-0.3, 0.3),
                                   include_opamp_params=True)
         table = universe.variants()
-        scalar = ScalarMnaEngine(info.circuit)
         grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 9)
-        rows = table.specs(info.circuit)
-        assert VariantTable.from_specs(info.circuit, rows).columns == \
-            table.columns
-        engine = BatchedMnaEngine(info.circuit)
-        from_table = engine.transfer_block(info.output_node, grid, table,
-                                           info.input_source)
-        from_specs = engine.transfer_block(info.output_node, grid, rows,
-                                           info.input_source)
-        oracle = scalar.transfer_block(info.output_node, grid, table,
-                                      info.input_source)
-        assert np.array_equal(from_table.values, from_specs.values)
-        assert np.array_equal(from_table.values, oracle.values)
-        assert from_table.labels == from_specs.labels == oracle.labels
+        circuits = [info.circuit] + [faulty for _, faulty in
+                                     universe.faulty_circuits()]
+        oracle = np.array([ACAnalysis(circuit).transfer(
+            info.output_node, grid, info.input_source).values
+            for circuit in circuits])
+        labels = tuple(circuit.name for circuit in circuits)
+        for engine_type in (BatchedMnaEngine, ScalarMnaEngine):
+            block = engine_type(info.circuit).transfer_block(
+                info.output_node, grid, table, info.input_source)
+            assert np.array_equal(block.values, oracle), engine_type
+            assert block.labels == labels
 
     def test_solve_span_splits_stamping_from_solving(self):
         """engine.solve carries the column count and the seconds spent
@@ -1055,13 +1082,14 @@ class TestVariantTableChecks:
         assert not table.values.flags.writeable
 
     def test_structure_changing_replacement_rejected(self):
+        """A fault whose replacement rewires its component cannot
+        become a table row."""
         info = rc_lowpass()
         r1 = info.circuit["R1"]
         rewired = dataclasses.replace(r1, negative="elsewhere")
         with pytest.raises(SimulationError, match="stamp structure"):
-            BatchedMnaEngine(info.circuit).transfer_block(
-                info.output_node, np.array([100.0]),
-                [VariantSpec((rewired,))])
+            VariantTable.of_faults(info.circuit,
+                                   [_replacing_fault(rewired)])
 
     def test_non_finite_solution_names_the_row(self):
         """A huge but finite transconductance passes the constructor

@@ -10,13 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TrajectoryError
-from repro.trajectory import (
-    point_to_segments_distance,
-    polyline_arc_length,
-    polyline_min_distance,
-    project_point_onto_segments,
-)
+from repro.trajectory.geometry import Segments, project_points
 from repro.trajectory.metrics import conflict_counts_batch
+
+from test_metrics import polyline_min_distance
 
 
 def seg(*pairs):
@@ -24,6 +21,13 @@ def seg(*pairs):
     starts = np.array([p[0] for p in pairs], dtype=float)
     ends = np.array([p[1] for p in pairs], dtype=float)
     return starts, ends
+
+
+def project(point, starts, ends):
+    """``project_points`` for one point: three ``(k,)`` arrays."""
+    distances, t, interior = project_points(
+        np.asarray(point, dtype=float)[None, :], Segments.of(starts, ends))
+    return distances[0], t[0], interior[0]
 
 
 def conflicts(a, b):
@@ -132,7 +136,7 @@ class TestProjection:
     def test_interior_foot(self):
         starts = np.array([[0.0, 0.0]])
         ends = np.array([[2.0, 0.0]])
-        distances, t, interior = project_point_onto_segments(
+        distances, t, interior = project(
             np.array([1.0, 1.0]), starts, ends)
         assert distances[0] == pytest.approx(1.0)
         assert t[0] == pytest.approx(0.5)
@@ -141,7 +145,7 @@ class TestProjection:
     def test_beyond_end_clamps(self):
         starts = np.array([[0.0, 0.0]])
         ends = np.array([[1.0, 0.0]])
-        distances, t, interior = project_point_onto_segments(
+        distances, t, interior = project(
             np.array([3.0, 0.0]), starts, ends)
         assert distances[0] == pytest.approx(2.0)
         assert t[0] == pytest.approx(1.0)
@@ -150,7 +154,7 @@ class TestProjection:
     def test_before_start_clamps(self):
         starts = np.array([[0.0, 0.0]])
         ends = np.array([[1.0, 0.0]])
-        distances, t, interior = project_point_onto_segments(
+        distances, t, interior = project(
             np.array([-2.0, 0.0]), starts, ends)
         assert distances[0] == pytest.approx(2.0)
         assert t[0] == pytest.approx(0.0)
@@ -159,7 +163,7 @@ class TestProjection:
     def test_degenerate_zero_length_segment(self):
         starts = np.array([[1.0, 1.0]])
         ends = np.array([[1.0, 1.0]])
-        distances, t, interior = project_point_onto_segments(
+        distances, t, interior = project(
             np.array([4.0, 5.0]), starts, ends)
         assert distances[0] == pytest.approx(5.0)
         assert not interior[0]
@@ -167,16 +171,10 @@ class TestProjection:
     def test_works_in_3d(self):
         starts = np.array([[0.0, 0.0, 0.0]])
         ends = np.array([[0.0, 0.0, 2.0]])
-        distances, t, interior = project_point_onto_segments(
+        distances, t, interior = project(
             np.array([1.0, 0.0, 1.0]), starts, ends)
         assert distances[0] == pytest.approx(1.0)
         assert interior[0]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(TrajectoryError):
-            project_point_onto_segments(np.array([1.0, 2.0, 3.0]),
-                                        np.zeros((2, 2)),
-                                        np.ones((2, 2)))
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=2),
            st.lists(st.floats(-10, 10), min_size=2, max_size=2),
@@ -188,7 +186,7 @@ class TestProjection:
         point = np.array(p)
         starts = np.array([a])
         ends = np.array([b])
-        distance = point_to_segments_distance(point, starts, ends)[0]
+        distance = project(point, starts, ends)[0][0]
         to_start = np.linalg.norm(point - starts[0])
         to_end = np.linalg.norm(point - ends[0])
         assert distance <= min(to_start, to_end) + 1e-9
@@ -201,7 +199,7 @@ class TestProjection:
         starts = np.array([a])
         ends = np.array([b])
         point = starts[0] + t * (ends[0] - starts[0])
-        distance = point_to_segments_distance(point, starts, ends)[0]
+        distance = project(point, starts, ends)[0][0]
         direction = ends[0] - starts[0]
         length_sq = float(np.dot(direction, direction))
         if length_sq <= 1e-12:
@@ -216,12 +214,8 @@ class TestProjection:
 
 
 class TestPolylines:
-    def test_arc_length(self):
-        poly = np.array([[0, 0], [3, 4], [3, 8]], dtype=float)
-        assert polyline_arc_length(poly) == pytest.approx(9.0)
-
-    def test_arc_length_single_point(self):
-        assert polyline_arc_length(np.array([[1.0, 2.0]])) == 0.0
+    """The per-vertex polyline distance the separation metric is
+    checked against (its oracle in ``test_metrics``)."""
 
     def test_min_distance_parallel_lines(self):
         a = np.array([[0, 0], [1, 0], [2, 0]], dtype=float)

@@ -17,11 +17,72 @@ from repro.trajectory import (
     min_separation,
     pairwise_separations,
 )
-from repro.trajectory.geometry import _EPS, polyline_min_distance
+from repro.trajectory.geometry import _EPS, Segments, project_points
 from repro.trajectory.metrics import (
     _OVERLAP_EPS_SCALE,
     conflict_counts_batch,
 )
+
+
+# ----------------------------------------------------------------------
+# The per-vertex polyline oracle of the vectorised separation matrix
+# ----------------------------------------------------------------------
+def _as_points(array: np.ndarray, name: str, dim: int | None = None
+               ) -> np.ndarray:
+    out = np.asarray(array, dtype=float)
+    if out.ndim == 1:
+        out = out[None, :]
+    if out.ndim != 2:
+        raise TrajectoryError(f"{name} must be a (n, d) array")
+    if dim is not None and out.shape[1] != dim:
+        raise TrajectoryError(
+            f"{name} must have dimension {dim}, got {out.shape[1]}")
+    return out
+
+
+def point_to_segments_distance(point: np.ndarray, starts: np.ndarray,
+                               ends: np.ndarray) -> np.ndarray:
+    """Distances from one point to each ``(start, end)`` segment."""
+    distances, _, _ = project_points(
+        np.asarray(point, dtype=float)[None, :], Segments.of(starts, ends))
+    return distances[0]
+
+
+def polyline_min_distance(poly_a: np.ndarray, poly_b: np.ndarray,
+                          skip_a: np.ndarray | None = None,
+                          skip_b: np.ndarray | None = None) -> float:
+    """Approximate minimum distance between two polylines.
+
+    Minimum over (vertices of A -> segments of B) and (vertices of B ->
+    segments of A). Exact when the closest approach involves a vertex;
+    for two skew interior points it overestimates slightly, which is
+    acceptable for the separation *margin* metric (trajectories are
+    densely sampled). ``skip_a``/``skip_b`` mask vertices to ignore as
+    query points -- fault trajectories all pass through the golden origin,
+    and that structural contact must not collapse the margin to zero.
+    """
+    poly_a = _as_points(poly_a, "poly_a")
+    poly_b = _as_points(poly_b, "poly_b", poly_a.shape[1])
+    if poly_a.shape[0] < 2 or poly_b.shape[0] < 2:
+        raise TrajectoryError("polylines need at least 2 points")
+    b_starts, b_ends = poly_b[:-1], poly_b[1:]
+    a_starts, a_ends = poly_a[:-1], poly_a[1:]
+    best = np.inf
+    mask_a = np.ones(poly_a.shape[0], dtype=bool) if skip_a is None \
+        else ~np.asarray(skip_a, dtype=bool)
+    mask_b = np.ones(poly_b.shape[0], dtype=bool) if skip_b is None \
+        else ~np.asarray(skip_b, dtype=bool)
+    for keep, vertex in zip(mask_a, poly_a):
+        if not keep:
+            continue
+        best = min(best, float(np.min(
+            point_to_segments_distance(vertex, b_starts, b_ends))))
+    for keep, vertex in zip(mask_b, poly_b):
+        if not keep:
+            continue
+        best = min(best, float(np.min(
+            point_to_segments_distance(vertex, a_starts, a_ends))))
+    return best
 
 
 def straight_trajectory(component, angle_deg, dim=2,

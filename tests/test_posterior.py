@@ -22,6 +22,8 @@ from repro.ga import GAConfig
 from repro.runtime import codec
 from repro.sim import ACAnalysis
 
+from conftest import table_from_replacements
+
 QUICK = PipelineConfig(dictionary_points=32, deviations=(-0.2, 0.2),
                        ga=GAConfig(population_size=8, generations=2))
 
@@ -232,9 +234,8 @@ class TestBlockedBuild:
 # one-Component-per-world builders, kept here as test-only references.
 # ----------------------------------------------------------------------
 def _reference_world_block(faults):
-    """The pre-table ``_run_world_block``: every world a VariantSpec of
+    """The pre-table ``_run_world_block``: every world a row of
     ``with_value`` replacements, verbatim."""
-    from repro.sim.engine import VariantSpec
 
     def run(spec, engine, out, start, stop):
         circuit = spec.circuit
@@ -258,21 +259,21 @@ def _reference_world_block(faults):
                 parts.append(extra)
             label = FAULT_FREE_LABEL if fault_index is None else \
                 spec.fault_labels[fault_index]
-            return VariantSpec(
-                tuple(parts),
-                name=f"{circuit.name}#posterior:{label}:s{sample}")
+            return (tuple(parts),
+                    f"{circuit.name}#posterior:{label}:s{sample}")
 
         samples = range(start, stop)
         include_nominal = start == 0
         variants = []
         if include_nominal:
-            variants.append(VariantSpec(name=circuit.name))
+            variants.append(((), circuit.name))
         for sample in samples:
             variants.append(world_variant(None, sample))
             variants.extend(world_variant(index, sample)
                             for index in range(len(faults)))
-        block = engine.transfer_block(spec.output_node, spec.grid,
-                                      variants, spec.input_source)
+        block = engine.transfer_block(
+            spec.output_node, spec.grid,
+            table_from_replacements(circuit, variants), spec.input_source)
         values = block.magnitude_db()
         rows_per_sample = 1 + len(faults)
         offset = 1 if include_nominal else 0
@@ -291,10 +292,10 @@ def _reference_cases(info, mapper, components, deviations, noise_db,
     and per toleranced component, verbatim."""
     from repro.diagnosis.evaluate import DiagnosisCase
     from repro.faults.models import ParametricFault
-    from repro.sim.engine import BatchedMnaEngine, VariantSpec
+    from repro.sim.engine import BatchedMnaEngine
     rng = np.random.default_rng(seed)
     freqs = np.array(sorted(mapper.test_freqs_hz))
-    variants = [VariantSpec(name=info.circuit.name)]
+    variants = [((), info.circuit.name)]
     case_meta = []
     for name in components:
         for deviation in deviations:
@@ -311,12 +312,12 @@ def _reference_cases(info, mapper, components, deviations, noise_db,
                             component.value * (1.0 + spread)))
                 noise = rng.normal(0.0, noise_db, size=mapper.dimension) \
                     if noise_db > 0.0 else None
-                variants.append(VariantSpec(
-                    tuple(replacements),
-                    name=f"{info.circuit.name}#{fault.label}"))
+                variants.append((tuple(replacements),
+                                 f"{info.circuit.name}#{fault.label}"))
                 case_meta.append((name, float(deviation), noise))
     block = BatchedMnaEngine(info.circuit).transfer_block(
-        info.output_node, freqs, variants, info.input_source)
+        info.output_node, freqs,
+        table_from_replacements(info.circuit, variants), info.input_source)
     golden = block.response(0)
     cases = []
     for index, (name, deviation, noise) in enumerate(case_meta):

@@ -349,18 +349,18 @@ class TestProfilingBridge:
         for a variant wider than ``max_rank`` -- the dense fallback."""
         import numpy as np
         from repro import FactoredMnaEngine, rc_lowpass
-        from repro.sim import VariantSpec
+        from repro.sim import VariantTable
         info = rc_lowpass()
         registry = MetricsRegistry()
         # R1 (floating) stamps a rank-2 delta, C1 (grounded) rank 1:
         # max_rank=1 routes R1 to the dense fallback.
         engine = FactoredMnaEngine(info.circuit, max_rank=1)
         r1, c1 = info.circuit["R1"], info.circuit["C1"]
-        variants = (VariantSpec(name="nominal"),
-                    VariantSpec((r1.with_value(r1.value * 1.2),),
-                                name="R1:+20%"),
-                    VariantSpec((c1.with_value(c1.value * 1.2),),
-                                name="C1:+20%"))
+        variants = VariantTable(
+            (("R1", "value"), ("C1", "value")),
+            [[r1.value, c1.value], [r1.value * 1.2, c1.value],
+             [r1.value, c1.value * 1.2]],
+            ("nominal", "R1:+20%", "C1:+20%"))
         with ProfilingCollector(registry):
             for _ in range(2):
                 engine.transfer_block(info.output_node,
