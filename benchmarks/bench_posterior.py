@@ -17,8 +17,10 @@ classifier it generalises, and writes ``BENCH_posterior.json``:
 
 Before any timing is trusted the harness asserts correctness: the
 zero-tolerance posterior argmax must match the hard classifier on
-every measured row, and a from-scratch rebuild with the same seed must
-reproduce the posteriors bitwise (over the wire codec included).
+every measured row, a from-scratch rebuild with the same seed must
+reproduce the posteriors bitwise (over the wire codec included), and
+the 8-row batch must equal its 8 single-row calls bitwise, test
+ranking included.
 
 Run standalone (no pytest-benchmark needed)::
 
@@ -106,6 +108,17 @@ def _assert_bitwise_rebuild(result, config, reference, points):
             "posterior rebuild is not bitwise reproducible")
 
 
+def _assert_batch_equals_single(posterior, reference, points):
+    """The coalesced batch equals one call per row bitwise, test
+    ranking included: every request-path kernel is row-independent."""
+    single = [posterior.diagnose_points(points[row:row + 1])[0]
+              for row in range(points.shape[0])]
+    if codec.encode_posterior_response(single) != \
+            codec.encode_posterior_response(reference):
+        raise AssertionError(
+            "batched posteriors differ from single-row calls")
+
+
 def run(quick: bool = False) -> dict:
     n_samples = 64 if quick else 256
     repeats = 5 if quick else 20
@@ -126,6 +139,7 @@ def run(quick: bool = False) -> dict:
     _assert_zero_tolerance_agrees(result, classifier, points)
     diagnoses = posterior.diagnose_points(points)
     _assert_bitwise_rebuild(result, config, diagnoses, points)
+    _assert_batch_equals_single(posterior, diagnoses, points)
 
     # Warm both paths once, then time best-of-N.
     classifier.classify_points(points[:1])

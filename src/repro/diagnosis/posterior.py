@@ -37,9 +37,14 @@ into a *sampled response-surface distribution*:
    ranked by *expected information gain*: the expected drop in
    posterior entropy from observing the response there, computed from
    moment-matched per-hypothesis Gaussians with fixed Gauss--Hermite
-   quadrature. Everything after the build is deterministic -- no
-   request-time randomness -- so results are bitwise-reproducible under
-   a fixed seed.
+   quadrature. The quadrature's likelihoods do not depend on the
+   posterior, so the build stores them as two ``(H, C*H*K)`` planes
+   (``exp(rel)`` and ``exp(rel) * rel`` of the max-shifted
+   log-likelihoods); a request weights the planes by its posterior and
+   reads every outcome's entropy in closed form, for the whole batch at
+   once, with no exp or log per outcome. Everything after the build is
+   deterministic -- no request-time randomness -- so results are
+   bitwise-reproducible under a fixed seed.
 
 All sampling happens once at build time; a diagnosis request is pure
 (and cheap) NumPy against the cached sample tensors.
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -59,6 +65,7 @@ from ..errors import DiagnosisError, ReproError
 from ..faults.models import ParametricFault
 from ..faults.universe import FaultUniverse
 from ..sim.engine import BatchedMnaEngine, SimulationEngine, VariantTable
+from ..tracing import TRACER
 from ..trajectory.geometry import Segments, project_points
 from ..trajectory.mapping import SignatureMapper
 from ..trajectory.trajectory import TrajectoryLayout
@@ -79,6 +86,10 @@ TOLERANCE_DISTRIBUTIONS = ("uniform", "normal")
 
 #: Gauss--Hermite order for the expected-information-gain quadrature.
 _GH_ORDER = 7
+
+#: Rows per chunk of the information-gain sums: bounds the request's
+#: ``(rows, C*H*K)`` temporaries to a few MB.
+_GAIN_CHUNK_ROWS = 64
 
 #: Bandwidth / standard-deviation floor: keeps the kernels proper even
 #: in the zero-tolerance, zero-noise limit (where the posterior must
@@ -258,9 +269,10 @@ class PosteriorDiagnoser:
 
     Build cost: one Monte-Carlo sweep of
     ``(1 + n_faults) * n_samples + 1`` engine variants (chunked into
-    sample batches). Request cost: pure NumPy segment projection +
-    quadrature against the cached tensors, deterministic given the
-    build.
+    sample batches), plus the information gain's likelihood planes.
+    Request cost: pure NumPy segment projection against the cached
+    tensors, then one posterior-weighted sum over the planes per
+    hypothesis for the whole batch; deterministic given the build.
     """
 
     def __init__(self, info: CircuitInfo, universe: FaultUniverse,
@@ -294,7 +306,10 @@ class PosteriorDiagnoser:
             (FAULT_FREE_LABEL,) + components
         self.n_samples = self.config.n_samples
 
-        self._build()
+        with TRACER.span("posterior.build", worlds=self.n_samples,
+                         hypotheses=len(self.component_labels)) as span:
+            self._build()
+            span.attrs["candidates"] = self._cand_freqs.size
 
     @classmethod
     def from_atpg(cls, result, config: Optional[PosteriorConfig] = None
@@ -389,9 +404,33 @@ class PosteriorDiagnoser:
                                                    floor)
 
         nodes, weights = np.polynomial.hermite.hermgauss(_GH_ORDER)
-        self._gh_nodes = math.sqrt(2.0) * nodes
         self._gh_weights = weights / math.sqrt(math.pi)
         self._bandwidth = floor
+        self._build_likelihood_planes(math.sqrt(2.0) * nodes)
+
+    def _build_likelihood_planes(self, nodes: np.ndarray) -> None:
+        """The information gain's posterior-free half, as two planes.
+
+        Outcome ``y`` is Gauss--Hermite node ``k`` of hypothesis ``h``'s
+        Gaussian at candidate ``c``; ``ell_j`` is its log-likelihood
+        under hypothesis ``j`` and ``rel_j = ell_j - max_j ell_j``. The
+        planes are ``L_j = exp(rel_j)`` and ``L_j * rel_j``, each stored
+        as one contiguous ``(H, C*H*K)`` array, row ``j`` a plane over
+        the flattened ``(c, h, k)`` outcomes.
+        """
+        mu = self._cand_mean.T                             # (C, H)
+        sigma = self._cand_sigma.T                         # (C, H)
+        y = mu[:, :, None] + sigma[:, :, None] * \
+            nodes[None, None, :]                           # (C, H, K)
+        z = (y[:, :, :, None] - mu[:, None, None, :]) / \
+            sigma[:, None, None, :]                        # (C, H, K, H)
+        log_lik = -0.5 * z * z - np.log(sigma)[:, None, None, :]
+        rel = log_lik - log_lik.max(axis=3, keepdims=True)
+        lik = np.exp(rel)
+        n_outcomes = len(self.component_labels)
+        self._lik = np.ascontiguousarray(lik.reshape(-1, n_outcomes).T)
+        self._lik_rel = np.ascontiguousarray(
+            (lik * rel).reshape(-1, n_outcomes).T)
 
     def _assemble_segments(self, anchors: np.ndarray) -> None:
         """Per-world trajectory polylines as flat segment tensors:
@@ -432,28 +471,33 @@ class PosteriorDiagnoser:
         bitwise-identical to sequential single-row calls.
         """
         points = check_points(points, self.dimension)
+        with TRACER.span("posterior.request", rows=points.shape[0],
+                         worlds=self.n_samples) as span:
+            distances, deviations = self._surface_distances(points)
+            # Importance weights: per world, a Gaussian noise kernel of
+            # the point's interior-preferred distance to each
+            # hypothesis's perturbed surface, log-sum-exp'd over worlds
+            # and normalised across hypotheses.
+            log_w = -(distances * distances) / \
+                (2.0 * self._bandwidth * self._bandwidth)  # (N, M, H)
+            peak = log_w.max(axis=1)                       # (N, H)
+            with np.errstate(invalid="ignore"):
+                log_lik = peak + np.log(
+                    np.exp(log_w - peak[:, None, :]).sum(axis=1))
+            log_lik = np.where(np.isfinite(peak), log_lik, -np.inf)
+            log_post = log_lik - log_lik.max(axis=1, keepdims=True)
+            weights = np.exp(log_post)
+            posterior = weights / weights.sum(axis=1, keepdims=True)
+            entropy = _entropy_bits(posterior)             # (N,)
 
-        distances, deviations = self._surface_distances(points)
-        # Importance weights: per world, a Gaussian noise kernel of the
-        # point's interior-preferred distance to each hypothesis's
-        # perturbed surface, log-sum-exp'd over worlds and normalised
-        # across hypotheses.
-        log_w = -(distances * distances) / \
-            (2.0 * self._bandwidth * self._bandwidth)      # (N, M, H)
-        peak = log_w.max(axis=1)                           # (N, H)
-        with np.errstate(invalid="ignore"):
-            log_lik = peak + np.log(
-                np.exp(log_w - peak[:, None, :]).sum(axis=1))
-        log_lik = np.where(np.isfinite(peak), log_lik, -np.inf)
-        log_post = log_lik - log_lik.max(axis=1, keepdims=True)
-        weights = np.exp(log_post)
-        posterior = weights / weights.sum(axis=1, keepdims=True)
+            tick = time.perf_counter()
+            gains = self._information_gains(posterior, entropy)
+            span.attrs["gain_seconds"] = time.perf_counter() - tick
 
-        results: List[PosteriorDiagnosis] = []
-        for row in range(points.shape[0]):
-            results.append(self._finish_row(
-                posterior[row], log_w[row], peak[row], deviations[row]))
-        return results
+            return [self._finish_row(posterior[row], entropy[row],
+                                     gains[row], log_w[row], peak[row],
+                                     deviations[row])
+                    for row in range(points.shape[0])]
 
     def _surface_distances(self, points: np.ndarray
                            ) -> Tuple[np.ndarray, np.ndarray]:
@@ -500,7 +544,8 @@ class PosteriorDiagnoser:
                 seg_dev[:, :, group][grid_n, grid_m, best]
         return distances, deviations
 
-    def _finish_row(self, posterior: np.ndarray, log_w: np.ndarray,
+    def _finish_row(self, posterior: np.ndarray, entropy: float,
+                    gains: np.ndarray, log_w: np.ndarray,
                     peak: np.ndarray, deviations: np.ndarray
                     ) -> PosteriorDiagnosis:
         # Exact posterior ties happen on perfect ambiguity groups (a
@@ -514,7 +559,6 @@ class PosteriorDiagnoser:
             for index in order)
         winner_index = int(order[0])
         winner = self.component_labels[winner_index]
-        entropy = float(_entropy_bits(posterior))
 
         if winner_index == 0 or not np.isfinite(peak[winner_index]):
             expected_deviation = 0.0
@@ -526,7 +570,6 @@ class PosteriorDiagnoser:
             expected_deviation = 0.0 if denom <= 0.0 else float(
                 np.dot(world_w, deviations[:, winner_index]) / denom)
 
-        gains = self._information_gain(posterior, entropy)
         gain_order = np.argsort(-gains, kind="stable")
         test_ranking = tuple(
             (float(self._cand_freqs[index]), float(gains[index]))
@@ -534,39 +577,71 @@ class PosteriorDiagnoser:
         return PosteriorDiagnosis(
             component=winner,
             probabilities=probabilities,
-            entropy_bits=entropy,
+            entropy_bits=float(entropy),
             expected_deviation=expected_deviation,
             test_ranking=test_ranking,
             n_samples=self.n_samples,
         )
 
-    def _information_gain(self, posterior: np.ndarray,
-                          entropy_bits: float) -> np.ndarray:
+    def _information_gains(self, posterior: np.ndarray,
+                           entropy_bits: np.ndarray) -> np.ndarray:
         """Expected posterior-entropy drop per candidate frequency.
 
-        The predictive response at a candidate frequency is modelled as
-        a mixture of the moment-matched per-hypothesis Gaussians; the
-        expectation over outcomes uses fixed Gauss--Hermite nodes, so
-        the ranking is deterministic for a given posterior.
+        ``posterior`` is ``(N, H)``, ``entropy_bits`` its ``(N,)`` row
+        entropies; returns ``(N, C)`` gains in bits. The predictive
+        response at a candidate frequency is modelled as a mixture of
+        the moment-matched per-hypothesis Gaussians, and the expectation
+        over outcomes uses fixed Gauss--Hermite nodes, so the ranking is
+        deterministic for a given posterior.
+
+        With ``w`` the posterior, the updated posterior after outcome
+        ``(c, h, k)`` is ``q_j = w_j L_j / S`` with ``S = sum_j w_j
+        L_j``, so its entropy in nats is ``log S - T / S`` with ``T =
+        sum_j w_j (L rel)_j + (w_j log w_j) L_j`` -- sums over the
+        build-time planes, with no exp or log per outcome. Each sum is
+        a left-to-right loop of elementwise operations, so every row is
+        bitwise independent of its batch; rows go in chunks of
+        ``_GAIN_CHUNK_ROWS`` to bound the ``(N, C*H*K)`` temporaries.
         """
-        mu = self._cand_mean.T                             # (C, H)
-        sigma = self._cand_sigma.T                         # (C, H)
-        # Candidate outcomes: GH nodes of each mixture component.
-        y = mu[:, :, None] + sigma[:, :, None] * \
-            self._gh_nodes[None, None, :]                  # (C, H, K)
-        z = (y[:, :, :, None] - mu[:, None, None, :]) / \
-            sigma[:, None, None, :]                        # (C, H, K, H)
-        log_lik = -0.5 * z * z - np.log(sigma)[:, None, None, :]
-        with np.errstate(divide="ignore"):
-            log_prior = np.log(posterior)                  # -inf at 0
-        log_q = log_prior[None, None, None, :] + log_lik
-        log_q -= log_q.max(axis=3, keepdims=True)
-        q = np.exp(log_q)
-        q /= q.sum(axis=3, keepdims=True)
-        post_entropy = _entropy_bits(q)                    # (C, H, K)
-        expected = np.einsum("h,chk,k->c", posterior, post_entropy,
-                             self._gh_weights)
-        return np.maximum(entropy_bits - expected, 0.0)
+        lik, lik_rel = self._lik, self._lik_rel
+        n_outcomes, width = lik.shape
+        n_rows, n_cands = posterior.shape[0], self._cand_freqs.size
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w_log_w = np.where(posterior > 0.0,
+                               posterior * np.log(posterior), 0.0)
+        gains = np.empty((n_rows, n_cands))
+        for start in range(0, n_rows, _GAIN_CHUNK_ROWS):
+            stop = min(start + _GAIN_CHUNK_ROWS, n_rows)
+            w, wlw = posterior[start:stop], w_log_w[start:stop]
+            total = np.zeros((stop - start, width))
+            moment = np.zeros((stop - start, width))
+            term = np.empty((stop - start, width))
+            for j in range(n_outcomes):
+                np.multiply(w[:, j, None], lik[j], out=term)
+                total += term
+                np.multiply(w[:, j, None], lik_rel[j], out=term)
+                moment += term
+                np.multiply(wlw[:, j, None], lik[j], out=term)
+                moment += term
+            # An outcome with S == 0 contributes 0. That is safe: the
+            # outcome's own hypothesis h has z = node, so rel_h >=
+            # -node**2 / 2 - log(sigma_h / sigma_min) > -60 (node**2 / 2
+            # <= 7.1 at order 7; sigma ratios stay below 1e20 above the
+            # 1e-9 floor). S >= w_h exp(rel_h) is then 0 only for w_h <
+            # ~1e-297, and w_h weights the outcome's entropy below.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                entropy_nats = np.where(
+                    total > 0.0, np.log(total) - moment / total, 0.0)
+            # Rounding can take a near-certain outcome's entropy a few
+            # ulps below 0; clipping keeps every gain <= the entropy.
+            np.maximum(entropy_nats, 0.0, out=entropy_nats)
+            outcome_w = w[:, :, None] * self._gh_weights[None, None, :]
+            expected = (entropy_nats.reshape(stop - start, n_cands, -1) *
+                        outcome_w.reshape(stop - start, 1, -1)).sum(axis=2)
+            gains[start:stop] = np.maximum(
+                entropy_bits[start:stop, None] - expected / math.log(2.0),
+                0.0)
+        return gains
 
     # ------------------------------------------------------------------
     def diagnose_db(self, magnitudes_db: np.ndarray

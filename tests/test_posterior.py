@@ -13,10 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FaultTrajectoryATPG, PipelineConfig
+from repro import (FaultTrajectoryATPG, PipelineConfig, generate,
+                   synthesize_universe)
 from repro.circuits.library import BENCHMARK_CIRCUITS, get_benchmark
 from repro.diagnosis import (FAULT_FREE_LABEL, PosteriorConfig,
                              PosteriorDiagnoser)
+from repro.diagnosis import posterior as posterior_module
 from repro.errors import DiagnosisError, ReproError
 from repro.ga import GAConfig
 from repro.runtime import codec
@@ -399,3 +401,147 @@ class TestTableBuildOracle:
             assert got.true_component == want.true_component
             assert got.true_deviation == want.true_deviation
             assert np.array_equal(got.point, want.point)
+
+
+# ----------------------------------------------------------------------
+# Information-gain oracle: the per-row log-space quadrature the closed
+# form replaced, kept here as the test-only reference.
+# ----------------------------------------------------------------------
+def _reference_information_gain(diagnoser, posterior, entropy_bits):
+    """Expected posterior-entropy drop per candidate frequency, one row
+    at a time in log space: the (C, H, K, H) log-likelihoods, a
+    max-shifted softmax and a log2 entropy per outcome."""
+    nodes, weights = np.polynomial.hermite.hermgauss(
+        posterior_module._GH_ORDER)
+    nodes = np.sqrt(2.0) * nodes
+    weights = weights / np.sqrt(np.pi)
+    mu = diagnoser._cand_mean.T                            # (C, H)
+    sigma = diagnoser._cand_sigma.T                        # (C, H)
+    y = mu[:, :, None] + sigma[:, :, None] * nodes[None, None, :]
+    z = (y[:, :, :, None] - mu[:, None, None, :]) / \
+        sigma[:, None, None, :]                            # (C, H, K, H)
+    log_lik = -0.5 * z * z - np.log(sigma)[:, None, None, :]
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(posterior)                      # -inf at 0
+    log_q = log_prior[None, None, None, :] + log_lik
+    log_q -= log_q.max(axis=3, keepdims=True)
+    q = np.exp(log_q)
+    q /= q.sum(axis=3, keepdims=True)
+    post_entropy = posterior_module._entropy_bits(q)       # (C, H, K)
+    expected = np.einsum("h,chk,k->c", posterior, post_entropy, weights)
+    return np.maximum(entropy_bits - expected, 0.0)
+
+
+#: Gains within this many bits count as tied.
+GAIN_TOLERANCE = 1e-12
+
+
+@pytest.fixture(scope="module")
+def corpus_result():
+    """One generated corpus circuit through the quick pipeline."""
+    info = generate("biquad_chain", 1)
+    universe = synthesize_universe(
+        info, deviations=QUICK.deviations, max_targets=5, seed=1)
+    return FaultTrajectoryATPG(info, QUICK, components=universe.components
+                               ).run(seed=11)
+
+
+class TestInformationGainOracle:
+    """The closed-form gains against the log-space quadrature."""
+
+    @pytest.fixture(params=["tow_thomas_biquad", "sallen_key_lowpass",
+                            "corpus"])
+    def result(self, request, atpg_cache, corpus_result):
+        if request.param == "corpus":
+            return corpus_result
+        return atpg_cache(request.param)
+
+    @staticmethod
+    def _posterior_vector(diagnoser, diagnosis):
+        probabilities = dict(diagnosis.probabilities)
+        return np.array([probabilities[label]
+                         for label in diagnoser.component_labels])
+
+    @pytest.mark.parametrize("tolerance, noise_db", [
+        (0.05, 0.05), (0.0, 0.0), (0.03, 0.0)])
+    def test_gains_and_order_match_the_oracle(self, result, tolerance,
+                                              noise_db, monkeypatch):
+        # Small chunks: the batch spans several, the last one partial.
+        monkeypatch.setattr(posterior_module, "_GAIN_CHUNK_ROWS", 4)
+        diagnoser = PosteriorDiagnoser.from_atpg(
+            result, PosteriorConfig(n_samples=8, tolerance=tolerance,
+                                    noise_db=noise_db, seed=5))
+        cases = [(component, deviation)
+                 for component in result.universe.components
+                 for deviation in HELD_OUT]
+        rows = _measured_rows(result, cases)
+        points = result.classifier.signatures(rows)
+        points = np.vstack([points, np.zeros((1, diagnoser.dimension))])
+        diagnoses = diagnoser.diagnose_points(points)
+        assert len(diagnoses) % 4 != 0
+        saw_zero_weight = False
+        for diagnosis in diagnoses:
+            posterior = self._posterior_vector(diagnoser, diagnosis)
+            saw_zero_weight |= bool((posterior == 0.0).any())
+            expected = _reference_information_gain(
+                diagnoser, posterior, diagnosis.entropy_bits)
+            by_freq = dict(diagnosis.test_ranking)
+            gains = np.array([by_freq[float(freq)]
+                              for freq in diagnoser._cand_freqs])
+            np.testing.assert_allclose(gains, expected, rtol=0.0,
+                                       atol=GAIN_TOLERANCE)
+            # No measurement can remove more entropy than there is.
+            assert (gains <= diagnosis.entropy_bits).all()
+            # Where the oracle separates two neighbours, the order is
+            # the oracle's: compare the tie groups, in order.
+            order = np.argsort(-expected, kind="stable")
+            freqs = diagnoser._cand_freqs
+            ranked = [freq for freq, _ in diagnosis.test_ranking]
+            cuts = [0] + [position for position in range(1, order.size)
+                          if expected[order[position - 1]] -
+                          expected[order[position]] > GAIN_TOLERANCE] + \
+                [order.size]
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                assert set(ranked[lo:hi]) == \
+                    {float(freqs[index]) for index in order[lo:hi]}
+        if tolerance == 0.0 and noise_db == 0.0:
+            # Collapsed posteriors hold exact zeros, and some outcome's
+            # mixture then sums to S == 0: the kernel's zero branch.
+            assert saw_zero_weight
+            weights = np.stack([self._posterior_vector(diagnoser, d)
+                                for d in diagnoses])
+            assert (weights @ diagnoser._lik == 0.0).any()
+
+    def test_chunking_does_not_change_a_bit(self, atpg_cache,
+                                            monkeypatch):
+        result = atpg_cache("tow_thomas_biquad")
+        diagnoser = PosteriorDiagnoser.from_atpg(
+            result, PosteriorConfig(n_samples=8, seed=5))
+        rows = _measured_rows(result, [(component, 0.25) for component
+                                       in result.info.faultable])
+        whole = diagnoser.diagnose_db(rows)
+        monkeypatch.setattr(posterior_module, "_GAIN_CHUNK_ROWS", 3)
+        assert diagnoser.diagnose_db(rows) == whole
+
+
+class TestSpans:
+    def test_build_and_request_spans_reach_a_sink(self, atpg_cache):
+        from repro.tracing import TRACER
+        result = atpg_cache("sallen_key_lowpass")
+        seen = []
+        sink = TRACER.add_sink(seen.append)
+        try:
+            diagnoser = PosteriorDiagnoser.from_atpg(
+                result, PosteriorConfig(n_samples=6, seed=1))
+            diagnoser.diagnose_points(np.zeros((3, diagnoser.dimension)))
+        finally:
+            TRACER.remove_sink(sink)
+        spans = {span.name: span for span in seen}
+        build = spans["posterior.build"].attrs
+        assert build == {"worlds": 6,
+                         "hypotheses": len(diagnoser.component_labels),
+                         "candidates": diagnoser._cand_freqs.size}
+        request = spans["posterior.request"].attrs
+        assert request["rows"] == 3 and request["worlds"] == 6
+        assert 0.0 < request["gain_seconds"] <= \
+            spans["posterior.request"].duration_s
