@@ -6,7 +6,7 @@ including the analog simulation substrate it depends on:
 
 * :mod:`repro.circuits` -- netlists, components, SPICE-like parser and a
   benchmark circuit library (the paper's biquad CUT among them);
-* :mod:`repro.sim` -- MNA-based AC/DC/transient simulation, sensitivity;
+* :mod:`repro.sim` -- MNA-based small-signal AC simulation, sensitivity;
 * :mod:`repro.faults` -- parametric/catastrophic fault models, fault
   dictionaries, fast response surfaces;
 * :mod:`repro.trajectory` -- signature mapping, fault trajectories,
@@ -113,12 +113,10 @@ from .sim import (
     ACAnalysis,
     BatchedMnaEngine,
     FactoredMnaEngine,
-    DCAnalysis,
     FrequencyResponse,
     MnaSystem,
     ResponseBlock,
     SimulationEngine,
-    TransientAnalysis,
     VariantTable,
     make_engine,
     sensitivity_analysis,
@@ -175,8 +173,6 @@ __all__ = [
     # sim
     "MnaSystem",
     "ACAnalysis",
-    "DCAnalysis",
-    "TransientAnalysis",
     "FrequencyResponse",
     "sensitivity_analysis",
     "SimulationEngine",

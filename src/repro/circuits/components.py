@@ -137,8 +137,9 @@ class Capacitor(TwoTerminal):
 class Inductor(TwoTerminal):
     """Linear inductor; ``value`` in henries.
 
-    Stamped with an explicit branch current so DC analysis (where the
-    inductor is a short) stays well-posed.
+    Stamped with an explicit branch current, so ``A(s) = G + s B`` stays
+    affine in ``s`` and the system is well-posed down to ``s = 0``
+    (where the inductor is a short).
     """
 
     def __post_init__(self) -> None:

@@ -91,6 +91,11 @@ _GH_ORDER = 7
 #: ``(rows, C*H*K)`` temporaries to a few MB.
 _GAIN_CHUNK_ROWS = 64
 
+#: Expected gains below this many bits are rounding, not information:
+#: the closed-form gains agree with a log-space quadrature to this
+#: bound, so a ranking whose top gain falls under it orders noise.
+INFORMATIVE_GAIN_BITS = 1e-12
+
 #: Bandwidth / standard-deviation floor: keeps the kernels proper even
 #: in the zero-tolerance, zero-noise limit (where the posterior must
 #: collapse onto the hard classifier's decision).
@@ -183,7 +188,9 @@ class PosteriorDiagnosis:
     ``expected_deviation`` is the posterior-mean fault deviation of the
     winning component (0.0 when the winner is fault-free).
     ``test_ranking`` lists candidate measurement frequencies with their
-    expected information gain in bits, most informative first.
+    expected information gain in bits, most informative first; when
+    even the top gain is below :data:`INFORMATIVE_GAIN_BITS` the order
+    is rounding noise and no measurement is informative.
     """
 
     component: str
@@ -202,9 +209,13 @@ class PosteriorDiagnosis:
         top = ", ".join(f"{name} {prob:.1%}"
                         for name, prob in self.probabilities[:3])
         best_freq, best_gain = self.test_ranking[0]
+        if best_gain < INFORMATIVE_GAIN_BITS:
+            advice = "no measurement is informative"
+        else:
+            advice = (f"next measure {best_freq:.4g} Hz "
+                      f"(+{best_gain:.3f} b expected)")
         return (f"posterior [{top}] entropy {self.entropy_bits:.3f} b, "
-                f"next measure {best_freq:.4g} Hz "
-                f"(+{best_gain:.3f} b expected)")
+                f"{advice}")
 
 
 @dataclass

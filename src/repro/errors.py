@@ -44,10 +44,6 @@ class SingularCircuitError(SimulationError):
     """
 
 
-class ConvergenceError(SimulationError):
-    """An iterative analysis failed to converge."""
-
-
 class FaultError(ReproError):
     """Invalid fault specification or injection target."""
 

@@ -1,7 +1,7 @@
-"""Analog simulation substrate: MNA, AC/DC/transient, sensitivity, sweeps."""
+"""Analog simulation substrate: MNA small-signal AC analysis, the variant
+engines, sensitivity and sweeps."""
 
 from .ac import ACAnalysis, FrequencyResponse
-from .dc import DCAnalysis, OperatingPoint
 from .engine import (
     BatchedMnaEngine,
     FactoredMnaEngine,
@@ -17,15 +17,6 @@ from .sensitivity import (
     sensitivity_analysis,
 )
 from .sweep import SweepResult, deviation_sweep, value_sweep
-from .transient import (
-    MultitoneWaveform,
-    PulseWaveform,
-    SineWaveform,
-    StepWaveform,
-    TransientAnalysis,
-    TransientResult,
-    Waveform,
-)
 
 __all__ = [
     "MnaSystem",
@@ -39,15 +30,6 @@ __all__ = [
     "make_engine",
     "ACAnalysis",
     "FrequencyResponse",
-    "DCAnalysis",
-    "OperatingPoint",
-    "TransientAnalysis",
-    "TransientResult",
-    "Waveform",
-    "StepWaveform",
-    "SineWaveform",
-    "PulseWaveform",
-    "MultitoneWaveform",
     "SensitivityResult",
     "sensitivity_analysis",
     "rank_frequencies",

@@ -216,9 +216,9 @@ class FrequencyResponse:
 class ACAnalysis:
     """Small-signal frequency-domain analysis of one circuit."""
 
-    def __init__(self, circuit: Circuit, gmin: float = 0.0) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
-        self.system = MnaSystem(circuit, gmin=gmin)
+        self.system = MnaSystem(circuit)
 
     def _source_phasor(self, source_name: str) -> complex:
         return source_phasor(self.circuit[source_name], source_name)
@@ -230,7 +230,7 @@ class ACAnalysis:
         source_name = input_source or self.circuit.ac_source_name()
         phasor = self._source_phasor(source_name)
         freqs = np.asarray(freqs_hz, dtype=float)
-        solutions = self.system.solve_frequencies(freqs, excitation="ac")
+        solutions = self.system.solve_frequencies(freqs)
         index = self.system.node_index(output_node)
         if index < 0:
             values = np.zeros(freqs.size, dtype=complex)
@@ -251,7 +251,7 @@ class ACAnalysis:
                       ) -> Dict[str, FrequencyResponse]:
         """Raw node-voltage phasors (not normalised) for every node."""
         freqs = np.asarray(freqs_hz, dtype=float)
-        solutions = self.system.solve_frequencies(freqs, excitation="ac")
+        solutions = self.system.solve_frequencies(freqs)
         result: Dict[str, FrequencyResponse] = {}
         for name in self.system.node_names:
             index = self.system.node_index(name)

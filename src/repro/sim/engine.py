@@ -462,7 +462,7 @@ class BatchedMnaEngine:
             # The assembled nominal arrays.
             self._base_g = self.system.g_matrix
             self._base_b = self.system.b_matrix
-            self._base_z_ac = self.system.rhs("ac")
+            self._base_z = self.system.rhs()
             # Per-component ordered stamp ops + per-entry contribution
             # streams: entry -> [(component, op position), ...] in stamp
             # order. Re-folding a stream with some components' values
@@ -470,12 +470,11 @@ class BatchedMnaEngine:
             self._ops: Dict[str, ComponentOps] = {}
             self._matrix_streams: Dict[Tuple[str, int, int],
                                        List[Tuple[str, int]]] = {}
-            self._rhs_streams: Dict[Tuple[str, int],
-                                    List[Tuple[str, int]]] = {}
+            self._rhs_streams: Dict[int, List[Tuple[str, int]]] = {}
             # Per component: the distinct entries it touches.
             self._touched_matrix: Dict[str, Tuple[Tuple[str, int, int],
                                                   ...]] = {}
-            self._touched_rhs: Dict[str, Tuple[Tuple[str, int], ...]] = {}
+            self._touched_rhs: Dict[str, Tuple[int, ...]] = {}
             for component in circuit:
                 ops = self.system.component_ops(component)
                 self._ops[component.name] = ops
@@ -484,13 +483,13 @@ class BatchedMnaEngine:
                     self._matrix_streams.setdefault(
                         (target, row, col), []).append(
                             (component.name, position))
-                for position, (target, row, _) in enumerate(ops.rhs_ops):
-                    self._rhs_streams.setdefault((target, row), []).append(
+                for position, (row, _) in enumerate(ops.rhs_ops):
+                    self._rhs_streams.setdefault(row, []).append(
                         (component.name, position))
                 self._touched_matrix[component.name] = tuple(
                     dict.fromkeys(op[:3] for op in ops.matrix_ops))
                 self._touched_rhs[component.name] = tuple(
-                    dict.fromkeys(op[:2] for op in ops.rhs_ops))
+                    dict.fromkeys(op[0] for op in ops.rhs_ops))
             span.attrs["dim"] = self.system.dim
 
     @property
@@ -531,7 +530,7 @@ class BatchedMnaEngine:
         count = len(table)
         g_stack = np.repeat(self._base_g[None, :, :], count, axis=0)
         b_stack = np.repeat(self._base_b[None, :, :], count, axis=0)
-        z_stack = np.repeat(self._base_z_ac[None, :], count, axis=0)
+        z_stack = np.repeat(self._base_z[None, :], count, axis=0)
         stamped = self._stamp_columns(table, bound)
         for key in dict.fromkeys(key for name in stamped
                                  for key in self._touched_matrix[name]):
@@ -539,11 +538,10 @@ class BatchedMnaEngine:
             (g_stack if target == "g" else b_stack)[:, row, col] = \
                 self._fold(self._matrix_streams[key], "matrix_ops",
                            stamped, count)
-        for key in dict.fromkeys(key for name in stamped
-                                 for key in self._touched_rhs[name]):
-            if key[0] == "ac":
-                z_stack[:, key[1]] = self._fold(
-                    self._rhs_streams[key], "rhs_ops", stamped, count)
+        for row in dict.fromkeys(row for name in stamped
+                                 for row in self._touched_rhs[name]):
+            z_stack[:, row] = self._fold(
+                self._rhs_streams[row], "rhs_ops", stamped, count)
         return g_stack, b_stack, z_stack
 
     def _phasors(self, table: VariantTable,
@@ -879,7 +877,7 @@ class FactoredMnaEngine(BatchedMnaEngine):
                 # Shared RHS: the stimulus vector plus one identity column
                 # per touched (matrix or RHS) row.
                 rhs_mat = np.zeros((dim, 1 + num_cols), dtype=complex)
-                rhs_mat[:, 0] = self._base_z_ac
+                rhs_mat[:, 0] = self._base_z
                 for position, row in enumerate(union_rows):
                     rhs_mat[row, 1 + position] = 1.0
                 solver = self._nominal_solver()

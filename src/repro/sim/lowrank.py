@@ -111,10 +111,8 @@ def table_delta(nominal_ops: Mapping[str, ComponentOps],
             if np.any(change != 0):
                 key = (target, row, col)
                 matrix[key] = matrix.get(key, 0j) + change
-        for (target, row, new_value), (_, _, old_value) in \
+        for (row, new_value), (_, old_value) in \
                 zip(new_ops.rhs_ops, old_ops.rhs_ops):
-            if target != "ac":
-                continue
             change = np.asarray(new_value, dtype=complex) - \
                 complex(old_value)
             if np.any(change != 0):

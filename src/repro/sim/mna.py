@@ -7,9 +7,8 @@ so the MNA matrix decomposes exactly as ``A(s) = G + s*B`` where
 * ``B`` holds capacitor admittances (``+C``) and inductor branch terms
   (``-L``).
 
-The builder assembles ``G``/``B`` once per circuit; AC sweeps then solve a
-batched system per frequency block, and the transient integrator reuses the
-same pair as the DAE coefficients ``G x + B x' = z(t)``.
+The builder assembles ``G``/``B`` and the AC stimulus vector once per
+circuit; AC sweeps then solve a batched system per frequency block.
 
 Unknown ordering: node voltages (ground eliminated) first, then branch
 currents (voltage sources, inductors, VCVS/CCVS outputs, ideal op-amp
@@ -71,7 +70,9 @@ def stamp_parameters(component) -> Tuple[str, ...]:
     Everything else a component carries (name, terminals, controlling
     source) fixes its stamp structure. Op-amp macromodels expose their
     :data:`OPAMP_MACRO_PARAMS`; independent sources their DC ``value``
-    and AC stimulus; controlled sources their gain.
+    and AC stimulus; controlled sources their gain. A source's DC
+    ``value`` is part of the circuit model (and so of its content hash)
+    but does not change the AC response: only the stimulus is stamped.
     """
     if isinstance(component, OpAmpMacro):
         return OPAMP_MACRO_PARAMS
@@ -147,22 +148,20 @@ class _ApplySink:
     sink is bitwise-identical to the historical behaviour.
     """
 
-    __slots__ = ("g", "b", "z_dc", "z_ac")
+    __slots__ = ("g", "b", "z")
 
-    def __init__(self, g: np.ndarray, b: np.ndarray, z_dc: np.ndarray,
-                 z_ac: np.ndarray) -> None:
+    def __init__(self, g: np.ndarray, b: np.ndarray, z: np.ndarray) -> None:
         self.g = g
         self.b = b
-        self.z_dc = z_dc
-        self.z_ac = z_ac
+        self.z = z
 
     def add(self, target: str, row: int, col: int, value: complex) -> None:
         if row >= 0 and col >= 0:
             (self.g if target == "g" else self.b)[row, col] += value
 
-    def add_rhs(self, target: str, row: int, value: complex) -> None:
+    def add_rhs(self, row: int, value: complex) -> None:
         if row >= 0:
-            (self.z_dc if target == "dc" else self.z_ac)[row] += value
+            self.z[row] += value
 
 
 class _RecordingSink:
@@ -177,15 +176,15 @@ class _RecordingSink:
 
     def __init__(self) -> None:
         self.matrix_ops: List[Tuple[str, int, int, complex]] = []
-        self.rhs_ops: List[Tuple[str, int, complex]] = []
+        self.rhs_ops: List[Tuple[int, complex]] = []
 
     def add(self, target: str, row: int, col: int, value: complex) -> None:
         if row >= 0 and col >= 0:
             self.matrix_ops.append((target, row, col, value))
 
-    def add_rhs(self, target: str, row: int, value: complex) -> None:
+    def add_rhs(self, row: int, value: complex) -> None:
         if row >= 0:
-            self.rhs_ops.append((target, row, value))
+            self.rhs_ops.append((row, value))
 
 
 @dataclass(frozen=True)
@@ -193,32 +192,25 @@ class ComponentOps:
     """Ordered stamp contributions of one component.
 
     ``matrix_ops`` entries are ``(target, row, col, value)`` with target
-    ``"g"`` or ``"b"``; ``rhs_ops`` entries are ``(target, row, value)``
-    with target ``"dc"`` or ``"ac"``. Replaying every component's ops in
-    circuit order reproduces the assembled system bitwise.
+    ``"g"`` or ``"b"``; ``rhs_ops`` entries are ``(row, value)`` AC
+    stimulus contributions. Replaying every component's ops in circuit
+    order reproduces the assembled system bitwise.
     """
 
     matrix_ops: Tuple[Tuple[str, int, int, complex], ...]
-    rhs_ops: Tuple[Tuple[str, int, complex], ...]
+    rhs_ops: Tuple[Tuple[int, complex], ...]
 
 
 class MnaSystem:
-    """Assembled MNA system for one circuit.
+    """Assembled small-signal AC system ``(G + s B) x = z`` of one circuit.
 
-    Parameters
-    ----------
-    circuit:
-        The circuit to assemble. It is validated first.
-    gmin:
-        Optional conductance from every node to ground. Zero by default;
-        set to e.g. ``1e-12`` to regularise DC problems with floating
-        capacitor nodes.
+    ``z`` holds the sources' AC stimulus phasors. The circuit is
+    validated first.
     """
 
-    def __init__(self, circuit: Circuit, gmin: float = 0.0) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         circuit.validate()
         self.circuit = circuit
-        self.gmin = float(gmin)
 
         self._node_index: Dict[str, int] = {}
         self._branch_index: Dict[str, int] = {}
@@ -228,12 +220,8 @@ class MnaSystem:
 
         self._g = np.zeros((self.dim, self.dim), dtype=complex)
         self._b = np.zeros((self.dim, self.dim), dtype=complex)
-        self._z_dc = np.zeros(self.dim, dtype=complex)
-        self._z_ac = np.zeros(self.dim, dtype=complex)
+        self._z = np.zeros(self.dim, dtype=complex)
         self._stamp_all()
-        if self.gmin > 0.0:
-            for index in range(self.num_nodes):
-                self._g[index, index] += self.gmin
 
     # ------------------------------------------------------------------
     # Unknown bookkeeping
@@ -301,7 +289,7 @@ class MnaSystem:
         sink.add(target, negative, positive, -value)
 
     def _stamp_all(self) -> None:
-        sink = _ApplySink(self._g, self._b, self._z_dc, self._z_ac)
+        sink = _ApplySink(self._g, self._b, self._z)
         for component in self.circuit:
             self._stamp(component, sink)
 
@@ -350,18 +338,15 @@ class MnaSystem:
             sink.add("g", n, k, -1.0)
             sink.add("g", k, p, 1.0)
             sink.add("g", k, n, -1.0)
-            sink.add_rhs("dc", k, component.value)
-            sink.add_rhs("ac", k, ac_phasor(component.ac_magnitude,
-                                            component.ac_phase_deg))
+            sink.add_rhs(k, ac_phasor(component.ac_magnitude,
+                                      component.ac_phase_deg))
         elif isinstance(component, CurrentSource):
             p = self.node_index(component.positive)
             n = self.node_index(component.negative)
             phasor = ac_phasor(component.ac_magnitude,
                                component.ac_phase_deg)
-            sink.add_rhs("dc", p, -component.value)
-            sink.add_rhs("ac", p, -phasor)
-            sink.add_rhs("dc", n, component.value)
-            sink.add_rhs("ac", n, phasor)
+            sink.add_rhs(p, -phasor)
+            sink.add_rhs(n, phasor)
         elif isinstance(component, VCVS):
             self._stamp_vcvs(sink, component.name, component.positive,
                              component.negative, component.ctrl_positive,
@@ -478,20 +463,14 @@ class MnaSystem:
         """Dense MNA matrix ``A(s) = G + s*B``."""
         return self._g + s * self._b
 
-    def rhs(self, excitation: str = "ac") -> np.ndarray:
-        """Excitation vector: ``"ac"`` phasors or ``"dc"`` values (copy)."""
-        if excitation == "ac":
-            return self._z_ac.copy()
-        if excitation == "dc":
-            return self._z_dc.copy()
-        raise SimulationError(
-            f"excitation must be 'ac' or 'dc', got {excitation!r}")
+    def rhs(self) -> np.ndarray:
+        """The AC stimulus vector ``z`` (copy)."""
+        return self._z.copy()
 
-    def solve_at(self, s: complex,
-                 excitation: str = "ac") -> "MnaSolution":
+    def solve_at(self, s: complex) -> "MnaSolution":
         """Solve the system at one complex frequency."""
         matrix = self.matrix_at(s)
-        rhs = self.rhs(excitation)
+        rhs = self._z
         try:
             vector = np.linalg.solve(matrix, rhs)
         except np.linalg.LinAlgError as exc:
@@ -504,8 +483,7 @@ class MnaSystem:
                 f"{self.circuit.name}: non-finite solution at s={s!r}")
         return MnaSolution(self, vector)
 
-    def solve_frequencies(self, freqs_hz: np.ndarray,
-                          excitation: str = "ac") -> np.ndarray:
+    def solve_frequencies(self, freqs_hz: np.ndarray) -> np.ndarray:
         """Batched AC solve over a frequency grid.
 
         Returns an array of shape ``(len(freqs), dim)`` with the full
@@ -518,7 +496,7 @@ class MnaSystem:
                                   "array")
         if np.any(freqs <= 0.0):
             raise SimulationError("AC analysis frequencies must be positive")
-        rhs = self.rhs(excitation)
+        rhs = self._z
         out = np.empty((freqs.size, self.dim), dtype=complex)
         bytes_per_matrix = 16 * self.dim * self.dim
         chunk = max(1, int(_BATCH_MEMORY_BUDGET // max(1, bytes_per_matrix)))
@@ -535,8 +513,7 @@ class MnaSystem:
                 # Fall back to per-frequency solving to report which
                 # frequency is singular.
                 for offset, s in enumerate(s_values):
-                    out[start + offset] = self.solve_at(
-                        s, excitation).vector
+                    out[start + offset] = self.solve_at(s).vector
         if not np.all(np.isfinite(out)):
             raise SingularCircuitError(
                 f"{self.circuit.name}: non-finite solution in AC sweep")

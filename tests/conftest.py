@@ -8,6 +8,8 @@ large speed-up.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,10 @@ from repro import (
     rc_lowpass,
     tow_thomas_biquad,
 )
+from repro.circuits.components import CurrentSource, VoltageSource
 from repro.faults import FaultDictionary
 from repro.ga import GAConfig
+from repro.sim import MnaSystem
 from repro.units import log_frequency_grid
 
 
@@ -173,3 +177,16 @@ def table_from_replacements(circuit, variants):
     return VariantTable(keys, values,
                         tuple(label or circuit.name
                               for _, label in variants))
+
+
+def solve_dc(circuit):
+    """The DC operating point of ``circuit``: the MNA system solved at
+    ``s = 0`` with every source's DC value as its AC phasor (magnitude
+    ``|value|``, 180 degrees when the value is negative)."""
+    for source in [component for component in circuit
+                   if isinstance(component, (VoltageSource,
+                                             CurrentSource))]:
+        circuit = circuit.with_component(dataclasses.replace(
+            source, ac_magnitude=abs(source.value),
+            ac_phase_deg=180.0 if source.value < 0 else 0.0))
+    return MnaSystem(circuit).solve_at(0.0)

@@ -4,6 +4,9 @@ config wire format."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,18 @@ def test_core_surface_is_exported():
     }
     missing = required - set(repro.__all__)
     assert not missing, f"facade lost public names: {sorted(missing)}"
+
+
+def test_import_does_not_load_scipy():
+    """scipy is optional: only the factored engine's sparse path
+    imports it, lazily, through ``lowrank.scipy_sparse()``."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    probe = ("import repro, sys; "
+             "print(sorted(m for m in sys.modules "
+             "if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_version_matches_package_metadata():

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits import Circuit
-from repro.sim import ACAnalysis, DCAnalysis, MnaSystem
+from repro.sim import ACAnalysis, MnaSystem
 from repro.units import TWO_PI
+
+from conftest import solve_dc
 
 resistances = st.floats(min_value=10.0, max_value=1e6)
 capacitances = st.floats(min_value=1e-12, max_value=1e-5)
@@ -30,17 +32,18 @@ def two_source_network(v1, v2, r1, r2, r3):
     return ckt
 
 
+def dc_voltage(ckt, node):
+    return solve_dc(ckt).node_voltage(node).real
+
+
 class TestSuperposition:
     @given(voltages, voltages, resistances, resistances, resistances)
     @settings(max_examples=40, deadline=None)
     def test_dc_superposition(self, v1, v2, r1, r2, r3):
         """V(m) with both sources = sum of single-source solutions."""
-        both = DCAnalysis(two_source_network(v1, v2, r1, r2, r3)) \
-            .operating_point().voltage("m")
-        only1 = DCAnalysis(two_source_network(v1, 0.0, r1, r2, r3)) \
-            .operating_point().voltage("m")
-        only2 = DCAnalysis(two_source_network(0.0, v2, r1, r2, r3)) \
-            .operating_point().voltage("m")
+        both = dc_voltage(two_source_network(v1, v2, r1, r2, r3), "m")
+        only1 = dc_voltage(two_source_network(v1, 0.0, r1, r2, r3), "m")
+        only2 = dc_voltage(two_source_network(0.0, v2, r1, r2, r3), "m")
         assert both == pytest.approx(only1 + only2, rel=1e-9,
                                      abs=1e-12)
 
@@ -48,11 +51,9 @@ class TestSuperposition:
     @settings(max_examples=40, deadline=None)
     def test_dc_source_scaling(self, v1, r1, r2, r3):
         """Doubling the only source doubles every node voltage."""
-        base = DCAnalysis(two_source_network(v1, 0.0, r1, r2, r3)) \
-            .operating_point().voltage("m")
-        doubled = DCAnalysis(
-            two_source_network(2.0 * v1, 0.0, r1, r2, r3)) \
-            .operating_point().voltage("m")
+        base = dc_voltage(two_source_network(v1, 0.0, r1, r2, r3), "m")
+        doubled = dc_voltage(
+            two_source_network(2.0 * v1, 0.0, r1, r2, r3), "m")
         assert doubled == pytest.approx(2.0 * base, rel=1e-9,
                                         abs=1e-12)
 

@@ -524,6 +524,34 @@ class TestInformationGainOracle:
         assert diagnoser.diagnose_db(rows) == whole
 
 
+class TestUninformativeRanking:
+    def test_near_certain_row_names_no_frequency(self, atpg_cache):
+        """A collapsed posterior's gains are rounding noise: its summary
+        says no measurement is informative instead of advising one,
+        while an uncertain row still names its best frequency."""
+        result = atpg_cache("tow_thomas_biquad")
+        diagnoser = PosteriorDiagnoser.from_atpg(
+            result, PosteriorConfig(n_samples=16, tolerance=0.05,
+                                    seed=11))
+        cases = [(component, deviation)
+                 for component in result.info.faultable
+                 for deviation in HELD_OUT]
+        diagnoses = diagnoser.diagnose_db(_measured_rows(result, cases))
+        certain = min(diagnoses, key=lambda d: d.entropy_bits)
+        assert certain.entropy_bits < 1e-12
+        assert certain.test_ranking[0][1] < \
+            posterior_module.INFORMATIVE_GAIN_BITS
+        assert "no measurement is informative" in certain.summary()
+        assert "next measure" not in certain.summary()
+        # The wire ranking is unchanged: every candidate, descending.
+        assert len(certain.test_ranking) == diagnoser._cand_freqs.size
+
+        uncertain = max(diagnoses, key=lambda d: d.test_ranking[0][1])
+        best_freq, best_gain = uncertain.test_ranking[0]
+        assert best_gain >= posterior_module.INFORMATIVE_GAIN_BITS
+        assert f"next measure {best_freq:.4g} Hz" in uncertain.summary()
+
+
 class TestSpans:
     def test_build_and_request_spans_reach_a_sink(self, atpg_cache):
         from repro.tracing import TRACER
