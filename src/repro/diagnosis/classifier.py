@@ -231,23 +231,24 @@ class TrajectoryClassifier:
         per_component = np.minimum.reduceat(
             candidates, layout.segment_offsets[:-1], axis=1)   # (N, T)
         orders = np.argsort(per_component, axis=1, kind="stable")
-
-        diagnoses: List[Diagnosis] = []
-        for row in rows:
-            ranking = tuple((self._components[index],
-                             float(per_component[row, index]))
-                            for index in orders[row])
-            component = self._components[int(owners[row])]
-            diagnoses.append(Diagnosis(
-                component=component,
-                estimated_deviation=float(deviations[row]),
-                distance=float(win_distances[row]),
-                perpendicular=bool(has_perpendicular[row]),
-                margin=self._margin(ranking, component),
-                point=tuple(float(x) for x in points[row]),
-                ranking=ranking,
-            ))
-        return diagnoses
+        names = self._components
+        margins = _margins(per_component, owners, names)
+        return [Diagnosis(
+                    component=names[owner],
+                    estimated_deviation=deviation,
+                    distance=distance,
+                    perpendicular=perpendicular,
+                    margin=margin,
+                    point=tuple(point),
+                    ranking=tuple(zip([names[index] for index in order],
+                                      ranked)))
+                for owner, deviation, distance, perpendicular, margin,
+                point, order, ranked in zip(
+                    owners.tolist(), deviations.tolist(),
+                    win_distances.tolist(), has_perpendicular.tolist(),
+                    margins.tolist(), points.tolist(), orders.tolist(),
+                    np.take_along_axis(per_component, orders,
+                                       axis=1).tolist())]
 
     def classify_response(self, response: FrequencyResponse) -> Diagnosis:
         """Diagnose a measured/simulated response.
@@ -268,24 +269,6 @@ class TrajectoryClassifier:
         return self.classify_points(self.signatures(responses))
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _margin(ranking: Tuple[Tuple[str, float], ...],
-                winner: str) -> float:
-        """Distance gap between the winner and the closest other
-        component (infinite for a single-trajectory set)."""
-        others = [distance for component, distance in ranking
-                  if component != winner]
-        if not others:
-            return float("inf")
-        winner_distance = dict(ranking)[winner]
-        margin = float(min(others) - winner_distance)
-        if not margin >= 0.0:
-            raise DiagnosisError(
-                f"negative margin {margin!r} for winner {winner!r}: "
-                "ranking was not computed over the winner's candidate "
-                "distances")
-        return margin
-
     def is_fault_free(self, point: np.ndarray,
                       threshold: float) -> bool:
         """Go/no-go test: the point is 'golden' if it sits within
@@ -295,3 +278,28 @@ class TrajectoryClassifier:
                 "fault-free test requires a golden-relative mapper")
         point = np.asarray(point, dtype=float)
         return bool(np.linalg.norm(point) <= threshold)
+
+
+def _margins(per_component: np.ndarray, owners: np.ndarray,
+             names: Sequence[str]) -> np.ndarray:
+    """Distance gap between each row's winner and its closest other
+    component (infinite for a single-trajectory set).
+
+    ``per_component`` is the ``(N, T)`` ranking distances, ``owners``
+    the ``(N,)`` winning indices into the component ``names``.
+    """
+    n_rows, n_components = per_component.shape
+    if n_components < 2:
+        return np.full(n_rows, np.inf)
+    rows = np.arange(n_rows)
+    others = per_component.copy()
+    others[rows, owners] = np.inf
+    margins = others.min(axis=1) - per_component[rows, owners]
+    bad = ~(margins >= 0.0)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DiagnosisError(
+            f"negative margin {float(margins[row])!r} for winner "
+            f"{names[owners[row]]!r}: ranking was not computed over the "
+            "winner's candidate distances")
+    return margins

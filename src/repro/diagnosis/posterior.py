@@ -444,23 +444,12 @@ class PosteriorDiagnoser:
             (lik * rel).reshape(-1, n_outcomes).T)
 
     def _assemble_segments(self, anchors: np.ndarray) -> None:
-        """Per-world trajectory polylines as flat segment tensors:
-        ``(M, S, D)``, worlds-major for projection.
-
-        Each coordinate is stored as one contiguous ``(M, S)`` plane:
-        the request path's elementwise loops then run along the segments
-        rather than along the few coordinates, and at D >= 3 numpy sums
-        the coordinates in the order the request results were pinned
-        with (a C-ordered copy changes their last bits).
-        """
-        vertices = anchors[self._layout.rows + 1]          # (V, M, D)
-
-        def planes(index: np.ndarray) -> np.ndarray:
-            return np.ascontiguousarray(
-                vertices[index].transpose(2, 1, 0)).transpose(1, 2, 0)
-
-        self._segments = Segments.of(planes(self._layout.seg_start),
-                                     planes(self._layout.seg_end))
+        """Per-world trajectory polylines as one :class:`Segments` set
+        of ``(D, M, S)`` coordinate planes, worlds-major for
+        projection."""
+        vertices = anchors[self._layout.rows + 1].transpose(1, 0, 2)
+        self._segments = Segments.of(vertices[:, self._layout.seg_start],
+                                     vertices[:, self._layout.seg_end])
 
     # ------------------------------------------------------------------
     # Request path: deterministic NumPy against the cached tensors
@@ -505,10 +494,8 @@ class PosteriorDiagnoser:
             gains = self._information_gains(posterior, entropy)
             span.attrs["gain_seconds"] = time.perf_counter() - tick
 
-            return [self._finish_row(posterior[row], entropy[row],
-                                     gains[row], log_w[row], peak[row],
-                                     deviations[row])
-                    for row in range(points.shape[0])]
+            return self._answers(posterior, entropy, gains, log_w, peak,
+                                 deviations)
 
     def _surface_distances(self, points: np.ndarray
                            ) -> Tuple[np.ndarray, np.ndarray]:
@@ -555,44 +542,55 @@ class PosteriorDiagnoser:
                 seg_dev[:, :, group][grid_n, grid_m, best]
         return distances, deviations
 
-    def _finish_row(self, posterior: np.ndarray, entropy: float,
-                    gains: np.ndarray, log_w: np.ndarray,
-                    peak: np.ndarray, deviations: np.ndarray
-                    ) -> PosteriorDiagnosis:
+    def _answers(self, posterior: np.ndarray, entropy: np.ndarray,
+                 gains: np.ndarray, log_w: np.ndarray, peak: np.ndarray,
+                 deviations: np.ndarray) -> List[PosteriorDiagnosis]:
+        """One :class:`PosteriorDiagnosis` per row of an ``(N, H)``
+        posterior batch (``log_w``/``deviations`` are ``(N, M, H)``)."""
         # Exact posterior ties happen on perfect ambiguity groups (a
         # divider's R1/R2 trajectories coincide); break them by best
         # single-world distance -- ``peak`` is monotone decreasing in
         # it -- so the zero-tolerance argmax reproduces the hard
         # classifier's nearest-trajectory pick, then by label order.
-        order = np.lexsort((-peak, -posterior))
-        probabilities = tuple(
-            (self.component_labels[index], float(posterior[index]))
-            for index in order)
-        winner_index = int(order[0])
-        winner = self.component_labels[winner_index]
+        orders = np.lexsort((-peak, -posterior), axis=1)
+        winners = orders[:, 0]
+        rows = np.arange(winners.size)
 
-        if winner_index == 0 or not np.isfinite(peak[winner_index]):
-            expected_deviation = 0.0
-        else:
-            # Posterior-mean deviation across worlds, weighted by each
-            # world's importance weight for the winning component.
-            world_w = np.exp(log_w[:, winner_index] - peak[winner_index])
-            denom = float(world_w.sum())
-            expected_deviation = 0.0 if denom <= 0.0 else float(
-                np.dot(world_w, deviations[:, winner_index]) / denom)
+        # Posterior-mean deviation across worlds, weighted by each
+        # world's importance weight for the winning component (0.0 for
+        # a fault-free winner or one no world admits).
+        peak_w = peak[rows, winners]
+        with np.errstate(invalid="ignore"):
+            world_w = np.exp(log_w[rows, :, winners] - peak_w[:, None])
+        denom = world_w.sum(axis=1)
+        expected = np.zeros(winners.size)
+        live = (winners != 0) & np.isfinite(peak_w) & (denom > 0.0)
+        for row in np.flatnonzero(live):
+            # The dot of a contiguous weight row with the strided
+            # deviation column: a contiguous copy of the column changes
+            # the BLAS summation, and the answer's last bits with it.
+            expected[row] = np.dot(world_w[row],
+                                   deviations[row, :, winners[row]]) / \
+                denom[row]
 
-        gain_order = np.argsort(-gains, kind="stable")
-        test_ranking = tuple(
-            (float(self._cand_freqs[index]), float(gains[index]))
-            for index in gain_order)
-        return PosteriorDiagnosis(
-            component=winner,
-            probabilities=probabilities,
-            entropy_bits=float(entropy),
-            expected_deviation=expected_deviation,
-            test_ranking=test_ranking,
-            n_samples=self.n_samples,
-        )
+        gain_orders = np.argsort(-gains, axis=1, kind="stable")
+        labels, freqs = self.component_labels, self._cand_freqs.tolist()
+        return [PosteriorDiagnosis(
+                    component=labels[order[0]],
+                    probabilities=tuple(zip([labels[i] for i in order],
+                                            probabilities)),
+                    entropy_bits=entropy_bits,
+                    expected_deviation=deviation,
+                    test_ranking=tuple(zip([freqs[i] for i in gain_order],
+                                           ranked_gains)),
+                    n_samples=self.n_samples)
+                for order, probabilities, entropy_bits, deviation,
+                gain_order, ranked_gains in zip(
+                    orders.tolist(),
+                    np.take_along_axis(posterior, orders, axis=1).tolist(),
+                    entropy.tolist(), expected.tolist(),
+                    gain_orders.tolist(),
+                    np.take_along_axis(gains, gain_orders, axis=1).tolist())]
 
     def _information_gains(self, posterior: np.ndarray,
                            entropy_bits: np.ndarray) -> np.ndarray:

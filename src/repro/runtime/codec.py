@@ -16,6 +16,7 @@ the serving equivalence tests rely on.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -96,15 +97,17 @@ _NONFINITE_TOKENS = {
 
 def _float_to_wire(value: float, field: str) -> Union[float, str]:
     value = float(value)
-    if np.isnan(value):
+    if math.isfinite(value):
+        return value
+    if value != value:
         raise CodecError(
             f"{field} is NaN; refusing to encode (upstream bug)")
-    if np.isinf(value):
-        return "inf" if value > 0.0 else "-inf"
-    return value
+    return "inf" if value > 0.0 else "-inf"
 
 
 def _float_from_wire(value: object, field: str) -> float:
+    if type(value) is float:
+        return value
     if value is None:
         # Legacy encoders shipped null for any non-finite value.
         return float("inf")

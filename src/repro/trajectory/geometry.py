@@ -37,7 +37,10 @@ _EPS = 1e-12
 class Segments:
     """Segment arrays precomputed once for :func:`project_points`.
 
-    ``starts``/``ends``/``direction`` are ``(..., S, D)``; ``proper``
+    ``starts``/``ends``/``direction`` are ``(D, ..., S)``: one
+    contiguous plane per coordinate, so the kernel's elementwise loops
+    run along the segments and every coordinate sum is written out in
+    one order, whatever layout the caller's arrays had. ``proper``
     (squared length above the degeneracy threshold) and
     ``safe_length_sq`` (squared length, 1 where degenerate) are
     ``(..., S)``. Leading axes (e.g. one per Monte-Carlo world)
@@ -53,30 +56,43 @@ class Segments:
 
     @classmethod
     def of(cls, starts: np.ndarray, ends: np.ndarray) -> "Segments":
+        """Planes of ``(..., S, D)`` start and end arrays."""
         starts = np.asarray(starts, dtype=float)
         ends = np.asarray(ends, dtype=float)
         if starts.ndim < 2 or starts.shape != ends.shape:
             raise TrajectoryError(
                 f"segment starts/ends must be matching (..., S, D) "
                 f"arrays, got {starts.shape} and {ends.shape}")
+        starts = np.ascontiguousarray(np.moveaxis(starts, -1, 0))
+        ends = np.ascontiguousarray(np.moveaxis(ends, -1, 0))
         direction = ends - starts
-        length_sq = np.sum(direction * direction, axis=-1)
+        length_sq = _dot(direction, direction)
         proper = length_sq > _EPS
         return cls(starts, ends, direction, proper,
                    np.where(proper, length_sq, 1.0),
                    bool(not proper.all()))
 
 
-def _norm(delta: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("...d,...d->...", delta, delta))
+def _dot(left, right) -> np.ndarray:
+    """``left[0]*right[0] + left[1]*right[1] + ...``, summed left to
+    right over the coordinate planes (no reduction whose order depends
+    on memory layout)."""
+    total = left[0] * right[0]
+    for a, b in zip(left[1:], right[1:]):
+        total += a * b
+    return total
+
+
+def _norm(delta) -> np.ndarray:
+    return np.sqrt(_dot(delta, delta))
 
 
 def project_points(points: np.ndarray, segments: Segments
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Perpendicular projection of N points onto many n-D segments.
 
-    ``points`` is ``(N, D)`` and ``segments`` holds ``(..., S, D)``
-    arrays. Returns ``(distances, t_clamped, interior)``, each of shape
+    ``points`` is ``(N, D)`` and ``segments`` holds ``(..., S)``
+    planes. Returns ``(distances, t_clamped, interior)``, each of shape
     ``(N, ..., S)``:
 
     * ``distances`` -- Euclidean distance to the closest point of each
@@ -89,23 +105,39 @@ def project_points(points: np.ndarray, segments: Segments
     point is whichever of its two float endpoints is nearer, so the
     projection distance never exceeds the distance to either endpoint.
     """
-    lead = segments.starts.ndim - 1
+    lead = segments.proper.ndim
     return _project(points.reshape(
         (points.shape[0],) + (1,) * lead + (points.shape[1],)), segments)
 
 
 def _project(points: np.ndarray, segments: Segments
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`project_points` on ``points`` already shaped to broadcast
-    against the segments' ``(..., S, D)`` arrays."""
-    diff = points - segments.starts                 # (N, ..., S, D)
-    t_raw = np.sum(diff * segments.direction, axis=-1) / \
-        segments.safe_length_sq
-    t_raw = np.where(segments.proper, t_raw, 0.0)
+    """:func:`project_points` on ``(..., D)`` points whose coordinate
+    planes ``points[..., d]`` already broadcast against the segments'
+    ``(..., S)`` planes."""
+    coords = [points[..., d] for d in range(points.shape[-1])]
+    diff = [x - start for x, start in zip(coords, segments.starts)]
+    t_raw = _dot(diff, segments.direction)
+    t_raw /= segments.safe_length_sq
+    interior = (t_raw > 0.0) & (t_raw < 1.0)
     if segments.any_degenerate:
-        nearer_end = _norm(points - segments.ends) < _norm(diff)
-        t_raw = np.where(~segments.proper & nearer_end, 1.0, t_raw)
-    interior = (t_raw > 0.0) & (t_raw < 1.0) & segments.proper
-    t_clamped = np.clip(t_raw, 0.0, 1.0)
-    closest = segments.starts + t_clamped[..., None] * segments.direction
-    return _norm(points - closest), t_clamped, interior
+        interior &= segments.proper
+        nearer_end = _norm([x - end for x, end in
+                            zip(coords, segments.ends)]) < _norm(diff)
+        t_raw = np.where(segments.proper, t_raw,
+                         np.where(nearer_end, 1.0, 0.0))
+    t_clamped = np.clip(t_raw, 0.0, 1.0, out=t_raw)
+    # The distance to the foot, squared and summed plane by plane in
+    # place: the same expressions as _norm(x - (start + t * direction)).
+    total = None
+    for x, start, direction in zip(coords, segments.starts,
+                                   segments.direction):
+        gap = t_clamped * direction
+        gap += start
+        np.subtract(x, gap, out=gap)
+        gap *= gap
+        if total is None:
+            total = gap
+        else:
+            total += gap
+    return np.sqrt(total, out=total), t_clamped, interior

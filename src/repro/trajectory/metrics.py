@@ -54,8 +54,11 @@ _OVERLAP_EPS_SCALE = 1e-9
 # share of the coordinate magnitude and of the overlap pad.
 _BOX_SLACK = 64 * np.finfo(float).eps
 
-# Vertex-segment pairs projected per chunk of the separation pass.
-_PROJECTION_CHUNK = 1 << 18
+# Vertex-segment pairs projected per chunk of the separation pass:
+# each (pairs,) float plane is 256 KB, so a chunk's temporaries stay in
+# a core's L2 cache (with 1 << 18 pairs the nine 3-frequency paper runs
+# took ~20 % longer on a 2-core Xeon with 2 MB of L2 per core).
+_PROJECTION_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)

@@ -380,13 +380,9 @@ class TestBatchEqualsReference:
         batched = classifier.classify_points(points)
         expected = [reference_classify_point(trajectories, point)
                     for point in points]
-        if trajectories.dimension <= 2:
-            assert batched == expected
-        else:
-            # sqrt(einsum) and linalg.norm may round the last ulp of a
-            # 3-term sum differently; decisions must still agree.
-            assert [(d.component, d.perpendicular) for d in batched] == \
-                [(d.component, d.perpendicular) for d in expected]
+        # The kernel sums coordinates left to right, as the reference's
+        # reductions over its short contiguous rows do: equal in 3-D too.
+        assert batched == expected
         for row, diagnosis in enumerate(batched):
             assert classifier.classify_points(
                 points[row:row + 1])[0] == diagnosis
@@ -523,3 +519,132 @@ class TestBatchOnBenchmarks:
         assert result.batch_diagnoser() is result.classifier
         points = np.vstack([d.point for d in batched])
         assert result.diagnose_points(points) == batched
+
+
+# ----------------------------------------------------------------------
+# Batched answer assembly against the per-row loop it replaced, kept
+# here verbatim as the reference: same projection, then one Python
+# ranking loop and one margin call per row.
+# ----------------------------------------------------------------------
+from repro.diagnosis import make_test_cases  # noqa: E402
+from repro.diagnosis.classifier import (  # noqa: E402
+    _margins, check_points, perpendicular_candidates)
+from repro.trajectory.geometry import project_points  # noqa: E402
+
+
+def _reference_margin(ranking, winner):
+    others = [distance for component, distance in ranking
+              if component != winner]
+    if not others:
+        return float("inf")
+    winner_distance = dict(ranking)[winner]
+    margin = float(min(others) - winner_distance)
+    if not margin >= 0.0:
+        raise DiagnosisError(
+            f"negative margin {margin!r} for winner {winner!r}: "
+            "ranking was not computed over the winner's candidate "
+            "distances")
+    return margin
+
+
+def reference_classify_rows(classifier, points):
+    points = check_points(points, classifier.dimension)
+    distances, t_clamped, interior = project_points(
+        points, classifier._segments)
+    candidates, has_perpendicular = perpendicular_candidates(
+        distances, interior)
+    winners = np.argmin(candidates, axis=1)
+    layout = classifier._layout
+    rows = np.arange(points.shape[0])
+    t_win = t_clamped[rows, winners]
+    dev0 = layout.seg_dev0[winners]
+    deviations = dev0 + t_win * (layout.seg_dev1[winners] - dev0)
+    win_distances = distances[rows, winners]
+    owners = layout.owners[winners]
+    per_component = np.minimum.reduceat(
+        candidates, layout.segment_offsets[:-1], axis=1)
+    orders = np.argsort(per_component, axis=1, kind="stable")
+    components = classifier.trajectories.components
+    diagnoses = []
+    for row in rows:
+        ranking = tuple((components[index],
+                         float(per_component[row, index]))
+                        for index in orders[row])
+        component = components[int(owners[row])]
+        diagnoses.append(Diagnosis(
+            component=component,
+            estimated_deviation=float(deviations[row]),
+            distance=float(win_distances[row]),
+            perpendicular=bool(has_perpendicular[row]),
+            margin=_reference_margin(ranking, component),
+            point=tuple(float(x) for x in points[row]),
+            ranking=ranking,
+        ))
+    return diagnoses
+
+
+def _same_answers(got, want):
+    """Bitwise equality of answer lists: ``repr`` spells every float
+    exactly (and tells -0.0 from 0.0, unlike ``==``)."""
+    assert len(got) == len(want)
+    for row, (a, b) in enumerate(zip(got, want)):
+        assert type(a) is type(b) and repr(a) == repr(b), row
+
+
+class TestBatchedAnswersEqualRowLoop:
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_CIRCUITS))
+    def test_toleranced_rows_on_every_benchmark(self, name):
+        info, classifier = _exact_setup(name)
+        cases = make_test_cases(info, classifier.trajectories.mapper,
+                                tolerance=0.03, noise_db=0.05, repeats=3,
+                                seed=29)
+        points = np.vstack([case.point for case in cases])
+        got = classifier.classify_points(points)
+        _same_answers(got, reference_classify_rows(classifier, points))
+        for diagnosis in got:
+            assert type(diagnosis.margin) is float
+            assert all(type(x) is float for x in diagnosis.point)
+            assert all(type(d) is float for _, d in diagnosis.ranking)
+
+    def test_single_trajectory_margin_is_infinite(self):
+        classifier = TrajectoryClassifier(TrajectorySet(
+            SignatureMapper((100.0, 200.0)),
+            (axis_trajectory("R1", (1.0, 0.5)),)))
+        points = np.array([[0.05, 0.02], [3.0, -1.0], [0.0, 0.0]])
+        got = classifier.classify_points(points)
+        assert all(d.margin == float("inf") for d in got)
+        _same_answers(got, reference_classify_rows(classifier, points))
+
+    def test_coincident_trajectories_tie_at_zero_margin(self):
+        classifier = TrajectoryClassifier(TrajectorySet(
+            SignatureMapper((100.0, 200.0)),
+            (axis_trajectory("R1", (1.0, 0.0)),
+             axis_trajectory("R2", (1.0, 0.0)),
+             axis_trajectory("C1", (0.0, 1.0)))))
+        points = np.array([[0.05, 0.001], [0.15, -0.02]])
+        got = classifier.classify_points(points)
+        assert [d.margin for d in got] == [0.0, 0.0]
+        _same_answers(got, reference_classify_rows(classifier, points))
+
+    def test_margin_of_a_tied_winner_ranked_second(self):
+        """The vector margin excludes the winner wherever the ranking
+        puts it: a winner tied with the first-ranked component has
+        margin 0."""
+        names = ("A", "B", "C")
+        per_component = np.array([[1.0, 1.0, 2.0], [0.5, 3.0, 0.5],
+                                  [4.0, 2.5, 2.5]])
+        owners = np.array([1, 2, 2])
+        margins = _margins(per_component, owners, names)
+        for row, owner in enumerate(owners):
+            order = np.argsort(per_component[row], kind="stable")
+            ranking = tuple((names[i], float(per_component[row, i]))
+                            for i in order)
+            assert ranking[0][0] != names[owner]
+            assert margins[row] == _reference_margin(ranking,
+                                                     names[owner]) == 0.0
+
+    def test_negative_margin_raises_naming_the_winner(self):
+        with pytest.raises(DiagnosisError, match="negative margin -1.0 "
+                           "for winner 'B'"):
+            _margins(np.array([[0.5, 0.5], [1.0, 2.0]]), np.array([0, 1]),
+                     ("A", "B"))

@@ -522,6 +522,11 @@ class TestPinnedPaperGA:
 #: population was scored through one trajectory layout: name ->
 #: (circuit, config overrides, SHA-256 of :func:`_run_text`, best
 #: fitness, final (intersections, common pathways, min separation)).
+#: ``paper-d3-twin-t`` and ``combined-d3-mfb`` were re-recorded when the
+#: projection kernel moved to coordinate planes: the old 3-term
+#: coordinate sum's rounding depended on the arrays' memory layout, and
+#: the fixed left-to-right sum moved one min separation and one mean
+#: fitness in the last bit (same test vectors, same best fitnesses).
 PINNED_FITNESS_GA = {
     "paper-d3-biquad": (
         "tow_thomas_biquad", dict(num_frequencies=3),
@@ -534,7 +539,7 @@ PINNED_FITNESS_GA = {
     "paper-d3-twin-t": (
         "twin_t_notch", dict(num_frequencies=3),
         "afe512437f133d7dc1231221852cc025b1ca895b75c75020cd0ce0d320ed76cf",
-        "0x1.0000000000000p+0", (0, 0, "0x1.0cd78189906f5p-5")),
+        "0x1.0000000000000p+0", (0, 0, "0x1.0cd78189906f4p-5")),
     "margin-d2-mfb": (
         "mfb_bandpass", dict(fitness="margin"),
         "e4098931302537467e1b82c63a79e0b04b1016afce87057e747add4d5d55701b",
@@ -561,8 +566,8 @@ PINNED_FITNESS_GA = {
         "0x1.f0f136f330ed9p-4", (0, 0, "0x1.04718358757c0p-3")),
     "combined-d3-mfb": (
         "mfb_bandpass", dict(fitness="combined", num_frequencies=3),
-        "38892a3723bc20fc175a0fa26dc1e947c21ab08ff4781d9464a9747cb73fea70",
-        "0x1.1c71ff9abe2b3p+0", (0, 0, "0x1.50ba11eadd425p-2")),
+        "e583a3bbf39a63d07151a11bc5588213df0e2f0be0f35fff44cca76131b17fed",
+        "0x1.1c71ff9abe2b3p+0", (0, 0, "0x1.50ba11eadd426p-2")),
 }
 
 

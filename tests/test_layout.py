@@ -464,9 +464,9 @@ class TestPosteriorSegments:
     @pytest.mark.parametrize("freqs", [None, (300.0, 1500.0, 6000.0)])
     def test_assembled_segments_equal_oracle(self, quick_pipeline_result,
                                              monkeypatch, freqs):
-        """Segment tensors, and the request distances projected onto
-        them, equal the posterior's own grouping bitwise (2 and 3
-        test frequencies)."""
+        """Segment coordinate planes, and the request distances
+        projected onto them, equal the posterior's own grouping bitwise
+        (2 and 3 test frequencies)."""
         from repro.diagnosis import PosteriorConfig, PosteriorDiagnoser
         captured = {}
         original = PosteriorDiagnoser._assemble_segments
@@ -487,11 +487,21 @@ class TestPosteriorSegments:
         segments, dev0, dev1, offsets = reference_assemble_segments(
             posterior._faults, posterior.component_labels,
             captured["anchors"])
-        for name in ("starts", "ends", "direction", "proper",
-                     "safe_length_sq"):
-            assert getattr(posterior._segments, name).tobytes() == \
-                getattr(segments, name).tobytes(), name
         layout = posterior._layout
+        got_segments = posterior._segments
+        for name in ("starts", "ends", "direction"):
+            planes = getattr(got_segments, name)
+            assert planes.shape == (mapper.dimension, 6,
+                                    layout.seg_start.size), name
+            for coordinate in range(mapper.dimension):
+                plane = planes[coordinate]
+                assert plane.flags.c_contiguous, (name, coordinate)
+                assert plane.tobytes() == \
+                    getattr(segments, name)[coordinate].tobytes(), \
+                    (name, coordinate)
+        for name in ("proper", "safe_length_sq"):
+            assert getattr(got_segments, name).tobytes() == \
+                getattr(segments, name).tobytes(), name
         assert layout.seg_dev0.tobytes() == dev0.tobytes()
         assert layout.seg_dev1.tobytes() == dev1.tobytes()
         assert np.array_equal(layout.segment_offsets[:-1], offsets)

@@ -10,6 +10,8 @@ is deterministic NumPy, so repeated builds must agree bitwise.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,11 +42,14 @@ def atpg_cache():
     """One quick ATPG run per circuit, shared across this module."""
     cache = {}
 
-    def run(name):
-        if name not in cache:
-            cache[name] = FaultTrajectoryATPG(
-                get_benchmark(name), QUICK).run(seed=11)
-        return cache[name]
+    def run(name, num_frequencies=QUICK.num_frequencies):
+        key = (name, num_frequencies)
+        if key not in cache:
+            config = dataclasses.replace(QUICK,
+                                         num_frequencies=num_frequencies)
+            cache[key] = FaultTrajectoryATPG(
+                get_benchmark(name), config).run(seed=11)
+        return cache[key]
 
     return run
 
@@ -84,6 +89,31 @@ class TestZeroToleranceLimit:
             assert soft_one.component == hard_one.component, case
             assert soft_one.expected_deviation == pytest.approx(
                 hard_one.estimated_deviation, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("circuit_name", ALL_CIRCUITS)
+    def test_distances_equal_hard_classifier_bitwise_d3(self, atpg_cache,
+                                                       circuit_name):
+        """tolerance -> 0 at three test frequencies: every world's
+        per-component candidate distance is the hard classifier's
+        ranking distance, bit for bit -- the projection's coordinate
+        sum does not depend on how either tier lays out its segments."""
+        result = atpg_cache(circuit_name, num_frequencies=3)
+        assert result.trajectories.dimension == 3
+        posterior = PosteriorDiagnoser.from_atpg(
+            result, PosteriorConfig(n_samples=2, tolerance=0.0,
+                                    seed=11))
+        classifier = result.classifier
+        cases = [(component, deviation)
+                 for component in result.info.faultable
+                 for deviation in HELD_OUT]
+        points = classifier.signatures(_measured_rows(result, cases))
+        distances, _ = posterior._surface_distances(points)  # (N, M, H)
+        labels = posterior.component_labels[1:]
+        hard = np.array([[dict(diagnosis.ranking)[label]
+                          for label in labels]
+                         for diagnosis in classifier.classify_points(points)])
+        for world in range(distances.shape[1]):
+            assert distances[:, world, 1:].tobytes() == hard.tobytes()
 
     def test_golden_response_wins_fault_free(self, atpg_cache):
         result = atpg_cache("rc_lowpass")
@@ -550,6 +580,117 @@ class TestUninformativeRanking:
         best_freq, best_gain = uncertain.test_ranking[0]
         assert best_gain >= posterior_module.INFORMATIVE_GAIN_BITS
         assert f"next measure {best_freq:.4g} Hz" in uncertain.summary()
+
+
+# ----------------------------------------------------------------------
+# Answer-assembly oracle: the per-row step the batched one replaced,
+# kept here verbatim as the reference.
+# ----------------------------------------------------------------------
+def _reference_finish_row(diagnoser, posterior, entropy, gains, log_w,
+                          peak, deviations):
+    order = np.lexsort((-peak, -posterior))
+    probabilities = tuple(
+        (diagnoser.component_labels[index], float(posterior[index]))
+        for index in order)
+    winner_index = int(order[0])
+    winner = diagnoser.component_labels[winner_index]
+    if winner_index == 0 or not np.isfinite(peak[winner_index]):
+        expected_deviation = 0.0
+    else:
+        world_w = np.exp(log_w[:, winner_index] - peak[winner_index])
+        denom = float(world_w.sum())
+        expected_deviation = 0.0 if denom <= 0.0 else float(
+            np.dot(world_w, deviations[:, winner_index]) / denom)
+    gain_order = np.argsort(-gains, kind="stable")
+    test_ranking = tuple(
+        (float(diagnoser._cand_freqs[index]), float(gains[index]))
+        for index in gain_order)
+    return posterior_module.PosteriorDiagnosis(
+        component=winner, probabilities=probabilities,
+        entropy_bits=float(entropy),
+        expected_deviation=expected_deviation,
+        test_ranking=test_ranking, n_samples=diagnoser.n_samples)
+
+
+def _reference_answers(diagnoser, posterior, entropy, gains, log_w, peak,
+                       deviations):
+    return [_reference_finish_row(diagnoser, posterior[row], entropy[row],
+                                  gains[row], log_w[row], peak[row],
+                                  deviations[row])
+            for row in range(posterior.shape[0])]
+
+
+def _assert_same_answers(got, want):
+    """Bitwise equality: ``repr`` spells every float exactly."""
+    assert len(got) == len(want)
+    for row, (a, b) in enumerate(zip(got, want)):
+        assert repr(a) == repr(b), row
+
+
+class TestAnswerAssemblyOracle:
+    @pytest.mark.parametrize("circuit_name", ALL_CIRCUITS)
+    def test_toleranced_rows_equal_the_row_loop(self, atpg_cache,
+                                                monkeypatch, circuit_name):
+        """Every answer of a toleranced batch equals the per-row
+        reference applied to the same request tensors."""
+        from repro.diagnosis import make_test_cases
+        result = atpg_cache(circuit_name)
+        diagnoser = PosteriorDiagnoser.from_atpg(
+            result, PosteriorConfig(n_samples=16, tolerance=0.03,
+                                    noise_db=0.05, seed=11))
+        cases = make_test_cases(result.info, result.mapper, tolerance=0.03,
+                                noise_db=0.05, repeats=2, seed=31)
+        points = np.vstack([case.point for case in cases])
+        captured = []
+        batched = PosteriorDiagnoser._answers
+
+        def capture(self, *tensors):
+            captured.append(tensors)
+            return batched(self, *tensors)
+
+        monkeypatch.setattr(PosteriorDiagnoser, "_answers", capture)
+        got = diagnoser.diagnose_points(points)
+        (tensors,) = captured
+        _assert_same_answers(got, _reference_answers(diagnoser, *tensors))
+        assert any(d.expected_deviation != 0.0 for d in got)
+
+    def test_edge_rows_equal_the_row_loop(self, atpg_cache):
+        """Hand-made request tensors: a winner whose every world weight
+        is zero (peak -inf: expected deviation 0.0), a fault-free
+        winner, a posterior tie broken by peak, and ordinary rows."""
+        result = atpg_cache("tow_thomas_biquad")
+        diagnoser = PosteriorDiagnoser.from_atpg(
+            result, PosteriorConfig(n_samples=5, tolerance=0.05, seed=4))
+        rng = np.random.default_rng(8)
+        n_rows, n_worlds = 6, diagnoser.n_samples
+        n_outcomes = len(diagnoser.component_labels)
+        log_w = -rng.uniform(0.0, 30.0, size=(n_rows, n_worlds, n_outcomes))
+        deviations = rng.uniform(-0.3, 0.3, size=log_w.shape)
+        posterior = rng.dirichlet(np.ones(n_outcomes), size=n_rows)
+        posterior[0] = 0.0
+        posterior[0, 2] = 1.0
+        log_w[0, :, 2] = -np.inf
+        posterior[1] = 0.0
+        posterior[1, 0] = 0.75
+        posterior[1, 3] = 0.25
+        posterior[2] = 0.0
+        posterior[2, 1] = posterior[2, 4] = 0.5
+        log_w[2, :, 4] = log_w[2, :, 1] + 1.0
+        peak = log_w.max(axis=1)
+        entropy = posterior_module._entropy_bits(posterior)
+        gains = rng.uniform(0.0, 1.0, size=(n_rows,
+                                            diagnoser._cand_freqs.size))
+        gains[3] = 0.0
+        got = diagnoser._answers(posterior, entropy, gains, log_w, peak,
+                                 deviations)
+        _assert_same_answers(got, _reference_answers(
+            diagnoser, posterior, entropy, gains, log_w, peak, deviations))
+        labels = diagnoser.component_labels
+        assert got[0].component == labels[2]
+        assert got[0].expected_deviation == 0.0
+        assert got[1].component == FAULT_FREE_LABEL
+        assert got[1].expected_deviation == 0.0
+        assert got[2].component == labels[4]
 
 
 class TestSpans:

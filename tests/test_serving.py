@@ -11,6 +11,7 @@ contract of micro-batching.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import logging
 import math
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro import AsyncDiagnosisService, serve
-from repro.diagnosis import Diagnosis
+from repro.diagnosis import Diagnosis, PosteriorDiagnosis
 from repro.errors import (CodecError, DiagnosisError, ServiceError,
                           ServiceOverloadedError)
 from repro.runtime import codec, telemetry
@@ -583,6 +584,125 @@ class TestCodec:
         payload = json.loads(codec.encode_error("boom", kind="TestKind"))
         assert payload == {"error": {"kind": "TestKind",
                                      "message": "boom"}}
+
+
+def _reference_float_to_wire(value, field):
+    """The numpy-scalar tokeniser the ``math.isfinite`` fast path
+    replaced, kept as the byte reference."""
+    value = float(value)
+    if np.isnan(value):
+        raise CodecError(
+            f"{field} is NaN; refusing to encode (upstream bug)")
+    if np.isinf(value):
+        return "inf" if value > 0.0 else "-inf"
+    return value
+
+
+#: Hard answers exercising every tokenised case: infinite and negative
+#: infinite margins and ranking distances, numpy scalars, subnormal and
+#: signed-zero floats, and a tied (zero) margin.
+FIXED_HARD = (
+    Diagnosis(component="R1", estimated_deviation=0.1, distance=0.25,
+              perpendicular=True, margin=math.inf,
+              point=(0.5, -5e-324), ranking=(("R1", 0.25),)),
+    Diagnosis(component="C2", estimated_deviation=-0.30000000000000004,
+              distance=1e-17, perpendicular=False, margin=0.0,
+              point=(-0.0, 1.7976931348623157e308),
+              ranking=(("C1", 1e-17), ("C2", 1e-17), ("R4", math.inf))),
+    Diagnosis(component="R2", estimated_deviation=0.2, distance=0.5,
+              perpendicular=True, margin=np.float64(-np.inf),
+              point=(1.0, 2.0),
+              ranking=(("R2", np.float64(0.5)), ("R3", -math.inf))),
+)
+
+FIXED_POSTERIOR = (
+    PosteriorDiagnosis(
+        component="R2", probabilities=(("R2", 0.75), ("golden", 0.25),
+                                       ("C1", 4.9e-324)),
+        entropy_bits=0.8112781244591328, expected_deviation=-0.125,
+        test_ranking=((1873.817422860383, 0.0507), (10.0, 0.0)),
+        n_samples=16),
+)
+
+#: The wire bytes of FIXED_HARD, as the numpy-scalar encoder wrote them.
+FIXED_HARD_BYTES = (
+    b'{"diagnoses":[{"component":"R1","estimated_deviation":0.1,'
+    b'"distance":0.25,"perpendicular":true,"margin":"inf",'
+    b'"point":[0.5,-5e-324],"ranking":[["R1",0.25]]},'
+    b'{"component":"C2","estimated_deviation":-0.30000000000000004,'
+    b'"distance":1e-17,"perpendicular":false,"margin":0.0,'
+    b'"point":[-0.0,1.7976931348623157e+308],'
+    b'"ranking":[["C1",1e-17],["C2",1e-17],["R4","inf"]]},'
+    b'{"component":"R2","estimated_deviation":0.2,"distance":0.5,'
+    b'"perpendicular":true,"margin":"-inf","point":[1.0,2.0],'
+    b'"ranking":[["R2",0.5],["R3","-inf"]]}]}')
+
+
+class TestCodecBytes:
+    """The float fast paths leave every wire byte and every decoded
+    value as the numpy-scalar codec had them."""
+
+    @pytest.mark.parametrize("encode, answers", [
+        (codec.encode_response, FIXED_HARD),
+        (codec.encode_posterior_response, FIXED_POSTERIOR),
+    ])
+    def test_bytes_equal_the_reference_encoder(self, monkeypatch, encode,
+                                               answers):
+        payload = encode(answers)
+        monkeypatch.setattr(codec, "_float_to_wire",
+                            _reference_float_to_wire)
+        assert payload == encode(answers)
+
+    def test_hard_bytes_are_pinned(self):
+        assert codec.encode_response(FIXED_HARD) == FIXED_HARD_BYTES
+
+    def test_round_trip_gives_python_floats(self):
+        decoded = codec.decode_response(codec.encode_response(FIXED_HARD))
+        assert [repr(d) for d in decoded] == \
+            [repr(d) for d in codec.decode_response(FIXED_HARD_BYTES)]
+        for got, want in zip(decoded, FIXED_HARD):
+            assert type(got.margin) is float
+            assert got.margin == want.margin
+            assert all(type(distance) is float
+                       for _, distance in got.ranking)
+        posterior = codec.decode_posterior_response(
+            codec.encode_posterior_response(FIXED_POSTERIOR))
+        assert repr(posterior) == repr(list(FIXED_POSTERIOR))
+
+    @pytest.mark.parametrize("nan", [math.nan, np.float64(np.nan)])
+    def test_nan_still_raises(self, nan):
+        template = FIXED_HARD[0]
+        for answer, field in (
+                (dataclasses.replace(template, margin=nan), "margin"),
+                (dataclasses.replace(template, ranking=(("R1", nan),)),
+                 r"ranking\[R1\]")):
+            with pytest.raises(CodecError, match=field):
+                codec.encode_response([answer])
+
+    @pytest.mark.parametrize("wire, expected", [
+        ("inf", math.inf), ("+inf", math.inf), ("-inf", -math.inf),
+        ("INF", math.inf), (None, math.inf), (3, 3.0), (0.5, 0.5),
+        (-0.0, -0.0)])
+    def test_decoder_tokens(self, wire, expected):
+        value = codec._float_from_wire(wire, "margin")
+        assert type(value) is float
+        assert repr(value) == repr(expected)
+
+    def test_decoder_nan_token(self):
+        value = codec._float_from_wire("nan", "margin")
+        assert type(value) is float and math.isnan(value)
+
+    @pytest.mark.parametrize("wire, message", [
+        (True, "got bool"), (False, "got bool"), ("infinity", "unknown"),
+        ([1.0], "got list"), ("1.5", "unknown")])
+    def test_decoder_rejects(self, wire, message):
+        with pytest.raises(CodecError, match=message):
+            codec._float_from_wire(wire, "margin")
+        template = json.loads(FIXED_HARD_BYTES)["diagnoses"][0]
+        payload = json.dumps({"diagnoses": [dict(template,
+                                                 margin=wire)]})
+        with pytest.raises(CodecError):
+            codec.decode_response(payload)
 
 
 # ----------------------------------------------------------------------
