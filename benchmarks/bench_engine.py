@@ -20,7 +20,9 @@ and writes a machine-readable ``BENCH_engine.json``:
   ``fitness(vector)`` in a Python loop against
   ``fitness.score_population`` (one shared response-surface sampling
   pass + memo-deduplicated scoring) on identical fresh-cache
-  populations.
+  populations, plus the conflict kernel alone
+  (``conflict_counts_batch``) on the same population's segments, so
+  its share of a generation's scoring is on record.
 
 Both dictionary-build regimes additionally time
 :class:`FactoredMnaEngine` (factor-once Sherman-Morrison-Woodbury
@@ -69,6 +71,7 @@ from repro.ga import PaperFitness
 from repro.ga.encoding import FrequencySpace
 from repro.sim import VariantTable
 from repro.sim.engine import ScalarMnaEngine
+from repro.trajectory.metrics import conflict_counts_batch
 from repro.units import log_frequency_grid
 
 from _helpers import check_environment, environment_info
@@ -77,7 +80,8 @@ SEED = 2005
 
 REQUIRED_KEYS = {
     "dictionary_build": ("dense", "test_vector"),
-    "ga_evaluation": ("per_individual_s", "population_s", "speedup"),
+    "ga_evaluation": ("per_individual_s", "population_s", "speedup",
+                      "conflict_s", "conflict_share"),
     "size_sweep": ("points", "fault_components", "cases"),
     "posterior_block": ("worlds", "rows", "columns", "points",
                         "scalar_s", "batched_s", "factored_s"),
@@ -183,7 +187,8 @@ def bench_dictionary_build(info, universe, grid, repeats):
 
 
 def bench_ga_evaluation(info, universe, grid, population_size, repeats):
-    """Per-individual loop vs score_population on fresh caches."""
+    """Per-individual loop vs score_population on fresh caches, and
+    the conflict kernel alone on the population's segment batch."""
     dictionary = FaultDictionary.build(
         universe, info.output_node, grid,
         input_source=info.input_source)
@@ -200,14 +205,30 @@ def bench_ga_evaluation(info, universe, grid, population_size, repeats):
         fitness = PaperFitness(ResponseSurface(dictionary))
         return fitness.score_population(decoded)
 
+    fitness = PaperFitness(ResponseSurface(dictionary))
+    segments = [fitness.trajectories_for(freqs).all_segments()
+                for freqs in decoded]
+    starts = np.stack([start for start, _, _ in segments])
+    ends = np.stack([end for _, end, _ in segments])
+    owners = segments[0][2]
+
     individual_s, individual_scores = _best_of(repeats, per_individual)
     population_s, population_scores = _best_of(repeats, population_level)
     assert np.array_equal(individual_scores, population_scores)
+    conflict_s, (intersections, overlaps) = _best_of(
+        repeats, lambda: conflict_counts_batch(starts, ends, owners))
+    for freqs, crossings, pathways in zip(decoded, intersections,
+                                          overlaps):
+        metrics = fitness.metrics_for(freqs, include_separations=False)
+        assert (metrics.intersections, metrics.common_pathways) == \
+            (crossings, pathways)
     return {
         "population": population_size,
         "per_individual_s": individual_s,
         "population_s": population_s,
         "speedup": individual_s / population_s,
+        "conflict_s": conflict_s,
+        "conflict_share": conflict_s / population_s,
     }
 
 
@@ -420,7 +441,10 @@ def run(quick: bool) -> dict:
         "ga_evaluation": bench_ga_evaluation(
             info, universe, dense_grid,
             population_size=32 if quick else 128,
-            repeats=2 if quick else 3),
+            # A 128-genome kernel call takes ~2 ms: with best of 3 the
+            # recorded kernel share read 58 % and 91 % in two full runs
+            # on a 2-core host, with best of 10 59 % and 61 %.
+            repeats=3 if quick else 10),
         "size_sweep": bench_size_sweep(
             (10, 30) if quick else (10, 25, 50, 100, 200),
             repeats=1 if quick else 2),
@@ -479,6 +503,12 @@ def check(report: dict) -> None:
                 raise SystemExit(
                     f"bad size_sweep time {field} at "
                     f"{case['sections']} sections")
+    ga = report["ga_evaluation"]
+    for field in ("population_s", "conflict_s"):
+        if not (isinstance(ga[field], float) and ga[field] > 0.0):
+            raise SystemExit(
+                f"BENCH_engine.json has bad ga_evaluation.{field}: "
+                f"{ga[field]!r}")
     block = report["posterior_block"]
     for field in ("scalar_s", "batched_s", "factored_s", "speedup"):
         value = block[field]
@@ -557,7 +587,9 @@ def main(argv=None) -> int:
     print(f"GA evaluation ({ga['population']} individuals): "
           f"per-individual {ga['per_individual_s'] * 1e3:.1f} ms, "
           f"population {ga['population_s'] * 1e3:.1f} ms "
-          f"({ga['speedup']:.2f}x)")
+          f"({ga['speedup']:.2f}x), of which conflict kernel "
+          f"{ga['conflict_s'] * 1e3:.1f} ms "
+          f"({ga['conflict_share']:.0%})")
     overhead = report["telemetry_overhead"]
     print(f"telemetry overhead (dictionary build, "
           f"{overhead['points']} pts, {overhead['pairs']} pairs): "

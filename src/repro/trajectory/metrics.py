@@ -95,7 +95,7 @@ def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _conflict_counts(starts: np.ndarray, ends: np.ndarray,
-                     owners: np.ndarray, chunk_size: int = 32
+                     owners: np.ndarray, chunk_size: int = 128
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """(crossings, overlaps) per member of a (K, S, 2) segment batch.
 
@@ -107,12 +107,18 @@ def _conflict_counts(starts: np.ndarray, ends: np.ndarray,
     endpoints relative to line a. A collinear pair is a common pathway
     when b's projection onto a covers a stretch of positive length.
 
-    Each chunk of members is laid out as contiguous ``(S, members)``
-    planes, so gathering a pair's operands copies whole rows. A pair is
-    evaluated only when its padded bounding boxes meet in at least one
-    member of the chunk; the others can neither cross nor overlap (see
-    the pad derivation below), so the counts are those of evaluating
-    every pair.
+    Pruning is per case, a case being one (pair, member): a case is
+    evaluated only when the pair's padded bounding boxes meet in that
+    member; the others can neither cross nor overlap (see the pad
+    derivation below). The determinants come in two stages. Stage 1
+    computes d1/d2 for every case whose boxes meet; stage 2 computes
+    d3/d4 only where a's endpoints straddle line b (``d1*d2 < -eps``)
+    or both lie within ``eps_overlap`` of it, the only cases that can
+    cross or overlap. Every determinant is the same expression on the
+    same operands as evaluating every pair, so the counts are bitwise
+    those. ``chunk_size`` members are laid out at a time as contiguous
+    ``(S, members)`` planes; it bounds memory only (the box test holds
+    ``S * S * chunk_size`` booleans), not which cases are evaluated.
     """
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
@@ -140,6 +146,7 @@ def _conflict_counts(starts: np.ndarray, ends: np.ndarray,
     overlaps = np.zeros(num_members, dtype=int)
     for low in range(0, num_members, chunk_size):
         high = min(low + chunk_size, num_members)
+        width = high - low
         sx, sy, ex, ey = (np.ascontiguousarray(plane[low:high, :, axis].T)
                           for plane in (starts, ends) for axis in (0, 1))
         dx, dy = ex - sx, ey - sy
@@ -173,59 +180,73 @@ def _conflict_counts(starts: np.ndarray, ends: np.ndarray,
         low_y, high_y = np.minimum(sy, ey) - pad, np.maximum(sy, ey) + pad
         meets = low_x[:, None] <= high_x[None, :]
         meets &= low_y[:, None] <= high_y[None, :]
-        meets &= meets.transpose(1, 0, 2)
-        near = meets.any(axis=2)[a, b]
-        i, j = a[near], b[near]
+        meets = meets[a, b] & meets[b, a]
 
-        ax, ay, adx, ady = sx[i], sy[i], dx[i], dy[i]
-        bx, by, bdx, bdy = sx[j], sy[j], dx[j], dy[j]
+        # Cases as flat indices into the (S * members,) planes.
+        pair, member = np.divmod(np.flatnonzero(meets), width)
+        i = a[pair] * width + member
+        j = b[pair] * width + member
+        sx, sy, ex, ey, dx, dy = (plane.ravel()
+                                  for plane in (sx, sy, ex, ey, dx, dy))
+        ax, ay, bx, by, bdx, bdy = sx[i], sy[i], sx[j], sy[j], dx[j], dy[j]
+        # Stage 1: a's endpoints against line b.
         d1 = bdx * (ay - by) - bdy * (ax - bx)
         d2 = bdx * (ey[i] - by) - bdy * (ex[i] - bx)
+        case_overlap = eps_overlap[member]
+        straddles = d1 * d2 < -eps[member]
+        level = (np.abs(d1) <= case_overlap) & \
+            (np.abs(d2) <= case_overlap)
+        keep = np.flatnonzero(straddles | level)
+        # Stage 2: b's endpoints against line a, on the survivors.
+        i, j, member = i[keep], j[keep], member[keep]
+        ax, ay, bx, by = ax[keep], ay[keep], bx[keep], by[keep]
+        adx, ady = dx[i], dy[i]
         d3 = adx * (by - ay) - ady * (bx - ax)
         d4 = adx * (ey[j] - ay) - ady * (ex[j] - ax)
-        crossing = (d1 * d2 < -eps) & (d3 * d4 < -eps)
-        intersections[low:high] = np.count_nonzero(crossing, axis=0)
-        collinear = ((np.abs(d1) <= eps_overlap) &
-                     (np.abs(d2) <= eps_overlap) &
-                     (np.abs(d3) <= eps_overlap) &
-                     (np.abs(d4) <= eps_overlap))
-        pair, member = np.nonzero(collinear)
-        if member.size == 0:
+        crossing = straddles[keep] & (d3 * d4 < -eps[member])
+        intersections[low:high] = np.bincount(member[crossing],
+                                              minlength=width)
+        case_overlap = case_overlap[keep]
+        collinear = np.flatnonzero(level[keep] &
+                                   (np.abs(d3) <= case_overlap) &
+                                   (np.abs(d4) <= case_overlap))
+        if collinear.size == 0:
             continue
         # Project b onto a's direction: [s0, s1] in units of a's length.
-        i, j = i[pair], j[pair]
-        along = np.stack([dx[i, member], dy[i, member]], axis=1)
-        origin_x, origin_y = sx[i, member], sy[i, member]
+        i, j, member = i[collinear], j[collinear], member[collinear]
+        along = np.stack([dx[i], dy[i]], axis=1)
+        origin_x, origin_y = sx[i], sy[i]
         norm = _dot_rows(along, along)
         positive = norm > _EPS
         norm = np.where(positive, norm, 1.0)
-        s0 = _dot_rows(np.stack([sx[j, member] - origin_x,
-                                 sy[j, member] - origin_y], axis=1),
-                       along) / norm
-        s1 = _dot_rows(np.stack([ex[j, member] - origin_x,
-                                 ey[j, member] - origin_y], axis=1),
-                       along) / norm
+        s0 = _dot_rows(np.stack([sx[j] - origin_x, sy[j] - origin_y],
+                                axis=1), along) / norm
+        s1 = _dot_rows(np.stack([ex[j] - origin_x, ey[j] - origin_y],
+                                axis=1), along) / norm
         lo = np.maximum(0.0, np.minimum(s0, s1))
         hi = np.minimum(1.0, np.maximum(s0, s1))
         overlaps[low:high] = np.bincount(
-            member[positive & (hi - lo > 1e-9)], minlength=high - low)
+            member[positive & (hi - lo > 1e-9)], minlength=width)
     return intersections, overlaps
 
 
 def conflict_counts_batch(starts: np.ndarray, ends: np.ndarray,
-                          owners: np.ndarray, chunk_size: int = 32
+                          owners: np.ndarray, chunk_size: int = 128
                           ) -> Tuple[np.ndarray, np.ndarray]:
     """(intersections, common_pathways) for a 2-D trajectory-set batch.
 
     ``starts``/``ends`` are ``(K, S, 2)`` stacked segment arrays sharing
     one ``owners`` layout -- K candidate configurations of the *same*
-    trajectory structure (the GA population case). Crossings and
-    overlaps of every member are resolved together, ``chunk_size``
-    members at a time; counts are identical to calling
-    :func:`count_intersections` / :func:`count_common_pathways` per
-    member, which run the same kernel with K = 1. Raises
-    :class:`TrajectoryError` on non-finite endpoints and on
-    ``chunk_size < 1``.
+    trajectory structure (the GA population case). Each (segment pair,
+    member) case is pruned on its own padded bounding boxes, and only
+    the cases whose d1/d2 stage leaves a crossing or an overlap
+    possible get the d3/d4 stage. ``chunk_size`` members are processed
+    at a time; it bounds the memory of the box test and changes no
+    count (the default holds one 128-genome GA generation in one
+    chunk). Counts are identical to calling :func:`count_intersections`
+    / :func:`count_common_pathways` per member, which run the same
+    kernel with K = 1. Raises :class:`TrajectoryError` on non-finite
+    endpoints and on ``chunk_size < 1``.
     """
     return _conflict_counts(starts, ends, owners, chunk_size)
 

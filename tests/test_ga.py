@@ -516,6 +516,52 @@ class TestPinnedPaperGA:
             mean_history
 
 
+#: Paper circuits whose same-seed paper-config GA answer (test vector or
+#: best fitness) moves when every dense-dictionary dB magnitude moves by
+#: one ulp. The bitwise pins above guard these circuits' answers against
+#: rounding noise as much as against real change.
+ULP_SENSITIVE_PAPER_GA = ("lc_ladder_lowpass5",)
+
+
+class TestPaperGAUlpSensitivity:
+    def test_one_ulp_moves_only_the_pinned_circuits(self):
+        """Half the dB entries (a fixed-seed draw) one ulp up, the
+        other half one ulp down; rerun each paper GA with its seed."""
+        from repro import PipelineConfig
+        from repro.circuits.library import BENCHMARK_CIRCUITS, \
+            get_benchmark
+        from repro.core.atpg import FaultTrajectoryATPG
+        from repro.faults.surface import ResponseSurface
+        config = PipelineConfig.paper()
+        moved = []
+        for index, name in enumerate(BENCHMARK_CIRCUITS):
+            info = get_benchmark(name)
+            atpg = FaultTrajectoryATPG(info, config)
+            _, dictionary = atpg.build_dictionary()
+            space = FrequencySpace(info.f_min_hz, info.f_max_hz,
+                                   config.num_frequencies)
+            outcomes = []
+            for perturb in (False, True):
+                surface = ResponseSurface(dictionary)
+                if perturb:
+                    db = surface.matrix_db
+                    up = np.random.default_rng(0).permutation(db.size) \
+                        < db.size // 2
+                    # The surface keeps its matrix read-only; swap in
+                    # the perturbed copy.
+                    surface._matrix_db = np.where(
+                        up.reshape(db.shape), np.nextafter(db, np.inf),
+                        np.nextafter(db, -np.inf))
+                result = GeneticAlgorithm(
+                    space, atpg.make_fitness(surface), config.ga
+                ).run(seed=2005 + index)
+                outcomes.append((result.best_freqs_hz,
+                                 result.best_fitness))
+            if outcomes[0] != outcomes[1]:
+                moved.append(name)
+        assert tuple(moved) == ULP_SENSITIVE_PAPER_GA
+
+
 #: Pipeline GA runs of the margin and combined fitnesses and of 1- and
 #: 3-frequency searches (201-point dictionary, 24x5 GA, seed 2005 + the
 #: circuit's index in ``BENCHMARK_CIRCUITS``), recorded before every

@@ -463,6 +463,31 @@ def segment_batches(draw):
     return starts, ends, owners
 
 
+@st.composite
+def wide_segment_batches(draw):
+    """A :func:`segment_batches` batch widened to 129..300 members.
+
+    Each member is a copy of a drawn member under a random exact
+    transform (axis swap, sign flips, a power-of-two scale), so the
+    batch spans several default chunks while keeping the drawn kinds'
+    exact touching, collinearity and ties.
+    """
+    starts, ends, owners = draw(segment_batches())
+    count = draw(st.integers(129, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    source = rng.integers(0, len(starts), count)
+    swap = rng.random(count) < 0.5
+    signs = rng.choice((-1.0, 1.0), size=(count, 1, 2))
+    scales = 2.0 ** rng.integers(-3, 4, size=(count, 1, 1))
+
+    def widen(plane):
+        plane = plane[source]
+        plane[swap] = plane[swap][..., ::-1]
+        return plane * signs * scales
+
+    return widen(starts), widen(ends), owners
+
+
 class TestConflictKernel:
     @settings(max_examples=300, deadline=None)
     @given(segment_batches())
@@ -483,6 +508,54 @@ class TestConflictKernel:
                                         chunk_size=chunk_size)
         assert np.array_equal(whole[0], chunked[0])
         assert np.array_equal(whole[1], chunked[1])
+
+    @pytest.mark.slow
+    @settings(max_examples=40, deadline=None)
+    @given(wide_segment_batches())
+    def test_multi_chunk_batch_equals_oracle(self, batch):
+        starts, ends, owners = batch
+        intersections, overlaps = conflict_counts_batch(starts, ends,
+                                                        owners)
+        expected_i, expected_o = oracle_counts(starts, ends, owners)
+        assert np.array_equal(intersections, expected_i)
+        assert np.array_equal(overlaps, expected_o)
+
+    # Member 4 overflows on purpose, in the kernel and in the oracle.
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("chunk_size", [1, 2, None])
+    def test_pruning_is_per_member(self, chunk_size):
+        """One chunk whose members need different pairs evaluated.
+
+        Two trajectories of two segments each. Member 0: the first
+        segments cross. Member 1: the same pair's boxes are disjoint,
+        so only member 0 needs that pair. Member 2: the first segments
+        overlap collinearly on [1, 2]. Member 3: a zero-length segment
+        (infinite pad) on the extension of the other trajectory's
+        first segment, which reaches the overlap projection and counts
+        nothing. Member 4: a segment whose squared length overflows
+        makes the collinearity bound infinite, so the first segments,
+        parallel with disjoint boxes, count as a common pathway; only
+        their infinite pads keep them from being pruned.
+        """
+        members = [
+            ([(0, 0), (2, 2), (4, 2)], [(0, 2), (2, 0), (4, 0)]),
+            ([(0, 0), (2, 2), (4, 2)], [(10, 12), (12, 10), (14, 10)]),
+            ([(0, 0), (2, 0), (4, 1)], [(1, 0), (3, 0), (3, -5)]),
+            ([(0, 0), (2, 2), (2, 2)], [(5, 5), (7, 7), (9, 0)]),
+            ([(0, 0), (1, 0), (1e154, 1e154)], [(0, 5), (1, 5), (2, 5)]),
+        ]
+        lines = np.array(members, dtype=float)        # (K, T, 3, 2)
+        starts = lines[:, :, :-1].reshape(len(members), -1, 2)
+        ends = lines[:, :, 1:].reshape(len(members), -1, 2)
+        owners = np.array([0, 0, 1, 1])
+        options = {} if chunk_size is None else {"chunk_size": chunk_size}
+        intersections, overlaps = conflict_counts_batch(starts, ends,
+                                                        owners, **options)
+        assert intersections.tolist() == [1, 0, 0, 0, 0]
+        assert overlaps.tolist() == [0, 0, 1, 0, 1]
+        expected_i, expected_o = oracle_counts(starts, ends, owners)
+        assert np.array_equal(intersections, expected_i)
+        assert np.array_equal(overlaps, expected_o)
 
     def test_scalar_counts_equal_batch_on_biquad(self,
                                                  biquad_trajectories):
@@ -539,3 +612,67 @@ class TestConflictKernel:
         for measure in (pairwise_separations, evaluate_metrics):
             with pytest.raises(TrajectoryError, match="finite"):
                 measure(nan_set)
+
+
+def _generation_zero_batches():
+    """Each paper circuit's generation-0 GA population as kernel input.
+
+    ``GeneticAlgorithm.run(seed)`` draws its first population with
+    ``space.random_population(default_rng(seed), population_size)``;
+    scoring that population records the ``(starts, ends, owners)``
+    arrays :class:`~repro.ga.fitness.PaperFitness` hands the kernel.
+    """
+    from repro import PipelineConfig
+    from repro.circuits.library import BENCHMARK_CIRCUITS, get_benchmark
+    from repro.core.atpg import FaultTrajectoryATPG
+    from repro.faults.surface import ResponseSurface
+    from repro.ga.encoding import FrequencySpace
+    from repro.trajectory import metrics
+
+    config = PipelineConfig.paper()
+    batches = []
+    with pytest.MonkeyPatch.context() as patch:
+        def record(starts, ends, owners, *args, **kwargs):
+            batches.append((name, starts, ends, owners))
+            return kernel(starts, ends, owners, *args, **kwargs)
+
+        kernel = metrics.conflict_counts_batch
+        patch.setattr(metrics, "conflict_counts_batch", record)
+        for index, name in enumerate(BENCHMARK_CIRCUITS):
+            info = get_benchmark(name)
+            atpg = FaultTrajectoryATPG(info, config)
+            _, dictionary = atpg.build_dictionary()
+            fitness = atpg.make_fitness(ResponseSurface(dictionary))
+            space = FrequencySpace(info.f_min_hz, info.f_max_hz,
+                                   config.num_frequencies)
+            population = space.random_population(
+                np.random.default_rng(2005 + index),
+                config.ga.population_size)
+            fitness.score_population(space.decode_population(population))
+    return batches
+
+
+class TestConflictKernelOnPaperPopulations:
+    """The kernel against the all-pairs oracle on real GA inputs."""
+
+    @pytest.fixture(scope="class")
+    def batches(self):
+        return [(name, starts, ends, owners,
+                 oracle_counts(starts, ends, owners))
+                for name, starts, ends, owners
+                in _generation_zero_batches()]
+
+    def test_every_paper_circuit_is_covered(self, batches):
+        from repro.circuits.library import BENCHMARK_CIRCUITS
+        assert [name for name, *_ in batches] == list(BENCHMARK_CIRCUITS)
+        assert all(len(starts) == 128 for _, starts, *_ in batches)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, None, 129])
+    def test_counts_equal_oracle(self, batches, chunk_size):
+        options = {} if chunk_size is None else {"chunk_size": chunk_size}
+        for name, starts, ends, owners, expected in batches:
+            intersections, overlaps = conflict_counts_batch(
+                starts, ends, owners, **options)
+            expected_i, expected_o = expected
+            assert np.array_equal(intersections, expected_i), name
+            assert np.array_equal(overlaps, expected_o), name
