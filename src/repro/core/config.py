@@ -6,7 +6,6 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from ..diagnosis.posterior import RETIRED_WORKER_KEYS
 from ..errors import ReproError
 from ..faults.models import paper_deviation_grid
 from ..ga.config import GAConfig
@@ -113,13 +112,9 @@ class PipelineConfig:
         """Rebuild a config from :meth:`to_json_dict` output (or any
         subset of its keys -- omitted fields keep their defaults).
 
-        Keys of the retired worker-pool knobs (``n_workers``,
-        ``executor``, ``ga_workers``, ``ga_executor``, ``parallelism``)
-        are accepted and ignored, so persisted configs still load; any
-        other unknown key raises :class:`~repro.errors.ReproError`.
+        An unknown key raises :class:`~repro.errors.ReproError`.
         """
-        payload = {key: value for key, value in data.items()
-                   if key not in RETIRED_WORKER_KEYS}
+        payload = dict(data)
         try:
             if isinstance(payload.get("ga"), dict):
                 payload["ga"] = GAConfig(**payload["ga"])

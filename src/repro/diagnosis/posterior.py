@@ -101,13 +101,6 @@ INFORMATIVE_GAIN_BITS = 1e-12
 #: collapse onto the hard classifier's decision).
 _SIGMA_FLOOR = 1e-9
 
-#: JSON keys of the worker-pool knobs the configs no longer have.
-#: Persisted pipeline/posterior configs (and corpus specs) still carry
-#: them, so ``from_json_dict`` accepts and drops them.
-RETIRED_WORKER_KEYS = frozenset(
-    ("n_workers", "executor", "ga_workers", "ga_executor", "parallelism"))
-
-
 @dataclass(frozen=True)
 class PosteriorConfig:
     """Tolerance model + sampling knobs for the probabilistic tier.
@@ -161,17 +154,15 @@ class PosteriorConfig:
                 f"got {self.samples_per_block}")
 
     # ------------------------------------------------------------------
-    # JSON round-trip (retired worker keys are accepted and dropped).
+    # JSON round-trip
     # ------------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, object]) -> "PosteriorConfig":
-        payload = {key: value for key, value in data.items()
-                   if key not in RETIRED_WORKER_KEYS}
         try:
-            return cls(**payload)
+            return cls(**data)
         except TypeError as exc:
             raise ReproError(
                 f"bad posterior-config dict: {exc}") from exc
@@ -216,63 +207,6 @@ class PosteriorDiagnosis:
                       f"(+{best_gain:.3f} b expected)")
         return (f"posterior [{top}] entropy {self.entropy_bits:.3f} b, "
                 f"{advice}")
-
-
-@dataclass
-class _WorldSpec:
-    """Everything the build needs to simulate sample blocks.
-
-    The worlds are one value table: a column per faultable component
-    (``targets``, tolerance-perturbed in every world) followed by the
-    fault components outside ``targets`` (never perturbed). Row ``h``
-    of ``hypotheses`` is hypothesis ``h`` unperturbed -- row 0 the
-    fault-free circuit, row ``1 + f`` fault ``f`` applied.
-    """
-
-    circuit: object
-    output_node: str
-    input_source: Optional[str]
-    grid: np.ndarray
-    targets: Tuple[str, ...]
-    hypotheses: VariantTable
-    fault_labels: Tuple[str, ...]
-    eps: np.ndarray
-
-
-def _run_world_block(spec: _WorldSpec, engine: SimulationEngine,
-                     out: np.ndarray, start: int, stop: int
-                     ) -> Optional[np.ndarray]:
-    """Simulate samples ``[start, stop)`` into ``out``.
-
-    One ``transfer_block`` call per block; per world, the fault-free
-    circuit plus every fault, each with the world's ``nominal * (1 +
-    eps)`` on every target. The nominal (tolerance-free) reference
-    rides the first block and is returned as the golden row.
-    """
-    include_nominal = start == 0
-    hypotheses = spec.hypotheses.values
-    rows_per_sample = hypotheses.shape[0]
-    num_targets = len(spec.targets)
-    worlds = np.repeat(hypotheses[None, :, :], stop - start, axis=0)
-    worlds[:, :, :num_targets] = hypotheses[None, :, :num_targets] * \
-        (1.0 + spec.eps[start:stop, None, :])
-    values = worlds.reshape(-1, hypotheses.shape[1])
-    name = spec.circuit.name
-    labels = [f"{name}#posterior:{label}:s{sample}"
-              for sample in range(start, stop)
-              for label in (FAULT_FREE_LABEL,) + spec.fault_labels]
-    if include_nominal:
-        values = np.vstack([hypotheses[:1], values])
-        labels.insert(0, name)
-    block = engine.transfer_block(
-        spec.output_node, spec.grid,
-        VariantTable(spec.hypotheses.columns, values, tuple(labels)),
-        spec.input_source)
-    mag_db = block.magnitude_db()
-    offset = 1 if include_nominal else 0
-    out[:, start:stop, :] = mag_db[offset:].reshape(
-        stop - start, rows_per_sample, -1).transpose(1, 0, 2)
-    return mag_db[0].copy() if include_nominal else None
 
 
 class PosteriorDiagnoser:
@@ -365,21 +299,37 @@ class PosteriorDiagnoser:
         hypotheses = VariantTable.of_faults(circuit, self._faults) \
             .with_columns(circuit, [(name, "value") for name in targets])
 
+        # The worlds, one transfer_block call per sample block: per
+        # world, the fault-free circuit plus every fault, each with the
+        # world's ``nominal * (1 + eps)`` on every target. The nominal
+        # (tolerance-free) reference rides the first block as its row
+        # 0: the golden response every signature is relative to.
+        nominal = hypotheses.values
         rows_per_sample = len(hypotheses)
-        spec = _WorldSpec(
-            circuit=circuit, output_node=info.output_node,
-            input_source=info.input_source, grid=grid, targets=targets,
-            hypotheses=hypotheses,
-            fault_labels=tuple(fault.label for fault in self._faults),
-            eps=eps)
+        row_labels = (FAULT_FREE_LABEL,) + tuple(
+            fault.label for fault in self._faults)
         mag_db = np.empty((rows_per_sample, config.n_samples, grid.size))
-        golden_db = None
         for start in range(0, config.n_samples, config.samples_per_block):
             stop = min(start + config.samples_per_block, config.n_samples)
-            row = _run_world_block(spec, self._engine, mag_db, start, stop)
-            if row is not None:
-                golden_db = row
-        assert golden_db is not None
+            worlds = np.repeat(nominal[None, :, :], stop - start, axis=0)
+            worlds[:, :, :len(targets)] = \
+                nominal[None, :, :len(targets)] * \
+                (1.0 + eps[start:stop, None, :])
+            values = worlds.reshape(-1, nominal.shape[1])
+            labels = [f"{circuit.name}#posterior:{label}:s{sample}"
+                      for sample in range(start, stop)
+                      for label in row_labels]
+            if start == 0:
+                values = np.vstack([nominal[:1], values])
+                labels.insert(0, circuit.name)
+            block_db = self._engine.transfer_block(
+                info.output_node, grid,
+                VariantTable(hypotheses.columns, values, tuple(labels)),
+                info.input_source).magnitude_db()
+            if start == 0:
+                golden_db, block_db = block_db[0].copy(), block_db[1:]
+            mag_db[:, start:stop, :] = block_db.reshape(
+                stop - start, rows_per_sample, -1).transpose(1, 0, 2)
         #: Engine variants simulated during the build (telemetry).
         self.samples_simulated = rows_per_sample * config.n_samples + 1
 
@@ -387,8 +337,9 @@ class PosteriorDiagnoser:
         # golden-relative transform the hard classifier uses), per
         # world: row 0 is the world's fault-free anchor, rows 1.. its
         # fault anchors.
+        self._golden_test_db = golden_db[test_idx]
         anchors = mapper.signatures_from_db(mag_db[:, :, test_idx],
-                                            golden_db[test_idx])
+                                            self._golden_test_db)
         self._golden_points = anchors[0]                   # (M, D)
         self._assemble_segments(anchors)
 
@@ -660,9 +611,9 @@ class PosteriorDiagnoser:
 
         The rows go through the mapper's
         :meth:`~SignatureMapper.signatures_from_db`, the one
-        dB-to-signature transform every tier uses, against a golden
-        response simulated at the test vector. The serving layer
-        instead converts rows with the hard classifier's
+        dB-to-signature transform every tier uses, against the build's
+        nominal (tolerance-free) response at the test vector. The
+        serving layer instead converts rows with the hard classifier's
         :meth:`~repro.diagnosis.classifier.TrajectoryClassifier.signatures`
         (the same transform against the pipeline's exact golden
         response), so both tiers of a served request see one point set.
@@ -675,22 +626,6 @@ class PosteriorDiagnoser:
         points = self.mapper.signatures_from_db(matrix,
                                                 self._golden_test_db)
         return self.diagnose_points(points)
-
-    @property
-    def _golden_test_db(self) -> np.ndarray:
-        cached = getattr(self, "_golden_test_cache", None)
-        if cached is None:
-            freqs = np.asarray(self.mapper.test_freqs_hz, dtype=float)
-            order = np.argsort(freqs, kind="stable")
-            block = self._engine.transfer_block(
-                self.info.output_node, freqs[order],
-                VariantTable.nominal(self.info.circuit.name),
-                self.info.input_source)
-            db_row = block.magnitude_db()[0]
-            cached = np.empty_like(db_row)
-            cached[order] = db_row
-            self._golden_test_cache = cached
-        return cached
 
 
 def _entropy_bits(probabilities: np.ndarray) -> np.ndarray:

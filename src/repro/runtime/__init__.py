@@ -7,10 +7,11 @@ Turns the paper reproduction into an engine fit for heavy traffic:
   trajectory sets keyed by the canonical problem statement, with
   ``disk_usage`` accounting and LRU ``prune``;
 * :mod:`repro.runtime.service` -- :class:`DiagnosisService`, the warm
-  multi-circuit ``submit()``/``submit_many()`` facade with an engine
-  LRU and counters; each warmed engine answers hard requests with the
-  pipeline's :class:`~repro.diagnosis.classifier.TrajectoryClassifier`,
-  which classifies a whole ``(N, F)`` batch in one vectorised call;
+  multi-circuit ``submit()``/``diagnose_posterior()`` facade with an
+  engine LRU and counters; each warmed engine answers hard requests
+  with the pipeline's
+  :class:`~repro.diagnosis.classifier.TrajectoryClassifier`, which
+  classifies a whole ``(N, F)`` batch in one vectorised call;
 * :mod:`repro.runtime.server` -- :class:`AsyncDiagnosisService`, the
   awaitable coalescing front (micro-batching window, backpressure),
   plus a stdlib JSON-over-HTTP server (:func:`serve`) with persistent

@@ -27,8 +27,9 @@ modes, circuits, batch sizes and arrival interleavings.
 Knobs
 -----
 ``window_seconds``
-    Micro-batching window: how long the first request of a batch waits
-    for company before the flush fires.
+    Micro-batching window: the longest the first request of a batch
+    waits for company. The flush fires as soon as one event-loop pass
+    brings no new arrival for the queue, or when the window expires.
 ``max_batch``
     Row budget per coalesced batch: reaching it flushes immediately
     (no window wait).
@@ -137,8 +138,10 @@ class AsyncDiagnosisService:
         ``service_kwargs`` (forwarded to :class:`DiagnosisService`)
         when omitted.
     window_seconds:
-        Micro-batching window (seconds). ``0.0`` still coalesces
-        whatever arrives within one loop iteration.
+        Micro-batching window (seconds): the upper bound on a batch's
+        wait, which ends as soon as one event-loop pass brings no new
+        arrival. ``0.0`` still coalesces whatever arrives within one
+        loop iteration.
     max_batch:
         Flush as soon as a circuit's queued rows reach this budget.
     max_pending:
@@ -146,12 +149,6 @@ class AsyncDiagnosisService:
     overflow:
         ``"wait"`` parks new submits until capacity frees;
         ``"reject"`` raises :class:`ServiceOverloadedError` instead.
-    eager_flush:
-        Adaptive windowing (default on): flush as soon as one full
-        event-loop pass produces no new arrivals for the circuit, so
-        closed-loop clients never stall on the timer; the window stays
-        the upper bound. Set ``False`` to always wait the full window
-        (maximises coalescing for time-spread open-loop arrivals).
 
     Coalesced batches are diagnosed inline on the loop (a classify call
     is microseconds-scale); engine warm-ups and posterior builds run on
@@ -161,7 +158,6 @@ class AsyncDiagnosisService:
     def __init__(self, service: Optional[DiagnosisService] = None, *,
                  window_seconds: float = 0.002, max_batch: int = 64,
                  max_pending: int = 1024, overflow: str = "wait",
-                 eager_flush: bool = True,
                  **service_kwargs) -> None:
         if service is None:
             service = DiagnosisService(**service_kwargs)
@@ -184,7 +180,6 @@ class AsyncDiagnosisService:
         self.max_batch = max_batch
         self.max_pending = max_pending
         self.overflow = overflow
-        self.eager_flush = eager_flush
         self._queues: Dict[Tuple[str, str], _CircuitQueue] = {}
         self._inflight: Set["asyncio.Task[None]"] = set()
         self._pending = 0
@@ -273,8 +268,7 @@ class AsyncDiagnosisService:
 
         Every ``(circuit_name, responses)`` pair is enqueued in the
         same event-loop pass, so the coalescer groups the burst into
-        (at most) one call per distinct circuit -- the async face of
-        :meth:`DiagnosisService.submit_many`. Failures stay
+        (at most) one call per distinct circuit. Failures stay
         per-request internally (a bad entry never poisons its peers'
         answers); the call then re-raises the first failure, after
         every request has settled so no result future is left
@@ -339,23 +333,19 @@ class AsyncDiagnosisService:
         queue = self._queues.get(queue_key)
         if queue is None:
             return
+        # Adaptive window: give every ready task one full loop pass to
+        # enqueue; flush as soon as arrivals go quiet (or the window
+        # expires). Closed-loop clients thus never stall on the timer,
+        # while a burst still coalesces completely.
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.window_seconds
+        seen = queue.rows
         try:
-            if self.eager_flush:
-                # Adaptive window: give every ready task one full loop
-                # pass to enqueue; flush as soon as arrivals go quiet
-                # (or the window expires). Closed-loop clients thus
-                # never stall on the timer, while a burst still
-                # coalesces completely.
-                loop = asyncio.get_running_loop()
-                deadline = loop.time() + self.window_seconds
+            while True:
+                await asyncio.sleep(0)
+                if queue.rows == seen or loop.time() >= deadline:
+                    break
                 seen = queue.rows
-                while True:
-                    await asyncio.sleep(0)
-                    if queue.rows == seen or loop.time() >= deadline:
-                        break
-                    seen = queue.rows
-            else:
-                await asyncio.sleep(self.window_seconds)
         except asyncio.CancelledError:
             return
         self._start_flush(queue_key, from_timer=True)
@@ -463,8 +453,8 @@ class AsyncDiagnosisService:
                 if not item.future.done():
                     item.future.set_result(part)
                 records.append((item.rows, finished - item.enqueued_at))
-            self.service._record_flush(circuit_name, mode, records,
-                                       answers)
+            self.service.stats.record_answers(
+                circuit_name, mode, records, answers, coalesced=True)
         finally:
             await self._settle(len(items))
 

@@ -4,9 +4,11 @@
 (:mod:`repro.runtime.server`) plugs into: it owns an LRU cache of warmed
 per-circuit engines (an ATPG run and its trajectory classifier), loads
 artifacts through an optional :class:`~repro.runtime.store.ArtifactStore`
-so cold starts skip simulation, and answers
-``submit(circuit_name, responses)`` requests with batched classification
-while keeping request/latency counters.
+so cold starts skip simulation, and answers hard
+(``submit(circuit_name, responses)``) and posterior
+(``diagnose_posterior``) requests through one path -- the mode's
+batched kernel and one stats record -- while keeping request/latency
+counters.
 
 Thread-safety contract:
 
@@ -26,8 +28,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-
-import numpy as np
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (Callable, Deque, Dict, List, Optional, Sequence,
@@ -139,51 +139,38 @@ class ServiceStats:
     # ------------------------------------------------------------------
     # Recording (thread-safe)
     # ------------------------------------------------------------------
-    def _record_one(self, circuit_name: str, n_responses: int,
-                    latency_seconds: float) -> None:
-        self._latencies.append(latency_seconds)
-        self._m_requests.labels(circuit_name).inc()
-        self._m_responses.labels(circuit_name).inc(n_responses)
-        self._m_latency.labels(circuit_name).observe(latency_seconds)
-
-    def record_request(self, circuit_name: str, n_responses: int,
-                       latency_seconds: float) -> None:
-        """Record one completed ``submit`` request."""
-        with self._lock:
-            self._record_one(circuit_name, n_responses, latency_seconds)
-
-    def record_coalesced(self, circuit_name: str,
-                         request_latencies: Sequence[Tuple[int, float]],
-                         n_rows: int) -> None:
-        """Record one coalesced flush answering several requests.
-
-        ``request_latencies`` holds ``(n_responses, latency_seconds)``
-        per client request; ``n_rows`` is the size of the single
-        classify call that answered them all.
-        """
-        with self._lock:
-            self._m_coalesced_batches.inc()
-            self._m_coalesced_requests.inc(len(request_latencies))
-            self._m_batch_rows.observe(n_rows)
-            for n_responses, latency in request_latencies:
-                self._record_one(circuit_name, n_responses, latency)
-
-    def record_posterior(self, circuit_name: str,
-                         request_latencies: Sequence[Tuple[int, float]],
-                         entropies: Sequence[float]) -> None:
-        """Record posterior requests answered by one diagnose call.
+    def record_answers(self, circuit_name: str, mode: str,
+                       request_latencies: Sequence[Tuple[int, float]],
+                       answers: Sequence, *,
+                       coalesced: bool = False) -> None:
+        """Record one diagnose call of ``mode`` and the requests it
+        answered.
 
         ``request_latencies`` holds ``(n_rows, latency_seconds)`` per
-        client request; ``entropies`` the per-row posterior entropies
-        (bits) of the whole call.
+        client request; ``answers`` is the call's whole answer list
+        (posterior answers carry the per-row entropies). ``coalesced``
+        marks a call the async front issued for a batch of requests:
+        hard-mode batches then also count as coalesced and book their
+        size.
         """
         with self._lock:
+            if mode == "posterior":
+                for n_rows, latency in request_latencies:
+                    self._m_posterior_requests.labels(circuit_name).inc()
+                    self._m_posterior_rows.labels(circuit_name).inc(n_rows)
+                    self._m_posterior_latency.observe(latency)
+                for answer in answers:
+                    self._m_posterior_entropy.observe(answer.entropy_bits)
+                return
+            if coalesced:
+                self._m_coalesced_batches.inc()
+                self._m_coalesced_requests.inc(len(request_latencies))
+                self._m_batch_rows.observe(len(answers))
             for n_rows, latency in request_latencies:
-                self._m_posterior_requests.labels(circuit_name).inc()
-                self._m_posterior_rows.labels(circuit_name).inc(n_rows)
-                self._m_posterior_latency.observe(latency)
-            for entropy in entropies:
-                self._m_posterior_entropy.observe(entropy)
+                self._latencies.append(latency)
+                self._m_requests.labels(circuit_name).inc()
+                self._m_responses.labels(circuit_name).inc(n_rows)
+                self._m_latency.labels(circuit_name).observe(latency)
 
     def record_posterior_build(self, circuit_name: str,
                                n_samples: int,
@@ -465,62 +452,8 @@ class DiagnosisService:
         matrix of dB magnitudes at the circuit's test vector (ascending
         frequency order). Returns one :class:`Diagnosis` per row.
         """
-        started = time.perf_counter()
-        engine = self._engine(circuit_name)
-        diagnoses = engine.classifier.classify_responses(responses)
-        elapsed = time.perf_counter() - started
-        self.stats.record_request(circuit_name, len(diagnoses), elapsed)
-        return diagnoses
+        return self._answer(circuit_name, responses, "hard")
 
-    def submit_many(self, requests: Sequence[Tuple[str, ResponseBatch]]
-                    ) -> List[List[Diagnosis]]:
-        """Diagnose a mixed-circuit burst: one classify per circuit.
-
-        ``requests`` is a sequence of ``(circuit_name, responses)``
-        pairs (each ``responses`` as in :meth:`submit`). The burst is
-        grouped by circuit, every circuit's rows are stacked, and
-        exactly one
-        :meth:`TrajectoryClassifier.classify_points`
-        call serves all of that circuit's requests -- the batched
-        engine's fixed cost is paid once per *circuit*, not once per
-        request. Returns one diagnosis list per request, in input
-        order, bitwise-identical to per-request :meth:`submit` calls
-        (classification is row-independent).
-
-        Errors are not isolated per request: a malformed entry
-        (unknown circuit, wrong signature width) raises and fails the
-        whole burst. Use the async front's per-request futures when
-        callers need isolation.
-        """
-        started = time.perf_counter()
-        if not requests:
-            return []
-        by_circuit: "OrderedDict[str, List[int]]" = OrderedDict()
-        for index, (circuit_name, _) in enumerate(requests):
-            by_circuit.setdefault(circuit_name, []).append(index)
-        results: List[List[Diagnosis]] = [[] for _ in requests]
-        for circuit_name, indices in by_circuit.items():
-            classifier = self._engine(circuit_name).classifier
-            points = [classifier.signatures(requests[index][1])
-                      for index in indices]
-            stacked = points[0] if len(points) == 1 \
-                else np.concatenate(points, axis=0)
-            diagnoses = classifier.classify_points(stacked)
-            finished = time.perf_counter()
-            offset = 0
-            records: List[Tuple[int, float]] = []
-            for index, part in zip(indices, points):
-                n_rows = int(part.shape[0])
-                results[index] = diagnoses[offset:offset + n_rows]
-                offset += n_rows
-                records.append((n_rows, finished - started))
-            self.stats.record_coalesced(circuit_name, records,
-                                        n_rows=int(stacked.shape[0]))
-        return results
-
-    # ------------------------------------------------------------------
-    # Probabilistic tier
-    # ------------------------------------------------------------------
     def diagnose_posterior(self, circuit_name: str,
                            responses: ResponseBatch
                            ) -> List[PosteriorDiagnosis]:
@@ -533,14 +466,19 @@ class DiagnosisService:
         shared with the hard tier (the engine's classifier), so both
         tiers see identical points.
         """
+        return self._answer(circuit_name, responses, "posterior")
+
+    def _answer(self, circuit_name: str, responses: ResponseBatch,
+                mode: str) -> list:
+        """One request of ``mode``: signatures, the mode's kernel, one
+        stats record."""
         started = time.perf_counter()
-        classifier, diagnose = self._kernel(circuit_name, "posterior")
-        results = diagnose(classifier.signatures(responses))
-        elapsed = time.perf_counter() - started
-        self.stats.record_posterior(
-            circuit_name, [(len(results), elapsed)],
-            [result.entropy_bits for result in results])
-        return results
+        classifier, answer = self._kernel(circuit_name, mode)
+        answers = answer(classifier.signatures(responses))
+        self.stats.record_answers(
+            circuit_name, mode,
+            [(len(answers), time.perf_counter() - started)], answers)
+        return answers
 
     def _kernel(self, circuit_name: str, mode: str, *,
                 build: bool = True
@@ -577,19 +515,6 @@ class DiagnosisService:
                         circuit_name, posterior.samples_simulated,
                         time.perf_counter() - started)
         return engine.classifier, engine.posterior.diagnose_points
-
-    def _record_flush(self, circuit_name: str, mode: str,
-                      request_latencies: Sequence[Tuple[int, float]],
-                      answers: Sequence) -> None:
-        """Record one coalesced call of ``mode`` answering several
-        requests (``(n_rows, latency_seconds)`` each)."""
-        if mode == "posterior":
-            self.stats.record_posterior(
-                circuit_name, request_latencies,
-                [answer.entropy_bits for answer in answers])
-        else:
-            self.stats.record_coalesced(circuit_name, request_latencies,
-                                        n_rows=len(answers))
 
     def test_vector_hz(self, circuit_name: str) -> Tuple[float, ...]:
         """The warmed test vector for a circuit (what to measure at)."""

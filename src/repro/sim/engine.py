@@ -467,7 +467,7 @@ class BatchedMnaEngine:
             # streams: entry -> [(component, op position), ...] in stamp
             # order. Re-folding a stream with some components' values
             # swapped reproduces a fresh assembly of that entry bitwise.
-            self._ops: Dict[str, ComponentOps] = {}
+            self._ops: Dict[str, ComponentOps] = self.system.stamp_ops
             self._matrix_streams: Dict[Tuple[str, int, int],
                                        List[Tuple[str, int]]] = {}
             self._rhs_streams: Dict[int, List[Tuple[str, int]]] = {}
@@ -475,20 +475,17 @@ class BatchedMnaEngine:
             self._touched_matrix: Dict[str, Tuple[Tuple[str, int, int],
                                                   ...]] = {}
             self._touched_rhs: Dict[str, Tuple[int, ...]] = {}
-            for component in circuit:
-                ops = self.system.component_ops(component)
-                self._ops[component.name] = ops
+            for name, ops in self._ops.items():
                 for position, (target, row, col, _) in \
                         enumerate(ops.matrix_ops):
                     self._matrix_streams.setdefault(
-                        (target, row, col), []).append(
-                            (component.name, position))
+                        (target, row, col), []).append((name, position))
                 for position, (row, _) in enumerate(ops.rhs_ops):
                     self._rhs_streams.setdefault(row, []).append(
-                        (component.name, position))
-                self._touched_matrix[component.name] = tuple(
+                        (name, position))
+                self._touched_matrix[name] = tuple(
                     dict.fromkeys(op[:3] for op in ops.matrix_ops))
-                self._touched_rhs[component.name] = tuple(
+                self._touched_rhs[name] = tuple(
                     dict.fromkeys(op[0] for op in ops.rhs_ops))
             span.attrs["dim"] = self.system.dim
 

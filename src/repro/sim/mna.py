@@ -140,36 +140,11 @@ def _array_stand_in(component, params: Mapping[str, np.ndarray]):
     return stand_in
 
 
-class _ApplySink:
-    """Stamp sink that accumulates contributions into MNA arrays.
-
-    Every stamp is an in-place ``+=`` on one entry, exactly as the
-    original monolithic stamper performed it, so assembling through this
-    sink is bitwise-identical to the historical behaviour.
-    """
-
-    __slots__ = ("g", "b", "z")
-
-    def __init__(self, g: np.ndarray, b: np.ndarray, z: np.ndarray) -> None:
-        self.g = g
-        self.b = b
-        self.z = z
-
-    def add(self, target: str, row: int, col: int, value: complex) -> None:
-        if row >= 0 and col >= 0:
-            (self.g if target == "g" else self.b)[row, col] += value
-
-    def add_rhs(self, row: int, value: complex) -> None:
-        if row >= 0:
-            self.z[row] += value
-
-
 class _RecordingSink:
-    """Stamp sink that records the ordered contribution list instead.
+    """Stamp sink that records a component's ordered contributions.
 
-    Used by :class:`repro.sim.engine.BatchedMnaEngine` to learn which
-    matrix entries a component touches and with what values, preserving
-    the exact accumulation order of the direct stamper.
+    Assembly replays them in order; the batched engine also reads them
+    to learn which entries a component touches and with what values.
     """
 
     __slots__ = ("matrix_ops", "rhs_ops")
@@ -194,7 +169,7 @@ class ComponentOps:
     ``matrix_ops`` entries are ``(target, row, col, value)`` with target
     ``"g"`` or ``"b"``; ``rhs_ops`` entries are ``(row, value)`` AC
     stimulus contributions. Replaying every component's ops in circuit
-    order reproduces the assembled system bitwise.
+    order, each an in-place ``+=`` on one entry, assembles the system.
     """
 
     matrix_ops: Tuple[Tuple[str, int, int, complex], ...]
@@ -205,7 +180,9 @@ class MnaSystem:
     """Assembled small-signal AC system ``(G + s B) x = z`` of one circuit.
 
     ``z`` holds the sources' AC stimulus phasors. The circuit is
-    validated first.
+    validated first. :attr:`stamp_ops` maps every component name, in
+    circuit order, to the :class:`ComponentOps` the system was
+    assembled from.
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -289,9 +266,15 @@ class MnaSystem:
         sink.add(target, negative, positive, -value)
 
     def _stamp_all(self) -> None:
-        sink = _ApplySink(self._g, self._b, self._z)
-        for component in self.circuit:
-            self._stamp(component, sink)
+        self.stamp_ops: Dict[str, ComponentOps] = {
+            component.name: self.component_ops(component)
+            for component in self.circuit}
+        matrices = {"g": self._g, "b": self._b}
+        for ops in self.stamp_ops.values():
+            for target, row, col, value in ops.matrix_ops:
+                matrices[target][row, col] += value
+            for row, value in ops.rhs_ops:
+                self._z[row] += value
 
     def component_ops(self, component,
                       params: Optional[Mapping[str, np.ndarray]] = None

@@ -79,8 +79,7 @@ def test_run_convenience_accepts_benchmark_name():
 
 
 # ----------------------------------------------------------------------
-# Wire format: keys of the retired worker-pool knobs still load (and are
-# dropped); any other unknown key is still an error.
+# Wire format: keys of the retired worker-pool knobs are unknown keys.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("cls", [PipelineConfig, PosteriorConfig])
 @pytest.mark.parametrize("key,value", [
@@ -90,24 +89,23 @@ def test_run_convenience_accepts_benchmark_name():
     ("ga_executor", "process"),
     ("parallelism", {"n_workers": 3, "executor": "thread"}),
 ])
-def test_retired_worker_keys_are_ignored(cls, key, value):
+def test_retired_worker_keys_are_refused(cls, key, value):
     wire = cls().to_json_dict()
     assert key not in wire
-    restored = cls.from_json_dict({**wire, key: value})
-    assert restored == cls()
-    assert restored.to_json_dict() == wire
+    assert cls.from_json_dict(wire) == cls()
     with pytest.raises(ReproError):
-        cls.from_json_dict({**wire, key: value, "n_wrokers": 4})
+        cls.from_json_dict({**wire, key: value})
 
 
 def test_committed_corpus_baseline_still_loads():
-    """CORPUS_baseline.json predates the worker-key removal: it still
-    passes --check and its spec decodes to the baseline preset."""
+    """CORPUS_baseline.json passes --check and its spec decodes to the
+    baseline preset."""
     report = json.loads((REPO_ROOT / "CORPUS_baseline.json").read_text())
-    assert "n_workers" in report["spec"]["pipeline"]
     check_report(report, "CORPUS_baseline.json")
     assert CorpusSpec.from_json_dict(report["spec"]) == \
         CorpusSpec.baseline()
+    assert report["spec"] == json.loads(
+        json.dumps(CorpusSpec.baseline().to_json_dict()))
 
 
 def test_engine_is_one_plain_name_on_wire():

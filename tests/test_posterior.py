@@ -265,57 +265,60 @@ class TestBlockedBuild:
 # Oracle pins: the table-built worlds and cases against the historical
 # one-Component-per-world builders, kept here as test-only references.
 # ----------------------------------------------------------------------
-def _reference_world_block(faults):
-    """The pre-table ``_run_world_block``: every world a row of
-    ``with_value`` replacements, verbatim."""
+class _ReferenceWorldEngine:
+    """The pre-table world builder, verbatim, behind the engine seam.
 
-    def run(spec, engine, out, start, stop):
-        circuit = spec.circuit
-        nominal = {name: circuit[name] for name in spec.targets}
-        fault_repl = [fault.replacement_component(circuit)
-                      for fault in faults]
+    Each ``transfer_block`` call solves the Component-built reference
+    of the world table it is handed: every row (named by its label's
+    hypothesis and world) a set of ``with_value`` replacements.
+    """
 
-        def world_variant(fault_index, sample):
-            base = dict(nominal)
-            extra = None
-            if fault_index is not None:
-                faulty = fault_repl[fault_index]
-                if faulty.name in base:
-                    base[faulty.name] = faulty
-                else:
-                    extra = faulty
-            parts = [base[name].with_value(
-                         base[name].value * (1.0 + spec.eps[sample, j]))
-                     for j, name in enumerate(spec.targets)]
-            if extra is not None:
-                parts.append(extra)
-            label = FAULT_FREE_LABEL if fault_index is None else \
-                spec.fault_labels[fault_index]
-            return (tuple(parts),
-                    f"{circuit.name}#posterior:{label}:s{sample}")
+    def __init__(self, info, faults, config):
+        from repro.sim.engine import BatchedMnaEngine
+        self.circuit = info.circuit
+        self.engine = BatchedMnaEngine(info.circuit)
+        self.targets = tuple(info.faultable)
+        self.faults = {fault.label: index
+                       for index, fault in enumerate(faults)}
+        self.fault_repl = [fault.replacement_component(info.circuit)
+                           for fault in faults]
+        rng = np.random.default_rng(config.seed)
+        size = (config.n_samples, len(self.targets))
+        if config.distribution == "uniform":
+            self.eps = rng.uniform(-config.tolerance, config.tolerance,
+                                   size=size)
+        else:
+            self.eps = np.clip(rng.normal(0.0, config.tolerance,
+                                          size=size), -0.95, 0.95)
 
-        samples = range(start, stop)
-        include_nominal = start == 0
-        variants = []
-        if include_nominal:
-            variants.append(((), circuit.name))
-        for sample in samples:
-            variants.append(world_variant(None, sample))
-            variants.extend(world_variant(index, sample)
-                            for index in range(len(faults)))
-        block = engine.transfer_block(
-            spec.output_node, spec.grid,
-            table_from_replacements(circuit, variants), spec.input_source)
-        values = block.magnitude_db()
-        rows_per_sample = 1 + len(faults)
-        offset = 1 if include_nominal else 0
-        for position, sample in enumerate(samples):
-            out[:, sample, :] = values[
-                offset + position * rows_per_sample:
-                offset + (position + 1) * rows_per_sample]
-        return values[0].copy() if include_nominal else None
+    def world_variant(self, label):
+        circuit = self.circuit
+        if label == circuit.name:
+            return (), label
+        hypothesis, sample = label.split("#posterior:", 1)[1] \
+            .rsplit(":s", 1)
+        fault_index = self.faults.get(hypothesis)
+        base = {name: circuit[name] for name in self.targets}
+        extra = None
+        if fault_index is not None:
+            faulty = self.fault_repl[fault_index]
+            if faulty.name in base:
+                base[faulty.name] = faulty
+            else:
+                extra = faulty
+        parts = [base[name].with_value(
+                     base[name].value * (1.0 + self.eps[int(sample), j]))
+                 for j, name in enumerate(self.targets)]
+        if extra is not None:
+            parts.append(extra)
+        return tuple(parts), label
 
-    return run
+    def transfer_block(self, output_node, grid, table, input_source):
+        variants = [self.world_variant(label) for label in table.labels]
+        return self.engine.transfer_block(
+            output_node, grid, table_from_replacements(self.circuit,
+                                                       variants),
+            input_source)
 
 
 def _reference_cases(info, mapper, components, deviations, noise_db,
@@ -372,11 +375,10 @@ class TestTableBuildOracle:
     @pytest.mark.parametrize("distribution", ["uniform", "normal"])
     @pytest.mark.parametrize("narrow", [False, True])
     def test_world_tensors_match_component_reference(
-            self, atpg_cache, monkeypatch, distribution, narrow):
+            self, atpg_cache, distribution, narrow):
         """Golden points, segment tensors and candidate moments of the
         table-built posterior equal the Component-built reference
         bitwise -- including faults outside ``faultable``."""
-        from repro.diagnosis import posterior as posterior_module
         from repro.faults.models import ParametricFault
         from repro.sim.engine import BatchedMnaEngine
         result = atpg_cache("tow_thomas_biquad")
@@ -385,19 +387,16 @@ class TestTableBuildOracle:
                                  tolerance=0.05, distribution=distribution,
                                  seed=3)
 
-        def build():
+        def build(engine):
             return PosteriorDiagnoser(info, result.universe, result.mapper,
-                                      config,
-                                      engine=BatchedMnaEngine(info.circuit))
+                                      config, engine=engine)
 
-        table_built = build()
+        table_built = build(BatchedMnaEngine(info.circuit))
         faults = [fault for fault in result.universe.faults
                   if isinstance(fault, ParametricFault)]
         if narrow:
             assert any(f.component not in info.faultable for f in faults)
-        monkeypatch.setattr(posterior_module, "_run_world_block",
-                            _reference_world_block(faults))
-        reference = build()
+        reference = build(_ReferenceWorldEngine(info, faults, config))
         for name in ("_golden_points", "_cand_mean", "_cand_sigma"):
             assert np.array_equal(getattr(table_built, name),
                                   getattr(reference, name)), name

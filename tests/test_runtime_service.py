@@ -211,15 +211,21 @@ class TestStatsAreReadFromTheRegistry:
         width = len(service.test_vector_hz("rc_lowpass"))
         rows = np.zeros((2, width))
         service.submit("rc_lowpass", rows)
-        service.submit_many([("rc_lowpass", rows),
-                             ("rc_lowpass", rows[:1])])
-        service.submit_many([("rc_lowpass", np.zeros((600, width)))])
         service.diagnose_posterior("rc_lowpass", rows)
+
+        async def bursts():
+            # One coalesced call per burst: 3 rows, then 600.
+            front = AsyncDiagnosisService(service)
+            await front.submit_many([("rc_lowpass", rows),
+                                     ("rc_lowpass", rows[:1])])
+            await front.submit_many(
+                [("rc_lowpass", np.zeros((600, width)))])
+            await front.aclose()
 
         async def coalesce_and_reject():
             front = AsyncDiagnosisService(
                 service, max_pending=2, overflow="reject",
-                max_batch=1024, window_seconds=5.0, eager_flush=False)
+                max_batch=1024, window_seconds=5.0)
             queued = [asyncio.ensure_future(
                 front.submit("rc_lowpass", rows)) for _ in range(2)]
             await asyncio.sleep(0)
@@ -229,6 +235,7 @@ class TestStatsAreReadFromTheRegistry:
             await asyncio.gather(*queued)
             await front.aclose()
 
+        asyncio.run(bursts())
         asyncio.run(coalesce_and_reject())
         service.warm("voltage_divider")      # evicts rc_lowpass
         service.warm("rc_lowpass")           # warm load from the store
@@ -284,9 +291,9 @@ class TestStatsAreReadFromTheRegistry:
 
     def test_batch_above_the_last_bound_lands_under_inf(self):
         stats = ServiceStats()
-        stats.record_coalesced("a", [(600, 0.001)], n_rows=600)
-        stats.record_coalesced("a", [(512, 0.001)], n_rows=512)
-        stats.record_coalesced("a", [(3, 0.001)], n_rows=3)
+        for rows in (600, 512, 3):
+            stats.record_answers("a", "hard", [(rows, 0.001)],
+                                 [None] * rows, coalesced=True)
         assert stats.snapshot()["batch_size_histogram"] == \
             {4: 1, 512: 1, "+Inf": 1}
 
@@ -342,7 +349,8 @@ class TestStatsThreadSafety:
 
         def hammer(thread_index):
             for _ in range(per_thread):
-                stats.record_request(f"c{thread_index % 2}", 3, 0.001)
+                stats.record_answers(f"c{thread_index % 2}", "hard",
+                                     [(3, 0.001)], [None] * 3)
 
         _run_threads([functools.partial(hammer, index)
                       for index in range(threads)])
@@ -362,12 +370,13 @@ class TestStatsThreadSafety:
 
         def submits():
             for _ in range(rounds):
-                stats.record_request("a", 1, 0.002)
+                stats.record_answers("a", "hard", [(1, 0.002)], [None])
 
         def coalesced():
             for _ in range(rounds):
-                stats.record_coalesced("a", [(1, 0.001), (2, 0.001)],
-                                       n_rows=3)
+                stats.record_answers("a", "hard",
+                                     [(1, 0.001), (2, 0.001)],
+                                     [None] * 3, coalesced=True)
 
         def churn():
             for _ in range(rounds):

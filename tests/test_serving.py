@@ -58,12 +58,11 @@ class TestCoalescerEquivalence:
     @given(requests=request_lists,
            max_batch=st.integers(1, 32),
            window_ms=st.sampled_from([0.0, 0.5, 2.0]),
-           eager=st.booleans(),
            stagger=st.lists(st.integers(0, 2), min_size=12,
                             max_size=12))
     def test_results_bitwise_equal_sequential(
             self, warm_service, mode, requests, max_batch, window_ms,
-            eager, stagger):
+            stagger):
         """N interleaved async submits == N sequential sync calls, in
         either diagnosis mode."""
         batches = [(CIRCUITS[index], measured_rows(
@@ -74,7 +73,7 @@ class TestCoalescerEquivalence:
         async def coalesced():
             front = AsyncDiagnosisService(
                 warm_service, window_seconds=window_ms / 1e3,
-                max_batch=max_batch, eager_flush=eager)
+                max_batch=max_batch)
 
             async def one(position, circuit, rows):
                 # Random arrival interleaving: yield to the loop 0-2
@@ -121,8 +120,7 @@ class TestCoalescingBehaviour:
 
         async def run():
             front = AsyncDiagnosisService(warm_service, max_batch=4,
-                                          window_seconds=5.0,
-                                          eager_flush=False)
+                                          window_seconds=5.0)
             results = await asyncio.gather(
                 *(front.submit("rc_lowpass", r) for r in rows))
             await front.aclose()
@@ -219,7 +217,7 @@ class TestBackpressure:
         async def run():
             front = AsyncDiagnosisService(
                 warm_service, max_pending=2, overflow="reject",
-                max_batch=1024, window_seconds=5.0, eager_flush=False)
+                max_batch=1024, window_seconds=5.0)
             first = asyncio.ensure_future(
                 front.submit("rc_lowpass", rows))
             second = asyncio.ensure_future(
@@ -356,32 +354,21 @@ class TestSubmitMany:
                                1 + index % 3, seed=100 + index))
                 for index in range(7)]
 
-    def test_sync_burst_bitwise_equals_per_request_submit(
+    def test_async_burst_bitwise_equals_per_request_submit(
             self, warm_service):
         burst = self.burst(warm_service)
         expected = [warm_service.submit(circuit, rows)
                     for circuit, rows in burst]
-        assert warm_service.submit_many(burst) == expected
-        assert warm_service.submit_many([]) == []
 
-    def test_sync_burst_issues_one_classify_per_circuit(
-            self, warm_service):
-        burst = self.burst(warm_service)
-        before = warm_service.stats.snapshot()
-        warm_service.submit_many(burst)
-        after = warm_service.stats.snapshot()
-        assert after["coalesced_batches"] - \
-            before["coalesced_batches"] == len(CIRCUITS)
-        assert after["coalesced_requests"] - \
-            before["coalesced_requests"] == len(burst)
-        assert after["requests"] - before["requests"] == len(burst)
+        async def run():
+            front = AsyncDiagnosisService(warm_service, max_batch=64,
+                                          window_seconds=0.005)
+            results = await front.submit_many(burst)
+            assert await front.submit_many([]) == []
+            await front.aclose()
+            return results
 
-    def test_sync_burst_unknown_circuit_fails_whole_burst(
-            self, warm_service):
-        rows = measured_rows(warm_service, "rc_lowpass", 1, seed=1)
-        with pytest.raises(ServiceError, match="unknown"):
-            warm_service.submit_many([("rc_lowpass", rows),
-                                      ("ghost", rows)])
+        assert asyncio.run(run()) == expected
 
     def test_async_burst_bitwise_equals_sequential(self, warm_service):
         burst = self.burst(warm_service)
@@ -402,6 +389,27 @@ class TestSubmitMany:
         # serves it with exactly one classify call per circuit.
         assert after["coalesced_batches"] - \
             before["coalesced_batches"] == len(CIRCUITS)
+
+    def test_async_burst_issues_one_classify_per_circuit(
+            self, warm_service):
+        burst = self.burst(warm_service)
+        before = warm_service.stats.snapshot()
+
+        async def run():
+            front = AsyncDiagnosisService(warm_service, max_batch=64,
+                                          window_seconds=0.005)
+            await front.submit_many(burst)
+            await front.aclose()
+
+        asyncio.run(run())
+        after = warm_service.stats.snapshot()
+        # The whole burst lands in one loop pass, so the coalescer
+        # serves it with exactly one classify call per circuit.
+        assert after["coalesced_batches"] - \
+            before["coalesced_batches"] == len(CIRCUITS)
+        assert after["coalesced_requests"] - \
+            before["coalesced_requests"] == len(burst)
+        assert after["requests"] - before["requests"] == len(burst)
 
     def test_async_burst_with_multiple_failures_settles_cleanly(
             self, warm_service):
