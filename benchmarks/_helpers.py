@@ -10,8 +10,8 @@ import numpy as np
 from repro.circuits import CircuitInfo
 from repro.diagnosis import (
     TrajectoryClassifier,
-    ambiguity_groups,
     evaluate_classifier,
+    isolability_classes,
     make_test_cases,
 )
 from repro.faults import FaultDictionary, FaultUniverse
@@ -44,16 +44,16 @@ from repro.runtime.testing import noisy_golden_rows  # noqa: E402,F401
 
 def build_exact_classifier(info: CircuitInfo, universe: FaultUniverse,
                            freqs: Tuple[float, ...],
-                           ambiguity_threshold: float = 0.01,
                            scale: str = "db"):
-    """Trajectories + classifier simulated exactly at a test vector."""
+    """Trajectories + classifier simulated exactly at a test vector,
+    with the isolability classes of that exact dictionary."""
     mapper = SignatureMapper(freqs, scale=scale)
     exact = FaultDictionary.build(universe, info.output_node,
                                   np.array(sorted(freqs), dtype=float),
                                   input_source=info.input_source)
     trajectories = TrajectorySet.from_source(exact, mapper)
     classifier = TrajectoryClassifier(trajectories, golden=exact.golden)
-    groups = ambiguity_groups(trajectories, ambiguity_threshold)
+    groups = isolability_classes(exact)
     metrics = evaluate_metrics(trajectories)
     return mapper, classifier, groups, metrics
 

@@ -11,8 +11,9 @@ The CI job for ``POST /v1/diagnose-posterior``:
    fault-free hypothesis present, a non-empty information-gain test
    ranking, and burst rows bitwise-identical to the single-request
    rows (the coalescing path must not change results);
-4. scrapes ``GET /v1/metrics`` and asserts the ``repro_posterior_*``
-   families report the traffic.
+4. scrapes ``GET /v1/metrics`` and asserts the ``mode="posterior"``
+   children of the service request families and the
+   ``repro_posterior_*`` build/entropy families report the traffic.
 
 Run standalone::
 
@@ -47,11 +48,11 @@ ROWS = 3
 BURST = 4
 
 REQUIRED_FAMILIES = (
-    "repro_posterior_requests_total",
-    "repro_posterior_rows_total",
+    "repro_service_requests_total",
+    "repro_service_responses_total",
+    "repro_service_request_latency_seconds",
     "repro_posterior_samples_total",
     "repro_posterior_build_seconds",
-    "repro_posterior_request_seconds",
     "repro_posterior_entropy_bits",
 )
 
@@ -163,22 +164,23 @@ def main() -> int:
                    if name not in families]
         if missing:
             raise SystemExit(f"/v1/metrics missing families: {missing}")
-        requests_total = sum(
-            value for _, _, value
-            in families["repro_posterior_requests_total"]["samples"])
-        rows_total = sum(
-            value for _, _, value
-            in families["repro_posterior_rows_total"]["samples"])
+        def posterior_total(family: str) -> float:
+            return sum(value for _, labels, value
+                       in families[family]["samples"]
+                       if labels.get("mode") == "posterior")
+
+        requests_total = posterior_total("repro_service_requests_total")
+        rows_total = posterior_total("repro_service_responses_total")
         if requests_total < 1 + BURST:
             raise SystemExit(
-                f"repro_posterior_requests_total {requests_total} < "
-                f"{1 + BURST}")
+                f'repro_service_requests_total{{mode="posterior"}} '
+                f"{requests_total} < {1 + BURST}")
         if rows_total < (1 + BURST) * ROWS:
             raise SystemExit(
-                f"repro_posterior_rows_total {rows_total} < "
-                f"{(1 + BURST) * ROWS}")
-        print(f"/v1/metrics: {len(REQUIRED_FAMILIES)} posterior "
-              f"families, {requests_total:.0f} requests, "
+                f'repro_service_responses_total{{mode="posterior"}} '
+                f"{rows_total} < {(1 + BURST) * ROWS}")
+        print(f"/v1/metrics: {len(REQUIRED_FAMILIES)} families, "
+              f"{requests_total:.0f} posterior requests, "
               f"{rows_total:.0f} rows -- ok")
         return 0
     finally:

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Diagnosing a Sallen-Key low-pass, with an ambiguity-group lesson.
+"""Diagnosing a Sallen-Key low-pass, with an isolability-class lesson.
 
 The unity-gain Sallen-Key has a structural degeneracy of its own: R1 and
-R2 appear symmetrically in w0 (and only asymmetrically in Q through the
-capacitor ratio), so some fault pairs are nearly indistinguishable from
-the output magnitude alone. This example shows how the library surfaces
-that through `ambiguity_groups` instead of silently guessing, and how
-the diagnosis margin flags low-confidence verdicts.
+R2 appear symmetrically in w0 and Q, so an R1 fault and an R2 fault of
+the same size give the same output magnitude at every frequency. This
+example shows how the library surfaces that as an isolability class
+(`result.groups`, derived from the fault dictionary) instead of silently
+guessing, and how the diagnosis margin flags low-confidence verdicts.
 
 Run:  python examples/sallen_key_diagnosis.py
 """
@@ -30,8 +30,8 @@ def main() -> None:
     print(result.report())
     print()
 
-    # The pipeline reports which components the chosen test vector can
-    # actually tell apart.
+    # The pipeline reports which components no test vector can tell
+    # apart.
     for group in result.groups:
         members = ", ".join(sorted(group))
         kind = "ambiguous" if len(group) > 1 else "separable"
@@ -39,7 +39,7 @@ def main() -> None:
     print()
 
     # Diagnose each component at an off-grid deviation and inspect the
-    # margin: verdicts inside an ambiguity group come back with a thin
+    # margin: verdicts inside an isolability class come back with a thin
     # margin and diagnosis.ambiguous set.
     freqs = np.array(sorted(result.test_vector_hz))
     for component in info.faultable:
@@ -51,7 +51,7 @@ def main() -> None:
               f"{diagnosis.estimated_deviation * 100.0:+.1f}%  "
               f"margin={diagnosis.margin:.4f}  [{flag}]")
 
-    # Group-level evaluation is the honest score for this topology.
+    # Class-level evaluation is the honest score for this topology.
     evaluation = result.evaluate(deviations=(-0.25, 0.25))
     print()
     print(f"component accuracy: {evaluation.accuracy * 100.0:.1f}%")

@@ -28,15 +28,14 @@ from repro import (
     parametric_universe,
     tow_thomas_biquad,
 )
-from repro.diagnosis import ambiguity_groups, evaluate_classifier, \
-    make_test_cases
+from repro.diagnosis import evaluate_classifier, make_test_cases
 from repro.ga import FrequencySpace
 from repro.units import log_frequency_grid
 from repro.viz import table
 
-# One representative per structural ambiguity class of the biquad
-# (R3/R5 and R4/C2 cannot be split by magnitude signatures; see
-# DESIGN.md).
+# One representative per structural near-class of the biquad: R3/R5
+# and R4/C2 are exact isolability classes with ideal op-amps, and with
+# the macromodels their faults stay within ~0.01 dB of each other.
 CLASS_REPRESENTATIVES = ("R1", "R2", "C1", "R3", "R4")
 STRUCTURAL_GROUPS = (frozenset({"R1"}), frozenset({"R2"}),
                      frozenset({"C1"}), frozenset({"R3", "R5"}),

@@ -68,8 +68,8 @@ from .diagnosis import (
     PosteriorDiagnoser,
     PosteriorDiagnosis,
     TrajectoryClassifier,
-    ambiguity_groups,
     evaluate_classifier,
+    isolability_classes,
     make_test_cases,
 )
 from . import errors
@@ -215,7 +215,7 @@ __all__ = [
     "NearestNeighborClassifier",
     "make_test_cases",
     "evaluate_classifier",
-    "ambiguity_groups",
+    "isolability_classes",
     # core
     "FaultTrajectoryATPG",
     "ATPGResult",

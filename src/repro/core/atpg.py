@@ -6,7 +6,7 @@ Chains every stage of the paper's method:
 2. fault simulation -> fault dictionary on a dense AC grid;
 3. response surface (fast signature interpolation);
 4. GA search for the optimal test vector (fitness per configuration);
-5. final trajectory set + perpendicular classifier + ambiguity report.
+5. final trajectory set + perpendicular classifier + isolability classes.
 
 ``FaultTrajectoryATPG(info).run(seed=...)`` returns an
 :class:`ATPGResult` that can diagnose unknown responses/points and
@@ -30,8 +30,8 @@ from ..diagnosis.classifier import Diagnosis, TrajectoryClassifier
 from ..diagnosis.evaluate import (
     EvaluationResult,
     HELD_OUT_DEVIATIONS,
-    ambiguity_groups,
     evaluate_classifier,
+    isolability_classes,
     make_test_cases,
 )
 from ..errors import ReproError
@@ -152,8 +152,7 @@ class ATPGResult:
             f"trajectory conflicts: {self.metrics.intersections} "
             f"crossings, {self.metrics.common_pathways} overlaps",
             f"min separation: {self.metrics.min_separation:.4g}",
-            f"ambiguity groups (<= {self.config.ambiguity_threshold}): "
-            f"{groups or 'none'}",
+            f"isolability classes: {groups or 'none'}",
             f"pipeline time: {self.elapsed_seconds:.2f}s",
         ]
         return "\n".join(lines)
@@ -314,8 +313,7 @@ class FaultTrajectoryATPG:
                          circuit=self.info.circuit.name):
             trajectories = TrajectorySet.from_source(exact, mapper)
         metrics = evaluate_metrics(trajectories)
-        groups = ambiguity_groups(trajectories,
-                                  self.config.ambiguity_threshold)
+        groups = isolability_classes(dictionary)
         classifier = TrajectoryClassifier(trajectories,
                                           golden=exact.golden)
         elapsed = time.perf_counter() - started

@@ -41,9 +41,6 @@ class PipelineConfig:
         Fitness shape parameters (see repro.ga.fitness).
     ga:
         The GA hyper-parameters (defaults to the paper's).
-    ambiguity_threshold:
-        Trajectory separation (signature units) below which two
-        components are reported as one ambiguity group.
     engine:
         Simulation engine for every fault-simulation stage, one of
         :data:`~repro.sim.engine.ENGINE_KINDS`. ``"batched"`` (default)
@@ -66,7 +63,6 @@ class PipelineConfig:
     margin_weight: float = 0.45
     margin_scale: float = 1.0
     ga: GAConfig = field(default_factory=GAConfig.paper)
-    ambiguity_threshold: float = 0.01
     engine: str = "batched"
 
     def __post_init__(self) -> None:
@@ -85,8 +81,6 @@ class PipelineConfig:
             raise ReproError("num_frequencies must be >= 1")
         if not self.deviations:
             raise ReproError("deviation grid is empty")
-        if self.ambiguity_threshold < 0.0:
-            raise ReproError("ambiguity_threshold must be >= 0")
 
     @classmethod
     def paper(cls) -> "PipelineConfig":

@@ -6,7 +6,7 @@ circuit families to enumerate and the full pipeline / posterior
 configuration every circuit runs under; :func:`repro.corpus.runner.
 run_corpus` executes the matrix (dictionary build, GA test selection,
 hard classification and posterior diagnosis per circuit) and emits the
-machine-readable ``CORPUS_*.json`` accuracy/latency/ambiguity artifact
+machine-readable ``CORPUS_*.json`` accuracy/latency/isolability artifact
 the ``repro-corpus`` CLI writes and ``--check`` validates.
 """
 

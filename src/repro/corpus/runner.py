@@ -154,7 +154,7 @@ def _run_circuit(spec: CorpusSpec, family: FamilySpec, seed: int,
         "test_vector_hz": [_round(f) for f in result.test_vector_hz],
         "ga_fitness": _round(result.ga_result.best_fitness),
         "min_separation": _round(result.metrics.min_separation),
-        "ambiguity_groups": sum(
+        "isolability_classes": sum(
             1 for group in result.groups if len(group) > 1),
         "accuracy": _round(evaluation.accuracy),
         "group_accuracy": _round(evaluation.group_accuracy),
@@ -194,7 +194,7 @@ def _aggregate_family(records: List[dict]) -> dict:
         "mean_entropy_bits": _round(np.mean(
             [record["posterior"]["mean_entropy_bits"]
              for record in records])),
-        "ambiguity_groups_mean": mean("ambiguity_groups"),
+        "isolability_classes_mean": mean("isolability_classes"),
     }
 
 
@@ -309,8 +309,9 @@ def check_report(report: dict, artefact: str = "corpus report") -> None:
 
     Checks the environment stamp, that the embedded spec round-trips,
     and the internal consistency of the deterministic results section
-    (counts add up, every metric is a valid probability, every circuit
-    record carries its content hash).
+    (counts add up, every metric is a valid probability, class-level
+    accuracy is never below component accuracy, every circuit record
+    carries its content hash).
     """
     check_environment(report, artefact)
     spec_dict = report.get("spec")
@@ -350,11 +351,17 @@ def check_report(report: dict, artefact: str = "corpus report") -> None:
             if not isinstance(value, (int, float)) or \
                     not 0.0 <= value <= 1.0:
                 raise SystemExit(f"{where} has an invalid accuracy")
+        if record["group_accuracy"] < record["accuracy"]:
+            raise SystemExit(f"{where} group_accuracy < accuracy")
         if not record.get("test_vector_hz"):
             raise SystemExit(f"{where} missing its test vector")
     per_family = results.get("per_family")
     if not isinstance(per_family, dict) or not per_family:
         raise SystemExit(f"{artefact} missing per_family aggregates")
+    for name, family in per_family.items():
+        if family["group_accuracy_mean"] < family["accuracy_mean"]:
+            raise SystemExit(f"{artefact} family {name} has "
+                             "group_accuracy_mean < accuracy_mean")
     timings = report.get("timings")
     if not isinstance(timings, dict) or \
             not isinstance(timings.get("total_seconds"), (int, float)):

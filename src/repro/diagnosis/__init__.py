@@ -22,8 +22,8 @@ from .evaluate import (
     EvaluationResult,
     HELD_OUT_DEVIATIONS,
     DiagnosisCase,
-    ambiguity_groups,
     evaluate_classifier,
+    isolability_classes,
     make_test_cases,
 )
 
@@ -46,5 +46,5 @@ __all__ = [
     "HELD_OUT_DEVIATIONS",
     "make_test_cases",
     "evaluate_classifier",
-    "ambiguity_groups",
+    "isolability_classes",
 ]

@@ -7,16 +7,16 @@ precisely what trajectories interpolate). Optional measurement noise and
 component-tolerance Monte Carlo stress the method the way a bench
 measurement would.
 
-Also provides :func:`ambiguity_groups`: components whose trajectories stay
-within a distance threshold of each other form an equivalence class that
-no diagnosis using this signature can split -- the honest unit of
-accuracy accounting for circuits with structural degeneracies (the
-Tow-Thomas CUT has two such pairs, see DESIGN.md).
+Also provides :func:`isolability_classes`: components whose faults give
+the same response at every dictionary frequency have coincident
+trajectories, which no test vector can split -- the honest unit of
+accuracy for circuits with structural degeneracies (the ideal-op-amp
+Tow-Thomas CUT has two: {R3,R5} and {R4,C2}).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence, \
     Tuple
 
@@ -24,11 +24,10 @@ import numpy as np
 
 from ..circuits.library import CircuitInfo
 from ..errors import DiagnosisError
+from ..faults.dictionary import FaultDictionary
 from ..faults.models import ParametricFault
 from ..sim.engine import BatchedMnaEngine, SimulationEngine, VariantTable
 from ..trajectory.mapping import SignatureMapper
-from ..trajectory.metrics import pairwise_separations
-from ..trajectory.trajectory import TrajectorySet
 from .classifier import Diagnosis
 
 __all__ = [
@@ -38,7 +37,7 @@ __all__ = [
     "PointClassifier",
     "make_test_cases",
     "evaluate_classifier",
-    "ambiguity_groups",
+    "isolability_classes",
     "HELD_OUT_DEVIATIONS",
 ]
 
@@ -99,10 +98,10 @@ class EvaluationResult:
 
     @property
     def group_accuracy(self) -> float:
-        """Accuracy at ambiguity-group granularity.
+        """Accuracy at isolability-class granularity.
 
-        A prediction inside the true component's ambiguity group counts
-        as correct -- the finest resolution the signature permits.
+        A verdict inside the true component's isolability class counts
+        as correct -- the finest resolution any test vector permits.
         """
         if not self.results:
             raise DiagnosisError("no cases evaluated")
@@ -160,7 +159,7 @@ class EvaluationResult:
                                for g in self.groups if len(g) > 1)
             lines.append(
                 f"group accuracy:     {self.group_accuracy * 100.0:.1f}% "
-                f"(ambiguity groups: {groups or 'none'})")
+                f"(isolability classes: {groups or 'none'})")
         lines.append(
             f"deviation MAE (correct cases): "
             f"{self.deviation_mae() * 100.0:.2f} pp")
@@ -278,35 +277,41 @@ def evaluate_classifier(classifier: PointClassifier,
 
 
 # ----------------------------------------------------------------------
-# Ambiguity analysis
+# Isolability analysis
 # ----------------------------------------------------------------------
-def ambiguity_groups(trajectories: TrajectorySet,
-                     threshold: float) -> Tuple[FrozenSet[str], ...]:
-    """Partition components into indistinguishability classes.
+#: Largest |dB| gap at which two dictionary rows are the same response
+#: (coincident pairs differ by < 1e-10 dB, separable ones by > 0.01 dB).
+_COINCIDENT_DB = 1e-6
 
-    Components whose trajectories approach within ``threshold`` (in
-    signature units) are merged transitively. The result covers *all*
-    components; singleton groups mean "distinguishable".
+
+def isolability_classes(dictionary: FaultDictionary
+                        ) -> Tuple[FrozenSet[str], ...]:
+    """Components no test vector can split, as classes sorted by name.
+
+    Two components merge (transitively) when they carry the same fault
+    shapes (deviations, modes) and their dB rows agree within
+    ``_COINCIDENT_DB`` everywhere: their trajectories then coincide at
+    any frequencies. Every component is covered; singletons are isolable.
     """
-    if threshold < 0.0:
-        raise DiagnosisError("threshold must be >= 0")
-    names = list(trajectories.components)
-    parent = {name: name for name in names}
-
-    def find(name: str) -> str:
-        while parent[name] != name:
-            parent[name] = parent[parent[name]]
-            name = parent[name]
-        return name
-
-    if len(names) >= 2:
-        for (a, b), separation in pairwise_separations(
-                trajectories).items():
-            if separation <= threshold:
-                parent[find(a)] = find(b)
-    groups: Dict[str, set] = {}
-    for name in names:
-        groups.setdefault(find(name), set()).add(name)
-    return tuple(sorted((frozenset(members) for members in
-                         groups.values()),
-                        key=lambda g: sorted(g)[0]))
+    rows: Dict[str, Dict[str, np.ndarray]] = {}
+    for entry, row in zip(dictionary.entries,
+                          dictionary.response_matrix_db()[1:]):
+        shape = replace(entry.fault, component="").label
+        rows.setdefault(entry.fault.component, {})[shape] = row
+    shapes = {name: sorted(by_shape) for name, by_shape in rows.items()}
+    stacked = {name: np.array([rows[name][shape]
+                               for shape in shapes[name]])
+               for name in rows}
+    names = list(rows)
+    classes = {name: {name} for name in names}
+    for index, a in enumerate(names):
+        for b in names[index + 1:]:
+            if shapes[a] == shapes[b] and classes[a] is not classes[b] \
+                    and np.max(np.abs(stacked[a] - stacked[b])) \
+                    <= _COINCIDENT_DB:
+                merged = classes[a] | classes[b]
+                for member in merged:
+                    classes[member] = merged
+    unique = {id(members): frozenset(members)
+              for members in classes.values()}
+    return tuple(sorted(unique.values(), key=lambda g: sorted(g)[0]))

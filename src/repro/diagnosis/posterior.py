@@ -498,8 +498,8 @@ class PosteriorDiagnoser:
                  deviations: np.ndarray) -> List[PosteriorDiagnosis]:
         """One :class:`PosteriorDiagnosis` per row of an ``(N, H)``
         posterior batch (``log_w``/``deviations`` are ``(N, M, H)``)."""
-        # Exact posterior ties happen on perfect ambiguity groups (a
-        # divider's R1/R2 trajectories coincide); break them by best
+        # Exact posterior ties happen on coincident trajectories (an
+        # isolability class, or a divider's R1/R2); break them by best
         # single-world distance -- ``peak`` is monotone decreasing in
         # it -- so the zero-tolerance argmax reproduces the hard
         # classifier's nearest-trajectory pick, then by label order.

@@ -79,10 +79,10 @@ class ServiceStats:
         self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._m_requests = reg.counter(
             "repro_service_requests_total",
-            "Completed diagnosis requests.", ("circuit",))
+            "Completed diagnosis requests.", ("circuit", "mode"))
         self._m_responses = reg.counter(
             "repro_service_responses_total",
-            "Response rows diagnosed.", ("circuit",))
+            "Response rows diagnosed.", ("circuit", "mode"))
         self._m_warm_loads = reg.counter(
             "repro_service_warm_loads_total",
             "Engine warm-ups (pipeline builds or store loads).",
@@ -90,7 +90,7 @@ class ServiceStats:
         self._m_latency = reg.histogram(
             "repro_service_request_latency_seconds",
             "End-to-end request latency inside the service.",
-            ("circuit",))
+            ("circuit", "mode"))
         self._m_evictions = reg.counter(
             "repro_service_engine_evictions_total",
             "Warm engines evicted by the LRU.")
@@ -113,13 +113,6 @@ class ServiceStats:
         self._m_peak_queue_depth = reg.gauge(
             "repro_service_peak_queue_depth",
             "Highest queued-request count ever observed.")
-        self._m_posterior_requests = reg.counter(
-            "repro_posterior_requests_total",
-            "Completed probabilistic-diagnosis requests.", ("circuit",))
-        self._m_posterior_rows = reg.counter(
-            "repro_posterior_rows_total",
-            "Response rows answered with posterior probabilities.",
-            ("circuit",))
         self._m_posterior_samples = reg.counter(
             "repro_posterior_samples_total",
             "Monte-Carlo engine variants simulated by posterior builds.",
@@ -127,9 +120,6 @@ class ServiceStats:
         self._m_posterior_build = reg.histogram(
             "repro_posterior_build_seconds",
             "Posterior diagnoser build time (Monte-Carlo sweep).")
-        self._m_posterior_latency = reg.histogram(
-            "repro_posterior_request_seconds",
-            "End-to-end posterior request latency inside the service.")
         self._m_posterior_entropy = reg.histogram(
             "repro_posterior_entropy_bits",
             "Posterior entropy per diagnosed row (bits).",
@@ -149,28 +139,24 @@ class ServiceStats:
         ``request_latencies`` holds ``(n_rows, latency_seconds)`` per
         client request; ``answers`` is the call's whole answer list
         (posterior answers carry the per-row entropies). ``coalesced``
-        marks a call the async front issued for a batch of requests:
-        hard-mode batches then also count as coalesced and book their
-        size.
+        marks a call the async front issued for a batch of requests,
+        which also counts as coalesced and books its size. Both modes
+        share every family (labelled by ``mode``) and the latency
+        reservoir.
         """
         with self._lock:
-            if mode == "posterior":
-                for n_rows, latency in request_latencies:
-                    self._m_posterior_requests.labels(circuit_name).inc()
-                    self._m_posterior_rows.labels(circuit_name).inc(n_rows)
-                    self._m_posterior_latency.observe(latency)
-                for answer in answers:
-                    self._m_posterior_entropy.observe(answer.entropy_bits)
-                return
             if coalesced:
                 self._m_coalesced_batches.inc()
                 self._m_coalesced_requests.inc(len(request_latencies))
                 self._m_batch_rows.observe(len(answers))
             for n_rows, latency in request_latencies:
                 self._latencies.append(latency)
-                self._m_requests.labels(circuit_name).inc()
-                self._m_responses.labels(circuit_name).inc(n_rows)
-                self._m_latency.labels(circuit_name).observe(latency)
+                self._m_requests.labels(circuit_name, mode).inc()
+                self._m_responses.labels(circuit_name, mode).inc(n_rows)
+                self._m_latency.labels(circuit_name, mode).observe(latency)
+            if mode == "posterior":
+                for answer in answers:
+                    self._m_posterior_entropy.observe(answer.entropy_bits)
 
     def record_posterior_build(self, circuit_name: str,
                                n_samples: int,
@@ -228,8 +214,8 @@ class ServiceStats:
             requests = _by_circuit(self._m_requests)
             responses = _by_circuit(self._m_responses)
             warm_loads = _by_circuit(self._m_warm_loads)
-            latency = {labels["circuit"]: child.sum for labels, child
-                       in self._m_latency.children()}
+            latency = _by_circuit(self._m_latency,
+                                  read=lambda child: child.sum)
             batch_rows = self._m_batch_rows.bucket_counts()
             snap: Dict[str, object] = {
                 "engine_kind": self.engine_kind,
@@ -242,9 +228,9 @@ class ServiceStats:
                     int(self._m_coalesced_requests.value),
                 "rejections": int(self._m_rejections.value),
                 "posterior_requests": sum(
-                    _by_circuit(self._m_posterior_requests).values()),
+                    _by_circuit(self._m_requests, "posterior").values()),
                 "posterior_rows": sum(
-                    _by_circuit(self._m_posterior_rows).values()),
+                    _by_circuit(self._m_responses, "posterior").values()),
                 "posterior_builds": self._m_posterior_build.count,
                 "posterior_samples": sum(
                     _by_circuit(self._m_posterior_samples).values()),
@@ -273,10 +259,16 @@ class ServiceStats:
         return snap
 
 
-def _by_circuit(counter: telemetry.Counter) -> Dict[str, int]:
-    """A ``circuit``-labelled counter's values keyed by circuit."""
-    return {labels["circuit"]: int(child.value)
-            for labels, child in counter.children()}
+def _by_circuit(family, mode: Optional[str] = None,
+                read: Callable = lambda child: int(child.value)) -> Dict:
+    """A ``circuit``-labelled family's children read and keyed by
+    circuit, summed over ``mode`` children (only ``mode``'s if given)."""
+    totals: Dict = {}
+    for labels, child in family.children():
+        if mode is None or labels["mode"] == mode:
+            circuit = labels["circuit"]
+            totals[circuit] = totals.get(circuit, 0) + read(child)
+    return totals
 
 
 @dataclass

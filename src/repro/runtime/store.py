@@ -138,12 +138,10 @@ def ga_search_key(dictionary_key: str, info: CircuitInfo, config,
                   seed) -> str:
     """Key of one GA search: the surface it ran on + every knob that
     steers it (frequency space bounds, fitness shape, GA hyper-
-    parameters, seed). ``ambiguity_threshold`` never changes the
-    search and stays out, so sweeping it reuses the cached result. The
-    deviation grid and the simulation engine reach this key through
-    ``dictionary_key``: the grid reshapes the universe the surface was
-    built from, and a ``factored`` engine is folded into the problem
-    key the dictionary key derives from."""
+    parameters, seed). The deviation grid and the simulation engine
+    reach this key through ``dictionary_key``: the grid reshapes the
+    universe the surface was built from, and a ``factored`` engine is
+    folded into the problem key the dictionary key derives from."""
     payload = {
         "f_min_hz": float(info.f_min_hz),
         "f_max_hz": float(info.f_max_hz),

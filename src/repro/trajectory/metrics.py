@@ -9,7 +9,7 @@ intersections among the fault trajectories"* -- formalised here as:
 * :func:`count_common_pathways` -- collinear overlapping segment pairs;
 * :func:`min_separation` -- the smallest inter-trajectory distance with
   the structural origin contact excluded (margin; used by the extended
-  fitness functions and by ambiguity analysis).
+  fitness functions).
 
 The GA calls these thousands of times per run, so the internals work
 on a ``(K, V, D)`` batch of vertex coordinates sharing one

@@ -38,7 +38,7 @@ def biquad_info():
 
 @pytest.fixture(scope="session")
 def biquad_ideal_info():
-    """The CUT with ideal op-amps (exhibits exact ambiguity groups)."""
+    """The CUT with ideal op-amps (exhibits exact isolability classes)."""
     return tow_thomas_biquad(ideal_opamps=True)
 
 

@@ -1,21 +1,28 @@
 """Tests for baseline diagnosers and the evaluation harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import FaultTrajectoryATPG, PipelineConfig
 from repro.diagnosis import (
     HELD_OUT_DEVIATIONS,
     NearestNeighborClassifier,
     TrajectoryClassifier,
-    ambiguity_groups,
     evaluate_classifier,
     exhaustive_search,
+    isolability_classes,
     make_test_cases,
     random_test_vectors,
 )
+from repro.circuits import BENCHMARK_CIRCUITS, get_benchmark
 from repro.diagnosis.evaluate import DiagnosisCase
 from repro.errors import DiagnosisError
-from repro.ga import FrequencySpace
+from repro.faults import DictionaryEntry, FaultDictionary, \
+    ParametricFault
+from repro.ga import FrequencySpace, GAConfig
+from repro.sim import FrequencyResponse
 from repro.trajectory import (
     FaultTrajectory,
     SignatureMapper,
@@ -207,74 +214,94 @@ class TestEvaluation:
         assert not grid.intersection(HELD_OUT_DEVIATIONS)
 
 
-class TestAmbiguityGroups:
-    def test_separated_trajectories_are_singletons(self):
-        mapper = SignatureMapper((100.0, 1000.0))
-        deviations = (-0.2, -0.1, 0.0, 0.1, 0.2)
-        x = FaultTrajectory("X", deviations,
-                            np.outer(deviations, [1.0, 0.0]))
-        y = FaultTrajectory("Y", deviations,
-                            np.outer(deviations, [0.0, 1.0]))
-        groups = ambiguity_groups(TrajectorySet(mapper, (x, y)),
-                                  threshold=0.01)
-        assert groups == (frozenset({"X"}), frozenset({"Y"}))
+def synthetic_dictionary(rows_by_fault):
+    """A dictionary whose dB rows are given per ``(component,
+    deviation)`` on a 3-point grid."""
+    freqs = np.array([100.0, 1000.0, 10000.0])
+    golden = FrequencyResponse(freqs, np.ones(3, dtype=complex))
+    entries = [
+        DictionaryEntry(ParametricFault(name, deviation),
+                        FrequencyResponse(
+                            freqs, 10.0 ** (np.asarray(db) / 20.0) + 0j))
+        for (name, deviation), db in rows_by_fault.items()]
+    return FaultDictionary("synthetic", "out", freqs, golden, entries)
 
-    def test_near_identical_merge(self):
-        mapper = SignatureMapper((100.0, 1000.0))
-        deviations = (-0.2, -0.1, 0.0, 0.1, 0.2)
-        x = FaultTrajectory("X", deviations,
-                            np.outer(deviations, [1.0, 0.0]))
-        x2_points = np.outer(deviations, [1.0, 0.0])
-        x2_points[:, 1] += 1e-5
-        x2 = FaultTrajectory("X2", deviations, x2_points)
-        y = FaultTrajectory("Y", deviations,
-                            np.outer(deviations, [0.0, 1.0]))
-        groups = ambiguity_groups(TrajectorySet(mapper, (x, x2, y)),
-                                  threshold=0.01)
-        assert frozenset({"X", "X2"}) in groups
-        assert frozenset({"Y"}) in groups
 
-    def test_transitive_merge(self):
-        mapper = SignatureMapper((100.0, 1000.0))
-        deviations = (-0.2, -0.1, 0.0, 0.1, 0.2)
-        base = np.outer(deviations, [1.0, 0.0])
-        a = FaultTrajectory("A", deviations, base)
-        b = FaultTrajectory("B", deviations,
-                            base + np.array([0.0, 0.008]))
-        c = FaultTrajectory("C", deviations,
-                            base + np.array([0.0, 0.016]))
-        groups = ambiguity_groups(TrajectorySet(mapper, (a, b, c)),
-                                  threshold=0.01)
-        # A-B close, B-C close -> one transitive group.
-        assert groups == (frozenset({"A", "B", "C"}),)
+class TestIsolabilityClasses:
+    #: Exact classes of every registry circuit (all other parts are
+    #: singletons).
+    REGISTRY_CLASSES = {
+        "tow_thomas_biquad": [{"R3", "R5"}, {"R4", "C2"}],
+        "sallen_key_lowpass": [{"R1", "R2"}],
+        "khn_state_variable": [{"R6", "C1"}, {"R7", "C2"}],
+        "mfb_bandpass": [],
+        "twin_t_notch": [],
+        "lc_ladder_lowpass5": [{"C1", "C5"}, {"L2", "L4"}],
+        "rc_ladder": [{"R1", "C5"}, {"C1", "R5"}, {"R2", "C4"},
+                      {"C2", "R4"}, {"R3", "C3"}],
+        "rc_lowpass": [{"R1", "C1"}],
+        "voltage_divider": [],
+    }
 
-    def test_single_trajectory(self):
-        mapper = SignatureMapper((100.0, 1000.0))
-        deviations = (-0.1, 0.0, 0.1)
-        only = FaultTrajectory("A", deviations,
-                               np.outer(deviations, [1.0, 0.0]))
-        groups = ambiguity_groups(TrajectorySet(mapper, (only,)), 0.01)
-        assert groups == (frozenset({"A"}),)
+    def test_registry_circuit_classes(self):
+        assert set(self.REGISTRY_CLASSES) == set(BENCHMARK_CIRCUITS)
+        for name, expected in self.REGISTRY_CLASSES.items():
+            info = get_benchmark(name)
+            _, dictionary = FaultTrajectoryATPG(
+                info, PipelineConfig.quick()).build_dictionary()
+            classes = isolability_classes(dictionary)
+            assert set().union(*classes) == set(info.faultable), name
+            assert sorted(map(sorted, (c for c in classes
+                                       if len(c) > 1))) == \
+                sorted(map(sorted, expected)), name
 
-    def test_threshold_validation(self, biquad_trajectories):
-        with pytest.raises(DiagnosisError):
-            ambiguity_groups(biquad_trajectories, -0.1)
+    def test_macromodel_biquad_has_no_class(self, biquad_dictionary):
+        classes = isolability_classes(biquad_dictionary)
+        assert all(len(c) == 1 for c in classes)
+        assert len(classes) == len(biquad_dictionary.components)
 
-    def test_biquad_known_degenerate_pairs(self, biquad_info):
-        """With ideal op-amps R3/R5 and R4/C2 are exactly degenerate;
-        with macromodels they stay nearly so at passband frequencies."""
-        from repro.faults import parametric_universe, FaultDictionary
-        freqs = np.array([500.0, 1500.0])
-        universe = parametric_universe(biquad_info.circuit,
-                                       components=biquad_info.faultable)
-        exact = FaultDictionary.build(universe, biquad_info.output_node,
-                                      freqs)
-        trajectories = TrajectorySet.from_source(
-            exact, SignatureMapper((500.0, 1500.0)))
-        groups = ambiguity_groups(trajectories, threshold=0.01)
-        lookup = {}
-        for group in groups:
-            for member in group:
-                lookup[member] = group
-        assert lookup["R3"] == lookup["R5"]
-        assert lookup["R4"] == lookup["C2"]
+    def test_independent_of_ga_seed(self, biquad_ideal_info):
+        config = dataclasses.replace(
+            PipelineConfig.quick(),
+            ga=GAConfig.quick(seeded_generations=2, population_size=8))
+        first = FaultTrajectoryATPG(biquad_ideal_info, config).run(seed=1)
+        second = FaultTrajectoryATPG(biquad_ideal_info, config).run(
+            seed=2)
+        assert first.test_vector_hz != second.test_vector_hz
+        assert first.groups == second.groups
+        assert frozenset({"R3", "R5"}) in first.groups
+
+    def test_transitive_merge_and_sorted_output(self):
+        # A-B and B-C differ by 0.8e-6 dB, A-C by 1.6e-6 dB: only the
+        # transitive closure puts A and C together.
+        base = [0.0, -3.0, -20.0]
+        rows = {}
+        for name, offset in (("C", 1.6e-6), ("A", 0.0), ("B", 0.8e-6)):
+            for deviation in (-0.1, 0.1):
+                rows[(name, deviation)] = np.add(base, offset + deviation)
+        rows[("D", -0.1)] = np.add(base, 5.0)
+        rows[("D", 0.1)] = np.add(base, 6.0)
+        classes = isolability_classes(synthetic_dictionary(rows))
+        assert classes == (frozenset({"A", "B", "C"}), frozenset({"D"}))
+
+    def test_mismatched_deviation_sets_stay_apart(self):
+        # B equals A at every shared deviation but carries an extra one;
+        # E has A's rows under another deviation set; C lists A's
+        # deviations in another order and still merges.
+        base = [0.0, -3.0, -20.0]
+        rows = {}
+        for name, deviations in (("A", (-0.1, 0.1)),
+                                 ("B", (-0.1, 0.1, 0.2)),
+                                 ("C", (0.1, -0.1))):
+            for deviation in deviations:
+                rows[(name, deviation)] = np.add(base, deviation)
+        rows[("E", -0.1)] = rows[("A", -0.1)]
+        rows[("E", 0.2)] = rows[("A", 0.1)]
+        classes = isolability_classes(synthetic_dictionary(rows))
+        assert classes == (frozenset({"A", "C"}), frozenset({"B"}),
+                           frozenset({"E"}))
+
+    def test_single_component(self):
+        rows = {("A", 0.1): [0.0, 1.0, 2.0]}
+        assert isolability_classes(synthetic_dictionary(rows)) == \
+            (frozenset({"A"}),)

@@ -274,9 +274,9 @@ from repro import FaultTrajectoryATPG, PipelineConfig  # noqa: E402
 from repro.circuits.library import get_benchmark  # noqa: E402
 from repro.ga import GAConfig  # noqa: E402
 
-#: Circuits spanning the library's shapes: single pole, a perfect
-#: R1/R2 ambiguity group (coincident trajectories -- the historic
-#: negative-margin trigger), a 2nd-order active filter, the paper CUT.
+#: Circuits spanning the library's shapes: single pole, a divider whose
+#: R1/R2 trajectories overlap on one line (the historic negative-margin
+#: trigger), a 2nd-order active filter, the paper CUT.
 MARGIN_CIRCUITS = ("rc_lowpass", "voltage_divider",
                    "sallen_key_lowpass", "tow_thomas_biquad")
 

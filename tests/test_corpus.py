@@ -150,6 +150,20 @@ def test_check_report_catches_tampering():
         check_report(report, "tampered")
 
 
+def test_check_report_rejects_class_accuracy_below_component():
+    report = run_corpus(mini_spec())
+    record = report["results"]["circuits"][0]
+    kept = record["group_accuracy"]
+    record["group_accuracy"] = record["accuracy"] - 0.01
+    with pytest.raises(SystemExit, match="group_accuracy < accuracy"):
+        check_report(report, "record")
+    record["group_accuracy"] = kept
+    family = next(iter(report["results"]["per_family"].values()))
+    family["group_accuracy_mean"] = family["accuracy_mean"] - 0.01
+    with pytest.raises(SystemExit, match="group_accuracy_mean"):
+        check_report(report, "family")
+
+
 def test_check_report_catches_count_mismatch():
     report = run_corpus(mini_spec())
     report["results"]["circuits"].pop()

@@ -33,8 +33,12 @@ class TestPipelineConfig:
             PipelineConfig(num_frequencies=0)
         with pytest.raises(ReproError):
             PipelineConfig(deviations=())
+
+    def test_retired_ambiguity_threshold_rejected(self):
+        """Isolability classes are derived from the dictionary, so a
+        persisted config carrying the old threshold knob is refused."""
         with pytest.raises(ReproError):
-            PipelineConfig(ambiguity_threshold=-1.0)
+            PipelineConfig.from_json_dict({"ambiguity_threshold": 0.01})
 
 
 class TestPipelineRun:
@@ -84,11 +88,14 @@ class TestPipelineRun:
             assert diagnosis.estimated_deviation == pytest.approx(
                 deviation, abs=0.05)
 
-    def test_clean_evaluation_perfect_at_group_level(
-            self, quick_pipeline_result):
+    def test_clean_evaluation_at_group_level(self,
+                                             quick_pipeline_result):
         evaluation = quick_pipeline_result.evaluate(
             deviations=(-0.25, 0.25))
-        assert evaluation.group_accuracy == 1.0
+        # The macromodel biquad has no exact isolability class, so class
+        # accuracy equals component accuracy (pinned at seed 11).
+        assert evaluation.group_accuracy >= evaluation.accuracy
+        assert evaluation.group_accuracy == 11.0 / 14.0
         assert evaluation.accuracy >= 10.0 / 14.0
 
     def test_fault_free_point(self, quick_pipeline_result):
@@ -122,7 +129,8 @@ class TestCrossCircuit:
         assert result.trajectories.components == ("R1", "R2", "C1", "C2")
         evaluation = result.evaluate(deviations=(-0.25, 0.25))
         # The Sallen-Key has its own exact degeneracy (R1/R2 at unity
-        # gain); group-level accuracy must still be perfect.
+        # gain); class-level accuracy must still be perfect.
+        assert evaluation.group_accuracy >= evaluation.accuracy
         assert evaluation.group_accuracy == 1.0
 
     def test_mfb_bandpass_pipeline(self):
@@ -130,6 +138,7 @@ class TestCrossCircuit:
         config = PipelineConfig.quick()
         result = FaultTrajectoryATPG(info, config).run(seed=2)
         evaluation = result.evaluate(deviations=(0.25,))
+        assert evaluation.group_accuracy >= evaluation.accuracy
         assert evaluation.group_accuracy == 1.0
 
     def test_three_frequency_pipeline(self, biquad_info):
@@ -140,4 +149,5 @@ class TestCrossCircuit:
         assert len(result.test_vector_hz) == 3
         assert result.trajectories.dimension == 3
         evaluation = result.evaluate(deviations=(0.25,))
-        assert evaluation.group_accuracy == 1.0
+        assert evaluation.group_accuracy >= evaluation.accuracy
+        assert evaluation.group_accuracy == 5.0 / 7.0

@@ -153,11 +153,19 @@ def _stats_from_scrape(text):
                 in families[family]["samples"] if name == family + suffix]
 
     def by_circuit(family, suffix=""):
-        return {labels["circuit"]: value
-                for labels, value in samples(family, suffix)}
+        # Summed over the ``mode`` children of a service family.
+        totals = {}
+        for labels, value in samples(family, suffix):
+            totals[labels["circuit"]] = \
+                totals.get(labels["circuit"], 0.0) + value
+        return totals
 
     def total(family, suffix=""):
         return sum(value for _, value in samples(family, suffix))
+
+    def posterior(family):
+        return sum(value for labels, value in samples(family)
+                   if labels["mode"] == "posterior")
 
     latency = "repro_service_request_latency_seconds"
     requests = by_circuit("repro_service_requests_total")
@@ -181,8 +189,8 @@ def _stats_from_scrape(text):
         "coalesced_requests":
             total("repro_service_coalesced_requests_total"),
         "rejections": total("repro_service_rejections_total"),
-        "posterior_requests": total("repro_posterior_requests_total"),
-        "posterior_rows": total("repro_posterior_rows_total"),
+        "posterior_requests": posterior("repro_service_requests_total"),
+        "posterior_rows": posterior("repro_service_responses_total"),
         "posterior_builds": total("repro_posterior_build_seconds",
                                   "_count"),
         "posterior_samples": total("repro_posterior_samples_total"),
@@ -255,9 +263,9 @@ class TestStatsAreReadFromTheRegistry:
             for key, value in per.items():
                 assert snapshot["per_circuit"][circuit][key] == value, \
                     (circuit, key)
-        # Every record path moved its count.
-        assert snapshot["requests"] == 1 + 3 + 2
-        assert snapshot["responses_diagnosed"] == 2 + 3 + 600 + 4
+        # Every record path moved its count; both modes book requests.
+        assert snapshot["requests"] == 1 + 1 + 3 + 2
+        assert snapshot["responses_diagnosed"] == 2 + 2 + 3 + 600 + 4
         assert snapshot["coalesced_batches"] == 3
         assert snapshot["coalesced_requests"] == 2 + 1 + 2
         assert snapshot["batch_size_histogram"] == {4: 2, "+Inf": 1}
@@ -296,6 +304,32 @@ class TestStatsAreReadFromTheRegistry:
                                  [None] * rows, coalesced=True)
         assert stats.snapshot()["batch_size_histogram"] == \
             {4: 1, 512: 1, "+Inf": 1}
+
+    def test_coalesced_posterior_request_books_like_a_hard_one(
+            self, tmp_path):
+        """A posterior request through the async front moves the
+        service-wide request count, the coalescing counters and the
+        latency reservoir, exactly as a hard request does."""
+        service = DiagnosisService(
+            config=QUICK, store=ArtifactStore(tmp_path / "store"),
+            seed=3, posterior=PosteriorConfig(n_samples=2, seed=3))
+        rows = np.zeros((2, len(service.test_vector_hz("rc_lowpass"))))
+        service.diagnose_posterior("rc_lowpass", rows)   # build the tier
+        before = service.stats.snapshot()
+        reservoir = len(service.stats._latencies)
+
+        async def one_request():
+            front = AsyncDiagnosisService(service)
+            await front.submit("rc_lowpass", rows, mode="posterior")
+            await front.aclose()
+
+        asyncio.run(one_request())
+        after = service.stats.snapshot()
+        for key in ("requests", "coalesced_batches", "coalesced_requests",
+                    "posterior_requests"):
+            assert after[key] - before[key] == 1, key
+        assert after["posterior_rows"] - before["posterior_rows"] == 2
+        assert len(service.stats._latencies) - reservoir == 1
 
 
 CIRCUITS = ("rc_lowpass", "voltage_divider", "sallen_key_lowpass")

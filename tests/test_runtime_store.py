@@ -109,16 +109,6 @@ class TestKeys:
         assert ga_search_key("b" * 64, info, config, 2) != \
             ga_search_key("b" * 64, info, config, 1)
 
-    def test_keys_scope_only_real_dependencies(self, problem):
-        """Downstream-only knobs never enter a key: the ambiguity
-        threshold only affects post-processing, so both configs must
-        share cache slots."""
-        import dataclasses
-        info, config, universe, grid = problem
-        variant = dataclasses.replace(config, ambiguity_threshold=0.5)
-        assert ga_search_key("b" * 64, info, variant, 1) == \
-            ga_search_key("b" * 64, info, config, 1)
-
     def test_key_stable_across_processes(self, problem):
         import os
 
