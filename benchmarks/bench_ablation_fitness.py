@@ -1,7 +1,8 @@
-"""T-ABL -- ablation of the design choices DESIGN.md calls out.
+"""T-ABL -- ablation of the design choices this reproduction adds.
 
 Dimensions ablated (3 seeds each, reduced GA budget, accuracy accounted
-at the CUT's structural classes {R1} {R2} {C1} {R3,R5} {R4,C2}):
+at the CUT's structural classes {R1} {R2} {C1} {R3,R5} {R4,C2}; README
+"Isolability classes" derives {R3,R5} and {R4,C2}):
 
 * **fitness** -- paper 1/(1+I) vs margin vs combined. The paper fitness
   plateaus at 1.0 once trajectories are conflict-free, so it cannot

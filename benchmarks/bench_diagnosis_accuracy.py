@@ -5,8 +5,9 @@ measurement noise):
 
 * **GA (paper fitness)** -- the paper's flow verbatim: 1/(1+I) fitness,
   roulette GA, perpendicular nearest-segment classifier;
-* **GA (combined fitness)** -- the margin-aware extension (DESIGN.md
-  decision 4);
+* **GA (combined fitness)** -- the margin-aware extension
+  (:class:`~repro.ga.CombinedFitness`: the paper term plus a bounded
+  margin bonus);
 * **dictionary-NN** -- classical fault-dictionary nearest-point matching
   on the *same* test vector (no trajectory interpolation);
 * **random vectors** -- no optimisation, averaged over 3 draws;
@@ -18,7 +19,7 @@ Accuracy is accounted at the CUT's *structural class* level: on the
 Tow-Thomas biquad R3/R5 enter the ideal transfer function only through
 R3*(R5/R6) and R4/C2 only through the product R4*C2, so magnitude
 signatures cannot split those pairs -- {R3,R5} and {R4,C2} are the
-finest honest diagnosis unit (DESIGN.md, substitutions table). Raw
+finest honest diagnosis unit (README "Isolability classes"). Raw
 component accuracy is reported alongside.
 
 Expected shapes: every vector separates the 5 structural classes on

@@ -31,10 +31,11 @@ fixed fault set maps where the low-rank path overtakes the dense one
 as the MNA dimension grows.
 
 * **posterior block** -- one 16-world Monte-Carlo block at the corpus
-  baseline's tolerance, shaped like the posterior build's: a
-  :class:`~repro.sim.engine.VariantTable` with a row per (world,
-  hypothesis) and a column per faultable component, through the
-  scalar, batched and factored engines.
+  baseline's tolerance, built like the posterior build's by
+  :meth:`~repro.sim.engine.VariantTable.of_worlds` (a row per (world,
+  hypothesis), each world's fault-free row the base of its fault
+  rows), through the scalar, batched and factored engines; the
+  factored engine also without the recorded bases.
 
 Every comparison asserts result equality (bitwise for batched, scaled
 tolerance for factored) before timing is trusted.
@@ -84,7 +85,8 @@ REQUIRED_KEYS = {
                       "conflict_s", "conflict_share"),
     "size_sweep": ("points", "fault_components", "cases"),
     "posterior_block": ("worlds", "rows", "columns", "points",
-                        "scalar_s", "batched_s", "factored_s"),
+                        "scalar_s", "batched_s", "factored_s",
+                        "factored_without_bases_s", "lowrank_fallbacks"),
     "telemetry_overhead": ("instrumented_s", "bare_s",
                            "overhead_fraction"),
 }
@@ -302,47 +304,39 @@ def bench_size_sweep(sections_list, repeats):
 POSTERIOR_WORLDS = 16
 
 
-def _posterior_world_table(info, universe, tolerance, worlds):
-    """A posterior build's world block as one variant table.
+def bench_posterior_block(info, universe, repeats):
+    """One 16-world, corpus-tolerance block through every engine.
 
-    Row 0 is the nominal circuit; then per world the fault-free circuit
-    and every fault, each faultable component at ``nominal * (1 +
-    eps)`` with ``eps`` uniform in ``[-tolerance, tolerance]``.
+    The table is built as a posterior build builds it, by
+    ``VariantTable.of_worlds``: per world the fault-free circuit (the
+    world's base) and every fault, each faultable component scaled by
+    ``1 + eps`` with ``eps`` uniform in ``[-tolerance, tolerance]``.
+    The factored engine is timed with the recorded bases and on the
+    same rows without them: then every row perturbs every faultable
+    component of the nominal, an update too wide to pay on this
+    circuit, so the rows go to the dense path as rank fallbacks.
+    Batched is asserted
+    bitwise-equal to scalar, factored within the scaled tolerance,
+    before the timings are trusted.
     """
     hypotheses = VariantTable.of_faults(info.circuit, universe.faults) \
         .with_columns(info.circuit,
                       [(name, "value") for name in info.faultable])
+    tolerance = CorpusSpec.baseline().posterior.tolerance
     eps = np.random.default_rng(SEED).uniform(
-        -tolerance, tolerance, size=(worlds, len(hypotheses.columns)))
-    values = (hypotheses.values[None, :, :] *
-              (1.0 + eps[:, None, :])).reshape(-1, len(hypotheses.columns))
-    labels = [info.circuit.name] + [
-        f"{info.circuit.name}#posterior:{label}:s{world}"
-        for world in range(worlds)
-        for label in ("golden",) + universe.labels]
-    return VariantTable(hypotheses.columns,
-                        np.vstack([hypotheses.values[0], values]),
-                        tuple(labels))
-
-
-def bench_posterior_block(info, universe, repeats):
-    """One 16-world, corpus-tolerance block through every engine.
-
-    Batched is asserted bitwise-equal to scalar, factored within the
-    scaled tolerance, before the timings are trusted.
-    """
-    table = _posterior_world_table(
-        info, universe, CorpusSpec.baseline().posterior.tolerance,
-        POSTERIOR_WORLDS)
+        -tolerance, tolerance, size=(POSTERIOR_WORLDS,
+                                     len(info.faultable)))
+    table = VariantTable.of_worlds(hypotheses, 1.0 + eps)
+    without_bases = table.take(np.arange(len(table)))
     grid = np.unique(np.concatenate([
         [500.0, 1500.0], np.geomspace(info.f_min_hz, info.f_max_hz,
                                       12)]))
 
-    def solve(engine_type):
+    def solve(engine_type, variants=table):
         def run():
             engine = engine_type(info.circuit)
             return engine, engine.transfer_block(
-                info.output_node, grid, table, info.input_source)
+                info.output_node, grid, variants, info.input_source)
         return run
 
     scalar_s, (_, scalar) = _best_of(
@@ -350,9 +344,13 @@ def bench_posterior_block(info, universe, repeats):
     batched_s, (_, batched) = _best_of(repeats, solve(BatchedMnaEngine))
     factored_s, (factored_engine, factored) = _best_of(
         repeats, solve(FactoredMnaEngine))
+    nominal_s, (nominal_engine, nominal) = _best_of(
+        repeats, solve(FactoredMnaEngine, without_bases))
     assert np.array_equal(batched.values, scalar.values)
     assert batched.labels == scalar.labels == table.labels
     _assert_close(factored.values, scalar.values, "on the world block")
+    _assert_close(nominal.values, scalar.values,
+                  "on the world block without bases")
     return {
         "worlds": POSTERIOR_WORLDS,
         "rows": len(table),
@@ -361,9 +359,13 @@ def bench_posterior_block(info, universe, repeats):
         "scalar_s": scalar_s,
         "batched_s": batched_s,
         "factored_s": factored_s,
+        "factored_without_bases_s": nominal_s,
         "speedup": scalar_s / batched_s,
-        "lowrank_fallbacks": sum(
-            factored_engine.lowrank_fallbacks.values()),
+        "factored_vs_batched": batched_s / factored_s,
+        "lowrank_updates": factored_engine.lowrank_updates,
+        "lowrank_fallbacks": dict(factored_engine.lowrank_fallbacks),
+        "without_bases_fallbacks": dict(
+            nominal_engine.lowrank_fallbacks),
     }
 
 
@@ -467,9 +469,14 @@ def run(quick: bool) -> dict:
             "avoid. The size sweep fixes the fault set and grows the "
             "RC-ladder dimension to expose the dense-vs-low-rank "
             "crossover. 'posterior_block' is one posterior-build "
-            "world block: every row perturbs every faultable "
-            "component, so the factored engine sends each row to the "
-            "dense path (rank fallbacks)."),
+            "world block from VariantTable.of_worlds: the factored "
+            "engine factors each world's fault-free row once and "
+            "solves the world's fault rows as rank-<=2 updates from "
+            "it ('factored_s'); without the recorded bases every row "
+            "perturbs every faultable component of the nominal, an "
+            "update too wide to pay on the dim-11 biquad, so those rows "
+            "take the dense path ('factored_without_bases_s', "
+            "'without_bases_fallbacks')."),
     }
     report["dictionary_build_speedup"] = \
         report["dictionary_build"]["test_vector"]["speedup"]
@@ -510,15 +517,20 @@ def check(report: dict) -> None:
                 f"BENCH_engine.json has bad ga_evaluation.{field}: "
                 f"{ga[field]!r}")
     block = report["posterior_block"]
-    for field in ("scalar_s", "batched_s", "factored_s", "speedup"):
+    for field in ("scalar_s", "batched_s", "factored_s",
+                  "factored_without_bases_s", "speedup"):
         value = block[field]
         if not (isinstance(value, float) and value > 0.0):
             raise SystemExit(
                 f"BENCH_engine.json has bad posterior_block.{field}: "
                 f"{value!r}")
-    if block["rows"] != block["worlds"] * (1 + report["n_faults"]) + 1:
+    if block["rows"] != block["worlds"] * (1 + report["n_faults"]):
         raise SystemExit("posterior_block rows do not match "
-                         "worlds x (golden + faults) + nominal")
+                         "worlds x (golden + faults)")
+    if set(block["lowrank_fallbacks"]) != {"conditioning", "rank",
+                                           "nonfinite"}:
+        raise SystemExit("posterior_block.lowrank_fallbacks must count "
+                         "every fallback reason")
     if not report["quick"]:
         # Full-mode performance bars (quick mode only checks shape --
         # CI machines are too noisy for ratio assertions on tiny
@@ -532,6 +544,10 @@ def check(report: dict) -> None:
                    report["size_sweep"]["cases"]):
             raise SystemExit(
                 "size sweep shows no dense-vs-low-rank crossover")
+        if block["factored_vs_batched"] < 2.0:
+            raise SystemExit(
+                f"factored engine only {block['factored_vs_batched']:.2f}x "
+                "vs batched on the posterior block (bar: 2x)")
     overhead = report["telemetry_overhead"]["overhead_fraction"]
     if overhead > MAX_TELEMETRY_OVERHEAD:
         raise SystemExit(
@@ -582,7 +598,10 @@ def main(argv=None) -> int:
           f"scalar {block['scalar_s'] * 1e3:.1f} ms, batched "
           f"{block['batched_s'] * 1e3:.1f} ms "
           f"({block['speedup']:.2f}x), factored "
-          f"{block['factored_s'] * 1e3:.1f} ms")
+          f"{block['factored_s'] * 1e3:.1f} ms "
+          f"({block['factored_vs_batched']:.2f}x vs batched; "
+          f"{block['factored_without_bases_s'] * 1e3:.1f} ms without "
+          f"bases), fallbacks {block['lowrank_fallbacks']}")
     ga = report["ga_evaluation"]
     print(f"GA evaluation ({ga['population']} individuals): "
           f"per-individual {ga['per_individual_s'] * 1e3:.1f} ms, "

@@ -6,7 +6,7 @@ one component (R3, as in the paper's Fig. 3 narrative) swept over the
 the full fault-dictionary construction (56 faulty circuits x 401
 frequencies), the substrate operation behind the figure.
 
-Expected shape (DESIGN.md): a family of low-pass curves fanning around
+Expected shape: a family of low-pass curves fanning around
 the golden one, separating most near the pole frequency.
 """
 

@@ -1,7 +1,7 @@
 """T-GA -- GA convergence under the paper's exact settings.
 
 128 individuals, 15 generations, 50 % reproduction, 40 % mutation,
-roulette-wheel selection, fitness 1/(1+I). Expected shape (DESIGN.md):
+roulette-wheel selection, fitness 1/(1+I). Expected shape:
 best fitness is non-decreasing (elitism) and reaches the 1.0 plateau
 (I = 0) within the 15-generation budget on the biquad CUT.
 

@@ -3,7 +3,8 @@
 The paper argues for a *minimal* set of frequencies and uses two; this
 study quantifies what each additional frequency buys. In n > 2 the
 intersection count generalises to a proximity surrogate and the
-perpendicular classifier works unchanged in R^n (DESIGN.md, decision 2).
+perpendicular classifier works unchanged in R^n (README "Performance
+model", GA generation evaluation: the D != 2 proximity surrogate).
 
 Expected shape: one frequency cannot separate 7 components (massive
 trajectory overlap on a line); two frequencies reach the paper's

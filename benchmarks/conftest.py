@@ -1,10 +1,11 @@
 """Shared fixtures for the benchmark/reproduction harness.
 
-Each ``bench_*`` file regenerates one experiment from DESIGN.md's index
-(FIG1-FIG3, T-GA, T-ACC, T-ABL, T-NFREQ, T-XCUT, T-PERF). Benchmarks
-time the hot operation with pytest-benchmark and write the figure/table
-data (CSV + ASCII rendering) to ``benchmarks/out/`` so the paper's
-artefacts can be inspected and re-plotted.
+Each ``bench_*`` file regenerates one experiment, named by the ID that
+opens its docstring (FIG1-FIG3, T-GA, T-ACC, T-ABL, T-NFREQ, T-XCUT,
+T-PERF). Benchmarks time the hot operation with pytest-benchmark and
+write the figure/table data (CSV + ASCII rendering) to
+``benchmarks/out/`` so the paper's artefacts can be inspected and
+re-plotted.
 
 Run with::
 
@@ -39,7 +40,7 @@ def out_dir():
 
 @pytest.fixture(scope="session")
 def cut():
-    """The paper's CUT with op-amp macromodels (see DESIGN.md)."""
+    """The paper's CUT, its op-amps as finite-gain macromodels."""
     return tow_thomas_biquad(ideal_opamps=False)
 
 

@@ -83,7 +83,8 @@ def tow_thomas_biquad(f0_hz: float = 1e3, q: float = 1.0,
     giving ``w0 = 1/sqrt(R3 R4 C1 C2)``, ``Q = w0 R2 C1`` and DC gain
     ``R3/R1``. The seven faultable passives of the paper's example are
     R1-R5, C1, C2; the inverter's second resistor R6 is treated as the
-    fault-free half of a matched pair (documented substitution, DESIGN.md).
+    fault-free half of a matched pair (a substitution this library makes,
+    so the faultable set is the paper's seven passives).
 
     With ``normalized=True`` the element values are the textbook normalized
     design (R = 1 ohm, C = 1 F, w0 = 1 rad/s) and ``f0_hz``/``r_base`` are

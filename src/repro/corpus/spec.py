@@ -197,6 +197,7 @@ class CorpusSpec:
                 FamilySpec("random_topology", count=30, max_targets=6),
             ),
             pipeline=PipelineConfig(
+                engine="factored",
                 dictionary_points=96,
                 ga=GAConfig.quick(seeded_generations=4,
                                   population_size=24)),
@@ -218,6 +219,7 @@ class CorpusSpec:
                            max_targets=4),
             ),
             pipeline=PipelineConfig(
+                engine="factored",
                 dictionary_points=64,
                 ga=GAConfig.quick(seeded_generations=3,
                                   population_size=16)),

@@ -15,8 +15,9 @@ into a *sampled response-surface distribution*:
    world's tolerances. All hypotheses share the draw (common random
    numbers), and each sample batch rides one
    :meth:`~repro.sim.engine.SimulationEngine.transfer_block` call as
-   one :class:`~repro.sim.engine.VariantTable` (a row per world and
-   hypothesis, a column per perturbed component) -- the
+   one :meth:`~repro.sim.engine.VariantTable.of_worlds` table (a row
+   per world and hypothesis, a column per perturbed component, each
+   world's fault-free row the base of its fault rows) -- the
    batched/factored engine does the solving, NumPy-native, no external
    inference framework.
 2. **Posterior via importance weighting over the sampled surface.** A
@@ -299,35 +300,28 @@ class PosteriorDiagnoser:
         hypotheses = VariantTable.of_faults(circuit, self._faults) \
             .with_columns(circuit, [(name, "value") for name in targets])
 
-        # The worlds, one transfer_block call per sample block: per
-        # world, the fault-free circuit plus every fault, each with the
-        # world's ``nominal * (1 + eps)`` on every target. The nominal
-        # (tolerance-free) reference rides the first block as its row
-        # 0: the golden response every signature is relative to.
-        nominal = hypotheses.values
+        # The nominal (tolerance-free) golden response every signature
+        # is relative to, then the worlds, one transfer_block call per
+        # sample block: per world, the fault-free circuit (the world's
+        # base) plus every fault, each with the world's
+        # ``nominal * (1 + eps)`` on every target.
+        golden_db = self._engine.transfer_block(
+            info.output_node, grid, hypotheses.take([0]),
+            info.input_source).magnitude_db()[0]
         rows_per_sample = len(hypotheses)
         row_labels = (FAULT_FREE_LABEL,) + tuple(
             fault.label for fault in self._faults)
         mag_db = np.empty((rows_per_sample, config.n_samples, grid.size))
         for start in range(0, config.n_samples, config.samples_per_block):
             stop = min(start + config.samples_per_block, config.n_samples)
-            worlds = np.repeat(nominal[None, :, :], stop - start, axis=0)
-            worlds[:, :, :len(targets)] = \
-                nominal[None, :, :len(targets)] * \
-                (1.0 + eps[start:stop, None, :])
-            values = worlds.reshape(-1, nominal.shape[1])
             labels = [f"{circuit.name}#posterior:{label}:s{sample}"
                       for sample in range(start, stop)
                       for label in row_labels]
-            if start == 0:
-                values = np.vstack([nominal[:1], values])
-                labels.insert(0, circuit.name)
             block_db = self._engine.transfer_block(
                 info.output_node, grid,
-                VariantTable(hypotheses.columns, values, tuple(labels)),
+                VariantTable.of_worlds(hypotheses, 1.0 + eps[start:stop],
+                                       labels),
                 info.input_source).magnitude_db()
-            if start == 0:
-                golden_db, block_db = block_db[0].copy(), block_db[1:]
             mag_db[:, start:stop, :] = block_db.reshape(
                 stop - start, rows_per_sample, -1).transpose(1, 0, 2)
         #: Engine variants simulated during the build (telemetry).

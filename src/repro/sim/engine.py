@@ -25,14 +25,15 @@ implementations:
   an ordered sum of ``(K,)`` arrays (one fold path, no circuit
   re-parse, no per-variant Python); it then solves all variants x all
   grid frequencies with chunked batched ``np.linalg.solve``;
-* :class:`FactoredMnaEngine` -- factors the *nominal* system once per
-  frequency and solves every variant through batched
-  Sherman-Morrison-Woodbury low-rank updates (rows grouped by their set
-  of non-nominal columns, each group's delta one array expression),
-  falling back to the batched dense path for rows whose update is
-  ill-conditioned or wider than ``max_rank``. Optionally assembles the
-  nominal system with ``scipy.sparse`` on large circuits (graceful
-  numpy-dense fallback when scipy is absent).
+* :class:`FactoredMnaEngine` -- factors each *base* system once per
+  frequency (the nominal, or on a :meth:`VariantTable.of_worlds` table
+  each Monte-Carlo world's fault-free row) and solves every variant
+  through batched Sherman-Morrison-Woodbury low-rank updates from its
+  base (rows grouped by the columns in which they differ from their
+  base, each group's delta one array expression), falling back to the
+  batched dense path for rows whose update is ill-conditioned or too
+  wide to pay. Optionally factors with ``scipy.sparse`` on large
+  circuits (graceful numpy-dense fallback when scipy is absent).
 
 Equivalence contract: the scalar and batched engines produce *bitwise
 identical* response blocks. Each elementwise IEEE operation of the
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Protocol, \
     Sequence, Tuple, runtime_checkable
 
@@ -74,7 +75,6 @@ from ..errors import ComponentError, SimulationError, SingularCircuitError
 from ..tracing import TRACER
 from ..units import TWO_PI, db
 from . import lowrank
-from .lowrank import NominalFactorSolver
 from .ac import ACAnalysis, FrequencyResponse, source_phasor
 from .mna import ComponentOps, MnaSystem, parameter_value, \
     stamp_parameters, with_parameters
@@ -140,11 +140,20 @@ class VariantTable:
 
     The table is a plain value container; an engine checks it against
     its circuit (:meth:`bind`) before stamping.
+
+    ``bases`` is ``None``, or -- on a table from :meth:`of_worlds` --
+    a read-only ``(K,)`` index array naming each row's base row (a base
+    row is its own base); a table derived by :meth:`take` or
+    :meth:`with_columns` has none. The factored engine factors each
+    base once and solves the other rows as low-rank updates from their
+    base; the scalar and batched engines ignore it.
     """
 
     columns: Tuple[Tuple[str, str], ...]
     values: np.ndarray
     labels: Tuple[str, ...]
+    bases: Optional[np.ndarray] = field(default=None, init=False,
+                                        repr=False)
 
     def __post_init__(self) -> None:
         columns = tuple((name, param) for name, param in self.columns)
@@ -219,6 +228,41 @@ class VariantTable:
                 values[index, column] = value
         return cls(keys, values, tuple(labels))
 
+    @classmethod
+    def of_worlds(cls, hypotheses: "VariantTable", scale: np.ndarray,
+                  labels: Optional[Sequence[str]] = None
+                  ) -> "VariantTable":
+        """Every row of ``hypotheses`` in every Monte-Carlo world.
+
+        ``scale`` is ``(W, T)``: world ``w`` multiplies the first ``T``
+        columns of every hypothesis row by ``scale[w]``; the other
+        columns keep the hypothesis value. Rows are world-major: row
+        ``w * H + h`` is hypothesis ``h`` in world ``w``, labelled
+        ``labels[w * H + h]`` (default ``<hypothesis label>@w<w>``).
+        Hypothesis row 0 -- the fault-free row of :meth:`of_faults` --
+        is each world's base, recorded in ``bases``.
+        """
+        scale = np.asarray(scale, dtype=float)
+        count = len(hypotheses)
+        if scale.ndim != 2 or scale.shape[1] > len(hypotheses.columns):
+            raise SimulationError(
+                f"world scale needs a (worlds, <= "
+                f"{len(hypotheses.columns)}) matrix, got {scale.shape}")
+        targets = scale.shape[1]
+        worlds = np.repeat(hypotheses.values[None], scale.shape[0], axis=0)
+        worlds[:, :, :targets] = \
+            hypotheses.values[None, :, :targets] * scale[:, None, :]
+        if labels is None:
+            labels = [f"{label}@w{world}"
+                      for world in range(scale.shape[0])
+                      for label in hypotheses.labels]
+        table = cls(hypotheses.columns,
+                    worlds.reshape(-1, len(hypotheses.columns)), labels)
+        bases = np.repeat(np.arange(0, len(table), count), count)
+        bases.flags.writeable = False
+        object.__setattr__(table, "bases", bases)
+        return table
+
     def with_columns(self, circuit: Circuit,
                      columns: Sequence[Tuple[str, str]]
                      ) -> "VariantTable":
@@ -282,6 +326,37 @@ def _nominal_values(circuit: Circuit,
                      for name, param in columns], dtype=float)
 
 
+def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over stacks of tiny matrices.
+
+    An explicit sum over the short inner axis: on ``(..., 2, 2)``
+    stacks ``np.matmul`` pays a per-matrix dispatch that costs several
+    times the arithmetic.
+    """
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., :, k, None] * b[..., None, k, :]
+    return out
+
+
+def _row_groups(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a boolean ``(K, C)`` matrix and each row's
+    index into them: ``np.unique(axis=0)``'s grouping (in another
+    order) without its per-row byte comparisons -- rows are packed
+    into 64-bit words and lexsorted."""
+    packed = np.packbits(mask, axis=1)
+    width = 8 * max(1, -(-packed.shape[1] // 8))
+    words = np.pad(packed, ((0, 0), (0, width - packed.shape[1]))) \
+        .view(np.uint64)
+    order = np.lexsort(words.T)
+    ordered = words[order]
+    first = np.ones(len(mask), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(mask), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return mask[order[first]], inverse
+
+
 def _require_table(variants: VariantTable) -> VariantTable:
     """``variants`` itself, checked to be a non-empty table."""
     if not isinstance(variants, VariantTable):
@@ -326,9 +401,8 @@ class ResponseBlock:
         if np.any(np.diff(self.freqs_hz) <= 0.0):
             raise SimulationError("frequency grid must be strictly "
                                   "increasing")
-        self._index: Dict[str, int] = {}
-        for position, label in enumerate(self.labels):
-            self._index.setdefault(label, position)
+        # Label -> first position, built on the first lookup by label.
+        self._index: Optional[Dict[str, int]] = None
         self._responses: List[Optional[FrequencyResponse]] = \
             [None] * len(self.labels)
 
@@ -350,6 +424,10 @@ class ResponseBlock:
     def response(self, key: int | str) -> FrequencyResponse:
         """Variant response by position or label (lazily built, cached)."""
         if isinstance(key, str):
+            if self._index is None:
+                self._index = {}
+                for position, label in enumerate(self.labels):
+                    self._index.setdefault(label, position)
             try:
                 index = self._index[key]
             except KeyError:
@@ -699,13 +777,17 @@ class FactoredMnaEngine(BatchedMnaEngine):
     Every fault variant only perturbs the handful of MNA entries its
     replaced component stamps, so ``A_v(s) = A(s) + U M(s) V.T`` with a
     tiny ``(r, c)`` block ``M(s) = delta_g + s * delta_b`` (``r``, ``c``
-    <= ``max_rank``). Instead of one dense LU per variant per frequency
+    <= ``max_rank``). ``A`` is the variant's *base* system: the nominal
+    circuit, or -- on a table with recorded ``bases``
+    (:meth:`VariantTable.of_worlds`) -- the variant's own base row, so a
+    Monte-Carlo world's fault rows are rank-<=2 updates of that world's
+    fault-free row. Instead of one dense LU per variant per frequency
     (the batched path), this engine:
 
-    1. solves the *nominal* system once per frequency against a shared
-       multi-column RHS -- the stimulus vector plus one identity column
-       per touched row (one LU amortised over all columns; optionally
-       ``scipy.sparse`` ``splu`` on large circuits);
+    1. solves every base system once per frequency against a
+       multi-column RHS -- the base's stimulus vector plus one identity
+       column per touched row (one LU amortised over all columns;
+       optionally ``scipy.sparse`` ``splu`` on large circuits);
     2. forms each variant's ``r x r`` capacitance matrix
        ``C = I + M(s) * V.T A(s)^{-1} U`` and solves it **batched over
        same-support variant groups and frequencies**;
@@ -715,9 +797,10 @@ class FactoredMnaEngine(BatchedMnaEngine):
     Numerics are guarded per variant: a capacitance matrix that is
     non-finite, near-singular or worse-conditioned than ``cond_limit``
     routes that variant to the inherited batched dense path (bitwise
-    the historical result), as do updates wider than ``max_rank``.
+    the historical result), as do updates wider than ``max_rank`` or
+    too wide to pay on a small circuit (:attr:`_rank_limit`).
     Stimulus-source replacements (RHS deltas) stay on the low-rank path
-    via extra nominal columns at the touched RHS rows.
+    via extra base columns at the touched RHS rows.
 
     Counters (``lowrank_updates``, ``lowrank_fallbacks``) accumulate
     across calls; each call's counts, mode and per-stage factor/update
@@ -747,7 +830,6 @@ class FactoredMnaEngine(BatchedMnaEngine):
         self.max_rank = int(max_rank)
         self.sparse_min_dim = int(sparse_min_dim)
         self._sparse_mode = sparse
-        self._solver: Optional[NominalFactorSolver] = None
         #: Variants solved via low-rank updates, across all calls.
         self.lowrank_updates = 0
         #: Dense-fallback counts by reason, across all calls.
@@ -756,18 +838,45 @@ class FactoredMnaEngine(BatchedMnaEngine):
 
     @property
     def uses_sparse(self) -> bool:
-        """Whether nominal factorisation runs through scipy.sparse."""
+        """Whether base factorisation runs through scipy.sparse."""
         if self._sparse_mode == "auto":
-            return lowrank.scipy_sparse() is not None and \
-                self.system.dim >= self.sparse_min_dim
+            # The dimension first: a small circuit never imports scipy.
+            return self.system.dim >= self.sparse_min_dim and \
+                lowrank.scipy_sparse() is not None
         return bool(self._sparse_mode)
 
-    def _nominal_solver(self) -> NominalFactorSolver:
-        if self._solver is None:
-            self._solver = NominalFactorSolver(
-                self._base_g, self._base_b, sparse=self.uses_sparse,
-                label=self._circuit.name)
-        return self._solver
+    @property
+    def _rank_limit(self) -> int:
+        """The widest update solved low-rank (wider rows go dense).
+
+        Ranks 1 and 2 have closed-form bounds and solves. A wider
+        capacitance matrix needs a batched SVD per (row, frequency)
+        for its conditioning bound, which pays only while the rank
+        stays under a quarter of the dimension: on RC ladders (200
+        rows, 3-14 frequencies) a rank-3 update cost 1.5-2.2x the dense
+        solve at dim 7 and broke even at dim 12, and a rank-5 one was
+        2.2-2.6x cheaper at dim 27.
+        """
+        return min(self.max_rank, max(2, self.system.dim // 4))
+
+    def _bases(self, table: VariantTable,
+               bound: Dict[str, Dict[str, int]]
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's base position and the ``(nb, N, N)`` G/B and
+        ``(nb, N)`` RHS stacks of the bases.
+
+        Without recorded bases the nominal circuit is the one base;
+        otherwise each distinct base row is stamped on the batched
+        path.
+        """
+        if table.bases is None:
+            return (np.zeros(len(table), dtype=np.intp),
+                    self._base_g[None], self._base_b[None],
+                    self._base_z[None])
+        rows, of_base = np.unique(table.bases, return_inverse=True)
+        g_stack, b_stack, z_stack = self._stamp_table(table.take(rows),
+                                                      bound)
+        return of_base.reshape(-1), g_stack, b_stack, z_stack
 
     def _lowrank_groups(self, table: VariantTable,
                         bound: Dict[str, Dict[str, int]]
@@ -775,17 +884,19 @@ class FactoredMnaEngine(BatchedMnaEngine):
                                    List[Tuple[np.ndarray,
                                               lowrank.LowRankDelta]],
                                    List[int]]:
-        """Split the rows by their set of non-nominal columns.
+        """Split the rows by their set of columns that differ from
+        their base.
 
         Returns the identity rows (nothing changed), one
         ``(rows, delta)`` low-rank group per column set, and the rows
-        whose support is wider than ``max_rank``. Each group's delta is
-        one array expression over its rows.
+        whose support is wider than :attr:`_rank_limit`. Each group's
+        delta is one array expression over its rows.
         """
-        changed = table.values != _nominal_values(self._circuit,
-                                                  table.columns)
-        keys, inverse = np.unique(changed, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
+        if table.bases is None:
+            reference = _nominal_values(self._circuit, table.columns)
+        else:
+            reference = table.values[table.bases]
+        keys, inverse = _row_groups(table.values != reference)
         identity: List[int] = []
         groups: List[Tuple[np.ndarray, lowrank.LowRankDelta]] = []
         too_wide: List[int] = []
@@ -797,10 +908,12 @@ class FactoredMnaEngine(BatchedMnaEngine):
             if not touched:
                 identity.extend(rows.tolist())
                 continue
+            base_ops = self._ops if table.bases is None else \
+                self._stamp_columns(table, touched, table.bases[rows])
             delta = lowrank.table_delta(
-                self._ops, self._stamp_columns(table, touched, rows),
+                base_ops, self._stamp_columns(table, touched, rows),
                 rows.size)
-            if delta.rank > self.max_rank:
+            if delta.rank > self._rank_limit:
                 too_wide.extend(rows.tolist())
             elif delta.is_identity:
                 identity.extend(rows.tolist())
@@ -839,8 +952,9 @@ class FactoredMnaEngine(BatchedMnaEngine):
             # Group low-rank variants by their changed columns so
             # capacitance solves batch over (variants in group) x
             # (frequency chunk); all deviations of one component share
-            # a group.
+            # a group, across every base.
             tick = time.perf_counter()
+            of_base, base_g, base_b, base_z = self._bases(table, bound)
             identity_indices, groups, too_wide = \
                 self._lowrank_groups(table, bound)
             assemble_seconds = time.perf_counter() - tick
@@ -858,7 +972,7 @@ class FactoredMnaEngine(BatchedMnaEngine):
             prepared = []
             for indices, delta in groups:
                 prepared.append((
-                    indices,
+                    indices, of_base[indices],
                     np.asarray([union_pos[r] for r in delta.rows],
                                dtype=int),
                     np.asarray([cols_pos[c] for c in delta.cols],
@@ -869,18 +983,23 @@ class FactoredMnaEngine(BatchedMnaEngine):
                     delta.rhs_delta if delta.rhs_rows else None,
                     len(delta.rows)))
 
-            x_out = np.empty((num_variants, num_freqs), dtype=complex)
+            x_out = np.zeros((num_variants, num_freqs), dtype=complex)
+            sparse = self.uses_sparse
             if prepared or identity_indices:
-                # Shared RHS: the stimulus vector plus one identity column
+                # Per base: its stimulus vector plus one identity column
                 # per touched (matrix or RHS) row.
-                rhs_mat = np.zeros((dim, 1 + num_cols), dtype=complex)
-                rhs_mat[:, 0] = self._base_z
+                num_bases = base_z.shape[0]
+                rhs_mat = np.zeros((num_bases, dim, 1 + num_cols),
+                                   dtype=complex)
+                rhs_mat[:, :, 0] = base_z
                 for position, row in enumerate(union_rows):
-                    rhs_mat[row, 1 + position] = 1.0
-                solver = self._nominal_solver()
+                    rhs_mat[:, row, 1 + position] = 1.0
+                solver = lowrank.FactorSolver(
+                    base_g, base_b, sparse=sparse,
+                    label=self._circuit.name)
                 s_all = 1j * TWO_PI * freqs
-                bytes_per_freq = 16 * dim * \
-                    (dim if not solver.sparse else 4 * (1 + num_cols))
+                bytes_per_freq = 16 * dim * num_bases * \
+                    (dim if not sparse else 4 * (1 + num_cols))
                 chunk = max(1, int(_STACK_MEMORY_BUDGET //
                                    max(1, bytes_per_freq)))
                 for start in range(0, num_freqs, chunk):
@@ -892,32 +1011,37 @@ class FactoredMnaEngine(BatchedMnaEngine):
                     factor_seconds += now - tick
                     tick = now
                     chunks_solved += 1
-                    y0_out = solution[:, out_index, 0]
-                    w_out = solution[:, out_index, 1:]
-                    y0_cols = solution[:, cols_union, 0]
-                    w_cols = solution[:, cols_union, 1:]
+                    # Base-major views: (nb, F, ...).
+                    y0_out = solution[:, :, out_index, 0].T
+                    w_out = solution[:, :, out_index, 1:] \
+                        .transpose(1, 0, 2)
+                    y0_cols = solution[:, :, cols_union, 0] \
+                        .transpose(1, 0, 2)
+                    w_cols = solution[:, :, cols_union, 1:] \
+                        .transpose(1, 0, 2, 3)
                     if identity_indices:
-                        x_out[identity_indices, start:stop] = y0_out
-                    for indices, rowsel, colsel, rhssel, mg, mb, dz, \
-                            rank in prepared:
+                        x_out[identity_indices, start:stop] = \
+                            y0_out[of_base[identity_indices]]
+                    for indices, base, rowsel, colsel, rhssel, mg, mb, \
+                            dz, rank in prepared:
+                        w_sel = w_cols[:, :, colsel]
+                        y0v_out = y0_out[base]
+                        y0v_cols = y0_cols[:, :, colsel][base]
                         if dz is not None:
-                            y0v_out = y0_out[None, :] + np.einsum(
-                                "vR,fR->vf", dz, w_out[:, rhssel])
-                            y0v_cols = y0_cols[None, :, colsel] + np.einsum(
-                                "vR,fcR->vfc", dz,
-                                w_cols[:, colsel][:, :, rhssel])
-                        else:
-                            y0v_out = y0_out[None, :]
-                            y0v_cols = y0_cols[None, :, colsel]
+                            y0v_out = y0v_out + np.einsum(
+                                "vR,vfR->vf", dz, w_out[:, :, rhssel][base])
+                            y0v_cols = y0v_cols + np.einsum(
+                                "vR,vfcR->vfc", dz,
+                                w_sel[..., rhssel][base])
                         if rank == 0:
                             # Pure RHS update (stimulus replacement): the
-                            # matrix is nominal, no capacitance solve.
+                            # matrix is the base's, no capacitance solve.
                             x_out[indices, start:stop] = y0v_out
                             continue
                         m_block = mg[:, None, :, :] + \
                             s_chunk[None, :, None, None] * mb[:, None, :, :]
-                        s_block = w_cols[:, colsel][:, :, rowsel]
-                        cap = np.eye(rank) + m_block @ s_block[None]
+                        cap = np.eye(rank) + \
+                            _small_matmul(m_block, w_sel[..., rowsel][base])
                         finite = np.isfinite(cap).all(axis=(-2, -1))
                         if not finite.all():
                             cap[~finite] = np.eye(rank)
@@ -929,10 +1053,11 @@ class FactoredMnaEngine(BatchedMnaEngine):
                             for local in np.nonzero(bad.any(axis=1))[0]:
                                 fallback.setdefault(int(indices[local]),
                                                     "conditioning")
-                        rhs_small = m_block @ y0v_cols[..., None]
+                        rhs_small = _small_matmul(m_block,
+                                                  y0v_cols[..., None])
                         t_small = lowrank.solve_capacitance(cap, rhs_small)
-                        corr = np.einsum("fr,vfr->vf", w_out[:, rowsel],
-                                         t_small)
+                        corr = np.einsum("vfr,vfr->vf",
+                                         w_out[:, :, rowsel][base], t_small)
                         x_out[indices, start:stop] = y0v_out - corr
                     update_seconds += time.perf_counter() - tick
 
@@ -951,9 +1076,9 @@ class FactoredMnaEngine(BatchedMnaEngine):
                     input_source)
                 values[fallback_indices] = dense_block.values
 
-            updates = sum(
-                1 for indices, *_ in prepared for index in indices
-                if int(index) not in fallback)
+            # Conditioning and non-finite fallbacks are low-rank rows.
+            updates = sum(indices.size for indices, *_ in prepared) - \
+                sum(reason != "rank" for reason in fallback.values())
             self.lowrank_updates += updates
             reason_counts = {"conditioning": 0, "rank": 0, "nonfinite": 0}
             for reason in fallback.values():
@@ -961,11 +1086,10 @@ class FactoredMnaEngine(BatchedMnaEngine):
             for reason, count in reason_counts.items():
                 self.lowrank_fallbacks[reason] += count
 
-            solver = self._solver
             span.attrs.update(
                 variants=num_variants, chunks=chunks_solved,
-                mode="sparse" if solver is not None and solver.sparse
-                else "dense",
+                mode="sparse" if sparse else "dense",
+                bases=int(base_z.shape[0]),
                 rhs_columns=1 + num_cols, columns=len(table.columns),
                 assemble_seconds=assemble_seconds,
                 factor_seconds=factor_seconds,

@@ -1,19 +1,21 @@
-"""Low-rank delta factorisation + factor-once nominal solves.
+"""Low-rank delta factorisation + factor-once base solves.
 
 Support machinery for :class:`~repro.sim.engine.FactoredMnaEngine`:
 
 * :func:`table_delta` turns a group of variants' stamp-ops into a
   :class:`LowRankDelta` -- per variant, the dense ``(r, c)`` blocks
   ``delta_g`` / ``delta_b`` such that its MNA matrix is
-  ``A_v(s) = A(s) + E_rows @ (delta_g + s * delta_b) @ E_cols.T``
-  (``E_*`` are identity-column selections). Single-component faults
-  touch 1-4 rows/columns, so the blocks are tiny.
-* :class:`NominalFactorSolver` factors the *nominal* ``A(s) = G + s B``
-  once per frequency and solves a shared multi-column right-hand side
-  (the stimulus vector plus one identity column per touched row) --
-  either with one batched dense LAPACK call per frequency chunk, or
-  through :func:`scipy.sparse.linalg.splu` when scipy is importable and
-  the circuit is large enough for sparsity to pay.
+  ``A_v(s) = A(s) + E_rows @ (delta_g + s * delta_b) @ E_cols.T``,
+  ``A`` the variant's base system (``E_*`` are identity-column
+  selections). Single-component faults touch 1-4 rows/columns, so the
+  blocks are tiny.
+* :class:`FactorSolver` factors each base system ``A_b(s) = G_b + s
+  B_b`` (the nominal, or one per Monte-Carlo world) once per frequency
+  and solves a multi-column right-hand side (the base's stimulus
+  vector plus one identity column per touched row) -- either with one
+  batched dense LAPACK call per frequency chunk, or through
+  :func:`scipy.sparse.linalg.splu` when scipy is importable and the
+  circuit is large enough for sparsity to pay.
 
 The module deliberately knows nothing about circuits or engines: it
 consumes :class:`~repro.sim.mna.ComponentOps` streams and numpy arrays,
@@ -35,7 +37,7 @@ from .mna import ComponentOps
 
 __all__ = [
     "LowRankDelta",
-    "NominalFactorSolver",
+    "FactorSolver",
     "scipy_sparse",
     "singular_bounds",
     "solve_capacitance",
@@ -89,35 +91,37 @@ class LowRankDelta:
         return not self.rows and not self.rhs_rows
 
 
-def table_delta(nominal_ops: Mapping[str, ComponentOps],
+def table_delta(base_ops: Mapping[str, ComponentOps],
                 stamped: Mapping[str, ComponentOps],
                 count: int) -> LowRankDelta:
-    """Exact stamp delta of ``count`` variants vs the nominal ops.
+    """Exact stamp delta of ``count`` variants vs their base ops.
 
     ``stamped`` holds the changed components' ops stamped with
     ``(count,)`` parameter arrays (scalar op values are shared by every
-    variant); each must be structurally identical to its nominal
-    stream. The delta of an entry is the position-wise sum of
-    ``new - old`` values, so untouched components cancel exactly.
+    variant); each must be structurally identical to its stream in
+    ``base_ops`` -- the nominal ops, or the same components stamped
+    with each variant's base values. The delta of an entry is the
+    position-wise sum of ``new - old`` values, so untouched components
+    cancel exactly.
     """
     matrix: Dict[Tuple[str, int, int], np.ndarray] = {}
     rhs: Dict[int, np.ndarray] = {}
     for name, new_ops in stamped.items():
-        old_ops = nominal_ops[name]
+        old_ops = base_ops[name]
         for (target, row, col, new_value), (_, _, _, old_value) in \
                 zip(new_ops.matrix_ops, old_ops.matrix_ops):
             change = np.asarray(new_value, dtype=complex) - \
-                complex(old_value)
+                np.asarray(old_value, dtype=complex)
             if np.any(change != 0):
                 key = (target, row, col)
                 matrix[key] = matrix.get(key, 0j) + change
         for (row, new_value), (_, old_value) in \
                 zip(new_ops.rhs_ops, old_ops.rhs_ops):
             change = np.asarray(new_value, dtype=complex) - \
-                complex(old_value)
+                np.asarray(old_value, dtype=complex)
             if np.any(change != 0):
                 rhs[row] = rhs.get(row, 0j) + change
-    # Net-zero entries (e.g. a replacement with the nominal value)
+    # Net-zero entries (e.g. a replacement with the base value)
     # shrink the support back out.
     matrix = {key: value for key, value in matrix.items()
               if np.any(value != 0)}
@@ -195,15 +199,17 @@ def solve_capacitance(cap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(cap, rhs)[..., 0]
 
 
-class NominalFactorSolver:
-    """Factor ``A(s) = G + s B`` once per frequency, solve many columns.
+class FactorSolver:
+    """Factor base systems ``A_b(s) = G_b + s B_b`` once per frequency.
 
-    ``solve`` returns the ``(F, n, m)`` solution of the *nominal*
-    system against a shared ``(n, m)`` right-hand-side block. The dense
-    path issues one batched LAPACK call (one LU per frequency amortised
-    over all ``m`` columns -- the factor-once economy the engine is
-    built on); the sparse path assembles ``scipy.sparse`` CSC matrices
-    once and runs ``splu`` per frequency so factorisation cost scales
+    ``g`` / ``b`` are ``(nb, n, n)`` stacks of base systems; the
+    nominal circuit alone is the one-base case. ``solve`` returns the
+    ``(F, nb, n, m)`` solutions of every base against its own
+    ``(n, m)`` right-hand-side block. The dense path issues one batched
+    LAPACK call (one LU per base and frequency, amortised over all
+    ``m`` columns -- the factor-once economy the engine is built on);
+    the sparse path assembles ``scipy.sparse`` CSC matrices once and
+    runs ``splu`` per base and frequency so factorisation cost scales
     with nonzeros instead of ``n^2``.
     """
 
@@ -215,17 +221,18 @@ class NominalFactorSolver:
             sp = scipy_sparse()
             if sp is None:
                 raise SimulationError(
-                    f"{label}: sparse nominal factorisation requested "
+                    f"{label}: sparse base factorisation requested "
                     "but scipy is not installed")
-            self._g_sp = sp.csc_matrix(g)
-            self._b_sp = sp.csc_matrix(b)
+            self._g_sp = [sp.csc_matrix(matrix) for matrix in g]
+            self._b_sp = [sp.csc_matrix(matrix) for matrix in b]
             self._splu = sp.linalg.splu
         else:
             self._g = np.asarray(g, dtype=complex)
             self._b = np.asarray(b, dtype=complex)
 
     def solve(self, s_values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A(s) x = rhs`` for every ``s``; returns ``(F, n, m)``."""
+        """Solve ``A_b(s) x = rhs[b]`` for every ``s`` and base ``b``;
+        returns ``(F, nb, n, m)``."""
         s_values = np.asarray(s_values, dtype=complex)
         rhs = np.asarray(rhs, dtype=complex)
         if self.sparse:
@@ -234,36 +241,38 @@ class NominalFactorSolver:
             out = self._solve_dense(s_values, rhs)
         if not np.all(np.isfinite(out)):
             raise SingularCircuitError(
-                f"{self.label}: non-finite nominal solution in AC "
+                f"{self.label}: non-finite base solution in AC "
                 "sweep; check for floating nodes, voltage-source loops "
                 "or op-amps without feedback")
         return out
 
     def _solve_dense(self, s_values: np.ndarray,
                      rhs: np.ndarray) -> np.ndarray:
-        stack = self._g[None, :, :] + \
-            s_values[:, None, None] * self._b[None, :, :]
+        stack = self._g[None] + \
+            s_values[:, None, None, None] * self._b[None]
         rhs_stack = np.ascontiguousarray(np.broadcast_to(
-            rhs[None, :, :], (s_values.size,) + rhs.shape))
+            rhs[None], (s_values.size,) + rhs.shape))
         try:
             return np.linalg.solve(stack, rhs_stack)
         except np.linalg.LinAlgError as exc:
             raise SingularCircuitError(
-                f"{self.label}: nominal MNA matrix singular in AC "
+                f"{self.label}: base MNA matrix singular in AC "
                 "sweep; check for floating nodes, voltage-source loops "
                 "or op-amps without feedback") from exc
 
     def _solve_sparse(self, s_values: np.ndarray,
                       rhs: np.ndarray) -> np.ndarray:
         out = np.empty((s_values.size,) + rhs.shape, dtype=complex)
-        for index, s in enumerate(s_values):
-            matrix = (self._g_sp + s * self._b_sp).tocsc()
-            try:
-                factor = self._splu(matrix)
-            except (RuntimeError, ValueError) as exc:
-                raise SingularCircuitError(
-                    f"{self.label}: nominal MNA matrix singular at "
-                    f"s={s!r}; check for floating nodes, voltage-source "
-                    "loops or op-amps without feedback") from exc
-            out[index] = factor.solve(rhs)
+        for base, (g_sp, b_sp) in enumerate(zip(self._g_sp, self._b_sp)):
+            for index, s in enumerate(s_values):
+                matrix = (g_sp + s * b_sp).tocsc()
+                try:
+                    factor = self._splu(matrix)
+                except (RuntimeError, ValueError) as exc:
+                    raise SingularCircuitError(
+                        f"{self.label}: base MNA matrix singular at "
+                        f"s={s!r}; check for floating nodes, "
+                        "voltage-source loops or op-amps without "
+                        "feedback") from exc
+                out[index, base] = factor.solve(rhs[base])
         return out

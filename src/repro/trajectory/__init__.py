@@ -7,7 +7,6 @@ from .metrics import (
     count_intersections,
     evaluate_metrics,
     min_separation,
-    pairwise_separations,
 )
 from .trajectory import FaultTrajectory, TrajectoryLayout, TrajectorySet
 
@@ -20,6 +19,5 @@ __all__ = [
     "count_intersections",
     "count_common_pathways",
     "min_separation",
-    "pairwise_separations",
     "evaluate_metrics",
 ]

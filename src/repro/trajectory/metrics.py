@@ -38,7 +38,6 @@ __all__ = [
     "count_common_pathways",
     "conflict_counts_batch",
     "min_separation",
-    "pairwise_separations",
     "evaluate_metrics",
 ]
 
@@ -388,14 +387,6 @@ def _require_pairs(trajectories: TrajectorySet) -> None:
     if len(trajectories) < 2:
         raise TrajectoryError(
             "pairwise separation needs >= 2 trajectories")
-
-
-def pairwise_separations(trajectories: TrajectorySet
-                         ) -> Dict[Tuple[str, str], float]:
-    """Minimum distance per trajectory pair (origin contact excluded)."""
-    _require_pairs(trajectories)
-    return _pair_dict(trajectories,
-                      _separations(*_set_batch(trajectories))[0])
 
 
 def min_separation(trajectories: TrajectorySet) -> float:

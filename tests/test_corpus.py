@@ -197,13 +197,18 @@ def test_cli_runs_spec_file_and_checks(tmp_path, capsys):
 
 
 def test_cli_engine_override(tmp_path):
+    """--engine replaces the spec's engine (here the presets' factored
+    one) in the run and in the recorded spec."""
+    spec = mini_spec("eng")
+    spec = dataclasses.replace(spec, pipeline=dataclasses.replace(
+        spec.pipeline, engine="factored"))
     spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps(mini_spec("eng").to_json_dict()))
+    spec_file.write_text(json.dumps(spec.to_json_dict()))
     code = corpus_main(["--spec", str(spec_file), "--out", str(tmp_path),
-                        "--engine", "factored", "--quiet"])
+                        "--engine", "batched", "--quiet"])
     assert code == 0
     report = json.loads((tmp_path / "CORPUS_eng.json").read_text())
-    assert report["spec"]["pipeline"]["engine"] == "factored"
+    assert report["spec"]["pipeline"]["engine"] == "batched"
 
 
 def test_cli_rejects_bad_engine(tmp_path, capsys):

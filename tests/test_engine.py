@@ -522,7 +522,7 @@ def _assert_block_close(got, expected, *, rtol, context=""):
     """Scaled-error comparison for the factored engine's contract.
 
     The Sherman-Morrison-Woodbury correction is computed against the
-    *nominal* solution, so its error is naturally bounded relative to
+    *base* solution, so its error is naturally bounded relative to
     the largest response in the block, not point-by-point -- the atol
     below anchors the comparison to that scale.
     """
@@ -650,6 +650,32 @@ class TestFactoredEquivalence:
             info.output_node, grid, pair, info.input_source)
         assert np.array_equal(block.values, dense.values)
 
+    def test_wide_update_pays_only_on_a_large_circuit(self):
+        """A row changing three resistors is a rank-3+ update: on the
+        dim-11 biquad it goes to the dense path ('rank', bitwise), on a
+        dim-27 ladder it stays low-rank."""
+        from repro.circuits.library import rc_ladder
+        for info, low_rank in ((tow_thomas_biquad(), False),
+                               (rc_ladder(25), True)):
+            engine = FactoredMnaEngine(info.circuit)
+            names = [c.name for c in info.circuit
+                     if c.name.startswith("R")][1:4]
+            nominal = [info.circuit[name].value for name in names]
+            table = VariantTable(tuple((name, "value") for name in names),
+                                 [nominal, [v * 1.05 for v in nominal]],
+                                 ("nominal", "three"))
+            grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 7)
+            block = engine.transfer_block(info.output_node, grid, table,
+                                          info.input_source)
+            dense = BatchedMnaEngine(info.circuit).transfer_block(
+                info.output_node, grid, table, info.input_source)
+            if low_rank:
+                assert engine.lowrank_updates == 1
+                _assert_block_close(block.values, dense.values, rtol=1e-9)
+            else:
+                assert engine.lowrank_fallbacks["rank"] == 1
+                assert np.array_equal(block.values[1], dense.values[1])
+
     def test_stimulus_replacement_rides_the_lowrank_path(self):
         """Changing the input source's AC magnitude/phase is a pure
         RHS delta -- handled low-rank (no fallback), matching the
@@ -728,6 +754,114 @@ class TestFactoredEquivalence:
             info.output_node, grid, variants, info.input_source)
         _assert_block_close(factored.values, batched.values, rtol=1e-8,
                             context=f"components {chosen}")
+
+
+def _world_table(info, worlds=3, tolerance=0.03, seed=7):
+    """A posterior-shaped world table: the fault-free row plus one row
+    per single-component fault, the faultable targets scaled per world."""
+    universe = build_universe(info.circuit, components=info.faultable,
+                              deviations=(-0.2, 0.3))
+    hypotheses = universe.variants().with_columns(
+        info.circuit, [(name, "value") for name in info.faultable])
+    eps = np.random.default_rng(seed).uniform(
+        -tolerance, tolerance, size=(worlds, len(info.faultable)))
+    return VariantTable.of_worlds(hypotheses, 1.0 + eps)
+
+
+class TestWorldTables:
+    """``VariantTable.of_worlds``: each world's fault-free row is the
+    base its fault rows are low-rank updates of."""
+
+    def test_layout_labels_and_bases(self):
+        info = tow_thomas_biquad()
+        hypotheses = build_universe(info.circuit, components=("R1", "C1"),
+                                    deviations=(-0.2, 0.2)).variants()
+        scale = np.array([[1.01], [0.98]])
+        table = VariantTable.of_worlds(hypotheses, scale)
+        count = len(hypotheses)
+        assert len(table) == 2 * count
+        assert table.bases.tolist() == [0] * count + [count] * count
+        assert not table.bases.flags.writeable
+        assert table.labels[count + 1] == f"{hypotheses.labels[1]}@w1"
+        expected = np.repeat(hypotheses.values[None], 2, axis=0)
+        expected[:, :, 0] *= scale
+        assert np.array_equal(
+            table.values, expected.reshape(-1, len(hypotheses.columns)))
+        assert table.take([0, 1]).bases is None
+        assert VariantTable.of_faults(info.circuit, []).bases is None
+        with pytest.raises(SimulationError, match="world scale"):
+            VariantTable.of_worlds(hypotheses, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_CIRCUITS))
+    def test_world_rows_match_scalar_at_rank_two(self, name):
+        """Every registry circuit: each fault row is an update of its
+        own world's base at support <= 2 (passive single-component
+        faults), never a fallback, within the factored tolerance of
+        the scalar reference."""
+        info = BENCHMARK_CIRCUITS[name]()
+        table = _world_table(info)
+        grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 9)
+        engine = FactoredMnaEngine(info.circuit)
+        identity, groups, too_wide = engine._lowrank_groups(
+            table, table.bind(info.circuit))
+        assert not too_wide
+        assert sorted(identity) == sorted(set(table.bases.tolist()))
+        assert max(delta.rank for _, delta in groups) <= 2
+        block = engine.transfer_block(info.output_node, grid, table,
+                                      info.input_source)
+        assert engine.lowrank_fallbacks == {
+            "conditioning": 0, "rank": 0, "nonfinite": 0}
+        assert engine.lowrank_updates == len(table) - len(identity)
+        scalar = ScalarMnaEngine(info.circuit).transfer_block(
+            info.output_node, grid, table, info.input_source)
+        for index in range(len(table)):
+            _assert_block_close(block.values[index], scalar.values[index],
+                                rtol=1e-9, context=f"{name} row {index}")
+
+    def test_tiny_cond_limit_falls_back_to_batched_bitwise(self):
+        """With the guard forced to reject every update, each fault row
+        falls back and the block equals the batched block bitwise --
+        the world bases themselves are exact factorisations."""
+        info = tow_thomas_biquad(ideal_opamps=False)
+        table = _world_table(info)
+        grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 11)
+        engine = FactoredMnaEngine(info.circuit, cond_limit=1e-300)
+        block = engine.transfer_block(info.output_node, grid, table,
+                                      info.input_source)
+        bases = len(set(table.bases.tolist()))
+        assert engine.lowrank_updates == 0
+        assert engine.lowrank_fallbacks["conditioning"] == \
+            len(table) - bases
+        dense = BatchedMnaEngine(info.circuit).transfer_block(
+            info.output_node, grid, table, info.input_source)
+        assert np.array_equal(block.values, dense.values)
+        assert block.labels == dense.labels
+
+    def test_stimulus_world_row_rides_the_lowrank_path(self):
+        """A world row that changes the input source (an RHS delta on
+        the world's base) stays on the low-rank path."""
+        info = rc_lowpass()
+        source = info.circuit[info.input_source]
+        r1 = info.circuit["R1"].value
+        c1 = info.circuit["C1"].value
+        hypotheses = VariantTable(
+            (("R1", "value"), ("C1", "value"),
+             (source.name, "ac_magnitude"), (source.name, "ac_phase_deg")),
+            [[r1, c1, source.ac_magnitude, source.ac_phase_deg],
+             [r1 * 1.2, c1, source.ac_magnitude, source.ac_phase_deg],
+             [r1, c1, source.ac_magnitude * 2.0, 30.0]],
+            ("golden", "R1:+20%", "boosted"))
+        table = VariantTable.of_worlds(hypotheses,
+                                       [[1.02, 0.97], [0.99, 1.03]])
+        grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 9)
+        engine = FactoredMnaEngine(info.circuit)
+        block = engine.transfer_block(info.output_node, grid, table,
+                                      info.input_source)
+        assert engine.lowrank_updates == 4
+        assert sum(engine.lowrank_fallbacks.values()) == 0
+        dense = BatchedMnaEngine(info.circuit).transfer_block(
+            info.output_node, grid, table, info.input_source)
+        _assert_block_close(block.values, dense.values, rtol=1e-12)
 
 
 class TestFactoredSparsePath:

@@ -57,6 +57,29 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_small_factored_solve_does_not_load_scipy():
+    """The factored engine's 'auto' sparse mode checks the dimension
+    before it tries scipy: a circuit under ``sparse_min_dim`` solves
+    its low-rank rows without importing scipy."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    probe = (
+        "import sys, numpy as np; "
+        "from repro import FactoredMnaEngine, parametric_universe, "
+        "tow_thomas_biquad; "
+        "info = tow_thomas_biquad(); "
+        "engine = FactoredMnaEngine(info.circuit); "
+        "assert engine.system.dim < engine.sparse_min_dim; "
+        "engine.transfer_block(info.output_node, np.array([1e2, 1e3]), "
+        "parametric_universe(info.circuit).variants(), "
+        "info.input_source); "
+        "assert engine.lowrank_updates > 0; "
+        "print(sorted(m for m in sys.modules "
+        "if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_version_matches_package_metadata():
     assert repro.__version__ == "1.8.0"
 

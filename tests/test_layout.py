@@ -37,7 +37,6 @@ from repro.trajectory import (
     TrajectorySet,
     evaluate_metrics,
     min_separation,
-    pairwise_separations,
 )
 from repro.trajectory.geometry import Segments, project_points
 from repro.trajectory.metrics import (_ND_CONTACT_FRACTION,
@@ -438,8 +437,6 @@ class TestHandBuiltSets:
             evaluate_metrics(trajectories, include),
             reference_evaluate_metrics(trajectories, include))
         if len(trajectories) >= 2:
-            want = reference_pairwise_separations(trajectories)
-            assert pairwise_separations(trajectories) == want
             assert _same_float(
                 min_separation(trajectories),
                 reference_evaluate_metrics(trajectories).min_separation)

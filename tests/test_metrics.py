@@ -15,7 +15,6 @@ from repro.trajectory import (
     count_intersections,
     evaluate_metrics,
     min_separation,
-    pairwise_separations,
 )
 from repro.trajectory.geometry import _EPS, Segments, project_points
 from repro.trajectory.metrics import (
@@ -169,7 +168,7 @@ class TestSeparations:
         star = make_set(straight_trajectory("A", 0.0),
                         straight_trajectory("B", 90.0),
                         straight_trajectory("C", 45.0))
-        separations = pairwise_separations(star)
+        separations = evaluate_metrics(star).per_pair_separation
         assert set(separations) == {("A", "B"), ("A", "C"), ("B", "C")}
 
     def test_perpendicular_star_separation(self):
@@ -187,7 +186,7 @@ class TestSeparations:
         # origin inserted at the shifted position? Keep golden at 0 dev:
         b = FaultTrajectory("B", a.deviations, b_points)
         pair = make_set(a, b)
-        separations = pairwise_separations(pair)
+        separations = evaluate_metrics(pair).per_pair_separation
         assert separations[("A", "B")] == pytest.approx(0.05)
 
     def test_min_separation_zero_when_crossing(self):
@@ -204,8 +203,8 @@ class TestSeparations:
 
     def test_single_trajectory_raises(self):
         single = make_set(straight_trajectory("A", 0.0))
-        with pytest.raises(Exception):
-            pairwise_separations(single)
+        with pytest.raises(TrajectoryError, match="2 trajectories"):
+            min_separation(single)
 
 
 def _degenerate_set():
@@ -238,15 +237,17 @@ class TestSeparationsMatchPolylines:
         star = make_set(straight_trajectory("A", 0.0),
                         straight_trajectory("B", 90.0),
                         straight_trajectory("C", 30.0, dim=2))
-        assert pairwise_separations(star) == self._polyline_oracle(star)
+        assert evaluate_metrics(star).per_pair_separation == \
+            self._polyline_oracle(star)
 
     def test_biquad(self, biquad_trajectories):
-        assert pairwise_separations(biquad_trajectories) == \
+        assert evaluate_metrics(biquad_trajectories) \
+            .per_pair_separation == \
             self._polyline_oracle(biquad_trajectories)
 
     def test_degenerate_segment_snaps_to_nearer_endpoint(self):
         degenerate = _degenerate_set()
-        separations = pairwise_separations(degenerate)
+        separations = evaluate_metrics(degenerate).per_pair_separation
         assert separations == self._polyline_oracle(degenerate)
         assert separations[("A", "B")] == pytest.approx(0.3, abs=1e-12)
 
@@ -609,7 +610,7 @@ class TestConflictKernel:
         nan_set = make_set(
             FaultTrajectory("A", a.deviations, a.points[:, :dim]),
             FaultTrajectory("B", b.deviations, points))
-        for measure in (pairwise_separations, evaluate_metrics):
+        for measure in (min_separation, evaluate_metrics):
             with pytest.raises(TrajectoryError, match="finite"):
                 measure(nan_set)
 

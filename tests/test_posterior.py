@@ -433,6 +433,75 @@ class TestTableBuildOracle:
 
 
 # ----------------------------------------------------------------------
+# The world build on the factored engine: each world's fault-free row
+# is the base of its fault rows.
+# ----------------------------------------------------------------------
+class TestFactoredWorlds:
+    CONFIG = PosteriorConfig(n_samples=6, samples_per_block=4,
+                             tolerance=0.03, seed=5)
+
+    @staticmethod
+    def _pair(result, config):
+        from repro.sim.engine import BatchedMnaEngine, FactoredMnaEngine
+        circuit = result.info.circuit
+        factored = FactoredMnaEngine(circuit)
+        tiers = [PosteriorDiagnoser(result.info, result.universe,
+                                    result.mapper, config, engine=engine)
+                 for engine in (BatchedMnaEngine(circuit), factored)]
+        return tiers[0], tiers[1], factored
+
+    @pytest.mark.parametrize("name", ALL_CIRCUITS)
+    def test_factored_build_matches_batched(self, atpg_cache, name):
+        """Golden points, candidate moments and segment tensors agree
+        within the factored tolerance; no world row falls back. On
+        toleranced cases the winners have equal probabilities and
+        equal labels, up to the isolability class: members of one
+        class have coinciding fault responses, so their tie is broken
+        by rounding."""
+        from repro.diagnosis import isolability_classes, make_test_cases
+        result = atpg_cache(name)
+        batched, factored, engine = self._pair(result, self.CONFIG)
+        close = dict(rtol=1e-9, atol=1e-9)
+        for field in ("_golden_points", "_cand_mean", "_cand_sigma"):
+            np.testing.assert_allclose(getattr(factored, field),
+                                       getattr(batched, field),
+                                       err_msg=field, **close)
+        for field in ("starts", "ends", "direction"):
+            np.testing.assert_allclose(getattr(factored._segments, field),
+                                       getattr(batched._segments, field),
+                                       err_msg=field, **close)
+        assert engine.lowrank_fallbacks == {
+            "conditioning": 0, "rank": 0, "nonfinite": 0}
+        assert engine.lowrank_updates == \
+            len(factored._faults) * self.CONFIG.n_samples
+        cases = make_test_cases(result.info, result.mapper,
+                                components=result.universe.components,
+                                deviations=HELD_OUT, tolerance=0.03,
+                                noise_db=0.05, repeats=2, seed=9)
+        points = np.stack([case.point for case in cases])
+        got = factored.diagnose_points(points)
+        want = batched.diagnose_points(points)
+        np.testing.assert_allclose([d.probability for d in got],
+                                   [d.probability for d in want], **close)
+        class_of = {member: members for members in
+                    isolability_classes(result.dictionary)
+                    for member in members}
+        assert [class_of.get(d.component, d.component) for d in got] == \
+            [class_of.get(d.component, d.component) for d in want]
+
+    def test_corpus_build_has_no_rank_fallbacks(self, corpus_result):
+        """A corpus circuit's world rows change every target against
+        the nominal, but only one component against their world's
+        base: the build never reaches the rank fallback."""
+        from repro import CorpusSpec
+        _, _, engine = self._pair(corpus_result,
+                                  CorpusSpec.baseline().posterior)
+        assert engine.lowrank_fallbacks["rank"] == 0
+        assert sum(engine.lowrank_fallbacks.values()) == 0
+        assert engine.lowrank_updates > 0
+
+
+# ----------------------------------------------------------------------
 # Information-gain oracle: the per-row log-space quadrature the closed
 # form replaced, kept here as the test-only reference.
 # ----------------------------------------------------------------------
