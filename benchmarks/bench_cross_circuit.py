@@ -32,10 +32,13 @@ CIRCUITS = (
 )
 
 # Class-level accuracy at SEED on the +/-25 % held-out cases: the
-# deterministic pins of the shape check.
+# deterministic pins of the shape check. The khn pin went from 12/18 to
+# 13/18 when the pipeline moved onto the factored engine: the same test
+# vector, but its R5 +25 % case, a near-tie between R4 and R5 (margin
+# 4e-7 on the batched engine), now names R5.
 EXPECTED_GROUP_ACCURACY = {
     "sallen_key": 1.0,
-    "khn_state_variable": 12 / 18,
+    "khn_state_variable": 13 / 18,
     "mfb_bandpass": 1.0,
     "twin_t_notch": 11 / 12,
 }

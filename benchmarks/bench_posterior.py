@@ -34,7 +34,6 @@ the 25x ratio gate) and exits non-zero on failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -58,8 +57,7 @@ CIRCUIT = "tow_thomas_biquad"
 MAX_POSTERIOR_RATIO = 25.0
 
 REQUIRED_KEYS = {
-    "build": ("n_samples", "samples_simulated", "build_s", "engine",
-              "repeats"),
+    "build": ("n_samples", "samples_simulated", "build_s", "repeats"),
     "request": ("hard_single_s", "posterior_single_s", "ratio",
                 "hard_batch_s", "posterior_batch_s", "batch_rows"),
     "posterior": ("mean_entropy_bits", "next_best_freq_hz",
@@ -127,10 +125,8 @@ def run(quick: bool = False) -> dict:
     build_repeats = 1 if quick else 3
     batch_rows = 8
 
-    pipeline = dataclasses.replace(PipelineConfig.quick(),
-                                   engine="factored")
     result = FaultTrajectoryATPG(get_benchmark(CIRCUIT),
-                                 pipeline).run(seed=SEED)
+                                 PipelineConfig.quick()).run(seed=SEED)
     classifier = result.classifier
 
     config = PosteriorConfig(n_samples=n_samples, seed=SEED)
@@ -175,7 +171,6 @@ def run(quick: bool = False) -> dict:
             "n_samples": n_samples,
             "samples_simulated": posterior.samples_simulated,
             "build_s": build_s,
-            "engine": pipeline.engine,
             "repeats": build_repeats,
         },
         "request": {
@@ -244,8 +239,8 @@ def main(argv=None) -> int:
 
     build = report["build"]
     print(f"posterior build ({build['n_samples']} worlds, "
-          f"{build['samples_simulated']} variant simulations, "
-          f"{build['engine']} engine): {build['build_s']:.2f} s")
+          f"{build['samples_simulated']} variant simulations): "
+          f"{build['build_s']:.2f} s")
     request = report["request"]
     print(f"request: hard {request['hard_single_s'] * 1e3:.3f} ms, "
           f"posterior {request['posterior_single_s'] * 1e3:.3f} ms "

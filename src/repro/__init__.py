@@ -118,7 +118,6 @@ from .sim import (
     ResponseBlock,
     SimulationEngine,
     VariantTable,
-    make_engine,
     sensitivity_analysis,
 )
 from .trajectory import (
@@ -180,7 +179,6 @@ __all__ = [
     "FactoredMnaEngine",
     "ResponseBlock",
     "VariantTable",
-    "make_engine",
     # faults
     "ParametricFault",
     "CatastrophicFault",

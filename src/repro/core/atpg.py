@@ -47,7 +47,7 @@ from ..ga.fitness import (
     TrajectoryFitness,
 )
 from ..sim.ac import FrequencyResponse
-from ..sim.engine import SimulationEngine, make_engine
+from ..sim.engine import FactoredMnaEngine, SimulationEngine
 from ..tracing import TRACER
 from ..trajectory.mapping import SignatureMapper
 from ..trajectory.metrics import TrajectoryMetrics, evaluate_metrics
@@ -174,7 +174,7 @@ class FaultTrajectoryATPG:
         # One engine for the whole pipeline: the nominal circuit is
         # stamped once here and reused by the dense dictionary, the
         # exact test-vector dictionary and held-out case generation.
-        self.engine = make_engine(info.circuit, self.config.engine)
+        self.engine = FactoredMnaEngine(info.circuit)
 
     # ------------------------------------------------------------------
     def _simulate_dictionary(self, universe: FaultUniverse,
@@ -243,13 +243,13 @@ class FaultTrajectoryATPG:
         # repro.runtime.store): sweeping a GA knob reuses the cached
         # dictionary, and any config landing on the same test vector
         # shares the exact dictionary.
-        base_key = store.problem_key(self.info, universe) if store \
-            else None
-        if base_key and self.config.engine == "factored":
-            # The factored engine's low-rank solves differ from the
-            # dense ones in the last bits, so every artifact derived
-            # from its simulations needs its own slot.
-            base_key = store.derive_key(base_key, "engine", "factored")
+        # The factored engine's low-rank solves differ from the dense
+        # ones in the last bits, so its artifacts keep a slot of their
+        # own: a root written by a dense-engine build misses and is
+        # recomputed, never served last-bit-different.
+        base_key = store.derive_key(
+            store.problem_key(self.info, universe), "engine", "factored") \
+            if store else None
         dict_key = store.derive_key(
             base_key, "dense", [float(f) for f in grid]) if store else None
 

@@ -9,7 +9,6 @@ from typing import Dict, Tuple
 from ..errors import ReproError
 from ..faults.models import paper_deviation_grid
 from ..ga.config import GAConfig
-from ..sim.engine import ENGINE_KINDS
 
 __all__ = ["PipelineConfig"]
 
@@ -41,15 +40,6 @@ class PipelineConfig:
         Fitness shape parameters (see repro.ga.fitness).
     ga:
         The GA hyper-parameters (defaults to the paper's).
-    engine:
-        Simulation engine for every fault-simulation stage, one of
-        :data:`~repro.sim.engine.ENGINE_KINDS`. ``"batched"`` (default)
-        is the stamp-once/solve-many
-        :class:`~repro.sim.engine.BatchedMnaEngine`, bitwise equal to
-        the per-clone reference path; ``"factored"`` solves fault
-        variants via Sherman-Morrison-Woodbury low-rank updates and
-        matches it within tight tolerance (~1e-12 relative on the
-        benchmark circuits).
     """
 
     deviations: Tuple[float, ...] = field(
@@ -63,13 +53,8 @@ class PipelineConfig:
     margin_weight: float = 0.45
     margin_scale: float = 1.0
     ga: GAConfig = field(default_factory=GAConfig.paper)
-    engine: str = "batched"
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINE_KINDS:
-            raise ReproError(
-                f"engine must be one of {ENGINE_KINDS}, "
-                f"got {self.engine!r}")
         if self.fitness not in _FITNESS_KINDS:
             raise ReproError(
                 f"fitness must be one of {_FITNESS_KINDS}, "

@@ -7,7 +7,7 @@ Examples
     repro-corpus                          # 110-circuit baseline matrix
     repro-corpus --quick --check          # ~20-circuit CI smoke run
     repro-corpus --spec my_corpus.json --store .repro-store
-    repro-corpus --engine factored --out artifacts/
+    repro-corpus --out artifacts/
 
 Writes ``CORPUS_<name>.json`` into ``--out``; ``--check`` validates
 the artifact immediately after writing (exit code 1 on violation).
@@ -16,14 +16,12 @@ the artifact immediately after writing (exit code 1 on violation).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from ..errors import ReproError
-from ..sim.engine import ENGINE_KINDS
 from .runner import check_report, run_corpus
 from .spec import CorpusSpec
 
@@ -53,9 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="artifact-store root enabling resume: completed circuits "
              "(and their dictionary/GA artifacts) are reused on re-run")
     parser.add_argument(
-        "--engine", choices=ENGINE_KINDS, default=None,
-        help="override the spec's simulation engine")
-    parser.add_argument(
         "--check", action="store_true",
         help="validate the written artifact and exit non-zero on any "
              "violation")
@@ -81,10 +76,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         spec = _load_spec(args)
     except ReproError as exc:
         raise SystemExit(f"bad corpus spec: {exc}")
-    if args.engine is not None:
-        spec = dataclasses.replace(
-            spec, pipeline=dataclasses.replace(spec.pipeline,
-                                               engine=args.engine))
 
     log = None if args.quiet else \
         (lambda message: print(message, file=sys.stderr, flush=True))

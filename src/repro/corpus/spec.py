@@ -87,7 +87,7 @@ class CorpusSpec:
         The family matrix (see :class:`FamilySpec`); circuits enumerate
         in declaration order, seeds ascending within each family.
     pipeline:
-        Per-circuit ATPG settings (engine, GA budget, fitness --
+        Per-circuit ATPG settings (GA budget, fitness, grid --
         everything :class:`~repro.core.config.PipelineConfig` holds).
     posterior:
         Probabilistic-tier settings for the posterior diagnosis pass.
@@ -197,7 +197,6 @@ class CorpusSpec:
                 FamilySpec("random_topology", count=30, max_targets=6),
             ),
             pipeline=PipelineConfig(
-                engine="factored",
                 dictionary_points=96,
                 ga=GAConfig.quick(seeded_generations=4,
                                   population_size=24)),
@@ -219,7 +218,6 @@ class CorpusSpec:
                            max_targets=4),
             ),
             pipeline=PipelineConfig(
-                engine="factored",
                 dictionary_points=64,
                 ga=GAConfig.quick(seeded_generations=3,
                                   population_size=16)),

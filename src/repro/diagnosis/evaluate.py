@@ -195,7 +195,7 @@ def make_test_cases(info: CircuitInfo, mapper: SignatureMapper,
     batched; ``engine`` optionally injects an already-stamped engine
     (the pipeline result's). Random draws happen per case in the same
     order the scalar loop used, so results for a given seed are
-    unchanged.
+    unchanged; the signatures are mapped for the whole block at once.
     """
     if noise_db < 0.0 or tolerance < 0.0:
         raise DiagnosisError("noise_db and tolerance must be >= 0")
@@ -226,7 +226,8 @@ def make_test_cases(info: CircuitInfo, mapper: SignatureMapper,
     nominal = table.values[0]
     rows: List[np.ndarray] = [nominal]
     labels: List[str] = [circuit.name]
-    case_meta: List[Tuple[str, float, Optional[np.ndarray]]] = []
+    truth: List[Tuple[str, float]] = []
+    noises: List[np.ndarray] = []
     for index, fault in enumerate(faults, start=1):
         others = np.array([column[other] for other in spread_names
                            if other != fault.component], dtype=int)
@@ -238,26 +239,27 @@ def make_test_cases(info: CircuitInfo, mapper: SignatureMapper,
                 spread = rng.uniform(-tolerance, tolerance,
                                      size=others.size)
                 row[others] = nominal[others] * (1.0 + spread)
-            noise = rng.normal(0.0, noise_db, size=mapper.dimension) \
-                if noise_db > 0.0 else None
+            if noise_db > 0.0:
+                noises.append(rng.normal(0.0, noise_db,
+                                         size=mapper.dimension))
             rows.append(row)
             labels.append(table.labels[index])
-            case_meta.append((fault.component, fault.deviation, noise))
-    if not case_meta:
+            truth.append((fault.component, fault.deviation))
+    if not truth:
         raise DiagnosisError("no test cases generated")
 
     variants = VariantTable(table.columns, np.array(rows), tuple(labels))
     block = engine.transfer_block(info.output_node, freqs, variants,
                                   info.input_source)
-    golden_response = block.response(0)
-    cases: List[DiagnosisCase] = []
-    for index, (name, deviation, noise) in enumerate(case_meta):
-        point = mapper.signature(block.response(index + 1),
-                                 golden_response)
-        if noise is not None:
-            point = point + noise
-        cases.append(DiagnosisCase(name, deviation, point))
-    return cases
+    # The block's columns are the sorted test vector; the mapper's
+    # coordinates follow its own order.
+    sampled = block.magnitude_db()[:, np.searchsorted(
+        freqs, mapper.test_freqs_hz)]
+    points = mapper.signatures_from_db(sampled[1:], sampled[0])
+    if noises:
+        points = points + np.array(noises)
+    return [DiagnosisCase(name, deviation, point)
+            for (name, deviation), point in zip(truth, points)]
 
 
 def evaluate_classifier(classifier: PointClassifier,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import dataclasses
 import json
 import logging
 import sys
@@ -32,7 +31,6 @@ from typing import Optional
 from ..core.config import PipelineConfig
 from ..diagnosis.posterior import PosteriorConfig
 from ..errors import ReproError
-from ..sim.engine import ENGINE_KINDS
 from .cluster import LISTENING_PREFIX, WORKER_DEFAULTS, ClusterService
 from .server import AsyncDiagnosisService, DiagnosisHTTPServer
 from .service import DiagnosisService
@@ -72,14 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config-json", default=None, metavar="JSON",
                         help="PipelineConfig as inline JSON or "
                              "@path/to/file.json (overrides --config)")
-    parser.add_argument("--engine", choices=ENGINE_KINDS, default=None,
-                        help="simulation engine for circuit warm-ups: "
-                             "'batched' (stamp-once dense solves) or "
-                             "'factored' (factor-once Sherman-Morrison-"
-                             "Woodbury low-rank updates, dense fallback "
-                             "on ill-conditioned faults); overrides the "
-                             "--config/--config-json engine field "
-                             "(default: use the config's engine)")
     parser.add_argument("--window-ms", type=float,
                         default=WORKER_DEFAULTS["window_ms"],
                         help="coalescing window in milliseconds "
@@ -154,8 +144,6 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
     else:
         config = PipelineConfig.paper() if args.config == "paper" \
             else PipelineConfig.quick()
-    if getattr(args, "engine", None):
-        config = dataclasses.replace(config, engine=args.engine)
     return config
 
 

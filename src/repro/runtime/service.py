@@ -70,10 +70,7 @@ class ServiceStats:
     registry's fixed buckets cannot resolve exactly.
     """
 
-    def __init__(self, engine_kind: str = "batched") -> None:
-        #: Simulation engine kind the owning service warms circuits with
-        #: (``PipelineConfig.engine``); surfaced through ``/v1/stats``.
-        self.engine_kind = engine_kind
+    def __init__(self) -> None:
         self.registry = reg = telemetry.MetricsRegistry()
         self._lock = threading.Lock()
         self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
@@ -218,7 +215,6 @@ class ServiceStats:
                                   read=lambda child: child.sum)
             batch_rows = self._m_batch_rows.bucket_counts()
             snap: Dict[str, object] = {
-                "engine_kind": self.engine_kind,
                 "requests": sum(requests.values()),
                 "responses_diagnosed": sum(responses.values()),
                 "total_latency_seconds": sum(latency.values()),
@@ -324,7 +320,7 @@ class DiagnosisService:
         # identical Monte-Carlo worlds (bitwise-reproducible posteriors
         # regardless of which replica answers).
         self.posterior_config = posterior or PosteriorConfig(seed=seed)
-        self.stats = ServiceStats(engine_kind=self.config.engine)
+        self.stats = ServiceStats()
         self._circuits: Dict[str, CircuitInfo] = {}
         self._engines: "OrderedDict[str, _Engine]" = OrderedDict()
         self._lock = threading.Lock()

@@ -28,9 +28,10 @@ The trajectory set is not stored: it is a function of the exact
 dictionary and the mapper, and rebuilding it costs about as much as
 loading it.
 
-The simulation engine enters the problem key only when it is
-``factored``: its low-rank solves differ from the ``batched`` engine's
-dense ones in the last bits (see ``FaultTrajectoryATPG.run``).
+The pipeline's engine enters the problem key as ``factored``: its
+low-rank solves differ from the dense ones in the last bits, so a root
+written by a dense-engine build misses rather than serving them (see
+``FaultTrajectoryATPG.run``).
 """
 
 from __future__ import annotations
@@ -140,8 +141,8 @@ def ga_search_key(dictionary_key: str, info: CircuitInfo, config,
     steers it (frequency space bounds, fitness shape, GA hyper-
     parameters, seed). The deviation grid and the simulation engine
     reach this key through ``dictionary_key``: the grid reshapes the
-    universe the surface was built from, and a ``factored`` engine is
-    folded into the problem key the dictionary key derives from."""
+    universe the surface was built from, and the engine is folded into
+    the problem key the dictionary key derives from."""
     payload = {
         "f_min_hz": float(info.f_min_hz),
         "f_max_hz": float(info.f_max_hz),

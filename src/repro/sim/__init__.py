@@ -8,7 +8,6 @@ from .engine import (
     ResponseBlock,
     SimulationEngine,
     VariantTable,
-    make_engine,
 )
 from .mna import ComponentOps, MnaSolution, MnaSystem
 from .sensitivity import (
@@ -27,7 +26,6 @@ __all__ = [
     "FactoredMnaEngine",
     "ResponseBlock",
     "VariantTable",
-    "make_engine",
     "ACAnalysis",
     "FrequencyResponse",
     "SensitivityResult",

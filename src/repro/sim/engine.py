@@ -16,8 +16,7 @@ implementations:
 
 * :class:`ScalarMnaEngine` -- the reference: one circuit clone + one
   ``ACAnalysis`` per table row, each row's components built through
-  their constructors (the test oracle; :data:`ENGINE_KINDS` does not
-  name it);
+  their constructors (the test oracle);
 * :class:`BatchedMnaEngine` -- stamps the nominal circuit once, records
   every component's ordered stamp contributions, and stamps a table
   column-wise: each component a column names is stamped once with
@@ -86,12 +85,7 @@ __all__ = [
     "ScalarMnaEngine",
     "BatchedMnaEngine",
     "FactoredMnaEngine",
-    "make_engine",
-    "ENGINE_KINDS",
 ]
-
-#: The engine names ``PipelineConfig.engine`` accepts.
-ENGINE_KINDS = ("batched", "factored")
 
 # The (K, N, N) stacks handed to np.linalg.solve are chunked to roughly
 # this many bytes: big enough to amortise the gufunc dispatch, small
@@ -805,6 +799,9 @@ class FactoredMnaEngine(BatchedMnaEngine):
     Counters (``lowrank_updates``, ``lowrank_fallbacks``) accumulate
     across calls; each call's counts, mode and per-stage factor/update
     seconds are also attributes of its ``engine.solve`` span.
+
+    This is the engine :class:`~repro.core.atpg.FaultTrajectoryATPG`
+    builds for every pipeline stage; there is no other to select.
     """
 
     _kind = "factored"
@@ -1100,14 +1097,3 @@ class FactoredMnaEngine(BatchedMnaEngine):
                 fallback_nonfinite=reason_counts["nonfinite"])
         return ResponseBlock(freqs, values, labels, output_node)
 
-
-def make_engine(circuit: Circuit, kind: str = "batched"
-                ) -> SimulationEngine:
-    """The engine named by :class:`PipelineConfig`'s ``engine`` field
-    (one of :data:`ENGINE_KINDS`)."""
-    if kind == "batched":
-        return BatchedMnaEngine(circuit)
-    if kind == "factored":
-        return FactoredMnaEngine(circuit)
-    raise SimulationError(
-        f"engine must be one of {ENGINE_KINDS}, got {kind!r}")

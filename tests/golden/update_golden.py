@@ -17,13 +17,13 @@ then review the diff like any other code change.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 
-from repro import FaultTrajectoryATPG, PipelineConfig, get_benchmark
+from repro import (BatchedMnaEngine, FactoredMnaEngine, FaultTrajectoryATPG,
+                   PipelineConfig, get_benchmark)
 from repro.ga import GAConfig
 from repro.sim import ACAnalysis
 
@@ -43,18 +43,23 @@ CONFIG = PipelineConfig(dictionary_points=48,
                         ga=GAConfig(population_size=10, generations=3))
 
 
-def generate_golden(circuit_name: str, engine: str = None) -> dict:
+#: The engines a golden run can be replayed on, by name.
+ENGINES = {"batched": BatchedMnaEngine, "factored": FactoredMnaEngine}
+
+
+def generate_golden(circuit_name: str, engine: str = "batched") -> dict:
     """One circuit's golden record (deterministic in SEED/CONFIG).
 
-    ``engine`` overrides the pipeline's simulation engine; the golden
-    files are pinned under the default, and the regression test replays
-    them under every engine kind to prove the alternatives reproduce
-    the same diagnosis behaviour.
+    ``engine`` names the engine the pipeline runs on (a key of
+    :data:`ENGINES`). The golden files are pinned on the batched engine,
+    the bitwise dense path the pipeline's factored engine falls back
+    on; the regression test replays them on both to prove the factored
+    engine reproduces the same diagnosis behaviour.
     """
-    config = CONFIG if engine is None else \
-        dataclasses.replace(CONFIG, engine=engine)
     info = get_benchmark(circuit_name)
-    result = FaultTrajectoryATPG(info, config).run(seed=SEED)
+    atpg = FaultTrajectoryATPG(info, CONFIG)
+    atpg.engine = ENGINES[engine](info.circuit)
+    result = atpg.run(seed=SEED)
     freqs = np.array(sorted(result.test_vector_hz), dtype=float)
 
     labels = []

@@ -194,28 +194,3 @@ def test_cli_runs_spec_file_and_checks(tmp_path, capsys):
     assert report["artifact"] == "CORPUS_cli"
     assert report["results"]["completed"] == 3
     assert "check passed" in capsys.readouterr().out
-
-
-def test_cli_engine_override(tmp_path):
-    """--engine replaces the spec's engine (here the presets' factored
-    one) in the run and in the recorded spec."""
-    spec = mini_spec("eng")
-    spec = dataclasses.replace(spec, pipeline=dataclasses.replace(
-        spec.pipeline, engine="factored"))
-    spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps(spec.to_json_dict()))
-    code = corpus_main(["--spec", str(spec_file), "--out", str(tmp_path),
-                        "--engine", "batched", "--quiet"])
-    assert code == 0
-    report = json.loads((tmp_path / "CORPUS_eng.json").read_text())
-    assert report["spec"]["pipeline"]["engine"] == "batched"
-
-
-def test_cli_rejects_bad_engine(tmp_path, capsys):
-    """Only the plain ENGINE_KINDS names pass argparse: the scalar
-    reference engine and knob strings are not selectable."""
-    for engine in ("scalar", "factored:sparse=true", "magic"):
-        with pytest.raises(SystemExit) as excinfo:
-            corpus_main(["--engine", engine, "--out", str(tmp_path)])
-        assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err

@@ -16,7 +16,6 @@ from repro import (
     BatchedMnaEngine,
     FactoredMnaEngine,
     PipelineConfig,
-    make_engine,
     parametric_universe,
     rc_lowpass,
     tow_thomas_biquad,
@@ -147,7 +146,7 @@ class TestBatchedEquivalence:
         batched = FaultDictionary.build(
             universe, info.output_node, grid,
             input_source=info.input_source,
-            engine=make_engine(info.circuit, "batched"))
+            engine=BatchedMnaEngine(info.circuit))
         scalar = FaultDictionary.build(
             universe, info.output_node, grid,
             input_source=info.input_source,
@@ -449,19 +448,23 @@ class TestGADeterminism:
 
 class TestPipelineEngineKnob:
     def test_invalid_engine_rejected(self):
-        with pytest.raises(ReproError, match="engine must be one of"):
+        """The pipeline has one engine, so a config cannot name any."""
+        with pytest.raises(TypeError, match="engine"):
             PipelineConfig(engine="magic")
-        with pytest.raises(SimulationError, match="engine must be one of"):
-            make_engine(rc_lowpass().circuit, "scalar")
+        with pytest.raises(ReproError, match="engine"):
+            PipelineConfig.from_json_dict({"engine": "factored"})
 
     def test_scalar_and_batched_pipelines_agree(self):
-        """The batched pipeline equals the same pipeline run on the
-        per-clone reference engine (the test oracle no config names)."""
+        """The pipeline run on the batched engine (the factored engine's
+        dense fallback) equals the same pipeline run on the per-clone
+        reference engine (the test oracle no config names)."""
         from repro import FaultTrajectoryATPG
         info = rc_lowpass()
         config = PipelineConfig(dictionary_points=64,
                                 ga=PipelineConfig.quick().ga)
-        batched = FaultTrajectoryATPG(info, config).run(seed=3)
+        dense = FaultTrajectoryATPG(info, config)
+        dense.engine = BatchedMnaEngine(info.circuit)
+        batched = dense.run(seed=3)
         oracle = FaultTrajectoryATPG(info, config)
         oracle.engine = ScalarMnaEngine(info.circuit)
         scalar = oracle.run(seed=3)
@@ -917,15 +920,22 @@ class TestFactoredSparsePath:
 
 class TestFactoredSelection:
     def test_make_engine_factored(self):
-        engine = make_engine(rc_lowpass().circuit, "factored")
+        """Every pipeline builds the factored engine; nothing selects
+        another."""
+        from repro import FaultTrajectoryATPG
+        engine = FaultTrajectoryATPG(rc_lowpass()).engine
         assert isinstance(engine, FactoredMnaEngine)
 
     def test_config_accepts_and_round_trips_factored(self):
-        config = PipelineConfig(engine="factored")
+        """A config round-trips without an engine field and still
+        builds the factored engine."""
+        from repro import FaultTrajectoryATPG
+        config = PipelineConfig.quick()
         restored = PipelineConfig.from_json_dict(config.to_json_dict())
-        assert restored.engine == config.engine == "factored"
-        # The wire format keeps the original string spelling.
-        assert config.to_json_dict()["engine"] == "factored"
+        assert restored == config
+        assert "engine" not in config.to_json_dict()
+        assert isinstance(FaultTrajectoryATPG(rc_lowpass(), restored).engine,
+                          FactoredMnaEngine)
 
     def test_invalid_factored_knobs_rejected(self):
         circuit = rc_lowpass().circuit
@@ -939,13 +949,12 @@ class TestFactoredSelection:
     def test_factored_pipeline_agrees_with_batched(self):
         from repro import FaultTrajectoryATPG
         info = rc_lowpass()
-        results = {}
-        for kind in ("batched", "factored"):
-            config = PipelineConfig.quick()
-            config = PipelineConfig(
-                dictionary_points=64, ga=config.ga, engine=kind)
-            results[kind] = FaultTrajectoryATPG(info, config).run(seed=3)
-        batched, factored = results["batched"], results["factored"]
+        config = PipelineConfig(dictionary_points=64,
+                                ga=PipelineConfig.quick().ga)
+        factored = FaultTrajectoryATPG(info, config).run(seed=3)
+        dense = FaultTrajectoryATPG(info, config)
+        dense.engine = BatchedMnaEngine(info.circuit)
+        batched = dense.run(seed=3)
         assert batched.test_vector_hz == factored.test_vector_hz
         _assert_block_close(factored.dictionary.golden.values,
                             batched.dictionary.golden.values,

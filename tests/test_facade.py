@@ -60,12 +60,13 @@ def test_import_does_not_load_scipy():
 def test_small_factored_solve_does_not_load_scipy():
     """The factored engine's 'auto' sparse mode checks the dimension
     before it tries scipy: a circuit under ``sparse_min_dim`` solves
-    its low-rank rows without importing scipy."""
+    its low-rank rows without importing scipy -- on the engine alone
+    and through the pipeline, whose one engine it is."""
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     probe = (
-        "import sys, numpy as np; "
-        "from repro import FactoredMnaEngine, parametric_universe, "
-        "tow_thomas_biquad; "
+        "import sys, numpy as np, repro; "
+        "from repro import FactoredMnaEngine, PipelineConfig, "
+        "parametric_universe, tow_thomas_biquad; "
         "info = tow_thomas_biquad(); "
         "engine = FactoredMnaEngine(info.circuit); "
         "assert engine.system.dim < engine.sparse_min_dim; "
@@ -73,6 +74,10 @@ def test_small_factored_solve_does_not_load_scipy():
         "parametric_universe(info.circuit).variants(), "
         "info.input_source); "
         "assert engine.lowrank_updates > 0; "
+        "result = repro.run('tow_thomas_biquad', PipelineConfig.quick(), "
+        "seed=1); "
+        "assert isinstance(result.engine, FactoredMnaEngine); "
+        "assert result.engine.lowrank_updates > 0; "
         "print(sorted(m for m in sys.modules "
         "if m.partition('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
@@ -132,8 +137,18 @@ def test_committed_corpus_baseline_still_loads():
 
 
 def test_engine_is_one_plain_name_on_wire():
-    assert {"EngineSpec", "ScalarMnaEngine"}.isdisjoint(repro.__all__)
-    assert PipelineConfig().to_json_dict()["engine"] == "batched"
+    """No config carries an engine: the pipeline has one, so a persisted
+    config that still names one (any name) is refused."""
+    assert {"EngineSpec", "ScalarMnaEngine", "ENGINE_KINDS",
+            "make_engine"}.isdisjoint(repro.__all__)
+    assert "engine" not in PipelineConfig().to_json_dict()
     assert "engine" not in PosteriorConfig().to_json_dict()
-    with pytest.raises(ReproError):
-        PosteriorConfig.from_json_dict({"engine": "factored"})
+    for engine in ("batched", "factored", "scalar"):
+        with pytest.raises(ReproError, match="engine"):
+            PipelineConfig.from_json_dict({"engine": engine})
+        with pytest.raises(ReproError, match="engine"):
+            PosteriorConfig.from_json_dict({"engine": engine})
+        with pytest.raises(ReproError, match="engine"):
+            CorpusSpec.from_json_dict({
+                **CorpusSpec.quick().to_json_dict(),
+                "pipeline": {"engine": engine}})

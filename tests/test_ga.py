@@ -462,6 +462,13 @@ class TestEngine:
 #: circuit's index in ``BENCHMARK_CIRCUITS``. Floats are pinned as
 #: ``float.hex`` so the comparison is bitwise: (test vector, best
 #: fitness, per-generation best fitness, per-generation mean fitness).
+#: ``rc_ladder`` and ``rc_lowpass`` were re-recorded when the pipeline
+#: moved onto the factored engine: rc_ladder keeps its vector and best
+#: fitness, but its mean history differs from generation 2 on (by up to
+#: 2.5 %: some candidates score differently on the new dictionary, so
+#: the population takes another path); rc_lowpass's flat paper fitness
+#: now picks (1.0, 1.000002) Hz at fitness 1/7 instead of (2.75, 26.7)
+#: Hz at 1/9 (its {R1, C1} is one isolability class).
 PINNED_PAPER_GA = {
     "voltage_divider": (
         2013,
@@ -477,22 +484,25 @@ PINNED_PAPER_GA = {
         "0x1.8f9c18f9c18fap-6",
         ("0x1.8f9c18f9c18fap-6",) * 15,
         (
-            "0x1.7c7bec147ed96p-6", "0x1.80c5052789ddbp-6",
-            "0x1.7d0e20002d9e2p-6", "0x1.8014990378babp-6",
-            "0x1.86e170c876ec6p-6", "0x1.85e710b28bfc4p-6",
-            "0x1.85ba092684b2ap-6", "0x1.87ef61fb040cap-6",
-            "0x1.866a24247f9b0p-6", "0x1.87a1f6805afbep-6",
-            "0x1.7ffa164af91c2p-6", "0x1.7d155c4548759p-6",
-            "0x1.845c0337d1dfap-6", "0x1.81897c8a0ba38p-6",
-            "0x1.855d56bfcadd3p-6",
+            "0x1.7c7bec147ed96p-6", "0x1.80d80c9671301p-6",
+            "0x1.7d0ee6a81e816p-6", "0x1.80155fab699dep-6",
+            "0x1.8717eecbdecc9p-6", "0x1.8684fa887970dp-6",
+            "0x1.83681f89b6f30p-6", "0x1.87a6c73099a06p-6",
+            "0x1.84c689e07a358p-6", "0x1.862064a7515bdp-6",
+            "0x1.88e60c25e35f2p-6", "0x1.86a1cef67e5b6p-6",
+            "0x1.856da69567bdcp-6", "0x1.8283b80f6271ep-6",
+            "0x1.81595be4e7f26p-6",
         )),
     "rc_lowpass": (
         2012,
-        ("0x1.6001c0ad4c643p+1",
-         "0x1.ab985a5208fc1p+4"),
-        "0x1.c71c71c71c71cp-4",
-        ("0x1.c71c71c71c71cp-4",) * 15,
-        ("0x1.c71c71c71c71fp-4",) * 15),
+        ("0x1.0000000000000p+0",
+         "0x1.000026a189ffap+0"),
+        "0x1.2492492492492p-3",
+        ("0x1.c71c71c71c71cp-4",) * 9 + ("0x1.2492492492492p-3",) * 6,
+        ("0x1.c71c71c71c71fp-4",) * 9 + (
+            "0x1.c820820820823p-4", "0x1.c820820820823p-4",
+            "0x1.c820820820823p-4", "0x1.ca28a28a28a2bp-4",
+            "0x1.cb2cb2cb2cb2fp-4", "0x1.c820820820823p-4")),
 }
 
 
@@ -519,8 +529,9 @@ class TestPinnedPaperGA:
 #: Paper circuits whose same-seed paper-config GA answer (test vector or
 #: best fitness) moves when every dense-dictionary dB magnitude moves by
 #: one ulp. The bitwise pins above guard these circuits' answers against
-#: rounding noise as much as against real change.
-ULP_SENSITIVE_PAPER_GA = ("lc_ladder_lowpass5",)
+#: rounding noise as much as against real change. On the factored
+#: engine none moves (on the batched one lc_ladder_lowpass5 did).
+ULP_SENSITIVE_PAPER_GA = ()
 
 
 class TestPaperGAUlpSensitivity:
@@ -573,6 +584,11 @@ class TestPaperGAUlpSensitivity:
 #: coordinate sum's rounding depended on the arrays' memory layout, and
 #: the fixed left-to-right sum moved one min separation and one mean
 #: fitness in the last bit (same test vectors, same best fitnesses).
+#: ``paper-d3-twin-t`` and the margin/combined runs on mfb and twin-t
+#: were re-recorded when the pipeline moved onto the factored engine:
+#: the same test vectors and per-generation best vectors, with best,
+#: mean and std fitnesses and min separations moved by at most 6e-12
+#: relative.
 PINNED_FITNESS_GA = {
     "paper-d3-biquad": (
         "tow_thomas_biquad", dict(num_frequencies=3),
@@ -585,35 +601,35 @@ PINNED_FITNESS_GA = {
     "paper-d3-twin-t": (
         "twin_t_notch", dict(num_frequencies=3),
         "afe512437f133d7dc1231221852cc025b1ca895b75c75020cd0ce0d320ed76cf",
-        "0x1.0000000000000p+0", (0, 0, "0x1.0cd78189906f4p-5")),
+        "0x1.0000000000000p+0", (0, 0, "0x1.0cd7818990765p-5")),
     "margin-d2-mfb": (
         "mfb_bandpass", dict(fitness="margin"),
-        "e4098931302537467e1b82c63a79e0b04b1016afce87057e747add4d5d55701b",
-        "0x1.bf1366471690bp-3", (0, 0, "0x1.0686d12d786b5p-2")),
+        "8cdaae9a636c3a818779b4f1bab0000344fd487893ff0807c50f05d68cee142e",
+        "0x1.bf136647168fep-3", (0, 0, "0x1.0686d12d786e3p-2")),
     "margin-d2-twin-t": (
         "twin_t_notch", dict(fitness="margin"),
-        "6a4e426b617288a82f7e84c7472a18973c02ab5c14e404ac6e0384503d42f1d3",
-        "0x1.6089e644ec819p-8", (0, 0, "0x1.df4356582ab1ap-11")),
+        "af6c2af1a3a3254ceedb92aa02268b15ab45fd105d90081a23f4f758f1bc3087",
+        "0x1.6089e644ec819p-8", (0, 0, "0x1.df43565826687p-11")),
     "combined-d2-mfb": (
         "mfb_bandpass", dict(fitness="combined"),
-        "6516b3c236bcf54cacff6eec55ee2d2a681afd93e3fe644ff890962fb65dae38",
-        "0x1.0fb6fb779298bp+0", (0, 0, "0x1.41bd3bdb8e77dp-3")),
+        "e8c13ba045fa9b250a9f733d4fe338231d75b78460904151532371123be17323",
+        "0x1.0fb6fb779298cp+0", (0, 0, "0x1.41bd3bdb8e7afp-3")),
     "combined-d2-twin-t": (
         "twin_t_notch", dict(fitness="combined"),
-        "ed4f9244bd849d1d789c0022768be8268f7c2f00638fb5e67f37a555cc23d91f",
-        "0x1.017ed41f2e372p+0", (0, 0, "0x1.a944db9921657p-7")),
+        "0f0c88993ef284ab5bc42d5f60bee527858db821fc6132f85fcf64e392818469",
+        "0x1.017ed41f2e371p+0", (0, 0, "0x1.a944db9920c42p-7")),
     "margin-d1-mfb": (
         "mfb_bandpass", dict(fitness="margin", num_frequencies=1),
         "1cf0e04d6310054a81e2175128f41d93b7f3aa09ac19e6a78dbda32959e82e3c",
         "0x0.0p+0", (10, 0, "0x0.0p+0")),
     "margin-d3-twin-t": (
         "twin_t_notch", dict(fitness="margin", num_frequencies=3),
-        "b6fbed1d9f5ba6ae50bd785afc637622b4d9f195bc8c63db388a1377e7c175ab",
-        "0x1.f0f136f330ed9p-4", (0, 0, "0x1.04718358757c0p-3")),
+        "c91c1f634ec82685813b35d2a5ce313e0da97eb12b12ba22b093fdaf79c65756",
+        "0x1.f0f136f330fe0p-4", (0, 0, "0x1.04718358757fdp-3")),
     "combined-d3-mfb": (
         "mfb_bandpass", dict(fitness="combined", num_frequencies=3),
-        "e583a3bbf39a63d07151a11bc5588213df0e2f0be0f35fff44cca76131b17fed",
-        "0x1.1c71ff9abe2b3p+0", (0, 0, "0x1.50ba11eadd426p-2")),
+        "cd3788bb65b1e0f369ddc8481368acfbdb80d493e4ba958188095c87138e66cd",
+        "0x1.1c71ff9abe2b2p+0", (0, 0, "0x1.50ba11eadd474p-2")),
 }
 
 

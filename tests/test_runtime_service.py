@@ -130,7 +130,7 @@ class TestServiceLru:
 
 #: The ``GET /v1/stats`` key set, and the per-circuit one.
 STATS_KEYS = {
-    "engine_kind", "requests", "responses_diagnosed",
+    "requests", "responses_diagnosed",
     "total_latency_seconds", "evictions", "coalesced_batches",
     "coalesced_requests", "rejections", "posterior_requests",
     "posterior_rows", "posterior_builds", "posterior_samples",
@@ -284,9 +284,7 @@ class TestStatsAreReadFromTheRegistry:
         # The wire view: the parent's key set, every count an int.
         wire = json.loads(codec.encode_stats(snapshot))
         assert set(wire) == STATS_KEYS
-        assert wire["engine_kind"] == QUICK.engine
-        for key in STATS_KEYS - FLOAT_KEYS - {"engine_kind",
-                                              "per_circuit",
+        for key in STATS_KEYS - FLOAT_KEYS - {"per_circuit",
                                               "batch_size_histogram"}:
             assert type(wire[key]) is int, key
         assert all(type(count) is int

@@ -301,28 +301,10 @@ class TestWarmRuns:
         for slot in slots:
             assert slot.parent.name == slot.name[:2]
 
-    def test_engine_scopes_the_store(self, tmp_path):
-        """The factored engine differs from batched in the last bits, so
-        a store warmed by a batched run must not serve a factored run
-        (it would hand back a different test vector than a cold factored
-        run finds)."""
-        import dataclasses
-        info = rc_lowpass()
-        batched = PipelineConfig.paper()
-        factored = dataclasses.replace(batched, engine="factored")
-        store = ArtifactStore(tmp_path)
-        FaultTrajectoryATPG(info, batched).run(seed=2012, store=store)
-        warmed = FaultTrajectoryATPG(info, factored).run(seed=2012,
-                                                         store=store)
-        cold = FaultTrajectoryATPG(info, factored).run(seed=2012)
-        assert "dictionary" not in warmed.cache_hits
-        assert warmed.test_vector_hz == cold.test_vector_hz
-        assert warmed.ga_result.best_fitness == cold.ga_result.best_fitness
-
     #: rc_lowpass quick-config dictionary keys, one per engine. Pinned
-    #: from the stores written before the engine became a plain name:
-    #: the batched key carries no engine part, the factored key folds in
-    #: the string "factored".
+    #: from the stores written before the engine became the pipeline's
+    #: only one: the batched key carries no engine part, the factored
+    #: key folds in the string "factored".
     DICTIONARY_KEYS = {
         "batched": "97a3ab9314dfe33061aee04b8b4ebe414beb"
                    "9854dd01eb9ed6f15c23ee0ae105",
@@ -332,24 +314,37 @@ class TestWarmRuns:
 
     @pytest.mark.parametrize("engine", sorted(DICTIONARY_KEYS))
     def test_dictionary_key_is_pinned(self, tmp_path, engine):
-        import dataclasses
-        config = dataclasses.replace(PipelineConfig.quick(), engine=engine)
+        """The pipeline keeps writing the factored key, so corpus store
+        roots stay valid. A root written under the retired batched
+        default holds its artifacts under the engine-free key, which
+        the pipeline no longer reads: those dense-engine artifacts
+        miss and are recomputed, never served last-bit-different."""
+        info = rc_lowpass()
         store = ArtifactStore(tmp_path)
-        FaultTrajectoryATPG(rc_lowpass(), config).run(seed=1, store=store)
+        atpg = FaultTrajectoryATPG(info, PipelineConfig.quick())
+        atpg.run(seed=1, store=store)
         keys = [record.key for record in store.records()
                 if record.kind == "dictionary"]
-        assert keys == [self.DICTIONARY_KEYS[engine]]
+        if engine == "factored":
+            assert keys == [self.DICTIONARY_KEYS["factored"]]
+        else:
+            universe, grid = atpg._stage_inputs()
+            engine_free = store.derive_key(
+                store.problem_key(info, universe), "dense",
+                [float(f) for f in grid])
+            assert engine_free == self.DICTIONARY_KEYS["batched"]
+            assert engine_free not in keys
 
     @pytest.mark.parametrize("engine", [
         {"kind": "batched", "gmin": 1e-3}, "scalar",
-        "factored:cond_limit=1e6"])
+        "factored:cond_limit=1e6", "factored", "batched"])
     def test_engine_knobs_are_rejected(self, engine):
-        """No engine setting outside the store key is accepted: a
-        ``gmin`` knob once reached the solver but not the key, so a
-        store warmed at gmin=0 served stale artifacts to it."""
+        """No engine setting is accepted: the pipeline has one engine,
+        and a ``gmin`` knob once reached the solver but not the store
+        key, so a store warmed at gmin=0 served stale artifacts to it."""
         wire = PipelineConfig.quick().to_json_dict()
-        assert wire["engine"] == "batched"
-        with pytest.raises(ReproError, match="engine must be one of"):
+        assert "engine" not in wire
+        with pytest.raises(ReproError, match="engine"):
             PipelineConfig.from_json_dict({**wire, "engine": engine})
 
 

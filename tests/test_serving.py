@@ -26,7 +26,6 @@ from repro.errors import (CodecError, DiagnosisError, ServiceError,
                           ServiceOverloadedError)
 from repro.runtime import codec, telemetry
 from repro.runtime.server import DiagnosisHTTPServer
-from repro.sim.engine import ENGINE_KINDS
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -299,47 +298,42 @@ class TestBackpressure:
 # ----------------------------------------------------------------------
 class TestEngineSelection:
     def test_stats_report_active_engine_kind(self):
-        import dataclasses
-        from repro import DiagnosisService
-        for kind in ENGINE_KINDS:
-            config = dataclasses.replace(QUICK, engine=kind)
-            service = DiagnosisService(config=config, seed=3)
-            assert service.stats.snapshot()["engine_kind"] == kind
+        """A service warms every circuit on the pipeline's one engine,
+        so its stats name no engine kind."""
+        from repro import DiagnosisService, FactoredMnaEngine
+        service = DiagnosisService(config=QUICK, seed=3)
+        assert "engine_kind" not in service.stats.snapshot()
+        assert isinstance(service.warm("rc_lowpass").engine,
+                          FactoredMnaEngine)
+        assert "engine_kind" not in service.stats.snapshot()
 
     def test_factored_service_serves_diagnoses(self):
-        import dataclasses
         from repro import DiagnosisService
-        config = dataclasses.replace(QUICK, engine="factored")
-        service = DiagnosisService(config=config, seed=3)
+        service = DiagnosisService(config=QUICK, seed=3)
         service.warm("rc_lowpass")
         rows = measured_rows(service, "rc_lowpass", 2, seed=7)
         diagnoses = service.submit("rc_lowpass", rows)
         assert len(diagnoses) == 2
         assert all(d.component for d in diagnoses)
 
-    def test_cli_engine_flag_overrides_config(self):
-        from repro.runtime.cli import build_parser, load_config
-        args = build_parser().parse_args(
-            ["--engine", "factored", "--config", "quick"])
-        assert load_config(args).engine == "factored"
-        # Without the flag the config's own engine field stands.
-        assert load_config(
-            build_parser().parse_args([])).engine == "batched"
-
     def test_cli_engine_flag_rejects_scalar_and_knob_specs(self, capsys):
+        """There is no ``--engine`` flag: any engine name, the old two
+        included, is an unrecognised argument."""
         from repro.runtime.cli import build_parser
-        for engine in ("scalar", "factored:sparse=true", "magic"):
+        for engine in ("batched", "factored", "scalar",
+                       "factored:sparse=true", "magic"):
             with pytest.raises(SystemExit) as excinfo:
                 build_parser().parse_args(["--engine", engine])
             assert excinfo.value.code == 2
-            assert "invalid choice" in capsys.readouterr().err
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cli_engine_flag_documented_in_help(self):
+        """The help documents the config flags, which fully determine
+        the pipeline, and no engine flag."""
         from repro.runtime.cli import build_parser
         help_text = build_parser().format_help()
-        assert "--engine" in help_text
-        for kind in ENGINE_KINDS:
-            assert kind in help_text
+        assert "--engine" not in help_text
+        assert "--config" in help_text and "--config-json" in help_text
 
 
 # ----------------------------------------------------------------------
@@ -759,8 +753,7 @@ class TestHTTPServer:
                                               "/v1/stats")
                 assert status == 200
                 assert b"batch_size_histogram" in payload
-                assert json.loads(payload)["engine_kind"] == \
-                    warm_service.config.engine
+                assert "engine_kind" not in json.loads(payload)
 
                 status, payload = await _http(host, port, "GET",
                                               "/v1/circuits")
@@ -1324,7 +1317,7 @@ class TestTelemetryHTTP:
         build = child(trace, "service.warm_build")
         dictionary = child(build, "pipeline.dictionary")
         solve = child(dictionary, "engine.solve")
-        assert solve["attrs"]["engine"] == "batched"
+        assert solve["attrs"]["engine"] == "factored"
         assert {build["request_id"], solve["request_id"]} == {"cold-1"}
 
     def test_json_access_log_lines(self, warm_service, caplog):

@@ -10,7 +10,6 @@ cluster front and the CI smoke job use as a validator).
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import math
 
 import pytest
@@ -430,8 +429,9 @@ class TestProfilingBridge:
 # Metric parity: observation counts per pipeline run
 # ----------------------------------------------------------------------
 #: Observations per family for ``repro.run("tow_thomas_biquad",
-#: PipelineConfig.paper(), seed=2005)`` on the default (batched)
-#: engine, recorded with the previous event-hook instrumentation.
+#: PipelineConfig.paper(), seed=2005)`` on the batched engine (the
+#: factored engine's dense fallback), recorded with the previous
+#: event-hook instrumentation.
 #: Histograms count observations; counters give their value.
 PAPER_BIQUAD_COUNTS = {
     ("repro_engine_stamp_seconds", "batched"): 1,
@@ -450,7 +450,7 @@ PAPER_BIQUAD_COUNTS = {
     ("repro_surface_rows_total", ""): 855,
 }
 
-#: The same run on ``engine="factored"``.
+#: The same run on the pipeline's own (factored) engine.
 PAPER_BIQUAD_FACTORED_COUNTS = {
     **{key: value for key, value in PAPER_BIQUAD_COUNTS.items()
        if "engine" not in key[0]},
@@ -479,13 +479,16 @@ def _observation_counts(registry):
 
 class TestMetricParity:
     @pytest.mark.parametrize("engine, expected", [
-        ("batched", PAPER_BIQUAD_COUNTS),
-        ("factored", PAPER_BIQUAD_FACTORED_COUNTS),
+        (repro.BatchedMnaEngine, PAPER_BIQUAD_COUNTS),
+        (repro.FactoredMnaEngine, PAPER_BIQUAD_FACTORED_COUNTS),
     ], ids=["batched", "factored"])
     def test_paper_run_observation_counts(self, engine, expected):
         registry = MetricsRegistry()
-        config = dataclasses.replace(PipelineConfig.paper(),
-                                     engine=engine)
+        info = repro.get_benchmark("tow_thomas_biquad")
+        # Built outside the collector: the pipeline's own engine is
+        # swapped for the one under test before anything is counted.
+        atpg = repro.FaultTrajectoryATPG(info, PipelineConfig.paper())
         with ProfilingCollector(registry):
-            repro.run("tow_thomas_biquad", config, seed=2005)
+            atpg.engine = engine(info.circuit)
+            atpg.run(seed=2005)
         assert _observation_counts(registry) == expected
