@@ -246,6 +246,11 @@ class PosteriorDiagnoser:
                 f"component name {FAULT_FREE_LABEL!r} collides with the "
                 "fault-free hypothesis label")
         self._faults: Tuple[ParametricFault, ...] = tuple(faults)
+        # Their engine rows, from the universe's memoised table: row 0
+        # is the fault-free circuit and row 1 + i fault i.
+        self._fault_variants = universe.variants().take(
+            [0] + [1 + index for index, fault in enumerate(universe.faults)
+                   if isinstance(fault, ParametricFault)])
         #: Posterior outcome labels: fault-free first, then every fault
         #: component in trajectory (first-appearance) order.
         self.component_labels: Tuple[str, ...] = \
@@ -297,8 +302,8 @@ class PosteriorDiagnoser:
         # a column per target, then every fault component outside the
         # targets.
         circuit = info.circuit
-        hypotheses = VariantTable.of_faults(circuit, self._faults) \
-            .with_columns(circuit, [(name, "value") for name in targets])
+        hypotheses = self._fault_variants.with_columns(
+            circuit, [(name, "value") for name in targets])
 
         # The nominal (tolerance-free) golden response every signature
         # is relative to, then the worlds, one transfer_block call per

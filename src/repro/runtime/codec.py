@@ -7,10 +7,12 @@ plus an ``(N, F)`` matrix of measured dB magnitudes at the circuit's
 test vector; responses carry one answer dict per row, a hard diagnosis
 or a posterior one depending on the diagnosis mode (:data:`MODES`).
 
-Floats survive the round trip exactly: ``json`` serialises Python
-floats with ``repr`` (shortest round-trip form), so
+Floats survive the round trip exactly: ``orjson`` writes every double in
+a shortest form that parses back to the same bits, so
 ``decode_response(encode_response(d)) == d`` bitwise -- the property
-the serving equivalence tests rely on.
+the serving equivalence tests rely on. The spelling of a float may
+differ from ``repr`` (``1e308``, not ``1e+308``); any JSON parser,
+stdlib ``json`` included, reads it as the same double.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
+import orjson
 
 from ..diagnosis.classifier import Diagnosis
 from ..diagnosis.posterior import PosteriorDiagnosis
@@ -49,6 +52,7 @@ __all__ = [
     "posterior_from_dict",
     "encode_error",
     "encode_stats",
+    "embed_trace",
 ]
 
 Payload = Union[bytes, bytearray, str]
@@ -58,26 +62,32 @@ Payload = Union[bytes, bytearray, str]
 MODES = ("hard", "posterior")
 
 
+#: numpy scalars and the int-keyed histograms of the stats snapshot.
+_DUMPS_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_NON_STR_KEYS
+
+
 def _loads(payload: Payload) -> object:
-    if isinstance(payload, (bytes, bytearray)):
-        try:
-            payload = payload.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"payload is not valid UTF-8: {exc}") from exc
+    # Invalid UTF-8 (or a str holding lone surrogates) is a decode
+    # error too: "str is not valid UTF-8".
     try:
-        return json.loads(payload)
-    except json.JSONDecodeError as exc:
+        return orjson.loads(payload)
+    except orjson.JSONDecodeError as exc:
         raise CodecError(f"payload is not valid JSON: {exc}") from exc
 
 
 def _dumps(obj: object) -> bytes:
-    try:
-        return json.dumps(obj, separators=(",", ":"),
-                          allow_nan=False).encode("utf-8")
-    except ValueError as exc:
-        raise CodecError(
-            f"payload contains a non-finite float outside a tokenised "
-            f"field: {exc}") from exc
+    payload = orjson.dumps(obj, option=_DUMPS_OPTIONS)
+    if b"null" in payload:
+        # orjson writes NaN and infinities as null. Only then, let the
+        # stdlib encoder find and reject them; a payload whose nulls
+        # are all Nones passes and keeps orjson's bytes.
+        try:
+            json.dumps(obj, allow_nan=False)
+        except ValueError as exc:
+            raise CodecError(
+                f"payload contains a non-finite float outside a "
+                f"tokenised field: {exc}") from exc
+    return payload
 
 
 # Non-finite floats have no JSON literal. Fields that may legitimately
@@ -323,6 +333,12 @@ def posterior_to_dict(diagnosis: PosteriorDiagnosis
 def posterior_from_dict(obj: Dict[str, object]) -> PosteriorDiagnosis:
     """Rebuild a :class:`PosteriorDiagnosis` from its wire dict."""
     try:
+        n_samples = obj["n_samples"]
+        # orjson reads an integer literal beyond 64 bits as a double.
+        if type(n_samples) is not int:
+            raise CodecError(
+                f"n_samples must be an integer within 64 bits, got "
+                f"{n_samples!r}")
         return PosteriorDiagnosis(
             component=str(obj["component"]),
             probabilities=tuple(
@@ -333,7 +349,7 @@ def posterior_from_dict(obj: Dict[str, object]) -> PosteriorDiagnosis:
             test_ranking=tuple(
                 (float(freq_hz), float(gain_bits))
                 for freq_hz, gain_bits in obj["test_ranking"]),
-            n_samples=int(obj["n_samples"]),
+            n_samples=n_samples,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CodecError(
@@ -444,3 +460,16 @@ def encode_error(message: str, kind: str = "error") -> bytes:
 def encode_stats(snapshot: Dict[str, object]) -> bytes:
     """Serialise a :meth:`ServiceStats.snapshot` dict."""
     return _dumps(snapshot)
+
+
+def embed_trace(payload: bytes, trace: Dict[str, object]) -> bytes:
+    """Add a finished span tree under ``"trace"`` to a JSON object body
+    (``X-Repro-Debug: trace``); any other body comes back unchanged."""
+    try:
+        obj = _loads(payload)
+        if isinstance(obj, dict):
+            obj["trace"] = trace
+            return _dumps(obj)
+    except CodecError:
+        pass
+    return payload

@@ -816,22 +816,10 @@ class DiagnosisHTTPServer:
             if task is not None:
                 self._serving.discard(task)
         if want_trace and content_type == "application/json":
-            payload = self._embed_trace(payload, span)
+            payload = codec.embed_trace(payload, span.to_dict())
         return _Exchange(status, payload, keep_alive, content_type,
                          request_id, method, path,
                          (time.perf_counter() - started) * 1e3)
-
-    @staticmethod
-    def _embed_trace(payload: bytes, span: telemetry.Span) -> bytes:
-        """Add the finished request span tree to a JSON object body."""
-        try:
-            data = json.loads(payload.decode("utf-8"))
-        except ValueError:
-            return payload
-        if not isinstance(data, dict):
-            return payload
-        data["trace"] = span.to_dict()
-        return json.dumps(data).encode("utf-8")
 
     def _log_access(self, exchange: _Exchange) -> None:
         if self.log_json:

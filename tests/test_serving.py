@@ -626,23 +626,76 @@ FIXED_POSTERIOR = (
         n_samples=16),
 )
 
-#: The wire bytes of FIXED_HARD, as the numpy-scalar encoder wrote them.
+#: The wire bytes of FIXED_HARD.
 FIXED_HARD_BYTES = (
     b'{"diagnoses":[{"component":"R1","estimated_deviation":0.1,'
     b'"distance":0.25,"perpendicular":true,"margin":"inf",'
     b'"point":[0.5,-5e-324],"ranking":[["R1",0.25]]},'
     b'{"component":"C2","estimated_deviation":-0.30000000000000004,'
     b'"distance":1e-17,"perpendicular":false,"margin":0.0,'
-    b'"point":[-0.0,1.7976931348623157e+308],'
+    b'"point":[-0.0,1.7976931348623157e308],'
     b'"ranking":[["C1",1e-17],["C2",1e-17],["R4","inf"]]},'
     b'{"component":"R2","estimated_deviation":0.2,"distance":0.5,'
     b'"perpendicular":true,"margin":"-inf","point":[1.0,2.0],'
     b'"ranking":[["R2",0.5],["R3","-inf"]]}]}')
 
+#: The same answers as the stdlib ``json`` encoder spelled them: only
+#: the exponent of the largest double differs.
+STDLIB_HARD_BYTES = FIXED_HARD_BYTES.replace(b"e308", b"e+308")
+
+#: Finite doubles whose spelling is most likely to trip a float
+#: writer: signed zeros, subnormals, the smallest normal, +-max, and
+#: values written in long decimal or in exponent form.
+EDGE_DOUBLES = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 3.123304801244675e-05,
+                2.4581303154018098e-05, 1e-07, 1e16, 1e21, 1e22,
+                1.2345678901234568e17, -0.30000000000000004)
+doubles = st.one_of(st.sampled_from(EDGE_DOUBLES),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _stdlib_payload(key: str, items) -> bytes:
+    """A body as the stdlib ``json`` codec (an older client or worker)
+    wrote it."""
+    return json.dumps({key: items}, separators=(",", ":"),
+                      allow_nan=False).encode("utf-8")
+
+
+def _request_body(literal: bytes) -> bytes:
+    return (b'{"circuit":"rc_lowpass","magnitudes_db":[[' + literal +
+            b',0.0]]}')
+
+
+#: Each a CodecError: the inputs the stdlib ``json`` decoder read and
+#: this codec refuses (plus invalid UTF-8, which both refuse), HTTP 400
+#: as a request body; then the non-finite floats the encoder refuses.
+STRICT_CODEC = {
+    "nan_literal": ("request", _request_body(b"NaN")),
+    "infinity_literal": ("request", _request_body(b"-Infinity")),
+    "overflowing_float": ("request", _request_body(b"1e400")),
+    "int_beyond_double": ("request", _request_body(b"1" + b"0" * 400)),
+    "invalid_utf8": ("request", b'{"circuit":"rc_\xfflowpass",'
+                                b'"magnitudes_db":[[0.0,0.0]]}'),
+    "lone_surrogate": ("request", b'{"circuit":"rc_\\ud800",'
+                                  b'"magnitudes_db":[[0.0,0.0]]}'),
+    "int_beyond_64_bits": ("posterior", _stdlib_payload(
+        "posteriors", [dict(codec.posterior_to_dict(FIXED_POSTERIOR[0]),
+                            n_samples=2 ** 64 + 1)])),
+    "nan_distance": ("encode", lambda: codec.encode_response(
+        [dataclasses.replace(FIXED_HARD[0], distance=math.nan)])),
+    "inf_distance": ("encode", lambda: codec.encode_response(
+        [dataclasses.replace(FIXED_HARD[0], distance=-math.inf)])),
+    "nan_matrix": ("encode", lambda: codec.encode_request(
+        "rc_lowpass", [[0.0, math.nan]])),
+    "inf_matrix": ("encode", lambda: codec.encode_request(
+        "rc_lowpass", [[math.inf, 0.0]])),
+}
+
 
 class TestCodecBytes:
-    """The float fast paths leave every wire byte and every decoded
-    value as the numpy-scalar codec had them."""
+    """Every decoded value stays bitwise what was encoded, and what the
+    stdlib ``json`` codec encoded and decoded before."""
 
     @pytest.mark.parametrize("encode, answers", [
         (codec.encode_response, FIXED_HARD),
@@ -657,6 +710,90 @@ class TestCodecBytes:
 
     def test_hard_bytes_are_pinned(self):
         assert codec.encode_response(FIXED_HARD) == FIXED_HARD_BYTES
+        old = json.loads(STDLIB_HARD_BYTES)
+        assert _stdlib_payload("diagnoses", old["diagnoses"]) == \
+            STDLIB_HARD_BYTES
+        assert repr(json.loads(FIXED_HARD_BYTES)) == repr(old)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(doubles, min_size=6, max_size=6),
+           tokenised=st.sampled_from([math.inf, -math.inf, None]))
+    def test_hard_answers_round_trip_bitwise(self, values, tokenised):
+        deviation, distance, margin, x, y, runner_up = values
+        answer = Diagnosis(
+            component="R1", estimated_deviation=deviation,
+            distance=distance, perpendicular=False,
+            margin=margin if tokenised is None else tokenised,
+            point=(x, y), ranking=(("R1", distance), ("R2", runner_up)))
+        payload = codec.encode_response([answer])
+        assert repr(codec.decode_response(payload)) == repr([answer])
+        stdlib = _stdlib_payload("diagnoses",
+                                 [codec.diagnosis_to_dict(answer)])
+        assert repr(codec.decode_response(stdlib)) == repr([answer])
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(doubles, min_size=6, max_size=6),
+           n_samples=st.integers(0, 2 ** 63 - 1))
+    def test_posterior_answers_round_trip_bitwise(self, values,
+                                                  n_samples):
+        probability, entropy, deviation, freq, gain, tail = values
+        answer = PosteriorDiagnosis(
+            component="R2", probabilities=(("R2", probability),
+                                           ("golden", tail)),
+            entropy_bits=entropy, expected_deviation=deviation,
+            test_ranking=((freq, gain),), n_samples=n_samples)
+        payload = codec.encode_posterior_response([answer])
+        assert repr(codec.decode_posterior_response(payload)) == \
+            repr([answer])
+        stdlib = _stdlib_payload("posteriors",
+                                 [codec.posterior_to_dict(answer)])
+        assert repr(codec.decode_posterior_response(stdlib)) == \
+            repr([answer])
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(doubles, min_size=6, max_size=6),
+           n_rows=st.sampled_from([1, 2, 3, 6]))
+    def test_request_matrices_round_trip_bitwise(self, values, n_rows):
+        matrix = np.array(values).reshape(n_rows, -1)
+        for payload in (codec.encode_request("dut", matrix),
+                        json.dumps({"circuit": "dut",
+                                    "magnitudes_db": matrix.tolist()}
+                                   ).encode("utf-8")):
+            decoded = codec.decode_request(payload).magnitudes_db
+            assert decoded.tobytes() == matrix.tobytes()
+
+    def test_int_beyond_64_bits_reads_as_the_nearest_double(self):
+        """orjson does not refuse a wide integer literal; a float field
+        gets the double the stdlib codec's float() conversion gave."""
+        wide = 2 ** 70 + 12345
+        request = codec.decode_request(_request_body(str(wide).encode()))
+        assert request.magnitudes_db[0, 0] == float(wide)
+
+    @pytest.mark.parametrize("case", sorted(STRICT_CODEC))
+    def test_strict_codec_table(self, warm_service, case):
+        kind, subject = STRICT_CODEC[case]
+        if kind == "encode":
+            with pytest.raises(CodecError, match="non-finite float"):
+                subject()
+            return
+        if kind == "posterior":
+            with pytest.raises(CodecError, match="n_samples"):
+                codec.decode_posterior_response(subject)
+            return
+        with pytest.raises(CodecError, match="not valid JSON"):
+            codec.decode_request(subject)
+
+        async def run():
+            server = await serve(AsyncDiagnosisService(warm_service),
+                                 host="127.0.0.1", port=0)
+            try:
+                return await _http(*server.address, "POST",
+                                   "/v1/diagnose", subject)
+            finally:
+                await server.aclose()
+
+        status, payload = asyncio.run(run())
+        assert status == 400 and b"CodecError" in payload
 
     def test_round_trip_gives_python_floats(self):
         decoded = codec.decode_response(codec.encode_response(FIXED_HARD))
@@ -1284,6 +1421,30 @@ class TestTelemetryHTTP:
                 await server.aclose()
 
         asyncio.run(run())
+
+    def test_trace_leaves_the_body_spelling(self, warm_service):
+        """A traced body is the untraced body's bytes plus one trailing
+        ``"trace"`` member."""
+        body = codec.encode_request(
+            "rc_lowpass", measured_rows(warm_service, "rc_lowpass", 2, 3))
+
+        async def run():
+            server = await serve(AsyncDiagnosisService(warm_service),
+                                 host="127.0.0.1", port=0)
+            try:
+                _, _, traced = await _http_full(
+                    *server.address, "POST", "/v1/diagnose", body,
+                    extra_headers=[("X-Repro-Debug", "trace")])
+                _, _, plain = await _http_full(
+                    *server.address, "POST", "/v1/diagnose", body)
+                return traced, plain
+            finally:
+                await server.aclose()
+
+        traced, plain = asyncio.run(run())
+        assert traced.startswith(plain[:-1] + b',"trace":{')
+        assert codec.embed_trace(b"[1]", {}) == b"[1]"
+        assert codec.embed_trace(b"not json", {}) == b"not json"
 
     def test_cold_build_nests_under_the_request_span(self):
         """A cold ``GET /v1/test-vector`` builds inside its request's
