@@ -31,16 +31,36 @@ CIRCUITS = (
     ("twin_t_notch", twin_t_notch),
 )
 
-# Class-level accuracy at SEED on the +/-25 % held-out cases: the
-# deterministic pins of the shape check. The khn pin went from 12/18 to
-# 13/18 when the pipeline moved onto the factored engine: the same test
-# vector, but its R5 +25 % case, a near-tie between R4 and R5 (margin
-# 4e-7 on the batched engine), now names R5.
-EXPECTED_GROUP_ACCURACY = {
-    "sallen_key": 1.0,
-    "khn_state_variable": 13 / 18,
-    "mfb_bandpass": 1.0,
-    "twin_t_notch": 11 / 12,
+# The deterministic pins of the shape check, per circuit, on the +/-25 %
+# held-out cases at SEED: the diagnosed component of every case whose
+# margin (runner-up distance minus winner distance) is at least
+# NEAR_TIE_MARGIN, keyed by (true component, deviation); and the cases
+# that are near ties, whose verdict rounding noise may flip. The khn
+# R5 +25 % case, for one, is a tie between R4 and R5 (margin 4e-7 on the
+# batched engine, 7e-5 the other way on the factored one); a pin on the
+# class-level accuracy counted it and moved from 12/18 to 13/18 with the
+# test vector unchanged.
+NEAR_TIE_MARGIN = 1e-3
+EXPECTED_DIAGNOSES = {
+    "sallen_key": {("C1", -0.25): "C1", ("C1", 0.25): "C1",
+                   ("C2", -0.25): "C2", ("C2", 0.25): "C2"},
+    "khn_state_variable": {("R1", -0.25): "R1", ("R1", 0.25): "R1",
+                           ("R2", -0.25): "R2", ("R2", 0.25): "R2"},
+    "mfb_bandpass": {(name, deviation): name
+                     for name in ("R1", "R2", "R3", "C1", "C2")
+                     for deviation in (-0.25, 0.25)},
+    "twin_t_notch": {},
+}
+NEAR_TIES = {
+    "sallen_key": {(name, deviation) for name in ("R1", "R2")
+                   for deviation in (-0.25, 0.25)},
+    "khn_state_variable": {(name, deviation) for name in
+                           ("R3", "R4", "R5", "R6", "R7", "C1", "C2")
+                           for deviation in (-0.25, 0.25)},
+    "mfb_bandpass": set(),
+    "twin_t_notch": {(name, deviation) for name in
+                     ("R1", "R2", "R3", "C1", "C2", "C3")
+                     for deviation in (-0.25, 0.25)},
 }
 
 CONFIG = dataclasses.replace(
@@ -66,6 +86,9 @@ def bench_txcut_generality(benchmark, out_dir):
                 evaluation.accuracy,
                 evaluation.group_accuracy,
                 groups,
+                {(r.case.true_component, r.case.true_deviation):
+                 (r.diagnosis.component, r.diagnosis.margin)
+                 for r in evaluation.results},
             ])
         return rows
 
@@ -74,17 +97,32 @@ def bench_txcut_generality(benchmark, out_dir):
                "comp acc", "group acc", "isolability classes"]
     formatted = [[r[0], r[1], r[2], r[3], f"{r[4] * 100:.1f}%",
                   f"{r[5] * 100:.1f}%", r[6]] for r in rows]
-    write_csv(out_dir / "txcut.csv", headers, rows)
+    write_csv(out_dir / "txcut.csv", headers, [r[:7] for r in rows])
     lines = ["T-XCUT: cross-circuit generality (held-out +/-25%)", "",
              table(headers, formatted), ""]
 
     # --- Shape checks -------------------------------------------------
     for row in rows:
+        name, verdicts = row[0], row[7]
         assert row[5] >= row[4], \
-            f"{row[0]}: class-level accuracy below component accuracy"
-        assert row[5] == EXPECTED_GROUP_ACCURACY[row[0]], \
-            f"{row[0]}: class-level accuracy {row[5]} moved from " \
-            f"{EXPECTED_GROUP_ACCURACY[row[0]]}"
+            f"{name}: class-level accuracy below component accuracy"
+        assert set(verdicts) == set(EXPECTED_DIAGNOSES[name]) | \
+            NEAR_TIES[name], f"{name}: held-out cases changed"
+        for case, (component, margin) in sorted(verdicts.items()):
+            if case in NEAR_TIES[name]:
+                assert margin < NEAR_TIE_MARGIN, \
+                    f"{name} {case}: listed as a near tie, margin {margin}"
+            else:
+                assert margin >= NEAR_TIE_MARGIN, \
+                    f"{name} {case}: margin {margin} is a near tie"
+                assert component == EXPECTED_DIAGNOSES[name][case], \
+                    f"{name} {case}: diagnosed {component}, pinned " \
+                    f"{EXPECTED_DIAGNOSES[name][case]}"
+    for name in ("sallen_key", "mfb_bandpass"):
+        assert next(row[5] for row in rows if row[0] == name) == 1.0, \
+            f"{name}: class-level accuracy below 1"
     lines.append("shape check PASSED: class-level accuracy >= component "
-                 "accuracy and at its pinned value on all four circuits")
+                 "accuracy (perfect on sallen_key and mfb_bandpass), and "
+                 "every case off a near tie diagnoses its pinned "
+                 "component")
     write_report(out_dir, "txcut_report.txt", "\n".join(lines))

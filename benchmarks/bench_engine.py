@@ -37,6 +37,11 @@ as the MNA dimension grows.
   rows), through the scalar, batched and factored engines; the
   factored engine also without the recorded bases.
 
+The factored runs of both regimes and of the posterior block also
+record their stage split (``factored_stages``): the assemble, factor
+and update seconds and the stacked update passes of the fastest run's
+``engine.solve`` spans.
+
 Every comparison asserts result equality (bitwise for batched, scaled
 tolerance for factored) before timing is trusted.
 
@@ -86,7 +91,8 @@ REQUIRED_KEYS = {
     "size_sweep": ("points", "fault_components", "cases"),
     "posterior_block": ("worlds", "rows", "columns", "points",
                         "scalar_s", "batched_s", "factored_s",
-                        "factored_without_bases_s", "lowrank_fallbacks"),
+                        "factored_without_bases_s", "lowrank_fallbacks",
+                        "factored_stages"),
     "telemetry_overhead": ("instrumented_s", "bare_s",
                            "overhead_fraction"),
 }
@@ -109,6 +115,37 @@ def _best_of(repeats, func):
         result = func()
         best = min(best, time.perf_counter() - started)
     return best, result
+
+
+#: The factored engine's ``engine.solve`` stage attributes, as recorded.
+STAGES = {"assemble_s": "assemble_seconds", "factor_s": "factor_seconds",
+          "update_s": "update_seconds", "update_passes": "update_passes"}
+
+
+def _best_with_stages(repeats, func):
+    """:func:`_best_of` plus the factored engine's stage split of the
+    fastest run: assemble/factor/update seconds and update passes,
+    summed over its ``engine.solve`` spans."""
+    from repro.tracing import TRACER
+
+    best, result, stages = float("inf"), None, None
+    for _ in range(repeats):
+        spans = []
+        sink = TRACER.add_sink(spans.append)
+        try:
+            started = time.perf_counter()
+            value = func()
+            elapsed = time.perf_counter() - started
+        finally:
+            TRACER.remove_sink(sink)
+        if elapsed < best:
+            solves = [span.attrs for span in spans
+                      if span.name == "engine.solve"
+                      and span.attrs["engine"] == "factored"]
+            best, result = elapsed, value
+            stages = {key: sum(attrs[name] for attrs in solves)
+                      for key, name in STAGES.items()}
+    return best, result, stages
 
 
 def _assert_identical(built, reference):
@@ -153,7 +190,7 @@ def bench_dictionary_build(info, universe, grid, repeats):
         universe, info.output_node, grid,
         input_source=info.input_source,
         engine=BatchedMnaEngine(info.circuit)))
-    factored_s, factored = _best_of(
+    factored_s, factored, stages = _best_with_stages(
         repeats, lambda: FaultDictionary.build(
             universe, info.output_node, grid,
             input_source=info.input_source,
@@ -185,6 +222,7 @@ def bench_dictionary_build(info, universe, grid, repeats):
         "factored_vs_batched": batched_s / factored_s,
         "lowrank_fallbacks": sum(
             factored_engine.lowrank_fallbacks.values()),
+        "factored_stages": stages,
     }
 
 
@@ -342,7 +380,7 @@ def bench_posterior_block(info, universe, repeats):
     scalar_s, (_, scalar) = _best_of(
         max(1, repeats // 2), solve(ScalarMnaEngine))
     batched_s, (_, batched) = _best_of(repeats, solve(BatchedMnaEngine))
-    factored_s, (factored_engine, factored) = _best_of(
+    factored_s, (factored_engine, factored), stages = _best_with_stages(
         repeats, solve(FactoredMnaEngine))
     nominal_s, (nominal_engine, nominal) = _best_of(
         repeats, solve(FactoredMnaEngine, without_bases))
@@ -366,6 +404,7 @@ def bench_posterior_block(info, universe, repeats):
         "lowrank_fallbacks": dict(factored_engine.lowrank_fallbacks),
         "without_bases_fallbacks": dict(
             nominal_engine.lowrank_fallbacks),
+        "factored_stages": stages,
     }
 
 
@@ -476,7 +515,11 @@ def run(quick: bool) -> dict:
             "perturbs every faultable component of the nominal, an "
             "update too wide to pay on the dim-11 biquad, so those rows "
             "take the dense path ('factored_without_bases_s', "
-            "'without_bases_fallbacks')."),
+            "'without_bases_fallbacks'). 'factored_stages' splits the "
+            "fastest cold factored run (a fresh engine, so the table's "
+            "routing is derived, not reused) into the assemble, factor "
+            "and update seconds and stacked update passes of its "
+            "engine.solve spans."),
     }
     report["dictionary_build_speedup"] = \
         report["dictionary_build"]["test_vector"]["speedup"]
@@ -502,6 +545,21 @@ def check(report: dict) -> None:
                 raise SystemExit(
                     f"BENCH_engine.json has bad "
                     f"dictionary_build.{regime}.{field}: {value!r}")
+    for name, stages in (
+            ("dictionary_build.dense",
+             report["dictionary_build"]["dense"]["factored_stages"]),
+            ("dictionary_build.test_vector",
+             report["dictionary_build"]["test_vector"]["factored_stages"]),
+            ("posterior_block",
+             report["posterior_block"]["factored_stages"])):
+        if set(stages) != set(STAGES) or not all(
+                isinstance(stages[key], float) and stages[key] >= 0.0
+                for key in ("assemble_s", "factor_s", "update_s")) or \
+                not (isinstance(stages["update_passes"], int)
+                     and stages["update_passes"] >= 1):
+            raise SystemExit(
+                f"BENCH_engine.json has bad {name}.factored_stages: "
+                f"{stages!r}")
     if report["dictionary_build_speedup"] <= 0.0:
         raise SystemExit("bad headline dictionary_build_speedup")
     for case in report["size_sweep"]["cases"]:
@@ -578,6 +636,15 @@ def main(argv=None) -> int:
           f"({dense['speedup']:.2f}x), "
           f"factored {dense['factored_s'] * 1e3:.1f} ms "
           f"({dense['factored_vs_batched']:.2f}x vs batched)")
+    for regime, section in (("dense", dense),
+                            ("test vector", build["test_vector"]),
+                            ("posterior block", report["posterior_block"])):
+        stages = section["factored_stages"]
+        print(f"factored stages ({regime}): assemble "
+              f"{stages['assemble_s'] * 1e3:.2f} ms, factor "
+              f"{stages['factor_s'] * 1e3:.2f} ms, update "
+              f"{stages['update_s'] * 1e3:.2f} ms in "
+              f"{stages['update_passes']} update passes")
     tv = build["test_vector"]
     print(f"dictionary build (test vector, {tv['points']} pts): "
           f"scalar {tv['scalar_s'] * 1e3:.2f} ms, "

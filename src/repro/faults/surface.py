@@ -24,7 +24,31 @@ from ..tracing import TRACER
 from .dictionary import FaultDictionary
 from .models import GOLDEN_LABEL
 
-__all__ = ["ResponseSurface"]
+__all__ = ["ResponseSurface", "interpolate_db"]
+
+
+def interpolate_db(log_f: np.ndarray, matrix_db: np.ndarray,
+                   query: np.ndarray) -> np.ndarray:
+    """Rows of ``matrix_db`` sampled at the ``query`` frequencies.
+
+    The one sampling rule of signatures: linear interpolation in
+    log-frequency between the bracketing points of the grid whose
+    ``log10`` is ``log_f``, queries clamped to the grid ends. A query
+    on a grid point reads that point's value exactly. Returns
+    ``(n_rows, n_query)``.
+    """
+    log_q = np.clip(np.log10(query), log_f[0], log_f[-1])
+    # Bracketing indices + interpolation weights, shared by all rows.
+    upper = np.clip(np.searchsorted(log_f, log_q, side="left"),
+                    min(1, log_f.size - 1), log_f.size - 1)
+    lower = np.maximum(upper - 1, 0)
+    span = log_f[upper] - log_f[lower]
+    weight = np.where(span > 0.0,
+                      (log_q - log_f[lower]) / np.where(span > 0.0, span,
+                                                        1.0),
+                      0.0)
+    return matrix_db[:, lower] * (1.0 - weight) + \
+        matrix_db[:, upper] * weight
 
 
 class ResponseSurface:
@@ -80,21 +104,9 @@ class ResponseSurface:
             if np.any(query <= 0.0):
                 raise DictionaryError(
                     "query frequencies must be positive")
-            log_q = np.clip(np.log10(query), self._log_f[0],
-                            self._log_f[-1])
-            # Bracketing indices + interpolation weights, shared by all rows.
-            upper = np.searchsorted(self._log_f, log_q, side="left")
-            upper = np.clip(upper, 1, self._log_f.size - 1)
-            lower = upper - 1
-            span = self._log_f[upper] - self._log_f[lower]
-            weight = np.where(span > 0.0,
-                              (log_q - self._log_f[lower]) / np.where(
-                                  span > 0.0, span, 1.0),
-                              0.0)
             matrix = self._matrix_db if rows is None \
                 else self._matrix_db[rows]
-            sampled = (matrix[:, lower] * (1.0 - weight) +
-                       matrix[:, upper] * weight)
+            sampled = interpolate_db(self._log_f, matrix, query)
             trace.attrs.update(rows=int(sampled.shape[0]),
                                freqs=int(query.size))
         return sampled

@@ -109,10 +109,23 @@ class TrajectoryFitness:
     # ------------------------------------------------------------------
     @staticmethod
     def _cache_keys(freqs_hz: np.ndarray) -> List[Tuple[float, ...]]:
-        """Memo keys of a ``(K, n)`` candidate array: rounded
-        log-frequencies."""
-        return [tuple(round(value, _CACHE_DIGITS) for value in row)
-                for row in np.log10(freqs_hz).tolist()]
+        """Memo keys of a ``(K, n)`` candidate array: log-frequencies,
+        each equal to Python's ``round(value, _CACHE_DIGITS)``.
+
+        ``np.round`` scales by ``10**_CACHE_DIGITS``, rounds to an
+        integer and divides back, so it returns ``round``'s correctly
+        rounded value whenever the scaled value (exact to 2e-6 below
+        ``2**36``) is not within ``1e-5`` of a half; only those near
+        ties, and larger values, go through ``round`` itself.
+        """
+        logs = np.log10(freqs_hz)
+        keys = np.round(logs, _CACHE_DIGITS)
+        scaled = logs * 10.0 ** _CACHE_DIGITS
+        for index in zip(*np.nonzero(
+                ~(np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-5) |
+                ~(np.abs(scaled) < 2.0 ** 36))):
+            keys[index] = round(float(logs[index]), _CACHE_DIGITS)
+        return list(map(tuple, keys.tolist()))
 
     def __call__(self, freqs_hz: Tuple[float, ...]) -> float:
         """Fitness of one test vector: a one-row

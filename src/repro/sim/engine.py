@@ -29,7 +29,7 @@ implementations:
   each Monte-Carlo world's fault-free row) and solves every variant
   through batched Sherman-Morrison-Woodbury low-rank updates from its
   base (rows grouped by the columns in which they differ from their
-  base, each group's delta one array expression), falling back to the
+  base, each update shape solved in one stacked pass), falling back to the
   batched dense path for rows whose update is ill-conditioned or too
   wide to pay. Optionally factors with ``scipy.sparse`` on large
   circuits (graceful numpy-dense fallback when scipy is absent).
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Protocol, \
     Sequence, Tuple, runtime_checkable
@@ -101,20 +102,6 @@ def _stamp_structure(component: Component) -> tuple:
         getattr(component, field.name)
         for field in dataclasses.fields(component)
         if field.name not in params and field.name != "params")
-
-
-def _suspect_cells(component: Component, param: str,
-                   column: np.ndarray) -> Optional[np.ndarray]:
-    """Cells the component constructor may reject (``None``: none).
-
-    A superset of the constructor's checks, computed on the whole
-    column; the constructor itself decides each flagged cell.
-    """
-    if isinstance(component, (Resistor, Capacitor, Inductor, OpAmpMacro)):
-        return ~(column > 0.0) | ~np.isfinite(column)
-    if param == "ac_magnitude":
-        return column < 0.0
-    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +272,11 @@ class VariantTable:
         label.
         """
         bound: Dict[str, Dict[str, int]] = {}
-        suspects = np.zeros(self.values.shape, dtype=bool)
+        # Cells the component constructors may reject: a superset of
+        # their checks, computed per kind of column; each constructor
+        # then decides its flagged cells.
+        positive: List[int] = []
+        magnitude: List[int] = []
         for index, (name, param) in enumerate(self.columns):
             if name not in circuit:
                 raise SimulationError(
@@ -299,9 +290,15 @@ class VariantTable:
                     f"{name}.{param}: a {type(component).__name__} has "
                     f"no parameter {param!r}; expected one of {allowed}")
             bound.setdefault(name, {})[param] = index
-            mask = _suspect_cells(component, param, self.values[:, index])
-            if mask is not None:
-                suspects[:, index] = mask
+            if isinstance(component, (Resistor, Capacitor, Inductor,
+                                      OpAmpMacro)):
+                positive.append(index)
+            elif param == "ac_magnitude":
+                magnitude.append(index)
+        suspects = np.zeros(self.values.shape, dtype=bool)
+        cells = self.values[:, positive]
+        suspects[:, positive] = ~(cells > 0.0) | ~np.isfinite(cells)
+        suspects[:, magnitude] = self.values[:, magnitude] < 0.0
         for row, index in np.argwhere(suspects):
             name, param = self.columns[index]
             try:
@@ -333,22 +330,19 @@ def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_groups(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a boolean ``(K, C)`` matrix and each row's
-    index into them: ``np.unique(axis=0)``'s grouping (in another
-    order) without its per-row byte comparisons -- rows are packed
-    into 64-bit words and lexsorted."""
-    packed = np.packbits(mask, axis=1)
-    width = 8 * max(1, -(-packed.shape[1] // 8))
-    words = np.pad(packed, ((0, 0), (0, width - packed.shape[1]))) \
-        .view(np.uint64)
-    order = np.lexsort(words.T)
-    ordered = words[order]
-    first = np.ones(len(mask), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(mask), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return mask[order[first]], inverse
+def _row_groups(mask: np.ndarray) -> List[np.ndarray]:
+    """The row indices of each distinct row of a boolean ``(K, C)``
+    matrix: ``np.unique(axis=0)``'s grouping (in another order) without
+    its per-row byte comparisons -- each row is read as 63-bit words
+    and the rows are lexsorted."""
+    words = np.stack([mask[:, start:start + 63] @ (1 << np.arange(
+        min(63, mask.shape[1] - start), dtype=np.int64))
+        for start in range(0, mask.shape[1], 63)] or [np.zeros(len(mask))])
+    order = np.lexsort(words)
+    ordered = words[:, order]
+    bounds = [0, *(1 + np.flatnonzero((ordered[:, 1:] != ordered[:, :-1])
+                                     .any(axis=0))).tolist(), len(mask)]
+    return [order[low:high] for low, high in zip(bounds, bounds[1:])]
 
 
 def _require_table(variants: VariantTable) -> VariantTable:
@@ -783,8 +777,9 @@ class FactoredMnaEngine(BatchedMnaEngine):
        column per touched row (one LU amortised over all columns;
        optionally ``scipy.sparse`` ``splu`` on large circuits);
     2. forms each variant's ``r x r`` capacitance matrix
-       ``C = I + M(s) * V.T A(s)^{-1} U`` and solves it **batched over
-       same-support variant groups and frequencies**;
+       ``C = I + M(s) * V.T A(s)^{-1} U`` and solves it in **one
+       stacked pass per update shape** (``r``, ``c``, RHS rows) and
+       frequency chunk;
     3. combines ``x_v[out] = y0[out] - (A^{-1}U)[out] C^{-1} M y0[V]``
        -- the Woodbury identity evaluated only at the observed output.
 
@@ -796,9 +791,11 @@ class FactoredMnaEngine(BatchedMnaEngine):
     Stimulus-source replacements (RHS deltas) stay on the low-rank path
     via extra base columns at the touched RHS rows.
 
-    Counters (``lowrank_updates``, ``lowrank_fallbacks``) accumulate
-    across calls; each call's counts, mode and per-stage factor/update
-    seconds are also attributes of its ``engine.solve`` span.
+    The routing of a table's rows is derived once and reused by later
+    calls on the same table while it lives. Counters (``lowrank_updates``,
+    ``lowrank_fallbacks``) accumulate across calls; each call's counts,
+    mode, per-stage seconds, update passes and whether the routing was
+    reused are also attributes of its ``engine.solve`` span.
 
     This is the engine :class:`~repro.core.atpg.FaultTrajectoryATPG`
     builds for every pipeline stage; there is no other to select.
@@ -832,6 +829,8 @@ class FactoredMnaEngine(BatchedMnaEngine):
         #: Dense-fallback counts by reason, across all calls.
         self.lowrank_fallbacks: Dict[str, int] = {
             "conditioning": 0, "rank": 0, "nonfinite": 0}
+        #: Each live table's plan, derived once; dropped with the table.
+        self._plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @property
     def uses_sparse(self) -> bool:
@@ -856,67 +855,128 @@ class FactoredMnaEngine(BatchedMnaEngine):
         """
         return min(self.max_rank, max(2, self.system.dim // 4))
 
-    def _bases(self, table: VariantTable,
-               bound: Dict[str, Dict[str, int]]
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Each row's base position and the ``(nb, N, N)`` G/B and
-        ``(nb, N)`` RHS stacks of the bases.
+    def _plan(self, table: VariantTable,
+              bound: Dict[str, Dict[str, int]]) -> "_LowRankPlan":
+        """Route every row of ``table`` and stack its low-rank updates.
 
         Without recorded bases the nominal circuit is the one base;
-        otherwise each distinct base row is stamped on the batched
-        path.
+        otherwise each distinct base row is stamped on the batched path.
+        Rows are grouped by their set of columns that differ from their
+        base, and each group's delta is one array expression over its
+        rows (:func:`~repro.sim.lowrank.table_delta`). A group that
+        changes nothing is identity rows, one wider than
+        :attr:`_rank_limit` goes dense, and the others are stacked into
+        one :class:`_UpdatePass` per update shape.
         """
         if table.bases is None:
-            return (np.zeros(len(table), dtype=np.intp),
-                    self._base_g[None], self._base_b[None],
-                    self._base_z[None])
-        rows, of_base = np.unique(table.bases, return_inverse=True)
-        g_stack, b_stack, z_stack = self._stamp_table(table.take(rows),
-                                                      bound)
-        return of_base.reshape(-1), g_stack, b_stack, z_stack
-
-    def _lowrank_groups(self, table: VariantTable,
-                        bound: Dict[str, Dict[str, int]]
-                        ) -> Tuple[List[int],
-                                   List[Tuple[np.ndarray,
-                                              lowrank.LowRankDelta]],
-                                   List[int]]:
-        """Split the rows by their set of columns that differ from
-        their base.
-
-        Returns the identity rows (nothing changed), one
-        ``(rows, delta)`` low-rank group per column set, and the rows
-        whose support is wider than :attr:`_rank_limit`. Each group's
-        delta is one array expression over its rows.
-        """
-        if table.bases is None:
+            of_base = np.zeros(len(table), dtype=np.intp)
+            base_g, base_b, base_z = \
+                self._base_g[None], self._base_b[None], self._base_z[None]
             reference = _nominal_values(self._circuit, table.columns)
         else:
+            rows, of_base = np.unique(table.bases, return_inverse=True)
+            base_g, base_b, base_z = self._stamp_table(table.take(rows),
+                                                       bound)
             reference = table.values[table.bases]
-        keys, inverse = _row_groups(table.values != reference)
-        identity: List[int] = []
-        groups: List[Tuple[np.ndarray, lowrank.LowRankDelta]] = []
-        too_wide: List[int] = []
-        for position, key in enumerate(keys):
-            rows = np.flatnonzero(inverse == position)
-            columns = set(np.flatnonzero(key).tolist())
+        changed = table.values != reference
+        identity: List[np.ndarray] = []
+        too_wide: List[np.ndarray] = []
+        shapes: Dict[Tuple[int, int, int], list] = {}
+        for rows in _row_groups(changed):
+            columns = set(np.flatnonzero(changed[rows[0]]).tolist())
             touched = {name: params for name, params in bound.items()
                        if columns.intersection(params.values())}
-            if not touched:
-                identity.extend(rows.tolist())
-                continue
-            base_ops = self._ops if table.bases is None else \
-                self._stamp_columns(table, touched, table.bases[rows])
-            delta = lowrank.table_delta(
-                base_ops, self._stamp_columns(table, touched, rows),
-                rows.size)
-            if delta.rank > self._rank_limit:
-                too_wide.extend(rows.tolist())
-            elif delta.is_identity:
-                identity.extend(rows.tolist())
+            delta = None if not touched else lowrank.table_delta(
+                self._ops if table.bases is None else
+                self._stamp_columns(table, touched, table.bases[rows]),
+                self._stamp_columns(table, touched, rows), rows.size,
+                self._rank_limit)
+            if touched and delta is None:
+                too_wide.append(rows)
+            elif not touched or not (delta[0] or delta[2]):
+                identity.append(rows)
             else:
-                groups.append((rows, delta))
-        return identity, groups, too_wide
+                shapes.setdefault(tuple(map(len, delta[:3])), []).append(
+                    (rows,) + delta)
+
+        # Per base: its stimulus vector plus one identity column per
+        # touched (matrix or RHS) row.
+        union = sorted({row for groups in shapes.values()
+                        for group in groups for row in group[1] + group[3]})
+        rhs = np.zeros(base_z.shape + (1 + len(union),), dtype=complex)
+        rhs[:, :, 0] = base_z
+        rhs[:, union, np.arange(1, 1 + len(union))] = 1.0
+        passes = []
+        for groups in shapes.values():
+            rows = np.concatenate([group[0] for group in groups])
+            touched, cols, stimulus = (
+                np.repeat(np.array([group[i] for group in groups],
+                                   dtype=np.intp).T,
+                          [group[0].size for group in groups], axis=1)
+                for i in (1, 2, 3))
+            passes.append(_UpdatePass(
+                rows, of_base[rows], 1 + np.searchsorted(union, touched),
+                cols, 1 + np.searchsorted(union, stimulus),
+                np.concatenate([group[4] for group in groups], axis=3),
+                np.concatenate([group[5] for group in groups], axis=1)))
+        empty = np.empty(0, dtype=np.intp)
+        return _LowRankPlan(bound, of_base.reshape(-1), base_g,
+                            base_b, rhs, np.concatenate(identity or [empty]),
+                            np.concatenate(too_wide or [empty]),
+                            tuple(passes))
+
+    def _update(self, update: "_UpdatePass", solution: np.ndarray,
+                out_index: int, s_chunk: np.ndarray,
+                fallback: Dict[int, str]) -> np.ndarray:
+        """The output of every row of one update pass on one frequency
+        chunk: ``x[out] = y0[out] - (A^{-1}U)[out] C^{-1} M y0[V]``
+        from the chunk's ``(F, nb, N, m)`` base solutions.
+
+        A row whose capacitance matrix is non-finite or fails the
+        conditioning guard at any frequency is recorded in
+        ``fallback``.
+        """
+        # Per-row gathers of the base solutions. Each array is stored
+        # with the small matrix axes outermost, so every (row, frequency)
+        # plane is contiguous, and is presented to the formulas as a
+        # (V, F, ...) view.
+        sol = solution.transpose(1, 2, 3, 0)            # (nb, N, m, F)
+        bases, touched, cols = update.bases, update.touched, update.cols
+        dz = update.rhs_delta.T if update.rhs.size else None
+        y0_out = sol[bases, out_index, 0]
+        if dz is not None:
+            y0_out = y0_out + np.einsum(
+                "vR,vfR->vf", dz,
+                sol[bases, out_index, update.rhs].transpose(1, 2, 0))
+        rank = len(touched)
+        if rank == 0:
+            # Pure RHS update (stimulus replacement): the matrix is the
+            # base's, no capacitance solve.
+            return y0_out
+        y0_cols = sol[bases, cols, 0].transpose(1, 2, 0)
+        if dz is not None:
+            y0_cols = y0_cols + np.einsum(
+                "vR,vfcR->vfc", dz, sol[bases, cols[:, None], update.rhs]
+                .transpose(2, 3, 0, 1))
+        m_block = (update.delta[0, ..., None] + s_chunk *
+                   update.delta[1, ..., None]).transpose(2, 3, 0, 1)
+        cap = np.eye(rank) + _small_matmul(
+            m_block, sol[bases, cols[:, None], touched].transpose(2, 3, 0, 1))
+        finite = np.isfinite(cap).all(axis=(-2, -1))
+        if not finite.all():
+            cap[~finite] = np.eye(rank)
+        smax, smin = lowrank.singular_bounds(cap)
+        bad = ~finite | (smin * self.cond_limit <= np.maximum(smax, 1.0))
+        if bad.any():
+            cap[bad] = np.eye(rank)
+            for row in update.rows[bad.any(axis=1)].tolist():
+                fallback.setdefault(row, "conditioning")
+        rhs_small = _small_matmul(m_block, y0_cols[..., None])
+        t_small = lowrank.solve_capacitance(cap, rhs_small)
+        corr = np.einsum(
+            "vfr,vfr->vf", sol[bases, out_index, touched].transpose(1, 2, 0),
+            t_small)
+        return y0_out - corr
 
     def transfer_block(self, output_node: str, freqs_hz: np.ndarray,
                        variants: VariantTable,
@@ -925,7 +985,9 @@ class FactoredMnaEngine(BatchedMnaEngine):
         freqs = np.asarray(freqs_hz, dtype=float)
         table, source_name = self._check_block_args(freqs, variants,
                                                     input_source)
-        bound = table.bind(self._circuit)
+        plan = self._plans.get(table)
+        reused = plan is not None
+        bound = plan.bound if reused else table.bind(self._circuit)
         phasors = self._phasors(table, bound, source_name)
         num_variants = len(table)
         num_freqs = freqs.size
@@ -945,125 +1007,56 @@ class FactoredMnaEngine(BatchedMnaEngine):
             factor_seconds = 0.0
             update_seconds = 0.0
             chunks_solved = 0
+            update_passes = 0
 
-            # Group low-rank variants by their changed columns so
-            # capacitance solves batch over (variants in group) x
-            # (frequency chunk); all deviations of one component share
-            # a group, across every base.
+            # Route and stack the rows once per table; a later call on
+            # the same table (the exact dictionary after the dense one)
+            # reuses the plan.
             tick = time.perf_counter()
-            of_base, base_g, base_b, base_z = self._bases(table, bound)
-            identity_indices, groups, too_wide = \
-                self._lowrank_groups(table, bound)
+            if not reused:
+                plan = self._plans[table] = self._plan(table, bound)
             assemble_seconds = time.perf_counter() - tick
-            fallback: Dict[int, str] = dict.fromkeys(too_wide, "rank")
-
-            union_rows: List[int] = sorted(
-                {row for _, delta in groups for row in delta.rows} |
-                {row for _, delta in groups for row in delta.rhs_rows})
-            cols_union: List[int] = sorted(
-                {col for _, delta in groups for col in delta.cols})
-            union_pos = {row: i for i, row in enumerate(union_rows)}
-            cols_pos = {col: i for i, col in enumerate(cols_union)}
-            num_cols = len(union_rows)
-
-            prepared = []
-            for indices, delta in groups:
-                prepared.append((
-                    indices, of_base[indices],
-                    np.asarray([union_pos[r] for r in delta.rows],
-                               dtype=int),
-                    np.asarray([cols_pos[c] for c in delta.cols],
-                               dtype=int),
-                    np.asarray([union_pos[r] for r in delta.rhs_rows],
-                               dtype=int),
-                    delta.delta_g, delta.delta_b,
-                    delta.rhs_delta if delta.rhs_rows else None,
-                    len(delta.rows)))
-
+            fallback: Dict[int, str] = dict.fromkeys(
+                plan.too_wide.tolist(), "rank")
+            nonfinite: set = set()
+            identity = plan.identity
             x_out = np.zeros((num_variants, num_freqs), dtype=complex)
             sparse = self.uses_sparse
-            if prepared or identity_indices:
-                # Per base: its stimulus vector plus one identity column
-                # per touched (matrix or RHS) row.
-                num_bases = base_z.shape[0]
-                rhs_mat = np.zeros((num_bases, dim, 1 + num_cols),
-                                   dtype=complex)
-                rhs_mat[:, :, 0] = base_z
-                for position, row in enumerate(union_rows):
-                    rhs_mat[:, row, 1 + position] = 1.0
+            num_bases, _, num_columns = plan.rhs.shape
+            if plan.passes or identity.size:
                 solver = lowrank.FactorSolver(
-                    base_g, base_b, sparse=sparse,
+                    plan.base_g, plan.base_b, sparse=sparse,
                     label=self._circuit.name)
                 s_all = 1j * TWO_PI * freqs
                 bytes_per_freq = 16 * dim * num_bases * \
-                    (dim if not sparse else 4 * (1 + num_cols))
+                    (dim if not sparse else 4 * num_columns)
                 chunk = max(1, int(_STACK_MEMORY_BUDGET //
                                    max(1, bytes_per_freq)))
                 for start in range(0, num_freqs, chunk):
                     stop = min(start + chunk, num_freqs)
                     s_chunk = s_all[start:stop]
                     tick = time.perf_counter()
-                    solution = solver.solve(s_chunk, rhs_mat)
+                    solution = solver.solve(s_chunk, plan.rhs)
                     now = time.perf_counter()
                     factor_seconds += now - tick
                     tick = now
                     chunks_solved += 1
-                    # Base-major views: (nb, F, ...).
-                    y0_out = solution[:, :, out_index, 0].T
-                    w_out = solution[:, :, out_index, 1:] \
-                        .transpose(1, 0, 2)
-                    y0_cols = solution[:, :, cols_union, 0] \
-                        .transpose(1, 0, 2)
-                    w_cols = solution[:, :, cols_union, 1:] \
-                        .transpose(1, 0, 2, 3)
-                    if identity_indices:
-                        x_out[identity_indices, start:stop] = \
-                            y0_out[of_base[identity_indices]]
-                    for indices, base, rowsel, colsel, rhssel, mg, mb, \
-                            dz, rank in prepared:
-                        w_sel = w_cols[:, :, colsel]
-                        y0v_out = y0_out[base]
-                        y0v_cols = y0_cols[:, :, colsel][base]
-                        if dz is not None:
-                            y0v_out = y0v_out + np.einsum(
-                                "vR,vfR->vf", dz, w_out[:, :, rhssel][base])
-                            y0v_cols = y0v_cols + np.einsum(
-                                "vR,vfcR->vfc", dz,
-                                w_sel[..., rhssel][base])
-                        if rank == 0:
-                            # Pure RHS update (stimulus replacement): the
-                            # matrix is the base's, no capacitance solve.
-                            x_out[indices, start:stop] = y0v_out
-                            continue
-                        m_block = mg[:, None, :, :] + \
-                            s_chunk[None, :, None, None] * mb[:, None, :, :]
-                        cap = np.eye(rank) + \
-                            _small_matmul(m_block, w_sel[..., rowsel][base])
-                        finite = np.isfinite(cap).all(axis=(-2, -1))
-                        if not finite.all():
-                            cap[~finite] = np.eye(rank)
-                        smax, smin = lowrank.singular_bounds(cap)
-                        bad = ~finite | (smin * self.cond_limit <=
-                                         np.maximum(smax, 1.0))
-                        if bad.any():
-                            cap[bad] = np.eye(rank)
-                            for local in np.nonzero(bad.any(axis=1))[0]:
-                                fallback.setdefault(int(indices[local]),
-                                                    "conditioning")
-                        rhs_small = _small_matmul(m_block,
-                                                  y0v_cols[..., None])
-                        t_small = lowrank.solve_capacitance(cap, rhs_small)
-                        corr = np.einsum("vfr,vfr->vf",
-                                         w_out[:, :, rowsel][base], t_small)
-                        x_out[indices, start:stop] = y0v_out - corr
+                    if identity.size:
+                        x_out[identity, start:stop] = solution[
+                            :, plan.of_base[identity], out_index, 0].T
+                    for update in plan.passes:
+                        out = self._update(update, solution, out_index,
+                                           s_chunk, fallback)
+                        x_out[update.rows, start:stop] = out
+                        nonfinite.update(update.rows[
+                            ~np.isfinite(out).all(axis=1)].tolist())
+                    update_passes += len(plan.passes)
                     update_seconds += time.perf_counter() - tick
 
             # A finite capacitance matrix can still overflow downstream;
             # route any non-finite low-rank row to the dense path too.
-            for indices, *_ in prepared:
-                finite = np.isfinite(x_out[indices]).all(axis=1)
-                for index in indices[~finite].tolist():
-                    fallback.setdefault(index, "nonfinite")
+            for index in nonfinite:
+                fallback.setdefault(index, "nonfinite")
 
             values = x_out / phasors[:, None]
             fallback_indices = sorted(fallback)
@@ -1074,26 +1067,62 @@ class FactoredMnaEngine(BatchedMnaEngine):
                 values[fallback_indices] = dense_block.values
 
             # Conditioning and non-finite fallbacks are low-rank rows.
-            updates = sum(indices.size for indices, *_ in prepared) - \
+            updates = sum(update.rows.size for update in plan.passes) - \
                 sum(reason != "rank" for reason in fallback.values())
             self.lowrank_updates += updates
-            reason_counts = {"conditioning": 0, "rank": 0, "nonfinite": 0}
-            for reason in fallback.values():
-                reason_counts[reason] += 1
+            reasons = list(fallback.values())
+            reason_counts = {reason: reasons.count(reason)
+                             for reason in self.lowrank_fallbacks}
             for reason, count in reason_counts.items():
                 self.lowrank_fallbacks[reason] += count
 
             span.attrs.update(
                 variants=num_variants, chunks=chunks_solved,
-                mode="sparse" if sparse else "dense",
-                bases=int(base_z.shape[0]),
-                rhs_columns=1 + num_cols, columns=len(table.columns),
+                mode="sparse" if sparse else "dense", bases=num_bases,
+                rhs_columns=num_columns, columns=len(table.columns),
                 assemble_seconds=assemble_seconds,
                 factor_seconds=factor_seconds,
                 update_seconds=update_seconds, updates=updates,
+                update_passes=update_passes, groups_reused=reused,
                 fallbacks=len(fallback),
                 fallback_conditioning=reason_counts["conditioning"],
                 fallback_rank=reason_counts["rank"],
                 fallback_nonfinite=reason_counts["nonfinite"])
         return ResponseBlock(freqs, values, labels, output_node)
 
+
+@dataclass(frozen=True, eq=False)
+class _UpdatePass:
+    """Every low-rank row of one update shape (support rows, support
+    columns, RHS rows), stacked: row ``v`` is table row ``rows[v]``,
+    solved from base ``bases[v]``; ``touched[:, v]`` / ``rhs[:, v]`` are
+    the base-solution columns of its touched matrix and RHS rows,
+    ``cols[:, v]`` its touched matrix columns, and ``delta[..., v]`` /
+    ``rhs_delta[:, v]`` its deltas (:func:`~repro.sim.lowrank.table_delta`).
+    """
+
+    rows: np.ndarray
+    bases: np.ndarray
+    touched: np.ndarray
+    cols: np.ndarray
+    rhs: np.ndarray
+    delta: np.ndarray
+    rhs_delta: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class _LowRankPlan:
+    """A table's routing on the factored engine, kept for reuse while
+    the table lives: the bound table, each row's base, the base systems
+    and their ``(nb, N, m)`` right-hand sides (stimulus, then one
+    identity column per touched row), the identity rows, the rows that
+    go dense and the low-rank passes."""
+
+    bound: Dict[str, Dict[str, int]]
+    of_base: np.ndarray
+    base_g: np.ndarray
+    base_b: np.ndarray
+    rhs: np.ndarray
+    identity: np.ndarray
+    too_wide: np.ndarray
+    passes: Tuple[_UpdatePass, ...]

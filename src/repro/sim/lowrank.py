@@ -2,9 +2,9 @@
 
 Support machinery for :class:`~repro.sim.engine.FactoredMnaEngine`:
 
-* :func:`table_delta` turns a group of variants' stamp-ops into a
-  :class:`LowRankDelta` -- per variant, the dense ``(r, c)`` blocks
-  ``delta_g`` / ``delta_b`` such that its MNA matrix is
+* :func:`table_delta` turns a group of variants' stamp-ops into per
+  variant dense ``(r, c)`` blocks ``delta_g`` / ``delta_b`` such that
+  its MNA matrix is
   ``A_v(s) = A(s) + E_rows @ (delta_g + s * delta_b) @ E_cols.T``,
   ``A`` the variant's base system (``E_*`` are identity-column
   selections). Single-component faults touch 1-4 rows/columns, so the
@@ -27,8 +27,7 @@ path when it is absent (the CI tier runs without scipy to pin this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from ..errors import SimulationError, SingularCircuitError
 from .mna import ComponentOps
 
 __all__ = [
-    "LowRankDelta",
     "FactorSolver",
     "scipy_sparse",
     "singular_bounds",
@@ -60,88 +58,62 @@ def scipy_sparse():
     return scipy.sparse
 
 
-@dataclass(frozen=True)
-class LowRankDelta:
-    """A group of variants' MNA perturbations on one tiny support.
-
-    ``rows`` / ``cols`` index the touched matrix entries;
-    ``delta_g[k, i, j]`` / ``delta_b[k, i, j]`` are variant ``k``'s
-    exact changes to ``G[rows[i], cols[j]]`` / ``B[rows[i], cols[j]]``.
-    ``rhs_rows`` / ``rhs_delta[k]`` carry changes to the AC right-hand
-    side (stimulus source replacements). Entries whose net change is
-    exactly zero for every variant are dropped, so the support is the
-    *numerically* touched set.
-    """
-
-    rows: Tuple[int, ...]
-    cols: Tuple[int, ...]
-    delta_g: np.ndarray
-    delta_b: np.ndarray
-    rhs_rows: Tuple[int, ...]
-    rhs_delta: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        """Upper bound on the update rank (support size)."""
-        return max(len(self.rows), len(self.cols))
-
-    @property
-    def is_identity(self) -> bool:
-        """True when the replacement changes nothing at all."""
-        return not self.rows and not self.rhs_rows
-
-
 def table_delta(base_ops: Mapping[str, ComponentOps],
-                stamped: Mapping[str, ComponentOps],
-                count: int) -> LowRankDelta:
+                stamped: Mapping[str, ComponentOps], count: int,
+                max_rank: int) -> Optional[Tuple[
+                    List[int], List[int], List[int], np.ndarray,
+                    np.ndarray]]:
     """Exact stamp delta of ``count`` variants vs their base ops.
 
     ``stamped`` holds the changed components' ops stamped with
     ``(count,)`` parameter arrays (scalar op values are shared by every
     variant); each must be structurally identical to its stream in
     ``base_ops`` -- the nominal ops, or the same components stamped
-    with each variant's base values. The delta of an entry is the
-    position-wise sum of ``new - old`` values, so untouched components
-    cancel exactly.
-    """
-    matrix: Dict[Tuple[str, int, int], np.ndarray] = {}
-    rhs: Dict[int, np.ndarray] = {}
-    for name, new_ops in stamped.items():
-        old_ops = base_ops[name]
-        for (target, row, col, new_value), (_, _, _, old_value) in \
-                zip(new_ops.matrix_ops, old_ops.matrix_ops):
-            change = np.asarray(new_value, dtype=complex) - \
-                np.asarray(old_value, dtype=complex)
-            if np.any(change != 0):
-                key = (target, row, col)
-                matrix[key] = matrix.get(key, 0j) + change
-        for (row, new_value), (_, old_value) in \
-                zip(new_ops.rhs_ops, old_ops.rhs_ops):
-            change = np.asarray(new_value, dtype=complex) - \
-                np.asarray(old_value, dtype=complex)
-            if np.any(change != 0):
-                rhs[row] = rhs.get(row, 0j) + change
-    # Net-zero entries (e.g. a replacement with the base value)
-    # shrink the support back out.
-    matrix = {key: value for key, value in matrix.items()
-              if np.any(value != 0)}
-    rhs = {row: value for row, value in rhs.items() if np.any(value != 0)}
+    with each variant's base values. An entry's delta is the sum, from
+    zero and in stamp order, of ``new - old``; entries whose delta is
+    zero for every variant are dropped (the *numerically* touched set).
 
-    rows = tuple(sorted({key[1] for key in matrix}))
-    cols = tuple(sorted({key[2] for key in matrix}))
-    row_pos = {row: i for i, row in enumerate(rows)}
-    col_pos = {col: j for j, col in enumerate(cols)}
-    delta_g = np.zeros((count, len(rows), len(cols)), dtype=complex)
-    delta_b = np.zeros((count, len(rows), len(cols)), dtype=complex)
-    for (target, row, col), value in matrix.items():
-        block = delta_g if target == "g" else delta_b
-        block[:, row_pos[row], col_pos[col]] += value
-    rhs_rows = tuple(sorted(rhs))
-    rhs_delta = np.zeros((count, len(rhs_rows)), dtype=complex)
-    for position, row in enumerate(rhs_rows):
-        rhs_delta[:, position] = rhs[row]
-    return LowRankDelta(rows, cols, delta_g, delta_b, rhs_rows,
-                        rhs_delta)
+    Returns the sorted touched matrix ``rows`` and ``cols`` and AC
+    right-hand-side rows (stimulus replacements), variant ``k``'s exact
+    changes ``delta[0 or 1, i, j, k]`` to ``G`` or ``B[rows[i],
+    cols[j]]`` and ``rhs_delta[i, k]`` to ``z[rhs_rows[i]]``; or
+    ``None`` when the support is wider than ``max_rank`` (such rows go
+    dense, so no delta arrays are built).
+    """
+    def deltas(field: str) -> Dict[tuple, np.ndarray]:
+        pairs = [pair for name, ops in stamped.items()
+                 for pair in zip(getattr(ops, field),
+                                 getattr(base_ops[name], field))]
+        if not pairs:
+            return {}
+        new = np.empty((len(pairs), count), dtype=complex)
+        old = np.empty_like(new)
+        for index, (new_op, old_op) in enumerate(pairs):
+            new[index] = new_op[-1]
+            old[index] = old_op[-1]
+        slots: Dict[tuple, int] = {}
+        slot = [slots.setdefault(new_op[:-1], len(slots))
+                for new_op, _ in pairs]
+        if len(slots) == len(slot):     # one op per entry: 0 + change
+            total = (new - old) + 0.0
+        else:
+            total = np.zeros((len(slots), count), dtype=complex)
+            np.add.at(total, slot, new - old)
+        keep = (total != 0).any(axis=1)
+        return {key: total[i] for i, key in enumerate(slots) if keep[i]}
+
+    entries = deltas("matrix_ops")
+    rows = sorted({row for _, row, _ in entries})
+    cols = sorted({col for _, _, col in entries})
+    if max(len(rows), len(cols)) > max_rank:
+        return None
+    delta = np.zeros((2, len(rows), len(cols), count), dtype=complex)
+    for (target, row, col), change in entries.items():
+        delta[int(target == "b"), rows.index(row), cols.index(col)] = change
+    stimulus = deltas("rhs_ops")
+    rhs_rows = sorted(row for row, in stimulus)
+    return rows, cols, rhs_rows, delta, np.array(
+        [stimulus[row,] for row in rhs_rows]).reshape(-1, count)
 
 
 def singular_bounds(cap: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -250,10 +222,9 @@ class FactorSolver:
                      rhs: np.ndarray) -> np.ndarray:
         stack = self._g[None] + \
             s_values[:, None, None, None] * self._b[None]
-        rhs_stack = np.ascontiguousarray(np.broadcast_to(
-            rhs[None], (s_values.size,) + rhs.shape))
         try:
-            return np.linalg.solve(stack, rhs_stack)
+            # The RHS block broadcasts over the frequencies.
+            return np.linalg.solve(stack, rhs[None])
         except np.linalg.LinAlgError as exc:
             raise SingularCircuitError(
                 f"{self.label}: base MNA matrix singular in AC "

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import TrajectoryError
 from ..faults.dictionary import FaultDictionary
-from ..faults.surface import ResponseSurface
+from ..faults.surface import ResponseSurface, interpolate_db
 from ..sim.ac import FrequencyResponse
 from ..units import db_to_linear
 
@@ -121,6 +121,13 @@ class SignatureMapper:
         return np.atleast_1d(np.asarray(
             response.magnitude_db_at(np.array(self.test_freqs_hz))))
 
+    def _dictionary_db(self, dictionary: FaultDictionary) -> np.ndarray:
+        """The dictionary's dB matrix (golden row first) at the test
+        frequencies."""
+        return interpolate_db(np.log10(dictionary.freqs_hz),
+                              dictionary.response_matrix_db(),
+                              np.array(self.test_freqs_hz))
+
     def signature(self, response: FrequencyResponse,
                   golden: Optional[FrequencyResponse] = None) -> np.ndarray:
         """Signature point of one measured/simulated response.
@@ -163,17 +170,18 @@ class SignatureMapper:
                          ) -> np.ndarray:
         """Signatures of every fault entry, shape (n_faults, dimension).
 
-        Accepts a dictionary (exact sampling of each stored response) or
-        a response surface (vectorised interpolation -- the fast path the
-        GA uses). Row order matches the dictionary entry order.
+        Accepts a dictionary or a response surface (the GA's path); both
+        are sampled by the one rule of
+        :meth:`~repro.faults.surface.ResponseSurface.sample_db`, in one
+        array pass over the dB matrix. Row order matches the dictionary
+        entry order.
         """
-        freqs = np.array(self.test_freqs_hz)
         if isinstance(source, ResponseSurface):
-            return self.signature_matrix_from_db(source.sample_db(freqs))
+            return self.signature_matrix_from_db(
+                source.sample_db(np.array(self.test_freqs_hz)))
         if isinstance(source, FaultDictionary):
-            golden = source.golden if self.relative_to_golden else None
-            return np.vstack([self.signature(entry.response, golden)
-                              for entry in source.entries])
+            return self.signature_matrix_from_db(
+                self._dictionary_db(source))
         raise TrajectoryError(
             f"signature_matrix expects a FaultDictionary or "
             f"ResponseSurface, got {type(source).__name__}")
@@ -187,7 +195,7 @@ class SignatureMapper:
             return self._scaled(
                 source.golden_db(np.array(self.test_freqs_hz)))
         if isinstance(source, FaultDictionary):
-            return self._scaled(self._sample_db(source.golden))
+            return self._scaled(self._dictionary_db(source)[0])
         raise TrajectoryError(
             f"golden_signature expects a FaultDictionary or "
             f"ResponseSurface, got {type(source).__name__}")

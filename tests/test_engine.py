@@ -635,6 +635,34 @@ class TestFactoredEquivalence:
         assert np.array_equal(block.values, dense.values)
         assert block.labels == dense.labels
 
+    def test_nonfinite_update_falls_back(self, monkeypatch):
+        """A low-rank row whose update overflows downstream of a finite
+        capacitance matrix (here: an infinite correction at the last
+        frequency) goes to the dense path as 'nonfinite' and equals
+        the batched engine bitwise."""
+        info = tow_thomas_biquad()
+        universe = build_universe(info.circuit, components=("R1", "C1"),
+                                  deviations=(-0.2, 0.2))
+        grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 5)
+        solve = lowrank.solve_capacitance
+
+        def overflowing(cap, rhs):
+            out = solve(cap, rhs)
+            out[..., -1, :] = np.inf
+            return out
+        monkeypatch.setattr(lowrank, "solve_capacitance", overflowing)
+        engine = FactoredMnaEngine(info.circuit)
+        with np.errstate(invalid="ignore"):
+            block = engine.transfer_block(info.output_node, grid,
+                                          universe.variants(),
+                                          info.input_source)
+        assert engine.lowrank_updates == 0
+        assert engine.lowrank_fallbacks == {
+            "conditioning": 0, "rank": 0, "nonfinite": len(universe)}
+        dense = BatchedMnaEngine(info.circuit).transfer_block(
+            info.output_node, grid, universe.variants(), info.input_source)
+        assert np.array_equal(block.values, dense.values)
+
     def test_rank_overflow_falls_back(self):
         """Support wider than max_rank is decided upfront ('rank'
         reason) and still matches the dense path bitwise."""
@@ -805,16 +833,17 @@ class TestWorldTables:
         table = _world_table(info)
         grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 9)
         engine = FactoredMnaEngine(info.circuit)
-        identity, groups, too_wide = engine._lowrank_groups(
-            table, table.bind(info.circuit))
-        assert not too_wide
-        assert sorted(identity) == sorted(set(table.bases.tolist()))
-        assert max(delta.rank for _, delta in groups) <= 2
+        plan = engine._plan(table, table.bind(info.circuit))
+        assert not plan.too_wide.size
+        assert sorted(plan.identity.tolist()) == \
+            sorted(set(table.bases.tolist()))
+        assert max(max(len(update.touched), len(update.cols))
+                   for update in plan.passes) <= 2
         block = engine.transfer_block(info.output_node, grid, table,
                                       info.input_source)
         assert engine.lowrank_fallbacks == {
             "conditioning": 0, "rank": 0, "nonfinite": 0}
-        assert engine.lowrank_updates == len(table) - len(identity)
+        assert engine.lowrank_updates == len(table) - plan.identity.size
         scalar = ScalarMnaEngine(info.circuit).transfer_block(
             info.output_node, grid, table, info.input_source)
         for index in range(len(table)):
@@ -1246,3 +1275,122 @@ class TestVariantTableChecks:
             BatchedMnaEngine(info.circuit).transfer_block(
                 info.output_node, np.array([100.0, 1000.0]), table,
                 info.input_source)
+
+
+def _paper_dictionary_case():
+    """tow_thomas_biquad's 401-point paper dictionary table."""
+    info = BENCHMARK_CIRCUITS["tow_thomas_biquad"]()
+    config = PipelineConfig.paper()
+    universe = build_universe(info.circuit, components=info.faultable,
+                              deviations=config.deviations)
+    grid = log_frequency_grid(info.f_min_hz, info.f_max_hz,
+                              config.dictionary_points)
+    return info, grid, universe.variants()
+
+
+def _corpus_world_case():
+    """One corpus world block: a generated biquad chain's fault rows in
+    16 Monte-Carlo worlds at the corpus baseline's tolerance, on a
+    posterior-shaped grid (two test frequencies plus the candidates)."""
+    from repro import CorpusSpec, generate, synthesize_universe
+    spec = CorpusSpec.baseline()
+    info = generate("biquad_chain", 0)
+    universe = synthesize_universe(info, deviations=spec.pipeline.deviations,
+                                   max_targets=6, seed=0)
+    hypotheses = universe.variants().with_columns(
+        info.circuit, [(name, "value") for name in info.faultable])
+    eps = np.random.default_rng(2005).uniform(
+        -spec.posterior.tolerance, spec.posterior.tolerance,
+        size=(spec.posterior.n_samples, len(info.faultable)))
+    grid = np.unique(np.concatenate([
+        np.geomspace(info.f_min_hz, info.f_max_hz,
+                     spec.posterior.n_candidates),
+        [np.sqrt(info.f_min_hz * info.f_max_hz) * 1.5]]))
+    return info, grid, VariantTable.of_worlds(hypotheses, 1.0 + eps)
+
+
+def _mixed_update_case():
+    """A table whose rows cover every update shape on the macromodel
+    biquad: 1x1 (op-amp parameters), 2x2 (passives), 3x3, a stimulus
+    replacement alone (RHS only) and with a resistor, and one row wide
+    enough to go dense."""
+    from repro.sim.mna import parameter_value
+    info = tow_thomas_biquad(ideal_opamps=False)
+    columns = (("R1", "value"), ("C1", "value"), ("C2", "value"),
+               ("OA1", "a0"), ("OA2", "pole_hz"), ("VIN", "ac_magnitude"),
+               ("VIN", "ac_phase_deg"), ("R4", "value"))
+    nominal = [parameter_value(info.circuit[name], param)
+               for name, param in columns]
+    changes = ({}, {0: 1.1}, {1: 0.8}, {2: 1.3}, {3: 0.5}, {4: 2.0},
+               {5: 2.0, 6: None}, {0: 1.1, 1: 0.8}, {7: 1.2, 5: 0.5},
+               {0: 0.9, 1: 1.2, 2: 0.7, 7: 1.4})
+    rows = []
+    for change in changes:
+        row = list(nominal)
+        for column, factor in change.items():
+            row[column] = 30.0 if factor is None else row[column] * factor
+        rows.append(row)
+    table = VariantTable(columns, rows,
+                         tuple(f"mixed{i}" for i in range(len(rows))))
+    grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 21)
+    return info, grid, table
+
+
+class TestFactoredBitwiseGuard:
+    """The factored engine's values, pinned bitwise.
+
+    The digests, update counts and fallback counts were recorded from
+    the engine that solved each column-set group in its own Woodbury
+    pass. The stacked update passes keep every row's arithmetic, so not
+    one bit may move.
+    """
+
+    CASES = {
+        "paper_dictionary": (
+            _paper_dictionary_case,
+            "330e31632f79daaa4354307c1f0446289a91839a868fdacc06ab276ed328bb1a",
+            56, {}),
+        "corpus_worlds": (
+            _corpus_world_case,
+            "507e624f9ebfeb158778c451ab5fd1e4c6a1dffcd5574049fba37e44f4344441",
+            768, {}),
+        "mixed_updates": (
+            _mixed_update_case,
+            "349d872a1786b0c32b67c32f22e4bd9a92340d56bd9a6e8eb2dd8acb570af0db",
+            8, {"rank": 1}),
+    }
+
+    @staticmethod
+    def _digest(values):
+        import hashlib
+        return hashlib.sha256(
+            np.ascontiguousarray(values, dtype=complex).tobytes()
+        ).hexdigest()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_values_and_counts_are_pinned(self, case):
+        from repro.tracing import TRACER
+        build, digest, updates, fallbacks = self.CASES[case]
+        info, grid, table = build()
+        engine = FactoredMnaEngine(info.circuit)
+        events = []
+        sink = TRACER.add_sink(events.append)
+        try:
+            first, second = (engine.transfer_block(
+                info.output_node, grid, table, info.input_source)
+                for _ in range(2))
+        finally:
+            TRACER.remove_sink(sink)
+        assert self._digest(first.values) == digest
+        assert self._digest(second.values) == digest
+        expected = {"conditioning": 0, "rank": 0, "nonfinite": 0}
+        expected.update(fallbacks)
+        assert engine.lowrank_updates == 2 * updates
+        assert engine.lowrank_fallbacks == {
+            reason: 2 * count for reason, count in expected.items()}
+        solves = [span.attrs for span in events
+                  if span.name == "engine.solve"
+                  and span.attrs["engine"] == "factored"]
+        assert [attrs["groups_reused"] for attrs in solves] == \
+            [False, True]
+        assert solves[0]["update_passes"] == solves[1]["update_passes"] > 0

@@ -314,6 +314,20 @@ class TestFitness:
                           metrics.common_pathways)
         assert fitness(freqs) == pytest.approx(expected)
 
+    def test_cache_keys_equal_python_round(self, space):
+        """Memo keys are Python's ``round`` of every log-frequency, on
+        random populations and on values next to a rounding tie."""
+        from repro.ga.fitness import _CACHE_DIGITS, TrajectoryFitness
+        rng = np.random.default_rng(35)
+        ties = (rng.integers(-10**9, 7 * 10**9, size=(256, 2)) + 0.5) / \
+            10.0 ** _CACHE_DIGITS
+        for genomes in [space.random_population(rng, 128)
+                        for _ in range(20)] + [ties]:
+            freqs = 10.0 ** genomes
+            expected = [tuple(round(value, _CACHE_DIGITS) for value in row)
+                        for row in np.log10(freqs).tolist()]
+            assert TrajectoryFitness._cache_keys(freqs) == expected
+
     def test_cache_hits(self, biquad_surface):
         fitness = PaperFitness(biquad_surface)
         fitness((100.0, 1000.0))

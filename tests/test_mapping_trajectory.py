@@ -63,13 +63,43 @@ class TestSignatures:
 
     def test_matrix_matches_per_entry_path(self, biquad_dictionary,
                                            biquad_surface):
-        """The batched surface path and the per-response dictionary path
-        must agree (up to surface interpolation error)."""
+        """The surface path and the dictionary path agree."""
         mapper = SignatureMapper((500.0, 1500.0))
         from_dict = mapper.signature_matrix(biquad_dictionary)
         from_surface = mapper.signature_matrix(biquad_surface)
         assert from_dict.shape == from_surface.shape == (56, 2)
         assert np.allclose(from_dict, from_surface, atol=0.02)
+
+    @pytest.mark.parametrize("relative", [True, False])
+    def test_dictionary_is_sampled_by_the_surface_rule(
+            self, biquad_info, biquad_universe, biquad_dictionary,
+            biquad_surface, relative):
+        """A dictionary's signatures are its dB matrix sampled by the
+        surface's rule: bitwise the surface's off the grid (and within
+        rounding of each response's own interpolation), bitwise each
+        response's own samples on an exact test-vector grid."""
+        from repro.faults import FaultDictionary
+        mapper = SignatureMapper((1500.0, 500.0),
+                                 relative_to_golden=relative)
+        assert np.array_equal(mapper.signature_matrix(biquad_dictionary),
+                              mapper.signature_matrix(biquad_surface))
+        assert np.array_equal(mapper.golden_signature(biquad_dictionary),
+                              mapper.golden_signature(biquad_surface))
+        golden = biquad_dictionary.golden
+        per_entry = np.vstack([mapper.signature(entry.response, golden)
+                               for entry in biquad_dictionary.entries])
+        assert np.allclose(mapper.signature_matrix(biquad_dictionary),
+                           per_entry, rtol=0.0, atol=1e-12)
+        exact = FaultDictionary.build(biquad_universe,
+                                      biquad_info.output_node,
+                                      np.array([500.0, 1500.0]))
+        per_entry = np.vstack([mapper.signature(entry.response,
+                                                exact.golden)
+                               for entry in exact.entries])
+        assert np.array_equal(mapper.signature_matrix(exact), per_entry)
+        if not relative:
+            assert np.array_equal(mapper.golden_signature(exact),
+                                  mapper.signature(exact.golden))
 
     def test_linear_scale_consistency(self, biquad_dictionary):
         mapper_db = SignatureMapper((500.0, 1500.0),
