@@ -22,7 +22,10 @@ and writes a machine-readable ``BENCH_engine.json``:
   pass + memo-deduplicated scoring) on identical fresh-cache
   populations, plus the conflict kernel alone
   (``conflict_counts_batch``) on the same population's segments, so
-  its share of a generation's scoring is on record.
+  its share of a generation's scoring is on record, with the (segment
+  pair, candidate) cases its sector test evaluated out of all cases
+  (``conflict_evaluated`` / ``conflict_cases``, read from its
+  ``trajectory.conflicts`` span).
 
 Both dictionary-build regimes additionally time
 :class:`FactoredMnaEngine` (factor-once Sherman-Morrison-Woodbury
@@ -77,6 +80,7 @@ from repro.ga import PaperFitness
 from repro.ga.encoding import FrequencySpace
 from repro.sim import VariantTable
 from repro.sim.engine import ScalarMnaEngine
+from repro.tracing import TRACER
 from repro.trajectory.metrics import conflict_counts_batch
 from repro.units import log_frequency_grid
 
@@ -87,7 +91,8 @@ SEED = 2005
 REQUIRED_KEYS = {
     "dictionary_build": ("dense", "test_vector"),
     "ga_evaluation": ("per_individual_s", "population_s", "speedup",
-                      "conflict_s", "conflict_share"),
+                      "conflict_s", "conflict_share", "conflict_cases",
+                      "conflict_evaluated"),
     "size_sweep": ("points", "fault_components", "cases"),
     "posterior_block": ("worlds", "rows", "columns", "points",
                         "scalar_s", "batched_s", "factored_s",
@@ -126,8 +131,6 @@ def _best_with_stages(repeats, func):
     """:func:`_best_of` plus the factored engine's stage split of the
     fastest run: assemble/factor/update seconds and update passes,
     summed over its ``engine.solve`` spans."""
-    from repro.tracing import TRACER
-
     best, result, stages = float("inf"), None, None
     for _ in range(repeats):
         spans = []
@@ -257,6 +260,15 @@ def bench_ga_evaluation(info, universe, grid, population_size, repeats):
     assert np.array_equal(individual_scores, population_scores)
     conflict_s, (intersections, overlaps) = _best_of(
         repeats, lambda: conflict_counts_batch(starts, ends, owners))
+    # One more call, outside the timing, for the kernel's own span.
+    spans = []
+    sink = TRACER.add_sink(spans.append)
+    try:
+        conflict_counts_batch(starts, ends, owners)
+    finally:
+        TRACER.remove_sink(sink)
+    [kernel] = [span.attrs for span in spans
+                if span.name == "trajectory.conflicts"]
     for freqs, crossings, pathways in zip(decoded, intersections,
                                           overlaps):
         metrics = fitness.metrics_for(freqs, include_separations=False)
@@ -269,6 +281,8 @@ def bench_ga_evaluation(info, universe, grid, population_size, repeats):
         "speedup": individual_s / population_s,
         "conflict_s": conflict_s,
         "conflict_share": conflict_s / population_s,
+        "conflict_cases": kernel["cases"],
+        "conflict_evaluated": kernel["evaluated"],
     }
 
 
@@ -574,6 +588,13 @@ def check(report: dict) -> None:
             raise SystemExit(
                 f"BENCH_engine.json has bad ga_evaluation.{field}: "
                 f"{ga[field]!r}")
+    if not (isinstance(ga["conflict_evaluated"], int) and
+            isinstance(ga["conflict_cases"], int) and
+            0 < ga["conflict_evaluated"] <= ga["conflict_cases"]):
+        raise SystemExit(
+            f"BENCH_engine.json has bad ga_evaluation conflict cases: "
+            f"{ga['conflict_evaluated']!r} evaluated of "
+            f"{ga['conflict_cases']!r}")
     block = report["posterior_block"]
     for field in ("scalar_s", "batched_s", "factored_s",
                   "factored_without_bases_s", "speedup"):
@@ -675,7 +696,8 @@ def main(argv=None) -> int:
           f"population {ga['population_s'] * 1e3:.1f} ms "
           f"({ga['speedup']:.2f}x), of which conflict kernel "
           f"{ga['conflict_s'] * 1e3:.1f} ms "
-          f"({ga['conflict_share']:.0%})")
+          f"({ga['conflict_share']:.0%}; {ga['conflict_evaluated']} of "
+          f"{ga['conflict_cases']} cases evaluated)")
     overhead = report["telemetry_overhead"]
     print(f"telemetry overhead (dictionary build, "
           f"{overhead['points']} pts, {overhead['pairs']} pairs): "

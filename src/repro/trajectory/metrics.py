@@ -23,12 +23,14 @@ pair's separation (any dimension). The public functions on a single
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..errors import TrajectoryError
+from ..tracing import TRACER
 from .geometry import _EPS, Segments, _project
 from .trajectory import TrajectoryLayout, TrajectorySet
 
@@ -49,9 +51,9 @@ _ND_CONTACT_FRACTION = 1e-3
 # Collinearity epsilon scale for overlap ("common pathway") detection.
 _OVERLAP_EPS_SCALE = 1e-9
 
-# Rounding slack of the conflict kernel's bounding-box prefilter, as a
-# share of the coordinate magnitude and of the overlap pad.
-_BOX_SLACK = 64 * np.finfo(float).eps
+# Rounding slack of the conflict kernel's sector prefilter, as a share
+# of the coordinate magnitude, of the overlap pad and of the angles.
+_SECTOR_SLACK = 64 * np.finfo(float).eps
 
 # Vertex-segment pairs projected per chunk of the separation pass:
 # each (pairs,) float plane is 256 KB, so a chunk's temporaries stay in
@@ -93,13 +95,98 @@ def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def _conflict_counts(starts: np.ndarray, ends: np.ndarray,
-                     owners: np.ndarray, chunk_size: int = 128
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """(crossings, overlaps) per member of a (K, S, 2) segment batch.
+@functools.lru_cache(maxsize=16)
+def _owner_pairs(owners: bytes, dtype: str) -> Tuple[np.ndarray, ...]:
+    """``(a, b, ab, ba)``: the segment pairs ``a < b`` of different
+    owners, row-major, and their flat indices ``a * S + b`` and ``b * S
+    + a``; derived once per owner layout and returned read-only."""
+    owners = np.frombuffer(owners, dtype=dtype)
+    a, b = np.triu_indices(owners.size, 1)
+    cross_owner = owners[a] != owners[b]
+    a, b = a[cross_owner], b[cross_owner]
+    pairs = (a, b, a * owners.size + b, b * owners.size + a)
+    for array in pairs:
+        array.flags.writeable = False
+    return pairs
 
-    The one counting kernel behind :func:`conflict_counts_batch` and
-    the scalar 2-D counters (which call it with K = 1). Only the
+
+def _sectors(sx: np.ndarray, sy: np.ndarray, ex: np.ndarray,
+             ey: np.ndarray, dx: np.ndarray, dy: np.ndarray,
+             lengths_sq: np.ndarray, eps_overlap: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Padded polar sector ``[low, high]`` of every ``(S, members)``
+    segment: the arc of angles around the origin its points take, from
+    one endpoint's angle to the other's (an endpoint at the origin takes
+    the other's), padded so that segments whose sectors are disjoint can
+    neither cross nor overlap.
+
+    Pad derivation. Write E for eps_overlap, h_s for a segment's
+    distance from the origin and m_s for |s| when an endpoint is the
+    origin, else min(h_s, |s|); the pad is 3 r_s, r_s = E / (|s| m_s).
+    A crossing point lies on both segments and never at the origin (a
+    proper crossing there needs both segments through it; for two ending
+    there one of d1/d2 is exactly 0), so crossing sectors meet unpadded.
+    A common pathway needs all four |d| <= E and b's projection on a to
+    cover a stretch. (i) |d3|, |d4| are |a| times the distances of b's
+    endpoints from line a, so a point of b lies within E/|a| of a point
+    p of a, |p| >= h_a: their angles differ by <= arcsin r_a. (ii) If a
+    ends at the origin and b does not, |d1|, |d2| put both ends of a
+    within E/|b| of line b: a's angle is within arcsin(2E / (|a||b|)) <=
+    arcsin(r_a + r_b) of line b's direction, and b's points within
+    arcsin r_b of it (on a's side of the origin, or b passes within
+    about E/|b| of it and r_a or r_b exceeds 1/8). (iii) If both end at
+    the origin, |d3| <= E bounds the sine of their angle by E / (|a||b|)
+    <= (r_a + r_b) / 2. With every r <= 1/8 each bound is below 3 r_a +
+    3 r_b. Each quantity is a few roundings of the member's coordinates,
+    an error of a few ulps of their largest magnitude M (an angle error
+    of that over m_s), of E or of pi, so r_s is taken as ((1 + 64 eps)
+    E/|s| + 64 eps M) / (m_s - 64 eps M) and the pad gets 64 eps more.
+    A segment of zero length, through or within rounding of the origin,
+    with r_s above 1/8 or not finite (a squared length overflowed), or
+    whose padded arc reaches the +-pi cut takes every angle.
+    """
+    magnitude = np.max([np.abs(plane).max(axis=0)
+                        for plane in (sx, sy, ex, ey)], axis=0)
+    at_start = (sx == 0.0) & (sy == 0.0)
+    at_end = (ex == 0.0) & (ey == 0.0)
+    start_angle = np.arctan2(sy, sx)
+    end_angle = np.arctan2(ey, ex)
+    start_angle[at_start] = end_angle[at_start]
+    end_angle[at_end] = start_angle[at_end]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        length = np.sqrt(lengths_sq)
+        # h_s: to the line where the origin's foot falls inside the
+        # segment, else to the nearer endpoint.
+        foot_inside = (sx * dx + sy * dy < 0.0) & (ex * dx + ey * dy > 0.0)
+        distance = np.where(
+            foot_inside, np.abs(sx * dy - sy * dx) / length,
+            np.sqrt(np.minimum(sx * sx + sy * sy, ex * ex + ey * ey)))
+        reach = np.where(at_start | at_end, length,
+                         np.minimum(distance, length)) - \
+            _SECTOR_SLACK * magnitude
+        ratio = (eps_overlap / length * (1.0 + _SECTOR_SLACK) +
+                 _SECTOR_SLACK * magnitude) / reach
+        pad = 3.0 * ratio + _SECTOR_SLACK
+        low = np.minimum(start_angle, end_angle) - pad
+        high = np.maximum(start_angle, end_angle) + pad
+        keep = (reach > 0.0) & (ratio <= 0.125) & \
+            (np.abs(end_angle - start_angle) <= np.pi) & \
+            (low >= -np.pi) & (high <= np.pi)
+    low[~keep] = -np.inf
+    high[~keep] = np.inf
+    return low, high
+
+
+def conflict_counts_batch(starts: np.ndarray, ends: np.ndarray,
+                          owners: np.ndarray, chunk_size: int = 128
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """(intersections, common_pathways) for a 2-D trajectory-set batch.
+
+    ``starts``/``ends`` are ``(K, S, 2)`` stacked segment arrays sharing
+    one ``owners`` layout -- K candidate configurations of the *same*
+    trajectory structure (the GA population case). The scalar 2-D
+    counters (:func:`count_intersections`, :func:`count_common_pathways`)
+    are K = 1 calls, so counts are identical member by member. Only the
     cross-trajectory pairs ``a < b`` are evaluated; both relations are
     symmetric, so each unordered pair counts once. For a pair, d1/d2
     place a's endpoints relative to line b and d3/d4 place b's
@@ -107,17 +194,25 @@ def _conflict_counts(starts: np.ndarray, ends: np.ndarray,
     when b's projection onto a covers a stretch of positive length.
 
     Pruning is per case, a case being one (pair, member): a case is
-    evaluated only when the pair's padded bounding boxes meet in that
-    member; the others can neither cross nor overlap (see the pad
-    derivation below). The determinants come in two stages. Stage 1
-    computes d1/d2 for every case whose boxes meet; stage 2 computes
-    d3/d4 only where a's endpoints straddle line b (``d1*d2 < -eps``)
-    or both lie within ``eps_overlap`` of it, the only cases that can
-    cross or overlap. Every determinant is the same expression on the
-    same operands as evaluating every pair, so the counts are bitwise
-    those. ``chunk_size`` members are laid out at a time as contiguous
-    ``(S, members)`` planes; it bounds memory only (the box test holds
-    ``S * S * chunk_size`` booleans), not which cases are evaluated.
+    evaluated only when the pair's padded polar sectors around the
+    origin (:func:`_sectors`) meet in that member; the others can
+    neither cross nor overlap. Golden-relative trajectories all leave
+    the origin, so their sectors stay apart where boxes would pile up.
+    The determinants come in two stages. Stage 1 computes d1/d2 for
+    every case whose sectors meet; stage 2 computes d3/d4 only where
+    a's endpoints straddle line b (``d1*d2 < -eps``) or both lie within
+    ``eps_overlap`` of it, the only cases that can cross or overlap.
+    Every determinant is the same expression on the same operands as
+    evaluating every pair, so the counts are bitwise those.
+    ``chunk_size`` members are laid out at a time as contiguous ``(S,
+    members)`` planes; it bounds memory only (the sector test holds ``S
+    * S * chunk_size`` booleans) and changes no count (the default
+    holds one 128-genome GA generation in one chunk). Each call records
+    a ``trajectory.conflicts`` span with ``candidates`` (K), ``pairs``
+    (cross-owner segment pairs), ``cases`` (pairs x K) and
+    ``evaluated`` (the cases whose sectors meet). Raises
+    :class:`TrajectoryError` on malformed or non-finite arrays and on
+    ``chunk_size < 1``.
     """
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
@@ -138,116 +233,82 @@ def _conflict_counts(starts: np.ndarray, ends: np.ndarray,
         raise TrajectoryError(
             f"owners must have shape ({num_segments},), got "
             f"{owners.shape}")
-    a, b = np.triu_indices(num_segments, 1)
-    cross_owner = owners[a] != owners[b]
-    a, b = a[cross_owner], b[cross_owner]
+    if owners.dtype.hasobject:
+        # The pairs are memoised on the owners' bytes, and the bytes of
+        # objects are pointers: key integer codes instead.
+        owners = np.unique(owners, return_inverse=True)[1]
+    a, b, ab, ba = _owner_pairs(owners.tobytes(), owners.dtype.str)
     intersections = np.empty(num_members, dtype=int)
     overlaps = np.zeros(num_members, dtype=int)
-    for low in range(0, num_members, chunk_size):
-        high = min(low + chunk_size, num_members)
-        width = high - low
-        sx, sy, ex, ey = (np.ascontiguousarray(plane[low:high, :, axis].T)
-                          for plane in (starts, ends) for axis in (0, 1))
-        dx, dy = ex - sx, ey - sy
-        lengths_sq = dx * dx + dy * dy
-        scale = np.maximum(lengths_sq.max(axis=0, initial=0.0), _EPS)
-        eps = _EPS * scale
-        eps_overlap = _OVERLAP_EPS_SCALE * scale
+    with TRACER.span("trajectory.conflicts", candidates=num_members,
+                     pairs=a.size, cases=a.size * num_members) as span:
+        evaluated = 0
+        for low in range(0, num_members, chunk_size):
+            high = min(low + chunk_size, num_members)
+            width = high - low
+            sx, sy, ex, ey = (
+                np.ascontiguousarray(plane[low:high, :, axis].T)
+                for plane in (starts, ends) for axis in (0, 1))
+            dx, dy = ex - sx, ey - sy
+            lengths_sq = dx * dx + dy * dy
+            scale = np.maximum(lengths_sq.max(axis=0, initial=0.0), _EPS)
+            eps = _EPS * scale
+            eps_overlap = _OVERLAP_EPS_SCALE * scale
+            first, last = _sectors(sx, sy, ex, ey, dx, dy, lengths_sq,
+                                   eps_overlap)
+            meets = (first[:, None] <= last[None, :]).reshape(-1, width)
+            meets = meets.take(ab, axis=0) & meets.take(ba, axis=0)
 
-        # Box pad. A crossing point lies inside both segments' boxes,
-        # so crossings need none. A common pathway needs all four
-        # |d| <= eps_overlap and b's projection overlapping a. Since
-        # |d3| and |d4| are |a| times the distances of b's endpoints
-        # from line a, every point of b lies within eps_overlap/|a| of
-        # that line, and a point of b projecting inside a lies within
-        # eps_overlap/|a| of segment a itself: padding a's box by
-        # eps_overlap/|a| makes it meet b's box. The determinants, the
-        # projections and the padded bounds are each a few roundings of
-        # the member's coordinates, so each error is a few ulps of the
-        # largest coordinate magnitude or of the pad; a slack of 64
-        # machine epsilons of both covers them. Each box gets its own
-        # segment's pad, so a's pad is there for every pair a is in. A
-        # zero-length segment, or any member whose squared length
-        # overflows, gets an infinite pad: its pairs are all evaluated.
-        magnitude = np.max([np.abs(plane).max(axis=0)
-                            for plane in (sx, sy, ex, ey)], axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pad = (eps_overlap / np.sqrt(lengths_sq) * (1.0 + _BOX_SLACK) +
-                   _BOX_SLACK * magnitude)
-        pad[np.isnan(pad)] = np.inf
-        low_x, high_x = np.minimum(sx, ex) - pad, np.maximum(sx, ex) + pad
-        low_y, high_y = np.minimum(sy, ey) - pad, np.maximum(sy, ey) + pad
-        meets = low_x[:, None] <= high_x[None, :]
-        meets &= low_y[:, None] <= high_y[None, :]
-        meets = meets[a, b] & meets[b, a]
-
-        # Cases as flat indices into the (S * members,) planes.
-        pair, member = np.divmod(np.flatnonzero(meets), width)
-        i = a[pair] * width + member
-        j = b[pair] * width + member
-        sx, sy, ex, ey, dx, dy = (plane.ravel()
-                                  for plane in (sx, sy, ex, ey, dx, dy))
-        ax, ay, bx, by, bdx, bdy = sx[i], sy[i], sx[j], sy[j], dx[j], dy[j]
-        # Stage 1: a's endpoints against line b.
-        d1 = bdx * (ay - by) - bdy * (ax - bx)
-        d2 = bdx * (ey[i] - by) - bdy * (ex[i] - bx)
-        case_overlap = eps_overlap[member]
-        straddles = d1 * d2 < -eps[member]
-        level = (np.abs(d1) <= case_overlap) & \
-            (np.abs(d2) <= case_overlap)
-        keep = np.flatnonzero(straddles | level)
-        # Stage 2: b's endpoints against line a, on the survivors.
-        i, j, member = i[keep], j[keep], member[keep]
-        ax, ay, bx, by = ax[keep], ay[keep], bx[keep], by[keep]
-        adx, ady = dx[i], dy[i]
-        d3 = adx * (by - ay) - ady * (bx - ax)
-        d4 = adx * (ey[j] - ay) - ady * (ex[j] - ax)
-        crossing = straddles[keep] & (d3 * d4 < -eps[member])
-        intersections[low:high] = np.bincount(member[crossing],
-                                              minlength=width)
-        case_overlap = case_overlap[keep]
-        collinear = np.flatnonzero(level[keep] &
-                                   (np.abs(d3) <= case_overlap) &
-                                   (np.abs(d4) <= case_overlap))
-        if collinear.size == 0:
-            continue
-        # Project b onto a's direction: [s0, s1] in units of a's length.
-        i, j, member = i[collinear], j[collinear], member[collinear]
-        along = np.stack([dx[i], dy[i]], axis=1)
-        origin_x, origin_y = sx[i], sy[i]
-        norm = _dot_rows(along, along)
-        positive = norm > _EPS
-        norm = np.where(positive, norm, 1.0)
-        s0 = _dot_rows(np.stack([sx[j] - origin_x, sy[j] - origin_y],
-                                axis=1), along) / norm
-        s1 = _dot_rows(np.stack([ex[j] - origin_x, ey[j] - origin_y],
-                                axis=1), along) / norm
-        lo = np.maximum(0.0, np.minimum(s0, s1))
-        hi = np.minimum(1.0, np.maximum(s0, s1))
-        overlaps[low:high] = np.bincount(
-            member[positive & (hi - lo > 1e-9)], minlength=width)
+            # Cases as flat indices into the (S * members,) planes.
+            pair, member = np.divmod(np.flatnonzero(meets), width)
+            evaluated += pair.size
+            i = a[pair] * width + member
+            j = b[pair] * width + member
+            sx, sy, ex, ey, dx, dy = (plane.ravel()
+                                      for plane in (sx, sy, ex, ey, dx, dy))
+            ax, ay = sx[i], sy[i]
+            bx, by, bdx, bdy = sx[j], sy[j], dx[j], dy[j]
+            # Stage 1: a's endpoints against line b.
+            d1 = bdx * (ay - by) - bdy * (ax - bx)
+            d2 = bdx * (ey[i] - by) - bdy * (ex[i] - bx)
+            case_overlap = eps_overlap[member]
+            straddles = d1 * d2 < -eps[member]
+            level = (np.abs(d1) <= case_overlap) & \
+                (np.abs(d2) <= case_overlap)
+            keep = np.flatnonzero(straddles | level)
+            # Stage 2: b's endpoints against line a, on the survivors.
+            i, j, member = i[keep], j[keep], member[keep]
+            ax, ay, bx, by = ax[keep], ay[keep], bx[keep], by[keep]
+            adx, ady = dx[i], dy[i]
+            d3 = adx * (by - ay) - ady * (bx - ax)
+            d4 = adx * (ey[j] - ay) - ady * (ex[j] - ax)
+            crossing = straddles[keep] & (d3 * d4 < -eps[member])
+            intersections[low:high] = np.bincount(member[crossing],
+                                                  minlength=width)
+            case_overlap = case_overlap[keep]
+            collinear = np.flatnonzero(level[keep] &
+                                       (np.abs(d3) <= case_overlap) &
+                                       (np.abs(d4) <= case_overlap))
+            if collinear.size == 0:
+                continue
+            # Project b onto a's direction: [s0, s1] in units of a's
+            # length.
+            i, j, member = i[collinear], j[collinear], member[collinear]
+            along = np.stack([dx[i], dy[i]], axis=1)
+            origin_x, origin_y = sx[i], sy[i]
+            norm = _dot_rows(along, along)
+            positive = norm > _EPS
+            norm = np.where(positive, norm, 1.0)
+            s0 = _dot_rows(np.stack([sx[j] - origin_x, sy[j] - origin_y],
+                                    axis=1), along) / norm
+            s1 = _dot_rows(np.stack([ex[j] - origin_x, ey[j] - origin_y],
+                                    axis=1), along) / norm
+            lo = np.maximum(0.0, np.minimum(s0, s1))
+            hi = np.minimum(1.0, np.maximum(s0, s1))
+            overlaps[low:high] = np.bincount(
+                member[positive & (hi - lo > 1e-9)], minlength=width)
+        span.attrs["evaluated"] = evaluated
     return intersections, overlaps
-
-
-def conflict_counts_batch(starts: np.ndarray, ends: np.ndarray,
-                          owners: np.ndarray, chunk_size: int = 128
-                          ) -> Tuple[np.ndarray, np.ndarray]:
-    """(intersections, common_pathways) for a 2-D trajectory-set batch.
-
-    ``starts``/``ends`` are ``(K, S, 2)`` stacked segment arrays sharing
-    one ``owners`` layout -- K candidate configurations of the *same*
-    trajectory structure (the GA population case). Each (segment pair,
-    member) case is pruned on its own padded bounding boxes, and only
-    the cases whose d1/d2 stage leaves a crossing or an overlap
-    possible get the d3/d4 stage. ``chunk_size`` members are processed
-    at a time; it bounds the memory of the box test and changes no
-    count (the default holds one 128-genome GA generation in one
-    chunk). Counts are identical to calling :func:`count_intersections`
-    / :func:`count_common_pathways` per member, which run the same
-    kernel with K = 1. Raises :class:`TrajectoryError` on non-finite
-    endpoints and on ``chunk_size < 1``.
-    """
-    return _conflict_counts(starts, ends, owners, chunk_size)
 
 
 def _separations(vertices: np.ndarray, layout: TrajectoryLayout

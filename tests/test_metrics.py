@@ -1,12 +1,14 @@
 """Tests for trajectory metrics on hand-constructed configurations."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TrajectoryError
+from repro.tracing import TRACER
 from repro.trajectory import (
     FaultTrajectory,
     SignatureMapper,
@@ -375,11 +377,15 @@ def oracle_counts(starts, ends, owners):
 
 #: Vertex layouts the batch strategy draws from: GA-like fans through a
 #: shared origin, everything on one line (exactly, or nudged across the
-#: tolerances), parallel lines just inside or just past the kernel's
-#: padded bounding boxes, integer and rounded grids (exact touching,
-#: collinearity and ties) and unconstrained floats.
-KINDS = ("fan", "collinear", "near_collinear", "past_box", "integer",
-         "rounded", "float")
+#: tolerances), short parallel lines far from the origin just inside or
+#: just past the collinearity bound, rays from the origin rotated to
+#: just inside or just past the kernel's padded polar sectors, lines
+#: through or a hair off the origin, polylines across the negative x
+#: axis (the sectors' +-pi cut, with +0.0 and -0.0 on it), integer and
+#: rounded grids (exact touching, collinearity and ties) and
+#: unconstrained floats.
+KINDS = ("fan", "collinear", "near_collinear", "past_box", "past_sector",
+         "near_origin", "angle_cut", "integer", "rounded", "float")
 
 
 @st.composite
@@ -396,14 +402,25 @@ def segment_batches(draw):
     # past_box: short unit-step segments along one axis, far from the
     # origin. With every length L, the collinearity bound eps_overlap is
     # 1e-9 L^2, so trajectories stacked 1e-9 L (1 +- small) apart
-    # across the axis sit just inside or just past it, and their boxes
-    # miss by about the pad eps_overlap / L.
+    # across the axis sit just inside or just past it, as do bounding
+    # boxes padded by eps_overlap / L.
     if kind == "past_box":
         axis = draw(st.integers(0, 1))
         step = 10.0 ** -draw(st.integers(0, 4))
         offset = draw(st.sampled_from((0.0, 1e3, -2.5e5, 3e7)))
         gap = 1e-9 * step * (1.0 + draw(st.integers(-3, 3)) *
                              10.0 ** -draw(st.integers(1, 9)))
+    # past_sector: each trajectory a ray of equal steps L from the
+    # origin, the next one rotated by 1e-9 (1 +- small): rays sharing
+    # the origin are collinear within eps_overlap = 1e-9 L^2 when their
+    # angle is below 1e-9. Six times that, each ray's sector pad is
+    # 3e-9, so their sectors just meet or just miss.
+    if kind == "past_sector":
+        base = draw(st.floats(-math.pi, math.pi))
+        length = 10.0 ** draw(st.integers(-3, 3))
+        turn = 1e-9 * draw(st.sampled_from((1.0, 6.0))) * (
+            1.0 + draw(st.integers(-3, 3)) *
+            10.0 ** -draw(st.integers(1, 9)))
     vertices = []
     for _ in range(members):
         member = []
@@ -417,6 +434,29 @@ def segment_batches(draw):
                 across = np.full(points, trajectory * gap)
                 line = np.column_stack((along, across) if axis == 0
                                        else (across, along))
+            elif kind == "past_sector":
+                angle = base + trajectory * turn
+                steps = np.arange(points)[::draw(st.sampled_from((-1, 1)))]
+                line = np.outer(length * steps,
+                                (math.cos(angle), math.sin(angle)))
+            elif kind == "near_origin":
+                # Along a line through the origin, each vertex nudged
+                # off it by 0 or by about 1e-12 of the coordinates.
+                direction = draw(st.tuples(ticks, ticks))
+                nudge = st.builds(lambda m, p: m * 10.0 ** -p,
+                                  st.integers(-3, 3), st.integers(11, 14))
+                line = np.outer(draw(st.lists(
+                    ticks, min_size=points, max_size=points)), direction) + \
+                    np.outer(draw(st.lists(nudge, min_size=points,
+                                           max_size=points)),
+                             (-direction[1], direction[0]))
+            elif kind == "angle_cut":
+                line = np.column_stack((
+                    draw(st.lists(st.integers(-4, 0), min_size=points,
+                                  max_size=points)),
+                    draw(st.lists(st.sampled_from(
+                        (0.0, -0.0, 1e-12, -1e-12, 0.5, -0.5, 2.0, -2.0)),
+                        min_size=points, max_size=points))))
             elif kind == "fan":
                 direction = draw(st.tuples(ticks, ticks))
                 scales = draw(st.lists(ticks, min_size=points,
@@ -528,19 +568,20 @@ class TestConflictKernel:
         """One chunk whose members need different pairs evaluated.
 
         Two trajectories of two segments each. Member 0: the first
-        segments cross. Member 1: the same pair's boxes are disjoint,
+        segments cross. Member 1: the same pair's sectors are disjoint,
         so only member 0 needs that pair. Member 2: the first segments
         overlap collinearly on [1, 2]. Member 3: a zero-length segment
-        (infinite pad) on the extension of the other trajectory's
-        first segment, which reaches the overlap projection and counts
+        (every angle) on the extension of the other trajectory's first
+        segment, which reaches the overlap projection and counts
         nothing. Member 4: a segment whose squared length overflows
         makes the collinearity bound infinite, so the first segments,
-        parallel with disjoint boxes, count as a common pathway; only
-        their infinite pads keep them from being pruned.
+        parallel with disjoint sectors, count as a common pathway; only
+        the overflow giving every segment every angle keeps them from
+        being pruned.
         """
         members = [
             ([(0, 0), (2, 2), (4, 2)], [(0, 2), (2, 0), (4, 0)]),
-            ([(0, 0), (2, 2), (4, 2)], [(10, 12), (12, 10), (14, 10)]),
+            ([(0, 0), (2, 2), (4, 2)], [(10, -12), (12, -10), (14, -10)]),
             ([(0, 0), (2, 0), (4, 1)], [(1, 0), (3, 0), (3, -5)]),
             ([(0, 0), (2, 2), (2, 2)], [(5, 5), (7, 7), (9, 0)]),
             ([(0, 0), (1, 0), (1e154, 1e154)], [(0, 5), (1, 5), (2, 5)]),
@@ -557,6 +598,20 @@ class TestConflictKernel:
         expected_i, expected_o = oracle_counts(starts, ends, owners)
         assert np.array_equal(intersections, expected_i)
         assert np.array_equal(overlaps, expected_o)
+
+    def test_sectors_prune_every_case_of_a_star(self):
+        """Rays leaving the origin in different directions share no
+        angle, so the sector test evaluates none of their cases (a
+        segment ending at the origin takes its far end's angle)."""
+        star = make_set(straight_trajectory("A", 20.0),
+                        straight_trajectory("B", 65.0),
+                        straight_trajectory("C", 130.0))
+        with _kernel_spans() as spans:
+            assert count_intersections(star) == 0
+        [span] = spans
+        assert span.attrs["candidates"] == 1
+        assert span.attrs["pairs"] == span.attrs["cases"] == 3 * 4 * 4
+        assert span.attrs["evaluated"] == 0
 
     def test_scalar_counts_equal_batch_on_biquad(self,
                                                  biquad_trajectories):
@@ -615,6 +670,59 @@ class TestConflictKernel:
                 measure(nan_set)
 
 
+@contextmanager
+def _kernel_spans():
+    """The ``trajectory.conflicts`` spans finished inside the block."""
+    spans = []
+
+    def sink(span):
+        if span.name == "trajectory.conflicts":
+            spans.append(span)
+
+    TRACER.add_sink(sink)
+    try:
+        yield spans
+    finally:
+        TRACER.remove_sink(sink)
+
+
+@contextmanager
+def _recorded_kernel_inputs():
+    """The ``(name, starts, ends, owners)`` arrays handed to the kernel
+    inside the block, ``name`` read from the recorder's ``name``."""
+    from repro.trajectory import metrics
+
+    batches = []
+    kernel = metrics.conflict_counts_batch
+
+    def record(starts, ends, owners, *args, **kwargs):
+        batches.append((record.name, starts, ends, owners))
+        return kernel(starts, ends, owners, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "conflict_counts_batch", record)
+        yield record, batches
+
+
+def _paper_search(name):
+    """Paper-config fitness and frequency space of a paper circuit, as
+    :class:`FaultTrajectoryATPG` builds them."""
+    from repro import PipelineConfig
+    from repro.circuits.library import get_benchmark
+    from repro.core.atpg import FaultTrajectoryATPG
+    from repro.faults.surface import ResponseSurface
+    from repro.ga.encoding import FrequencySpace
+
+    config = PipelineConfig.paper()
+    info = get_benchmark(name)
+    atpg = FaultTrajectoryATPG(info, config)
+    _, dictionary = atpg.build_dictionary()
+    fitness = atpg.make_fitness(ResponseSurface(dictionary))
+    space = FrequencySpace(info.f_min_hz, info.f_max_hz,
+                           config.num_frequencies)
+    return config, fitness, space
+
+
 def _generation_zero_batches():
     """Each paper circuit's generation-0 GA population as kernel input.
 
@@ -623,34 +731,37 @@ def _generation_zero_batches():
     scoring that population records the ``(starts, ends, owners)``
     arrays :class:`~repro.ga.fitness.PaperFitness` hands the kernel.
     """
-    from repro import PipelineConfig
-    from repro.circuits.library import BENCHMARK_CIRCUITS, get_benchmark
-    from repro.core.atpg import FaultTrajectoryATPG
-    from repro.faults.surface import ResponseSurface
-    from repro.ga.encoding import FrequencySpace
-    from repro.trajectory import metrics
+    from repro.circuits.library import BENCHMARK_CIRCUITS
 
-    config = PipelineConfig.paper()
-    batches = []
-    with pytest.MonkeyPatch.context() as patch:
-        def record(starts, ends, owners, *args, **kwargs):
-            batches.append((name, starts, ends, owners))
-            return kernel(starts, ends, owners, *args, **kwargs)
-
-        kernel = metrics.conflict_counts_batch
-        patch.setattr(metrics, "conflict_counts_batch", record)
+    with _recorded_kernel_inputs() as (recorder, batches):
         for index, name in enumerate(BENCHMARK_CIRCUITS):
-            info = get_benchmark(name)
-            atpg = FaultTrajectoryATPG(info, config)
-            _, dictionary = atpg.build_dictionary()
-            fitness = atpg.make_fitness(ResponseSurface(dictionary))
-            space = FrequencySpace(info.f_min_hz, info.f_max_hz,
-                                   config.num_frequencies)
+            recorder.name = name
+            config, fitness, space = _paper_search(name)
             population = space.random_population(
                 np.random.default_rng(2005 + index),
                 config.ga.population_size)
             fitness.score_population(space.decode_population(population))
     return batches
+
+
+def _every_generation_batches(names):
+    """Every uncached batch a whole paper-config GA search of each named
+    circuit scores (one kernel call per generation), recorded as
+    :func:`_generation_zero_batches` records generation 0, and each
+    search's count of scored candidates."""
+    from repro.circuits.library import BENCHMARK_CIRCUITS
+    from repro.ga import GeneticAlgorithm
+
+    evaluations = {}
+    with _recorded_kernel_inputs() as (recorder, batches):
+        for name in names:
+            recorder.name = name
+            index = list(BENCHMARK_CIRCUITS).index(name)
+            config, fitness, space = _paper_search(name)
+            GeneticAlgorithm(space, fitness, config.ga).run(
+                seed=2005 + index)
+            evaluations[name] = fitness.evaluations
+    return batches, evaluations
 
 
 class TestConflictKernelOnPaperPopulations:
@@ -675,5 +786,49 @@ class TestConflictKernelOnPaperPopulations:
             intersections, overlaps = conflict_counts_batch(
                 starts, ends, owners, **options)
             expected_i, expected_o = expected
+            assert np.array_equal(intersections, expected_i), name
+            assert np.array_equal(overlaps, expected_o), name
+
+    def test_kernel_span_reports_the_pruning(self):
+        """Scoring a population records one ``trajectory.conflicts``
+        span per kernel call, with the cases its sector test kept."""
+        config, fitness, space = _paper_search("tow_thomas_biquad")
+        population = space.random_population(
+            np.random.default_rng(2005), config.ga.population_size)
+        with _kernel_spans() as spans:
+            fitness.score_population(space.decode_population(population))
+        [span] = spans
+        attrs = span.attrs
+        assert attrs["candidates"] == config.ga.population_size
+        assert attrs["cases"] == attrs["pairs"] * attrs["candidates"]
+        assert 0 < attrs["evaluated"] <= attrs["cases"]
+
+
+class TestConflictKernelOnWholeSearches:
+    """The kernel against the oracle on every generation's uncached
+    batch of the two paper circuits with the most segments."""
+
+    NAMES = ("rc_ladder", "khn_state_variable")
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        return _every_generation_batches(self.NAMES)
+
+    def test_every_generation_is_covered(self, recorded):
+        from repro import PipelineConfig
+
+        batches, evaluations = recorded
+        generations = PipelineConfig.paper().ga.generations
+        for name in self.NAMES:
+            sizes = [len(starts) for batch_name, starts, *_ in batches
+                     if batch_name == name]
+            assert len(sizes) == generations, name
+            assert sum(sizes) == evaluations[name], name
+
+    def test_counts_equal_oracle(self, recorded):
+        for name, starts, ends, owners in recorded[0]:
+            intersections, overlaps = conflict_counts_batch(starts, ends,
+                                                            owners)
+            expected_i, expected_o = oracle_counts(starts, ends, owners)
             assert np.array_equal(intersections, expected_i), name
             assert np.array_equal(overlaps, expected_o), name
