@@ -55,10 +55,9 @@ class FaultDictionary:
     The entry order follows the universe order (deterministic).
     """
 
-    #: Process-wide count of fault-simulation builds (incremented by
-    #: :meth:`build` and by the parallel builder in ``repro.runtime``).
-    #: Lets tests and the artifact store assert that a store-warmed
-    #: pipeline run skipped fault simulation entirely.
+    #: Process-wide count of fault-simulation builds (incremented only
+    #: by :meth:`build`). Lets tests and the artifact store assert that
+    #: a store-warmed pipeline run skipped fault simulation entirely.
     simulations_run = 0
 
     def __init__(self, circuit_name: str, output_node: str,

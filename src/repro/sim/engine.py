@@ -23,7 +23,7 @@ implementations:
   ``(K,)`` parameter arrays, and every entry it touches is re-folded as
   an ordered sum of ``(K,)`` arrays (one fold path, no circuit
   re-parse, no per-variant Python); it then solves all variants x all
-  grid frequencies with chunked batched ``np.linalg.solve``;
+  grid frequencies in one :func:`~repro.sim.mna.solve_stack` call;
 * :class:`FactoredMnaEngine` -- factors each *base* system once per
   frequency (the nominal, or on a :meth:`VariantTable.of_worlds` table
   each Monte-Carlo world's fault-free row) and solves every variant
@@ -34,13 +34,23 @@ implementations:
   wide to pay. Optionally factors with ``scipy.sparse`` on large
   circuits (graceful numpy-dense fallback when scipy is absent).
 
+Every dense ``A(s) = G + s B`` stack -- a scalar sweep, a batched table,
+the factored engine's base systems -- is built, chunked, solved and
+checked by :func:`~repro.sim.mna.solve_stack`: batched LAPACK calls of
+at most ``_STACK_MEMORY_BUDGET`` (4 MB) of matrices each, whole
+variants per call while all of one variant's frequencies fit, slices of
+one variant's frequencies otherwise; a singular system is named by its
+label and ``s``, and a non-finite solution is caught by one check.
+
 Equivalence contract: the scalar and batched engines produce *bitwise
 identical* response blocks. Each elementwise IEEE operation of the
 batched stamp and fold is the operation the scalar stamper performs on
 that variant, in the same accumulation order, and the same per-matrix
-``A(s) = G + s B`` systems go to the same LAPACK routine, so no
-tolerance is needed anywhere -- the test suite asserts exact equality
-across the whole circuit library and on random tables. The factored
+``A(s) = G + s B`` systems go through the same solve to the same LAPACK
+routine, which solves each matrix of a batch on its own, so the chunking
+never moves a bit. No tolerance is needed anywhere -- the test suite
+asserts exact equality across the whole circuit library and on random
+tables. The factored
 engine computes the same transfers through an algebraically different
 route, so its contract is *tight-tolerance* agreement with the scalar
 reference (asserted across the registry and backstopped by the golden
@@ -58,8 +68,8 @@ import dataclasses
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Protocol, \
-    Sequence, Tuple, runtime_checkable
+from typing import Dict, Iterator, List, Optional, Protocol, Sequence, \
+    Tuple, runtime_checkable
 
 import numpy as np
 
@@ -71,10 +81,10 @@ from ..circuits.components import (
     Resistor,
 )
 from ..circuits.netlist import Circuit
-from ..errors import ComponentError, SimulationError, SingularCircuitError
+from ..errors import ComponentError, SimulationError
 from ..tracing import TRACER
 from ..units import TWO_PI, db
-from . import lowrank
+from . import lowrank, mna
 from .ac import ACAnalysis, FrequencyResponse, source_phasor
 from .mna import ComponentOps, MnaSystem, parameter_value, \
     stamp_parameters, with_parameters
@@ -87,13 +97,6 @@ __all__ = [
     "BatchedMnaEngine",
     "FactoredMnaEngine",
 ]
-
-# The (K, N, N) stacks handed to np.linalg.solve are chunked to roughly
-# this many bytes: big enough to amortise the gufunc dispatch, small
-# enough that the stack stays resident in cache across construction and
-# factorisation (4 MB measured fastest on the benchmark circuits).
-_STACK_MEMORY_BUDGET = 4 * 1024 * 1024  # bytes
-
 
 def _stamp_structure(component: Component) -> tuple:
     """Everything but the value parameters: type, name, terminals."""
@@ -508,9 +511,10 @@ class BatchedMnaEngine:
     as an ordered sum of ``(K,)`` arrays -- in the exact accumulation
     order of a fresh assembly, so every variant matrix is
     bitwise-identical to re-stamping that variant's circuit. All
-    variant x frequency systems are then solved through chunked batched
-    ``np.linalg.solve`` calls (the same per-matrix LAPACK operation the
-    scalar sweep performs).
+    variant x frequency systems are then solved by
+    :func:`~repro.sim.mna.solve_stack`, the chunked dense solve the
+    scalar sweep runs too (same stack, same per-matrix LAPACK call),
+    which names a singular variant by its row label.
     """
 
     #: Span label for engine construction (``engine.stamp``).
@@ -622,34 +626,6 @@ class BatchedMnaEngine:
         return np.broadcast_to(np.asarray(phasors, dtype=complex),
                                (len(table),))
 
-    # ------------------------------------------------------------------
-    # Batched solving
-    # ------------------------------------------------------------------
-    def _solve_stack(self, stack: np.ndarray, rhs: np.ndarray,
-                     label_of: Callable[[int], str],
-                     s_values: np.ndarray) -> np.ndarray:
-        """Solve a (K, N, N) stack, falling back per matrix on failure.
-
-        ``label_of(k)`` names the variant of matrix k; it is only called
-        to word the error of a singular matrix.
-        """
-        try:
-            return np.linalg.solve(stack, rhs)[..., 0]
-        except np.linalg.LinAlgError:
-            out = np.empty((stack.shape[0], stack.shape[1]),
-                           dtype=complex)
-            for index in range(stack.shape[0]):
-                try:
-                    out[index] = np.linalg.solve(
-                        stack[index], rhs[index][:, 0])
-                except np.linalg.LinAlgError as exc:
-                    raise SingularCircuitError(
-                        f"{label_of(index)}: MNA matrix singular at "
-                        f"s={s_values[index]!r}; check for floating "
-                        "nodes, voltage-source loops or op-amps without "
-                        "feedback") from exc
-            return out
-
     def _check_block_args(self, freqs: np.ndarray,
                           variants: VariantTable,
                           input_source: Optional[str]
@@ -676,7 +652,6 @@ class BatchedMnaEngine:
                        ) -> ResponseBlock:
         freqs = np.asarray(freqs_hz, dtype=float)
         num_freqs = freqs.size
-        dim = self.system.dim
         with TRACER.span("engine.solve", engine=self._dense_solve_kind,
                          freqs=num_freqs) as span:
             # Materialise the variant matrix stacks: nominal copies with
@@ -691,68 +666,14 @@ class BatchedMnaEngine:
             num_variants = len(table)
             labels = table.labels
 
-            chunks_solved = 0
-            s_all = 1j * TWO_PI * freqs
-            solutions = np.empty((num_variants, num_freqs, dim),
-                                 dtype=complex)
-            bytes_per_matrix = 16 * dim * dim
-            chunk = max(1, int(_STACK_MEMORY_BUDGET //
-                               max(1, bytes_per_matrix)))
-            variants_per_chunk = max(1, chunk // num_freqs)
-            if variants_per_chunk > 1:
-                # Fused path: several whole variants per stacked solve.
-                for lo in range(0, num_variants, variants_per_chunk):
-                    hi = min(lo + variants_per_chunk, num_variants)
-                    count = (hi - lo) * num_freqs
-                    # G + sB, built in one buffer (addition commutes
-                    # bitwise, so this equals the scalar sweep's stack).
-                    stack = s_all[None, :, None, None] * \
-                        b_stack[lo:hi, None, :, :]
-                    stack += g_stack[lo:hi, None, :, :]
-                    stack = stack.reshape(count, dim, dim)
-                    rhs = np.ascontiguousarray(
-                        np.broadcast_to(z_stack[lo:hi, None, :, None],
-                                        (hi - lo, num_freqs, dim, 1))
-                    ).reshape(count, dim, 1)
-                    chunk_s = np.tile(s_all, hi - lo)
-                    solved = self._solve_stack(
-                        stack, rhs,
-                        lambda k, lo=lo: labels[lo + k // num_freqs],
-                        chunk_s)
-                    solutions[lo:hi] = solved.reshape(hi - lo, num_freqs,
-                                                      dim)
-                    chunks_solved += 1
-            else:
-                # One variant at a time, frequencies chunked (the scalar
-                # sweep's own shape) -- for grids too large to fuse.
-                for index in range(num_variants):
-                    rhs_row = z_stack[index]
-                    for start in range(0, num_freqs, chunk):
-                        stop = min(start + chunk, num_freqs)
-                        s_values = s_all[start:stop]
-                        stack = s_values[:, None, None] * \
-                            b_stack[index][None, :, :]
-                        stack += g_stack[index][None, :, :]
-                        rhs = np.ascontiguousarray(np.broadcast_to(
-                            rhs_row[None, :, None],
-                            (stop - start, dim, 1)))
-                        solved = self._solve_stack(
-                            stack, rhs, lambda k, index=index: labels[index],
-                            s_values)
-                        solutions[index, start:stop] = solved
-                        chunks_solved += 1
-
-            finite = np.isfinite(solutions).all(axis=(1, 2))
-            if not finite.all():
-                raise SingularCircuitError(
-                    f"{labels[int(np.argmin(finite))]}: non-finite "
-                    "solution in AC sweep")
-
+            solutions, chunks_solved = mna.solve_stack(
+                g_stack, b_stack, 1j * TWO_PI * freqs, z_stack[:, :, None],
+                labels)
             out_index = self.system.node_index(output_node)
             if out_index < 0:
                 values = np.zeros((num_variants, num_freqs), dtype=complex)
             else:
-                values = solutions[:, :, out_index] / phasors[:, None]
+                values = solutions[:, :, out_index, 0] / phasors[:, None]
             span.attrs.update(variants=num_variants, chunks=chunks_solved,
                               columns=len(table.columns),
                               assemble_seconds=assemble_seconds)
@@ -1028,9 +949,11 @@ class FactoredMnaEngine(BatchedMnaEngine):
                     plan.base_g, plan.base_b, sparse=sparse,
                     label=self._circuit.name)
                 s_all = 1j * TWO_PI * freqs
+                # Frequency chunks under the dense solve's budget; each
+                # chunk's base solutions feed every update pass.
                 bytes_per_freq = 16 * dim * num_bases * \
                     (dim if not sparse else 4 * num_columns)
-                chunk = max(1, int(_STACK_MEMORY_BUDGET //
+                chunk = max(1, int(mna._STACK_MEMORY_BUDGET //
                                    max(1, bytes_per_freq)))
                 for start in range(0, num_freqs, chunk):
                     stop = min(start + chunk, num_freqs)

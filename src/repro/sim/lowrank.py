@@ -12,10 +12,10 @@ Support machinery for :class:`~repro.sim.engine.FactoredMnaEngine`:
 * :class:`FactorSolver` factors each base system ``A_b(s) = G_b + s
   B_b`` (the nominal, or one per Monte-Carlo world) once per frequency
   and solves a multi-column right-hand side (the base's stimulus
-  vector plus one identity column per touched row) -- either with one
-  batched dense LAPACK call per frequency chunk, or through
-  :func:`scipy.sparse.linalg.splu` when scipy is importable and the
-  circuit is large enough for sparsity to pay.
+  vector plus one identity column per touched row) -- either through
+  :func:`~repro.sim.mna.solve_stack`, the dense solve every engine
+  shares, or through :func:`scipy.sparse.linalg.splu` when scipy is
+  importable and the circuit is large enough for sparsity to pay.
 
 The module deliberately knows nothing about circuits or engines: it
 consumes :class:`~repro.sim.mna.ComponentOps` streams and numpy arrays,
@@ -32,7 +32,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..errors import SimulationError, SingularCircuitError
-from .mna import ComponentOps
+from .mna import ComponentOps, solve_stack
 
 __all__ = [
     "FactorSolver",
@@ -177,12 +177,13 @@ class FactorSolver:
     ``g`` / ``b`` are ``(nb, n, n)`` stacks of base systems; the
     nominal circuit alone is the one-base case. ``solve`` returns the
     ``(F, nb, n, m)`` solutions of every base against its own
-    ``(n, m)`` right-hand-side block. The dense path issues one batched
-    LAPACK call (one LU per base and frequency, amortised over all
-    ``m`` columns -- the factor-once economy the engine is built on);
-    the sparse path assembles ``scipy.sparse`` CSC matrices once and
-    runs ``splu`` per base and frequency so factorisation cost scales
-    with nonzeros instead of ``n^2``.
+    ``(n, m)`` right-hand-side block. The dense path is
+    :func:`~repro.sim.mna.solve_stack` over the bases (one LU per base
+    and frequency, amortised over all ``m`` columns -- the factor-once
+    economy the engine is built on; a singular base is named by
+    ``label``); the sparse path assembles ``scipy.sparse`` CSC matrices
+    once and runs ``splu`` per base and frequency so factorisation cost
+    scales with nonzeros instead of ``n^2``.
     """
 
     def __init__(self, g: np.ndarray, b: np.ndarray, *,
@@ -208,28 +209,10 @@ class FactorSolver:
         s_values = np.asarray(s_values, dtype=complex)
         rhs = np.asarray(rhs, dtype=complex)
         if self.sparse:
-            out = self._solve_sparse(s_values, rhs)
-        else:
-            out = self._solve_dense(s_values, rhs)
-        if not np.all(np.isfinite(out)):
-            raise SingularCircuitError(
-                f"{self.label}: non-finite base solution in AC "
-                "sweep; check for floating nodes, voltage-source loops "
-                "or op-amps without feedback")
-        return out
-
-    def _solve_dense(self, s_values: np.ndarray,
-                     rhs: np.ndarray) -> np.ndarray:
-        stack = self._g[None] + \
-            s_values[:, None, None, None] * self._b[None]
-        try:
-            # The RHS block broadcasts over the frequencies.
-            return np.linalg.solve(stack, rhs[None])
-        except np.linalg.LinAlgError as exc:
-            raise SingularCircuitError(
-                f"{self.label}: base MNA matrix singular in AC "
-                "sweep; check for floating nodes, voltage-source loops "
-                "or op-amps without feedback") from exc
+            return self._solve_sparse(s_values, rhs)
+        solutions, _ = solve_stack(self._g, self._b, s_values, rhs,
+                                   (self.label,) * len(self._g))
+        return solutions.transpose(1, 0, 2, 3)
 
     def _solve_sparse(self, s_values: np.ndarray,
                       rhs: np.ndarray) -> np.ndarray:
@@ -246,4 +229,9 @@ class FactorSolver:
                         "voltage-source loops or op-amps without "
                         "feedback") from exc
                 out[index, base] = factor.solve(rhs[base])
+        if not np.all(np.isfinite(out)):
+            raise SingularCircuitError(
+                f"{self.label}: non-finite base solution in AC "
+                "sweep; check for floating nodes, voltage-source loops "
+                "or op-amps without feedback")
         return out

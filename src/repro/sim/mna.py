@@ -8,7 +8,8 @@ so the MNA matrix decomposes exactly as ``A(s) = G + s*B`` where
   (``-L``).
 
 The builder assembles ``G``/``B`` and the AC stimulus vector once per
-circuit; AC sweeps then solve a batched system per frequency block.
+circuit; AC sweeps then solve through :func:`solve_stack`, the chunked
+dense solve every simulation engine shares.
 
 Unknown ordering: node voltages (ground eliminated) first, then branch
 currents (voltage sources, inductors, VCVS/CCVS outputs, ideal op-amp
@@ -27,7 +28,7 @@ import copy
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,16 +53,18 @@ from ..errors import SimulationError, SingularCircuitError
 from ..units import TWO_PI
 
 __all__ = ["MnaSystem", "MnaSolution", "ComponentOps", "OPAMP_MACRO_GM",
-           "ac_phasor", "stamp_parameters", "parameter_value",
-           "with_parameters"]
+           "ac_phasor", "solve_stack", "stamp_parameters",
+           "parameter_value", "with_parameters"]
 
 # Transconductance used when expanding the op-amp macromodel; the pole
 # resistor is scaled as a0/gm so the DC open-loop gain is exactly a0.
 OPAMP_MACRO_GM = 1e-3
 
-# Above this unknown count the batched dense solve is chunked to bound the
-# memory of the (F, N, N) stack.
-_BATCH_MEMORY_BUDGET = 64 * 1024 * 1024  # bytes
+# The matrix stacks handed to np.linalg.solve are chunked to roughly this
+# many bytes: big enough to amortise the gufunc dispatch, small enough
+# that the stack stays resident in cache across construction and
+# factorisation (4 MB measured fastest on the benchmark circuits).
+_STACK_MEMORY_BUDGET = 4 * 1024 * 1024  # bytes
 
 
 def stamp_parameters(component) -> Tuple[str, ...]:
@@ -120,6 +123,63 @@ def ac_phasor(magnitude, phase_deg):
     magnitudes, phases = np.broadcast_arrays(magnitude, phase_deg)
     return np.array([float(m) * cmath.exp(1j * math.radians(float(p)))
                      for m, p in zip(magnitudes, phases)], dtype=complex)
+
+
+def solve_stack(g: np.ndarray, b: np.ndarray, s_values: np.ndarray,
+                rhs: np.ndarray, labels: Sequence[str]
+                ) -> Tuple[np.ndarray, int]:
+    """Solve ``(g[k] + s * b[k]) x = rhs[k]`` for every ``k`` and ``s``.
+
+    ``g`` and ``b`` are ``(K, N, N)`` stacks, ``s_values`` the ``(F,)``
+    complex frequencies and ``rhs`` a ``(K, N, M)`` stack. Returns the
+    ``(K, F, N, M)`` solutions and the number of batched
+    ``np.linalg.solve`` calls made. Each call stacks at most
+    ``_STACK_MEMORY_BUDGET`` bytes of matrices (at least one matrix): a
+    rectangle of whole ``k`` while all ``F`` frequencies of one ``k``
+    fit, otherwise a slice of one ``k``'s frequencies. LAPACK solves
+    every matrix on its own, so the chunking never changes a value.
+
+    A singular matrix raises :class:`SingularCircuitError` naming its
+    ``labels[k]`` and ``s`` (its chunk is retried matrix by matrix to
+    find it); so does a non-finite solution.
+    """
+    count, dim = g.shape[:2]
+    num_freqs = s_values.size
+    per_chunk = max(1, _STACK_MEMORY_BUDGET // (16 * dim * dim))
+    if per_chunk >= num_freqs:
+        step = per_chunk // num_freqs
+        chunks = [(low, low + step, 0, num_freqs)
+                  for low in range(0, count, step)]
+    else:
+        chunks = [(k, k + 1, low, low + per_chunk) for k in range(count)
+                  for low in range(0, num_freqs, per_chunk)]
+    out = np.empty((count, num_freqs, dim, rhs.shape[-1]), dtype=complex)
+    for k_lo, k_hi, f_lo, f_hi in chunks:
+        s_chunk = s_values[f_lo:f_hi]
+        # G + sB, built in one buffer (addition commutes bitwise).
+        stack = s_chunk[None, :, None, None] * b[k_lo:k_hi, None]
+        stack += g[k_lo:k_hi, None]
+        try:
+            out[k_lo:k_hi, f_lo:f_hi] = np.linalg.solve(
+                stack, rhs[k_lo:k_hi, None])
+        except np.linalg.LinAlgError:
+            for k, f in np.ndindex(*stack.shape[:2]):
+                try:
+                    out[k_lo + k, f_lo + f] = np.linalg.solve(
+                        stack[k, f], rhs[k_lo + k])
+                except np.linalg.LinAlgError as exc:
+                    raise SingularCircuitError(
+                        f"{labels[k_lo + k]}: MNA matrix singular at "
+                        f"s={complex(s_chunk[f])!r}; check for floating "
+                        "nodes, voltage-source loops or op-amps without "
+                        "feedback") from exc
+    finite = np.isfinite(out).all(axis=(2, 3))
+    if not finite.all():
+        k, f = np.argwhere(~finite)[0]
+        raise SingularCircuitError(
+            f"{labels[k]}: non-finite solution at "
+            f"s={complex(s_values[f])!r}")
+    return out, len(chunks)
 
 
 def _array_stand_in(component, params: Mapping[str, np.ndarray]):
@@ -452,26 +512,16 @@ class MnaSystem:
 
     def solve_at(self, s: complex) -> "MnaSolution":
         """Solve the system at one complex frequency."""
-        matrix = self.matrix_at(s)
-        rhs = self._z
-        try:
-            vector = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularCircuitError(
-                f"{self.circuit.name}: MNA matrix singular at s={s!r}; "
-                "check for floating nodes, voltage-source loops or op-amps "
-                "without feedback") from exc
-        if not np.all(np.isfinite(vector)):
-            raise SingularCircuitError(
-                f"{self.circuit.name}: non-finite solution at s={s!r}")
-        return MnaSolution(self, vector)
+        solution, _ = solve_stack(
+            self._g[None], self._b[None], np.array([s], dtype=complex),
+            self._z[None, :, None], (self.circuit.name,))
+        return MnaSolution(self, solution[0, 0, :, 0])
 
     def solve_frequencies(self, freqs_hz: np.ndarray) -> np.ndarray:
         """Batched AC solve over a frequency grid.
 
         Returns an array of shape ``(len(freqs), dim)`` with the full
-        unknown vector per frequency. Frequencies are batched into chunks
-        so the dense ``(F, N, N)`` stack stays within a memory budget.
+        unknown vector per frequency, solved through :func:`solve_stack`.
         """
         freqs = np.asarray(freqs_hz, dtype=float)
         if freqs.ndim != 1 or freqs.size == 0:
@@ -479,28 +529,10 @@ class MnaSystem:
                                   "array")
         if np.any(freqs <= 0.0):
             raise SimulationError("AC analysis frequencies must be positive")
-        rhs = self._z
-        out = np.empty((freqs.size, self.dim), dtype=complex)
-        bytes_per_matrix = 16 * self.dim * self.dim
-        chunk = max(1, int(_BATCH_MEMORY_BUDGET // max(1, bytes_per_matrix)))
-        for start in range(0, freqs.size, chunk):
-            stop = min(start + chunk, freqs.size)
-            s_values = 1j * TWO_PI * freqs[start:stop]
-            stack = (self._g[None, :, :] +
-                     s_values[:, None, None] * self._b[None, :, :])
-            rhs_stack = np.broadcast_to(
-                rhs[:, None], (stop - start, self.dim, 1))
-            try:
-                out[start:stop] = np.linalg.solve(stack, rhs_stack)[..., 0]
-            except np.linalg.LinAlgError:
-                # Fall back to per-frequency solving to report which
-                # frequency is singular.
-                for offset, s in enumerate(s_values):
-                    out[start + offset] = self.solve_at(s).vector
-        if not np.all(np.isfinite(out)):
-            raise SingularCircuitError(
-                f"{self.circuit.name}: non-finite solution in AC sweep")
-        return out
+        solutions, _ = solve_stack(
+            self._g[None], self._b[None], 1j * TWO_PI * freqs,
+            self._z[None, :, None], (self.circuit.name,))
+        return solutions[0, :, :, 0]
 
 
 @dataclass

@@ -103,24 +103,30 @@ class TestBatchedEquivalence:
                 assert np.array_equal(block.values[index],
                                       expected.values)
 
-    def test_freq_chunked_path_bitwise(self, monkeypatch):
-        """With a tiny stack budget the engine falls back to one variant
-        at a time with chunked frequencies -- still bitwise-equal."""
-        import repro.sim.engine as engine_module
+    @pytest.mark.parametrize("engine_type", [
+        BatchedMnaEngine, ScalarMnaEngine])
+    @pytest.mark.parametrize("matrices", [2 * 37, 8, 1], ids=[
+        "whole-variants", "variant-frequencies", "one-matrix"])
+    def test_freq_chunked_path_bitwise(self, monkeypatch, engine_type,
+                                       matrices):
+        """With a small stack budget the solve is chunked into two whole
+        variants, slices of one variant's frequencies or single matrices
+        -- still bitwise-equal. The scalar engine solves through
+        ``MnaSystem.solve_frequencies``."""
+        import repro.sim.mna as mna_module
         info = tow_thomas_biquad(ideal_opamps=False)
         universe = build_universe(info.circuit,
                                   components=("R1", "C1"),
                                   deviations=(-0.2, 0.2))
         grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 37)
         variants = universe.variants()
-        reference = BatchedMnaEngine(info.circuit).transfer_block(
+        reference = engine_type(info.circuit).transfer_block(
             info.output_node, grid, variants, info.input_source)
-        # Budget for ~8 matrices: forces variants_per_chunk == 1 and
-        # several frequency chunks per variant.
+        # Budget for ``matrices`` matrices of the 37-point grid.
         dim = BatchedMnaEngine(info.circuit).system.dim
-        monkeypatch.setattr(engine_module, "_STACK_MEMORY_BUDGET",
-                            8 * 16 * dim * dim)
-        chunked = BatchedMnaEngine(info.circuit).transfer_block(
+        monkeypatch.setattr(mna_module, "_STACK_MEMORY_BUDGET",
+                            matrices * 16 * dim * dim)
+        chunked = engine_type(info.circuit).transfer_block(
             info.output_node, grid, variants, info.input_source)
         assert np.array_equal(chunked.values, reference.values)
 
@@ -276,24 +282,42 @@ class TestVariantSpecs:
     @pytest.mark.parametrize("budget", [None, 1])
     def test_singular_variant_is_named(self, monkeypatch, budget):
         """A singular variant's error names that variant, on the fused
-        path and (with a one-byte stack budget) the per-variant one."""
+        path and (with a one-byte stack budget) the per-variant one; a
+        singular nominal's names the circuit, on the factored engine's
+        base solve and on ``MnaSystem.solve_frequencies``."""
         from repro.circuits.netlist import Circuit
         from repro.errors import SingularCircuitError
-        from repro.sim import engine as engine_module
+        from repro.sim import mna as mna_module
+        from repro.sim.mna import MnaSystem
         if budget is not None:
-            monkeypatch.setattr(engine_module, "_STACK_MEMORY_BUDGET",
+            monkeypatch.setattr(mna_module, "_STACK_MEMORY_BUDGET",
                                 budget)
-        circuit = Circuit("buffer")
-        circuit.add_voltage_source("V1", "in", "0", ac=1.0)
-        circuit.add_resistor("R1", "in", "out", 1e3)
-        circuit.add_vcvs("E1", "buf", "0", "buf", "out", gain=2.0)
-        circuit.add_resistor("R2", "buf", "0", 1e3)
+
+        def buffer(gain):
+            circuit = Circuit("buffer")
+            circuit.add_voltage_source("V1", "in", "0", ac=1.0)
+            circuit.add_resistor("R1", "in", "out", 1e3)
+            circuit.add_vcvs("E1", "buf", "0", "buf", "out", gain=gain)
+            circuit.add_resistor("R2", "buf", "0", 1e3)
+            return circuit
+
+        freqs = np.array([10.0, 100.0, 1000.0])
         # Unit gain around the E1 loop leaves its branch row all zero.
         variants = VariantTable((("E1", "gain"),), [[2.0], [1.0], [2.0]],
                                 ("first", "buffer#E1_unit", "third"))
         with pytest.raises(SingularCircuitError, match="buffer#E1_unit"):
-            BatchedMnaEngine(circuit).transfer_block(
-                "buf", np.array([10.0, 100.0, 1000.0]), variants)
+            BatchedMnaEngine(buffer(2.0)).transfer_block(
+                "buf", freqs, variants)
+        singular = buffer(1.0)
+        nominal_first = VariantTable((("E1", "gain"),), [[1.0], [2.0]],
+                                     ("buffer", "buffer#E1_double"))
+        with pytest.raises(SingularCircuitError,
+                           match="^buffer: MNA matrix singular at s="):
+            FactoredMnaEngine(singular).transfer_block(
+                "buf", freqs, nominal_first)
+        with pytest.raises(SingularCircuitError,
+                           match="^buffer: MNA matrix singular at s="):
+            MnaSystem(singular).solve_frequencies(freqs)
 
     @pytest.mark.parametrize("engine_type", [
         BatchedMnaEngine, FactoredMnaEngine, ScalarMnaEngine])
@@ -728,10 +752,12 @@ class TestFactoredEquivalence:
             info.output_node, grid, variants, info.input_source)
         _assert_block_close(block.values, dense.values, rtol=1e-12)
 
-    def test_freq_chunked_path_matches(self, monkeypatch):
-        """A tiny stack budget forces several frequency chunks through
+    @pytest.mark.parametrize("matrices", [2 * 37, 8, 1], ids=[
+        "whole-variants", "variant-frequencies", "one-matrix"])
+    def test_freq_chunked_path_matches(self, monkeypatch, matrices):
+        """A small stack budget forces several frequency chunks through
         the factored solver; results match the unchunked run."""
-        import repro.sim.engine as engine_module
+        import repro.sim.mna as mna_module
         info = tow_thomas_biquad(ideal_opamps=False)
         universe = build_universe(info.circuit,
                                   components=("R1", "C1"),
@@ -741,8 +767,8 @@ class TestFactoredEquivalence:
         reference = FactoredMnaEngine(info.circuit).transfer_block(
             info.output_node, grid, variants, info.input_source)
         dim = BatchedMnaEngine(info.circuit).system.dim
-        monkeypatch.setattr(engine_module, "_STACK_MEMORY_BUDGET",
-                            8 * 16 * dim * dim)
+        monkeypatch.setattr(mna_module, "_STACK_MEMORY_BUDGET",
+                            matrices * 16 * dim * dim)
         chunked = FactoredMnaEngine(info.circuit).transfer_block(
             info.output_node, grid, variants, info.input_source)
         _assert_block_close(chunked.values, reference.values,

@@ -6,6 +6,7 @@ import pytest
 from repro.circuits import Circuit
 from repro.errors import SimulationError, SingularCircuitError
 from repro.sim import MnaSystem
+from repro.sim import mna as mna_module
 from repro.units import TWO_PI
 
 from conftest import solve_dc
@@ -234,6 +235,34 @@ class TestBatchedSolve:
         system = MnaSystem(biquad_info.circuit)
         with pytest.raises(SimulationError):
             system.solve_frequencies(np.array([0.0, 10.0]))
+
+
+class TestSolveStack:
+    @pytest.mark.parametrize("matrices, chunks", [
+        (None, 1), (10, 2), (2, 9), (1, 15)], ids=[
+        "default", "whole-k", "frequency-slices", "one-matrix"])
+    def test_chunk_geometry_keeps_every_value(self, monkeypatch, matrices,
+                                              chunks):
+        """Three (4, 4) systems over five frequencies, chunked under a
+        budget of ``matrices`` matrices: rectangles of whole ``k`` while
+        a ``k``'s frequencies fit, else slices of one ``k``'s
+        frequencies. Each matrix solves to the bits of its own
+        ``np.linalg.solve``."""
+        rng = np.random.default_rng(7)
+        g = (rng.normal(size=(3, 4, 4)) + 4.0 * np.eye(4)).astype(complex)
+        b = (rng.normal(size=(3, 4, 4)) * 1e-3).astype(complex)
+        rhs = rng.normal(size=(3, 4, 2)).astype(complex)
+        s_values = 1j * TWO_PI * np.logspace(1, 4, 5)
+        if matrices is not None:
+            monkeypatch.setattr(mna_module, "_STACK_MEMORY_BUDGET",
+                                matrices * 16 * 4 * 4)
+        out, made = mna_module.solve_stack(g, b, s_values, rhs,
+                                           ("a", "b", "c"))
+        assert made == chunks
+        assert out.shape == (3, 5, 4, 2)
+        for k, f in np.ndindex(3, 5):
+            expected = np.linalg.solve(s_values[f] * b[k] + g[k], rhs[k])
+            assert np.array_equal(out[k, f], expected)
 
 
 class TestSingularities:
