@@ -33,29 +33,39 @@ into a *sampled response-surface distribution*:
    nominal trajectories and the posterior argmax reproduces the hard
    classifier's winner (same masked distances, same stable
    tie-breaking).
-3. **Adaptive test selection.** Candidate measurement frequencies (a
-   log grid over the circuit's band plus the existing test vector) are
-   ranked by *expected information gain*: the expected drop in
-   posterior entropy from observing the response there, computed from
-   moment-matched per-hypothesis Gaussians with fixed Gauss--Hermite
-   quadrature. The quadrature's likelihoods do not depend on the
-   posterior, so the build stores them as two ``(H, C*H*K)`` planes
-   (``exp(rel)`` and ``exp(rel) * rel`` of the max-shifted
-   log-likelihoods); a request weights the planes by its posterior and
-   reads every outcome's entropy in closed form, for the whole batch at
-   once, with no exp or log per outcome. Everything after the build is
-   deterministic -- no request-time randomness -- so results are
-   bitwise-reproducible under a fixed seed.
+3. **Adaptive test selection, on demand.** Candidate measurement
+   frequencies (a log grid over the circuit's band plus the existing
+   test vector) are ranked by *expected information gain*: the expected
+   drop in posterior entropy from observing the response there,
+   computed from moment-matched per-hypothesis Gaussians with fixed
+   Gauss--Hermite quadrature. Only the ranking reads the worlds away
+   from the test vector, so it is a second half of the diagnoser,
+   built at most once, on the first read of any answer's
+   ``test_ranking``: the build's worlds are swept again over the
+   candidate frequencies the test vector lacks (a frequency subset's
+   solve equals those columns of a full-grid solve, bit for bit), and
+   the quadrature's likelihoods, which do not depend on the
+   posterior, are stored as two ``(H, C*H*K)`` planes (``exp(rel)``
+   and ``exp(rel) * rel`` of the max-shifted log-likelihoods). A
+   batch's rankings are computed together on its first read: the
+   planes weighted by each row's posterior give every outcome's
+   entropy in closed form, with no exp or log per outcome. Everything
+   after the sampling is deterministic -- no request-time randomness
+   -- so results are bitwise-reproducible under a fixed seed.
 
-All sampling happens once at build time; a diagnosis request is pure
-(and cheap) NumPy against the cached sample tensors.
+All sampling happens once, at build time; the build solves every world
+at the test vector only. A diagnosis request is pure (and cheap) NumPy
+against the cached sample tensors, and a caller that never reads
+``test_ranking`` never pays for the candidate sweep or the gains.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -169,6 +179,31 @@ class PosteriorConfig:
                 f"bad posterior-config dict: {exc}") from exc
 
 
+class _Ranking:
+    """:attr:`PosteriorDiagnosis.test_ranking`: a tuple, or the pending
+    :class:`_RankingBatch` of the answer's request, resolved on first
+    read.
+
+    A data descriptor on the one field, so every other attribute read
+    stays a plain instance-dict lookup; the dataclass's ``__init__``,
+    ``__eq__``, ``__repr__`` and ``__hash__`` go through it and so see
+    the resolved tuple.
+    """
+
+    def __get__(self, answer, owner=None):
+        if answer is None:
+            # No class-level default: the field stays required.
+            raise AttributeError("test_ranking")
+        ranking = answer.__dict__["test_ranking"]
+        if isinstance(ranking, _RankingBatch):
+            ranking.resolve()
+            ranking = answer.__dict__["test_ranking"]
+        return ranking
+
+    def __set__(self, answer, ranking) -> None:
+        answer.__dict__["test_ranking"] = ranking
+
+
 @dataclass(frozen=True)
 class PosteriorDiagnosis:
     """Probabilistic outcome for one measured signature point.
@@ -183,13 +218,19 @@ class PosteriorDiagnosis:
     expected information gain in bits, most informative first; when
     even the top gain is below :data:`INFORMATIVE_GAIN_BITS` the order
     is rounding noise and no measurement is informative.
+
+    An answer from :meth:`PosteriorDiagnoser.diagnose_points` computes
+    its ranking on first read, together with every other answer of its
+    request, and then holds the tuple; equality, ``repr``, hashing,
+    :meth:`summary`, copies and pickles all read it, so an answer never
+    carries (or pickles) its diagnoser once compared or copied.
     """
 
     component: str
     probabilities: Tuple[Tuple[str, float], ...]
     entropy_bits: float
     expected_deviation: float
-    test_ranking: Tuple[Tuple[float, float], ...]
+    test_ranking: Tuple[Tuple[float, float], ...] = _Ranking()
     n_samples: int
 
     @property
@@ -209,16 +250,67 @@ class PosteriorDiagnosis:
         return (f"posterior [{top}] entropy {self.entropy_bits:.3f} b, "
                 f"{advice}")
 
+    def __reduce__(self):
+        # Copies and pickles take the resolved ranking, never a batch.
+        return (type(self), (self.component, self.probabilities,
+                             self.entropy_bits, self.expected_deviation,
+                             self.test_ranking, self.n_samples))
+
+
+class _RankingBatch:
+    """The pending test rankings of one request's answers.
+
+    The first read of any answer's ranking computes them all in one
+    :meth:`PosteriorDiagnoser._rankings` call, hands every live answer
+    its tuple and drops the diagnoser and the posterior arrays.
+    Concurrent readers wait on the batch's lock; one computes.
+    """
+
+    __slots__ = ("_diagnoser", "_posterior", "_entropy", "_answers",
+                 "_lock")
+
+    def __init__(self, diagnoser: "PosteriorDiagnoser",
+                 posterior: np.ndarray, entropy: np.ndarray) -> None:
+        self._diagnoser = diagnoser
+        self._posterior = posterior
+        self._entropy = entropy
+        # Weak, so an unread answer does not keep its batch in a cycle.
+        self._answers: List[weakref.ref] = []
+        self._lock = threading.Lock()
+
+    def track(self, answers: List[PosteriorDiagnosis]) -> None:
+        self._answers = [weakref.ref(answer) for answer in answers]
+
+    def resolve(self) -> None:
+        with self._lock:
+            if self._diagnoser is None:  # resolved while we waited
+                return
+            rankings = self._diagnoser._rankings(self._posterior,
+                                                 self._entropy)
+            for ref, ranking in zip(self._answers, rankings):
+                answer = ref()
+                if answer is not None:
+                    answer.__dict__["test_ranking"] = ranking
+            self._diagnoser = self._posterior = self._entropy = None
+            self._answers = []
+
 
 class PosteriorDiagnoser:
     """Sampled-response-surface posterior over a fault universe.
 
     Build cost: one Monte-Carlo sweep of
-    ``(1 + n_faults) * n_samples + 1`` engine variants (chunked into
-    sample batches), plus the information gain's likelihood planes.
-    Request cost: pure NumPy segment projection against the cached
-    tensors, then one posterior-weighted sum over the planes per
-    hypothesis for the whole batch; deterministic given the build.
+    ``(1 + n_faults) * n_samples + 1`` engine variants at the test
+    vector only (chunked into sample batches). Request cost: pure NumPy
+    segment projection against the cached tensors; deterministic given
+    the build.
+
+    The test rankings cost nothing until read. The first read of any
+    answer's ``test_ranking`` (or :meth:`prepare_ranking`) builds the
+    ranking half once, under a lock: the same worlds swept over
+    the candidate frequencies the test vector lacks, then the
+    information gain's likelihood planes. Each request's rankings are
+    then one posterior-weighted sum over the planes per hypothesis, for
+    the whole request at once, on the first read of any of them.
     """
 
     def __init__(self, info: CircuitInfo, universe: FaultUniverse,
@@ -257,10 +349,13 @@ class PosteriorDiagnoser:
             (FAULT_FREE_LABEL,) + components
         self.n_samples = self.config.n_samples
 
+        # The ranking half: built by the first ranking read.
+        self._ranking_lock = threading.Lock()
+        self._ranked = False
+
         with TRACER.span("posterior.build", worlds=self.n_samples,
-                         hypotheses=len(self.component_labels)) as span:
+                         hypotheses=len(self.component_labels)):
             self._build()
-            span.attrs["candidates"] = self._cand_freqs.size
 
     @classmethod
     def from_atpg(cls, result, config: Optional[PosteriorConfig] = None
@@ -282,6 +377,9 @@ class PosteriorDiagnoser:
         grid = np.unique(np.concatenate([test_freqs, candidates]))
         test_idx = np.searchsorted(grid, test_freqs)
         self._cand_freqs = grid
+        #: The grid columns of the test vector, ascending: the build
+        #: solves these, the ranking half the others.
+        self._measured = np.unique(test_idx)
 
         # Tolerance draws: one eps row per Monte-Carlo world, one
         # column per faultable component -- shared by every hypothesis
@@ -305,49 +403,115 @@ class PosteriorDiagnoser:
         hypotheses = self._fault_variants.with_columns(
             circuit, [(name, "value") for name in targets])
 
-        # The nominal (tolerance-free) golden response every signature
-        # is relative to, then the worlds, one transfer_block call per
-        # sample block: per world, the fault-free circuit (the world's
-        # base) plus every fault, each with the world's
-        # ``nominal * (1 + eps)`` on every target.
-        golden_db = self._engine.transfer_block(
-            info.output_node, grid, hypotheses.take([0]),
-            info.input_source).magnitude_db()[0]
-        rows_per_sample = len(hypotheses)
-        row_labels = (FAULT_FREE_LABEL,) + tuple(
-            fault.label for fault in self._faults)
-        mag_db = np.empty((rows_per_sample, config.n_samples, grid.size))
-        for start in range(0, config.n_samples, config.samples_per_block):
-            stop = min(start + config.samples_per_block, config.n_samples)
-            labels = [f"{circuit.name}#posterior:{label}:s{sample}"
-                      for sample in range(start, stop)
-                      for label in row_labels]
-            block_db = self._engine.transfer_block(
-                info.output_node, grid,
-                VariantTable.of_worlds(hypotheses, 1.0 + eps[start:stop],
-                                       labels),
-                info.input_source).magnitude_db()
-            mag_db[:, start:stop, :] = block_db.reshape(
-                stop - start, rows_per_sample, -1).transpose(1, 0, 2)
+        # The sweeps' inputs, kept until the ranking half is built: the
+        # hypotheses and every world's scale, not the world tables. A
+        # table would keep the factored engine's routing of it alive in
+        # every diagnoser whose ranking is never read.
+        self._hypotheses, self._scale = hypotheses, 1.0 + eps
+        golden_db, mag_db = self._sweep(grid[self._measured])
+        self._measured_db = (golden_db, mag_db)
         #: Engine variants simulated during the build (telemetry).
-        self.samples_simulated = rows_per_sample * config.n_samples + 1
+        self.samples_simulated = len(hypotheses) * config.n_samples + 1
 
         # Signature-space anchors at the test vector (the same scale /
         # golden-relative transform the hard classifier uses), per
         # world: row 0 is the world's fault-free anchor, rows 1.. its
         # fault anchors.
-        self._golden_test_db = golden_db[test_idx]
-        anchors = mapper.signatures_from_db(mag_db[:, :, test_idx],
+        at_test = np.searchsorted(self._measured, test_idx)
+        self._golden_test_db = golden_db[at_test]
+        anchors = mapper.signatures_from_db(mag_db[:, :, at_test],
                                             self._golden_test_db)
         self._golden_points = anchors[0]                   # (M, D)
         self._assemble_segments(anchors)
+        self._bandwidth = max(config.noise_db, _SIGMA_FLOOR)
+
+    def _sweep(self, freqs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The golden row's ``(F,)`` and every world row's ``(R, M, F)``
+        dB responses at ``freqs`` (``R`` hypotheses, ``M`` worlds).
+
+        First the nominal (tolerance-free) golden row every signature
+        is relative to, then one ``transfer_block`` call per sample
+        block: per world, the fault-free circuit (the world's base)
+        plus every fault, each with the world's ``nominal * (1 + eps)``
+        on every target.
+        """
+        info, engine = self.info, self._engine
+        hypotheses, block = self._hypotheses, self.config.samples_per_block
+        golden_db = engine.transfer_block(
+            info.output_node, freqs, hypotheses.take([0]),
+            info.input_source).magnitude_db()[0]
+        rows_per_sample = len(hypotheses)
+        row_labels = (FAULT_FREE_LABEL,) + tuple(
+            fault.label for fault in self._faults)
+        mag_db = np.empty((rows_per_sample, self.n_samples, freqs.size))
+        for start in range(0, self.n_samples, block):
+            stop = min(start + block, self.n_samples)
+            labels = [f"{info.circuit.name}#posterior:{label}:s{sample}"
+                      for sample in range(start, stop)
+                      for label in row_labels]
+            block_db = engine.transfer_block(
+                info.output_node, freqs,
+                VariantTable.of_worlds(hypotheses, self._scale[start:stop],
+                                       labels),
+                info.input_source).magnitude_db()
+            mag_db[:, start:stop, :] = block_db.reshape(
+                stop - start, rows_per_sample, -1).transpose(1, 0, 2)
+        return golden_db, mag_db
+
+    # ------------------------------------------------------------------
+    # The ranking half: built once, on first read
+    # ------------------------------------------------------------------
+    def prepare_ranking(self) -> None:
+        """Build the ranking half now, if no ranking read has yet.
+
+        The serving layer calls this while it builds the diagnoser:
+        every answer it serves puts its ranking on the wire, so the
+        build's cost belongs with the build, not the first request.
+        """
+        with TRACER.span("posterior.ranking", rows=0) as span:
+            self._ensure_ranking(span)
+
+    def _ensure_ranking(self, span) -> None:
+        """Build the ranking half unless built; record on ``span``
+        whether this call built it (and then over how many
+        candidates)."""
+        built = False
+        if not self._ranked:
+            with self._ranking_lock:
+                if not self._ranked:  # not built while we waited
+                    self._build_ranking()
+                    built = True
+        span.attrs["planes_built"] = built
+        if built:
+            span.attrs["candidates"] = self._cand_freqs.size
+
+    def _build_ranking(self) -> None:
+        """Every world at every candidate frequency, then the
+        information gain's moments and likelihood planes.
+
+        The worlds are swept only over the grid columns the build did
+        not solve, and the build's test-vector columns are spliced in:
+        a solve on a frequency subset equals those columns of the
+        full-grid solve, bit for bit (on the factored engine, as long
+        as no row's conditioning fallback depends on the frequencies),
+        so the planes are the full grid's.
+        """
+        grid, measured = self._cand_freqs, self._measured
+        measured_golden, measured_mag = self._measured_db
+        golden_db = np.empty(grid.size)
+        mag_db = np.empty(measured_mag.shape[:2] + (grid.size,))
+        golden_db[measured] = measured_golden
+        mag_db[:, :, measured] = measured_mag
+        missing = np.setdiff1d(np.arange(grid.size), measured)
+        if missing.size:
+            golden_db[missing], mag_db[:, :, missing] = \
+                self._sweep(grid[missing])
 
         # Moment-matched per-hypothesis Gaussians at every candidate
         # frequency, for the information-gain quadrature: the fault-free
         # hypothesis pools its per-world responses, each component pools
         # its faults' responses across worlds.
-        cand = mapper.signatures_from_db(mag_db, golden_db)  # (R, M, G)
-        floor = max(config.noise_db, _SIGMA_FLOOR)
+        cand = self.mapper.signatures_from_db(mag_db, golden_db)  # (R, M, G)
         n_outcomes = len(self.component_labels)
         self._cand_mean = np.empty((n_outcomes, grid.size))
         self._cand_sigma = np.empty((n_outcomes, grid.size))
@@ -362,12 +526,13 @@ class PosteriorDiagnoser:
                 pool = cand[rows].reshape(-1, grid.size)
             self._cand_mean[outcome] = pool.mean(axis=0)
             self._cand_sigma[outcome] = np.maximum(pool.std(axis=0),
-                                                   floor)
+                                                   self._bandwidth)
 
         nodes, weights = np.polynomial.hermite.hermgauss(_GH_ORDER)
         self._gh_weights = weights / math.sqrt(math.pi)
-        self._bandwidth = floor
         self._build_likelihood_planes(math.sqrt(2.0) * nodes)
+        self._hypotheses = self._scale = self._measured_db = None
+        self._ranked = True
 
     def _build_likelihood_planes(self, nodes: np.ndarray) -> None:
         """The information gain's posterior-free half, as two planes.
@@ -418,11 +583,13 @@ class PosteriorDiagnoser:
         """Posteriors for an (N, D) batch of signature-space points.
 
         Every operation is row-independent, so coalesced batches are
-        bitwise-identical to sequential single-row calls.
+        bitwise-identical to sequential single-row calls. The answers'
+        test rankings are computed together on the first read of any
+        of them (see :class:`PosteriorDiagnosis`).
         """
         points = check_points(points, self.dimension)
         with TRACER.span("posterior.request", rows=points.shape[0],
-                         worlds=self.n_samples) as span:
+                         worlds=self.n_samples):
             distances, deviations = self._surface_distances(points)
             # Importance weights: per world, a Gaussian noise kernel of
             # the point's interior-preferred distance to each
@@ -439,12 +606,7 @@ class PosteriorDiagnoser:
             weights = np.exp(log_post)
             posterior = weights / weights.sum(axis=1, keepdims=True)
             entropy = _entropy_bits(posterior)             # (N,)
-
-            tick = time.perf_counter()
-            gains = self._information_gains(posterior, entropy)
-            span.attrs["gain_seconds"] = time.perf_counter() - tick
-
-            return self._answers(posterior, entropy, gains, log_w, peak,
+            return self._answers(posterior, entropy, log_w, peak,
                                  deviations)
 
     def _surface_distances(self, points: np.ndarray
@@ -493,10 +655,11 @@ class PosteriorDiagnoser:
         return distances, deviations
 
     def _answers(self, posterior: np.ndarray, entropy: np.ndarray,
-                 gains: np.ndarray, log_w: np.ndarray, peak: np.ndarray,
+                 log_w: np.ndarray, peak: np.ndarray,
                  deviations: np.ndarray) -> List[PosteriorDiagnosis]:
         """One :class:`PosteriorDiagnosis` per row of an ``(N, H)``
-        posterior batch (``log_w``/``deviations`` are ``(N, M, H)``)."""
+        posterior batch (``log_w``/``deviations`` are ``(N, M, H)``),
+        their rankings pending on one :class:`_RankingBatch`."""
         # Exact posterior ties happen on coincident trajectories (an
         # isolability class, or a divider's R1/R2); break them by best
         # single-world distance -- ``peak`` is monotone decreasing in
@@ -523,22 +686,38 @@ class PosteriorDiagnoser:
                                    deviations[row, :, winners[row]]) / \
                 denom[row]
 
+        batch = _RankingBatch(self, posterior, entropy)
+        labels = self.component_labels
+        answers = [PosteriorDiagnosis(
+                       component=labels[order[0]],
+                       probabilities=tuple(zip([labels[i] for i in order],
+                                               probabilities)),
+                       entropy_bits=entropy_bits,
+                       expected_deviation=deviation,
+                       test_ranking=batch,
+                       n_samples=self.n_samples)
+                   for order, probabilities, entropy_bits, deviation in zip(
+                       orders.tolist(),
+                       np.take_along_axis(posterior, orders, axis=1).tolist(),
+                       entropy.tolist(), expected.tolist())]
+        batch.track(answers)
+        return answers
+
+    def _rankings(self, posterior: np.ndarray, entropy: np.ndarray
+                  ) -> List[Tuple[Tuple[float, float], ...]]:
+        """Every row's test ranking, ``(freq_hz, gain_bits)`` pairs
+        most informative first (ties in grid order), building the
+        ranking half first if no read has."""
+        with TRACER.span("posterior.ranking",
+                         rows=posterior.shape[0]) as span:
+            self._ensure_ranking(span)
+            tick = time.perf_counter()
+            gains = self._information_gains(posterior, entropy)
+            span.attrs["gain_seconds"] = time.perf_counter() - tick
         gain_orders = np.argsort(-gains, axis=1, kind="stable")
-        labels, freqs = self.component_labels, self._cand_freqs.tolist()
-        return [PosteriorDiagnosis(
-                    component=labels[order[0]],
-                    probabilities=tuple(zip([labels[i] for i in order],
-                                            probabilities)),
-                    entropy_bits=entropy_bits,
-                    expected_deviation=deviation,
-                    test_ranking=tuple(zip([freqs[i] for i in gain_order],
-                                           ranked_gains)),
-                    n_samples=self.n_samples)
-                for order, probabilities, entropy_bits, deviation,
-                gain_order, ranked_gains in zip(
-                    orders.tolist(),
-                    np.take_along_axis(posterior, orders, axis=1).tolist(),
-                    entropy.tolist(), expected.tolist(),
+        freqs = self._cand_freqs.tolist()
+        return [tuple(zip([freqs[i] for i in gain_order], ranked_gains))
+                for gain_order, ranked_gains in zip(
                     gain_orders.tolist(),
                     np.take_along_axis(gains, gain_orders, axis=1).tolist())]
 
@@ -557,7 +736,7 @@ class PosteriorDiagnoser:
         ``(c, h, k)`` is ``q_j = w_j L_j / S`` with ``S = sum_j w_j
         L_j``, so its entropy in nats is ``log S - T / S`` with ``T =
         sum_j w_j (L rel)_j + (w_j log w_j) L_j`` -- sums over the
-        build-time planes, with no exp or log per outcome. Each sum is
+        ranking half's planes, with no exp or log per outcome. Each sum is
         a left-to-right loop of elementwise operations, so every row is
         bitwise independent of its batch; rows go in chunks of
         ``_GAIN_CHUNK_ROWS`` to bound the ``(N, C*H*K)`` temporaries.

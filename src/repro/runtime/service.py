@@ -279,6 +279,14 @@ class _Engine:
     classifier: TrajectoryClassifier
     posterior: Optional[PosteriorDiagnoser] = None
 
+    def posterior_answers(self, points) -> List[PosteriorDiagnosis]:
+        """The posterior tier's answers with their rankings computed,
+        so a request's latency includes the ranking it serves."""
+        answers = self.posterior.diagnose_points(points)
+        if answers:
+            answers[0].test_ranking  # noqa: B018 -- ranks the whole batch
+        return answers
+
 
 class DiagnosisService:
     """Multi-circuit diagnosis frontend with an engine LRU.
@@ -475,9 +483,10 @@ class DiagnosisService:
 
         Both modes share the classifier's ``signatures`` transform; the
         callable is ``classify_points`` (hard) or the posterior tier's
-        ``diagnose_points``, the tier built at most once per warmed
-        engine under the circuit's build lock. ``build=False`` (the
-        warm fast path) returns None rather than build anything.
+        ``diagnose_points`` with the rankings read, the tier (ranking
+        half included) built at most once per warmed engine under the
+        circuit's build lock. ``build=False`` (the warm fast path)
+        returns None rather than build anything.
         """
         engine = self._engine(circuit_name) if build \
             else self._engine_if_warm(circuit_name)
@@ -498,11 +507,14 @@ class DiagnosisService:
                                                circuit=circuit_name):
                         posterior = PosteriorDiagnoser.from_atpg(
                             engine.result, self.posterior_config)
+                        # Every served answer puts its ranking on the
+                        # wire: build the ranking half with the tier.
+                        posterior.prepare_ranking()
                     engine.posterior = posterior
                     self.stats.record_posterior_build(
                         circuit_name, posterior.samples_simulated,
                         time.perf_counter() - started)
-        return engine.classifier, engine.posterior.diagnose_points
+        return engine.classifier, engine.posterior_answers
 
     def test_vector_hz(self, circuit_name: str) -> Tuple[float, ...]:
         """The warmed test vector for a circuit (what to measure at)."""

@@ -922,6 +922,84 @@ class TestWorldTables:
         _assert_block_close(block.values, dense.values, rtol=1e-12)
 
 
+class TestFrequencySubsets:
+    """A ``transfer_block`` on a subset of a grid equals those columns of
+    the full grid's block, bit for bit: every (row, frequency) solve is
+    its own. The posterior tier rests on it -- its build solves the
+    worlds at the test vector, its ranking half at the other candidate
+    frequencies, and it splices the two."""
+
+    @staticmethod
+    def _subsets(size):
+        rng = np.random.default_rng(size)
+        return ([0], [size - 1], [2, 5], list(range(1, size, 2)),
+                sorted(rng.choice(size, size=size // 2, replace=False)))
+
+    def _assert_columns(self, engine_factory, info, table, grid):
+        full = engine_factory().transfer_block(
+            info.output_node, grid, table, info.input_source)
+        engine = engine_factory()
+        for subset in self._subsets(grid.size):
+            missing = np.setdiff1d(np.arange(grid.size), subset)
+            for columns in (subset, missing):
+                # One engine for both halves: the second call reuses
+                # the first's routing of the table.
+                block = engine.transfer_block(
+                    info.output_node, grid[columns], table,
+                    info.input_source)
+                assert block.values.tobytes() == \
+                    full.values[:, columns].tobytes(), columns
+        return engine
+
+    @pytest.mark.parametrize("engine_type", [ScalarMnaEngine,
+                                             BatchedMnaEngine,
+                                             FactoredMnaEngine])
+    @pytest.mark.parametrize("name", ["tow_thomas_biquad", "rc_ladder",
+                                      "khn_state_variable"])
+    def test_fault_table_columns(self, engine_type, name):
+        info = BENCHMARK_CIRCUITS[name]()
+        table = build_universe(info.circuit, components=info.faultable,
+                               deviations=(-0.2, 0.3)).variants()
+        grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 12)
+        self._assert_columns(lambda: engine_type(info.circuit), info,
+                             table, grid)
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_CIRCUITS))
+    def test_world_table_columns(self, name):
+        """Factored, each world's fault rows updates of their base."""
+        info = BENCHMARK_CIRCUITS[name]()
+        grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 12)
+        engine = self._assert_columns(
+            lambda: FactoredMnaEngine(info.circuit), info,
+            _world_table(info), grid)
+        assert sum(engine.lowrank_fallbacks.values()) == 0
+        assert engine.lowrank_updates > 0
+
+    def test_sparse_world_table_columns(self):
+        """Factored with the bases factored by ``splu``."""
+        if lowrank.scipy_sparse() is None:
+            pytest.skip("scipy not available")
+        info = tow_thomas_biquad(ideal_opamps=False)
+        grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 12)
+        engine = self._assert_columns(
+            lambda: FactoredMnaEngine(info.circuit, sparse=True), info,
+            _world_table(info), grid)
+        assert engine.uses_sparse
+
+    def test_world_table_rank_fallback_columns(self):
+        """Factored with ``max_rank=1``: every rank-2 world row (a
+        floating resistor) falls back to the dense path, every rank-1
+        row (a grounded capacitor) stays an update, on every subset
+        alike."""
+        info = BENCHMARK_CIRCUITS["rc_ladder"]()
+        grid = log_frequency_grid(info.f_min_hz, info.f_max_hz, 12)
+        engine = self._assert_columns(
+            lambda: FactoredMnaEngine(info.circuit, max_rank=1), info,
+            _world_table(info), grid)
+        assert engine.lowrank_fallbacks["rank"] > 0
+        assert engine.lowrank_updates > 0
+
+
 class TestFactoredSparsePath:
     def test_sparse_and_dense_factorisations_agree(self):
         """With scipy present the large-circuit sparse path matches the

@@ -397,6 +397,8 @@ class TestTableBuildOracle:
         if narrow:
             assert any(f.component not in info.faultable for f in faults)
         reference = build(_ReferenceWorldEngine(info, faults, config))
+        for diagnoser in (table_built, reference):
+            diagnoser.prepare_ranking()
         for name in ("_golden_points", "_cand_mean", "_cand_sigma"):
             assert np.array_equal(getattr(table_built, name),
                                   getattr(reference, name)), name
@@ -461,6 +463,11 @@ class TestFactoredWorlds:
         from repro.diagnosis import isolability_classes, make_test_cases
         result = atpg_cache(name)
         batched, factored, engine = self._pair(result, self.CONFIG)
+        # The build sweeps the test vector: one update per fault row.
+        updates = len(factored._faults) * self.CONFIG.n_samples
+        assert engine.lowrank_updates == updates
+        for diagnoser in (batched, factored):
+            diagnoser.prepare_ranking()
         close = dict(rtol=1e-9, atol=1e-9)
         for field in ("_golden_points", "_cand_mean", "_cand_sigma"):
             np.testing.assert_allclose(getattr(factored, field),
@@ -472,8 +479,8 @@ class TestFactoredWorlds:
                                        err_msg=field, **close)
         assert engine.lowrank_fallbacks == {
             "conditioning": 0, "rank": 0, "nonfinite": 0}
-        assert engine.lowrank_updates == \
-            len(factored._faults) * self.CONFIG.n_samples
+        # The ranking half sweeps the same worlds once more.
+        assert engine.lowrank_updates == 2 * updates
         cases = make_test_cases(result.info, result.mapper,
                                 components=result.universe.components,
                                 deviations=HELD_OUT, tolerance=0.03,
@@ -569,6 +576,7 @@ class TestInformationGainOracle:
         diagnoser = PosteriorDiagnoser.from_atpg(
             result, PosteriorConfig(n_samples=8, tolerance=tolerance,
                                     noise_db=noise_db, seed=5))
+        diagnoser.prepare_ranking()
         cases = [(component, deviation)
                  for component in result.universe.components
                  for deviation in HELD_OUT]
@@ -688,6 +696,15 @@ def _reference_answers(diagnoser, posterior, entropy, gains, log_w, peak,
             for row in range(posterior.shape[0])]
 
 
+def _with_gains(diagnoser, tensors):
+    """Captured ``_answers`` tensors with the deferred gains filled in
+    the way a ranking read computes them."""
+    posterior, entropy, *rest = tensors
+    diagnoser.prepare_ranking()
+    return (posterior, entropy,
+            diagnoser._information_gains(posterior, entropy), *rest)
+
+
 def _assert_same_answers(got, want):
     """Bitwise equality: ``repr`` spells every float exactly."""
     assert len(got) == len(want)
@@ -719,10 +736,11 @@ class TestAnswerAssemblyOracle:
         monkeypatch.setattr(PosteriorDiagnoser, "_answers", capture)
         got = diagnoser.diagnose_points(points)
         (tensors,) = captured
-        _assert_same_answers(got, _reference_answers(diagnoser, *tensors))
+        _assert_same_answers(got, _reference_answers(
+            diagnoser, *_with_gains(diagnoser, tensors)))
         assert any(d.expected_deviation != 0.0 for d in got)
 
-    def test_edge_rows_equal_the_row_loop(self, atpg_cache):
+    def test_edge_rows_equal_the_row_loop(self, atpg_cache, monkeypatch):
         """Hand-made request tensors: a winner whose every world weight
         is zero (peak -inf: expected deviation 0.0), a fault-free
         winner, a posterior tie broken by peak, and ordinary rows."""
@@ -749,7 +767,9 @@ class TestAnswerAssemblyOracle:
         gains = rng.uniform(0.0, 1.0, size=(n_rows,
                                             diagnoser._cand_freqs.size))
         gains[3] = 0.0
-        got = diagnoser._answers(posterior, entropy, gains, log_w, peak,
+        monkeypatch.setattr(diagnoser, "_information_gains",
+                            lambda posterior, entropy: gains)
+        got = diagnoser._answers(posterior, entropy, log_w, peak,
                                  deviations)
         _assert_same_answers(got, _reference_answers(
             diagnoser, posterior, entropy, gains, log_w, peak, deviations))
@@ -770,15 +790,225 @@ class TestSpans:
         try:
             diagnoser = PosteriorDiagnoser.from_atpg(
                 result, PosteriorConfig(n_samples=6, seed=1))
-            diagnoser.diagnose_points(np.zeros((3, diagnoser.dimension)))
+            first = diagnoser.diagnose_points(
+                np.zeros((3, diagnoser.dimension)))
+            second = diagnoser.diagnose_points(
+                np.ones((2, diagnoser.dimension)))
+            assert not any(span.name == "posterior.ranking"
+                           for span in seen)
+            first[1].test_ranking
+            second[0].test_ranking
         finally:
             TRACER.remove_sink(sink)
         spans = {span.name: span for span in seen}
         build = spans["posterior.build"].attrs
         assert build == {"worlds": 6,
-                         "hypotheses": len(diagnoser.component_labels),
-                         "candidates": diagnoser._cand_freqs.size}
+                         "hypotheses": len(diagnoser.component_labels)}
         request = spans["posterior.request"].attrs
-        assert request["rows"] == 3 and request["worlds"] == 6
-        assert 0.0 < request["gain_seconds"] <= \
-            spans["posterior.request"].duration_s
+        assert request["rows"] == 2 and request["worlds"] == 6
+        assert "gain_seconds" not in request
+        building, reading = [span for span in seen
+                             if span.name == "posterior.ranking"]
+        assert building.attrs["rows"] == 3
+        assert building.attrs["planes_built"] is True
+        assert building.attrs["candidates"] == diagnoser._cand_freqs.size
+        assert reading.attrs["rows"] == 2
+        assert reading.attrs["planes_built"] is False
+        assert "candidates" not in reading.attrs
+        for span in (building, reading):
+            assert 0.0 < span.attrs["gain_seconds"] <= span.duration_s
+
+
+# ----------------------------------------------------------------------
+# The ranking half: built on the first ranking read, once per diagnoser;
+# each request's rankings resolved together on their first read.
+# ----------------------------------------------------------------------
+class TestDeferredRanking:
+    CONFIG = PosteriorConfig(n_samples=10, samples_per_block=4,
+                             tolerance=0.03, seed=5)
+
+    @staticmethod
+    def _case_points(result):
+        from repro.diagnosis import make_test_cases
+        cases = make_test_cases(result.info, result.mapper, tolerance=0.03,
+                                noise_db=0.05, repeats=1, seed=31)
+        return np.vstack([case.point for case in cases])
+
+    @staticmethod
+    def _count_gains(monkeypatch):
+        calls = []
+        gains = PosteriorDiagnoser._information_gains
+
+        def counted(self, posterior, entropy):
+            calls.append(posterior.shape[0])
+            return gains(self, posterior, entropy)
+
+        monkeypatch.setattr(PosteriorDiagnoser, "_information_gains",
+                            counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["tow_thomas_biquad", "rc_lowpass",
+                                      "corpus"])
+    def test_answers_never_touch_the_candidates(self, atpg_cache,
+                                                corpus_result, monkeypatch,
+                                                name):
+        """The corpus path -- build, diagnose, read component,
+        probabilities and entropy -- solves the test vector only and
+        computes no gain. The first ranking read then sweeps the other
+        candidates once (one call per table) and makes one gains call
+        for the whole request; every row equals the answer oracle
+        bitwise and every answer then holds a plain tuple."""
+        from repro.tracing import TRACER
+        result = corpus_result if name == "corpus" else atpg_cache(name)
+        gain_calls = self._count_gains(monkeypatch)
+        captured = []
+        answers_of = PosteriorDiagnoser._answers
+
+        def capture(self, *tensors):
+            captured.append(tensors)
+            return answers_of(self, *tensors)
+
+        monkeypatch.setattr(PosteriorDiagnoser, "_answers", capture)
+        points = self._case_points(result)
+        solves = []
+
+        def sink(span):
+            if span.name == "engine.solve":
+                solves.append(span.attrs["freqs"])
+
+        TRACER.add_sink(sink)
+        try:
+            diagnoser = PosteriorDiagnoser.from_atpg(result, self.CONFIG)
+            answers = diagnoser.diagnose_points(points)
+            for answer in answers:
+                answer.component, answer.probabilities
+                answer.entropy_bits, answer.expected_deviation
+            measured = np.unique(np.searchsorted(
+                diagnoser._cand_freqs, result.mapper.test_freqs_hz)).size
+            tables = 1 + -(-self.CONFIG.n_samples //
+                           self.CONFIG.samples_per_block)
+            assert solves == [measured] * tables
+            assert gain_calls == []
+            pending = {id(vars(answer)["test_ranking"])
+                       for answer in answers}
+            assert len(pending) == 1
+
+            answers[len(answers) // 2].test_ranking
+            candidates = diagnoser._cand_freqs.size - measured
+            assert solves[tables:] == [candidates] * tables
+            assert gain_calls == [len(answers)]
+            assert all(type(vars(answer)["test_ranking"]) is tuple
+                       for answer in answers)
+            [answer.test_ranking for answer in answers]
+            assert gain_calls == [len(answers)]
+        finally:
+            TRACER.remove_sink(sink)
+        (tensors,) = captured
+        _assert_same_answers(answers, _reference_answers(
+            diagnoser, *_with_gains(diagnoser, tensors)))
+
+    @pytest.mark.parametrize("name", ["khn_state_variable",
+                                      "sallen_key_lowpass", "corpus"])
+    def test_spliced_moments_equal_the_full_grid_solve(self, atpg_cache,
+                                                       corpus_result, name):
+        """The moments built from the test-vector and candidate sweeps
+        equal those of one full-grid sweep of the same worlds, bit for
+        bit (the historical build)."""
+        result = corpus_result if name == "corpus" else atpg_cache(name)
+        diagnoser = PosteriorDiagnoser.from_atpg(result, self.CONFIG)
+        golden_db, mag_db = diagnoser._sweep(diagnoser._cand_freqs)
+        diagnoser.prepare_ranking()
+        cand = result.mapper.signatures_from_db(mag_db, golden_db)
+        labels = diagnoser.component_labels
+        floor = max(self.CONFIG.noise_db, posterior_module._SIGMA_FLOOR)
+        for outcome, label in enumerate(labels):
+            if outcome == 0:
+                pool = cand[0]
+            else:
+                rows = [1 + index for index, fault in
+                        enumerate(diagnoser._faults)
+                        if fault.component == label]
+                pool = cand[rows].reshape(-1, diagnoser._cand_freqs.size)
+            assert diagnoser._cand_mean[outcome].tobytes() == \
+                pool.mean(axis=0).tobytes(), label
+            assert diagnoser._cand_sigma[outcome].tobytes() == \
+                np.maximum(pool.std(axis=0), floor).tobytes(), label
+
+    def test_threads_build_the_planes_once(self, atpg_cache, monkeypatch):
+        """Two threads reading rankings of one request, then of two
+        requests of one diagnoser: the ranking half is built once, one
+        request's gains computed once."""
+        import threading
+        import time as time_module
+        result = atpg_cache("tow_thomas_biquad")
+        gain_calls = self._count_gains(monkeypatch)
+        builds = []
+        build_ranking = PosteriorDiagnoser._build_ranking
+
+        def slow_build(self):
+            builds.append(self)
+            time_module.sleep(0.05)  # both readers arrive mid-build
+            build_ranking(self)
+
+        monkeypatch.setattr(PosteriorDiagnoser, "_build_ranking",
+                            slow_build)
+
+        def race(*readers):
+            barrier = threading.Barrier(len(readers))
+            rankings = [None] * len(readers)
+
+            def read(slot, answer):
+                barrier.wait()
+                rankings[slot] = answer.test_ranking
+
+            threads = [threading.Thread(target=read, args=(slot, answer))
+                       for slot, answer in enumerate(readers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            return rankings
+
+        points = self._case_points(result)
+        diagnoser = PosteriorDiagnoser.from_atpg(result, self.CONFIG)
+        answers = diagnoser.diagnose_points(points)
+        first, last = race(answers[0], answers[-1])
+        assert len(builds) == 1 and gain_calls == [len(answers)]
+        assert (first, last) == (answers[0].test_ranking,
+                                 answers[-1].test_ranking)
+
+        diagnoser = PosteriorDiagnoser.from_atpg(result, self.CONFIG)
+        one = diagnoser.diagnose_points(points[:3])
+        two = diagnoser.diagnose_points(points[3:])
+        del builds[:], gain_calls[:]
+        race(one[0], two[0])
+        assert len(builds) == 1
+        assert sorted(gain_calls) == sorted([3, len(points) - 3])
+        assert [a.test_ranking for a in one + two] == \
+            [a.test_ranking for a in answers]
+
+    def test_answers_copy_pickle_and_compare_resolved(self, atpg_cache):
+        """Equality, hashing, ``repr``, copies and pickles of unread
+        answers all see the resolved ranking; a pickle never carries
+        the diagnoser, and resolving drops the request's arrays."""
+        import copy
+        import pickle
+        result = atpg_cache("sallen_key_lowpass")
+        diagnoser = PosteriorDiagnoser.from_atpg(result, self.CONFIG)
+        points = self._case_points(result)[:4]
+        reference = diagnoser.diagnose_points(points)
+        [answer.test_ranking for answer in reference]
+
+        for read in (pickle.dumps, copy.copy, copy.deepcopy, hash, repr,
+                     lambda a: dataclasses.replace(a, n_samples=1)):
+            answers = diagnoser.diagnose_points(points)
+            batch = vars(answers[0])["test_ranking"]
+            read(answers[0])
+            assert batch._diagnoser is None and batch._posterior is None
+            assert answers == reference
+        answers = diagnoser.diagnose_points(points)
+        payload = pickle.dumps(answers)
+        assert b"PosteriorDiagnoser" not in payload
+        assert pickle.loads(payload) == reference
+        assert answers[2].summary() == reference[2].summary()
+        assert hash(answers[1]) == hash(reference[1])
